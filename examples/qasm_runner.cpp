@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
     }
 
     // Snapshot now: sample() below runs a measure-all circuit, which
-    // resets last_report() (begin_report runs per run()).
+    // resets last_report() (every run() starts a fresh report).
     const obs::RunReport report = bsim ? bsim->last_report()
                                        : sim->last_report();
 

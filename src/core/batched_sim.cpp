@@ -1,22 +1,14 @@
 #include "core/batched_sim.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/bits.hpp"
-#include "common/timer.hpp"
 #include "core/kernels/batched.hpp"
-#include "core/kernels/blocked.hpp"
+#include "core/pipeline.hpp"
 #include "ir/matrices.hpp"
 #include "ir/schedule.hpp"
-#include "machine/model.hpp"
 #include "obs/capacity.hpp"
-#include "obs/counters.hpp"
-#include "obs/httpd.hpp"
-#include "obs/perfmodel.hpp"
-#include "obs/progress.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 
 namespace svsim {
 
@@ -35,25 +27,6 @@ struct BDev {
   IdxType amps_per_item = 0; // per member, for progress accounting
   bool skip = false;         // absorbed into an earlier combined slot
 };
-
-IdxType gate_work(const Gate& g, IdxType n) {
-  switch (g.op) {
-    case OP::BARRIER:
-      return 0;
-    case OP::MA:
-      return pow2(n);
-    case OP::M:
-    case OP::RESET:
-      return half_dim(n);
-    default:
-      return g.qb1 >= 0 ? quarter_dim(n) : half_dim(n);
-  }
-}
-
-IdxType gate_amps_per_item(const Gate& g) {
-  if (g.op == OP::MA) return 1;
-  return g.qb1 >= 0 ? 4 : 2;
-}
 
 IdxType ceil_log2(IdxType v) {
   IdxType lg = 0;
@@ -105,7 +78,6 @@ bool same_gate(const Gate& a, const Gate& b) {
 /// with an unchanged circuit (the chunked shot campaign) reuse it whole.
 struct BatchedSim::Plan {
   std::vector<Gate> key;         // gates the plan was compiled from
-  bool combine = false;          // SVSIM_BATCH_COMBINE at compile time
   obs::TrackedBuffer<ValType> coef;  // per-gate coefficient rows
   obs::TrackedBuffer<ValType> mcoef; // combined-slot coefficient rows
   std::vector<BDev> dev;
@@ -182,21 +154,11 @@ void BatchedSim::execute(const Circuit& circuit,
   SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
   static obs::Counter& runs = obs::Registry::global().counter("runs.batched");
   runs.add();
-
-  report_ = obs::RunReport{};
-  report_.backend = name();
-  report_.n_qubits = n_;
-  report_.n_workers = 1;
-  report_.batch = static_cast<int>(batch_);
-  obs::tally_gates(report_, circuit);
+  start_report(report_, name(), n_, 1, circuit, batch_);
+  const RunSwitches sw(cfg_);
 
   const BatchedTable& table = kernels::batched_kernel_table(cfg_.simd);
   const auto& gates = circuit.gates();
-
-  const bool combine_on = [] {
-    const char* e = std::getenv("SVSIM_BATCH_COMBINE");
-    return e == nullptr || std::atoi(e) != 0;
-  }();
 
   // Plan reuse: a uniform run() with the same circuit as last time (the
   // chunked shot campaign — reseed(); run(circ) per chunk) replays the
@@ -207,12 +169,10 @@ void BatchedSim::execute(const Circuit& circuit,
   Plan scratch;
   Plan& plan = reusable ? *plan_ : scratch;
   const bool plan_hit =
-      reusable && plan.valid && plan.combine == combine_on &&
-      plan.key.size() == gates.size() &&
+      reusable && plan.valid && plan.key.size() == gates.size() &&
       std::equal(gates.begin(), gates.end(), plan.key.begin(), same_gate);
   if (!plan_hit) {
   plan = Plan{};
-  plan.combine = combine_on;
   obs::TrackedBuffer<ValType>& coef = plan.coef;
   obs::TrackedBuffer<ValType>& mcoef = plan.mcoef;
   std::vector<BDev>& dev = plan.dev;
@@ -236,8 +196,8 @@ void BatchedSim::execute(const Circuit& circuit,
     d.fn = table.fns[static_cast<std::size_t>(g.op)];
     SVSIM_CHECK(d.fn != nullptr, "op has no batched kernel");
     d.bg.g = g;
-    d.work = gate_work(g, n_);
-    d.amps_per_item = gate_amps_per_item(g);
+    d.work = gate_work_items(g, n_);
+    d.amps_per_item = static_cast<IdxType>(detail::amps_per_work_item(g));
     const int rows = kernels::batched_coef_rows(g.op);
     if (rows > 0) {
       ValType* base = coef.data() + row * static_cast<std::size_t>(batch_);
@@ -282,8 +242,8 @@ void BatchedSim::execute(const Circuit& circuit,
   // sees the same shape and batch congruence holds; non-unitary ops,
   // barriers and window boundaries break runs, and inside blocked windows
   // only block-local gates participate (high diagonals keep their
-  // phase-table path). SVSIM_BATCH_COMBINE=0 disables the pass.
-  if (combine_on && n_ >= 2) {
+  // phase-table path).
+  if (n_ >= 2) {
     struct MGroup {
       std::vector<IdxType> gis; // program-order gate indices
       IdxType qubit = -1;
@@ -455,31 +415,12 @@ void BatchedSim::execute(const Circuit& circuit,
   sp.results = ma_shots_ > 0 ? results_.data() : nullptr;
   sp.n_shots = ma_shots_;
 
-  const bool roofline = [this] {
-    const int env = obs::env_roofline();
-    if (env >= 0) return env == 1;
-    return cfg_.roofline;
-  }();
-  const obs::RunModel model =
-      roofline ? obs::model_run_batched(
-                     circuit, sched_active ? &sched : nullptr, batch_)
-               : obs::RunModel{};
-
-  obs::ProgressBoard* progress =
-      obs::maybe_start_httpd(cfg_.http_port) ? &obs::ProgressBoard::global()
-                                             : nullptr;
-  if (progress != nullptr) {
-    progress->begin_run(name(), n_, 1, circuit,
-                        sched_active ? &sched : nullptr, batch_);
-  }
+  LoopBracket bracket(report_, sw, circuit, sched_active ? &sched : nullptr,
+                      /*priced=*/true, batch_);
   obs::ProgressSlot* slot =
-      progress != nullptr ? progress->slot(0) : nullptr;
-
-  obs::CounterSampler counters(roofline);
-  const double loop_t0 = obs::trace_now_us();
-  counters.start();
+      sw.progress != nullptr ? sw.progress->slot(0) : nullptr;
+  bracket.start();
   {
-    Timer::ScopedAccum wall(report_.wall_seconds);
     const std::vector<Window> fallback = {
         Window{0, circuit.n_gates(), 0, false, false}};
     const std::vector<Window>& windows =
@@ -573,13 +514,9 @@ void BatchedSim::execute(const Circuit& circuit,
       }
     }
   }
-  counters.stop();
-  if (roofline) {
-    obs::fold_roofline(report_, model, counters.sample(),
-                       machine::host_peak_gbps(1), name(), loop_t0,
-                       obs::trace_now_us());
-  }
-  if (progress != nullptr) progress->end_run(obs::to_json(report_));
+  bracket.stop();
+  bracket.fold_roofline();
+  bracket.end();
 }
 
 StateVector BatchedSim::state(IdxType member) const {

@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 
 #include "common/bits.hpp"
-#include "common/logging.hpp"
-#include "common/timer.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/flight.hpp"
-#include "obs/health.hpp"
-#include "obs/progress.hpp"
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
+#include "core/pipeline.hpp"
 
 namespace svsim {
 
@@ -26,84 +17,48 @@ public:
   Rank(CoarseMsgSim* sim, int rank)
       : sim_(sim),
         rank_(rank),
-        per_(pow2(sim->lg_part_)),
-        lg_(sim->lg_part_),
-        real_(sim->real_parts_[static_cast<std::size_t>(rank)].data()),
-        imag_(sim->imag_parts_[static_cast<std::size_t>(rank)].data()),
+        per_(pow2(sim->parts_.lg_part)),
+        lg_(sim->parts_.lg_part),
+        real_(sim->parts_.real[static_cast<std::size_t>(rank)]),
+        imag_(sim->parts_.imag[static_cast<std::size_t>(rank)]),
         rng_(&sim->rngs_[static_cast<std::size_t>(rank)]) {
     stats_.per_dest_bytes.assign(static_cast<std::size_t>(sim->n_ranks_), 0);
   }
 
-  void execute(const std::vector<Gate>& gates, obs::GateRecorder* rec,
-               obs::HealthMonitor* health, obs::FlightRecorder* flight,
-               obs::ProgressSlot* pslot) {
-    obs::FlightRing* ring = flight != nullptr ? flight->ring(rank_) : nullptr;
-    obs::ProgressScope pscope(pslot); // live wait column via WaitScope
-    const std::uint64_t every =
-        health != nullptr && health->every_n() > 0
-            ? static_cast<std::uint64_t>(health->every_n())
-            : 0;
-    const std::uint64_t n_gates = gates.size();
-    std::uint64_t gate_id = 0;
-    for (const Gate& g : gates) {
-      ++gate_id;
-      obs::WaitTracker::set_phase(op_name(g.op));
-      if (ring != nullptr) {
-        obs::FlightEvent e;
-        e.ts_us = obs::trace_now_us();
-        e.gate_id = gate_id;
-        e.kind = obs::FlightEvent::kGate;
-        e.op = static_cast<std::uint16_t>(g.op);
-        e.qb0 = static_cast<std::int32_t>(g.qb0);
-        e.qb1 = static_cast<std::int32_t>(g.qb1);
-        ring->push(e);
-      }
-      {
-        obs::Span span(rec, rank_, g.op);
-        switch (g.op) {
-          case OP::M: apply_measure(g); break;
-          case OP::MA: apply_measure_all(g); break;
-          case OP::RESET: apply_reset(g); break;
-          case OP::BARRIER: break;
-          default:
-            if (op_info(g.op).n_qubits == 1) {
-              apply_1q(g);
-            } else {
-              apply_2q(g);
-            }
-        }
-      }
-      if (pslot != nullptr) {
-        // Every non-barrier gate walks this rank's whole partition.
-        pslot->publish_gate(gate_id,
-                            g.op == OP::BARRIER
-                                ? 0
-                                : static_cast<std::uint64_t>(per_));
-      }
-      if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-        double norm2 = 0;
-        std::uint64_t bad = 0;
-        obs::scan_amplitudes(real_, imag_, per_, &norm2, &bad);
-        // Both reductions ride the rank's own message-based all-reduce:
-        // every rank reaches this checkpoint at the same gate (the cadence
-        // is deterministic), so the collective stays lockstep.
-        const double g_norm2 = static_cast<double>(
-            all_reduce_sum(static_cast<ValType>(norm2)));
-        const std::uint64_t g_bad = static_cast<std::uint64_t>(
-            all_reduce_sum(static_cast<ValType>(bad)) + 0.5);
-        if (rank_ == 0) health->observe(gate_id, g_norm2, g_bad);
-        if (ring != nullptr) {
-          obs::FlightEvent e;
-          e.ts_us = obs::trace_now_us();
-          e.gate_id = gate_id;
-          e.kind = obs::FlightEvent::kCheckpoint;
-          ring->push(e);
-        }
-        // Pure predicate over the reduced values: all ranks break together.
-        if (health->should_abort(g_norm2, g_bad)) break;
-      }
-    }
+  void execute(const std::vector<Gate>& gates, const RunPlanes& planes) {
+    detail::per_gate_loop(*this, planes, gates, [this](const Gate& g) {
+      apply(g);
+      // Every non-barrier gate walks this rank's whole partition.
+      return g.op == OP::BARRIER ? std::uint64_t{0}
+                                 : static_cast<std::uint64_t>(per_);
+    });
     sim_->stats_[static_cast<std::size_t>(rank_)] = stats_;
+  }
+
+  // --- the SPMD protocol detail::health_checkpoint uses ------------------
+
+  int worker() const { return rank_; }
+  const ValType* local_real() const { return real_; }
+  const ValType* local_imag() const { return imag_; }
+  IdxType local_count() const { return per_; }
+
+  /// Root-based all-reduce: partials to rank 0, result broadcast back.
+  /// Every rank reaches each collective at the same gate (the gate loop
+  /// and the checkpoint cadence are deterministic), so it stays lockstep.
+  ValType reduce_sum(ValType v) const {
+    // One kReduction span per collective; the inner recv kTransfer
+    // scopes are nesting-suppressed.
+    obs::WaitScope wait(obs::WaitKind::kReduction);
+    const int n = sim_->n_ranks_;
+    if (n == 1) return v;
+    if (rank_ == 0) {
+      ValType total = v;
+      for (int r = 1; r < n; ++r) total += recv(r)[0];
+      for (int r = 1; r < n; ++r) send(r, std::vector<ValType>{total});
+      return total;
+    }
+    send(0, std::vector<ValType>{v});
+    return recv(0)[0];
   }
 
 private:
@@ -121,7 +76,7 @@ private:
     return recv(partner);
   }
 
-  void send(int dst, std::vector<ValType>&& buf) {
+  void send(int dst, std::vector<ValType>&& buf) const {
     ++stats_.messages;
     const std::uint64_t nbytes = buf.size() * sizeof(ValType);
     stats_.bytes += nbytes;
@@ -130,28 +85,26 @@ private:
                                                           std::move(buf));
   }
 
-  std::vector<ValType> recv(int src) {
+  std::vector<ValType> recv(int src) const {
     return sim_->mailboxes_[static_cast<std::size_t>(rank_)]->recv(src);
   }
 
-  /// Root-based all-reduce: partials to rank 0, result broadcast back.
-  ValType all_reduce_sum(ValType v) {
-    // One kReduction span per collective; the inner recv kTransfer
-    // scopes are nesting-suppressed.
-    obs::WaitScope wait(obs::WaitKind::kReduction);
-    const int n = sim_->n_ranks_;
-    if (n == 1) return v;
-    if (rank_ == 0) {
-      ValType total = v;
-      for (int r = 1; r < n; ++r) total += recv(r)[0];
-      for (int r = 1; r < n; ++r) send(r, std::vector<ValType>{total});
-      return total;
-    }
-    send(0, std::vector<ValType>{v});
-    return recv(0)[0];
-  }
-
   // --- gate application --------------------------------------------------
+
+  void apply(const Gate& g) {
+    switch (g.op) {
+      case OP::M: apply_measure(g); break;
+      case OP::MA: apply_measure_all(g); break;
+      case OP::RESET: apply_reset(g); break;
+      case OP::BARRIER: break;
+      default:
+        if (op_info(g.op).n_qubits == 1) {
+          apply_1q(g);
+        } else {
+          apply_2q(g);
+        }
+    }
+  }
 
   void apply_1q(const Gate& g) {
     const Mat2 m = matrix_1q(g);
@@ -374,7 +327,7 @@ private:
     // Clamp like kern_measure: drift in the reduced probability must not
     // bias the branch or push `keep` negative.
     const ValType prob1 =
-        std::clamp(all_reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
+        std::clamp(reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
     const ValType u = rng_->next_double(); // replicated draw, same everywhere
     const bool one = u < prob1;
     const ValType keep = one ? prob1 : 1.0 - prob1;
@@ -385,7 +338,7 @@ private:
   void apply_reset(const Gate& g) {
     const IdxType q = g.qb0;
     const ValType prob1 =
-        std::clamp(all_reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
+        std::clamp(reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
     const ValType prob0 = 1.0 - prob1;
     if (prob0 > 1e-12) {
       collapse(q, false, 1.0 / std::sqrt(prob0));
@@ -424,7 +377,7 @@ private:
 
   void apply_measure_all(const Gate& g) {
     const int n = sim_->n_ranks_;
-    const IdxType shots = sim_->n_shots_;
+    const IdxType shots = sim_->mctx_.n_shots;
     // All ranks draw the same uniforms (lockstep with the other backends).
     std::vector<std::pair<ValType, IdxType>> draws;
     draws.reserve(static_cast<std::size_t>(shots));
@@ -491,7 +444,7 @@ private:
   ValType* real_;
   ValType* imag_;
   Rng* rng_;
-  MsgStats stats_;
+  mutable MsgStats stats_; // the collectives count their messages too
 };
 
 // ---------------------------------------------------------------------------
@@ -499,19 +452,21 @@ private:
 // ---------------------------------------------------------------------------
 
 CoarseMsgSim::CoarseMsgSim(IdxType n_qubits, int n_ranks, SimConfig cfg)
-    : n_(n_qubits),
+    : Simulator(n_qubits),
+      n_(n_qubits),
       dim_(obs::admit_dim("coarse-msg", n_qubits, n_ranks, 1, cfg.mem_limit)),
       n_ranks_(n_ranks),
-      cfg_(cfg),
-      cbits_(static_cast<std::size_t>(n_qubits), 0) {
+      cfg_(cfg) {
   SVSIM_CHECK(n_ranks >= 1 && is_pow2(n_ranks),
               "rank count must be a power of two");
   SVSIM_CHECK(dim_ >= n_ranks, "more ranks than amplitudes");
-  lg_part_ = n_ - log2_exact(n_ranks);
-  const auto per = static_cast<std::size_t>(pow2(lg_part_));
+  parts_.lg_part = n_ - log2_exact(n_ranks);
+  const auto per = static_cast<std::size_t>(pow2(parts_.lg_part));
   for (int r = 0; r < n_ranks; ++r) {
     real_parts_.emplace_back(per, obs::MemTag::kState, r);
     imag_parts_.emplace_back(per, obs::MemTag::kState, r);
+    parts_.real.push_back(real_parts_.back().data());
+    parts_.imag.push_back(imag_parts_.back().data());
     mailboxes_.push_back(std::make_unique<Mailbox>(n_ranks, r));
   }
   real_parts_[0][0] = 1.0;
@@ -520,135 +475,35 @@ CoarseMsgSim::CoarseMsgSim(IdxType n_qubits, int n_ranks, SimConfig cfg)
 }
 
 void CoarseMsgSim::reset_state() {
-  for (int r = 0; r < n_ranks_; ++r) {
-    real_parts_[static_cast<std::size_t>(r)].zero();
-    imag_parts_[static_cast<std::size_t>(r)].zero();
-  }
-  real_parts_[0][0] = 1.0;
-  std::fill(cbits_.begin(), cbits_.end(), 0);
-  layout_.clear();
+  reset_partitions();
   for (auto& rng : rngs_) rng.reseed(cfg_.seed);
 }
 
-void CoarseMsgSim::execute(const Circuit& circuit) {
-  static obs::Counter& runs = obs::Registry::global().counter("runs.coarse");
-  runs.add();
-  obs::RunReport& rep = begin_report(circuit, n_ranks_);
-
-  // Communication-avoiding remap (ir/remap): hot qubits move below
-  // lg_part_ so gates avoid whole-partition exchanges; readout is
-  // virtually permuted. The report keeps the ORIGINAL circuit's
-  // tally/hash.
-  const std::unique_ptr<RemapResult> rm =
-      maybe_remap(circuit, cfg_, n_ranks_, lg_part_, &layout_);
-  ma_layouts_ = rm ? std::move(rm->ma_layouts) : std::vector<IdxType>{};
-  const Circuit& exec = rm ? rm->circuit : circuit;
-
-  stats_.assign(static_cast<std::size_t>(n_ranks_), MsgStats{});
-
-  std::unique_ptr<obs::GateRecorder> rec;
-  if (profiling_on(cfg_)) {
-    rec = std::make_unique<obs::GateRecorder>(n_ranks_,
-                                              obs::Trace::global().enabled());
-  }
-  const std::unique_ptr<obs::HealthMonitor> health = make_health(cfg_);
-  obs::FlightRecorder* flight = flight_on(cfg_);
-  if (flight != nullptr) flight->begin_run(name(), n_, n_ranks_);
-
-  std::unique_ptr<obs::WaitRecorder> wrec;
-  if (waitstats_on(cfg_)) wrec = std::make_unique<obs::WaitRecorder>(n_ranks_);
-
-  obs::ProgressBoard* progress = progress_on(cfg_);
-  if (progress != nullptr) {
-    progress->begin_run(name(), n_, n_ranks_, exec, nullptr);
-  }
-
-  auto rank_main = [&](int r) {
-    set_log_pe(r);
-    obs::WaitBind bind(wrec.get(), r);
-    Rank rank(this, r);
-    rank.execute(exec.gates(), rec.get(), health.get(), flight,
-                 progress != nullptr ? progress->slot(r) : nullptr);
-  };
-  {
-    Timer::ScopedAccum wall(rep.wall_seconds);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(n_ranks_ - 1));
-    for (int r = 1; r < n_ranks_; ++r) workers.emplace_back(rank_main, r);
-    rank_main(0);
-    for (auto& t : workers) t.join();
-  }
-  set_log_pe(-1); // the calling thread ran rank 0
-
-  if (rec) rec->finish(rep, name());
-  if (wrec) obs::fold_waitstate(rep, *wrec, name());
-  if (health) health->finish(rep);
-  if (flight != nullptr) set_flight_pending(n_ranks_);
-  const MsgStats total = stats();
-  rep.comm.add_messages(total.messages, total.bytes);
-  rep.matrix.n = n_ranks_;
-  rep.matrix.bytes.assign(
-      static_cast<std::size_t>(n_ranks_) * static_cast<std::size_t>(n_ranks_),
-      0);
-  for (int r = 0; r < n_ranks_; ++r) {
-    const auto& row = stats_[static_cast<std::size_t>(r)].per_dest_bytes;
-    for (int d = 0; d < n_ranks_ && d < static_cast<int>(row.size()); ++d) {
-      rep.matrix.bytes[static_cast<std::size_t>(r) *
-                           static_cast<std::size_t>(n_ranks_) +
-                       static_cast<std::size_t>(d)] = row[static_cast<std::size_t>(d)];
-    }
-  }
-  if (progress != nullptr) progress->end_run(obs::to_json(rep));
-}
-
 void CoarseMsgSim::run(const Circuit& circuit) {
-  SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
-  execute(circuit);
-}
-
-StateVector CoarseMsgSim::state() const {
-  StateVector sv(n_);
-  const IdxType per = pow2(lg_part_);
-  // Undo the remap layout virtually: physical amplitude index k holds
-  // logical basis state permute_bits(k, inverse, n).
-  std::vector<IdxType> inv;
-  if (!layout_.empty()) {
-    inv.resize(static_cast<std::size_t>(n_));
-    for (IdxType l = 0; l < n_; ++l) {
-      inv[static_cast<std::size_t>(layout_[static_cast<std::size_t>(l)])] = l;
-    }
-  }
-  for (IdxType k = 0; k < dim_; ++k) {
-    const auto r = static_cast<std::size_t>(k >> lg_part_);
-    const auto off = static_cast<std::size_t>(k & (per - 1));
-    const IdxType logical =
-        inv.empty() ? k : permute_bits(k, inv.data(), n_);
-    sv.amps[static_cast<std::size_t>(logical)] =
-        Complex{real_parts_[r][off], imag_parts_[r][off]};
-  }
-  return sv;
-}
-
-void CoarseMsgSim::load_state(const StateVector& sv) {
-  SVSIM_CHECK(sv.n_qubits == n_, "state width mismatch");
-  layout_.clear(); // loaded amplitudes are in natural (logical) order
-  const IdxType per = pow2(lg_part_);
-  for (IdxType k = 0; k < dim_; ++k) {
-    const auto r = static_cast<std::size_t>(k >> lg_part_);
-    const auto off = static_cast<std::size_t>(k & (per - 1));
-    real_parts_[r][off] = sv.amps[static_cast<std::size_t>(k)].real();
-    imag_parts_[r][off] = sv.amps[static_cast<std::size_t>(k)].imag();
-  }
-}
-
-std::vector<IdxType> CoarseMsgSim::sample(IdxType shots) {
-  results_.assign(static_cast<std::size_t>(shots), 0);
-  n_shots_ = shots;
-  Circuit c(n_);
-  c.measure_all();
-  execute(c);
-  n_shots_ = 0;
-  return results_;
+  static obs::Counter& runs = obs::Registry::global().counter("runs.coarse");
+  Run run(*this, circuit, cfg_, runs, Shape{n_ranks_, true});
+  stats_.assign(static_cast<std::size_t>(n_ranks_), MsgStats{});
+  run.launch(
+      nullptr, /*priced=*/false,
+      [&] {
+        launch_team(n_ranks_, [&](int r) {
+          obs::WaitBind bind(run.waits(), r);
+          Rank(this, r).execute(run.exec().gates(), run.planes());
+        });
+      },
+      [&](obs::RunReport& rep) {
+        const MsgStats total = stats();
+        rep.comm.add_messages(total.messages, total.bytes);
+        const auto n = static_cast<std::size_t>(n_ranks_);
+        rep.matrix.n = n_ranks_;
+        rep.matrix.bytes.assign(n * n, 0);
+        for (std::size_t r = 0; r < n; ++r) {
+          const auto& row = stats_[r].per_dest_bytes;
+          for (std::size_t d = 0; d < n && d < row.size(); ++d) {
+            rep.matrix.bytes[r * n + d] = row[d];
+          }
+        }
+      });
 }
 
 MsgStats CoarseMsgSim::stats() const {

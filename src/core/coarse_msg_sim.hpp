@@ -107,37 +107,21 @@ public:
   int n_ranks() const { return n_ranks_; }
   void reset_state() override;
   void run(const Circuit& circuit) override;
-  StateVector state() const override;
-  void load_state(const StateVector& sv) override;
-  const std::vector<IdxType>& cbits() const override { return cbits_; }
-  std::vector<IdxType> sample(IdxType shots) override;
 
   MsgStats stats() const;
 
 private:
   class Rank; // per-rank execution context (defined in the .cpp)
 
-  void execute(const Circuit& circuit);
-
   IdxType n_;
   IdxType dim_;
   int n_ranks_;
-  IdxType lg_part_;
   SimConfig cfg_;
 
   std::vector<obs::TrackedBuffer<ValType>> real_parts_;
   std::vector<obs::TrackedBuffer<ValType>> imag_parts_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
-  std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
-  /// Live logical→physical qubit layout (ir/remap). Empty = identity;
-  /// persists across execute() calls so sample()'s internal measure-all
-  /// run sees the permutation the previous circuit left behind.
-  std::vector<IdxType> layout_;
-  /// Flattened per-measure-all layout snapshots of the current execute().
-  std::vector<IdxType> ma_layouts_;
-  IdxType n_shots_ = 0;
   std::vector<Rng> rngs_;
   std::vector<MsgStats> stats_;
 };

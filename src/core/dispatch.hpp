@@ -13,7 +13,8 @@
 // Here the same structure is realized per address-space policy: each
 // instantiation of KernelTable<Space> is "the device's constant-memory
 // function table", DeviceGate<Space> is the uploaded gate, and
-// simulation_kernel<Space> is the single launched kernel.
+// simulation_kernel_sched<Space> (kernels/blocked.hpp) is the single
+// launched kernel.
 #pragma once
 
 #include <array>
@@ -128,6 +129,15 @@ std::vector<DeviceGate<Space>> upload_circuit(const Circuit& circuit,
   return out;
 }
 
+/// The observability planes one run switched on, shared read-only by
+/// every worker's gate loop (null = that plane is off).
+struct RunPlanes {
+  obs::GateRecorder* rec = nullptr;
+  obs::HealthMonitor* health = nullptr;
+  obs::FlightRecorder* flight = nullptr;
+  obs::ProgressBoard* progress = nullptr;
+};
+
 namespace detail {
 
 /// Push one per-gate event onto this worker's flight ring (no-op ring ==
@@ -179,67 +189,68 @@ inline std::uint64_t amps_per_work_item(const Gate& g) {
   return g.qb1 >= 0 ? 4 : 2;    // quadruples vs pairs
 }
 
-} // namespace detail
+/// One worker's handles into the run's planes: its flight ring, its
+/// progress slot (bound for the live wait column via WaitScope), and the
+/// health cadence over a circuit of `n_gates` gates.
+struct WorkerPlanes {
+  WorkerPlanes(const RunPlanes& p, int worker, std::uint64_t n_gates)
+      : rec(p.rec),
+        health(p.health),
+        ring(p.flight != nullptr ? p.flight->ring(worker) : nullptr),
+        pslot(p.progress != nullptr ? p.progress->slot(worker) : nullptr),
+        every(p.health != nullptr && p.health->every_n() > 0
+                  ? static_cast<std::uint64_t>(p.health->every_n())
+                  : 0),
+        n_gates(n_gates),
+        me(worker),
+        scope(pslot) {}
 
-/// The single simulation kernel (Listing 1 lines 21-26 / Listing 5): every
-/// worker executes the full gate loop over its contiguous slice of work
-/// items, with a global sync after each gate (grid.sync() /
-/// nvshmem_barrier_all()). When a GateRecorder is supplied each gate (plus
-/// its sync) is wrapped in an obs::Span on this worker's track; with the
-/// default null recorder the spans are branch-only no-ops.
-///
-/// When a HealthMonitor is supplied, every `every_n()` gates (and after the
-/// final gate) each worker SIMD-scans its local partition, the partial
-/// norms / non-finite counts are combined through the Space's own
-/// reduce_sum — so the checkpoint is collective and stays lockstep across
-/// workers — worker 0 records the result, and every worker evaluates the
-/// same pure abort predicate on the reduced values: an escalated abort
-/// breaks all gate loops together, with no worker left waiting at a
-/// barrier. A FlightRecorder, when enabled, gets one event per gate on
-/// this worker's ring (a few plain stores). A ProgressBoard, when
-/// enabled, gets one relaxed store + one uncontended fetch_add per gate
-/// on this worker's cacheline-private slot — /progress readers snapshot
-/// those without ever stalling the loop.
-template <class Space>
-void simulation_kernel(const std::vector<DeviceGate<Space>>& circuit,
-                       const Space& sp, obs::GateRecorder* rec = nullptr,
-                       obs::HealthMonitor* health = nullptr,
-                       obs::FlightRecorder* flight = nullptr,
-                       obs::ProgressBoard* progress = nullptr) {
-  const IdxType nw = sp.n_workers();
-  const IdxType me = sp.worker();
-  obs::FlightRing* ring =
-      flight != nullptr ? flight->ring(static_cast<int>(me)) : nullptr;
-  obs::ProgressSlot* pslot =
-      progress != nullptr ? progress->slot(static_cast<int>(me)) : nullptr;
-  obs::ProgressScope pscope(pslot); // live wait column via WaitScope
-  const std::uint64_t every =
-      health != nullptr && health->every_n() > 0
-          ? static_cast<std::uint64_t>(health->every_n())
-          : 0;
-  const std::uint64_t n_gates = circuit.size();
+  obs::GateRecorder* const rec;
+  obs::HealthMonitor* const health;
+  obs::FlightRing* const ring;
+  obs::ProgressSlot* const pslot;
+  const std::uint64_t every; // health cadence in gates, 0 = off
+  const std::uint64_t n_gates;
+  const int me;
+  obs::ProgressScope scope;
+};
+
+/// One gate of a per-gate loop (Listing 1 lines 21-26 / Listing 5): phase
+/// label, flight event, then `apply()` — the gate's work on this worker
+/// plus its sync, returning the amplitudes it touched — inside an
+/// obs::Span, the progress publish (one relaxed store + one uncontended
+/// fetch_add on this worker's slot), and the health cadence. Every
+/// `every` gates (and after the last) the checkpoint is collective over
+/// the Space's reduce_sum and its abort verdict is identical on every
+/// worker. Returns false when the loop must stop.
+template <class Space, class Apply>
+bool gate_step(const Space& sp, const WorkerPlanes& wp,
+               std::uint64_t gate_id, const Gate& g, Apply&& apply) {
+  obs::WaitTracker::set_phase(op_name(g.op));
+  flight_gate_event(wp.ring, gate_id, g);
+  {
+    obs::Span span(wp.rec, wp.me, g.op);
+    const std::uint64_t amps = apply();
+    if (wp.pslot != nullptr) wp.pslot->publish_gate(gate_id, amps);
+  }
+  if (wp.every == 0 || (gate_id % wp.every != 0 && gate_id != wp.n_gates)) {
+    return true;
+  }
+  return !health_checkpoint(sp, wp.health, wp.ring, gate_id);
+}
+
+/// The per-gate loop of a backend with its own gate arithmetic: `apply(g)`
+/// runs one gate on this worker and returns the amplitudes it touched.
+template <class Space, class Apply>
+void per_gate_loop(const Space& sp, const RunPlanes& planes,
+                   const std::vector<Gate>& gates, Apply&& apply) {
+  const WorkerPlanes wp(planes, sp.worker(), gates.size());
   std::uint64_t gate_id = 0;
-  for (const DeviceGate<Space>& dg : circuit) {
-    ++gate_id;
-    obs::WaitTracker::set_phase(op_name(dg.g.op));
-    detail::flight_gate_event(ring, gate_id, dg.g);
-    {
-      obs::Span span(rec, static_cast<int>(me), dg.g.op);
-      const IdxType per = (dg.work + nw - 1) / nw;
-      const IdxType begin = per * me < dg.work ? per * me : dg.work;
-      const IdxType end = begin + per < dg.work ? begin + per : dg.work;
-      dg.fn(dg.g, sp, begin, end);
-      sp.sync();
-      if (pslot != nullptr) {
-        pslot->publish_gate(gate_id,
-                            static_cast<std::uint64_t>(end - begin) *
-                                detail::amps_per_work_item(dg.g));
-      }
-    }
-    if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-      if (detail::health_checkpoint(sp, health, ring, gate_id)) break;
-    }
+  for (const Gate& g : gates) {
+    if (!gate_step(sp, wp, ++gate_id, g, [&] { return apply(g); })) return;
   }
 }
+
+} // namespace detail
 
 } // namespace svsim

@@ -1,34 +1,23 @@
 #include "core/generalized_sim.hpp"
 
-#include <memory>
-
-#include "common/timer.hpp"
-#include "core/kernels/nonunitary.hpp"
-#include "obs/flight.hpp"
-#include "obs/health.hpp"
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
-#include "obs/trace.hpp"
+#include "core/pipeline.hpp"
 
 namespace svsim {
 
 GeneralizedSim::GeneralizedSim(IdxType n_qubits, SimConfig cfg)
-    : n_(n_qubits),
+    : Simulator(n_qubits),
+      n_(n_qubits),
       dim_(obs::admit_dim("generalized", n_qubits, 1, 1, cfg.mem_limit)),
       cfg_(cfg),
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
-      cbits_(static_cast<std::size_t>(n_qubits), 0),
       rng_(cfg.seed) {
   real_[0] = 1.0;
-  mctx_.cbits = cbits_.data();
+  parts_ = Partitions{n_, {real_.data()}, {imag_.data()}};
 }
 
 void GeneralizedSim::reset_state() {
-  real_.zero();
-  imag_.zero();
-  real_[0] = 1.0;
-  std::fill(cbits_.begin(), cbits_.end(), 0);
+  reset_partitions();
   rng_.reseed(cfg_.seed);
 }
 
@@ -40,14 +29,6 @@ LocalSpace GeneralizedSim::make_space() {
   sp.mctx = &mctx_;
   sp.rng = &rng_;
   return sp;
-}
-
-void GeneralizedSim::load_state(const StateVector& sv) {
-  SVSIM_CHECK(sv.n_qubits == n_, "state width mismatch");
-  for (IdxType k = 0; k < dim_; ++k) {
-    real_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].real();
-    imag_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].imag();
-  }
 }
 
 void GeneralizedSim::apply_matrix(const Mat2& m, IdxType q) {
@@ -120,83 +101,20 @@ void GeneralizedSim::apply_gate(const Gate& g) {
 }
 
 void GeneralizedSim::run(const Circuit& circuit) {
-  SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
   static obs::Counter& runs =
       obs::Registry::global().counter("runs.generalized");
-  runs.add();
-  obs::RunReport& rep = begin_report(circuit, 1);
-  std::unique_ptr<obs::GateRecorder> rec;
-  if (profiling_on(cfg_)) {
-    rec = std::make_unique<obs::GateRecorder>(1, obs::Trace::global().enabled());
-  }
-  const std::unique_ptr<obs::HealthMonitor> health = make_health(cfg_);
-  obs::FlightRecorder* flight = flight_on(cfg_);
-  if (flight != nullptr) flight->begin_run(name(), n_, 1);
-  obs::FlightRing* ring = flight != nullptr ? flight->ring(0) : nullptr;
-  const std::uint64_t every =
-      health != nullptr && health->every_n() > 0
-          ? static_cast<std::uint64_t>(health->every_n())
-          : 0;
-  const std::uint64_t n_gates = circuit.gates().size();
-  {
-    Timer::ScopedAccum wall(rep.wall_seconds);
-    std::uint64_t gate_id = 0;
-    for (const Gate& g : circuit.gates()) {
-      ++gate_id;
-      if (ring != nullptr) {
-        obs::FlightEvent e;
-        e.ts_us = obs::trace_now_us();
-        e.gate_id = gate_id;
-        e.kind = obs::FlightEvent::kGate;
-        e.op = static_cast<std::uint16_t>(g.op);
-        e.qb0 = static_cast<std::int32_t>(g.qb0);
-        e.qb1 = static_cast<std::int32_t>(g.qb1);
-        ring->push(e);
-      }
-      {
-        obs::Span span(rec.get(), 0, g.op);
-        apply_gate(g);
-      }
-      if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-        double norm2 = 0;
-        std::uint64_t bad = 0;
-        obs::scan_amplitudes(real_.data(), imag_.data(), dim_, &norm2, &bad);
-        health->observe(gate_id, norm2, bad);
-        if (ring != nullptr) {
-          obs::FlightEvent e;
-          e.ts_us = obs::trace_now_us();
-          e.gate_id = gate_id;
-          e.kind = obs::FlightEvent::kCheckpoint;
-          ring->push(e);
-        }
-        if (health->should_abort(norm2, bad)) break;
-      }
-    }
-  }
-  if (rec) rec->finish(rep, name());
-  if (health) health->finish(rep);
-  if (flight != nullptr) set_flight_pending(1);
-}
-
-StateVector GeneralizedSim::state() const {
-  StateVector sv(n_);
-  for (IdxType k = 0; k < dim_; ++k) {
-    sv.amps[static_cast<std::size_t>(k)] =
-        Complex{real_[static_cast<std::size_t>(k)],
-                imag_[static_cast<std::size_t>(k)]};
-  }
-  return sv;
-}
-
-std::vector<IdxType> GeneralizedSim::sample(IdxType shots) {
-  results_.assign(static_cast<std::size_t>(shots), 0);
-  mctx_.results = results_.data();
-  mctx_.n_shots = shots;
-  Gate g = make_gate(OP::MA);
-  kernels::kern_measure_all(g, make_space(), 0, dim_);
-  mctx_.results = nullptr;
-  mctx_.n_shots = 0;
-  return results_;
+  Run run(*this, circuit, cfg_, runs, Shape{1, false});
+  run.launch(
+      nullptr, /*priced=*/false,
+      [&] {
+        detail::per_gate_loop(
+            make_space(), run.planes(), circuit.gates(), [&](const Gate& g) {
+              apply_gate(g);
+              return static_cast<std::uint64_t>(gate_work_items(g, n_)) *
+                     detail::amps_per_work_item(g);
+            });
+      },
+      no_comm_fold);
 }
 
 } // namespace svsim

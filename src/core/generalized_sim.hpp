@@ -29,13 +29,6 @@ public:
   IdxType n_qubits() const override { return n_; }
   void reset_state() override;
   void run(const Circuit& circuit) override;
-  StateVector state() const override;
-  const std::vector<IdxType>& cbits() const override { return cbits_; }
-  std::vector<IdxType> sample(IdxType shots) override;
-
-  /// Load an arbitrary (normalized) state — used by kernel-vs-matrix
-  /// property tests.
-  void load_state(const StateVector& sv) override;
 
   /// Apply one dense 1-qubit matrix / 2-qubit matrix directly (public so
   /// tests can check kernels against arbitrary random unitaries).
@@ -51,9 +44,6 @@ private:
   SimConfig cfg_;
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
-  std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
-  MeasureCtx mctx_;
   Rng rng_;
 };
 

@@ -513,91 +513,75 @@ inline void fold_sched_stats(obs::RunReport& rep,
       static_cast<std::uint64_t>(dim);
 }
 
-/// The scheduled twin of simulation_kernel: per-gate windows replicate its
-/// loop body exactly (per-gate sync, span, flight event, health cadence);
-/// blocked windows run blocks-outer/gates-inner with one sync and at most
-/// one health checkpoint per window. Every worker executes the same
-/// window sequence and reaches the same checkpoint/abort verdicts, so the
-/// collective protocol stays lockstep.
+/// The simulation kernel (Listing 1 lines 21-26 / Listing 5): every worker
+/// runs the same window sequence over its share of the state. Per-gate
+/// windows run each gate on this worker's contiguous slice of work items
+/// followed by a global sync (grid.sync() / nvshmem_barrier_all()), with
+/// the span, flight event, progress publish and health cadence of
+/// detail::gate_step. Blocked windows run blocks-outer/gates-inner with
+/// one sync and at most one health checkpoint per window. An unscheduled
+/// run is one per-gate window over the whole circuit. Every worker
+/// reaches the same checkpoint/abort verdicts, so the collective protocol
+/// stays lockstep.
 template <class Space>
 void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
                              const kernels::SchedExec<Space>& ex,
-                             const Space& sp,
-                             obs::GateRecorder* rec = nullptr,
-                             obs::HealthMonitor* health = nullptr,
-                             obs::FlightRecorder* flight = nullptr,
-                             obs::ProgressBoard* progress = nullptr) {
+                             const Space& sp, const RunPlanes& planes = {}) {
   using kernels::WindowAction;
   const IdxType nw = sp.n_workers();
   const IdxType me = sp.worker();
-  obs::FlightRing* ring =
-      flight != nullptr ? flight->ring(static_cast<int>(me)) : nullptr;
-  obs::ProgressSlot* pslot =
-      progress != nullptr ? progress->slot(static_cast<int>(me)) : nullptr;
-  obs::ProgressScope pscope(pslot);
-  const std::uint64_t every =
-      health != nullptr && health->every_n() > 0
-          ? static_cast<std::uint64_t>(health->every_n())
-          : 0;
-  const std::uint64_t n_gates = circuit.size();
-  const IdxType b = ex.block_exp;
-  const IdxType lg_local = log2_exact(sp.local_count());
-  const IdxType blocks_per_worker = pow2(lg_local - b);
-  const IdxType first_blk = me * blocks_per_worker;
+  const detail::WorkerPlanes wp(planes, static_cast<int>(me), circuit.size());
+  const Window whole{0, static_cast<IdxType>(circuit.size()), 0, false, false};
+  const Window* const windows = ex.active ? ex.sched.windows.data() : &whole;
+  const std::size_t n_windows = ex.active ? ex.sched.windows.size() : 1;
   std::uint64_t gate_id = 0;
-  for (std::size_t wi = 0; wi < ex.sched.windows.size(); ++wi) {
-    const Window& w = ex.sched.windows[wi];
-    if (pslot != nullptr) {
-      pslot->publish_window(static_cast<std::uint64_t>(wi));
+  for (std::size_t wi = 0; wi < n_windows; ++wi) {
+    const Window& w = windows[wi];
+    if (wp.pslot != nullptr) {
+      wp.pslot->publish_window(static_cast<std::uint64_t>(wi));
     }
     if (!w.blocked) {
-      // Classic per-gate execution (same body as simulation_kernel).
       for (IdxType k = 0; k < w.n_gates; ++k) {
         const DeviceGate<Space>& dg =
             circuit[static_cast<std::size_t>(w.first_gate + k)];
-        ++gate_id;
-        obs::WaitTracker::set_phase(op_name(dg.g.op));
-        detail::flight_gate_event(ring, gate_id, dg.g);
-        {
-          obs::Span span(rec, static_cast<int>(me), dg.g.op);
+        const bool go_on = detail::gate_step(sp, wp, ++gate_id, dg.g, [&] {
           const IdxType per = (dg.work + nw - 1) / nw;
           const IdxType begin = per * me < dg.work ? per * me : dg.work;
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
           dg.fn(dg.g, sp, begin, end);
           sp.sync();
-          if (pslot != nullptr) {
-            pslot->publish_gate(gate_id,
-                                static_cast<std::uint64_t>(end - begin) *
-                                    detail::amps_per_work_item(dg.g));
-          }
-        }
-        if (every != 0 && (gate_id % every == 0 || gate_id == n_gates)) {
-          if (detail::health_checkpoint(sp, health, ring, gate_id)) return;
-        }
+          return static_cast<std::uint64_t>(end - begin) *
+                 detail::amps_per_work_item(dg.g);
+        });
+        if (!go_on) return;
       }
       continue;
     }
     // Blocked window: one flight event per gate at entry, then
     // blocks-outer / gates-inner over this worker's partition.
-    if (ring != nullptr) {
+    if (wp.ring != nullptr) {
       for (IdxType k = 0; k < w.n_gates; ++k) {
         detail::flight_gate_event(
-            ring, gate_id + static_cast<std::uint64_t>(k) + 1,
+            wp.ring, gate_id + static_cast<std::uint64_t>(k) + 1,
             circuit[static_cast<std::size_t>(w.first_gate + k)].g);
       }
     }
     obs::WaitTracker::set_phase("window");
+    const IdxType b = ex.block_exp;
+    const IdxType blocks_per_worker = pow2(log2_exact(sp.local_count()) - b);
+    const IdxType first_blk = me * blocks_per_worker;
     const std::vector<WindowAction<Space>>& actions = ex.actions[wi];
     // Window-level trace span ("sched windows" track): the window is a
     // team-wide construct, so one worker records it for the whole team.
-    const bool win_trace = rec != nullptr && rec->collect_trace() && me == 0;
+    const bool win_trace =
+        wp.rec != nullptr && wp.rec->collect_trace() && me == 0;
     const double win_t0 = win_trace ? obs::trace_now_us() : 0;
     const std::uint64_t win_start_gate = gate_id;
     for (IdxType blk = first_blk; blk < first_blk + blocks_per_worker;
          ++blk) {
       const IdxType base = blk << b;
       for (const WindowAction<Space>& a : actions) {
-        obs::Span span(rec, static_cast<int>(me), a.op);
+        obs::Span span(wp.rec, static_cast<int>(me), a.op);
         if (a.kind == WindowAction<Space>::Kind::kGate) {
           const DeviceGate<Space>& dg =
               circuit[static_cast<std::size_t>(a.gate_index)];
@@ -607,7 +591,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           kernels::blocked_detail::apply_diag_run(sp, a, base, b);
         }
       }
-      if (pslot != nullptr) {
+      if (wp.pslot != nullptr) {
         // Interpolate progress through the window: after this block the
         // sweep is (blk+1-first)/blocks done, so publish the gate id at
         // that fraction of the window (the last block lands exactly on
@@ -618,7 +602,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
         // 2^b-amplitude block of real work: noise.
         const std::uint64_t done_blocks =
             static_cast<std::uint64_t>(blk - first_blk + 1);
-        pslot->publish_gate(
+        wp.pslot->publish_gate(
             win_start_gate + static_cast<std::uint64_t>(w.n_gates) *
                                  done_blocks / blocks_per_worker,
             static_cast<std::uint64_t>(pow2(b)));
@@ -626,10 +610,10 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
     }
     sp.sync();
     if (win_trace) {
-      rec->record_window(win_t0, obs::trace_now_us(),
-                         static_cast<std::uint64_t>(wi),
-                         static_cast<std::uint64_t>(w.n_gates),
-                         static_cast<int>(b));
+      wp.rec->record_window(win_t0, obs::trace_now_us(),
+                            static_cast<std::uint64_t>(wi),
+                            static_cast<std::uint64_t>(w.n_gates),
+                            static_cast<int>(b));
     }
     const std::uint64_t prev = gate_id;
     gate_id += static_cast<std::uint64_t>(w.n_gates);
@@ -638,8 +622,9 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
     // (local_count amplitudes) accumulated block by block.
     // The cadence is evaluated at window granularity: one checkpoint when
     // the window crosses a multiple of `every` (or ends the circuit).
-    if (every != 0 && (gate_id / every > prev / every || gate_id == n_gates)) {
-      if (detail::health_checkpoint(sp, health, ring, gate_id)) return;
+    if (wp.every != 0 &&
+        (gate_id / wp.every > prev / wp.every || gate_id == wp.n_gates)) {
+      if (detail::health_checkpoint(sp, wp.health, wp.ring, gate_id)) return;
     }
   }
 }

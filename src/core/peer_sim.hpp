@@ -30,10 +30,6 @@ public:
   int n_devices() const { return n_dev_; }
   void reset_state() override;
   void run(const Circuit& circuit) override;
-  StateVector state() const override;
-  void load_state(const StateVector& sv) override;
-  const std::vector<IdxType>& cbits() const override { return cbits_; }
-  std::vector<IdxType> sample(IdxType shots) override;
 
   /// Aggregate local/remote access counts from the last run().
   PeerTraffic traffic() const;
@@ -42,31 +38,19 @@ public:
   }
 
 private:
-  void execute(const Circuit& circuit);
+  PeerSpace make_space(int device, shmem::Barrier* grid);
 
   IdxType n_;
   IdxType dim_;
   int n_dev_;
-  IdxType lg_part_; // log2(amplitudes per device)
   SimConfig cfg_;
 
-  // One partition per device — "SAFE_ALOC_GPU(sv_real_ptr[d], ...)".
+  // One partition per device — "SAFE_ALOC_GPU(sv_real_ptr[d], ...)". The
+  // base's Partitions pointer arrays are the shared arrays broadcast to
+  // all devices.
   std::vector<obs::TrackedBuffer<ValType>> real_parts_;
   std::vector<obs::TrackedBuffer<ValType>> imag_parts_;
-  // The shared pointer arrays broadcast to all devices.
-  std::vector<ValType*> real_ptrs_;
-  std::vector<ValType*> imag_ptrs_;
 
-  std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
-  /// Live logical→physical qubit layout (ir/remap). Empty = identity;
-  /// persists across execute() calls so sample()'s internal measure-all
-  /// run sees the permutation the previous circuit left behind.
-  std::vector<IdxType> layout_;
-  /// Flattened per-measure-all layout snapshots of the current execute()
-  /// (storage behind MeasureCtx::ma_layouts).
-  std::vector<IdxType> ma_layouts_;
-  MeasureCtx mctx_;
   std::vector<Rng> rngs_; // per-worker replicas, same seed (lockstep)
   std::vector<ValType> scratch_;
   std::vector<PeerTraffic> traffic_;

@@ -1,0 +1,207 @@
+#include "core/pipeline.hpp"
+
+#include <algorithm>
+
+#include "common/bits.hpp"
+#include "machine/model.hpp"
+#include "obs/waitstate.hpp"
+
+namespace svsim {
+
+RunSwitches::RunSwitches(const SimConfig& cfg)
+    : profile(cfg.profile || !obs::env_profile_path().empty()) {
+  const int env_roofline = obs::env_roofline();
+  roofline = env_roofline >= 0 ? env_roofline == 1 : cfg.roofline;
+  const int env_waits = obs::env_waitstats();
+  if (env_waits >= 0) {
+    waitstats = env_waits == 1;
+  } else {
+    waitstats = cfg.waitstats < 0 || cfg.waitstats == 1;
+  }
+  if (obs::maybe_start_httpd(cfg.http_port)) {
+    progress = &obs::ProgressBoard::global();
+  }
+}
+
+void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
+                  int n_workers, const Circuit& circuit, IdxType batch) {
+  rep = obs::RunReport{};
+  rep.backend = backend;
+  rep.n_qubits = n_qubits;
+  rep.n_workers = n_workers;
+  rep.batch = static_cast<int>(batch);
+  obs::tally_gates(rep, circuit);
+}
+
+LoopBracket::LoopBracket(obs::RunReport& rep, const RunSwitches& sw,
+                         const Circuit& exec, const Schedule* sched,
+                         bool priced, IdxType batch)
+    : rep_(rep),
+      progress_(sw.progress),
+      roofline_(sw.roofline && priced),
+      model_(roofline_ ? obs::model_run_batched(exec, sched, batch)
+                       : obs::RunModel{}),
+      counters_(roofline_) {
+  if (progress_ != nullptr) {
+    progress_->begin_run(rep.backend.c_str(), rep.n_qubits, rep.n_workers,
+                         exec, sched, batch);
+  }
+}
+
+void LoopBracket::fold_roofline() {
+  if (!roofline_) return;
+  obs::fold_roofline(rep_, model_, counters_.sample(),
+                     machine::host_peak_gbps(rep_.n_workers),
+                     rep_.backend.c_str(), t0_us_, obs::trace_now_us());
+}
+
+void LoopBracket::end() {
+  if (progress_ != nullptr) progress_->end_run(obs::to_json(rep_));
+}
+
+Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
+                    const SimConfig& cfg, obs::Counter& runs, Shape shape)
+    : sim_(sim), circuit_(circuit), shape_(shape), sw_(cfg) {
+  SVSIM_CHECK(circuit.n_qubits() == sim.n_qubits(),
+              "circuit width != simulator width");
+  runs.add();
+  start_report(sim.report_, sim.name(), sim.n_qubits(), shape.n_workers,
+               circuit);
+  sim.flight_workers_ = 0;
+
+  // Communication-avoiding remap (ir/remap) on partitioned backends, when
+  // the pass resolves on (SimConfig::remap / SVSIM_REMAP / auto multi-PE)
+  // and applies (more than one PE, at least two node-local index bits):
+  // hot qubits move below lg_part so gates run PE-local, seeded with the
+  // persistent layout; readout is virtually permuted through the
+  // per-measure-all layout snapshots instead of physically restored.
+  sim.ma_layouts_.clear();
+  const IdxType local_bits = sim.parts_.lg_part;
+  if (shape.partitioned && remap_on(cfg, shape.n_workers)) {
+    obs::RemapStats& st = sim.report_.remap;
+    st.enabled = true;
+    if (shape.n_workers > 1 && local_bits >= 2) {
+      rm_ = std::make_unique<RemapResult>(remap_for_partition(
+          circuit, local_bits, 64,
+          sim.layout_.empty() ? nullptr : &sim.layout_));
+      sim.layout_ = rm_->layout;
+      sim.ma_layouts_ = std::move(rm_->ma_layouts);
+      st.active = true;
+      st.local_bits = static_cast<int>(local_bits);
+      st.swaps_inserted = static_cast<std::uint64_t>(rm_->swaps_inserted);
+      st.modeled_remote_bytes_before = rm_->modeled_remote_bytes_before;
+      st.modeled_remote_bytes_after = rm_->modeled_remote_bytes_after;
+    }
+  }
+  sim.mctx_.ma_layouts =
+      sim.ma_layouts_.empty() ? nullptr : sim.ma_layouts_.data();
+
+  if (sw_.profile) {
+    rec_ = std::make_unique<obs::GateRecorder>(
+        shape.n_workers, obs::Trace::global().enabled());
+  }
+  const obs::HealthMonitor::Options health = obs::HealthMonitor::options(cfg);
+  if (health.every_n > 0) {
+    health_ = std::make_unique<obs::HealthMonitor>(health);
+  }
+  // The process flight recorder, unless SimConfig::flight or
+  // SVSIM_FLIGHT=0 turned it off.
+  if (cfg.flight && obs::FlightRecorder::global().enabled()) {
+    flight_ = &obs::FlightRecorder::global();
+    flight_->begin_run(sim.name(), sim.n_qubits(), shape.n_workers);
+  }
+  if (shape.partitioned && sw_.waitstats) {
+    waits_ = std::make_unique<obs::WaitRecorder>(shape.n_workers);
+  }
+  planes_ = RunPlanes{rec_.get(), health_.get(), flight_, sw_.progress};
+}
+
+// --- Simulator: the state surface shared by every backend ---------------
+
+Simulator::Simulator(IdxType n_qubits)
+    : cbits_(static_cast<std::size_t>(n_qubits), 0) {
+  mctx_.cbits = cbits_.data();
+  mctx_.n_qubits = n_qubits;
+}
+
+void Simulator::reset_partitions() {
+  const auto per = static_cast<std::size_t>(pow2(parts_.lg_part));
+  for (std::size_t p = 0; p < parts_.real.size(); ++p) {
+    std::fill(parts_.real[p], parts_.real[p] + per, ValType{0});
+    std::fill(parts_.imag[p], parts_.imag[p] + per, ValType{0});
+  }
+  parts_.real[0][0] = 1.0;
+  std::fill(cbits_.begin(), cbits_.end(), 0);
+  layout_.clear();
+}
+
+StateVector Simulator::state() const {
+  const IdxType n = n_qubits();
+  StateVector sv(n);
+  // Undo the remap layout virtually: physical amplitude index k holds
+  // logical basis state permute_bits(k, inverse, n).
+  std::vector<IdxType> inv;
+  if (!layout_.empty()) {
+    inv.resize(static_cast<std::size_t>(n));
+    for (IdxType l = 0; l < n; ++l) {
+      inv[static_cast<std::size_t>(layout_[static_cast<std::size_t>(l)])] = l;
+    }
+  }
+  const IdxType per = pow2(parts_.lg_part);
+  for (std::size_t p = 0; p < parts_.real.size(); ++p) {
+    const ValType* re = parts_.real[p];
+    const ValType* im = parts_.imag[p];
+    const IdxType base = static_cast<IdxType>(p) * per;
+    if (inv.empty()) {
+      Complex* out = sv.amps.data() + base;
+      for (IdxType k = 0; k < per; ++k) out[k] = Complex{re[k], im[k]};
+    } else {
+      for (IdxType k = 0; k < per; ++k) {
+        sv.amps[static_cast<std::size_t>(
+            permute_bits(base + k, inv.data(), n))] = Complex{re[k], im[k]};
+      }
+    }
+  }
+  return sv;
+}
+
+void Simulator::load_state(const StateVector& sv) {
+  SVSIM_CHECK(sv.n_qubits == n_qubits(), "state width mismatch");
+  layout_.clear(); // loaded amplitudes are in natural (logical) order
+  const IdxType per = pow2(parts_.lg_part);
+  for (std::size_t p = 0; p < parts_.real.size(); ++p) {
+    const Complex* in = sv.amps.data() + static_cast<IdxType>(p) * per;
+    ValType* re = parts_.real[p];
+    ValType* im = parts_.imag[p];
+    for (IdxType k = 0; k < per; ++k) {
+      re[k] = in[k].real();
+      im[k] = in[k].imag();
+    }
+  }
+}
+
+std::vector<IdxType> Simulator::sample(IdxType shots) {
+  results_.assign(static_cast<std::size_t>(shots), 0);
+  mctx_.results = results_.data();
+  mctx_.n_shots = shots;
+  Circuit c(n_qubits());
+  c.measure_all();
+  run(c);
+  mctx_.results = nullptr;
+  mctx_.n_shots = 0;
+  return results_;
+}
+
+const obs::RunReport& Simulator::last_report() const {
+  if (flight_workers_ > 0) {
+    report_.flight = obs::FlightRecorder::global().drain(flight_workers_);
+    flight_workers_ = 0;
+  }
+  // Memory is folded lazily like the flight drain: the registry
+  // snapshot + one synchronous RSS sample per report request, never
+  // per run().
+  if (!report_.backend.empty()) obs::fold_memory(report_);
+  return report_;
+}
+
+} // namespace svsim

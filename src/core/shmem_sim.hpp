@@ -35,10 +35,6 @@ public:
   int n_pes() const { return n_pes_; }
   void reset_state() override;
   void run(const Circuit& circuit) override;
-  StateVector state() const override;
-  void load_state(const StateVector& sv) override;
-  const std::vector<IdxType>& cbits() const override { return cbits_; }
-  std::vector<IdxType> sample(IdxType shots) override;
 
   /// Aggregate one-sided traffic of the last run() across PEs.
   shmem::TrafficStats traffic() const { return last_traffic_; }
@@ -48,30 +44,16 @@ public:
   }
 
 private:
-  void execute(const Circuit& circuit);
-
   IdxType n_;
   IdxType dim_;
   int n_pes_;
-  IdxType lg_part_;
   SimConfig cfg_;
 
+  // The base's Partitions point into the symmetric allocation (valid for
+  // the lifetime of the runtime arenas; allocated once in the
+  // constructor).
   shmem::Runtime runtime_;
-  // Per-PE pointers into the symmetric allocation (valid for the lifetime
-  // of the runtime arenas; allocated once in the constructor).
-  std::vector<ValType*> real_sym_;
-  std::vector<ValType*> imag_sym_;
 
-  std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
-  /// Live logical→physical qubit layout (ir/remap). Empty = identity;
-  /// persists across execute() calls so sample()'s internal measure-all
-  /// run sees the permutation the previous circuit left behind.
-  std::vector<IdxType> layout_;
-  /// Flattened per-measure-all layout snapshots of the current execute()
-  /// (storage behind MeasureCtx::ma_layouts).
-  std::vector<IdxType> ma_layouts_;
-  MeasureCtx mctx_;
   std::vector<Rng> rngs_; // per-PE replicas, same seed
   shmem::TrafficStats last_traffic_;
   // Memory-registry ids of the per-PE arenas (registered externally:

@@ -7,12 +7,19 @@
 //   GeneralizedSim — generic-matrix baseline (Aer/qsim-style, Fig 14)
 //   CoarseMsgSim   — MPI-style coarse-grained message-passing baseline
 // so every test, example, bench and VQA driver is backend-agnostic.
+//
+// The base also holds what every backend shares: the view of where the
+// amplitudes live (state()/load_state()/sample() are implemented once
+// over it), the classical register, the remap layout, and the run
+// pipeline (core/pipeline.hpp) each backend's run() goes through.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "common/config.hpp"
+#include "core/dispatch.hpp"
+#include "core/space.hpp"
 #include "core/state_vector.hpp"
 #include "ir/circuit.hpp"
 #include "ir/fusion.hpp"
@@ -23,6 +30,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/perfmodel.hpp"
 #include "obs/progress.hpp"
+#include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -31,6 +39,9 @@ namespace svsim {
 class Simulator {
 public:
   virtual ~Simulator() = default;
+  // The measurement context points into the object's own storage.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   virtual const char* name() const = 0;
   virtual IdxType n_qubits() const = 0;
@@ -42,20 +53,22 @@ public:
   /// May be called repeatedly (the VQA iteration pattern).
   virtual void run(const Circuit& circuit) = 0;
 
-  /// Gather the full state into host memory.
-  virtual StateVector state() const = 0;
+  /// Gather the full state into host memory, in logical basis order (a
+  /// remapped layout is undone virtually).
+  StateVector state() const;
 
   /// Load an arbitrary state (must be normalized to the usual tolerance;
   /// width must match). Supported by every backend — used to resume work,
   /// inject prepared states, and by the kernel-vs-reference tests.
-  virtual void load_state(const StateVector& sv) = 0;
+  void load_state(const StateVector& sv);
 
   /// Classical register contents after the last run().
-  virtual const std::vector<IdxType>& cbits() const = 0;
+  const std::vector<IdxType>& cbits() const { return cbits_; }
 
   /// Sample `shots` basis-state outcomes from the current state without
-  /// collapsing it (the paper's measure-all path).
-  virtual std::vector<IdxType> sample(IdxType shots) = 0;
+  /// collapsing it (the paper's measure-all path): one measure-all
+  /// circuit through run(), so the report covers the readout too.
+  std::vector<IdxType> sample(IdxType shots);
 
   // --- convenience built on the virtual surface ---
 
@@ -76,7 +89,7 @@ public:
     report_.fusion = st;
   }
 
-  // --- observability (non-virtual; backends fill report_ per run()) ---
+  // --- observability (non-virtual; the run pipeline fills report_) ---
 
   /// Instrumentation record of the most recent run()/sample(): gate
   /// counts by kind, per-gate-kind time (when profiling), fusion stats,
@@ -84,118 +97,66 @@ public:
   /// PE×PE traffic matrix, and the flight-recorder events. The flight
   /// drain is deferred to here: copying up to 256 events per worker on
   /// every run() would dominate single-gate circuits.
-  const obs::RunReport& last_report() const {
-    if (flight_workers_ > 0) {
-      report_.flight = obs::FlightRecorder::global().drain(flight_workers_);
-      flight_workers_ = 0;
-    }
-    // Memory is folded lazily like the flight drain: the registry
-    // snapshot + one synchronous RSS sample per report request, never
-    // per run().
-    if (!report_.backend.empty()) obs::fold_memory(report_);
-    return report_;
-  }
+  const obs::RunReport& last_report() const;
 
 protected:
-  /// Reset and stamp the report at the top of a run(). Backends wrap the
-  /// gate loop in Timer::ScopedAccum(report.wall_seconds) and merge their
-  /// traffic counters at the end.
-  obs::RunReport& begin_report(const Circuit& circuit, int n_workers) {
-    report_ = obs::RunReport{};
-    flight_workers_ = 0;
-    report_.backend = name();
-    report_.n_qubits = n_qubits();
-    report_.n_workers = n_workers;
-    obs::tally_gates(report_, circuit);
-    return report_;
-  }
+  explicit Simulator(IdxType n_qubits);
 
-  /// Communication-avoiding remap (ir/remap) for a partitioned backend.
-  /// Call after begin_report(). When the pass resolves on (SimConfig::
-  /// remap / SVSIM_REMAP / auto multi-PE) and is applicable (more than
-  /// one PE, at least two node-local index bits), runs it seeded with the
-  /// persistent `layout` (empty = identity — it survives across runs so
-  /// sample()'s internal measure-all circuit sees the permutation the
-  /// previous circuit left behind), stores the final layout back, fills
-  /// report_.remap, and returns the rewritten circuit. Null = execute
-  /// the input unchanged.
-  std::unique_ptr<RemapResult> maybe_remap(const Circuit& circuit,
-                                           const SimConfig& cfg,
-                                           int n_workers, IdxType local_bits,
-                                           std::vector<IdxType>* layout) {
-    if (!remap_on(cfg, n_workers)) return nullptr;
-    obs::RemapStats& st = report_.remap;
-    st.enabled = true;
-    if (n_workers <= 1 || local_bits < 2) return nullptr;
-    auto rm = std::make_unique<RemapResult>(remap_for_partition(
-        circuit, local_bits, 64, layout->empty() ? nullptr : layout));
-    *layout = rm->layout;
-    st.active = true;
-    st.local_bits = static_cast<int>(local_bits);
-    st.swaps_inserted = static_cast<std::uint64_t>(rm->swaps_inserted);
-    st.modeled_remote_bytes_before = rm->modeled_remote_bytes_before;
-    st.modeled_remote_bytes_after = rm->modeled_remote_bytes_after;
-    return rm;
-  }
+  /// Where the amplitudes live: 2^lg_part-amplitude partitions in natural
+  /// index order, partition p holding amplitudes [p·2^lg_part,
+  /// (p+1)·2^lg_part). The partitioned backends have one per worker; the
+  /// single-device backends have one.
+  struct Partitions {
+    IdxType lg_part = 0;
+    std::vector<ValType*> real;
+    std::vector<ValType*> imag;
+  };
 
-  /// Per-run profiling decision: the config flag, or SVSIM_PROFILE set.
-  static bool profiling_on(const SimConfig& cfg) {
-    return cfg.profile || !obs::env_profile_path().empty();
-  }
+  /// |0...0> in every partition, classical bits cleared, identity layout.
+  /// Backends reseed their RNG replicas themselves.
+  void reset_partitions();
 
-  /// Per-run roofline decision: SVSIM_ROOFLINE wins when set (1 on,
-  /// 0 force-off, mirroring SVSIM_SCHED); otherwise the config flag.
-  static bool roofline_on(const SimConfig& cfg) {
-    const int env = obs::env_roofline();
-    if (env >= 0) return env == 1;
-    return cfg.roofline;
-  }
+  /// How a backend's run() executes: `n_workers` workers, and whether the
+  /// state is partitioned across them (each worker a team thread owning
+  /// one partition: the remap pass applies and every worker gets a
+  /// wait-state track).
+  struct Shape {
+    int n_workers = 1;
+    bool partitioned = false;
+  };
 
-  /// Per-run wait-state decision: SVSIM_WAITSTATS wins when set (1 on,
-  /// 0 force-off); then SimConfig::waitstats; -1 auto means on — the
-  /// instrumented paths run at synchronization frequency, so the spans
-  /// cost nothing measurable (bounded by bench_smoke's obs pair).
-  static bool waitstats_on(const SimConfig& cfg) {
-    const int env = obs::env_waitstats();
-    if (env >= 0) return env == 1;
-    if (cfg.waitstats >= 0) return cfg.waitstats == 1;
-    return true;
-  }
+  /// One run() in flight through the pipeline (defined in
+  /// core/pipeline.hpp).
+  class Run;
 
-  /// A HealthMonitor for this run, or nullptr when monitoring is off
-  /// (neither SimConfig::health_every_n nor SVSIM_HEALTH set).
-  static std::unique_ptr<obs::HealthMonitor> make_health(const SimConfig& cfg) {
-    const obs::HealthMonitor::Options o = obs::HealthMonitor::options(cfg);
-    if (o.every_n <= 0) return nullptr;
-    return std::make_unique<obs::HealthMonitor>(o);
-  }
+  /// The whole pipeline for a function-pointer dispatch backend
+  /// (core/pipeline.hpp): `table` is its preloaded kernel table,
+  /// `launch(body)` calls body(space) once on every worker with that
+  /// worker's Space, and `fold(report)` adds its communication counters.
+  template <class Space, class Launch, class Fold>
+  void run_dispatch(const Circuit& circuit, const SimConfig& cfg,
+                    obs::Counter& runs, Shape shape,
+                    const typename KernelTable<Space>::Table& table,
+                    Launch&& launch, Fold&& fold);
 
-  /// The process flight recorder, or nullptr when the config or
-  /// SVSIM_FLIGHT=0 turned it off.
-  static obs::FlightRecorder* flight_on(const SimConfig& cfg) {
-    if (!cfg.flight) return nullptr;
-    obs::FlightRecorder& fr = obs::FlightRecorder::global();
-    return fr.enabled() ? &fr : nullptr;
-  }
-
-  /// The live progress board, or nullptr when publishing is off. Also the
-  /// activation point for the embedded telemetry endpoint: the first call
-  /// with SimConfig::http_port >= 0 or SVSIM_HTTP set starts the global
-  /// httpd (which enables the board); SVSIM_PROGRESS=1 enables the board
-  /// without a server.
-  static obs::ProgressBoard* progress_on(const SimConfig& cfg) {
-    if (!obs::maybe_start_httpd(cfg.http_port)) return nullptr;
-    return &obs::ProgressBoard::global();
-  }
-
-  /// Record that this run's flight events should be drained into the
-  /// report at the next last_report() call (instead of eagerly, which
-  /// would put a multi-KB copy on the per-run() path).
-  void set_flight_pending(int n_workers) const { flight_workers_ = n_workers; }
+  Partitions parts_;
+  std::vector<IdxType> cbits_;
+  /// Measure-all shot outcomes of the current sample() call.
+  std::vector<IdxType> results_;
+  MeasureCtx mctx_;
+  /// Live logical→physical qubit layout (ir/remap). Empty = identity;
+  /// persists across runs so sample()'s internal measure-all run sees the
+  /// permutation the previous circuit left behind.
+  std::vector<IdxType> layout_;
+  /// Flattened per-measure-all layout snapshots of the current run
+  /// (storage behind MeasureCtx::ma_layouts).
+  std::vector<IdxType> ma_layouts_;
 
   mutable obs::RunReport report_;
 
 private:
+  /// Workers whose flight events the next last_report() drains (0 = none
+  /// pending).
   mutable int flight_workers_ = 0;
 };
 

@@ -1,33 +1,26 @@
 #include "core/single_sim.hpp"
 
-#include "common/timer.hpp"
-#include "core/kernels/blocked.hpp"
-#include "machine/model.hpp"
-#include "obs/counters.hpp"
-#include "obs/registry.hpp"
+#include "core/pipeline.hpp"
 
 namespace svsim {
 
 SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
-    : n_(n_qubits),
+    : Simulator(n_qubits),
+      n_(n_qubits),
       dim_(obs::admit_dim("single", n_qubits, 1, 1, cfg.mem_limit)),
       cfg_(cfg),
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
-      cbits_(static_cast<std::size_t>(n_qubits), 0),
       rng_(cfg.seed),
       table_(&local_kernel_table(cfg.simd)) {
   SVSIM_CHECK(cfg.simd <= max_simd_level(),
               "requested SIMD level not supported by this CPU/build");
   real_[0] = 1.0; // |0...0>
-  mctx_.cbits = cbits_.data();
+  parts_ = Partitions{n_, {real_.data()}, {imag_.data()}};
 }
 
 void SingleSim::reset_state() {
-  real_.zero();
-  imag_.zero();
-  real_[0] = 1.0;
-  std::fill(cbits_.begin(), cbits_.end(), 0);
+  reset_partitions();
   rng_.reseed(cfg_.seed);
 }
 
@@ -42,91 +35,12 @@ LocalSpace SingleSim::make_space() {
 }
 
 void SingleSim::run(const Circuit& circuit) {
-  SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != simulator width");
   static obs::Counter& runs = obs::Registry::global().counter("runs.single");
-  runs.add();
-  obs::RunReport& rep = begin_report(circuit, 1);
-  const auto device_circuit = upload_circuit<LocalSpace>(circuit, *table_);
-  const LocalSpace sp = make_space();
-  const std::unique_ptr<obs::HealthMonitor> health = make_health(cfg_);
-  obs::FlightRecorder* flight = flight_on(cfg_);
-  if (flight != nullptr) flight->begin_run(name(), n_, 1);
-  const bool prof = profiling_on(cfg_);
   // One worker owns the whole register: blocks may span all n bits.
-  const auto sched = kernels::prepare_sched<LocalSpace>(
-      circuit, device_circuit, cfg_, n_, prof,
-      health ? health->every_n() : 0);
-  if (sched.enabled) fold_sched_stats(rep, sched.sched.stats, sched.active, dim_);
-  const bool roofline = roofline_on(cfg_);
-  const obs::RunModel model =
-      roofline ? obs::model_run(circuit, sched.active ? &sched.sched : nullptr)
-               : obs::RunModel{};
-  obs::ProgressBoard* progress = progress_on(cfg_);
-  if (progress != nullptr) {
-    progress->begin_run(name(), n_, 1, circuit,
-                        sched.active ? &sched.sched : nullptr);
-  }
-  obs::CounterSampler counters(roofline);
-  const double loop_t0 = obs::trace_now_us();
-  counters.start();
-  {
-    Timer::ScopedAccum wall(rep.wall_seconds);
-    if (prof) {
-      obs::GateRecorder rec(1, obs::Trace::global().enabled());
-      if (sched.active) {
-        simulation_kernel_sched(device_circuit, sched, sp, &rec, health.get(),
-                                flight, progress);
-      } else {
-        simulation_kernel(device_circuit, sp, &rec, health.get(), flight,
-                          progress);
-      }
-      rec.finish(rep, name());
-    } else if (sched.active) {
-      simulation_kernel_sched(device_circuit, sched, sp, nullptr, health.get(),
-                              flight, progress);
-    } else {
-      simulation_kernel(device_circuit, sp, nullptr, health.get(), flight,
-                        progress);
-    }
-  }
-  counters.stop();
-  if (roofline) {
-    obs::fold_roofline(rep, model, counters.sample(),
-                       machine::host_peak_gbps(1), name(), loop_t0,
-                       obs::trace_now_us());
-  }
-  if (health) health->finish(rep);
-  if (flight != nullptr) set_flight_pending(1);
-  if (progress != nullptr) progress->end_run(obs::to_json(rep));
-}
-
-StateVector SingleSim::state() const {
-  StateVector sv(n_);
-  for (IdxType k = 0; k < dim_; ++k) {
-    sv.amps[static_cast<std::size_t>(k)] = Complex{real_[static_cast<std::size_t>(k)],
-                                                   imag_[static_cast<std::size_t>(k)]};
-  }
-  return sv;
-}
-
-void SingleSim::load_state(const StateVector& sv) {
-  SVSIM_CHECK(sv.n_qubits == n_, "state width mismatch");
-  for (IdxType k = 0; k < dim_; ++k) {
-    real_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].real();
-    imag_[static_cast<std::size_t>(k)] = sv.amps[static_cast<std::size_t>(k)].imag();
-  }
-}
-
-std::vector<IdxType> SingleSim::sample(IdxType shots) {
-  results_.assign(static_cast<std::size_t>(shots), 0);
-  mctx_.results = results_.data();
-  mctx_.n_shots = shots;
-  Circuit c(n_);
-  c.measure_all();
-  run(c);
-  mctx_.results = nullptr;
-  mctx_.n_shots = 0;
-  return results_;
+  const LocalSpace sp = make_space();
+  run_dispatch<LocalSpace>(
+      circuit, cfg_, runs, Shape{1, false}, *table_,
+      [&](const auto& body) { body(sp); }, no_comm_fold);
 }
 
 } // namespace svsim

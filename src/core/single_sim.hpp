@@ -28,10 +28,6 @@ public:
   IdxType n_qubits() const override { return n_; }
   void reset_state() override;
   void run(const Circuit& circuit) override;
-  StateVector state() const override;
-  void load_state(const StateVector& sv) override;
-  const std::vector<IdxType>& cbits() const override { return cbits_; }
-  std::vector<IdxType> sample(IdxType shots) override;
 
   /// Direct (mutable) access to the amplitude arrays — used by tests that
   /// prepare arbitrary states and by the micro-benchmarks.
@@ -49,9 +45,6 @@ private:
   SimConfig cfg_;
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
-  std::vector<IdxType> cbits_;
-  std::vector<IdxType> results_;
-  MeasureCtx mctx_;
   Rng rng_;
   const KernelTable<LocalSpace>::Table* table_; // preloaded at construction
 };

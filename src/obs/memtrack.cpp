@@ -90,6 +90,11 @@ MemRegistry& MemRegistry::global() {
 }
 
 MemRegistry::MemRegistry() : enabled_(env_memtrack() != 0) {
+  // The sampler thread writes Registry gauges and Trace counters until
+  // ~MemRegistry joins it. Statics are destroyed in reverse order of
+  // construction, so both must finish constructing before this one does.
+  Registry::global();
+  Trace::global();
   if (const char* e = std::getenv("SVSIM_MEMTRACK_MS")) {
     const int ms = std::atoi(e);
     if (ms > 0) interval_ms_ = ms;

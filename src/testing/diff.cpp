@@ -316,6 +316,17 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
       }
     }
   }
+  // The generalized baseline has no scheduler and no partition: only the
+  // fusion axis applies to it.
+  for (const bool fusion : {false, true}) {
+    DiffSpec s;
+    s.backend = "generalized";
+    s.fusion = fusion;
+    s.seed = seed;
+    s.shots = shots;
+    s.tol = tol;
+    specs.push_back(std::move(s));
+  }
   // Batched axis: a lane-width multiple (8) and a ragged batch (5, which
   // exercises the scalar tail after full SIMD chunks), each with the
   // blocked scheduler off and on, plus one fused point.

@@ -19,6 +19,7 @@
 //
 // Phase C (optional, --top <path>) — the svsim_top CLI is spawned in
 // --once mode against the live endpoint and must exit 0.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -118,14 +119,25 @@ int main(int argc, char** argv) {
   const Circuit one_qft = circuits::qft(kQubits);
 
   // Size the circuit to the machine (and sanitizer level) at hand: time
-  // one QFT, then repeat it to a ~1.5 s target so the poller gets a
-  // meaningful sample train.
-  double warmup_ms;
+  // one QFT until three consecutive timings agree within 20%, then repeat
+  // it to a ~1.5 s target so the poller gets a meaningful sample train.
+  // The settling matters right after a CPU-heavy process: for a second or
+  // so the barrier-per-gate run can go 3-4x slower, and a watched run
+  // that starts inside that window is slow in its first half only, which
+  // breaks the symmetry the ETA check relies on.
+  double warmup_ms = 0;
+  int warmup_runs = 0;
   {
     ShmemSim warm(kQubits, 4, serve_cfg);
-    const double t0 = now_s();
-    warm.run(one_qft);
-    warmup_ms = (now_s() - t0) * 1e3;
+    double last_ms[3] = {0, 0, 0};
+    while (warmup_runs < 12) {
+      const double t0 = now_s();
+      warm.run(one_qft);
+      warmup_ms = (now_s() - t0) * 1e3;
+      last_ms[warmup_runs++ % 3] = warmup_ms;
+      const auto [lo, hi] = std::minmax({last_ms[0], last_ms[1], last_ms[2]});
+      if (warmup_runs >= 3 && hi <= 1.2 * lo) break;
+    }
   }
   if (warmup_ms < 0.5) warmup_ms = 0.5;
   int repeats = static_cast<int>(1500.0 / warmup_ms);
@@ -134,8 +146,10 @@ int main(int argc, char** argv) {
   Circuit big(kQubits);
   for (int r = 0; r < repeats; ++r) big.append(one_qft);
   const auto expect_gates = static_cast<std::uint64_t>(big.n_gates());
-  std::printf("serve_check: warmup %.1f ms -> %d repeats, %llu gates\n",
-              warmup_ms, repeats, static_cast<unsigned long long>(expect_gates));
+  std::printf(
+      "serve_check: warmup %.1f ms (run %d) -> %d repeats, %llu gates\n",
+      warmup_ms, warmup_runs, repeats,
+      static_cast<unsigned long long>(expect_gates));
 
   std::atomic<bool> run_done{false};
   std::atomic<double> run_end{0};

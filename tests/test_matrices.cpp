@@ -180,21 +180,28 @@ TEST_P(DecompositionTest, NativeMatchesQelib1Expansion) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Compound2Q, DecompositionTest,
-    ::testing::Values(DecompCase{OP::CZ, 0, 0, 0, true},
-                      DecompCase{OP::CY, 0, 0, 0, true},
-                      // qelib1's ch expansion is e^{i pi/4} * CH — a pure
-                      // global phase (verified numerically), so fidelity-only.
-                      DecompCase{OP::CH, 0, 0, 0, false},
-                      DecompCase{OP::SWAP, 0, 0, 0, true},
-                      DecompCase{OP::CRX, 0.8, 0, 0, true},
-                      DecompCase{OP::CRY, -1.2, 0, 0, true},
-                      DecompCase{OP::CRZ, 0.5, 0, 0, true},
-                      DecompCase{OP::CU1, 0.9, 0, 0, true},
-                      DecompCase{OP::CU3, 0.7, 0.4, -0.3, true},
-                      DecompCase{OP::RZZ, 1.1, 0, 0, true},
-                      DecompCase{OP::RXX, 0.6, 0, 0, false}));
+// gtest prints a DecompCase as its raw bytes, and that dump becomes the
+// ctest name. A static table is zero-initialised, padding included, so
+// the names never change; built as temporaries in a Values() call, the
+// padding held stack garbage (partly addresses, different every run).
+constexpr DecompCase kCompound2QCases[] = {
+    {OP::CZ, 0, 0, 0, true},
+    {OP::CY, 0, 0, 0, true},
+    // qelib1's ch expansion is e^{i pi/4} * CH — a pure global phase
+    // (verified numerically), so fidelity-only.
+    {OP::CH, 0, 0, 0, false},
+    {OP::SWAP, 0, 0, 0, true},
+    {OP::CRX, 0.8, 0, 0, true},
+    {OP::CRY, -1.2, 0, 0, true},
+    {OP::CRZ, 0.5, 0, 0, true},
+    {OP::CU1, 0.9, 0, 0, true},
+    {OP::CU3, 0.7, 0.4, -0.3, true},
+    {OP::RZZ, 1.1, 0, 0, true},
+    {OP::RXX, 0.6, 0, 0, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(Compound2Q, DecompositionTest,
+                         ::testing::ValuesIn(kCompound2QCases));
 
 // Multi-controlled decompositions against directly-constructed truth:
 // C3X must flip the target exactly when all three controls are set.

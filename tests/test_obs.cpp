@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "core/coarse_msg_sim.hpp"
@@ -221,7 +223,11 @@ TEST(ObsReport, SampleRefreshesTheReport) {
 class ObsTraceTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "svsim_trace_test.json";
+    // One file per process: under `ctest -j` every case is its own
+    // process, and a fixed name let one case's TearDown delete the file
+    // another case was still reading.
+    path_ = ::testing::TempDir() + "svsim_trace_test." +
+            std::to_string(::getpid()) + ".json";
     obs::Trace::global().clear();
     obs::Trace::global().set_path(path_);
   }

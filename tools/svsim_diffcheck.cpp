@@ -118,7 +118,8 @@ std::vector<DiffSpec> campaign_sweep(const Options& opt) {
   if (opt.remap_stress) {
     specs.erase(std::remove_if(specs.begin(), specs.end(),
                                [](const DiffSpec& s) {
-                                 return s.batch > 0 || s.backend == "single";
+                                 return s.batch > 0 || s.backend == "single" ||
+                                        s.backend == "generalized";
                                }),
                 specs.end());
   }
