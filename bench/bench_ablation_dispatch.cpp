@@ -48,53 +48,37 @@ void BM_dispatch_function_pointer(benchmark::State& state) {
       upload_circuit<LocalSpace>(fx.circuit, KernelTable<LocalSpace>::get());
   const LocalSpace sp = fx.space();
   for (auto _ : state) {
-    for (const auto& dg : dev) {
-      dg.fn(dg.g, sp, 0, dg.work);
+    for (const auto& dg : dev.gates) {
+      dg.fn(dg.ug, sp, 0, dg.work);
     }
     benchmark::DoNotOptimize(fx.real[1]);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(dev.size()));
+                          static_cast<int64_t>(dev.gates.size()));
 }
 BENCHMARK(BM_dispatch_function_pointer);
 
-// --- (2) runtime switch per gate (the "parse & branch" path) ---
+// --- (2) runtime branch on the gate kind per gate ("parse & branch") ---
 void BM_dispatch_runtime_switch(benchmark::State& state) {
   Fixture fx;
+  // Uploaded only for the coefficient rows; the kernel is chosen per
+  // execution by comparing the op against the pattern × body list.
+  const auto dev =
+      upload_circuit<LocalSpace>(fx.circuit, KernelTable<LocalSpace>::get());
   const LocalSpace sp = fx.space();
-  const auto& gates = fx.circuit.gates();
-  const IdxType n = kQubits;
   for (auto _ : state) {
-    for (const Gate& g : gates) {
-      const IdxType work = gate_work_items(g, n);
-      switch (g.op) {
-        case OP::H: kernels::kern_h(g, sp, 0, work); break;
-        case OP::X: kernels::kern_x(g, sp, 0, work); break;
-        case OP::Y: kernels::kern_y(g, sp, 0, work); break;
-        case OP::Z: kernels::kern_z(g, sp, 0, work); break;
-        case OP::T: kernels::kern_t(g, sp, 0, work); break;
-        case OP::S: kernels::kern_s(g, sp, 0, work); break;
-        case OP::RX: kernels::kern_rx(g, sp, 0, work); break;
-        case OP::RY: kernels::kern_ry(g, sp, 0, work); break;
-        case OP::RZ: kernels::kern_rz(g, sp, 0, work); break;
-        case OP::U1: kernels::kern_u1(g, sp, 0, work); break;
-        case OP::U2: kernels::kern_u2(g, sp, 0, work); break;
-        case OP::U3: kernels::kern_u3(g, sp, 0, work); break;
-        case OP::CX: kernels::kern_cx(g, sp, 0, work); break;
-        case OP::CZ: kernels::kern_cz(g, sp, 0, work); break;
-        case OP::CY: kernels::kern_cy(g, sp, 0, work); break;
-        case OP::SWAP: kernels::kern_swap(g, sp, 0, work); break;
-        case OP::CU1: kernels::kern_cu1(g, sp, 0, work); break;
-        case OP::CU3: kernels::kern_cu3(g, sp, 0, work); break;
-        case OP::RXX: kernels::kern_rxx(g, sp, 0, work); break;
-        case OP::RZZ: kernels::kern_rzz(g, sp, 0, work); break;
-        default: break;
-      }
+    for (const auto& dg : dev.gates) {
+      kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
+        if (dg.ug.g.op == op) {
+          kernels::solo_kernel<P, B, kernels::ScalarLane>(dg.ug, sp, 0,
+                                                          dg.work);
+        }
+      });
     }
     benchmark::DoNotOptimize(fx.real[1]);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(gates.size()));
+                          static_cast<int64_t>(dev.gates.size()));
 }
 BENCHMARK(BM_dispatch_runtime_switch);
 
@@ -106,49 +90,35 @@ struct VirtualGate {
 
 template <KernelFn<LocalSpace> Fn>
 struct VirtualGateImpl final : VirtualGate {
-  explicit VirtualGateImpl(const Gate& g) : gate(g) {}
+  explicit VirtualGateImpl(const UGate& g) : gate(g) {}
   void exec(const LocalSpace& sp, IdxType work) const override {
     Fn(gate, sp, 0, work);
   }
-  Gate gate;
+  UGate gate;
 };
 
-std::unique_ptr<VirtualGate> make_virtual(const Gate& g) {
-  namespace k = kernels;
-  switch (g.op) {
-    case OP::H: return std::make_unique<VirtualGateImpl<&k::kern_h<LocalSpace>>>(g);
-    case OP::X: return std::make_unique<VirtualGateImpl<&k::kern_x<LocalSpace>>>(g);
-    case OP::Y: return std::make_unique<VirtualGateImpl<&k::kern_y<LocalSpace>>>(g);
-    case OP::Z: return std::make_unique<VirtualGateImpl<&k::kern_z<LocalSpace>>>(g);
-    case OP::T: return std::make_unique<VirtualGateImpl<&k::kern_t<LocalSpace>>>(g);
-    case OP::S: return std::make_unique<VirtualGateImpl<&k::kern_s<LocalSpace>>>(g);
-    case OP::RX: return std::make_unique<VirtualGateImpl<&k::kern_rx<LocalSpace>>>(g);
-    case OP::RY: return std::make_unique<VirtualGateImpl<&k::kern_ry<LocalSpace>>>(g);
-    case OP::RZ: return std::make_unique<VirtualGateImpl<&k::kern_rz<LocalSpace>>>(g);
-    case OP::U1: return std::make_unique<VirtualGateImpl<&k::kern_u1<LocalSpace>>>(g);
-    case OP::U2: return std::make_unique<VirtualGateImpl<&k::kern_u2<LocalSpace>>>(g);
-    case OP::U3: return std::make_unique<VirtualGateImpl<&k::kern_u3<LocalSpace>>>(g);
-    case OP::CX: return std::make_unique<VirtualGateImpl<&k::kern_cx<LocalSpace>>>(g);
-    case OP::CZ: return std::make_unique<VirtualGateImpl<&k::kern_cz<LocalSpace>>>(g);
-    case OP::CY: return std::make_unique<VirtualGateImpl<&k::kern_cy<LocalSpace>>>(g);
-    case OP::SWAP: return std::make_unique<VirtualGateImpl<&k::kern_swap<LocalSpace>>>(g);
-    case OP::CU1: return std::make_unique<VirtualGateImpl<&k::kern_cu1<LocalSpace>>>(g);
-    case OP::CU3: return std::make_unique<VirtualGateImpl<&k::kern_cu3<LocalSpace>>>(g);
-    case OP::RXX: return std::make_unique<VirtualGateImpl<&k::kern_rxx<LocalSpace>>>(g);
-    case OP::RZZ: return std::make_unique<VirtualGateImpl<&k::kern_rzz<LocalSpace>>>(g);
-    default: return nullptr;
-  }
+std::unique_ptr<VirtualGate> make_virtual(const UGate& ug) {
+  std::unique_ptr<VirtualGate> out;
+  kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
+    if (ug.g.op == op) {
+      out = std::make_unique<VirtualGateImpl<
+          &kernels::solo_kernel<P, B, kernels::ScalarLane, LocalSpace>>>(ug);
+    }
+  });
+  return out;
 }
 
 void BM_dispatch_virtual(benchmark::State& state) {
   Fixture fx;
+  const auto dev =
+      upload_circuit<LocalSpace>(fx.circuit, KernelTable<LocalSpace>::get());
   std::vector<std::unique_ptr<VirtualGate>> vgates;
   std::vector<IdxType> works;
-  for (const Gate& g : fx.circuit.gates()) {
-    auto vg = make_virtual(g);
+  for (const auto& dg : dev.gates) {
+    auto vg = make_virtual(dg.ug);
     if (vg) {
       vgates.push_back(std::move(vg));
-      works.push_back(gate_work_items(g, kQubits));
+      works.push_back(dg.work);
     }
   }
   const LocalSpace sp = fx.space();

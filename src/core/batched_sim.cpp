@@ -17,12 +17,12 @@ namespace {
 using kernels::BatchedSpace;
 using kernels::BatchedTable;
 using kernels::BDiagGate;
-using kernels::BGate;
+using kernels::UGate;
 
 /// One uploaded batched gate: preloaded kernel slot + coefficient rows.
 struct BDev {
   kernels::BatchedKernelFn fn = nullptr;
-  BGate bg;
+  UGate ug;
   IdxType work = 0;
   IdxType amps_per_item = 0; // per member, for progress accounting
   bool skip = false;         // absorbed into an earlier combined slot
@@ -47,8 +47,8 @@ struct BAction {
   std::vector<ValType> rows; // 8 rows × batch backing d.rows
 };
 
-/// Write a Mat2 into eight Entries2x2 coefficient rows at member column b
-/// (the layout bk_u3 / bk_pair1q read).
+/// Write a Mat2 into eight dense coefficient rows at member column b (the
+/// layout BodyDense / bk_pair1q read).
 void write_mat2_rows(const Mat2& m, ValType* base, IdxType stride,
                      IdxType b) {
   base[0 * stride + b] = m[0].real();
@@ -184,7 +184,7 @@ void BatchedSim::execute(const Circuit& circuit,
   // members each; per-member angle columns when a sweep was given.
   std::size_t total_rows = 0;
   for (const Gate& g : gates) {
-    total_rows += static_cast<std::size_t>(kernels::batched_coef_rows(g.op));
+    total_rows += static_cast<std::size_t>(kernels::coef_rows(g.op));
   }
   coef = obs::TrackedBuffer<ValType>(
       total_rows * static_cast<std::size_t>(batch_), obs::MemTag::kCoef);
@@ -195,20 +195,20 @@ void BatchedSim::execute(const Circuit& circuit,
     BDev& d = dev[i];
     d.fn = table.fns[static_cast<std::size_t>(g.op)];
     SVSIM_CHECK(d.fn != nullptr, "op has no batched kernel");
-    d.bg.g = g;
+    d.ug.g = g;
     d.work = gate_work_items(g, n_);
     d.amps_per_item = static_cast<IdxType>(detail::amps_per_work_item(g));
-    const int rows = kernels::batched_coef_rows(g.op);
+    const int rows = kernels::coef_rows(g.op);
     if (rows > 0) {
       ValType* base = coef.data() + row * static_cast<std::size_t>(batch_);
-      d.bg.coef = base;
-      d.bg.stride = batch_;
+      d.ug.coef = base;
+      d.ug.stride = batch_;
       for (IdxType b = 0; b < batch_; ++b) {
         const Gate& gb =
             members != nullptr
                 ? (*members)[static_cast<std::size_t>(b)].gates()[i]
                 : g;
-        kernels::batched_fill_coef(gb, base, batch_, b);
+        kernels::fill_coef(gb, base, batch_, b);
       }
       row += static_cast<std::size_t>(rows);
     }
@@ -362,12 +362,12 @@ void BatchedSim::execute(const Circuit& circuit,
           // matrices; the real kernel does half the arithmetic, turning
           // the halved traffic into actual wall-clock.
           d.fn = all_real ? table.pair1q_real : table.pair1q;
-          d.bg.g = Gate{};
-          d.bg.g.op = OP::U3; // dense marker: never diagonal-pathed
-          d.bg.g.qb0 = p;
-          d.bg.g.qb1 = q;
-          d.bg.coef = base;
-          d.bg.stride = batch_;
+          d.ug.g = Gate{};
+          d.ug.g.op = OP::U3; // dense marker: never diagonal-pathed
+          d.ug.g.qb0 = p;
+          d.ug.g.qb1 = q;
+          d.ug.coef = base;
+          d.ug.stride = batch_;
           d.work = pow2(n_ - 2);
           d.amps_per_item = 4;
           absorb(m, m.gis.front());
@@ -379,12 +379,12 @@ void BatchedSim::execute(const Circuit& circuit,
           }
           BDev& d = dev[static_cast<std::size_t>(m.gis.front())];
           d.fn = table.fns[static_cast<int>(OP::U3)];
-          d.bg.g = Gate{};
-          d.bg.g.op = OP::U3;
-          d.bg.g.qb0 = m.qubit;
-          d.bg.g.qb1 = -1;
-          d.bg.coef = base;
-          d.bg.stride = batch_;
+          d.ug.g = Gate{};
+          d.ug.g.op = OP::U3;
+          d.ug.g.qb0 = m.qubit;
+          d.ug.g.qb1 = -1;
+          d.ug.coef = base;
+          d.ug.stride = batch_;
           d.work = pow2(n_ - 1);
           d.amps_per_item = 2;
           absorb(m, m.gis.front());
@@ -433,7 +433,7 @@ void BatchedSim::execute(const Circuit& circuit,
         for (IdxType j = 0; j < w.n_gates; ++j) {
           const IdxType gi = w.first_gate + j;
           const BDev& d = dev[static_cast<std::size_t>(gi)];
-          d.fn(d.bg, sp, 0, d.work);
+          d.fn(d.ug, sp, 0, d.work);
           if (slot != nullptr) {
             slot->publish_gate(
                 static_cast<std::uint64_t>(gi + 1),
@@ -454,7 +454,7 @@ void BatchedSim::execute(const Circuit& circuit,
         // dev's gate, not the circuit's: a combined slot carries its
         // synthetic dense shape there, and absorbed slots drop out.
         if (dev[static_cast<std::size_t>(gi)].skip) continue;
-        const Gate& g = dev[static_cast<std::size_t>(gi)].bg.g;
+        const Gate& g = dev[static_cast<std::size_t>(gi)].ug.g;
         BAction a;
         const bool high =
             is_diagonal_gate(g.op) &&
@@ -493,7 +493,7 @@ void BatchedSim::execute(const Circuit& circuit,
           if (a.diag) {
             table.diag(a.d, sp, base, blk_len);
           } else {
-            a.dg->fn(a.dg->bg, sp, blk * a.work_per_block,
+            a.dg->fn(a.dg->ug, sp, blk * a.work_per_block,
                      (blk + 1) * a.work_per_block);
           }
         }

@@ -278,15 +278,18 @@ private:
 
   // --- non-unitary --------------------------------------------------------
 
-  ValType local_prob_bit_set(IdxType q) {
+  /// This rank's share of P(qubit q reads `one`), summed directly over
+  /// that half: P(|0>) as 1 - P(|1>) cancels catastrophically when P(|0>)
+  /// is tiny, and reset then amplifies the error by 1/sqrt(P(|0>)).
+  ValType local_prob_bit(IdxType q, bool one) {
     ValType p = 0;
     if (q < lg_) {
-      const IdxType stride = pow2(q);
+      const IdxType off = one ? pow2(q) : 0;
       for (IdxType i = 0; i < per_ / 2; ++i) {
-        const IdxType p1 = pair_base(i, q) + stride;
-        p += real_[p1] * real_[p1] + imag_[p1] * imag_[p1];
+        const IdxType at = pair_base(i, q) + off;
+        p += real_[at] * real_[at] + imag_[at] * imag_[at];
       }
-    } else if ((rank_ & (1 << (q - lg_))) != 0) {
+    } else if (((rank_ & (1 << (q - lg_))) != 0) == one) {
       for (IdxType j = 0; j < per_; ++j) {
         p += real_[j] * real_[j] + imag_[j] * imag_[j];
       }
@@ -326,8 +329,8 @@ private:
     const IdxType q = g.qb0;
     // Clamp like kern_measure: drift in the reduced probability must not
     // bias the branch or push `keep` negative.
-    const ValType prob1 =
-        std::clamp(reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
+    const ValType prob1 = std::clamp(reduce_sum(local_prob_bit(q, true)),
+                                     ValType{0}, ValType{1});
     const ValType u = rng_->next_double(); // replicated draw, same everywhere
     const bool one = u < prob1;
     const ValType keep = one ? prob1 : 1.0 - prob1;
@@ -337,9 +340,8 @@ private:
 
   void apply_reset(const Gate& g) {
     const IdxType q = g.qb0;
-    const ValType prob1 =
-        std::clamp(reduce_sum(local_prob_bit_set(q)), ValType{0}, ValType{1});
-    const ValType prob0 = 1.0 - prob1;
+    const ValType prob0 = std::clamp(reduce_sum(local_prob_bit(q, false)),
+                                     ValType{0}, ValType{1});
     if (prob0 > 1e-12) {
       collapse(q, false, 1.0 / std::sqrt(prob0));
     } else {

@@ -14,15 +14,16 @@
 // instantiation of KernelTable<Space> is "the device's constant-memory
 // function table", DeviceGate<Space> is the uploaded gate, and
 // simulation_kernel_sched<Space> (kernels/blocked.hpp) is the single
-// launched kernel.
+// launched kernel. Every unitary entry is one pattern × body pair from
+// kernels::for_each_unitary (kernels/gates.hpp) instantiated for the
+// table's lane policy.
 #pragma once
 
 #include <array>
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/kernels/gates1q.hpp"
-#include "core/kernels/gates2q.hpp"
+#include "core/kernels/gates.hpp"
 #include "core/kernels/nonunitary.hpp"
 #include "ir/circuit.hpp"
 #include "obs/flight.hpp"
@@ -33,8 +34,10 @@
 
 namespace svsim {
 
+using kernels::UGate;
+
 template <class Space>
-using KernelFn = void (*)(const Gate&, const Space&, IdxType, IdxType);
+using KernelFn = void (*)(const UGate&, const Space&, IdxType, IdxType);
 
 /// The preloaded op -> kernel table for one address space.
 template <class Space>
@@ -43,59 +46,58 @@ public:
   using Fn = KernelFn<Space>;
   using Table = std::array<Fn, kNumOps>;
 
-  /// Built exactly once per Space instantiation.
+  /// Built exactly once per (Space, lane policy). Lanes wider than
+  /// ScalarLane gather/scatter on raw arrays: LocalSpace only.
+  template <class L = kernels::ScalarLane>
   static const Table& get() {
-    static const Table table = build();
+    static const Table table = build<L>();
     return table;
   }
 
 private:
+  template <auto Kern>
+  static void on_gate(const UGate& ug, const Space& sp, IdxType begin,
+                      IdxType end) {
+    Kern(ug.g, sp, begin, end);
+  }
+
+  template <class L>
   static Table build() {
     namespace k = kernels;
     Table t{};
-    t[static_cast<int>(OP::U3)] = &k::kern_u3<Space>;
-    t[static_cast<int>(OP::U2)] = &k::kern_u2<Space>;
-    t[static_cast<int>(OP::U1)] = &k::kern_u1<Space>;
-    t[static_cast<int>(OP::CX)] = &k::kern_cx<Space>;
-    t[static_cast<int>(OP::ID)] = &k::kern_id<Space>;
-    t[static_cast<int>(OP::X)] = &k::kern_x<Space>;
-    t[static_cast<int>(OP::Y)] = &k::kern_y<Space>;
-    t[static_cast<int>(OP::Z)] = &k::kern_z<Space>;
-    t[static_cast<int>(OP::H)] = &k::kern_h<Space>;
-    t[static_cast<int>(OP::S)] = &k::kern_s<Space>;
-    t[static_cast<int>(OP::SDG)] = &k::kern_sdg<Space>;
-    t[static_cast<int>(OP::T)] = &k::kern_t<Space>;
-    t[static_cast<int>(OP::TDG)] = &k::kern_tdg<Space>;
-    t[static_cast<int>(OP::RX)] = &k::kern_rx<Space>;
-    t[static_cast<int>(OP::RY)] = &k::kern_ry<Space>;
-    t[static_cast<int>(OP::RZ)] = &k::kern_rz<Space>;
-    t[static_cast<int>(OP::CZ)] = &k::kern_cz<Space>;
-    t[static_cast<int>(OP::CY)] = &k::kern_cy<Space>;
-    t[static_cast<int>(OP::CH)] = &k::kern_ch<Space>;
-    t[static_cast<int>(OP::SWAP)] = &k::kern_swap<Space>;
-    t[static_cast<int>(OP::CRX)] = &k::kern_crx<Space>;
-    t[static_cast<int>(OP::CRY)] = &k::kern_cry<Space>;
-    t[static_cast<int>(OP::CRZ)] = &k::kern_crz<Space>;
-    t[static_cast<int>(OP::CU1)] = &k::kern_cu1<Space>;
-    t[static_cast<int>(OP::CU3)] = &k::kern_cu3<Space>;
-    t[static_cast<int>(OP::RXX)] = &k::kern_rxx<Space>;
-    t[static_cast<int>(OP::RZZ)] = &k::kern_rzz<Space>;
-    t[static_cast<int>(OP::M)] = &k::kern_measure<Space>;
-    t[static_cast<int>(OP::MA)] = &k::kern_measure_all<Space>;
-    t[static_cast<int>(OP::RESET)] = &k::kern_reset<Space>;
-    t[static_cast<int>(OP::BARRIER)] = &k::kern_barrier<Space>;
+    k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
+      t[static_cast<int>(op)] = &k::solo_kernel<P, B, L, Space>;
+    });
+    t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
+    t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;
+    t[static_cast<int>(OP::M)] = &on_gate<&k::kern_measure<Space>>;
+    t[static_cast<int>(OP::MA)] = &on_gate<&k::kern_measure_all<Space>>;
+    t[static_cast<int>(OP::RESET)] = &on_gate<&k::kern_reset<Space>>;
     return t;
   }
 };
 
-/// A gate after upload: the frontend Gate plus its resolved kernel pointer
-/// and total work-item count (pairs for 1-qubit ops, quadruples for
-/// 2-qubit ops, amplitudes for measure_all).
+/// A gate after upload: its resolved kernel pointer, the uploaded gate
+/// view (gate + coefficient rows) and total work-item count (pairs for
+/// 1-qubit ops, quadruples for 2-qubit ops, amplitudes for measure_all).
 template <class Space>
 struct DeviceGate {
   KernelFn<Space> fn;
-  Gate g;
+  UGate ug;
   IdxType work;
+};
+
+/// An uploaded circuit: the device gates and the coefficient rows their
+/// views point into (stride 1, filled once here — kernels never evaluate
+/// a gate's trig functions). Not copyable: the views would dangle.
+template <class Space>
+struct DeviceCircuit {
+  DeviceCircuit() = default;
+  DeviceCircuit(DeviceCircuit&&) = default;
+  DeviceCircuit(const DeviceCircuit&) = delete;
+
+  std::vector<DeviceGate<Space>> gates;
+  std::vector<ValType> coef;
 };
 
 /// Work items a gate contributes for an n-qubit register.
@@ -111,20 +113,30 @@ inline IdxType gate_work_items(const Gate& g, IdxType n) {
 }
 
 /// "Upload" a circuit: resolve every gate's kernel pointer from the
-/// preloaded table. Pure CPU-side table lookups (the paper's point: the
-/// cost is O(#ops) symbol fetches at init + O(#gates) pointer copies here).
+/// preloaded table and fill its coefficient rows. Pure CPU-side work (the
+/// paper's point: the cost is O(#ops) symbol fetches at init + O(#gates)
+/// pointer copies here).
 template <class Space>
-std::vector<DeviceGate<Space>> upload_circuit(const Circuit& circuit,
-                                              const typename KernelTable<Space>::Table& table) {
-  std::vector<DeviceGate<Space>> out;
-  out.reserve(circuit.gates().size());
+DeviceCircuit<Space> upload_circuit(
+    const Circuit& circuit, const typename KernelTable<Space>::Table& table) {
+  DeviceCircuit<Space> out;
+  std::size_t rows = 0;
+  for (const Gate& g : circuit.gates()) {
+    rows += static_cast<std::size_t>(kernels::coef_rows(g.op));
+  }
+  out.coef.resize(rows);
+  out.gates.reserve(circuit.gates().size());
   const IdxType n = circuit.n_qubits();
+  ValType* coef = out.coef.data();
   for (const Gate& g : circuit.gates()) {
     auto fn = table[static_cast<int>(g.op)];
     SVSIM_CHECK(fn != nullptr,
                 std::string("no kernel for op ") + op_name(g.op) +
                     " (compound ops must be lowered before upload)");
-    out.push_back(DeviceGate<Space>{fn, g, gate_work_items(g, n)});
+    kernels::fill_coef(g, coef, 1, 0);
+    out.gates.push_back(DeviceGate<Space>{fn, UGate{g, coef, 1},
+                                          gate_work_items(g, n)});
+    coef += kernels::coef_rows(g.op);
   }
   return out;
 }

@@ -8,10 +8,13 @@
 // classic low-qubit problem of amplitude-wise vectorization: a gate on
 // qubit 0 is exactly as vectorizable as a gate on qubit 20.
 //
-// Each kernel body is written once against a *lane policy* (ScalarLane /
-// Avx2Lane / Avx512Lane) and instantiated per SIMD level; for_members()
-// walks the batch in full lane-width chunks and finishes any remainder
-// through ScalarLane, so B need not be a multiple of the lane width.
+// The unitary kernels are the shared gate bodies of kernels/gates.hpp —
+// the same pattern × body pairs the solo engines run — under the batched
+// strategy: one index-map evaluation per work item, then the body across
+// the members through a *lane policy* (ScalarLane / Avx2Lane /
+// Avx512Lane, kernels/lanes.hpp). for_members() walks the batch in full
+// lane-width chunks and finishes any remainder through ScalarLane, so B
+// need not be a multiple of the lane width.
 //
 // Divergence (the CppSPMD idiom): unitary gates are uniform across the
 // batch — members differ only in their per-member coefficient rows (one
@@ -37,107 +40,19 @@
 #include <utility>
 #include <vector>
 
-#if (defined(__AVX2__) || defined(__AVX512F__)) && !defined(SVSIM_FORCE_SCALAR)
-#include <immintrin.h>
-#endif
-
 #include "common/bits.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/kernels/blocked.hpp"
-#include "core/kernels/gates1q.hpp"
+#include "core/kernels/gates.hpp"
+#include "core/kernels/lanes.hpp"
 #include "ir/gate.hpp"
 
 namespace svsim::kernels {
 
 // ---------------------------------------------------------------------------
-// Lane policies: W members per vector, plus the mask/blend operations the
-// divergent kernels need. All loads/stores are unaligned-contiguous — the
-// batch-innermost layout guarantees members are adjacent, so no gathers.
-// ---------------------------------------------------------------------------
-
-struct ScalarLane {
-  static constexpr IdxType W = 1;
-  using V = ValType;
-  using M = bool;
-  static V load(const ValType* p) { return *p; }
-  static void store(ValType* p, V v) { *p = v; }
-  static V splat(ValType x) { return x; }
-  static V zero() { return 0; }
-  static V add(V a, V b) { return a + b; }
-  static V sub(V a, V b) { return a - b; }
-  static V mul(V a, V b) { return a * b; }
-  static V neg(V a) { return -a; }
-  /// Mask from 0 / ~0 words: one word per member.
-  static M mask(const std::uint64_t* w) { return *w != 0; }
-  /// b where the mask is set, a elsewhere.
-  static V blend(V a, V b, M m) { return m ? b : a; }
-};
-
-#if defined(__AVX2__) && !defined(SVSIM_FORCE_SCALAR)
-struct Avx2Lane {
-  static constexpr IdxType W = 4;
-  using V = __m256d;
-  using M = __m256d; // sign bit per member drives blendv
-  static V load(const ValType* p) { return _mm256_loadu_pd(p); }
-  static void store(ValType* p, V v) { _mm256_storeu_pd(p, v); }
-  static V splat(ValType x) { return _mm256_set1_pd(x); }
-  static V zero() { return _mm256_setzero_pd(); }
-  static V add(V a, V b) { return _mm256_add_pd(a, b); }
-  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V neg(V a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
-  static M mask(const std::uint64_t* w) {
-    return _mm256_castsi256_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
-  }
-  static V blend(V a, V b, M m) { return _mm256_blendv_pd(a, b, m); }
-};
-#endif
-
-#if defined(__AVX512F__) && !defined(SVSIM_FORCE_SCALAR)
-struct Avx512Lane {
-  static constexpr IdxType W = 8;
-  using V = __m512d;
-  using M = __mmask8;
-  static V load(const ValType* p) { return _mm512_loadu_pd(p); }
-  static void store(ValType* p, V v) { _mm512_storeu_pd(p, v); }
-  static V splat(ValType x) { return _mm512_set1_pd(x); }
-  static V zero() { return _mm512_setzero_pd(); }
-  static V add(V a, V b) { return _mm512_add_pd(a, b); }
-  static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
-  static V neg(V a) {
-    return _mm512_castsi512_pd(_mm512_xor_si512(
-        _mm512_castpd_si512(a),
-        _mm512_castpd_si512(_mm512_set1_pd(-0.0))));
-  }
-  static M mask(const std::uint64_t* w) {
-    const __m512i v =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(w));
-    return _mm512_test_epi64_mask(v, v);
-  }
-  static V blend(V a, V b, M m) { return _mm512_mask_blend_pd(m, a, b); }
-};
-#endif
-
-/// Walk the batch: full W-wide chunks through lane policy L, remainder
-/// through ScalarLane. `body` is a generic lambda taking the lane policy
-/// as its explicit template argument and the member offset.
-template <class L, class Body>
-inline void for_members(IdxType batch, Body&& body) {
-  IdxType b = 0;
-  for (; b + L::W <= batch; b += L::W) {
-    body.template operator()<L>(b);
-  }
-  for (; b < batch; ++b) {
-    body.template operator()<ScalarLane>(b);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched address space + uploaded gate.
+// Batched address space.
 // ---------------------------------------------------------------------------
 
 /// The batched twin of LocalSpace: B state vectors, per-member RNG
@@ -152,44 +67,6 @@ struct BatchedSpace {
   IdxType* results = nullptr; // measure-all: [b*n_shots + s]
   IdxType n_shots = 0;
 };
-
-/// Uploaded batched gate: the frontend Gate (member 0's angles, shared
-/// operands) plus per-member coefficient rows. Row r of member b lives at
-/// coef[r*stride + b] — one contiguous load per lane chunk. Uniform runs
-/// replicate the same value across the row; per-member parameter runs
-/// (the VQE sweep) fill each column from that member's bound gate.
-struct BGate {
-  Gate g;
-  const ValType* coef = nullptr;
-  IdxType stride = 0;
-};
-
-/// Coefficient rows a batched kernel reads for `op`: 8 for the dense-2x2
-/// family (Entries2x2 order), 2 for the cos/sin rotations and phase
-/// gates, 0 for constant gates and the non-unitary ops (whose divergence
-/// is runtime state, not parameters).
-inline int batched_coef_rows(OP op) {
-  switch (op) {
-    case OP::U3:
-    case OP::U2:
-    case OP::CU3:
-    case OP::CRX:
-    case OP::CRY:
-    case OP::CH:
-      return 8;
-    case OP::U1:
-    case OP::RZ:
-    case OP::RX:
-    case OP::RY:
-    case OP::CRZ:
-    case OP::CU1:
-    case OP::RXX:
-    case OP::RZZ:
-      return 2;
-    default:
-      return 0;
-  }
-}
 
 /// Dense 1-qubit unitaries eligible for the execute-level combining pass
 /// (same-qubit runs collapse to one 2x2 product, adjacent distinct-qubit
@@ -235,425 +112,58 @@ inline double batched_pass_weight(OP op) {
   }
 }
 
-/// Fill member b's coefficient column for gate `g`, mirroring the scalar
-/// kernels' precomputation exactly (same cos/sin argument forms).
-inline void batched_fill_coef(const Gate& g, ValType* coef, IdxType stride,
-                              IdxType b) {
-  const auto row = [&](int r) -> ValType& { return coef[r * stride + b]; };
-  switch (g.op) {
-    case OP::U3:
-    case OP::CU3: {
-      const Entries2x2 e = detail::u3_entries(g.theta, g.phi, g.lam);
-      row(0) = e.r00; row(1) = e.i00; row(2) = e.r01; row(3) = e.i01;
-      row(4) = e.r10; row(5) = e.i10; row(6) = e.r11; row(7) = e.i11;
-      break;
-    }
-    case OP::U2: {
-      const Entries2x2 e = detail::u3_entries(PI / 2, g.phi, g.lam);
-      row(0) = e.r00; row(1) = e.i00; row(2) = e.r01; row(3) = e.i01;
-      row(4) = e.r10; row(5) = e.i10; row(6) = e.r11; row(7) = e.i11;
-      break;
-    }
-    case OP::CRX: {
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      row(0) = c; row(1) = 0; row(2) = 0; row(3) = -s;
-      row(4) = 0; row(5) = -s; row(6) = c; row(7) = 0;
-      break;
-    }
-    case OP::CRY: {
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      row(0) = c; row(1) = 0; row(2) = -s; row(3) = 0;
-      row(4) = s; row(5) = 0; row(6) = c; row(7) = 0;
-      break;
-    }
-    case OP::CH:
-      row(0) = S2I; row(1) = 0; row(2) = S2I; row(3) = 0;
-      row(4) = S2I; row(5) = 0; row(6) = -S2I; row(7) = 0;
-      break;
-    case OP::U1:
-    case OP::CU1:
-    case OP::RZZ:
-      row(0) = std::cos(g.theta);
-      row(1) = std::sin(g.theta);
-      break;
-    case OP::RZ:
-    case OP::RX:
-    case OP::RY:
-    case OP::CRZ:
-    case OP::RXX:
-      row(0) = std::cos(g.theta / 2);
-      row(1) = std::sin(g.theta / 2);
-      break;
-    default:
-      break; // constant / non-unitary: no rows
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Unitary kernels. Each mirrors its scalar twin's arithmetic expression
-// order; the work range [begin, end) indexes the same pairs/quadruples.
+// Unitary kernels: the batched strategy over the shared pattern × body
+// list. A gate's coefficient rows hold one column per member
+// (UGate::stride = B), so every lane chunk loads them contiguously.
 // ---------------------------------------------------------------------------
 
-using BatchedKernelFn = void (*)(const BGate&, const BatchedSpace&, IdxType,
+using BatchedKernelFn = void (*)(const UGate&, const BatchedSpace&, IdxType,
                                  IdxType);
 
-template <class L>
-void bk_id(const BGate&, const BatchedSpace&, IdxType, IdxType) {}
-
-template <class L>
-void bk_barrier(const BGate&, const BatchedSpace&, IdxType, IdxType) {}
-
-template <class L>
-void bk_x(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
+/// Pattern P × body B on work items [begin, end) of every member: the
+/// index map once per work item, the body across the members.
+template <Pat P, class B, class L>
+void batched_kernel(const UGate& ug, const BatchedSpace& sp, IdxType begin,
+                    IdxType end) {
+  using Pt = Pattern<P>;
+  const Pt pat(ug.g);
+  const IdxType nb = sp.batch;
   for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      V::store(sp.real + p0 + b, V::load(sp.real + p1 + b));
-      V::store(sp.imag + p0 + b, V::load(sp.imag + p1 + b));
-      V::store(sp.real + p1 + b, r0);
-      V::store(sp.imag + p1 + b, i0);
-    });
-  }
-}
-
-template <class L>
-void bk_y(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, i1);
-      V::store(sp.imag + p0 + b, V::neg(r1));
-      V::store(sp.real + p1 + b, V::neg(i0));
-      V::store(sp.imag + p1 + b, r0);
-    });
-  }
-}
-
-template <class L>
-void bk_z(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      V::store(sp.real + p1 + b, V::neg(V::load(sp.real + p1 + b)));
-      V::store(sp.imag + p1 + b, V::neg(V::load(sp.imag + p1 + b)));
-    });
-  }
-}
-
-template <class L>
-void bk_h(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::mul(s2i, V::add(r0, r1)));
-      V::store(sp.imag + p0 + b, V::mul(s2i, V::add(i0, i1)));
-      V::store(sp.real + p1 + b, V::mul(s2i, V::sub(r0, r1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::sub(i0, i1)));
-    });
-  }
-}
-
-template <class L>
-void bk_s(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r1 = V::load(sp.real + p1 + b);
-      V::store(sp.real + p1 + b, V::neg(V::load(sp.imag + p1 + b)));
-      V::store(sp.imag + p1 + b, r1);
-    });
-  }
-}
-
-template <class L>
-void bk_sdg(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r1 = V::load(sp.real + p1 + b);
-      V::store(sp.real + p1 + b, V::load(sp.imag + p1 + b));
-      V::store(sp.imag + p1 + b, V::neg(r1));
-    });
-  }
-}
-
-template <class L>
-void bk_t(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-          IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::mul(s2i, V::sub(r1, i1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::add(r1, i1)));
-    });
-  }
-}
-
-template <class L>
-void bk_tdg(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto s2i = V::splat(S2I);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::mul(s2i, V::add(r1, i1)));
-      V::store(sp.imag + p1 + b, V::mul(s2i, V::sub(i1, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_u1(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p1 = pair_base(i, q) * B + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto ci = V::load(ci_row + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p1 + b, V::sub(V::mul(cr, r1), V::mul(ci, i1)));
-      V::store(sp.imag + p1 + b, V::add(V::mul(cr, i1), V::mul(ci, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_rz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto c = V::load(c_row + b);
-      const auto s = V::load(s_row + b);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::add(V::mul(c, r0), V::mul(s, i0)));
-      V::store(sp.imag + p0 + b, V::sub(V::mul(c, i0), V::mul(s, r0)));
-      V::store(sp.real + p1 + b, V::sub(V::mul(c, r1), V::mul(s, i1)));
-      V::store(sp.imag + p1 + b, V::add(V::mul(c, i1), V::mul(s, r1)));
-    });
-  }
-}
-
-template <class L>
-void bk_rx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    const IdxType p1 = p0 + stride;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto c = V::load(c_row + b);
-      const auto s = V::load(s_row + b);
-      const auto r0 = V::load(sp.real + p0 + b);
-      const auto i0 = V::load(sp.imag + p0 + b);
-      const auto r1 = V::load(sp.real + p1 + b);
-      const auto i1 = V::load(sp.imag + p1 + b);
-      V::store(sp.real + p0 + b, V::add(V::mul(c, r0), V::mul(s, i1)));
-      V::store(sp.imag + p0 + b, V::sub(V::mul(c, i0), V::mul(s, r1)));
-      V::store(sp.real + p1 + b, V::add(V::mul(c, r1), V::mul(s, i0)));
-      V::store(sp.imag + p1 + b, V::sub(V::mul(c, i1), V::mul(s, r0)));
-    });
-  }
-}
-
-template <class L>
-void bk_ry(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  // Members-outer: the rotation coefficients are pair-invariant, so each
-  // member chunk loads (c, s) once and keeps them in registers while it
-  // streams every pair. Chunks touch disjoint cache lines of the
-  // batch-innermost slab, so total traffic is unchanged.
-  for_members<L>(B, [&]<class V>(IdxType b) {
-    const auto c = V::load(c_row + b);
-    const auto s = V::load(s_row + b);
-    for (IdxType i = begin; i < end; ++i) {
-      const IdxType p0 = pair_base(i, q) * B + b;
-      const IdxType p1 = p0 + stride;
-      const auto r0 = V::load(sp.real + p0);
-      const auto i0 = V::load(sp.imag + p0);
-      const auto r1 = V::load(sp.real + p1);
-      const auto i1 = V::load(sp.imag + p1);
-      V::store(sp.real + p0, V::sub(V::mul(c, r0), V::mul(s, r1)));
-      V::store(sp.imag + p0, V::sub(V::mul(c, i0), V::mul(s, i1)));
-      V::store(sp.real + p1, V::add(V::mul(s, r0), V::mul(c, r1)));
-      V::store(sp.imag + p1, V::add(V::mul(s, i0), V::mul(c, i1)));
+    const IdxType s = pat.template base<ScalarLane>(i);
+    for (int k = 0; k < Pt::kSites; ++k) {
+      const IdxType a = (s + pat.off[k][0]) * nb;
+      const IdxType bb = (s + pat.off[k][1]) * nb;
+      for_members<L>(nb, [&]<class V>(IdxType b) {
+        typename V::V c[B::kRows > 0 ? B::kRows : 1]{};
+        for (int r = 0; r < B::kRows; ++r) {
+          c[r] = V::load(ug.coef + r * ug.stride + b);
+        }
+        auto r0 = V::load(sp.real + a + b);
+        auto i0 = V::load(sp.imag + a + b);
+        if constexpr (Pt::kPair) {
+          auto r1 = V::load(sp.real + bb + b);
+          auto i1 = V::load(sp.imag + bb + b);
+          B::template pair<V>(c, r0, i0, r1, i1);
+          V::store(sp.real + bb + b, r1);
+          V::store(sp.imag + bb + b, i1);
+        } else {
+          B::template one<V>(c, r0, i0);
+        }
+        V::store(sp.real + a + b, r0);
+        V::store(sp.imag + a + b, i0);
+      });
     }
-  });
-}
-
-namespace batched_detail {
-
-/// Dense 2x2 on the member pair (p0, p1): the batched apply_2x2, with the
-/// eight entry rows loaded per member. Expression order matches
-/// kernels::apply_2x2.
-template <class L, class V = L>
-struct Dense2x2 {};
-
-template <class L>
-inline void bdense_2x2(const BGate& bg, const BatchedSpace& sp, IdxType p0,
-                       IdxType p1) {
-  const ValType* m = bg.coef;
-  const IdxType st = bg.stride;
-  for_members<L>(sp.batch, [&]<class V>(IdxType b) {
-    const auto r00 = V::load(m + 0 * st + b);
-    const auto i00 = V::load(m + 1 * st + b);
-    const auto r01 = V::load(m + 2 * st + b);
-    const auto i01 = V::load(m + 3 * st + b);
-    const auto r10 = V::load(m + 4 * st + b);
-    const auto i10 = V::load(m + 5 * st + b);
-    const auto r11 = V::load(m + 6 * st + b);
-    const auto i11 = V::load(m + 7 * st + b);
-    const auto r0 = V::load(sp.real + p0 + b);
-    const auto i0 = V::load(sp.imag + p0 + b);
-    const auto r1 = V::load(sp.real + p1 + b);
-    const auto i1 = V::load(sp.imag + p1 + b);
-    // m00*a0 + m01*a1 / m10*a0 + m11*a1, expanded as in apply_2x2.
-    V::store(sp.real + p0 + b,
-             V::sub(V::add(V::sub(V::mul(r00, r0), V::mul(i00, i0)),
-                           V::mul(r01, r1)),
-                    V::mul(i01, i1)));
-    V::store(sp.imag + p0 + b,
-             V::add(V::add(V::add(V::mul(r00, i0), V::mul(i00, r0)),
-                           V::mul(r01, i1)),
-                    V::mul(i01, r1)));
-    V::store(sp.real + p1 + b,
-             V::sub(V::add(V::sub(V::mul(r10, r0), V::mul(i10, i0)),
-                           V::mul(r11, r1)),
-                    V::mul(i11, i1)));
-    V::store(sp.imag + p1 + b,
-             V::add(V::add(V::add(V::mul(r10, i0), V::mul(i10, r0)),
-                           V::mul(r11, i1)),
-                    V::mul(i11, r1)));
-  });
-}
-
-} // namespace batched_detail
-
-template <class L>
-void bk_u3(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType q = bg.g.qb0;
-  const IdxType B = sp.batch;
-  const IdxType stride = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType p0 = pair_base(i, q) * B;
-    batched_detail::bdense_2x2<L>(bg, sp, p0, p0 + stride);
   }
 }
 
-// U2's entries are prebuilt with theta = pi/2 at upload; same body as U3.
-template <class L>
-void bk_u2(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  bk_u3<L>(bg, sp, begin, end);
-}
-
 namespace batched_detail {
 
-/// Register-level dense 2x2 on one member chunk: e is the Entries2x2 row
-/// vector (r00,i00,r01,i01,r10,i10,r11,i11) already loaded into lanes.
-/// Expression order matches bdense_2x2 / kernels::apply_2x2.
-template <class V, class W>
-inline void reg_2x2(const W* e, W& r0, W& i0, W& r1, W& i1) {
-  const W nr0 = V::sub(
-      V::add(V::sub(V::mul(e[0], r0), V::mul(e[1], i0)), V::mul(e[2], r1)),
-      V::mul(e[3], i1));
-  const W ni0 = V::add(
-      V::add(V::add(V::mul(e[0], i0), V::mul(e[1], r0)), V::mul(e[2], i1)),
-      V::mul(e[3], r1));
-  const W nr1 = V::sub(
-      V::add(V::sub(V::mul(e[4], r0), V::mul(e[5], i0)), V::mul(e[6], r1)),
-      V::mul(e[7], i1));
-  const W ni1 = V::add(
-      V::add(V::add(V::mul(e[4], i0), V::mul(e[5], r0)), V::mul(e[6], i1)),
-      V::mul(e[7], r1));
-  r0 = nr0;
-  i0 = ni0;
-  r1 = nr1;
-  i1 = ni1;
-}
-
-/// Same as reg_2x2 for a purely real matrix: e holds only the 4 real
-/// entries (m00, m01, m10, m11), and the matrix acts on the real and
-/// imaginary planes independently — half the multiplies of the complex
-/// form, which is what makes the combined pass a strict win (the generic
-/// form trades the halved traffic for doubled flops and roughly breaks
-/// even on rotation layers).
+/// A dense 2x2 acting on purely real entries e = (m00, m01, m10, m11):
+/// the matrix acts on the real and imaginary planes independently — half
+/// the multiplies of BodyDense, which is what makes the combined pass a
+/// strict win (the complex form trades the halved traffic for doubled
+/// flops and roughly breaks even on rotation layers).
 template <class V, class W>
 inline void reg_2x2_real(const W* e, W& r0, W& i0, W& r1, W& i1) {
   const W nr0 = V::add(V::mul(e[0], r0), V::mul(e[1], r1));
@@ -670,21 +180,21 @@ inline void reg_2x2_real(const W* e, W& r0, W& i0, W& r1, W& i1) {
 
 /// Two independent dense 1q gates in ONE pass over the slab: gate P on
 /// qubit qb0 (low) and gate Q on qubit qb1 (high), with 16 coefficient
-/// rows (P's Entries2x2 rows 0-7, Q's rows 8-15). Each quadruple is
-/// loaded once, P is applied to its qubit-p pairs and Q to its qubit-q
-/// pairs entirely in registers, then stored — the same arithmetic as two
-/// sequential passes at half the memory traffic. That matters here and
-/// not in the solo engine: a solo state at bench sizes lives in L1, but
-/// the B-wide slab streams from L2, so batched gate cost is traffic, not
-/// flops. The combining pass in BatchedSim::execute builds these.
+/// rows (P's dense rows 0-7, Q's rows 8-15). Each quadruple is loaded
+/// once, P is applied to its qubit-p pairs and Q to its qubit-q pairs
+/// entirely in registers (BodyDense), then stored — the same arithmetic
+/// as two sequential passes at half the memory traffic. That matters here
+/// and not in the solo engine: a solo state at bench sizes lives in L1,
+/// but the B-wide slab streams from L2, so batched gate cost is traffic,
+/// not flops. The combining pass in BatchedSim::execute builds these.
 template <class L>
-void bk_pair1q(const BGate& bg, const BatchedSpace& sp, IdxType begin,
+void bk_pair1q(const UGate& ug, const BatchedSpace& sp, IdxType begin,
                IdxType end) {
-  const IdxType p = bg.g.qb0;
-  const IdxType q = bg.g.qb1;
+  const IdxType p = ug.g.qb0;
+  const IdxType q = ug.g.qb1;
   const IdxType B = sp.batch;
-  const IdxType st = bg.stride;
-  const ValType* m = bg.coef;
+  const IdxType st = ug.stride;
+  const ValType* m = ug.coef;
   const IdxType offp = pow2(p) * B;
   const IdxType offq = pow2(q) * B;
   for_members<L>(B, [&]<class V>(IdxType b) {
@@ -702,10 +212,10 @@ void bk_pair1q(const BGate& bg, const BatchedSpace& sp, IdxType begin,
       W i2 = V::load(sp.imag + s + offq);
       W r3 = V::load(sp.real + s + offp + offq);
       W i3 = V::load(sp.imag + s + offp + offq);
-      batched_detail::reg_2x2<V>(pc, r0, i0, r1, i1);
-      batched_detail::reg_2x2<V>(pc, r2, i2, r3, i3);
-      batched_detail::reg_2x2<V>(qc, r0, i0, r2, i2);
-      batched_detail::reg_2x2<V>(qc, r1, i1, r3, i3);
+      BodyDense::pair<V>(pc, r0, i0, r1, i1);
+      BodyDense::pair<V>(pc, r2, i2, r3, i3);
+      BodyDense::pair<V>(qc, r0, i0, r2, i2);
+      BodyDense::pair<V>(qc, r1, i1, r3, i3);
       V::store(sp.real + s, r0);
       V::store(sp.imag + s, i0);
       V::store(sp.real + s + offp, r1);
@@ -724,15 +234,15 @@ void bk_pair1q(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 /// imaginary planes are transformed independently, so the quad costs the
 /// same arithmetic as two specialized single-gate passes while still
 /// paying the memory traffic only once. Coefficient layout is unchanged
-/// (16 Entries2x2 rows); only the real rows 0,2,4,6 of each gate load.
+/// (16 dense rows); only the real rows 0,2,4,6 of each gate load.
 template <class L>
-void bk_pair1q_real(const BGate& bg, const BatchedSpace& sp, IdxType begin,
+void bk_pair1q_real(const UGate& ug, const BatchedSpace& sp, IdxType begin,
                     IdxType end) {
-  const IdxType p = bg.g.qb0;
-  const IdxType q = bg.g.qb1;
+  const IdxType p = ug.g.qb0;
+  const IdxType q = ug.g.qb1;
   const IdxType B = sp.batch;
-  const IdxType st = bg.stride;
-  const ValType* m = bg.coef;
+  const IdxType st = ug.stride;
+  const ValType* m = ug.coef;
   const IdxType offp = pow2(p) * B;
   const IdxType offq = pow2(q) * B;
   for_members<L>(B, [&]<class V>(IdxType b) {
@@ -766,264 +276,6 @@ void bk_pair1q_real(const BGate& bg, const BatchedSpace& sp, IdxType begin,
   });
 }
 
-template <class L>
-void bk_cx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      V::store(sp.real + a + b, V::load(sp.real + bb + b));
-      V::store(sp.imag + a + b, V::load(sp.imag + bb + b));
-      V::store(sp.real + bb + b, ra);
-      V::store(sp.imag + bb + b, ia);
-    });
-  }
-}
-
-template <class L>
-void bk_cy(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + a + b, ib);
-      V::store(sp.imag + a + b, V::neg(rb));
-      V::store(sp.real + bb + b, V::neg(ia));
-      V::store(sp.imag + bb + b, ra);
-    });
-  }
-}
-
-template <class L>
-void bk_cz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType off = (pow2(p) + pow2(q)) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType bb = quad_base(i, p, q) * B + off;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      V::store(sp.real + bb + b, V::neg(V::load(sp.real + bb + b)));
-      V::store(sp.imag + bb + b, V::neg(V::load(sp.imag + bb + b)));
-    });
-  }
-}
-
-namespace batched_detail {
-
-/// Batched apply_ctrl_2x2: dense 2x2 on the control-set half of each
-/// quadruple, entries from the gate's eight coefficient rows.
-template <class L>
-inline void bctrl_2x2(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-                      IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    bdense_2x2<L>(bg, sp, s + coff, s + coff + toff);
-  }
-}
-
-} // namespace batched_detail
-
-template <class L>
-void bk_ch(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-           IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_crx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_cry(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_cu3(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  batched_detail::bctrl_2x2<L>(bg, sp, begin, end);
-}
-
-template <class L>
-void bk_swap(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-             IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType lo = s + poff;
-    const IdxType hi = s + qoff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto r = V::load(sp.real + lo + b);
-      const auto im = V::load(sp.imag + lo + b);
-      V::store(sp.real + lo + b, V::load(sp.real + hi + b));
-      V::store(sp.imag + lo + b, V::load(sp.imag + hi + b));
-      V::store(sp.real + hi + b, r);
-      V::store(sp.imag + hi + b, im);
-    });
-  }
-}
-
-template <class L>
-void bk_crz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType coff = pow2(c) * B;
-  const IdxType toff = pow2(t) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* si_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = quad_base(i, p, q) * B;
-    const IdxType a = s + coff;
-    const IdxType bb = s + coff + toff;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto si = V::load(si_row + b);
-      const auto ra = V::load(sp.real + a + b);
-      const auto ia = V::load(sp.imag + a + b);
-      V::store(sp.real + a + b, V::add(V::mul(cr, ra), V::mul(si, ia)));
-      V::store(sp.imag + a + b, V::sub(V::mul(cr, ia), V::mul(si, ra)));
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + bb + b, V::sub(V::mul(cr, rb), V::mul(si, ib)));
-      V::store(sp.imag + bb + b, V::add(V::mul(cr, ib), V::mul(si, rb)));
-    });
-  }
-}
-
-template <class L>
-void bk_cu1(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType c = bg.g.qb0;
-  const IdxType t = bg.g.qb1;
-  const IdxType p = c < t ? c : t;
-  const IdxType q = c < t ? t : c;
-  const IdxType B = sp.batch;
-  const IdxType off = (pow2(p) + pow2(q)) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType bb = quad_base(i, p, q) * B + off;
-    for_members<L>(B, [&]<class V>(IdxType b) {
-      const auto cr = V::load(cr_row + b);
-      const auto ci = V::load(ci_row + b);
-      const auto rb = V::load(sp.real + bb + b);
-      const auto ib = V::load(sp.imag + bb + b);
-      V::store(sp.real + bb + b, V::sub(V::mul(cr, rb), V::mul(ci, ib)));
-      V::store(sp.imag + bb + b, V::add(V::mul(cr, ib), V::mul(ci, rb)));
-    });
-  }
-}
-
-template <class L>
-void bk_rxx(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  const ValType* c_row = bg.coef;
-  const ValType* s_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q) * B;
-    const IdxType pairs[2][2] = {{base, base + poff + qoff},
-                                 {base + poff, base + qoff}};
-    for (const auto& uv : pairs) {
-      const IdxType u = uv[0];
-      const IdxType v = uv[1];
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto c = V::load(c_row + b);
-        const auto s = V::load(s_row + b);
-        const auto ru = V::load(sp.real + u + b);
-        const auto iu = V::load(sp.imag + u + b);
-        const auto rv = V::load(sp.real + v + b);
-        const auto iv = V::load(sp.imag + v + b);
-        V::store(sp.real + u + b, V::add(V::mul(c, ru), V::mul(s, iv)));
-        V::store(sp.imag + u + b, V::sub(V::mul(c, iu), V::mul(s, rv)));
-        V::store(sp.real + v + b, V::add(V::mul(c, rv), V::mul(s, iu)));
-        V::store(sp.imag + v + b, V::sub(V::mul(c, iv), V::mul(s, ru)));
-      });
-    }
-  }
-}
-
-template <class L>
-void bk_rzz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
-            IdxType end) {
-  const IdxType a = bg.g.qb0;
-  const IdxType bq = bg.g.qb1;
-  const IdxType p = a < bq ? a : bq;
-  const IdxType q = a < bq ? bq : a;
-  const IdxType B = sp.batch;
-  const IdxType poff = pow2(p) * B;
-  const IdxType qoff = pow2(q) * B;
-  const ValType* cr_row = bg.coef;
-  const ValType* ci_row = bg.coef + bg.stride;
-  for (IdxType i = begin; i < end; ++i) {
-    const IdxType base = quad_base(i, p, q) * B;
-    for (const IdxType idx : {base + poff, base + qoff}) {
-      for_members<L>(B, [&]<class V>(IdxType b) {
-        const auto cr = V::load(cr_row + b);
-        const auto ci = V::load(ci_row + b);
-        const auto r = V::load(sp.real + idx + b);
-        const auto im = V::load(sp.imag + idx + b);
-        V::store(sp.real + idx + b, V::sub(V::mul(cr, r), V::mul(ci, im)));
-        V::store(sp.imag + idx + b, V::add(V::mul(cr, im), V::mul(ci, r)));
-      });
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Divergent kernels: measure / reset with a per-member exec-mask, and the
 // per-member sampling measure-all. These are where batch members stop
@@ -1033,7 +285,7 @@ void bk_rzz(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 // ---------------------------------------------------------------------------
 
 template <class L>
-void bk_measure(const BGate& bg, const BatchedSpace& sp, IdxType begin,
+void bk_measure(const UGate& bg, const BatchedSpace& sp, IdxType begin,
                 IdxType end) {
   const IdxType q = bg.g.qb0;
   const IdxType B = sp.batch;
@@ -1120,7 +372,7 @@ void bk_measure(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 }
 
 template <class L>
-void bk_reset(const BGate& bg, const BatchedSpace& sp, IdxType begin,
+void bk_reset(const UGate& bg, const BatchedSpace& sp, IdxType begin,
               IdxType end) {
   const IdxType q = bg.g.qb0;
   const IdxType B = sp.batch;
@@ -1198,7 +450,7 @@ void bk_reset(const BGate& bg, const BatchedSpace& sp, IdxType begin,
 /// member-wise), without collapsing. The per-member column scan is
 /// strided, but sampling runs once per circuit — not worth a transpose.
 template <class L>
-void bk_measure_all(const BGate&, const BatchedSpace& sp, IdxType, IdxType) {
+void bk_measure_all(const UGate&, const BatchedSpace& sp, IdxType, IdxType) {
   const IdxType shots = sp.n_shots;
   const IdxType B = sp.batch;
   for (IdxType b = 0; b < B; ++b) {
@@ -1308,45 +560,22 @@ struct BatchedTable {
 namespace batched_detail {
 
 template <class L>
-inline BatchedTable build_batched_table(SimdLevel level) {
+inline BatchedTable build_batched_table() {
   BatchedTable t;
-  t.level = level;
+  t.level = L::kLevel;
   t.lane_width = L::W;
   t.diag = &bapply_diag<L>;
   t.pair1q = &bk_pair1q<L>;
   t.pair1q_real = &bk_pair1q_real<L>;
   auto& f = t.fns;
-  f[static_cast<int>(OP::U3)] = &bk_u3<L>;
-  f[static_cast<int>(OP::U2)] = &bk_u2<L>;
-  f[static_cast<int>(OP::U1)] = &bk_u1<L>;
-  f[static_cast<int>(OP::CX)] = &bk_cx<L>;
-  f[static_cast<int>(OP::ID)] = &bk_id<L>;
-  f[static_cast<int>(OP::X)] = &bk_x<L>;
-  f[static_cast<int>(OP::Y)] = &bk_y<L>;
-  f[static_cast<int>(OP::Z)] = &bk_z<L>;
-  f[static_cast<int>(OP::H)] = &bk_h<L>;
-  f[static_cast<int>(OP::S)] = &bk_s<L>;
-  f[static_cast<int>(OP::SDG)] = &bk_sdg<L>;
-  f[static_cast<int>(OP::T)] = &bk_t<L>;
-  f[static_cast<int>(OP::TDG)] = &bk_tdg<L>;
-  f[static_cast<int>(OP::RX)] = &bk_rx<L>;
-  f[static_cast<int>(OP::RY)] = &bk_ry<L>;
-  f[static_cast<int>(OP::RZ)] = &bk_rz<L>;
-  f[static_cast<int>(OP::CZ)] = &bk_cz<L>;
-  f[static_cast<int>(OP::CY)] = &bk_cy<L>;
-  f[static_cast<int>(OP::CH)] = &bk_ch<L>;
-  f[static_cast<int>(OP::SWAP)] = &bk_swap<L>;
-  f[static_cast<int>(OP::CRX)] = &bk_crx<L>;
-  f[static_cast<int>(OP::CRY)] = &bk_cry<L>;
-  f[static_cast<int>(OP::CRZ)] = &bk_crz<L>;
-  f[static_cast<int>(OP::CU1)] = &bk_cu1<L>;
-  f[static_cast<int>(OP::CU3)] = &bk_cu3<L>;
-  f[static_cast<int>(OP::RXX)] = &bk_rxx<L>;
-  f[static_cast<int>(OP::RZZ)] = &bk_rzz<L>;
+  for_each_unitary([&]<OP op, Pat P, class B>() {
+    f[static_cast<int>(op)] = &batched_kernel<P, B, L>;
+  });
+  f[static_cast<int>(OP::ID)] = &kern_nop<BatchedSpace>;
+  f[static_cast<int>(OP::BARRIER)] = &kern_nop<BatchedSpace>;
   f[static_cast<int>(OP::M)] = &bk_measure<L>;
   f[static_cast<int>(OP::MA)] = &bk_measure_all<L>;
   f[static_cast<int>(OP::RESET)] = &bk_reset<L>;
-  f[static_cast<int>(OP::BARRIER)] = &bk_barrier<L>;
   return t;
 }
 
@@ -1360,31 +589,12 @@ inline SimdLevel batched_effective_level(SimdLevel want) {
 
 /// The batched kernel table for `want`, clamped to the available level.
 inline const BatchedTable& batched_kernel_table(SimdLevel want) {
-  switch (batched_effective_level(want)) {
-    case SimdLevel::kAvx512: {
-#if defined(__AVX512F__) && !defined(SVSIM_FORCE_SCALAR)
-      static const BatchedTable t =
-          batched_detail::build_batched_table<Avx512Lane>(SimdLevel::kAvx512);
-      return t;
-#else
-      break;
-#endif
-    }
-    case SimdLevel::kAvx2: {
-#if defined(__AVX2__) && !defined(SVSIM_FORCE_SCALAR)
-      static const BatchedTable t =
-          batched_detail::build_batched_table<Avx2Lane>(SimdLevel::kAvx2);
-      return t;
-#else
-      break;
-#endif
-    }
-    case SimdLevel::kScalar:
-      break;
-  }
-  static const BatchedTable scalar =
-      batched_detail::build_batched_table<ScalarLane>(SimdLevel::kScalar);
-  return scalar;
+  const BatchedTable* table = nullptr;
+  with_lane(batched_effective_level(want), [&]<class L>() {
+    static const BatchedTable t = batched_detail::build_batched_table<L>();
+    table = &t;
+  });
+  return *table;
 }
 
 } // namespace svsim::kernels

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/dispatch.hpp"
+#include "core/space.hpp"
 #include "ir/schedule.hpp"
 #include "obs/memtrack.hpp"
 #include "obs/report.hpp"
@@ -49,79 +50,27 @@ struct DiagTerm {
   ValType pi[4] = {0, 0, 0, 0};
 };
 
-/// Diagonal phases of `g` matching the specialized kernels' conventions
-/// exactly (kern_rz/kern_u1/kern_crz/kern_rzz/...). Requires
-/// is_diagonal_gate(g.op).
+/// Diagonal phases of `g`, read off the gate's own kernel: it runs on a
+/// one- or two-qubit register of unit amplitudes with its operands
+/// renumbered to qubits 0 and 1, so amplitude k returns as the phase of
+/// operand pattern k. Requires is_diagonal_gate(g.op).
 inline DiagTerm diag_term(const Gate& g) {
+  SVSIM_CHECK(is_diagonal_gate(g.op), "diag_term: op has no diagonal action");
   DiagTerm t;
   t.qa = g.qb0;
-  switch (g.op) {
-    case OP::ID:
-      break;
-    case OP::Z:
-      t.pr[1] = -1;
-      break;
-    case OP::S:
-      t.pr[1] = 0;
-      t.pi[1] = 1;
-      break;
-    case OP::SDG:
-      t.pr[1] = 0;
-      t.pi[1] = -1;
-      break;
-    case OP::T:
-      t.pr[1] = S2I;
-      t.pi[1] = S2I;
-      break;
-    case OP::TDG:
-      t.pr[1] = S2I;
-      t.pi[1] = -S2I;
-      break;
-    case OP::RZ: { // alpha0 *= e^{-i t/2}, alpha1 *= e^{+i t/2}
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      t.pr[0] = c;
-      t.pi[0] = -s;
-      t.pr[1] = c;
-      t.pi[1] = s;
-      break;
-    }
-    case OP::U1: // alpha1 *= e^{i theta}
-      t.pr[1] = std::cos(g.theta);
-      t.pi[1] = std::sin(g.theta);
-      break;
-    case OP::CZ:
-      t.qb = g.qb1;
-      t.pr[3] = -1;
-      break;
-    case OP::CU1: // |11> *= e^{i theta}
-      t.qb = g.qb1;
-      t.pr[3] = std::cos(g.theta);
-      t.pi[3] = std::sin(g.theta);
-      break;
-    case OP::CRZ: { // control set: RZ on the target
-      t.qb = g.qb1;
-      const ValType c = std::cos(g.theta / 2);
-      const ValType s = std::sin(g.theta / 2);
-      t.pr[1] = c;
-      t.pi[1] = -s;
-      t.pr[3] = c;
-      t.pi[3] = s;
-      break;
-    }
-    case OP::RZZ: { // qelib1 diag(1, e^{it}, e^{it}, 1)
-      t.qb = g.qb1;
-      const ValType c = std::cos(g.theta);
-      const ValType s = std::sin(g.theta);
-      t.pr[1] = c;
-      t.pi[1] = s;
-      t.pr[2] = c;
-      t.pi[2] = s;
-      break;
-    }
-    default:
-      SVSIM_CHECK(false, "diag_term: op has no diagonal action");
-  }
+  t.qb = g.qb1;
+  Gate unit = g;
+  unit.qb0 = 0;
+  unit.qb1 = g.qb1 >= 0 ? 1 : -1;
+  const IdxType n = g.qb1 >= 0 ? 2 : 1;
+  ValType coef[kMaxCoefRows];
+  fill_coef(unit, coef, 1, 0);
+  LocalSpace sp;
+  sp.real = t.pr;
+  sp.imag = t.pi;
+  sp.dim = pow2(n);
+  KernelTable<LocalSpace>::get()[static_cast<std::size_t>(g.op)](
+      UGate{unit, coef, 1}, sp, 0, gate_work_items(unit, n));
   return t;
 }
 
@@ -291,7 +240,7 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
   const IdxType end = w.first_gate + w.n_gates;
   IdxType i = w.first_gate;
   while (i < end) {
-    const Gate& g = circuit[static_cast<std::size_t>(i)].g;
+    const Gate& g = circuit[static_cast<std::size_t>(i)].ug.g;
     const bool diag = is_diagonal_gate(g.op);
     const bool low = gate_is_low(g, b);
     if (!diag || (low && per_gate_spans)) {
@@ -315,7 +264,7 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
       j = i + 1;
     } else {
       while (j < end &&
-             is_diagonal_gate(circuit[static_cast<std::size_t>(j)].g.op)) {
+             is_diagonal_gate(circuit[static_cast<std::size_t>(j)].ug.g.op)) {
         ++j;
       }
     }
@@ -342,7 +291,7 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
     std::vector<DiagTerm> low_terms;
     std::vector<std::pair<IdxType, std::vector<DiagTerm>>> mixed;
     for (IdxType k = i; k < j; ++k) {
-      const Gate& dg = circuit[static_cast<std::size_t>(k)].g;
+      const Gate& dg = circuit[static_cast<std::size_t>(k)].ug.g;
       if (dg.op == OP::ID) continue; // identity phase
       const DiagTerm t = diag_term(dg);
       const bool qa_high = t.qa >= b;
@@ -544,14 +493,14 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
       for (IdxType k = 0; k < w.n_gates; ++k) {
         const DeviceGate<Space>& dg =
             circuit[static_cast<std::size_t>(w.first_gate + k)];
-        const bool go_on = detail::gate_step(sp, wp, ++gate_id, dg.g, [&] {
+        const bool go_on = detail::gate_step(sp, wp, ++gate_id, dg.ug.g, [&] {
           const IdxType per = (dg.work + nw - 1) / nw;
           const IdxType begin = per * me < dg.work ? per * me : dg.work;
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
-          dg.fn(dg.g, sp, begin, end);
+          dg.fn(dg.ug, sp, begin, end);
           sp.sync();
           return static_cast<std::uint64_t>(end - begin) *
-                 detail::amps_per_work_item(dg.g);
+                 detail::amps_per_work_item(dg.ug.g);
         });
         if (!go_on) return;
       }
@@ -563,7 +512,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
       for (IdxType k = 0; k < w.n_gates; ++k) {
         detail::flight_gate_event(
             wp.ring, gate_id + static_cast<std::uint64_t>(k) + 1,
-            circuit[static_cast<std::size_t>(w.first_gate + k)].g);
+            circuit[static_cast<std::size_t>(w.first_gate + k)].ug.g);
       }
     }
     obs::WaitTracker::set_phase("window");
@@ -585,7 +534,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
         if (a.kind == WindowAction<Space>::Kind::kGate) {
           const DeviceGate<Space>& dg =
               circuit[static_cast<std::size_t>(a.gate_index)];
-          dg.fn(dg.g, sp, blk * a.work_per_block,
+          dg.fn(dg.ug, sp, blk * a.work_per_block,
                 (blk + 1) * a.work_per_block);
         } else {
           kernels::blocked_detail::apply_diag_run(sp, a, base, b);

@@ -16,7 +16,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/kernels/apply.hpp"
+#include "common/bits.hpp"
+#include "common/types.hpp"
+#include "ir/gate.hpp"
 
 namespace svsim::kernels {
 

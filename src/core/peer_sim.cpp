@@ -60,13 +60,13 @@ void PeerSim::run(const Circuit& circuit) {
   static obs::Counter& runs = obs::Registry::global().counter("runs.peer");
   shmem::Barrier grid(n_dev_); // the multi-device grid (grid.sync())
   traffic_.assign(static_cast<std::size_t>(n_dev_), PeerTraffic{});
-  dest_counts_.assign(
-      static_cast<std::size_t>(n_dev_) * static_cast<std::size_t>(n_dev_), 0);
+  const auto n = static_cast<std::size_t>(n_dev_);
+  constexpr std::size_t kPerLine = kBufferAlign / sizeof(std::uint64_t);
+  dest_stride_ = (n + kPerLine - 1) / kPerLine * kPerLine;
+  dest_counts_.allocate(n * dest_stride_);
   if (cfg_.count_traffic) {
-    for (int d = 0; d < n_dev_; ++d) {
-      traffic_[static_cast<std::size_t>(d)].per_dest =
-          dest_counts_.data() + static_cast<std::size_t>(d) *
-                                    static_cast<std::size_t>(n_dev_);
+    for (std::size_t d = 0; d < n; ++d) {
+      traffic_[d].per_dest = dest_counts_.data() + d * dest_stride_;
     }
   }
   run_dispatch<PeerSpace>(
@@ -80,9 +80,12 @@ void PeerSim::run(const Circuit& circuit) {
         if (!cfg_.count_traffic) return;
         // Element accesses -> bytes: every peer access moves one ValType.
         rep.matrix.n = n_dev_;
-        rep.matrix.bytes.assign(dest_counts_.size(), 0);
-        for (std::size_t i = 0; i < dest_counts_.size(); ++i) {
-          rep.matrix.bytes[i] = dest_counts_[i] * sizeof(ValType);
+        rep.matrix.bytes.assign(n * n, 0);
+        for (std::size_t d = 0; d < n; ++d) {
+          for (std::size_t e = 0; e < n; ++e) {
+            rep.matrix.bytes[d * n + e] =
+                dest_counts_[d * dest_stride_ + e] * sizeof(ValType);
+          }
         }
       });
 }

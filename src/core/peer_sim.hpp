@@ -54,9 +54,12 @@ private:
   std::vector<Rng> rngs_; // per-worker replicas, same seed (lockstep)
   std::vector<ValType> scratch_;
   std::vector<PeerTraffic> traffic_;
-  // Flat n_dev×n_dev element-access counts (row d = device d's accesses by
-  // owning partition); each PeerTraffic::per_dest points at its row.
-  std::vector<std::uint64_t> dest_counts_;
+  // n_dev×n_dev element-access counts (row d = device d's accesses by
+  // owning partition); each PeerTraffic::per_dest points at its row. Rows
+  // start on their own cache line (stride dest_stride_) so the devices
+  // never false-share them.
+  AlignedBuffer<std::uint64_t> dest_counts_;
+  std::size_t dest_stride_ = 0;
 };
 
 } // namespace svsim

@@ -185,7 +185,7 @@ void Simulator::run_dispatch(const Circuit& circuit, const SimConfig& cfg,
   // Built once on the calling thread, shared read-only by every worker.
   // b <= lg_part keeps every block inside one worker's partition.
   const auto sched = kernels::prepare_sched<Space>(
-      run.exec(), device_circuit, cfg, parts_.lg_part,
+      run.exec(), device_circuit.gates, cfg, parts_.lg_part,
       run.planes().rec != nullptr, run.checkpoint_every());
   if (sched.enabled) {
     fold_sched_stats(report_, sched.sched.stats, sched.active,
@@ -196,7 +196,8 @@ void Simulator::run_dispatch(const Circuit& circuit, const SimConfig& cfg,
       [&] {
         launch([&](const Space& sp) {
           obs::WaitBind bind(run.waits(), sp.worker());
-          simulation_kernel_sched(device_circuit, sched, sp, run.planes());
+          simulation_kernel_sched(device_circuit.gates, sched, sp,
+                                  run.planes());
         });
       },
       std::forward<Fold>(fold));

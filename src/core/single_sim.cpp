@@ -4,6 +4,15 @@
 
 namespace svsim {
 
+const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level) {
+  const KernelTable<LocalSpace>::Table* table = nullptr;
+  kernels::with_lane(level, [&]<class L>() {
+    table = &KernelTable<LocalSpace>::get<L>();
+  });
+  if (table == nullptr) throw Error("SIMD level not available in this build");
+  return *table;
+}
+
 SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
     : Simulator(n_qubits),
       n_(n_qubits),

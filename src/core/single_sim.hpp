@@ -2,8 +2,9 @@
 //
 // Homogeneous execution: the whole circuit runs as one simulation-kernel
 // loop of preloaded function pointers; specialized kernels per gate; and
-// optionally the architecture-specialized AVX2/AVX-512 kernel table
-// (Listing 2) selected at construction.
+// optionally the AVX2/AVX-512 kernel table (Listing 2: the same gate
+// bodies, W work items per vector by gather/scatter) selected at
+// construction.
 #pragma once
 
 #include "common/aligned.hpp"
@@ -15,9 +16,9 @@
 
 namespace svsim {
 
-/// Kernel table for LocalSpace at a given SIMD level: the scalar table
-/// with vectorized entries patched in where an implementation exists
-/// (defined in simd_kernels.cpp).
+/// Kernel table for LocalSpace at a given SIMD level: every unitary op
+/// through that level's lane policy, the non-unitary ops scalar. Throws
+/// when the build lacks the level.
 const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level);
 
 class SingleSim final : public Simulator {

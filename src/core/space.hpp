@@ -76,8 +76,10 @@ struct LocalSpace {
 /// remote-partition element accesses through the pointer array). When
 /// `per_dest` points at an n_workers-sized array, every access is also
 /// attributed to the partition it touched — the raw data for the run
-/// report's PE×PE traffic matrix.
-struct PeerTraffic {
+/// report's PE×PE traffic matrix. Every access bumps these, so each
+/// device's counters own a whole cache line: packed, the workers would
+/// false-share them on every element access.
+struct alignas(64) PeerTraffic {
   std::uint64_t local_access = 0;
   std::uint64_t remote_access = 0;
   std::uint64_t* per_dest = nullptr; // element accesses by owning device

@@ -9,7 +9,7 @@
 // one pass over the state. This module prices those footprints — expected
 // amplitudes touched, bytes moved, real floating-point ops — per gate,
 // per op kind, and per scheduled window, mirroring the actual kernel
-// bodies in kernels/gates1q.hpp, gates2q.hpp and the phase-table paths.
+// bodies in kernels/gates.hpp and the phase-table paths.
 //
 // Counting conventions (tests/test_perfmodel.cpp pins these):
 //  * one touched amplitude moves 32 bytes: 16 read + 16 written across

@@ -1,21 +1,30 @@
-// Kernel correctness: every specialized gate kernel — scalar and each
-// SIMD level — must act identically to the dense-matrix reference
-// (GeneralizedSim) on random states, for every operand qubit position
-// (including the strided low qubits and the high qubits that straddle
-// partition boundaries in the distributed tiers).
+// Kernel correctness: every gate, under every execution strategy that
+// feeds its shared body — solo scalar and solo SIMD at each level (on
+// SingleSim), the peer pointer array and SHMEM get/put (PeerSim ×2,
+// ShmemSim ×2), and the batched lanes at each level — must act
+// identically to the dense-matrix reference (GeneralizedSim) on random
+// states, for every operand qubit position (including the strided low
+// qubits and the high qubits that straddle partition boundaries in the
+// distributed tiers). n = 7 runs whole SIMD vectors; n = 3 leaves fewer
+// work items than the AVX-512 width, so the scalar tail does the work.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "core/batched_sim.hpp"
 #include "core/generalized_sim.hpp"
+#include "core/peer_sim.hpp"
+#include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 
 namespace svsim {
 namespace {
 
-constexpr IdxType kN = 7; // 128 amplitudes: covers >8-lane SIMD + tails
+constexpr IdxType kN = 7; // 128 amplitudes: whole 8-lane SIMD vectors
 
 StateVector random_state(IdxType n, std::uint64_t seed) {
   Rng rng(seed);
@@ -46,34 +55,104 @@ std::vector<SimdLevel> available_levels() {
   return levels;
 }
 
+/// `g` applied to `init` by the dense-matrix reference.
+StateVector reference(const Gate& g, const StateVector& init) {
+  GeneralizedSim ref(init.n_qubits);
+  ref.load_state(init);
+  if (g.qb1 < 0) {
+    ref.apply_matrix(matrix_1q(g), g.qb0);
+  } else {
+    ref.apply_matrix(matrix_2q(g), g.qb0, g.qb1);
+  }
+  return ref.state();
+}
+
+/// Member b's variant of `g`: its own angles, same op and operands.
+Gate member_gate(const Gate& g, IdxType b) {
+  Gate m = g;
+  m.theta += 0.37 * static_cast<ValType>(b);
+  m.phi -= 0.21 * static_cast<ValType>(b);
+  m.lam += 0.13 * static_cast<ValType>(b);
+  return m;
+}
+
+/// Run `g` on `init` under every strategy and compare each result with
+/// the reference; `what` labels failures.
+void check_everywhere(const Gate& g, const StateVector& init,
+                      const std::string& what) {
+  const IdxType n = init.n_qubits;
+  const StateVector want = reference(g, init);
+  Circuit c(n);
+  c.append(g);
+
+  for (const SimdLevel level : available_levels()) {
+    SimConfig cfg;
+    cfg.simd = level;
+    SingleSim sim(n, cfg);
+    load(sim, init);
+    sim.run(c);
+    EXPECT_LT(sim.state().max_diff(want), 1e-12)
+        << what << " single simd " << to_string(level);
+  }
+
+  std::vector<std::unique_ptr<Simulator>> parts;
+  parts.push_back(std::make_unique<PeerSim>(n, 2));
+  parts.push_back(std::make_unique<ShmemSim>(n, 2));
+  for (const auto& sim : parts) {
+    sim->load_state(init);
+    sim->run(c);
+    EXPECT_LT(sim->state().max_diff(want), 1e-12)
+        << what << " " << sim->name() << " x2";
+  }
+
+  // Batched: one member past a whole lane, each member with its own
+  // state and angles.
+  for (const SimdLevel level : available_levels()) {
+    SimConfig cfg;
+    cfg.simd = level;
+    const IdxType lanes = BatchedSim(n, 1, cfg).lane_width();
+    const IdxType batch = lanes + 1;
+    BatchedSim bsim(n, batch, cfg);
+    std::vector<Circuit> members;
+    std::vector<StateVector> inits;
+    for (IdxType b = 0; b < batch; ++b) {
+      inits.push_back(b == 0 ? init : random_state(n, 1000 + b));
+      Circuit mc(n);
+      mc.append(member_gate(g, b));
+      members.push_back(std::move(mc));
+      for (IdxType k = 0; k < bsim.dim(); ++k) {
+        const Complex a = inits.back().amps[static_cast<std::size_t>(k)];
+        bsim.real_data()[k * batch + b] = a.real();
+        bsim.imag_data()[k * batch + b] = a.imag();
+      }
+    }
+    bsim.run(members);
+    for (IdxType b = 0; b < batch; ++b) {
+      const StateVector mwant =
+          reference(member_gate(g, b), inits[static_cast<std::size_t>(b)]);
+      EXPECT_LT(bsim.state(b).max_diff(mwant), 1e-12)
+          << what << " batched simd " << to_string(level) << " B=" << batch
+          << " member " << b;
+    }
+  }
+}
+
 class Kernel1QTest : public ::testing::TestWithParam<OP> {};
 
 TEST_P(Kernel1QTest, MatchesDenseMatrixEverywhere) {
   const OP op = GetParam();
-  const StateVector init = random_state(kN, 7777);
-  for (const SimdLevel level : available_levels()) {
-    for (IdxType q = 0; q < kN; ++q) {
+  for (const IdxType n : {IdxType{3}, kN}) {
+    const StateVector init = random_state(n, 7777);
+    for (IdxType q = 0; q < n; ++q) {
       for (const ValType t : {0.0, 0.777, -2.1}) {
         Gate g = make_gate(op, q);
         g.theta = t;
         g.phi = 0.3 * t;
         g.lam = -0.2 + t;
-
-        SimConfig cfg;
-        cfg.simd = level;
-        SingleSim sim(kN, cfg);
-        load(sim, init);
-        Circuit c(kN);
-        c.append(g);
-        sim.run(c);
-
-        GeneralizedSim ref(kN);
-        ref.load_state(init);
-        ref.apply_matrix(matrix_1q(g), q);
-
-        EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
-            << op_name(op) << " q=" << q << " t=" << t << " simd "
-            << to_string(level);
+        check_everywhere(g, init,
+                         std::string(op_name(op)) + " n=" +
+                             std::to_string(n) + " q=" + std::to_string(q) +
+                             " t=" + std::to_string(t));
       }
     }
   }
@@ -89,31 +168,20 @@ class Kernel2QTest : public ::testing::TestWithParam<OP> {};
 
 TEST_P(Kernel2QTest, MatchesDenseMatrixEverywhere) {
   const OP op = GetParam();
-  const StateVector init = random_state(kN, 31415);
-  for (const SimdLevel level : available_levels()) {
+  for (const IdxType n : {IdxType{3}, kN}) {
+    const StateVector init = random_state(n, 31415);
     for (auto [a, b] :
-         {std::pair<IdxType, IdxType>{0, 1}, {1, 0}, {0, kN - 1},
-          {kN - 1, 0}, {2, 5}, {5, 2}, {kN - 2, kN - 1}}) {
+         {std::pair<IdxType, IdxType>{0, 1}, {1, 0}, {0, n - 1}, {n - 1, 0},
+          {1, n - 1}, {n - 1, 1}, {n - 2, n - 1}, {2, 5}, {5, 2}}) {
+      if (a >= n || b >= n) continue;
       Gate g = make_gate(op, a, b);
       g.theta = 0.613;
       g.phi = -0.35;
       g.lam = 1.2;
-
-      SimConfig cfg;
-      cfg.simd = level;
-      SingleSim sim(kN, cfg);
-      load(sim, init);
-      Circuit c(kN);
-      c.append(g);
-      sim.run(c);
-
-      GeneralizedSim ref(kN);
-      ref.load_state(init);
-      ref.apply_matrix(matrix_2q(g), a, b);
-
-      EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12)
-          << op_name(op) << " (" << a << "," << b << ") simd "
-          << to_string(level);
+      check_everywhere(g, init,
+                       std::string(op_name(op)) + " n=" + std::to_string(n) +
+                           " (" + std::to_string(a) + "," +
+                           std::to_string(b) + ")");
     }
   }
 }

@@ -5,8 +5,11 @@
 #include <cmath>
 #include <map>
 
+#include "core/coarse_msg_sim.hpp"
 #include "core/generalized_sim.hpp"
+#include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
+#include "testing/oracle.hpp"
 
 namespace svsim {
 namespace {
@@ -172,6 +175,31 @@ TEST(Reset, ClampsDriftedProbabilityBeforeRenormalize) {
   c.reset(0);
   sim.run(c);
   EXPECT_NEAR(std::abs(sim.state().amps[0]), std::sqrt(1.2), 1e-12);
+}
+
+TEST(Reset, TinyZeroProbabilityMatchesOracleOnPartitionedBackends) {
+  // ry(2·acos(sqrt(p0))) leaves P(|0>) = p0; reset renormalizes the |0>
+  // half by 1/sqrt(p0). Taking p0 as 1 - P(|1>) cancels catastrophically
+  // and that scale amplifies the error, so every backend must sum the
+  // |0> half directly — on a rank-local qubit (0) and on the qubit that
+  // selects the partition (3, with two ranks/PEs).
+  const IdxType n = 4;
+  for (const ValType p0 : {1e-4, 1e-6, 1e-8, 1e-10}) {
+    for (const IdxType q : {IdxType{0}, n - 1}) {
+      Circuit c(n);
+      c.ry(2 * std::acos(std::sqrt(p0)), q).reset(q);
+      testing::OracleSim oracle(n);
+      oracle.run(c);
+      CoarseMsgSim coarse(n, 2);
+      coarse.run(c);
+      ShmemSim shmem(n, 2);
+      shmem.run(c);
+      EXPECT_LT(coarse.state().max_diff(oracle.state()), 1e-12)
+          << "coarse p0=" << p0 << " q=" << q;
+      EXPECT_LT(shmem.state().max_diff(oracle.state()), 1e-12)
+          << "shmem p0=" << p0 << " q=" << q;
+    }
+  }
 }
 
 } // namespace
