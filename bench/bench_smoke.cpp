@@ -100,19 +100,23 @@ int main() {
   t.print("%12.3f");
 
   // Wait-state attribution must be cheap enough to leave on by default:
-  // the same circuit on a 4-PE peer run with SVSIM_WAITSTATS semantics
-  // forced off vs on. regress_check.py treats *overhead* columns as
-  // absolute caps (--overhead-limit, default 2%), independent of the
-  // committed baseline value, so growth in the instrumentation itself
-  // fails the job even if both sides get uniformly slower.
+  // a QFT on a 4-PE peer run with SVSIM_WAITSTATS semantics forced off
+  // vs on. regress_check.py treats *overhead* columns as absolute caps
+  // (--overhead-limit, default 2%), independent of the committed
+  // baseline value, so growth in the instrumentation itself fails the
+  // job even if both sides get uniformly slower. The register is sized
+  // so one run takes ~60 ms: partition-local gates run at raw-pointer
+  // speed, so on 16 qubits a 4-PE run is ~13 ms, mostly barrier wake-up
+  // latency, whose jitter on a shared host swamps a 2% cap.
+  constexpr IdxType kPeerN = 18;
+  const Circuit qft = circuits::qft(kPeerN);
   svsim::bench::Table o("workload");
   o.add_column("obs_off_ms");
   o.add_column("obs_on_ms");
   o.add_column("overhead_pct");
-  const Circuit& qft = benches[1].circuit;
   const double off_ms = time_peer(qft, 4, 0, 5);
   const double on_ms = time_peer(qft, 4, 1, 5);
-  o.add_row("qft_n16_peer4",
+  o.add_row("qft_n18_peer4",
             {off_ms, on_ms,
              off_ms > 0 ? (on_ms / off_ms - 1.0) * 100.0 : 0.0});
   o.print("%12.3f");
@@ -144,7 +148,7 @@ int main() {
     s.add_column("obs_on_ms");
     s.add_column("serve_on_ms");
     s.add_column("serve_overhead_pct");
-    s.add_row("qft_n16_peer4_serve",
+    s.add_row("qft_n18_peer4_serve",
               {on_ms, serve_ms,
                on_ms > 0 ? (serve_ms / on_ms - 1.0) * 100.0 : 0.0});
     s.print("%12.3f");
@@ -156,7 +160,7 @@ int main() {
   // read-once) lands under the same 2% absolute overhead cap. The reps
   // are interleaved off/on so slow phases of a shared machine hit both
   // sides equally — back-to-back blocks were seeing ~3% pure jitter at
-  // this ~200 ms workload size.
+  // a ~200 ms workload size.
   {
     svsim::obs::MemRegistry& reg = svsim::obs::MemRegistry::global();
     double mem_off_ms = 1e300;
@@ -171,7 +175,7 @@ int main() {
     m.add_column("memtrack_off_ms");
     m.add_column("memtrack_on_ms");
     m.add_column("memtrack_overhead_pct");
-    m.add_row("qft_n16_peer4_memtrack",
+    m.add_row("qft_n18_peer4_memtrack",
               {mem_off_ms, mem_on_ms,
                mem_off_ms > 0 ? (mem_on_ms / mem_off_ms - 1.0) * 100.0 : 0.0});
     m.print("%12.3f");

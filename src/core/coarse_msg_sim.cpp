@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "common/bits.hpp"
 #include "core/pipeline.hpp"
@@ -408,6 +409,8 @@ private:
       }
       if (identity) row = nullptr;
     }
+    std::optional<BitPermutation> perm;
+    if (row != nullptr) perm.emplace(row, sim_->n_);
     // Rank 0 gathers the full distribution and samples.
     std::vector<std::vector<ValType>> parts(static_cast<std::size_t>(n));
     for (int r = 1; r < n; ++r) parts[static_cast<std::size_t>(r)] = recv(r);
@@ -416,7 +419,7 @@ private:
     IdxType k = 0;
     std::size_t d = 0;
     while (d < draws.size() && k < sim_->dim_) {
-      const IdxType phys = row != nullptr ? permute_bits(k, row, sim_->n_) : k;
+      const IdxType phys = perm ? (*perm)(k) : k;
       const int owner = static_cast<int>(phys >> lg_);
       const IdxType off = phys & (per_ - 1);
       ValType re, im;

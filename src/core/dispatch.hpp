@@ -16,15 +16,20 @@
 // simulation_kernel_sched<Space> (kernels/blocked.hpp) is the single
 // launched kernel. Every unitary entry is one pattern × body pair from
 // kernels::for_each_unitary (kernels/gates.hpp) instantiated for the
-// table's lane policy.
+// table's lane policy — on the partitioned Spaces wrapped in one range
+// kernel (KernelTable::on_range), which runs a partition-local range
+// through LocalSpace's scalar kernel on the raw partition.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/kernels/gates.hpp"
 #include "core/kernels/nonunitary.hpp"
+#include "core/space.hpp"
 #include "ir/circuit.hpp"
 #include "obs/flight.hpp"
 #include "obs/health.hpp"
@@ -61,12 +66,50 @@ private:
     Kern(ug.g, sp, begin, end);
   }
 
+  /// A partitioned Space's entry for unitary pattern P × body B, written
+  /// once for PeerSpace and ShmemSpace. When every operand qubit lies
+  /// below lg_part, Eq. (1)/(2) keep each partition's 2^(lg_part-1) pairs
+  /// (2^(lg_part-2) quadruples) inside it, so the range runs, partition by
+  /// partition, LocalSpace's scalar kernel on the partition's raw arrays
+  /// with the range rebased, and counts its traffic once: `touched`
+  /// amplitudes per work item, each read and written. A gate on a
+  /// partition qubit pairs amplitudes across partitions; its range goes
+  /// element by element through the Space's own access (Listings 4/5),
+  /// which routes and counts each one.
+  template <kernels::Pat P, class B>
+  static void on_range(const UGate& ug, const Space& sp, IdxType begin,
+                       IdxType end) {
+    using Pt = kernels::Pattern<P>;
+    using kernels::ScalarLane;
+    const IdxType top = ug.g.qb1 > ug.g.qb0 ? ug.g.qb1 : ug.g.qb0;
+    if (top >= sp.lg_part) {
+      kernels::solo_kernel<P, B, ScalarLane>(ug, sp, begin, end);
+      return;
+    }
+    constexpr std::uint64_t kTouched = Pt::kSites * (Pt::kPair ? 2 : 1);
+    const IdxType lg_items = sp.lg_part - (Pt::kTwoQubit ? 2 : 1);
+    while (begin < end) {
+      const int part = static_cast<int>(begin >> lg_items);
+      const IdxType first = static_cast<IdxType>(part) << lg_items;
+      const IdxType stop = std::min(end, first + pow2(lg_items));
+      kernels::solo_kernel<P, B, ScalarLane, LocalSpace>(
+          ug, sp.part(part), begin - first, stop - first);
+      sp.count_touched(part,
+                       static_cast<std::uint64_t>(stop - begin) * kTouched);
+      begin = stop;
+    }
+  }
+
   template <class L>
   static Table build() {
     namespace k = kernels;
     Table t{};
     k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
-      t[static_cast<int>(op)] = &k::solo_kernel<P, B, L, Space>;
+      if constexpr (PartitionedSpace<Space>) {
+        t[static_cast<int>(op)] = &on_range<P, B>;
+      } else {
+        t[static_cast<int>(op)] = &k::solo_kernel<P, B, L, Space>;
+      }
     });
     t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
     t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;

@@ -24,6 +24,9 @@
 // clamps b <= lg_part), so within a window no worker touches remote
 // amplitudes and the per-gate global sync collapses to ONE sync per
 // window — the blocked path saves barriers as well as memory traffic.
+// Every block action then runs on the raw partition: gates through the
+// range kernel's partition-local path (dispatch.hpp), diagonal runs
+// through diag_block, each counting its traffic once.
 #pragma once
 
 #include <cmath>
@@ -333,21 +336,24 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
   }
 }
 
-/// Multiply every amplitude the table touches in the block at `base` by
-/// its phase: the gated half when a gating qubit exists, all 2^b
-/// otherwise; through the table when built, per-amplitude product of the
-/// kept terms when the budget ran out.
+/// Multiply every amplitude the table touches in the block at global
+/// amplitude index `base` by its phase: the gated half when a gating
+/// qubit exists, all 2^b otherwise; through the table when built,
+/// per-amplitude product of the kept terms when the budget ran out.
+/// Phases are selected by the global index, amplitudes addressed in `sp`
+/// from `at` (the block's base in `sp`'s own indexing). Returns the
+/// amplitudes touched, each read and written once.
 template <class Space>
-void apply_diag_table(const Space& sp, const DiagTable& T, IdxType base,
-                      IdxType b) {
-  if (T.identity) return;
+IdxType apply_diag_table(const Space& sp, const DiagTable& T, IdxType base,
+                         IdxType at, IdxType b) {
+  if (T.identity) return 0;
   const bool gated = T.gate_qubit >= 0;
   const IdxType count = gated ? pow2(b - 1) : pow2(b);
   const IdxType gbit = gated ? pow2(T.gate_qubit) : 0;
   for (IdxType t = 0; t < count; ++t) {
     // Gated: expand t around the gating qubit and force that bit on.
-    const IdxType idx =
-        base + (gated ? pair_base(t, T.gate_qubit) + gbit : t);
+    const IdxType off = gated ? pair_base(t, T.gate_qubit) + gbit : t;
+    const IdxType idx = base + off;
     ValType pr;
     ValType pi;
     if (!T.tab_r.empty()) {
@@ -365,17 +371,21 @@ void apply_diag_table(const Space& sp, const DiagTable& T, IdxType base,
         pr = nr;
       }
     }
-    const ValType r = sp.get_real(idx);
-    const ValType im = sp.get_imag(idx);
-    sp.set_real(idx, pr * r - pi * im);
-    sp.set_imag(idx, pr * im + pi * r);
+    const ValType r = sp.get_real(at + off);
+    const ValType im = sp.get_imag(at + off);
+    sp.set_real(at + off, pr * r - pi * im);
+    sp.set_imag(at + off, pr * im + pi * r);
   }
+  return count;
 }
 
-/// Apply a collapsed diagonal run to the block at amplitude base `base`.
-template <class Space>
-void apply_diag_run(const Space& sp, const WindowAction<Space>& a,
-                    IdxType base, IdxType b) {
+/// Apply a collapsed diagonal run to the block at global amplitude index
+/// `base`, addressed in `sp` from `at` (apply_diag_table). Returns the
+/// amplitudes touched, each read and written once per sweep.
+template <class Space, class ActionSpace>
+IdxType apply_diag_run(const Space& sp, const WindowAction<ActionSpace>& a,
+                       IdxType base, IdxType at, IdxType b) {
+  IdxType touched = 0;
   if (!a.high_terms.empty()) {
     // Both operands of these terms live in the high bits: one scalar for
     // the whole block, evaluated at `base`. Skip the sweep when it is
@@ -392,18 +402,37 @@ void apply_diag_run(const Space& sp, const WindowAction<Space>& a,
     }
     if (!(sr == 1 && si == 0)) {
       const IdxType len = pow2(b);
-      for (IdxType t = 0; t < len; ++t) {
-        const IdxType idx = base + t;
-        const ValType r = sp.get_real(idx);
-        const ValType im = sp.get_imag(idx);
-        sp.set_real(idx, sr * r - si * im);
-        sp.set_imag(idx, sr * im + si * r);
+      for (IdxType t = at; t < at + len; ++t) {
+        const ValType r = sp.get_real(t);
+        const ValType im = sp.get_imag(t);
+        sp.set_real(t, sr * r - si * im);
+        sp.set_imag(t, sr * im + si * r);
       }
+      touched += len;
     }
   }
-  apply_diag_table(sp, a.low, base, b);
+  touched += apply_diag_table(sp, a.low, base, at, b);
   for (const DiagHighGroup& grp : a.groups) {
-    apply_diag_table(sp, grp.pattern[(base >> grp.high_qubit) & 1], base, b);
+    touched += apply_diag_table(
+        sp, grp.pattern[(base >> grp.high_qubit) & 1], base, at, b);
+  }
+  return touched;
+}
+
+/// One block of a collapsed diagonal run. A partitioned Space's block
+/// lies inside one partition (b <= lg_part), so the run addresses that
+/// partition's raw arrays at the block's local base and its traffic is
+/// counted once, by the amplitudes it touched.
+template <class Space>
+void diag_block(const Space& sp, const WindowAction<Space>& a, IdxType base,
+                IdxType b) {
+  if constexpr (PartitionedSpace<Space>) {
+    const int owner = sp.owner(base);
+    const IdxType touched =
+        apply_diag_run(sp.part(owner), a, base, base & sp.part_mask(), b);
+    sp.count_touched(owner, static_cast<std::uint64_t>(touched));
+  } else {
+    apply_diag_run(sp, a, base, base, b);
   }
 }
 
@@ -537,7 +566,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           dg.fn(dg.ug, sp, blk * a.work_per_block,
                 (blk + 1) * a.work_per_block);
         } else {
-          kernels::blocked_detail::apply_diag_run(sp, a, base, b);
+          kernels::blocked_detail::diag_block(sp, a, base, b);
         }
       }
       if (wp.pslot != nullptr) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -103,13 +104,14 @@ void kern_measure_all(const Gate& g, const Space& sp, IdxType, IdxType) {
       }
       if (identity) row = nullptr;
     }
+    std::optional<BitPermutation> perm;
+    if (row != nullptr) perm.emplace(row, sp.mctx->n_qubits);
     std::sort(draws.begin(), draws.end());
     ValType cum = 0;
     IdxType k = 0;
     std::size_t d = 0;
     while (d < draws.size() && k < sp.dim) {
-      const IdxType phys =
-          row != nullptr ? permute_bits(k, row, sp.mctx->n_qubits) : k;
+      const IdxType phys = perm ? (*perm)(k) : k;
       const ValType r = sp.get_real(phys);
       const ValType im = sp.get_imag(phys);
       cum += r * r + im * im;

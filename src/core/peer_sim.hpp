@@ -6,7 +6,10 @@
 // by all devices — the manual PGAS construction the paper builds on
 // GPUDirect peer access / Infinity Fabric. One worker thread drives each
 // device (the paper's one-OpenMP-thread-per-GPU runtime); every gate is a
-// grid-stride slice per device followed by a multi-device grid sync.
+// grid-stride slice per device followed by a multi-device grid sync. A
+// slice inside one partition runs LocalSpace's scalar kernel on it and
+// counts its accesses in one call; a slice that pairs amplitudes
+// across partitions goes element by element through the pointer array.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bits.hpp"
 #include "machine/model.hpp"
@@ -140,25 +141,26 @@ StateVector Simulator::state() const {
   StateVector sv(n);
   // Undo the remap layout virtually: physical amplitude index k holds
   // logical basis state permute_bits(k, inverse, n).
-  std::vector<IdxType> inv;
+  std::optional<BitPermutation> to_logical;
   if (!layout_.empty()) {
-    inv.resize(static_cast<std::size_t>(n));
+    std::vector<IdxType> inv(static_cast<std::size_t>(n));
     for (IdxType l = 0; l < n; ++l) {
       inv[static_cast<std::size_t>(layout_[static_cast<std::size_t>(l)])] = l;
     }
+    to_logical.emplace(inv.data(), n);
   }
   const IdxType per = pow2(parts_.lg_part);
   for (std::size_t p = 0; p < parts_.real.size(); ++p) {
     const ValType* re = parts_.real[p];
     const ValType* im = parts_.imag[p];
     const IdxType base = static_cast<IdxType>(p) * per;
-    if (inv.empty()) {
+    if (!to_logical) {
       Complex* out = sv.amps.data() + base;
       for (IdxType k = 0; k < per; ++k) out[k] = Complex{re[k], im[k]};
     } else {
       for (IdxType k = 0; k < per; ++k) {
-        sv.amps[static_cast<std::size_t>(
-            permute_bits(base + k, inv.data(), n))] = Complex{re[k], im[k]};
+        sv.amps[static_cast<std::size_t>((*to_logical)(base + k))] =
+            Complex{re[k], im[k]};
       }
     }
   }

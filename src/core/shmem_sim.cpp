@@ -40,14 +40,20 @@ ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
   rngs_.assign(static_cast<std::size_t>(n_pes_), Rng(cfg.seed));
 
   // Setup "job": symmetric allocation of the partitioned state vector
-  // (Listing 5 lines 23-24) and |0...0> initialization.
-  const IdxType per_pe = pow2(parts_.lg_part);
+  // (Listing 5 lines 23-24) and |0...0> initialization. PE 0 resolves
+  // every PE's partition once through Ctx::ptr (the shmem_ptr analogue):
+  // the bases that partition-local ranges address directly.
+  const auto per_pe = static_cast<std::size_t>(pow2(parts_.lg_part));
   runtime_.run([&](shmem::Ctx& ctx) {
-    ValType* r = ctx.malloc_sym<ValType>(static_cast<std::size_t>(per_pe));
-    ValType* i = ctx.malloc_sym<ValType>(static_cast<std::size_t>(per_pe));
-    parts_.real[static_cast<std::size_t>(ctx.pe())] = r;
-    parts_.imag[static_cast<std::size_t>(ctx.pe())] = i;
-    if (ctx.pe() == 0) r[0] = 1.0;
+    ValType* r = ctx.malloc_sym<ValType>(per_pe);
+    ValType* i = ctx.malloc_sym<ValType>(per_pe);
+    if (ctx.pe() == 0) {
+      for (int pe = 0; pe < n_pes_; ++pe) {
+        parts_.real[static_cast<std::size_t>(pe)] = ctx.ptr(r, pe, per_pe);
+        parts_.imag[static_cast<std::size_t>(pe)] = ctx.ptr(i, pe, per_pe);
+      }
+      r[0] = 1.0;
+    }
     ctx.barrier_all();
   });
 }
@@ -74,6 +80,8 @@ void ShmemSim::run(const Circuit& circuit) {
           sp.ctx = &ctx;
           sp.real_sym = parts_.real[static_cast<std::size_t>(ctx.pe())];
           sp.imag_sym = parts_.imag[static_cast<std::size_t>(ctx.pe())];
+          sp.real_parts = parts_.real.data();
+          sp.imag_parts = parts_.imag.data();
           sp.lg_part = parts_.lg_part;
           sp.dim = dim_;
           sp.mctx = &mctx_;

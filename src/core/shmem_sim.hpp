@@ -2,12 +2,16 @@
 //
 // Each SHMEM processing element owns one simulator partition: the state
 // vector is allocated in the symmetric heap (nvshmem_malloc), partitioned
-// evenly by natural array order, and every amplitude access from a gate
-// kernel is a one-sided fine-grained get/put ("double_g"/"double_p") with
-// a barrier_all after each gate. The PE team is provided by the
-// svsim::shmem runtime (DESIGN.md explains the substitution for
-// OpenSHMEM/NVSHMEM); traffic counters record the exact local/remote
-// communication volume the machine model prices for Figures 12-13.
+// evenly by natural array order, and a gate that pairs amplitudes across
+// partitions reaches each one by a one-sided fine-grained get/put
+// ("double_g"/"double_p"), with a barrier_all after each gate. A gate
+// whose operands all lie inside one partition runs LocalSpace's scalar
+// kernel on that partition through a Ctx::ptr pointer (the shmem_ptr
+// analogue) and books the same gets/puts in one call. The PE team is
+// provided by the svsim::shmem runtime (DESIGN.md explains the
+// substitution for OpenSHMEM/NVSHMEM); traffic counters record the exact
+// local/remote communication volume the machine model prices for
+// Figures 12-13.
 #pragma once
 
 #include <memory>

@@ -13,6 +13,12 @@
 //                  one-sided get/put, exactly Listing 5's
 //                  nvshmem_double_g / nvshmem_double_p pattern.
 //
+// The two partitioned Spaces share one range seam (PartitionBases): every
+// partition's base, resolved once, so a work range that stays inside one
+// partition runs LocalSpace's scalar strategy on that partition's raw
+// arrays, and its traffic is counted once per range (count_touched)
+// instead of once per element (dispatch.hpp).
+//
 // Besides element access, the policy carries the small SPMD protocol the
 // non-unitary kernels (measure/reset) need: worker identity, a barrier, a
 // sum-reduction, and a collective uniform draw that returns the same value
@@ -20,6 +26,9 @@
 // advances it only inside collective draws, so the replicas stay in
 // lockstep).
 #pragma once
+
+#include <concepts>
+#include <cstdint>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
@@ -72,13 +81,50 @@ struct LocalSpace {
   IdxType local_count() const { return dim; }
 };
 
+// ---------------------------------------------------------------------------
+// The partitioned tiers' range seam.
+// ---------------------------------------------------------------------------
+
+/// Every partition's base, resolved once: the Listing 4 pointer array for
+/// PeerSpace; for ShmemSpace, Ctx::ptr (the shmem_ptr analogue) at
+/// ShmemSim's construction.
+/// Partition p holds amplitudes [p·2^lg_part, (p+1)·2^lg_part).
+struct PartitionBases {
+  ValType* const* real_parts = nullptr; // one base per partition
+  ValType* const* imag_parts = nullptr;
+  IdxType lg_part = 0; // log2(amplitudes per partition)
+
+  IdxType part_mask() const { return pow2(lg_part) - 1; }
+  int owner(IdxType i) const { return static_cast<int>(i >> lg_part); }
+
+  /// Partition p as a LocalSpace over its raw arrays (local indices).
+  LocalSpace part(int p) const {
+    LocalSpace sp;
+    sp.real = real_parts[p];
+    sp.imag = imag_parts[p];
+    sp.dim = pow2(lg_part);
+    return sp;
+  }
+};
+
+/// A Space with the range seam: besides element access it can hand out
+/// a partition's raw arrays and count `amps` amplitudes of partition
+/// `partition` read and written in place (2 gets + 2 puts each) in one
+/// call.
+template <class Space>
+concept PartitionedSpace =
+    std::derived_from<Space, PartitionBases> &&
+    requires(const Space& sp, int partition, std::uint64_t amps) {
+      sp.count_touched(partition, amps);
+    };
+
 /// Per-device communication counters for the peer tier (local vs
 /// remote-partition element accesses through the pointer array). When
 /// `per_dest` points at an n_workers-sized array, every access is also
 /// attributed to the partition it touched — the raw data for the run
-/// report's PE×PE traffic matrix. Every access bumps these, so each
-/// device's counters own a whole cache line: packed, the workers would
-/// false-share them on every element access.
+/// report's PE×PE traffic matrix. Element accesses and whole ranges bump
+/// these from every device's gate loop, so each device's counters own a
+/// whole cache line: packed, the workers would false-share them.
 struct alignas(64) PeerTraffic {
   std::uint64_t local_access = 0;
   std::uint64_t remote_access = 0;
@@ -88,10 +134,7 @@ struct alignas(64) PeerTraffic {
 // ---------------------------------------------------------------------------
 // PeerSpace: partitions behind a shared pointer array (Listing 4).
 // ---------------------------------------------------------------------------
-struct PeerSpace {
-  ValType* const* real_parts = nullptr; // pointer array, one per device
-  ValType* const* imag_parts = nullptr;
-  IdxType lg_part = 0; // log2(amplitudes per device)
+struct PeerSpace : PartitionBases { // the shared pointer array
   IdxType dim = 0;
   MeasureCtx* mctx = nullptr;
   Rng* rng = nullptr; // per-worker replica, same seed on every worker
@@ -102,35 +145,35 @@ struct PeerSpace {
   ValType* scratch = nullptr;         // n_workers slots for reductions
   PeerTraffic* traffic = nullptr;     // this worker's counters (optional)
 
-  IdxType part_mask() const { return pow2(lg_part) - 1; }
-
-  void count(IdxType i) const {
-    if (traffic != nullptr) {
-      const IdxType dest = i >> lg_part;
-      if (dest == worker_id) {
-        ++traffic->local_access;
-      } else {
-        ++traffic->remote_access;
-      }
-      if (traffic->per_dest != nullptr) ++traffic->per_dest[dest];
+  /// `n` element accesses to partition `dest`.
+  void count(int dest, std::uint64_t n) const {
+    if (traffic == nullptr) return;
+    if (dest == worker_id) {
+      traffic->local_access += n;
+    } else {
+      traffic->remote_access += n;
     }
+    if (traffic->per_dest != nullptr) traffic->per_dest[dest] += n;
+  }
+  void count_touched(int partition, std::uint64_t amps) const {
+    count(partition, 4 * amps);
   }
 
   ValType get_real(IdxType i) const {
-    count(i);
-    return real_parts[i >> lg_part][i & part_mask()];
+    count(owner(i), 1);
+    return real_parts[owner(i)][i & part_mask()];
   }
   ValType get_imag(IdxType i) const {
-    count(i);
-    return imag_parts[i >> lg_part][i & part_mask()];
+    count(owner(i), 1);
+    return imag_parts[owner(i)][i & part_mask()];
   }
   void set_real(IdxType i, ValType v) const {
-    count(i);
-    real_parts[i >> lg_part][i & part_mask()] = v;
+    count(owner(i), 1);
+    real_parts[owner(i)][i & part_mask()] = v;
   }
   void set_imag(IdxType i, ValType v) const {
-    count(i);
-    imag_parts[i >> lg_part][i & part_mask()] = v;
+    count(owner(i), 1);
+    imag_parts[owner(i)][i & part_mask()] = v;
   }
 
   int worker() const { return worker_id; }
@@ -159,19 +202,20 @@ struct PeerSpace {
 
 // ---------------------------------------------------------------------------
 // ShmemSpace: symmetric-heap partitions behind one-sided get/put
-// (Listing 5).
+// (Listing 5). The inherited bases are every PE's partition through
+// Ctx::ptr, for the ranges that stay inside one partition.
 // ---------------------------------------------------------------------------
-struct ShmemSpace {
+struct ShmemSpace : PartitionBases {
   shmem::Ctx* ctx = nullptr;
   ValType* real_sym = nullptr; // my partition of the symmetric allocation
   ValType* imag_sym = nullptr;
-  IdxType lg_part = 0; // log2(amplitudes per PE)
   IdxType dim = 0;
   MeasureCtx* mctx = nullptr;
   Rng* rng = nullptr; // per-PE replica, same seed on every PE
 
-  IdxType part_mask() const { return pow2(lg_part) - 1; }
-  int owner(IdxType i) const { return static_cast<int>(i >> lg_part); }
+  void count_touched(int partition, std::uint64_t amps) const {
+    ctx->count_direct(partition, 2 * amps, 2 * amps, sizeof(ValType));
+  }
 
   ValType get_real(IdxType i) const {
     return ctx->g(real_sym + (i & part_mask()), owner(i));

@@ -70,13 +70,16 @@ void Ctx::reset_heap() {
   rt_->barrier_.arrive_and_wait([rt = rt_] { rt->heap_brk_ = 0; });
 }
 
-char* Ctx::translate_bytes(const char* sym, int target_pe) const {
+char* Ctx::translate_bytes(const char* sym, std::size_t bytes,
+                           int target_pe) const {
   SVSIM_CHECK(target_pe >= 0 && target_pe < rt_->n_pes_, "bad PE id");
   const char* my_base = rt_->arenas_[static_cast<std::size_t>(pe_)].data();
   const std::ptrdiff_t offset = sym - my_base;
+  // The whole extent [offset, offset + bytes), not just its first byte.
   SVSIM_CHECK(offset >= 0 &&
-                  static_cast<std::size_t>(offset) < rt_->heap_bytes_,
-              "address is not in the symmetric heap");
+                  static_cast<std::size_t>(offset) <= rt_->heap_bytes_ &&
+                  bytes <= rt_->heap_bytes_ - static_cast<std::size_t>(offset),
+              "access is not inside the symmetric heap");
   return rt_->arenas_[static_cast<std::size_t>(target_pe)].data() + offset;
 }
 

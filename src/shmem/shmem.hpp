@@ -94,8 +94,9 @@ public:
   /// address `sym`. Equivalent of nvshmem_double_g.
   template <typename T>
   T g(const T* sym, int target_pe) {
-    count_get(target_pe, sizeof(T));
-    return *translate(sym, target_pe);
+    const T* remote = ptr(sym, target_pe);
+    count_direct(target_pe, 1, 0, sizeof(T));
+    return *remote;
   }
 
   /// One-sided scalar store. Equivalent of nvshmem_double_p. Returns
@@ -103,8 +104,9 @@ public:
   /// guaranteed after a barrier/quiet.
   template <typename T>
   void p(T* sym, T value, int target_pe) {
-    count_put(target_pe, sizeof(T));
-    *translate(sym, target_pe) = value;
+    T* remote = ptr(sym, target_pe);
+    count_direct(target_pe, 0, 1, sizeof(T));
+    *remote = value;
   }
 
   /// Block get: copy `count` elements from target PE's `src` into local
@@ -114,8 +116,8 @@ public:
   template <typename T>
   void get(T* dst, const T* src_sym, std::size_t count, int target_pe) {
     obs::WaitScope wait(obs::WaitKind::kTransfer);
-    count_get(target_pe, count * sizeof(T));
-    const T* remote = translate(src_sym, target_pe);
+    const T* remote = ptr(src_sym, target_pe, count);
+    count_direct(target_pe, 1, 0, count * sizeof(T));
     for (std::size_t i = 0; i < count; ++i) dst[i] = remote[i];
   }
 
@@ -123,8 +125,8 @@ public:
   template <typename T>
   void put(T* dst_sym, const T* src, std::size_t count, int target_pe) {
     obs::WaitScope wait(obs::WaitKind::kTransfer);
-    count_put(target_pe, count * sizeof(T));
-    T* remote = translate(dst_sym, target_pe);
+    T* remote = ptr(dst_sym, target_pe, count);
+    count_direct(target_pe, 0, 1, count * sizeof(T));
     for (std::size_t i = 0; i < count; ++i) remote[i] = src[i];
   }
 
@@ -133,8 +135,8 @@ public:
   /// Atomic fetch-add on the target PE's copy of `sym`.
   template <typename T>
   T atomic_fetch_add(T* sym, T value, int target_pe) {
-    count_atomic(target_pe);
-    std::atomic_ref<T> ref(*translate(sym, target_pe));
+    ++stats_.atomics;
+    std::atomic_ref<T> ref(*ptr(sym, target_pe));
     return ref.fetch_add(value, std::memory_order_acq_rel);
   }
 
@@ -176,13 +178,35 @@ public:
   /// traffic().bytes_got + bytes_put by construction.
   const std::vector<std::uint64_t>& dest_bytes() const { return dest_bytes_; }
 
-  /// Translate a local symmetric address to the target PE's copy.
-  /// Exposed for the peer-access tier (scale-up) which shares a pointer
-  /// array; also used internally by get/put.
+  /// Direct pointer to `target_pe`'s copy of the `count`-element
+  /// symmetric object at local address `sym` — the shmem_ptr /
+  /// nvshmem_ptr analogue, and the address translation behind every
+  /// one-sided op. The whole extent must lie in the symmetric heap, or
+  /// this throws Error. PEs here are threads, so every partition is
+  /// load/store-reachable and the result is never null. Loads and
+  /// stores through it bypass the counters: count them with
+  /// count_direct().
   template <typename T>
-  T* translate(const T* sym, int target_pe) const {
-    return reinterpret_cast<T*>(
-        translate_bytes(reinterpret_cast<const char*>(sym), target_pe));
+  T* ptr(const T* sym, int target_pe, std::size_t count = 1) const {
+    return reinterpret_cast<T*>(translate_bytes(
+        reinterpret_cast<const char*>(sym), count * sizeof(T), target_pe));
+  }
+
+  /// Count `gets` loads and `puts` stores of `bytes` each issued at
+  /// `target_pe` (a valid PE id) — what that many g()/p() calls count. A
+  /// range of accesses made through ptr() is counted with one call.
+  void count_direct(int target_pe, std::uint64_t gets, std::uint64_t puts,
+                    std::size_t bytes) {
+    if (target_pe == pe_) {
+      stats_.local_gets += gets;
+      stats_.local_puts += puts;
+    } else {
+      stats_.remote_gets += gets;
+      stats_.remote_puts += puts;
+    }
+    stats_.bytes_got += gets * bytes;
+    stats_.bytes_put += puts * bytes;
+    dest_bytes_[static_cast<std::size_t>(target_pe)] += (gets + puts) * bytes;
   }
 
 private:
@@ -190,27 +214,8 @@ private:
   Ctx(Runtime* rt, int pe); // sizes dest_bytes_ to n_pes (defined in .cpp)
 
   void* malloc_sym_bytes(std::size_t bytes, std::size_t align);
-  char* translate_bytes(const char* sym, int target_pe) const;
-
-  void count_get(int target_pe, std::size_t bytes) {
-    if (target_pe == pe_) {
-      ++stats_.local_gets;
-    } else {
-      ++stats_.remote_gets;
-    }
-    stats_.bytes_got += bytes;
-    dest_bytes_[static_cast<std::size_t>(target_pe)] += bytes;
-  }
-  void count_put(int target_pe, std::size_t bytes) {
-    if (target_pe == pe_) {
-      ++stats_.local_puts;
-    } else {
-      ++stats_.remote_puts;
-    }
-    stats_.bytes_put += bytes;
-    dest_bytes_[static_cast<std::size_t>(target_pe)] += bytes;
-  }
-  void count_atomic(int) { ++stats_.atomics; }
+  char* translate_bytes(const char* sym, std::size_t bytes,
+                        int target_pe) const;
 
   Runtime* rt_;
   int pe_;

@@ -1,7 +1,7 @@
 // serve_check: end-to-end smoke of the live telemetry plane (registered
 // as the `serve_smoke` ctest).
 //
-// Phase A — a 4-PE shmem QFT sized adaptively to run ~1.5 s is watched
+// Phase A — a 4-PE shmem QFT-19 repeated to run ~1.5 s is watched
 // through real loopback HTTP while it executes: every /progress body
 // must be valid svsim-progress-v1 JSON, the bytes-weighted fraction must
 // be non-decreasing, and the model-calibrated eta_s at the halfway
@@ -100,17 +100,32 @@ int main(int argc, char** argv) {
   std::printf("serve_check: endpoint on 127.0.0.1:%d\n", port);
 
   // ---- Phase A: progress/ETA on a 4-PE shmem QFT -----------------------
-  // The watched run disables the blocked scheduler (sched_window = 0) so
-  // every gate goes through the classic per-gate loop: publishing is
-  // per-gate smooth and the perfmodel prices exactly what executes. (With
-  // blocking on, a cache-resident state makes the blocked sweep
-  // compute-bound, so its one-sweep byte price under-states its wall
-  // share — a model limitation, not a telemetry bug.) The circuit repeats
-  // one QFT >= 2x, so at the halfway sample the remaining gate mix equals
-  // the completed mix and the achieved-GB/s calibration is exact by
-  // symmetry; what the assertion then validates is the live plumbing:
-  // fresh snapshots, correct prefix bookkeeping, sane clocks.
-  constexpr IdxType kQubits = 17;
+  // The ETA prices each gate by its modeled bytes (DESIGN §9), which
+  // tracks wall time only where the price per byte is uniform, so the
+  // check is made where the pricing's two known biases cancel. The
+  // watched run disables the blocked scheduler (sched_window = 0), so
+  // every gate goes through the classic per-gate loop and publishing is
+  // per-gate smooth. (With blocking on, a cache-resident state makes the
+  // blocked sweep compute-bound, so its one-sweep byte price under-states
+  // its wall share.) Inside one QFT the time per modeled byte is not
+  // uniform either: the gates on the two partition qubits go element by
+  // element through get/put, several times slower per byte than the
+  // partition-local ones, yet both are priced alike. So the circuit
+  // repeats one QFT an even number of times (>= 2): the halfway sample
+  // falls on a QFT boundary, the remaining gate mix equals the completed
+  // mix, and the achieved-GB/s calibration is exact by symmetry. What the
+  // assertion then validates is the live plumbing (fresh snapshots,
+  // correct prefix bookkeeping, sane clocks), not the pricing.
+  //
+  // 19 qubits keep each gate's compute well above one barrier's latency.
+  // Partition-local gates run at raw-pointer speed, so on a 17-qubit
+  // register a 4-PE gate is mostly barrier wait, and barrier wake-up
+  // latency on a shared host switches between a slow and a fast mode
+  // (measured on a 4-vCPU host: QFT-17 at 230-260 ms with 75% of the time
+  // waiting, then 95 ms with 17-26%). A switch between the warm-up and
+  // the watched run, or inside the run, breaks the symmetry the ETA check
+  // relies on. QFT-19 measured 426-461 ms with 7-14% waiting there.
+  constexpr IdxType kQubits = 19;
   SimConfig serve_cfg;
   serve_cfg.sched_window = 0;
   // The sampler keys on the submitted circuit's exact gate count; remap
@@ -143,6 +158,7 @@ int main(int argc, char** argv) {
   int repeats = static_cast<int>(1500.0 / warmup_ms);
   if (repeats < 2) repeats = 2;
   if (repeats > 400) repeats = 400;
+  repeats += repeats % 2;
   Circuit big(kQubits);
   for (int r = 0; r < repeats; ++r) big.append(one_qft);
   const auto expect_gates = static_cast<std::uint64_t>(big.n_gates());

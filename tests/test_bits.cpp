@@ -2,10 +2,14 @@
 // every backend shares.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
+#include "common/rng.hpp"
 
 namespace svsim {
 namespace {
@@ -104,6 +108,39 @@ TEST(Bits, QubitSet) {
   EXPECT_TRUE(qubit_set(0b1010, 1));
   EXPECT_FALSE(qubit_set(0b1010, 0));
   EXPECT_TRUE(qubit_set(0b1010, 3));
+}
+
+// The byte-table permutation equals its reference, permute_bits, on
+// random layouts of every width 1..34: on every index up to n = 16, on
+// the extreme and random indices beyond.
+TEST(Bits, BitPermutationMatchesPermuteBits) {
+  Rng rng(2024);
+  for (IdxType n = 1; n <= 34; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<IdxType> layout(static_cast<std::size_t>(n));
+      std::iota(layout.begin(), layout.end(), IdxType{0});
+      for (IdxType i = n - 1; i > 0; --i) {  // Fisher-Yates
+        const auto j = static_cast<IdxType>(
+            rng.next_below(static_cast<std::uint64_t>(i + 1)));
+        std::swap(layout[static_cast<std::size_t>(i)],
+                  layout[static_cast<std::size_t>(j)]);
+      }
+      const BitPermutation perm(layout.data(), n);
+      const auto check = [&](IdxType k) {
+        ASSERT_EQ(perm(k), permute_bits(k, layout.data(), n))
+            << "n=" << n << " trial=" << trial << " k=" << k;
+      };
+      if (n <= 16) {
+        for (IdxType k = 0; k < pow2(n); ++k) check(k);
+      } else {
+        check(0);
+        check(pow2(n) - 1);
+        for (int s = 0; s < 4096; ++s) {
+          check(static_cast<IdxType>(rng.next_u64() & (pow2(n) - 1)));
+        }
+      }
+    }
+  }
 }
 
 } // namespace

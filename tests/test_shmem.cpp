@@ -23,10 +23,10 @@ TEST(Shmem, SymmetricAllocationSameOffsetEverywhere) {
   rt.run([&](Ctx& ctx) {
     double* a = ctx.malloc_sym<double>(100);
     double* b = ctx.malloc_sym<double>(50);
-    // The two objects must not overlap, and translate(a, pe) of my own pe
-    // must be the identity.
-    if (ctx.translate(a, ctx.pe()) != a) failures.fetch_add(1);
-    if (ctx.translate(b, ctx.pe()) != b) failures.fetch_add(1);
+    // The two objects must not overlap, and ptr(a, pe) of my own pe must
+    // be the identity.
+    if (ctx.ptr(a, ctx.pe(), 100) != a) failures.fetch_add(1);
+    if (ctx.ptr(b, ctx.pe(), 50) != b) failures.fetch_add(1);
     if (b < a + 100) failures.fetch_add(1);
   });
   EXPECT_EQ(failures.load(), 0);
@@ -145,6 +145,38 @@ TEST(Shmem, TranslateRejectsForeignPointer) {
                  ctx.g(&on_stack, 1 - ctx.pe());
                }),
                Error);
+}
+
+// Every access is checked over its whole extent, not its first byte: a
+// block get, a scalar get and a ptr() that start inside the heap but run
+// past its end all throw instead of touching memory beyond the arena.
+TEST(Shmem, AccessPastHeapEndThrows) {
+  constexpr std::size_t kHeap = 1 << 12;
+  constexpr std::size_t kSlots = kHeap / sizeof(double);
+  Runtime rt(2, kHeap);
+  EXPECT_THROW(rt.run([&](Ctx& ctx) {
+                 double* heap = ctx.malloc_sym<double>(kSlots);
+                 double sink[8] = {};
+                 ctx.get(sink, heap + kSlots - 4, 8, 1 - ctx.pe());
+               }),
+               Error);
+  EXPECT_THROW(rt.run([&](Ctx& ctx) {
+                 double* heap = ctx.malloc_sym<double>(kSlots);
+                 ctx.g(heap + kSlots, 1 - ctx.pe());
+               }),
+               Error);
+  EXPECT_THROW(rt.run([&](Ctx& ctx) {
+                 double* heap = ctx.malloc_sym<double>(kSlots);
+                 ctx.ptr(heap + 1, 1 - ctx.pe(), kSlots);
+               }),
+               Error);
+  // The last whole element and the full-heap extent are still in bounds.
+  EXPECT_NO_THROW(rt.run([&](Ctx& ctx) {
+    double* heap = ctx.malloc_sym<double>(kSlots);
+    double sink[8] = {};
+    ctx.get(sink, heap + kSlots - 8, 8, 1 - ctx.pe());
+    EXPECT_NE(ctx.ptr(heap, 1 - ctx.pe(), kSlots), nullptr);
+  }));
 }
 
 TEST(Shmem, RunIsRepeatableAndHeapResets) {
