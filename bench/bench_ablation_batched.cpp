@@ -20,27 +20,10 @@ int main() {
       "K parameter sets of one hardware-efficient ansatz: sequential "
       "SingleSim vs BatchedSim; milliseconds per full sweep");
 
-  // Transverse-field Ising observable sized per register width.
-  const auto make_tfi = [](IdxType n) {
-    Hamiltonian h;
-    const auto un = static_cast<std::size_t>(n);
-    for (std::size_t q = 0; q < un; ++q) {
-      std::string zz(un, 'I'), x(un, 'I');
-      if (q + 1 < un) {
-        zz[q] = 'Z';
-        zz[q + 1] = 'Z';
-        h.terms.push_back(PauliTerm::parse(-1.0, zz));
-      }
-      x[q] = 'X';
-      h.terms.push_back(PauliTerm::parse(-0.7, x));
-    }
-    return h;
-  };
-
   std::printf("%6s %6s %12s %12s %10s\n", "n", "K", "seq ms", "batched ms",
               "speedup");
   for (const IdxType n : {8, 10}) {
-    const Hamiltonian h2 = make_tfi(n);
+    const Hamiltonian h2 = bench::tfi_hamiltonian(n);
     const ParamCircuit ansatz = hardware_efficient_ansatz(n, 3);
     Rng rng(7);
     const int K = 16;

@@ -29,23 +29,6 @@ namespace {
 using namespace svsim;
 using namespace svsim::vqa;
 
-/// Transverse-field Ising observable sized per register width.
-Hamiltonian make_tfi(IdxType n) {
-  Hamiltonian h;
-  const auto un = static_cast<std::size_t>(n);
-  for (std::size_t q = 0; q < un; ++q) {
-    std::string zz(un, 'I'), x(un, 'I');
-    if (q + 1 < un) {
-      zz[q] = 'Z';
-      zz[q + 1] = 'Z';
-      h.terms.push_back(PauliTerm::parse(-1.0, zz));
-    }
-    x[q] = 'X';
-    h.terms.push_back(PauliTerm::parse(-0.7, x));
-  }
-  return h;
-}
-
 /// The shot-sampling workload: entangling layers around a mid-circuit
 /// measure + reset, so members genuinely diverge on their own streams.
 Circuit sampling_circuit(IdxType n) {
@@ -92,7 +75,7 @@ int main() {
   const std::vector<int> batches = {1, 4, 8, 16};
 
   // --- vqe_sweep ---------------------------------------------------------
-  const Hamiltonian tfi = make_tfi(n);
+  const Hamiltonian tfi = bench::tfi_hamiltonian(n);
   const ParamCircuit ansatz = hardware_efficient_ansatz(n, 3);
   Rng rng(7);
   std::vector<std::vector<ValType>> sets;

@@ -25,7 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonlite.hpp"
 #include "obs/report.hpp"
+#include "vqa/pauli.hpp"
 
 namespace svsim::bench {
 
@@ -79,27 +81,9 @@ inline const std::string& cpu_model() {
   return model;
 }
 
-inline void json_escape_to(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Rewrite the whole JSON document from the accumulated tables.
 inline void json_write_all() {
+  using obs::jsonlite::quote;
   JsonSink& sink = JsonSink::instance();
   if (sink.path.empty()) return;
   // Provenance header first, so any consumer can check who produced the
@@ -111,42 +95,36 @@ inline void json_write_all() {
                   static_cast<long long>(std::time(nullptr)));
     out += buf;
   }
-  out += ",\"cpu\":\"";
-  json_escape_to(out, cpu_model());
-  out += "\",\"compiler\":\"";
+  out += ",\"cpu\":" + quote(cpu_model());
 #if defined(__clang__)
-  json_escape_to(out, std::string("clang ") + __VERSION__);
+  out += ",\"compiler\":" + quote(std::string("clang ") + __VERSION__);
 #elif defined(__GNUC__)
-  json_escape_to(out, std::string("gcc ") + __VERSION__);
+  out += ",\"compiler\":" + quote(std::string("gcc ") + __VERSION__);
 #else
-  json_escape_to(out, "unknown");
+  out += ",\"compiler\":" + quote("unknown");
 #endif
-  out += "\",\"flags\":\"";
 #ifdef SVSIM_BENCH_FLAGS
-  json_escape_to(out, SVSIM_BENCH_FLAGS);
+  out += ",\"flags\":" + quote(SVSIM_BENCH_FLAGS);
+#else
+  out += ",\"flags\":\"\"";
 #endif
-  out += "\",\"tables\":[";
+  out += ",\"tables\":[";
   bool first_table = true;
   for (const JsonTable& t : sink.tables) {
     if (!first_table) out += ',';
     first_table = false;
-    out += "\n{\"title\":\"";
-    json_escape_to(out, t.title);
-    out += "\",\"corner\":\"";
-    json_escape_to(out, t.corner);
-    out += "\",\"columns\":[";
+    out += "\n{\"title\":" + quote(t.title);
+    out += ",\"corner\":" + quote(t.corner);
+    out += ",\"columns\":[";
     for (std::size_t i = 0; i < t.columns.size(); ++i) {
       if (i != 0) out += ',';
-      out += '"';
-      json_escape_to(out, t.columns[i]);
-      out += '"';
+      out += quote(t.columns[i]);
     }
     out += "],\"rows\":[";
     for (std::size_t r = 0; r < t.rows.size(); ++r) {
       if (r != 0) out += ',';
-      out += "\n {\"label\":\"";
-      json_escape_to(out, t.rows[r].first);
-      out += "\",\"values\":[";
+      out += "\n {\"label\":" + quote(t.rows[r].first);
+      out += ",\"values\":[";
       for (std::size_t v = 0; v < t.rows[r].second.size(); ++v) {
         if (v != 0) out += ',';
         const double x = t.rows[r].second[v];
@@ -170,6 +148,24 @@ inline void json_write_all() {
 }
 
 } // namespace detail
+
+/// Transverse-field Ising observable on `n` qubits: -ZZ on each neighbour
+/// pair and -0.7 X on each qubit (the benches' VQE Hamiltonian).
+inline vqa::Hamiltonian tfi_hamiltonian(IdxType n) {
+  vqa::Hamiltonian h;
+  const auto un = static_cast<std::size_t>(n);
+  for (std::size_t q = 0; q < un; ++q) {
+    std::string zz(un, 'I'), x(un, 'I');
+    if (q + 1 < un) {
+      zz[q] = 'Z';
+      zz[q + 1] = 'Z';
+      h.terms.push_back(vqa::PauliTerm::parse(-1.0, zz));
+    }
+    x[q] = 'X';
+    h.terms.push_back(vqa::PauliTerm::parse(-0.7, x));
+  }
+  return h;
+}
 
 inline void print_header(const std::string& title,
                          const std::string& description) {

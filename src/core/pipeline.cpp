@@ -5,6 +5,8 @@
 
 #include "common/bits.hpp"
 #include "machine/model.hpp"
+#include "obs/memtrack.hpp"
+#include "obs/trace.hpp"
 #include "obs/waitstate.hpp"
 
 namespace svsim {
@@ -46,6 +48,15 @@ LoopBracket::LoopBracket(obs::RunReport& rep, const RunSwitches& sw,
   if (progress_ != nullptr) {
     progress_->begin_run(rep.backend.c_str(), rep.n_qubits, rep.n_workers,
                          exec, sched, batch);
+  }
+}
+
+void LoopBracket::mark_rss() {
+  if (!obs::Trace::global().enabled()) return;
+  const std::uint64_t rss = obs::MemRegistry::global().sample_rss();
+  if (rss != 0) {
+    obs::Trace::global().flush_counter("mem", "rss_mb", obs::trace_now_us(),
+                                       static_cast<double>(rss) / 1e6);
   }
 }
 

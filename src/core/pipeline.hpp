@@ -73,15 +73,18 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
 /// kernels obs/perfmodel mirrors) and registers the run on the progress
 /// board. start()/stop() enclose the loop: the hardware counters (they
 /// inherit into the worker threads the loop spawns and joins) and the
-/// report's wall time. fold_roofline() and end() close the two planes.
-/// The loop runs between start() and stop() in the caller's own frame:
-/// the batched lane loop ran measurably slower wrapped in a lambda.
+/// report's wall time. With the Chrome trace on, each of them also adds
+/// an rss_mb counter point, outside the timed span. fold_roofline() and
+/// end() close the two planes. The loop runs between start() and stop()
+/// in the caller's own frame: the batched lane loop ran measurably slower
+/// wrapped in a lambda.
 class LoopBracket {
 public:
   LoopBracket(obs::RunReport& rep, const RunSwitches& sw, const Circuit& exec,
               const Schedule* sched, bool priced, IdxType batch = 1);
 
   void start() {
+    mark_rss();
     t0_us_ = obs::trace_now_us();
     counters_.start();
     wall_.reset();
@@ -89,6 +92,7 @@ public:
   void stop() {
     rep_.wall_seconds += wall_.seconds();
     counters_.stop();
+    mark_rss();
   }
 
   void fold_roofline();
@@ -96,6 +100,10 @@ public:
   void end();
 
 private:
+  /// Sample VmRSS and add it to the trace's rss_mb counter track; run
+  /// starts and ends are the track's only points.
+  void mark_rss();
+
   obs::RunReport& rep_;
   obs::ProgressBoard* progress_;
   bool roofline_;

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "ir/circuit.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -288,29 +289,6 @@ namespace ledger {
 
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void append_double(std::ostringstream& os, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -328,16 +306,13 @@ void Entry::rekey() {
 
 std::string Entry::line() const {
   std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"key\":";
-  append_escaped(os, key);
-  os << ",\"circuit_hash\":";
-  append_escaped(os, circuit_hash);
-  os << ",\"backend\":";
-  append_escaped(os, backend);
+  os << "{\"schema\":\"" << kSchema << "\",\"key\":" << jsonlite::quote(key);
+  os << ",\"circuit_hash\":" << jsonlite::quote(circuit_hash);
+  os << ",\"backend\":" << jsonlite::quote(backend);
   os << ",\"n_qubits\":" << n_qubits << ",\"n_workers\":" << n_workers
      << ",\"total_gates\":" << static_cast<unsigned long long>(total_gates)
      << ",\"cpu\":";
-  append_escaped(os, cpu);
+  os << jsonlite::quote(cpu);
   os << ",\"unix_time\":" << unix_time << ",\"wall_seconds\":";
   append_double(os, wall_seconds);
   os << ",\"compute_s\":";
@@ -346,8 +321,7 @@ std::string Entry::line() const {
   append_double(os, wait_s);
   os << ",\"imbalance\":";
   append_double(os, imbalance);
-  os << ",\"critical\":";
-  append_escaped(os, critical);
+  os << ",\"critical\":" << jsonlite::quote(critical);
   os << ",\"remote_bytes\":" << static_cast<unsigned long long>(remote_bytes)
      << ",\"peak_rss_bytes\":"
      << static_cast<unsigned long long>(peak_rss_bytes)

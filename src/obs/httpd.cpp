@@ -116,6 +116,9 @@ void handle_request(int fd, const std::string& method,
     return;
   }
   if (path == "/metrics") {
+    // A shallow sample first, so the svsim_mem_rss_bytes and
+    // svsim_mem_hwm_bytes gauges are as fresh as the scrape.
+    MemRegistry::global().sample_rss();
     write_response(fd, 200, "text/plain; version=0.0.4; charset=utf-8",
                    Registry::global().write_prom(), nullptr);
     return;
@@ -149,8 +152,8 @@ void handle_request(int fd, const std::string& method,
     return;
   }
   if (path == "/memory") {
-    // Sample synchronously so a scrape always carries fresh RSS/NUMA
-    // numbers even between sampler ticks (or with the sampler idle).
+    // A deep sample first, so the document carries fresh RSS, THP and
+    // NUMA numbers.
     MemRegistry::global().sample_now();
     write_response(fd, 200, "application/json",
                    memory_json(MemRegistry::global().snapshot()), nullptr);

@@ -1,4 +1,5 @@
-// Minimal JSON validator and value-tree parser (no external deps).
+// Minimal JSON validator, value-tree parser and string writer (no
+// external deps).
 //
 // Exists so the trace exporter, the bench JSON emitter, and the
 // profile-smoke ctest can assert "this file is well-formed JSON" without
@@ -7,12 +8,14 @@
 // tools/svsim_analyze, which must *read* reports, traces and ledger
 // lines, not just validate them) parses the same grammar into a small
 // tagged struct; the original validator remains the zero-allocation fast
-// path.
+// path. quote() is the one string-literal writer every hand-rolled
+// emitter (reports, ledger, progress, memory, bench tables) shares.
 #pragma once
 
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -394,6 +397,36 @@ inline bool parse(const std::string& text, Value* out,
   const bool done = ok && c.eof();
   if (!done && error_offset != nullptr) *error_offset = c.i;
   return done;
+}
+
+/// `s` as a JSON string literal, quotes included. `"` and `\` are
+/// backslash-escaped, \n \r \t take their short forms, every other
+/// control byte becomes \u00XX, and bytes >= 0x20 pass through (UTF-8
+/// stays UTF-8).
+inline std::string quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
 }
 
 } // namespace svsim::obs::jsonlite

@@ -1,14 +1,12 @@
-// MemRegistry implementation: tag accounting, the /proc sampler, the
-// NUMA page-placement walk, and the report/HTTP exports.
+// MemRegistry implementation: tag accounting, the on-read /proc samples,
+// the NUMA page-placement walk, and the report/HTTP exports.
 //
-// Locking: `mu_` guards the records and every aggregate; `thread_mu_`
-// serializes sampler start/stop and is never taken while holding `mu_`
-// (the sampler thread takes `mu_` per tick, so the reverse order would
-// deadlock a stop against a tick).
+// Locking: the one mutex `mu_` guards the records, every aggregate and
+// the last sample. Samples run in the reader's thread under `mu_`, so a
+// sample never sees a half-applied track()/untrack().
 #include "obs/memtrack.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +20,7 @@
 #endif
 
 #include "obs/capacity.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -83,22 +82,19 @@ int env_memtrack() {
 }
 
 MemRegistry& MemRegistry::global() {
-  // Deliberately not leaked (unlike Httpd/Trace): the destructor joins
-  // the sampler thread, so TSan sees every thread accounted for at exit.
   static MemRegistry reg;
   return reg;
 }
 
 MemRegistry::MemRegistry() : enabled_(env_memtrack() != 0) {
-  // The sampler thread writes Registry gauges and Trace counters until
-  // ~MemRegistry joins it. Statics are destroyed in reverse order of
-  // construction, so both must finish constructing before this one does.
+  // Accounting also runs during static destruction: a static
+  // TrackedBuffer is untracked there and a static's destructor may take a
+  // sample, and both write Registry gauges. Statics are destroyed in
+  // reverse order of construction, so Registry must finish constructing
+  // before this registry does. Trace, which receives the rss_mb points
+  // sampled here, is ordered the same way.
   Registry::global();
   Trace::global();
-  if (const char* e = std::getenv("SVSIM_MEMTRACK_MS")) {
-    const int ms = std::atoi(e);
-    if (ms > 0) interval_ms_ = ms;
-  }
 }
 
 void MemRegistry::apply_delta_locked(MemTag tag, std::int64_t delta, int pe) {
@@ -133,43 +129,22 @@ std::uint64_t MemRegistry::track(MemTag tag, const void* ptr,
                                  std::size_t bytes, int pe) {
   if (!enabled() || bytes == 0) return 0;
   ensure_baseline();
-  bool want_sampler = false;
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = next_id_++;
-    live_[id] = Record{tag, ptr, bytes, pe, -1};
-    apply_delta_locked(tag, static_cast<std::int64_t>(bytes), pe);
-    want_sampler = !thread_run_.load(std::memory_order_relaxed);
-  }
-  if (want_sampler) {
-    std::lock_guard<std::mutex> lock(thread_mu_);
-    if (!thread_run_.load(std::memory_order_relaxed)) {
-      if (thread_.joinable()) thread_.join(); // reap a self-stopped run
-      thread_exited_.store(false, std::memory_order_relaxed);
-      thread_run_.store(true, std::memory_order_relaxed);
-      thread_ = std::thread([this] { sampler_loop(); });
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t id = next_id_++;
+  live_[id] = Record{tag, ptr, bytes, pe, -1};
+  apply_delta_locked(tag, static_cast<std::int64_t>(bytes), pe);
   return id;
 }
 
 void MemRegistry::untrack(std::uint64_t id) {
   if (id == 0) return;
-  bool idle = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = live_.find(id);
-    if (it == live_.end()) return;
-    apply_delta_locked(it->second.tag,
-                       -static_cast<std::int64_t>(it->second.bytes),
-                       it->second.pe);
-    live_.erase(it);
-    idle = live_.empty() && current_ == 0;
-  }
-  // With nothing left to watch the sampler winds itself down; the next
-  // track() (or the destructor) joins the exited thread.
-  if (idle) thread_run_.store(false, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = live_.find(id);
+  if (it == live_.end()) return;
+  apply_delta_locked(it->second.tag,
+                     -static_cast<std::int64_t>(it->second.bytes),
+                     it->second.pe);
+  live_.erase(it);
 }
 
 void MemRegistry::adjust(MemTag tag, std::int64_t delta, int pe) {
@@ -206,7 +181,7 @@ void MemRegistry::sample_proc_locked(bool deep) {
   rss_bytes_ = rss;
   if (hwm > hwm_bytes_) hwm_bytes_ = hwm;
   // smaps_rollup walks every VMA under mmap_lock and costs ~10x a status
-  // read, so only deep ticks pay for it (THP coverage moves slowly).
+  // read, so only deep samples pay for it (THP coverage moves slowly).
   // Its absence on older kernels is not an error.
   if (deep) {
     std::string rollup;
@@ -341,50 +316,11 @@ void MemRegistry::sample_now() {
   sample_numa_locked();
 }
 
-void MemRegistry::sampler_loop() {
-  int tick = 0;
-  while (thread_run_.load(std::memory_order_relaxed)) {
-    // On a core-saturated host every microsecond this thread burns comes
-    // straight off a worker PE's wall clock, so the steady-state tick is
-    // just the VmRSS/VmHWM read; the expensive parts — smaps_rollup and
-    // the move_pages NUMA walk — run on every 8th tick (200 ms at the
-    // default cadence), which is plenty for placement that only changes
-    // at allocation time.
-    const bool deep = tick % 8 == 0;
-    if (enabled()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      sample_proc_locked(deep);
-      if (deep) sample_numa_locked();
-    }
-    // The RSS counter track rewrites the trace file per sample; emit at
-    // a quarter of the sampler cadence to keep that cheap.
-    if (tick % 4 == 0 && Trace::global().enabled()) {
-      std::uint64_t rss = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        rss = rss_bytes_;
-      }
-      if (rss != 0) {
-        Trace::global().flush_counter("mem", "rss_mb", trace_now_us(),
-                                      static_cast<double>(rss) / 1e6);
-      }
-    }
-    ++tick;
-    // Sleep in small slices so stop() latency stays low.
-    int left = interval_ms_;
-    while (left > 0 && thread_run_.load(std::memory_order_relaxed)) {
-      const int slice = left < 5 ? left : 5;
-      std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      left -= slice;
-    }
-  }
-  thread_exited_.store(true, std::memory_order_relaxed);
-}
-
-void MemRegistry::stop_sampler() {
-  std::lock_guard<std::mutex> lock(thread_mu_);
-  thread_run_.store(false, std::memory_order_relaxed);
-  if (thread_.joinable()) thread_.join();
+std::uint64_t MemRegistry::sample_rss() {
+  if (!enabled()) return 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  sample_proc_locked(false);
+  return sampled_ok_ ? rss_bytes_ : 0;
 }
 
 MemorySnapshot MemRegistry::snapshot() const {
@@ -445,15 +381,6 @@ void append_u64(std::ostringstream& os, std::uint64_t v) {
   os << static_cast<unsigned long long>(v);
 }
 
-void append_quoted(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) os << c;
-  }
-  os << '"';
-}
-
 } // namespace
 
 std::string memory_json(const MemorySnapshot& snap) {
@@ -493,7 +420,7 @@ std::string memory_json(const MemorySnapshot& snap) {
   }
   os << "],\"sampled\":" << (snap.sampled ? "true" : "false")
      << ",\"sample_error\":";
-  append_quoted(os, snap.sample_error);
+  os << jsonlite::quote(snap.sample_error);
   os << ",\"rss_bytes\":";
   append_u64(os, snap.rss_bytes);
   os << ",\"hwm_bytes\":";
@@ -505,7 +432,7 @@ std::string memory_json(const MemorySnapshot& snap) {
   os << ",\"samples\":";
   append_u64(os, snap.samples);
   os << ",\"numa\":" << (snap.numa ? "true" : "false") << ",\"numa_error\":";
-  append_quoted(os, snap.numa_error);
+  os << jsonlite::quote(snap.numa_error);
   os << ",\"node_bytes\":[";
   for (std::size_t i = 0; i < snap.node_bytes.size(); ++i) {
     if (i != 0) os << ',';

@@ -12,22 +12,23 @@
 //    large allocation with the process-global MemRegistry — current and
 //    peak bytes per tag and per PE, plus the high-water timestamp on the
 //    shared trace clock.
-//  * MemRegistry also runs a low-rate background sampler reading
-//    /proc/self/status (VmRSS/VmHWM), /proc/self/smaps_rollup (THP), and
-//    querying page placement of tracked buffers via the move_pages(2) /
-//    get_mempolicy(2) syscalls for per-NUMA-node attribution. Like the
-//    perf-counter tier, everything degrades gracefully: on non-Linux or
-//    locked-down containers the sample is marked unavailable with the
-//    reason string, and the tag accounting — which needs no kernel help —
-//    keeps working.
+//  * MemRegistry samples the kernel's view on read, in the reader's
+//    thread: /proc/self/status (VmRSS/VmHWM), /proc/self/smaps_rollup
+//    (THP), and page placement of tracked buffers via the move_pages(2) /
+//    get_mempolicy(2) syscalls for per-NUMA-node attribution. A deep
+//    sample (all three) backs fold_memory() and GET /memory; a shallow
+//    one (VmRSS/VmHWM) backs GET /metrics and the run pipeline's rss_mb
+//    trace points. VmHWM is the kernel's own high-water mark, so no
+//    reader needs a sample taken during a run. Like the perf-counter
+//    tier, everything degrades gracefully: on non-Linux or locked-down
+//    containers the sample is marked unavailable with the reason string,
+//    and the tag accounting — which needs no kernel help — keeps working.
 //  * fold_memory() joins the registry snapshot and the capacity
 //    estimator (obs/capacity.hpp) into RunReport::memory, the additive
 //    `memory` section of svsim-report-v1.
 //
-// Activation: on by default; SVSIM_MEMTRACK=0 disables the registry (and
-// with it the sampler thread) for overhead-sensitive runs. The sampler
-// only runs while tracked allocations are live, and its cadence is
-// SVSIM_MEMTRACK_MS (default 25 ms).
+// Activation: on by default; SVSIM_MEMTRACK=0 disables the registry for
+// overhead-sensitive runs. The module starts no thread.
 #pragma once
 
 #include <atomic>
@@ -36,7 +37,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -93,8 +93,8 @@ struct MemorySnapshot {
   bool sampled = false;
   std::string sample_error;
   std::uint64_t rss_bytes = 0;      // VmRSS at the last sample
-  std::uint64_t hwm_bytes = 0;      // VmHWM (kernel high-water, robust
-                                    // against the sampler's low rate)
+  std::uint64_t hwm_bytes = 0;      // VmHWM (kernel high-water mark,
+                                    // exact between samples)
   std::uint64_t baseline_rss = 0;   // VmRSS before the first tracked alloc
   std::uint64_t thp_bytes = 0;      // AnonHugePages from smaps_rollup
   std::uint64_t samples = 0;        // samples taken so far
@@ -134,16 +134,15 @@ public:
   /// its first big allocation touches pages.
   void ensure_baseline();
 
-  /// Take one synchronous sample (status + smaps_rollup + NUMA walk) in
-  /// the caller's thread — fold_memory() uses this so even runs shorter
-  /// than the sampler cadence report a real RSS.
+  /// Take one deep sample (status + smaps_rollup + NUMA walk) in the
+  /// caller's thread: fold_memory() and GET /memory.
   void sample_now();
+  /// Take one shallow sample (VmRSS/VmHWM only) in the caller's thread:
+  /// GET /metrics and the rss_mb trace points. Returns VmRSS in bytes,
+  /// 0 when the registry is off or /proc is unreadable.
+  std::uint64_t sample_rss();
 
   MemorySnapshot snapshot() const;
-
-  /// Stop the background sampler (joins the thread). Also registered
-  /// via atexit so TSan sees every thread joined.
-  void stop_sampler();
 
   /// Tests: collapse peaks to current values so accounting assertions
   /// are independent of what earlier tests allocated.
@@ -156,7 +155,6 @@ public:
 
 private:
   MemRegistry();
-  ~MemRegistry() { stop_sampler(); }
 
   struct Record {
     MemTag tag = MemTag::kOther;
@@ -172,10 +170,8 @@ private:
   };
 
   void apply_delta_locked(MemTag tag, std::int64_t delta, int pe);
-  void ensure_sampler_locked();
   void sample_proc_locked(bool deep);
   void sample_numa_locked();
-  void sampler_loop();
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_;
@@ -188,7 +184,7 @@ private:
   MemorySnapshot::TagStat by_tag_[kNumMemTags] = {};
   std::map<int, PeCount> per_pe_;
 
-  // Sampler state (guarded by mu_ except the flags).
+  // Last sample (guarded by mu_).
   std::string proc_root_ = "/proc/self";
   bool baseline_done_ = false;
   bool sampled_ok_ = false;
@@ -202,12 +198,6 @@ private:
   std::string numa_error_;
   std::vector<std::uint64_t> node_bytes_;
   std::atomic<bool> numa_forced_off_{false};
-
-  std::mutex thread_mu_; // start/stop serialization (never under mu_)
-  std::thread thread_;
-  std::atomic<bool> thread_run_{false};
-  std::atomic<bool> thread_exited_{false};
-  int interval_ms_ = 25;
 };
 
 /// AlignedBuffer with registration: same surface (allocate / release /

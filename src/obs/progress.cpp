@@ -9,6 +9,7 @@
 #include "common/bits.hpp"
 #include "ir/circuit.hpp"
 #include "ir/schedule.hpp"
+#include "obs/jsonlite.hpp"
 #include "obs/perfmodel.hpp"
 #include "obs/waitstate.hpp"
 
@@ -27,28 +28,6 @@ void append_double(std::ostringstream& os, double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
   os << buf;
-}
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 /// Per-gate cumulative predicted bytes: prefix[k] = model bytes of gates
@@ -225,8 +204,7 @@ std::string progress_to_json(const ProgressSnapshot& s) {
   os << ",\"valid\":" << (s.valid ? "true" : "false");
   os << ",\"active\":" << (s.active ? "true" : "false");
   os << ",\"interrupted\":" << (s.interrupted ? "true" : "false");
-  os << ",\"backend\":";
-  append_escaped(os, s.backend);
+  os << ",\"backend\":" << jsonlite::quote(s.backend);
   os << ",\"n_qubits\":" << s.n_qubits;
   os << ",\"n_workers\":" << s.n_workers;
   os << ",\"batch\":" << s.batch;

@@ -1,41 +1,19 @@
 // obs::to_json — RunReport as RFC 8259 JSON (schema "svsim-report-v1").
 //
-// Hand-rolled emitter kept next to the report type on purpose: jsonlite
-// stays a pure validator, and the schema is small enough that a builder
-// library would be more code than the emitter. Non-finite doubles are
+// Hand-rolled emitter kept next to the report type on purpose: the
+// schema is small enough that a builder library would be more code than
+// the emitter. Strings go through jsonlite::quote. Non-finite doubles are
 // emitted as null so the output always validates.
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "obs/jsonlite.hpp"
 #include "obs/report.hpp"
 
 namespace svsim::obs {
 
 namespace {
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void append_double(std::ostringstream& os, double v) {
   if (!std::isfinite(v)) {
@@ -56,8 +34,7 @@ void append_u64(std::ostringstream& os, std::uint64_t v) {
 std::string to_json(const RunReport& report) {
   std::ostringstream os;
   os << "{\"schema\":\"svsim-report-v1\",";
-  os << "\"backend\":";
-  append_escaped(os, report.backend);
+  os << "\"backend\":" << jsonlite::quote(report.backend);
   os << ",\"n_qubits\":" << static_cast<long long>(report.n_qubits);
   os << ",\"n_workers\":" << report.n_workers;
   os << ",\"batch\":" << report.batch;
@@ -66,10 +43,8 @@ std::string to_json(const RunReport& report) {
   os << ",\"wall_seconds\":";
   append_double(os, report.wall_seconds);
   os << ",\"profiled\":" << (report.profiled ? "true" : "false");
-  os << ",\"circuit_hash\":";
-  append_escaped(os, hash_hex(report.circuit_hash));
-  os << ",\"cpu\":";
-  append_escaped(os, cpu_model());
+  os << ",\"circuit_hash\":" << jsonlite::quote(hash_hex(report.circuit_hash));
+  os << ",\"cpu\":" << jsonlite::quote(cpu_model());
 
   os << ",\"gates\":[";
   bool first = true;
@@ -78,8 +53,7 @@ std::string to_json(const RunReport& report) {
     if (s.count == 0) continue;
     if (!first) os << ',';
     first = false;
-    os << "{\"op\":";
-    append_escaped(os, op_name(static_cast<OP>(i)));
+    os << "{\"op\":" << jsonlite::quote(op_name(static_cast<OP>(i)));
     os << ",\"count\":";
     append_u64(os, s.count);
     os << ",\"seconds\":";
@@ -174,7 +148,7 @@ std::string to_json(const RunReport& report) {
   append_double(os, rf.attainment);
   os << ",\"counters\":{\"available\":" << (rf.counters ? "true" : "false")
      << ",\"error\":";
-  append_escaped(os, rf.counters_error);
+  os << jsonlite::quote(rf.counters_error);
   os << ",\"cycles\":";
   append_u64(os, rf.cycles);
   os << ",\"instructions\":";
@@ -189,8 +163,7 @@ std::string to_json(const RunReport& report) {
   for (std::size_t i = 0; i < rf.worst.size(); ++i) {
     const RooflineStats::OpAttainment& a = rf.worst[i];
     if (i != 0) os << ',';
-    os << "{\"op\":";
-    append_escaped(os, op_name(a.op));
+    os << "{\"op\":" << jsonlite::quote(op_name(a.op));
     os << ",\"count\":";
     append_u64(os, a.count);
     os << ",\"bytes\":";
@@ -217,8 +190,7 @@ std::string to_json(const RunReport& report) {
   for (std::size_t i = 0; i < mm.tags.size(); ++i) {
     const MemoryStats::Tag& t = mm.tags[i];
     if (i != 0) os << ',';
-    os << "{\"tag\":";
-    append_escaped(os, t.name);
+    os << "{\"tag\":" << jsonlite::quote(t.name);
     os << ",\"current\":";
     append_u64(os, t.current);
     os << ",\"peak\":";
@@ -237,7 +209,7 @@ std::string to_json(const RunReport& report) {
   }
   os << "],\"sampled\":" << (mm.sampled ? "true" : "false")
      << ",\"sample_error\":";
-  append_escaped(os, mm.sample_error);
+  os << jsonlite::quote(mm.sample_error);
   os << ",\"rss_bytes\":";
   append_u64(os, mm.rss_bytes);
   os << ",\"peak_rss\":";
@@ -249,7 +221,7 @@ std::string to_json(const RunReport& report) {
   os << ",\"samples\":";
   append_u64(os, mm.samples);
   os << ",\"numa\":" << (mm.numa ? "true" : "false") << ",\"numa_error\":";
-  append_escaped(os, mm.numa_error);
+  os << jsonlite::quote(mm.numa_error);
   os << ",\"node_bytes\":[";
   for (std::size_t i = 0; i < mm.node_bytes.size(); ++i) {
     if (i != 0) os << ',';
@@ -293,15 +265,14 @@ std::string to_json(const RunReport& report) {
   append_double(os, ws.wait_fraction);
   os << ",\"truncated\":" << (ws.truncated ? "true" : "false")
      << ",\"critical_pe\":" << ws.critical_pe << ",\"critical_phase\":";
-  append_escaped(os, ws.critical_phase);
+  os << jsonlite::quote(ws.critical_phase);
   os << ",\"critical_s\":";
   append_double(os, ws.critical_s);
   os << ",\"critical\":[";
   for (std::size_t i = 0; i < ws.critical.size(); ++i) {
     const WaitProfile::Critical& c = ws.critical[i];
     if (i != 0) os << ',';
-    os << "{\"pe\":" << c.pe << ",\"phase\":";
-    append_escaped(os, c.phase);
+    os << "{\"pe\":" << c.pe << ",\"phase\":" << jsonlite::quote(c.phase);
     os << ",\"seconds\":";
     append_double(os, c.seconds);
     os << ",\"phases\":";
@@ -356,14 +327,15 @@ std::string to_json(const RunReport& report) {
     append_u64(os, e.seq);
     os << ",\"ts_us\":";
     append_double(os, e.ts_us);
-    os << ",\"kind\":";
-    append_escaped(os, flight_kind_name(static_cast<FlightEvent::Kind>(e.kind)));
+    os << ",\"kind\":"
+       << jsonlite::quote(
+              flight_kind_name(static_cast<FlightEvent::Kind>(e.kind)));
     os << ",\"gate\":";
     append_u64(os, e.gate_id);
-    os << ",\"op\":";
-    append_escaped(os, e.op < static_cast<std::uint16_t>(kNumOps)
-                           ? op_name(static_cast<OP>(e.op))
-                           : "?");
+    os << ",\"op\":"
+       << jsonlite::quote(e.op < static_cast<std::uint16_t>(kNumOps)
+                              ? op_name(static_cast<OP>(e.op))
+                              : "?");
     os << ",\"worker\":" << e.worker << ",\"qb\":[" << e.qb0 << ',' << e.qb1
        << "]}";
   }

@@ -1,40 +1,45 @@
-// Exit-order check for the memory sampler thread.
+// Exit-time accounting check for the memory registry.
 //
-// The sampler writes Registry gauges and Trace counters on every tick
-// until ~MemRegistry joins it, so both singletons must be destroyed after
-// MemRegistry. This program makes a wrong order show deterministically:
-// a static constructed right after MemRegistry (and before anything
-// main() touches) is destroyed right before it, and holds process exit
-// there while a 1 ms sampler keeps ticking against every singleton
-// destroyed earlier. A use-after-free then crashes the process or, under
+// Accounting also runs during static destruction: a static TrackedBuffer
+// is untracked there, and a static's destructor may take a sample. Both
+// write Registry gauges, so the Registry singleton must outlive every
+// static that touched MemRegistry first; MemRegistry's constructor orders
+// that. This program makes a wrong order show deterministically: a static
+// constructed right after MemRegistry, before anything else touches the
+// Registry, is destroyed after every later static (a Registry first built
+// by the later track() included) and samples and snapshots the registry
+// there. A use-after-free then crashes the process or, under
 // -DSVSIM_SANITIZE=address, fails it with a heap-use-after-free report.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
-#include <vector>
 
 #include "obs/memtrack.hpp"
 
 namespace {
 
-struct ExitHold {
-  ExitHold() { svsim::obs::MemRegistry::global(); }
-  ~ExitHold() { std::this_thread::sleep_for(std::chrono::milliseconds(200)); }
+using svsim::obs::MemRegistry;
+
+struct ExitSample {
+  ExitSample() { MemRegistry::global(); }
+  ~ExitSample() {
+    MemRegistry::global().sample_now();
+    const svsim::obs::MemorySnapshot snap = MemRegistry::global().snapshot();
+    if (snap.current != 0) {
+      std::fprintf(stderr, "memtrack exit check: %llu bytes still tracked\n",
+                   static_cast<unsigned long long>(snap.current));
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+  }
 };
 
 } // namespace
 
 int main() {
-  // Read by the MemRegistry constructor, which the hold below triggers.
-  ::setenv("SVSIM_MEMTRACK_MS", "1", 1);
-  static ExitHold hold;
-  // Still tracked at exit, so the sampler is running through the hold.
-  static std::vector<double> buf(1 << 12, 0.0);
-  svsim::obs::MemRegistry::global().track(svsim::obs::MemTag::kOther,
-                                          buf.data(),
-                                          buf.size() * sizeof(double), -1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::puts("memtrack exit-order check: exiting with the sampler running");
+  static ExitSample sample;
+  // Tracked until static destruction untracks it, before `sample` runs.
+  static svsim::obs::TrackedBuffer<double> buf(1 << 12,
+                                               svsim::obs::MemTag::kOther);
+  std::puts("memtrack exit check: exiting with a tracked buffer live");
   return 0;
 }

@@ -24,11 +24,10 @@ endforeach()
 set(REPORT "${WORK_DIR}/memtrack_smoke_report.json")
 file(REMOVE "${REPORT}")
 
-# Leg 1: run + report memory section. A fast sampler cadence so even this
-# short run lands a few RSS samples.
+# Leg 1: run + report memory section. The report samples RSS itself
+# (fold_memory), so even this short run carries a real peak.
 execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env SVSIM_MEMTRACK_MS=5
-          "${RUNNER}" "${QASM}" --backend shmem --workers 4
+  COMMAND "${RUNNER}" "${QASM}" --backend shmem --workers 4
           --report-json "${REPORT}" --shots 64
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE run_rc

@@ -1,5 +1,6 @@
 // obs::Httpd: lifecycle (ephemeral bind, stop/restart), every route's
-// status code and payload shape, Prometheus content type, 400/404/405
+// status code and payload shape, Prometheus content type, the memory
+// sample each /metrics scrape takes, 400/404/405
 // handling via a raw client, the /healthz 503 flip on an injected-NaN
 // run, and the SIGINT graceful-shutdown flush (exit 130 with a partial
 // svsim-progress-v1 document on stderr).
@@ -11,6 +12,8 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -22,6 +25,7 @@
 #include "obs/health.hpp"
 #include "obs/httpd.hpp"
 #include "obs/jsonlite.hpp"
+#include "obs/memtrack.hpp"
 #include "obs/progress.hpp"
 #include "obs/registry.hpp"
 
@@ -127,6 +131,30 @@ TEST(Httpd, MetricsRouteServesPrometheusText) {
             std::string::npos);
   EXPECT_NE(resp.find("svsim_httpd_test_scrapes_total 3"),
             std::string::npos);
+  srv.stop();
+}
+
+// /metrics samples on scrape: with no tracked buffer live, each scrape
+// takes one shallow VmRSS/VmHWM sample and serves a nonzero RSS gauge.
+TEST(Httpd, MetricsScrapeSamplesRss) {
+  obs::MemRegistry& reg = obs::MemRegistry::global();
+  ASSERT_TRUE(reg.enabled());
+  ASSERT_EQ(reg.snapshot().current, 0u) << "a tracked buffer is live";
+  obs::Httpd& srv = obs::Httpd::global();
+  ASSERT_TRUE(srv.start(0));
+  for (int scrape = 0; scrape < 3; ++scrape) {
+    const std::uint64_t before = reg.snapshot().samples;
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(
+        obs::http_get("127.0.0.1", srv.port(), "/metrics", &status, &body));
+    EXPECT_EQ(status, 200);
+    EXPECT_EQ(reg.snapshot().samples, before + 1) << "scrape " << scrape;
+    const std::string key = "\nsvsim_mem_rss_bytes ";
+    const std::size_t at = body.find(key);
+    ASSERT_NE(at, std::string::npos) << body;
+    EXPECT_GT(std::strtod(body.c_str() + at + key.size(), nullptr), 0.0);
+  }
   srv.stop();
 }
 

@@ -1,8 +1,8 @@
 // obs/jsonlite edge cases: nesting-depth cap (both the validator and the
 // tree builder must reject bomb inputs instead of overflowing the C++
 // stack), \uXXXX escapes including surrogate pairs, truncated documents,
-// and duplicate-key objects (document order kept, find() returns the
-// first).
+// duplicate-key objects (document order kept, find() returns the first),
+// and the string writer's round trip of every ASCII byte.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -116,6 +116,27 @@ TEST(JsonliteDuplicates, ObjectKeepsBothMembersFindReturnsFirst) {
   ASSERT_NE(k, nullptr);
   EXPECT_EQ(k->num_or(-1), 1.0); // document order: first wins
   EXPECT_EQ(v.member_num("other", -1), 3.0);
+}
+
+// quote() is the writer every emitter shares: each byte 0x01-0x7f, alone
+// and all in one string, parses back to itself, with the short escapes
+// where JSON has them and \u00XX for the other control bytes.
+TEST(JsonliteQuote, RoundTripsEveryAsciiByte) {
+  using obs::jsonlite::quote;
+  std::string all;
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    Value v;
+    ASSERT_TRUE(obs::jsonlite::parse(quote(one), &v)) << "byte " << b;
+    EXPECT_EQ(v.str, one) << "byte " << b;
+  }
+  Value v;
+  ASSERT_TRUE(obs::jsonlite::parse(quote(all), &v));
+  EXPECT_EQ(v.str, all);
+  EXPECT_EQ(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(quote("\t\n\r"), "\"\\t\\n\\r\"");
+  EXPECT_EQ(quote("\x01\x1f"), "\"\\u0001\\u001f\"");
 }
 
 } // namespace

@@ -1,13 +1,15 @@
 // Memory observability plane: exact tag accounting through TrackedBuffer
-// moves and MemAdjust transients, per-tag/per-PE aggregation, the /proc
-// sampler and its graceful degradation, NUMA unavailability, the capacity
-// estimator pinned within 10% of the MemRegistry-measured peak across the
-// single/peer/shmem/batched backends, SVSIM_MEM_LIMIT admission (throw +
-// death), gauge export, and JSON validity of the memory documents.
+// moves and MemAdjust transients, per-tag/per-PE aggregation, the on-read
+// /proc samples and their graceful degradation, NUMA unavailability, that
+// tracking starts no thread, the capacity estimator pinned within 10% of
+// the MemRegistry-measured peak across the single/peer/shmem/batched
+// backends, SVSIM_MEM_LIMIT admission (throw + death), gauge export, and
+// JSON validity and round trip of the memory documents.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
+#include "vqa/batched.hpp"
 
 namespace {
 
@@ -132,7 +135,7 @@ TEST_F(MemtrackTest, DisabledRegistryTracksNothing) {
 
 TEST_F(MemtrackTest, ProcSamplerReadsRss) {
   MemRegistry& reg = MemRegistry::global();
-  TrackedBuffer<double> keep(1 << 16, MemTag::kOther); // sampler has work
+  TrackedBuffer<double> keep(1 << 16, MemTag::kOther); // NUMA walk has work
   reg.sample_now();
   const MemorySnapshot s = reg.snapshot();
   ASSERT_TRUE(s.sampled) << s.sample_error;
@@ -166,27 +169,65 @@ TEST_F(MemtrackTest, NumaForcedUnavailable) {
   reg.force_numa_unavailable_for_testing(false);
 }
 
-// The sampler thread starts on the first track and self-stops when the
-// last buffer dies; concurrent track/untrack/snapshot from many threads
-// must stay race-free (the TSan CI leg runs this test).
-TEST_F(MemtrackTest, SamplerStartStopUnderConcurrency) {
+// Accounting and sampling from several threads at once: each thread
+// tracks, adjusts and releases its own buffers while taking deep and
+// shallow samples and snapshots. Race-free (the TSan CI leg runs this
+// test), every byte returns, and every sample is counted.
+TEST_F(MemtrackTest, ConcurrentAccountingAndSampling) {
   MemRegistry& reg = MemRegistry::global();
+  const MemorySnapshot before = reg.snapshot();
+  constexpr int kThreads = 4;
+  constexpr int kIters = 25;
   std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&reg, t] {
-      for (int i = 0; i < 25; ++i) {
+      for (int i = 0; i < kIters; ++i) {
         TrackedBuffer<double> buf(512 + static_cast<std::size_t>(i),
                                   MemTag::kOther, t);
         MemAdjust adj(MemTag::kOther, t);
         adj.add(128);
+        if ((i + t) % 3 == 0) reg.sample_now();
+        if ((i + t) % 3 == 1) EXPECT_GT(reg.sample_rss(), 0u);
         (void)reg.snapshot();
-        if (i % 8 == 0) reg.sample_now();
       }
     });
   }
   for (std::thread& w : workers) w.join();
-  // Everything released: the sampler goes idle and counts return.
-  EXPECT_EQ(tag_current(reg.snapshot(), MemTag::kOther), 0u);
+  std::uint64_t taken = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kIters; ++i) taken += (i + t) % 3 != 2 ? 1 : 0;
+  }
+  const MemorySnapshot after = reg.snapshot();
+  EXPECT_EQ(tag_current(after, MemTag::kOther),
+            tag_current(before, MemTag::kOther));
+  EXPECT_EQ(after.samples, before.samples + taken);
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+int thread_count() {
+  int n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// Samples are taken by their readers, so tracking starts no thread: an
+// engine built and destroyed per call (the batched VQE objective's life
+// cycle) leaves the process's thread count where it was.
+TEST_F(MemtrackTest, TrackingStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  ASSERT_TRUE(MemRegistry::global().enabled());
+  const int before = thread_count();
+  for (int i = 0; i < 10; ++i) {
+    vqa::BatchedSim sim(12, 8);
+    EXPECT_EQ(thread_count(), before) << "while engine " << i << " lives";
+  }
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(MemLimit, ParseUnits) {
@@ -361,6 +402,21 @@ TEST(MemoryReport, MemoryJsonDocumentValid) {
   EXPECT_EQ(doc.member_str("schema", ""), "svsim-memory-v1");
   EXPECT_TRUE(doc.find("enabled")->bool_or(false));
   EXPECT_GT(doc.member_num("tracked_bytes", 0), 0.0);
+}
+
+// memory_json escapes what JSON cannot carry raw: error strings holding
+// a quote, a backslash, a tab and a control byte parse back verbatim.
+TEST(MemoryReport, MemoryJsonRoundTripsErrorStrings) {
+  MemorySnapshot snap;
+  snap.sample_error = "cannot read \"/proc\\self\"\tstatus\x01";
+  snap.numa_error = "move_pages:\tdenied";
+  const std::string json = obs::memory_json(snap);
+  obs::jsonlite::Value doc;
+  std::size_t err_at = 0;
+  ASSERT_TRUE(obs::jsonlite::parse(json, &doc, &err_at))
+      << "memory JSON invalid at byte " << err_at << ": " << json;
+  EXPECT_EQ(doc.member_str("sample_error", ""), snap.sample_error);
+  EXPECT_EQ(doc.member_str("numa_error", ""), snap.numa_error);
 }
 
 TEST(MemoryGauges, ExportedInPrometheusFormat) {

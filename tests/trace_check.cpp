@@ -15,8 +15,8 @@
 // --memory mode validates the report's memory section (the memtrack
 // acceptance gate): plane enabled, a nonzero tracked peak, the analytic
 // footprint estimate within 10% of the tracked peak, and — when the
-// /proc sampler delivered — a peak RSS at least as large as the tracked
-// peak. Prints a one-line verdict either way.
+// report's /proc sample succeeded — a peak RSS at least as large as the
+// tracked peak. Prints a one-line verdict either way.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -30,6 +30,7 @@ namespace {
 
 using svsim::obs::WaitProfile;
 using svsim::obs::jsonlite::Value;
+using svsim::obs::jsonlite::quote;
 namespace ledger = svsim::obs::ledger;
 
 bool read_file(const std::string& path, std::string* out) {
@@ -200,30 +201,6 @@ int compare_ledger(const std::string& ledger_path) {
 // --merge-trace: N per-process Chrome trace files -> one aligned timeline.
 // ---------------------------------------------------------------------------
 
-/// JSON-escape and emit a string literal.
-void emit_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Re-emit a parsed JSON value verbatim (used for event args and string
 /// fields the merger carries through untouched).
 void emit(std::ostringstream& os, const Value& v) {
@@ -236,7 +213,7 @@ void emit(std::ostringstream& os, const Value& v) {
       os << buf;
       break;
     }
-    case Value::Type::kString: emit_string(os, v.str); break;
+    case Value::Type::kString: os << quote(v.str); break;
     case Value::Type::kArray: {
       os << '[';
       for (std::size_t i = 0; i < v.items.size(); ++i) {
@@ -250,7 +227,7 @@ void emit(std::ostringstream& os, const Value& v) {
       os << '{';
       for (std::size_t i = 0; i < v.members.size(); ++i) {
         if (i != 0) os << ',';
-        emit_string(os, v.members[i].first);
+        os << quote(v.members[i].first);
         os << ':';
         emit(os, v.members[i].second);
       }
@@ -304,7 +281,7 @@ int merge_traces(const std::string& out_path,
       for (const auto& [key, val] : e.members) {
         if (!first_member) os << ',';
         first_member = false;
-        emit_string(os, key);
+        os << quote(key);
         os << ':';
         if (key == "ts" && val.type == Value::Type::kNumber) {
           char buf[40];
