@@ -66,7 +66,6 @@ Leg run_leg(const std::string& backend, const Circuit& c, int workers,
             bool remap) {
   SimConfig cfg;
   cfg.remap = remap ? 1 : 0;
-  cfg.count_traffic = true; // peer gates its PE x PE matrix on this
   std::unique_ptr<Simulator> sim;
   if (backend == "shmem") {
     sim = std::make_unique<ShmemSim>(c.n_qubits(), workers, cfg);

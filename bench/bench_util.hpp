@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/report.hpp"
 #include "vqa/pauli.hpp"
@@ -46,12 +47,7 @@ struct JsonSink {
   std::vector<JsonTable> tables;
 
   static JsonSink& instance() {
-    static JsonSink s = [] {
-      JsonSink init;
-      const char* p = std::getenv("SVSIM_BENCH_JSON");
-      if (p != nullptr) init.path = p;
-      return init;
-    }();
+    static JsonSink s{Env::process().bench_json.value_or(""), "", {}};
     return s;
   }
 };
@@ -167,8 +163,16 @@ inline vqa::Hamiltonian tfi_hamiltonian(IdxType n) {
   return h;
 }
 
+/// Every bench prints a header before its first run, so a malformed
+/// SVSIM_* variable stops the bench here: its svsim::Error, exit 1.
 inline void print_header(const std::string& title,
                          const std::string& description) {
+  try {
+    Env::process().check();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("%s\n", description.c_str());

@@ -49,12 +49,12 @@
 // with per-gate profiling on, as a shorthand for the report path. When
 // the health monitor is active (SVSIM_HEALTH) and tripped — non-finite
 // amplitudes, norm-drift warnings, or an abort — the process exits with
-// status 2 so CI can gate on numerical health.
+// status 2 so CI can gate on numerical health. A malformed number on the
+// command line or a malformed SVSIM_* variable exits with status 1.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -116,72 +116,75 @@ std::unique_ptr<svsim::Simulator> make_backend(const std::string& name,
 int main(int argc, char** argv) {
   using namespace svsim;
 
-  std::string file;
-  std::string backend = "single";
-  int workers = 4;
-  IdxType shots = 1024;
-  IdxType batch = 1;
-  if (const char* env = std::getenv("SVSIM_BATCH")) batch = std::atoll(env);
-  bool want_report = false;
-  bool want_metrics = false;
-  bool want_estimate = false;
-  std::string report_json_path;
-  SimConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (arg == "--shots" && i + 1 < argc) {
-      shots = std::atoll(argv[++i]);
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = std::atoll(argv[++i]);
-    } else if (arg == "--profile" && i + 1 < argc) {
-      cfg.profile = true;
-      obs::Trace::global().set_path(argv[++i]);
-    } else if (arg == "--report") {
-      want_report = true;
-    } else if (arg == "--metrics") {
-      want_metrics = true;
-    } else if (arg == "--estimate") {
-      want_estimate = true;
-    } else if (arg == "--report-json" && i + 1 < argc) {
-      report_json_path = argv[++i];
-    } else if (arg == "--serve" && i + 1 < argc) {
-      cfg.http_port = std::atoi(argv[++i]);
-    } else if (arg == "--roofline") {
-      // Alias into the report path: roofline attribution plus per-gate
-      // profiling (the worst-attainment table needs per-op seconds).
-      want_report = true;
-      cfg.profile = true;
-    } else {
-      file = arg;
-    }
-  }
-  // The report paths always carry the roofline section; it is cheap
-  // (analytic model + four counter fds) and degrades to model-only where
-  // perf_event_open is denied.
-  if (want_report || !report_json_path.empty()) cfg.roofline = true;
-  // SVSIM_PROFILE=<path> alone also enables profiling (handled inside the
-  // backends); cfg.profile just mirrors the explicit flag.
-
-  // Start the telemetry endpoint before the run so a monitor can attach
-  // from t=0 and so the resolved port is printed even for --serve 0.
-  // The backend would start it lazily anyway; doing it here only moves
-  // the bind earlier.
-  if (obs::maybe_start_httpd(cfg.http_port) && obs::Httpd::global().running()) {
-    std::printf("serving telemetry on http://127.0.0.1:%d "
-                "(/metrics /healthz /progress /report)\n",
-                obs::Httpd::global().port());
-  }
-  // A SIGINT/SIGTERM flush should land next to the report the user asked
-  // for, not on stderr.
-  if (!report_json_path.empty()) {
-    obs::set_interrupt_report_path((report_json_path + ".partial").c_str());
-  }
-
   try {
+    const Env& env = Env::process();
+    env.check();
+    constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+    constexpr std::uint64_t kMaxIdx = std::numeric_limits<IdxType>::max();
+    std::string file;
+    std::string backend = "single";
+    int workers = 4;
+    IdxType shots = 1024;
+    IdxType batch = env.batch.value_or(1);
+    bool want_report = false;
+    bool want_metrics = false;
+    bool want_estimate = false;
+    std::string report_json_path;
+    SimConfig cfg;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--backend" && i + 1 < argc) {
+        backend = argv[++i];
+      } else if (arg == "--workers" && i + 1 < argc) {
+        workers = static_cast<int>(uint_arg(arg, argv[++i], 1, kMaxInt));
+      } else if (arg == "--shots" && i + 1 < argc) {
+        shots = static_cast<IdxType>(uint_arg(arg, argv[++i], 0, kMaxIdx));
+      } else if (arg == "--batch" && i + 1 < argc) {
+        batch = static_cast<IdxType>(uint_arg(arg, argv[++i], 1, kMaxIdx));
+      } else if (arg == "--profile" && i + 1 < argc) {
+        cfg.profile = true;
+        obs::Trace::global().set_path(argv[++i]);
+      } else if (arg == "--report") {
+        want_report = true;
+      } else if (arg == "--metrics") {
+        want_metrics = true;
+      } else if (arg == "--estimate") {
+        want_estimate = true;
+      } else if (arg == "--report-json" && i + 1 < argc) {
+        report_json_path = argv[++i];
+      } else if (arg == "--serve" && i + 1 < argc) {
+        cfg.http_port = static_cast<int>(uint_arg(arg, argv[++i], 0, 65535));
+      } else if (arg == "--roofline") {
+        // Alias into the report path: roofline attribution plus per-gate
+        // profiling (the worst-attainment table needs per-op seconds).
+        want_report = true;
+        cfg.profile = true;
+      } else {
+        file = arg;
+      }
+    }
+    // The report paths always carry the roofline section; it is cheap
+    // (analytic model + four counter fds) and degrades to model-only
+    // where perf_event_open is denied.
+    if (want_report || !report_json_path.empty()) cfg.roofline = true;
+    const RunSwitches sw = resolve(cfg);
+
+    // Start the telemetry endpoint before the run so a monitor can attach
+    // from t=0 and so the resolved port is printed even for --serve 0.
+    // The backend would start it lazily anyway; doing it here only moves
+    // the bind earlier.
+    if (obs::maybe_start_httpd(sw.http_port, sw.progress) &&
+        obs::Httpd::global().running()) {
+      std::printf("serving telemetry on http://127.0.0.1:%d "
+                  "(/metrics /healthz /progress /report)\n",
+                  obs::Httpd::global().port());
+    }
+    // A SIGINT/SIGTERM flush should land next to the report the user
+    // asked for, not on stderr.
+    if (!report_json_path.empty()) {
+      obs::set_interrupt_report_path((report_json_path + ".partial").c_str());
+    }
+
     const Circuit circuit = file.empty()
                                 ? qasm::parse_qasm(kBellProgram)
                                 : qasm::parse_qasm_file(file);
@@ -202,7 +205,7 @@ int main(int argc, char** argv) {
       q.batch = batch;
       q.gates = circuit.n_gates();
       const obs::FootprintEstimate est =
-          obs::estimate_footprint(q, cfg.mem_limit);
+          obs::estimate_footprint(q, sw.mem_limit);
       std::printf("%s", est.table().c_str());
       return est.fits ? 0 : 4;
     }
@@ -307,8 +310,7 @@ int main(int argc, char** argv) {
     // poller on an interval would otherwise miss the final state of a
     // short run entirely.
     if (obs::Httpd::global().running()) {
-      const char* linger = std::getenv("SVSIM_SERVE_LINGER_MS");
-      const int linger_ms = linger != nullptr ? std::atoi(linger) : 0;
+      const int linger_ms = env.serve_linger_ms.value_or(0);
       if (linger_ms > 0) {
         std::printf("serving for %d ms more (SVSIM_SERVE_LINGER_MS)\n",
                     linger_ms);

@@ -1,36 +1,20 @@
 #include "common/logging.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <mutex>
 
-#include <chrono>
+#include "common/config.hpp"
 
 namespace svsim {
 
 namespace {
 
-int level_from_env() {
-  const char* e = std::getenv("SVSIM_LOG_LEVEL");
-  if (e == nullptr || *e == '\0') return static_cast<int>(LogLevel::kWarn);
-  if (std::strcmp(e, "error") == 0) return static_cast<int>(LogLevel::kError);
-  if (std::strcmp(e, "warn") == 0) return static_cast<int>(LogLevel::kWarn);
-  if (std::strcmp(e, "info") == 0) return static_cast<int>(LogLevel::kInfo);
-  if (std::strcmp(e, "debug") == 0) return static_cast<int>(LogLevel::kDebug);
-  if (e[0] >= '0' && e[0] <= '3' && e[1] == '\0') return e[0] - '0';
-  return static_cast<int>(LogLevel::kWarn); // unparseable: keep the default
-}
-
-bool timestamps_from_env() {
-  const char* e = std::getenv("SVSIM_LOG_TIMESTAMPS");
-  return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-}
-
-std::atomic<int> g_level{level_from_env()};
-std::atomic<bool> g_timestamps{timestamps_from_env()};
+std::atomic<int> g_level{
+    Env::process().log_level.value_or(static_cast<int>(LogLevel::kWarn))};
+std::atomic<bool> g_timestamps{Env::process().log_timestamps.value_or(false)};
 thread_local int t_pe = -1;
 std::mutex g_mutex;
 

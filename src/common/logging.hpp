@@ -13,8 +13,7 @@ namespace svsim {
 enum class LogLevel : int { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 /// Global log threshold; messages above it are dropped. The initial value
-/// honors the SVSIM_LOG_LEVEL environment variable ("error" | "warn" |
-/// "info" | "debug", or the numeric level 0-3), defaulting to warn.
+/// is SVSIM_LOG_LEVEL's (Env::log_level), defaulting to warn.
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
@@ -24,8 +23,8 @@ LogLevel log_level();
 void set_log_pe(int pe);
 int log_pe();
 
-/// Prefix every line with a wall-clock timestamp (HH:MM:SS.mmm). Off by
-/// default; also enabled by setting SVSIM_LOG_TIMESTAMPS=1.
+/// Prefix every line with a wall-clock timestamp (HH:MM:SS.mmm). The
+/// initial value is SVSIM_LOG_TIMESTAMPS's, defaulting to off.
 void set_log_timestamps(bool on);
 
 /// Emit one line at the given level (adds a "[svsim] LEVEL " prefix, plus

@@ -91,7 +91,8 @@ BatchedSim::~BatchedSim() = default;
 
 BatchedSim::BatchedSim(IdxType n_qubits, IdxType batch, SimConfig cfg)
     : n_(n_qubits),
-      dim_(obs::admit_dim("batched", n_qubits, 1, batch, cfg.mem_limit)),
+      sw_(resolve(cfg)),
+      dim_(obs::admit_dim("batched", n_qubits, 1, batch, sw_.mem_limit)),
       batch_(batch),
       cfg_(cfg),
       real_(static_cast<std::size_t>(dim_ * batch), obs::MemTag::kBatch),
@@ -155,7 +156,8 @@ void BatchedSim::execute(const Circuit& circuit,
   static obs::Counter& runs = obs::Registry::global().counter("runs.batched");
   runs.add();
   start_report(report_, name(), n_, 1, circuit, batch_);
-  const RunSwitches sw(cfg_);
+  obs::ProgressBoard* const progress =
+      obs::maybe_start_httpd(sw_.http_port, sw_.progress);
 
   const BatchedTable& table = kernels::batched_kernel_table(cfg_.simd);
   const auto& gates = circuit.gates();
@@ -218,7 +220,7 @@ void BatchedSim::execute(const Circuit& circuit,
   // so a block's B-member slab keeps the cache footprint the exponent was
   // sized for; below 2^2 amplitudes per block, blocking stops paying.
   {
-    const IdxType rb = resolved_block_exponent(cfg_);
+    const IdxType rb = sw_.block_exp;
     if (rb >= 2) {
       const IdxType lg_b = ceil_log2(batch_);
       b_eff = rb > lg_b ? rb - lg_b : 0;
@@ -415,10 +417,9 @@ void BatchedSim::execute(const Circuit& circuit,
   sp.results = ma_shots_ > 0 ? results_.data() : nullptr;
   sp.n_shots = ma_shots_;
 
-  LoopBracket bracket(report_, sw, circuit, sched_active ? &sched : nullptr,
-                      /*priced=*/true, batch_);
-  obs::ProgressSlot* slot =
-      sw.progress != nullptr ? sw.progress->slot(0) : nullptr;
+  LoopBracket bracket(report_, sw_.roofline, progress, circuit,
+                      sched_active ? &sched : nullptr, batch_);
+  obs::ProgressSlot* slot = progress != nullptr ? progress->slot(0) : nullptr;
   bracket.start();
   {
     const std::vector<Window> fallback = {
@@ -540,6 +541,7 @@ std::vector<IdxType> BatchedSim::member_cbits(IdxType member) const {
 }
 
 std::vector<std::vector<IdxType>> BatchedSim::sample_members(IdxType shots) {
+  SVSIM_CHECK(shots >= 0, "shot count must be >= 0");
   results_.assign(static_cast<std::size_t>(batch_ * shots), 0);
   ma_shots_ = shots;
   Circuit c(n_);
@@ -556,6 +558,7 @@ std::vector<std::vector<IdxType>> BatchedSim::sample_members(IdxType shots) {
 }
 
 std::vector<IdxType> BatchedSim::sample(IdxType shots) {
+  SVSIM_CHECK(shots >= 0, "shot count must be >= 0");
   const IdxType per = (shots + batch_ - 1) / batch_;
   const auto members = sample_members(per);
   std::vector<IdxType> out;

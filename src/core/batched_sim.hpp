@@ -120,6 +120,8 @@ private:
   void execute(const Circuit& skeleton, const std::vector<Circuit>* members);
 
   IdxType n_;
+  /// Resolved before dim_'s admission check (common/config.hpp).
+  const RunSwitches sw_;
   IdxType dim_;
   IdxType batch_;
   SimConfig cfg_;

@@ -457,11 +457,10 @@ private:
 // ---------------------------------------------------------------------------
 
 CoarseMsgSim::CoarseMsgSim(IdxType n_qubits, int n_ranks, SimConfig cfg)
-    : Simulator(n_qubits),
+    : Simulator(n_qubits, cfg),
       n_(n_qubits),
-      dim_(obs::admit_dim("coarse-msg", n_qubits, n_ranks, 1, cfg.mem_limit)),
-      n_ranks_(n_ranks),
-      cfg_(cfg) {
+      dim_(obs::admit_dim("coarse-msg", n_qubits, n_ranks, 1, sw_.mem_limit)),
+      n_ranks_(n_ranks) {
   SVSIM_CHECK(n_ranks >= 1 && is_pow2(n_ranks),
               "rank count must be a power of two");
   SVSIM_CHECK(dim_ >= n_ranks, "more ranks than amplitudes");
@@ -486,7 +485,7 @@ void CoarseMsgSim::reset_state() {
 
 void CoarseMsgSim::run(const Circuit& circuit) {
   static obs::Counter& runs = obs::Registry::global().counter("runs.coarse");
-  Run run(*this, circuit, cfg_, runs, Shape{n_ranks_, true});
+  Run run(*this, circuit, runs, Shape{n_ranks_, true});
   stats_.assign(static_cast<std::size_t>(n_ranks_), MsgStats{});
   run.launch(
       nullptr, /*priced=*/false,

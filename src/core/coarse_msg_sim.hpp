@@ -116,7 +116,6 @@ private:
   IdxType n_;
   IdxType dim_;
   int n_ranks_;
-  SimConfig cfg_;
 
   std::vector<obs::TrackedBuffer<ValType>> real_parts_;
   std::vector<obs::TrackedBuffer<ValType>> imag_parts_;

@@ -5,10 +5,9 @@
 namespace svsim {
 
 GeneralizedSim::GeneralizedSim(IdxType n_qubits, SimConfig cfg)
-    : Simulator(n_qubits),
+    : Simulator(n_qubits, cfg),
       n_(n_qubits),
-      dim_(obs::admit_dim("generalized", n_qubits, 1, 1, cfg.mem_limit)),
-      cfg_(cfg),
+      dim_(obs::admit_dim("generalized", n_qubits, 1, 1, sw_.mem_limit)),
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       rng_(cfg.seed) {
@@ -103,7 +102,7 @@ void GeneralizedSim::apply_gate(const Gate& g) {
 void GeneralizedSim::run(const Circuit& circuit) {
   static obs::Counter& runs =
       obs::Registry::global().counter("runs.generalized");
-  Run run(*this, circuit, cfg_, runs, Shape{1, false});
+  Run run(*this, circuit, runs, Shape{1, false});
   run.launch(
       nullptr, /*priced=*/false,
       [&] {

@@ -29,6 +29,7 @@
 // through diag_block, each counting its traffic once.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -438,22 +439,21 @@ void diag_block(const Space& sp, const WindowAction<Space>& a, IdxType base,
 
 } // namespace blocked_detail
 
-/// Build the run-ready schedule for one run(): resolve the block exponent
-/// (clamped so a block never straddles a worker partition), window the
-/// circuit, and precompute each blocked window's action list. Cheap —
+/// Build the run-ready schedule for one run(): clamp the resolved block
+/// exponent (RunSwitches::block_exp, 0 = off) so a block never straddles
+/// a worker partition, window the circuit, and precompute each blocked
+/// window's action list. Cheap —
 /// O(gates) plus the (budgeted) phase tables. `checkpoint_every` is the
 /// run's health cadence (0 = off): checkpoints are window barriers, so
 /// the blocked loop checks at exactly the classic per-gate gate ids.
 template <class Space>
 SchedExec<Space> prepare_sched(const Circuit& circuit,
                                const std::vector<DeviceGate<Space>>& dc,
-                               const SimConfig& cfg, IdxType lg_part,
+                               IdxType block_exp, IdxType lg_part,
                                bool per_gate_spans,
                                IdxType checkpoint_every = 0) {
   SchedExec<Space> ex;
-  IdxType b = resolved_block_exponent(cfg);
-  if (b == 0) return ex;
-  if (b > lg_part) b = lg_part;
+  const IdxType b = std::min(block_exp, lg_part);
   if (b < 2) return ex;
   ex.enabled = true;
   ex.block_exp = b;

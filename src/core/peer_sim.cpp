@@ -6,11 +6,10 @@
 namespace svsim {
 
 PeerSim::PeerSim(IdxType n_qubits, int n_devices, SimConfig cfg)
-    : Simulator(n_qubits),
+    : Simulator(n_qubits, cfg),
       n_(n_qubits),
-      dim_(obs::admit_dim("peer", n_qubits, n_devices, 1, cfg.mem_limit)),
-      n_dev_(n_devices),
-      cfg_(cfg) {
+      dim_(obs::admit_dim("peer", n_qubits, n_devices, 1, sw_.mem_limit)),
+      n_dev_(n_devices) {
   SVSIM_CHECK(n_devices >= 1 && is_pow2(n_devices),
               "device count must be a power of two");
   SVSIM_CHECK(dim_ >= n_devices, "more devices than amplitudes");
@@ -50,9 +49,7 @@ PeerSpace PeerSim::make_space(int device, shmem::Barrier* grid) {
   sp.num_workers = n_dev_;
   sp.barrier = grid;
   sp.scratch = scratch_.data();
-  sp.traffic = cfg_.count_traffic
-                   ? &traffic_[static_cast<std::size_t>(device)]
-                   : nullptr;
+  sp.traffic = &traffic_[static_cast<std::size_t>(device)];
   return sp;
 }
 
@@ -64,20 +61,17 @@ void PeerSim::run(const Circuit& circuit) {
   constexpr std::size_t kPerLine = kBufferAlign / sizeof(std::uint64_t);
   dest_stride_ = (n + kPerLine - 1) / kPerLine * kPerLine;
   dest_counts_.allocate(n * dest_stride_);
-  if (cfg_.count_traffic) {
-    for (std::size_t d = 0; d < n; ++d) {
-      traffic_[d].per_dest = dest_counts_.data() + d * dest_stride_;
-    }
+  for (std::size_t d = 0; d < n; ++d) {
+    traffic_[d].per_dest = dest_counts_.data() + d * dest_stride_;
   }
   run_dispatch<PeerSpace>(
-      circuit, cfg_, runs, Shape{n_dev_, true}, KernelTable<PeerSpace>::get(),
+      circuit, runs, Shape{n_dev_, true}, KernelTable<PeerSpace>::get(),
       [&](const auto& body) {
         launch_team(n_dev_, [&](int d) { body(make_space(d, &grid)); });
       },
       [&](obs::RunReport& rep) {
         const PeerTraffic total = traffic();
         rep.comm.add_peer(total.local_access, total.remote_access);
-        if (!cfg_.count_traffic) return;
         // Element accesses -> bytes: every peer access moves one ValType.
         rep.matrix.n = n_dev_;
         rep.matrix.bytes.assign(n * n, 0);

@@ -46,7 +46,6 @@ private:
   IdxType n_;
   IdxType dim_;
   int n_dev_;
-  SimConfig cfg_;
 
   // One partition per device — "SAFE_ALOC_GPU(sv_real_ptr[d], ...)". The
   // base's Partitions pointer arrays are the shared arrays broadcast to

@@ -11,21 +11,6 @@
 
 namespace svsim {
 
-RunSwitches::RunSwitches(const SimConfig& cfg)
-    : profile(cfg.profile || !obs::env_profile_path().empty()) {
-  const int env_roofline = obs::env_roofline();
-  roofline = env_roofline >= 0 ? env_roofline == 1 : cfg.roofline;
-  const int env_waits = obs::env_waitstats();
-  if (env_waits >= 0) {
-    waitstats = env_waits == 1;
-  } else {
-    waitstats = cfg.waitstats < 0 || cfg.waitstats == 1;
-  }
-  if (obs::maybe_start_httpd(cfg.http_port)) {
-    progress = &obs::ProgressBoard::global();
-  }
-}
-
 void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
                   int n_workers, const Circuit& circuit, IdxType batch) {
   rep = obs::RunReport{};
@@ -36,12 +21,12 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
   obs::tally_gates(rep, circuit);
 }
 
-LoopBracket::LoopBracket(obs::RunReport& rep, const RunSwitches& sw,
-                         const Circuit& exec, const Schedule* sched,
-                         bool priced, IdxType batch)
+LoopBracket::LoopBracket(obs::RunReport& rep, bool roofline,
+                         obs::ProgressBoard* progress, const Circuit& exec,
+                         const Schedule* sched, IdxType batch)
     : rep_(rep),
-      progress_(sw.progress),
-      roofline_(sw.roofline && priced),
+      progress_(progress),
+      roofline_(roofline),
       model_(roofline_ ? obs::model_run_batched(exec, sched, batch)
                        : obs::RunModel{}),
       counters_(roofline_) {
@@ -72,8 +57,12 @@ void LoopBracket::end() {
 }
 
 Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
-                    const SimConfig& cfg, obs::Counter& runs, Shape shape)
-    : sim_(sim), circuit_(circuit), shape_(shape), sw_(cfg) {
+                    obs::Counter& runs, Shape shape)
+    : sim_(sim),
+      circuit_(circuit),
+      shape_(shape),
+      progress_(obs::maybe_start_httpd(sim.sw_.http_port,
+                                       sim.sw_.progress)) {
   SVSIM_CHECK(circuit.n_qubits() == sim.n_qubits(),
               "circuit width != simulator width");
   runs.add();
@@ -82,14 +71,15 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
   sim.flight_workers_ = 0;
 
   // Communication-avoiding remap (ir/remap) on partitioned backends, when
-  // the pass resolves on (SimConfig::remap / SVSIM_REMAP / auto multi-PE)
-  // and applies (more than one PE, at least two node-local index bits):
+  // the pass resolves on (RunSwitches::remap_on: auto = multi-PE) and
+  // applies (more than one PE, at least two node-local index bits):
   // hot qubits move below lg_part so gates run PE-local, seeded with the
   // persistent layout; readout is virtually permuted through the
   // per-measure-all layout snapshots instead of physically restored.
   sim.ma_layouts_.clear();
   const IdxType local_bits = sim.parts_.lg_part;
-  if (shape.partitioned && remap_on(cfg, shape.n_workers)) {
+  const RunSwitches& sw = sim.sw_;
+  if (shape.partitioned && sw.remap_on(shape.n_workers)) {
     obs::RemapStats& st = sim.report_.remap;
     st.enabled = true;
     if (shape.n_workers > 1 && local_bits >= 2) {
@@ -108,30 +98,30 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
   sim.mctx_.ma_layouts =
       sim.ma_layouts_.empty() ? nullptr : sim.ma_layouts_.data();
 
-  if (sw_.profile) {
+  if (sw.profile) {
     rec_ = std::make_unique<obs::GateRecorder>(
         shape.n_workers, obs::Trace::global().enabled());
   }
-  const obs::HealthMonitor::Options health = obs::HealthMonitor::options(cfg);
-  if (health.every_n > 0) {
-    health_ = std::make_unique<obs::HealthMonitor>(health);
+  if (sw.health.every_n > 0) {
+    health_ = std::make_unique<obs::HealthMonitor>(sw.health);
   }
-  // The process flight recorder, unless SimConfig::flight or
-  // SVSIM_FLIGHT=0 turned it off.
-  if (cfg.flight && obs::FlightRecorder::global().enabled()) {
+  // The process flight recorder, unless the run's switch or the process
+  // switch turned it off.
+  if (sw.flight && obs::FlightRecorder::global().enabled()) {
     flight_ = &obs::FlightRecorder::global();
     flight_->begin_run(sim.name(), sim.n_qubits(), shape.n_workers);
   }
-  if (shape.partitioned && sw_.waitstats) {
+  if (shape.partitioned && sw.waitstats) {
     waits_ = std::make_unique<obs::WaitRecorder>(shape.n_workers);
   }
-  planes_ = RunPlanes{rec_.get(), health_.get(), flight_, sw_.progress};
+  planes_ = RunPlanes{rec_.get(), health_.get(), flight_, progress_};
 }
 
 // --- Simulator: the state surface shared by every backend ---------------
 
-Simulator::Simulator(IdxType n_qubits)
-    : cbits_(static_cast<std::size_t>(n_qubits), 0) {
+Simulator::Simulator(IdxType n_qubits, const SimConfig& cfg)
+    : cfg_(cfg), sw_(resolve(cfg)),
+      cbits_(static_cast<std::size_t>(n_qubits), 0) {
   mctx_.cbits = cbits_.data();
   mctx_.n_qubits = n_qubits;
 }
@@ -194,6 +184,7 @@ void Simulator::load_state(const StateVector& sv) {
 }
 
 std::vector<IdxType> Simulator::sample(IdxType shots) {
+  SVSIM_CHECK(shots >= 0, "shot count must be >= 0");
   results_.assign(static_cast<std::size_t>(shots), 0);
   mctx_.results = results_.data();
   mctx_.n_shots = shots;

@@ -6,7 +6,8 @@
 // these stages, in this order:
 //
 //   1. start    count the run, reset and stamp the report (gate tally and
-//               hash of the input circuit), resolve the switches;
+//               hash of the input circuit), start the telemetry endpoint
+//               (obs::maybe_start_httpd) and take its progress board;
 //   2. remap    partitioned backends rewrite the circuit so hot qubits
 //               are PE-local (ir/remap) and keep the readout layouts;
 //   3. prepare  dispatch backends upload the circuit against their
@@ -17,11 +18,12 @@
 //   6. fold     profile, wait-state, roofline, health, pending flight
 //               drain, the backend's communication counters, progress.
 //
-// A backend supplies only what differs: its Space and kernel table (or
-// its own gate loop), a worker launcher (inline, a std::thread team,
-// shmem::Runtime::run) and its communication fold. BatchedSim keeps its
-// own plan cache and lane loop but takes stage 1 and the roofline /
-// progress bracket of stages 4-6 from here.
+// Switches come resolved: the base Simulator resolves its SimConfig once,
+// at construction (RunSwitches). A backend supplies only what differs:
+// its Space and kernel table (or its own gate loop), a worker launcher
+// (inline, a std::thread team, shmem::Runtime::run) and its communication
+// fold. BatchedSim keeps its own plan cache and lane loop but takes stage
+// 1 and the roofline / progress bracket of stages 4-6 from here.
 #pragma once
 
 #include <memory>
@@ -39,29 +41,6 @@
 
 namespace svsim {
 
-/// The observability switches of one run, resolved once from SimConfig
-/// and the SVSIM_* environment, each with its documented precedence.
-struct RunSwitches {
-  explicit RunSwitches(const SimConfig& cfg);
-
-  /// SimConfig::profile, or SVSIM_PROFILE set.
-  bool profile = false;
-  /// SVSIM_ROOFLINE wins when set (1 on, 0 force-off, mirroring
-  /// SVSIM_SCHED); otherwise SimConfig::roofline.
-  bool roofline = false;
-  /// SVSIM_WAITSTATS wins when set (1 on, 0 force-off); then
-  /// SimConfig::waitstats; -1 auto means on — the instrumented paths run
-  /// at synchronization frequency, so the spans cost nothing measurable
-  /// (bounded by bench_smoke's obs pair).
-  bool waitstats = false;
-  /// The live progress board, or null when publishing is off. Resolving
-  /// it is also the activation point for the embedded telemetry endpoint:
-  /// the first run with SimConfig::http_port >= 0 or SVSIM_HTTP set
-  /// starts the global httpd (which enables the board); SVSIM_PROGRESS=1
-  /// enables the board without a server.
-  obs::ProgressBoard* progress = nullptr;
-};
-
 /// Stage 1: reset `rep` and stamp it for one run of `circuit` — the input
 /// circuit, so a remapped run keeps its original tally and hash and
 /// ledger keys stay comparable across remap on/off.
@@ -69,19 +48,20 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
                   int n_workers, const Circuit& circuit, IdxType batch = 1);
 
 /// The timed bracket around one gate loop. Construction prices the
-/// executed circuit for the roofline (only for `priced` backends, whose
-/// kernels obs/perfmodel mirrors) and registers the run on the progress
-/// board. start()/stop() enclose the loop: the hardware counters (they
-/// inherit into the worker threads the loop spawns and joins) and the
-/// report's wall time. With the Chrome trace on, each of them also adds
-/// an rss_mb counter point, outside the timed span. fold_roofline() and
-/// end() close the two planes. The loop runs between start() and stop()
-/// in the caller's own frame: the batched lane loop ran measurably slower
-/// wrapped in a lambda.
+/// executed circuit for the roofline (when `roofline` is on: only for
+/// backends whose kernels obs/perfmodel mirrors) and registers the run on
+/// the `progress` board (when non-null). start()/stop() enclose the loop:
+/// the hardware counters (they inherit into the worker threads the loop
+/// spawns and joins) and the report's wall time. With the Chrome trace
+/// on, each of them also adds an rss_mb counter point, outside the timed
+/// span. fold_roofline() and end() close the two planes. The loop runs
+/// between start() and stop() in the caller's own frame: the batched lane
+/// loop ran measurably slower wrapped in a lambda.
 class LoopBracket {
 public:
-  LoopBracket(obs::RunReport& rep, const RunSwitches& sw, const Circuit& exec,
-              const Schedule* sched, bool priced, IdxType batch = 1);
+  LoopBracket(obs::RunReport& rep, bool roofline,
+              obs::ProgressBoard* progress, const Circuit& exec,
+              const Schedule* sched, IdxType batch = 1);
 
   void start() {
     mark_rss();
@@ -135,8 +115,8 @@ void launch_team(int n, Body&& body) {
 /// bracket and every fold of stage 6.
 class Simulator::Run {
 public:
-  Run(Simulator& sim, const Circuit& circuit, const SimConfig& cfg,
-      obs::Counter& runs, Shape shape);
+  Run(Simulator& sim, const Circuit& circuit, obs::Counter& runs,
+      Shape shape);
 
   /// The circuit the workers execute: the remapped one, or the input.
   const Circuit& exec() const { return rm_ ? rm_->circuit : circuit_; }
@@ -154,7 +134,8 @@ public:
   template <class Loop, class Fold>
   void launch(const Schedule* sched, bool priced, Loop&& loop, Fold&& fold) {
     obs::RunReport& rep = sim_.report_;
-    LoopBracket bracket(rep, sw_, exec(), sched, priced);
+    LoopBracket bracket(rep, sim_.sw_.roofline && priced, progress_, exec(),
+                        sched);
     bracket.start();
     loop();
     bracket.stop();
@@ -171,7 +152,7 @@ private:
   Simulator& sim_;
   const Circuit& circuit_;
   const Shape shape_;
-  const RunSwitches sw_;
+  obs::ProgressBoard* const progress_;
   std::unique_ptr<RemapResult> rm_;
   std::unique_ptr<obs::GateRecorder> rec_;
   std::unique_ptr<obs::HealthMonitor> health_;
@@ -184,16 +165,16 @@ private:
 inline void no_comm_fold(obs::RunReport&) {}
 
 template <class Space, class Launch, class Fold>
-void Simulator::run_dispatch(const Circuit& circuit, const SimConfig& cfg,
-                             obs::Counter& runs, Shape shape,
+void Simulator::run_dispatch(const Circuit& circuit, obs::Counter& runs,
+                             Shape shape,
                              const typename KernelTable<Space>::Table& table,
                              Launch&& launch, Fold&& fold) {
-  Run run(*this, circuit, cfg, runs, shape);
+  Run run(*this, circuit, runs, shape);
   const auto device_circuit = upload_circuit<Space>(run.exec(), table);
   // Built once on the calling thread, shared read-only by every worker.
   // b <= lg_part keeps every block inside one worker's partition.
   const auto sched = kernels::prepare_sched<Space>(
-      run.exec(), device_circuit.gates, cfg, parts_.lg_part,
+      run.exec(), device_circuit.gates, sw_.block_exp, parts_.lg_part,
       run.planes().rec != nullptr, run.checkpoint_every());
   if (sched.enabled) {
     fold_sched_stats(report_, sched.sched.stats, sched.active,

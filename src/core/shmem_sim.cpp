@@ -16,11 +16,10 @@ std::size_t default_heap_bytes(IdxType n_qubits, int n_pes) {
 
 ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
                    std::size_t heap_bytes)
-    : Simulator(n_qubits),
+    : Simulator(n_qubits, cfg),
       n_(n_qubits),
-      dim_(obs::admit_dim("shmem", n_qubits, n_pes, 1, cfg.mem_limit)),
+      dim_(obs::admit_dim("shmem", n_qubits, n_pes, 1, sw_.mem_limit)),
       n_pes_(n_pes),
-      cfg_(cfg),
       runtime_(n_pes, heap_bytes != 0 ? heap_bytes
                                       : default_heap_bytes(n_qubits, n_pes)) {
   SVSIM_CHECK(dim_ >= n_pes, "more PEs than amplitudes");
@@ -72,7 +71,7 @@ void ShmemSim::reset_state() {
 void ShmemSim::run(const Circuit& circuit) {
   static obs::Counter& runs = obs::Registry::global().counter("runs.shmem");
   run_dispatch<ShmemSpace>(
-      circuit, cfg_, runs, Shape{n_pes_, true},
+      circuit, runs, Shape{n_pes_, true},
       KernelTable<ShmemSpace>::get(),
       [&](const auto& body) {
         runtime_.run([&](shmem::Ctx& ctx) {

@@ -51,7 +51,6 @@ private:
   IdxType n_;
   IdxType dim_;
   int n_pes_;
-  SimConfig cfg_;
 
   // The base's Partitions point into the symmetric allocation (valid for
   // the lifetime of the runtime arenas; allocated once in the

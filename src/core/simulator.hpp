@@ -100,7 +100,9 @@ public:
   const obs::RunReport& last_report() const;
 
 protected:
-  explicit Simulator(IdxType n_qubits);
+  /// Resolves `cfg` (a malformed SVSIM_* variable throws) before any
+  /// derived member, so the admission check sees the resolved limit.
+  Simulator(IdxType n_qubits, const SimConfig& cfg);
 
   /// Where the amplitudes live: 2^lg_part-amplitude partitions in natural
   /// index order, partition p holding amplitudes [p·2^lg_part,
@@ -134,11 +136,14 @@ protected:
   /// `launch(body)` calls body(space) once on every worker with that
   /// worker's Space, and `fold(report)` adds its communication counters.
   template <class Space, class Launch, class Fold>
-  void run_dispatch(const Circuit& circuit, const SimConfig& cfg,
-                    obs::Counter& runs, Shape shape,
+  void run_dispatch(const Circuit& circuit, obs::Counter& runs, Shape shape,
                     const typename KernelTable<Space>::Table& table,
                     Launch&& launch, Fold&& fold);
 
+  /// The engine's configuration, and its switches resolved once from it
+  /// and the environment (common/config.hpp).
+  const SimConfig cfg_;
+  const RunSwitches sw_;
   Partitions parts_;
   std::vector<IdxType> cbits_;
   /// Measure-all shot outcomes of the current sample() call.

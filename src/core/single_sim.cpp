@@ -14,10 +14,9 @@ const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level) {
 }
 
 SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
-    : Simulator(n_qubits),
+    : Simulator(n_qubits, cfg),
       n_(n_qubits),
-      dim_(obs::admit_dim("single", n_qubits, 1, 1, cfg.mem_limit)),
-      cfg_(cfg),
+      dim_(obs::admit_dim("single", n_qubits, 1, 1, sw_.mem_limit)),
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       rng_(cfg.seed),
@@ -48,7 +47,7 @@ void SingleSim::run(const Circuit& circuit) {
   // One worker owns the whole register: blocks may span all n bits.
   const LocalSpace sp = make_space();
   run_dispatch<LocalSpace>(
-      circuit, cfg_, runs, Shape{1, false}, *table_,
+      circuit, runs, Shape{1, false}, *table_,
       [&](const auto& body) { body(sp); }, no_comm_fold);
 }
 

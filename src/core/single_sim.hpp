@@ -43,7 +43,6 @@ private:
 
   IdxType n_;
   IdxType dim_;
-  SimConfig cfg_;
   obs::TrackedBuffer<ValType> real_;
   obs::TrackedBuffer<ValType> imag_;
   Rng rng_;

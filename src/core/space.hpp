@@ -119,10 +119,10 @@ concept PartitionedSpace =
     };
 
 /// Per-device communication counters for the peer tier (local vs
-/// remote-partition element accesses through the pointer array). When
-/// `per_dest` points at an n_workers-sized array, every access is also
-/// attributed to the partition it touched — the raw data for the run
-/// report's PE×PE traffic matrix. Element accesses and whole ranges bump
+/// remote-partition element accesses through the pointer array).
+/// `per_dest`, an n_workers-sized array, also attributes every access to
+/// the partition it touched — the raw data for the run report's PE×PE
+/// traffic matrix. Element accesses and whole ranges bump
 /// these from every device's gate loop, so each device's counters own a
 /// whole cache line: packed, the workers would false-share them.
 struct alignas(64) PeerTraffic {
@@ -143,17 +143,16 @@ struct PeerSpace : PartitionBases { // the shared pointer array
   int num_workers = 1;
   shmem::Barrier* barrier = nullptr;  // device "grid.sync()"
   ValType* scratch = nullptr;         // n_workers slots for reductions
-  PeerTraffic* traffic = nullptr;     // this worker's counters (optional)
+  PeerTraffic* traffic = nullptr;     // this worker's counters
 
   /// `n` element accesses to partition `dest`.
   void count(int dest, std::uint64_t n) const {
-    if (traffic == nullptr) return;
     if (dest == worker_id) {
       traffic->local_access += n;
     } else {
       traffic->remote_access += n;
     }
-    if (traffic->per_dest != nullptr) traffic->per_dest[dest] += n;
+    traffic->per_dest[dest] += n;
   }
   void count_touched(int partition, std::uint64_t amps) const {
     count(partition, 4 * amps);

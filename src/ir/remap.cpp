@@ -1,7 +1,6 @@
 #include "ir/remap.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/bits.hpp"
@@ -191,17 +190,6 @@ void restore_layout(Circuit& c, std::vector<IdxType> layout) {
     inverse[static_cast<std::size_t>(p)] = displaced;
     inverse[static_cast<std::size_t>(q)] = q;
   }
-}
-
-bool remap_on(const SimConfig& cfg, int n_workers) {
-  if (cfg.remap >= 0) return cfg.remap != 0;
-  static const int env = [] {
-    const char* s = std::getenv("SVSIM_REMAP");
-    if (s == nullptr || *s == '\0') return -1;
-    return std::atoi(s) != 0 ? 1 : 0;
-  }();
-  if (env >= 0) return env != 0;
-  return n_workers > 1;
 }
 
 } // namespace svsim

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/config.hpp"
 #include "ir/circuit.hpp"
 
 namespace svsim {
@@ -64,11 +63,5 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
 /// Append swaps to `c` that return `layout` to the identity permutation
 /// (so the final state matches the unremapped circuit exactly).
 void restore_layout(Circuit& c, std::vector<IdxType> layout);
-
-/// Resolve whether remapping is enabled for a run: SimConfig::remap wins
-/// when set explicitly (>= 0); SVSIM_REMAP=<0|1> is consulted when the
-/// config is left at auto (-1); otherwise auto = on iff the backend is
-/// partitioned across more than one PE.
-bool remap_on(const SimConfig& cfg, int n_workers);
 
 } // namespace svsim

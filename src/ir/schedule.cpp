@@ -1,12 +1,6 @@
 #include "ir/schedule.hpp"
 
-#include <cstdlib>
-
 #include "common/bits.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace svsim {
 
@@ -106,36 +100,6 @@ Schedule build_schedule(const Circuit& circuit, IdxType block_exp,
   }
   flush(true);
   return sched;
-}
-
-IdxType default_block_exponent() {
-  long l2 = 0;
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-  l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
-#endif
-  if (l2 <= 0) return 14;
-  // 2^b amplitudes cost 16 bytes each (8-byte real + imag); target half
-  // the L2 so the window's working set survives the gate loop.
-  IdxType b = 8;
-  while (b < 20 && (pow2(b + 1) * 16) <= static_cast<IdxType>(l2) / 2) ++b;
-  return b;
-}
-
-int env_sched() {
-  static const int value = [] {
-    const char* s = std::getenv("SVSIM_SCHED");
-    if (s == nullptr || *s == '\0') return -1;
-    return std::atoi(s);
-  }();
-  return value;
-}
-
-IdxType resolved_block_exponent(const SimConfig& cfg) {
-  int v = cfg.sched_window;
-  if (v < 0) v = env_sched();              // config unset: env decides
-  if (v < 0 || v == 1) v = static_cast<int>(default_block_exponent());
-  if (v == 0) return 0;
-  return v < 2 ? 2 : static_cast<IdxType>(v);
 }
 
 } // namespace svsim

@@ -27,7 +27,6 @@
 
 #include <vector>
 
-#include "common/config.hpp"
 #include "ir/circuit.hpp"
 
 namespace svsim {
@@ -74,19 +73,5 @@ struct Schedule {
 /// the classic per-gate loop.
 Schedule build_schedule(const Circuit& circuit, IdxType block_exp,
                         IdxType checkpoint_every = 0);
-
-/// Block exponent sized so one block's amplitudes (2^b × 16 bytes across
-/// the real+imag arrays) fill about half the L2 cache, clamped to
-/// [8, 20]. Falls back to 14 when the cache size cannot be queried.
-IdxType default_block_exponent();
-
-/// SVSIM_SCHED from the environment: -1 unset, 0 off, 1 auto (L2-sized),
-/// n >= 2 explicit block exponent. Read once.
-int env_sched();
-
-/// Resolve SimConfig::sched_window against SVSIM_SCHED (config wins where
-/// explicitly set, mirroring the health-monitor precedence) into the
-/// effective block exponent: 0 = scheduling off, else b >= 2.
-IdxType resolved_block_exponent(const SimConfig& cfg);
 
 } // namespace svsim

@@ -1,6 +1,6 @@
 #include "machine/platforms.hpp"
 
-#include <cstdlib>
+#include "common/config.hpp"
 
 namespace svsim::machine {
 
@@ -8,14 +8,7 @@ double host_peak_gbps(int workers) {
   // SVSIM_PEAK_GBPS, when set, is a *measured machine total* (e.g. a
   // STREAM triad number for the whole socket) and is used as-is; the
   // worker count only matters for the modeled fallback.
-  static const double env_peak = [] {
-    const char* v = std::getenv("SVSIM_PEAK_GBPS");
-    if (v == nullptr || *v == '\0') return 0.0;
-    char* end = nullptr;
-    const double g = std::strtod(v, &end);
-    return (end != v && g > 0.0) ? g : 0.0;
-  }();
-  if (env_peak > 0.0) return env_peak;
+  if (const auto& peak = Env::process().peak_gbps) return *peak;
   return stream_peak_gbps(amd_epyc_7742(), workers);
 }
 

@@ -1,14 +1,11 @@
-// Footprint pricing per backend + the SVSIM_MEM_LIMIT admission check.
+// Footprint pricing per backend + the memory-limit admission check.
 #include "obs/capacity.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/bits.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "obs/memtrack.hpp"
@@ -42,67 +39,8 @@ std::string human_bytes_local(std::uint64_t b) {
 
 } // namespace
 
-std::uint64_t mem_available_bytes() {
-  std::ifstream in("/proc/meminfo");
-  if (!in) return 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("MemAvailable:", 0) == 0) {
-      const unsigned long long kb =
-          std::strtoull(line.c_str() + std::strlen("MemAvailable:"), nullptr,
-                        10);
-      return static_cast<std::uint64_t>(kb) * 1024;
-    }
-  }
-  return 0;
-}
-
-bool parse_mem_limit(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  if (text == "auto") {
-    *out = mem_available_bytes();
-    return *out != 0;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) return false;
-  std::uint64_t mult = 1;
-  if (*end != '\0') {
-    switch (std::toupper(static_cast<unsigned char>(*end))) {
-      case 'K': mult = 1ull << 10; break;
-      case 'M': mult = 1ull << 20; break;
-      case 'G': mult = 1ull << 30; break;
-      case 'T': mult = 1ull << 40; break;
-      default: return false;
-    }
-    // Allow a trailing B/iB ("16GiB"); anything else is garbage.
-    const char* rest = end + 1;
-    if (*rest != '\0' && std::strcmp(rest, "B") != 0 &&
-        std::strcmp(rest, "iB") != 0) {
-      return false;
-    }
-  }
-  *out = static_cast<std::uint64_t>(v) * mult;
-  return true;
-}
-
-std::uint64_t env_mem_limit() {
-  static const std::uint64_t v = [] {
-    const char* e = std::getenv("SVSIM_MEM_LIMIT");
-    if (e == nullptr || *e == '\0') return std::uint64_t{0};
-    std::uint64_t bytes = 0;
-    if (!parse_mem_limit(e, &bytes)) {
-      std::fprintf(stderr,
-                   "svsim: ignoring unparseable SVSIM_MEM_LIMIT=\"%s\"\n", e);
-      return std::uint64_t{0};
-    }
-    return bytes;
-  }();
-  return v;
-}
-
 FootprintEstimate estimate_footprint(const FootprintQuery& q,
-                                     std::uint64_t config_limit) {
+                                     std::uint64_t limit) {
   FootprintEstimate est;
   const std::uint64_t dim = q.n_qubits > 0
                                 ? static_cast<std::uint64_t>(pow2(q.n_qubits))
@@ -154,13 +92,7 @@ FootprintEstimate estimate_footprint(const FootprintQuery& q,
     est.total_bytes += c.bytes;
   }
   est.avail_bytes = mem_available_bytes();
-  if (config_limit != 0) {
-    est.limit_bytes = config_limit;
-    est.limit_source = "config";
-  } else if (env_mem_limit() != 0) {
-    est.limit_bytes = env_mem_limit();
-    est.limit_source = "env";
-  }
+  est.limit_bytes = limit;
   if (est.limit_bytes != 0) {
     est.fits = est.total_bytes <= est.limit_bytes;
   } else if (est.avail_bytes != 0) {
@@ -185,8 +117,7 @@ std::string FootprintEstimate::table() const {
                 human_bytes_local(total_bytes).c_str());
   os << line;
   if (limit_bytes != 0) {
-    std::snprintf(line, sizeof(line), "  limit (%s): %s\n",
-                  limit_source.c_str(),
+    std::snprintf(line, sizeof(line), "  limit: %s\n",
                   human_bytes_local(limit_bytes).c_str());
     os << line;
   }
@@ -199,37 +130,28 @@ std::string FootprintEstimate::table() const {
   return os.str();
 }
 
-void enforce_mem_limit(const FootprintQuery& q, std::uint64_t config_limit) {
+IdxType admit_dim(const char* backend, IdxType n_qubits, int workers,
+                  IdxType batch, std::uint64_t limit) {
   // The RSS baseline must predate the allocations this check gates.
   MemRegistry::global().ensure_baseline();
-  const std::uint64_t limit =
-      config_limit != 0 ? config_limit : env_mem_limit();
-  if (limit == 0) return;
-  const FootprintEstimate est = estimate_footprint(q, config_limit);
-  if (est.total_bytes <= limit) return;
-  char msg[256];
-  std::snprintf(msg, sizeof(msg),
-                "%s backend needs ~%s for n=%lld (W=%d, B=%lld), over the "
-                "%s memory limit of %s — refusing to allocate "
-                "(SVSIM_MEM_LIMIT / SimConfig::mem_limit)",
-                q.backend.c_str(),
-                human_bytes_local(est.total_bytes).c_str(),
-                static_cast<long long>(q.n_qubits), q.workers,
-                static_cast<long long>(q.batch),
-                est.limit_source.c_str(),
-                human_bytes_local(limit).c_str());
-  throw Error(msg);
-}
-
-IdxType admit_dim(const char* backend, IdxType n_qubits, int workers,
-                  IdxType batch, std::uint64_t config_limit) {
+  if (limit == 0) return pow2(n_qubits);
   FootprintQuery q;
   q.backend = backend;
   q.n_qubits = n_qubits;
   q.workers = workers;
   q.batch = batch;
-  enforce_mem_limit(q, config_limit);
-  return pow2(n_qubits);
+  const FootprintEstimate est = estimate_footprint(q, limit);
+  if (est.total_bytes <= limit) return pow2(n_qubits);
+  char msg[256];
+  std::snprintf(msg, sizeof(msg),
+                "%s backend needs ~%s for n=%lld (W=%d, B=%lld), over the "
+                "memory limit of %s — refusing to allocate "
+                "(SVSIM_MEM_LIMIT / SimConfig::mem_limit)",
+                backend, human_bytes_local(est.total_bytes).c_str(),
+                static_cast<long long>(n_qubits), workers,
+                static_cast<long long>(batch),
+                human_bytes_local(limit).c_str());
+  throw Error(msg);
 }
 
 } // namespace svsim::obs

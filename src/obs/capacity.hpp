@@ -10,11 +10,10 @@
 // MemRegistry-measured peak for the single/peer/shmem/batched backends.
 //
 // Admission control: `qasm_runner --estimate` prints the component table
-// and exits 4 when the job would not fit; SVSIM_MEM_LIMIT (bytes, a
-// "16G"-style suffixed size, or `auto` = MemAvailable at startup) makes
+// and exits 4 when the job would not fit; a resolved memory limit
+// (RunSwitches::mem_limit: SimConfig::mem_limit or SVSIM_MEM_LIMIT) makes
 // every backend constructor fail fast with a clear message instead of
-// OOM-killing mid-circuit — the one-line call ROADMAP item 1's
-// multi-tenant admission needs.
+// OOM-killing mid-circuit.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@ struct FootprintEstimate {
   std::uint64_t total_bytes = 0;
   std::uint64_t avail_bytes = 0; // MemAvailable at estimate time (0 unknown)
   std::uint64_t limit_bytes = 0; // resolved limit (0 = none configured)
-  std::string limit_source;      // "config" | "env" | "" (none)
   bool fits = true; // vs the limit when set, else vs MemAvailable
 
   /// Human component table + fit verdict for `qasm_runner --estimate`.
@@ -53,31 +51,17 @@ struct FootprintEstimate {
 };
 
 /// Price `q`'s resident footprint and render the fit verdict against
-/// `config_limit` (SimConfig::mem_limit; 0 falls back to SVSIM_MEM_LIMIT,
-/// then to the host's MemAvailable for the verdict only).
+/// `limit` (the resolved RunSwitches::mem_limit; 0 = none, and the
+/// verdict falls back to the host's MemAvailable).
 FootprintEstimate estimate_footprint(const FootprintQuery& q,
-                                     std::uint64_t config_limit = 0);
+                                     std::uint64_t limit = 0);
 
-/// MemAvailable from /proc/meminfo, 0 where unreadable.
-std::uint64_t mem_available_bytes();
-
-/// Parse a byte size: plain digits, a K/M/G/T-suffixed size ("16G"), or
-/// "auto" (MemAvailable). False on garbage.
-bool parse_mem_limit(const std::string& text, std::uint64_t* out);
-
-/// SVSIM_MEM_LIMIT resolved to bytes (0 = unset/garbage). Read once.
-std::uint64_t env_mem_limit();
-
-/// Fail-fast admission check every backend constructor runs before its
-/// first allocation: throws svsim::Error when a limit is configured
-/// (SimConfig::mem_limit or SVSIM_MEM_LIMIT) and `q` would exceed it.
-/// Also captures the pre-allocation RSS baseline for the memory report.
-void enforce_mem_limit(const FootprintQuery& q, std::uint64_t config_limit);
-
-/// enforce_mem_limit() packaged for a constructor init list: runs the
-/// admission check for (backend, n, W, B) and returns 2^n, so the check
-/// is sequenced before the state allocation it gates.
+/// Fail-fast admission check every backend constructor runs from its
+/// init list, before the state allocation it gates: throws svsim::Error
+/// when `limit` is set (non-zero) and (backend, n, W, B) would exceed it,
+/// else returns 2^n. Also captures the pre-allocation RSS baseline for
+/// the memory report.
 IdxType admit_dim(const char* backend, IdxType n_qubits, int workers,
-                  IdxType batch, std::uint64_t config_limit);
+                  IdxType batch, std::uint64_t limit);
 
 } // namespace svsim::obs

@@ -35,19 +35,9 @@ std::vector<FlightEvent> FlightRing::snapshot() const {
   return out;
 }
 
-FlightRecorder::FlightRecorder() : enabled_(env_enabled()) {}
-
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder fr;
   return fr;
-}
-
-bool FlightRecorder::env_enabled() {
-  static const bool on = [] {
-    const char* e = std::getenv("SVSIM_FLIGHT");
-    return e == nullptr || std::strcmp(e, "0") != 0;
-  }();
-  return on;
 }
 
 void FlightRecorder::begin_run(const char* backend, IdxType n_qubits,

@@ -74,9 +74,8 @@ public:
 
   static FlightRecorder& global();
 
-  /// Honors SVSIM_FLIGHT ("0" disables; default on). Read once.
-  static bool env_enabled();
-
+  /// Process-wide runtime switch (default on). A run records only when
+  /// this and its resolved RunSwitches::flight are both on.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
@@ -109,7 +108,7 @@ public:
   static void install_crash_handlers();
 
 private:
-  FlightRecorder();
+  FlightRecorder() = default;
 
   // POD snapshot of the in-flight run for the crash header.
   struct ActiveRun {
@@ -118,7 +117,7 @@ private:
     int n_workers = 0;
   };
 
-  std::atomic<bool> enabled_;
+  std::atomic<bool> enabled_{true};
   ActiveRun active_;
   FlightRing rings_[kMaxWorkers];
 };

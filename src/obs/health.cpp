@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cfloat>
 #include <cmath>
-#include <cstdlib>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -153,36 +152,6 @@ void scan_amplitudes(const ValType* re, const ValType* im, IdxType count,
   scan_array(im, count, &sq, &bad);
   *norm2 = sq;
   *non_finite = bad;
-}
-
-int env_health_every() {
-  static const int every = [] {
-    const char* e = std::getenv("SVSIM_HEALTH");
-    if (e == nullptr || *e == '\0') return 0;
-    const int n = std::atoi(e);
-    return n > 0 ? n : 0;
-  }();
-  return every;
-}
-
-double env_health_abort() {
-  static const double drift = [] {
-    const char* e = std::getenv("SVSIM_HEALTH_ABORT");
-    if (e == nullptr || *e == '\0') return 0.0;
-    const double d = std::atof(e);
-    return d > 0 ? d : 0.0;
-  }();
-  return drift;
-}
-
-HealthMonitor::Options HealthMonitor::options(const SimConfig& cfg) {
-  Options o;
-  o.every_n = cfg.health_every_n > 0 ? cfg.health_every_n : env_health_every();
-  o.warn_drift = cfg.health_warn_drift;
-  const double env_abort = env_health_abort();
-  o.abort_drift = cfg.health_abort_drift > 0 ? cfg.health_abort_drift : env_abort;
-  o.abort_on_nan = cfg.health_abort_on_nan || env_abort > 0;
-  return o;
 }
 
 void HealthMonitor::observe(std::uint64_t gate_hi, double norm2,

@@ -19,10 +19,9 @@
 // the run with HealthStats::aborted — the run's report survives, the
 // state vector is left as-is for forensics.
 //
-// Activation: SimConfig::health_every_n, or the SVSIM_HEALTH=<n>
-// environment variable (checkpoint every n gates; SVSIM_HEALTH=1 checks
-// after every gate). SVSIM_HEALTH_ABORT=<drift> sets the abort
-// threshold and turns on abort-on-NaN.
+// Activation: HealthOptions, resolved from SimConfig::health_* and
+// SVSIM_HEALTH / SVSIM_HEALTH_ABORT (common/config.hpp): a checkpoint
+// every n gates; an abort drift also turns on abort-on-NaN.
 #pragma once
 
 #include <cstdint>
@@ -71,26 +70,9 @@ void health_mirror_begin();
 /// from HealthMonitor::observe (worker 0 only — single writer).
 void health_mirror_publish(const HealthStats& stats);
 
-/// Checkpoint cadence from SVSIM_HEALTH (0 = unset/off). Read once.
-int env_health_every();
-
-/// Abort drift threshold from SVSIM_HEALTH_ABORT (0 = unset). Read once.
-double env_health_abort();
-
 class HealthMonitor {
 public:
-  struct Options {
-    int every_n = 0;           // <= 0: monitoring off
-    double warn_drift = 1e-6;  // |‖ψ‖²−1| above this logs WARN + counts
-    double abort_drift = 0;    // 0 = never abort on drift
-    bool abort_on_nan = false; // abort as soon as a non-finite amp appears
-  };
-
-  /// Merge SimConfig fields with the SVSIM_HEALTH / SVSIM_HEALTH_ABORT
-  /// environment (config wins where it is explicitly set).
-  static Options options(const SimConfig& cfg);
-
-  explicit HealthMonitor(Options opt) : opt_(opt) {
+  explicit HealthMonitor(HealthOptions opt) : opt_(opt) {
     stats_.enabled = true;
     stats_.every_n = opt.every_n;
     health_mirror_begin();
@@ -114,7 +96,7 @@ public:
   void finish(RunReport& report) { report.health = stats_; }
 
 private:
-  Options opt_;
+  HealthOptions opt_;
   HealthStats stats_;
   std::uint64_t prev_gate_ = 0; // gate index of the previous checkpoint
 };

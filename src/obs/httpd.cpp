@@ -271,19 +271,19 @@ void Httpd::serve_loop() {
   }
 }
 
-bool maybe_start_httpd(int cfg_port) {
-  const int port = cfg_port >= 0 ? cfg_port : env_http_port();
+ProgressBoard* maybe_start_httpd(int port, bool progress) {
+  ProgressBoard& board = ProgressBoard::global();
   if (port >= 0) {
     Httpd::global().start(port);
-  } else if (env_progress()) {
-    ProgressBoard::global().set_enabled(true);
+  } else if (progress) {
+    board.set_enabled(true);
   }
-  const bool on = ProgressBoard::global().enabled();
+  if (!board.enabled()) return nullptr;
   // A live-monitored run should also die gracefully: the Ctrl-C flush is
   // what turns a killed multi-hour run into a partial report instead of
   // nothing.
-  if (on) install_shutdown_handlers();
-  return on;
+  install_shutdown_handlers();
+  return &board;
 }
 
 bool http_get(const std::string& host, int port, const std::string& path,

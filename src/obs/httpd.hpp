@@ -18,9 +18,9 @@
 // Responses are Connection: close. All handlers read lock-free snapshots
 // or take only cold-path mutexes; the gate loops never block on a scrape.
 //
-// Activation: SVSIM_HTTP=<port> (0 = ephemeral) on any binary, the
-// SimConfig::http_port field, or qasm_runner --serve. Starting the server
-// also enables the ProgressBoard publishers.
+// Activation: a resolved RunSwitches::http_port (SimConfig::http_port or
+// SVSIM_HTTP=<port>, 0 = ephemeral) on any binary, or qasm_runner
+// --serve. Starting the server also enables the ProgressBoard publishers.
 #pragma once
 
 #include <atomic>
@@ -60,12 +60,14 @@ private:
   std::thread thread_;
 };
 
-/// Resolve the effective telemetry port (SimConfig::http_port when >= 0,
-/// else SVSIM_HTTP) and start the global server once. Also honors
-/// SVSIM_PROGRESS=1 (publishers on, no server). Called per run by the
-/// backends; cheap after the first call. Returns true when progress
-/// publishing should be on.
-bool maybe_start_httpd(int cfg_port);
+class ProgressBoard;
+
+/// Start the global server on `port` once (-1 = none); with no port,
+/// `progress` turns the publishers on without a server. Takes the
+/// resolved RunSwitches::http_port / progress; called per run by the
+/// backends, cheap after the first call. Returns the live progress board,
+/// or null when publishing is off.
+ProgressBoard* maybe_start_httpd(int port, bool progress);
 
 /// Minimal blocking HTTP/1.1 GET for loopback polling (svsim_top, tests,
 /// the bench idle poller). Returns false on connect/transport failure;

@@ -19,6 +19,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/config.hpp"
 #include "obs/capacity.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/registry.hpp"
@@ -72,21 +73,13 @@ const char* mem_tag_name(MemTag tag) {
   return "other";
 }
 
-int env_memtrack() {
-  static const int v = [] {
-    const char* e = std::getenv("SVSIM_MEMTRACK");
-    if (e == nullptr || *e == '\0') return 1;
-    return std::atoi(e) != 0 ? 1 : 0;
-  }();
-  return v;
-}
-
 MemRegistry& MemRegistry::global() {
   static MemRegistry reg;
   return reg;
 }
 
-MemRegistry::MemRegistry() : enabled_(env_memtrack() != 0) {
+MemRegistry::MemRegistry()
+    : enabled_(Env::process().memtrack.value_or(true)) {
   // Accounting also runs during static destruction: a static
   // TrackedBuffer is untracked there and a static's destructor may take a
   // sample, and both write Registry gauges. Statics are destroyed in

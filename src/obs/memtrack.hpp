@@ -62,10 +62,6 @@ inline constexpr int kNumMemTags = 8;
 /// Static display name ("state", "shmem_heap", ...).
 const char* mem_tag_name(MemTag tag);
 
-/// SVSIM_MEMTRACK from the environment: 0 disables the registry.
-/// Read once per process; 1 (on) when unset.
-int env_memtrack();
-
 /// Point-in-time view of everything the registry knows. All byte counts
 /// are the 64-byte-rounded sizes the allocator actually reserved.
 struct MemorySnapshot {
@@ -130,7 +126,7 @@ public:
   void adjust(MemTag tag, std::int64_t delta, int pe = -1);
 
   /// Capture the pre-allocation VmRSS baseline. First call wins; every
-  /// backend calls this (via enforce_mem_limit / TrackedBuffer) before
+  /// backend calls this (via admit_dim / TrackedBuffer) before
   /// its first big allocation touches pages.
   void ensure_baseline();
 

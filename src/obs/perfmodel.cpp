@@ -1,7 +1,6 @@
 #include "obs/perfmodel.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/bits.hpp"
 #include "obs/trace.hpp"
@@ -193,15 +192,6 @@ RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
     m.by_op[static_cast<std::size_t>(g.op)].bytes += table_bytes;
   }
   return m;
-}
-
-int env_roofline() {
-  static const int v = [] {
-    const char* e = std::getenv("SVSIM_ROOFLINE");
-    if (e == nullptr || *e == '\0') return -1;
-    return std::atoi(e) != 0 ? 1 : 0;
-  }();
-  return v;
 }
 
 void fold_roofline(RunReport& report, const RunModel& model,

@@ -87,9 +87,6 @@ RunModel model_run(const Circuit& circuit, const Schedule* schedule = nullptr);
 RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
                            IdxType batch);
 
-/// SVSIM_ROOFLINE from the environment: -1 unset, 0 off, 1 on. Read once.
-int env_roofline();
-
 /// Join model + counters + machine peak into `report.roofline`, compute
 /// the worst-attainment op kinds (needs per-op profiled seconds), and —
 /// when tracing is active — emit "model GB/s" / "LLC GB/s" counter-track

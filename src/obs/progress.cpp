@@ -272,22 +272,4 @@ int ProgressBoard::render_json_signal_safe(char* buf, std::size_t len) const {
   return n < static_cast<int>(len) ? n : static_cast<int>(len) - 1;
 }
 
-int env_http_port() {
-  static const int port = [] {
-    const char* e = std::getenv("SVSIM_HTTP");
-    if (e == nullptr || *e == '\0') return -1;
-    const int p = std::atoi(e);
-    return p >= 0 && p <= 65535 ? p : -1;
-  }();
-  return port;
-}
-
-bool env_progress() {
-  static const bool on = [] {
-    const char* e = std::getenv("SVSIM_PROGRESS");
-    return e != nullptr && std::atoi(e) != 0;
-  }();
-  return on;
-}
-
 } // namespace svsim::obs

@@ -219,12 +219,4 @@ private:
   ProgressSlot slots_[kMaxPes];
 };
 
-/// SVSIM_HTTP from the environment: -1 unset, else a port (0 = ephemeral).
-/// Read once.
-int env_http_port();
-
-/// SVSIM_PROGRESS=1 enables progress publishing without a server. Read
-/// once.
-bool env_progress();
-
 } // namespace svsim::obs

@@ -2,20 +2,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/config.hpp"
 #include "obs/registry.hpp"
 #include "obs/waitstate.hpp"
 
 namespace svsim::obs {
-
-const std::string& env_profile_path() {
-  static const std::string path = [] {
-    const char* p = std::getenv("SVSIM_PROFILE");
-    return std::string(p != nullptr ? p : "");
-  }();
-  return path;
-}
 
 double trace_now_us() {
   // Shares the wait-state epoch so gate spans and wait spans land on one
@@ -23,6 +15,8 @@ double trace_now_us() {
   // this library).
   return wait_now_us();
 }
+
+Trace::Trace() : path_(Env::process().profile.value_or("")) {}
 
 Trace& Trace::global() {
   static Trace t;
@@ -34,15 +28,10 @@ bool Trace::enabled() const { return !path().empty(); }
 void Trace::set_path(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   path_ = path;
-  path_init_ = true;
 }
 
 std::string Trace::path() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!path_init_) {
-    path_ = env_profile_path();
-    path_init_ = true;
-  }
   return path_;
 }
 

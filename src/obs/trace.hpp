@@ -10,8 +10,8 @@
 // scale-out run shows per-PE gate timelines side by side — the per-gate /
 // per-communication-phase attribution the paper's evaluation is built on.
 //
-// Activation: the output path comes from the SVSIM_PROFILE environment
-// variable (read once at first use) or an explicit set_path() call.
+// Activation: the output path starts as SVSIM_PROFILE's (Env::profile)
+// and changes with an explicit set_path() call.
 // Timestamps are microseconds on a steady clock shared by every backend
 // in the process, so successive run() calls lay out sequentially.
 #pragma once
@@ -36,9 +36,6 @@ struct TraceEvent {
   double dur_us = 0;
   std::string args;
 };
-
-/// Path from $SVSIM_PROFILE, or "" if unset. Read once per process.
-const std::string& env_profile_path();
 
 /// Microseconds since the process trace epoch (steady clock).
 double trace_now_us();
@@ -99,10 +96,9 @@ private:
   int pid_locked(const std::string& process);
   void write_locked();
 
+  Trace();
   mutable std::mutex mu_;
-  // Lazily seeded from $SVSIM_PROFILE on first path() query (const).
-  mutable std::string path_;
-  mutable bool path_init_ = false;
+  std::string path_;
   std::map<std::string, int> pids_;
   std::set<std::pair<int, int>> threads_;
   // Auxiliary named tracks: (pid, track name) -> tid (>= kNamedTidBase).

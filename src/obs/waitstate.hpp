@@ -30,7 +30,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "obs/progress.hpp" // inline slot hook only; no obs-library linkage
@@ -204,15 +203,5 @@ public:
 private:
   WaitTrack* track_ = nullptr;
 };
-
-/// SVSIM_WAITSTATS: -1 unset, 0 force-off, 1 force-on. Read once.
-inline int env_waitstats() {
-  static const int v = [] {
-    const char* e = std::getenv("SVSIM_WAITSTATS");
-    if (e == nullptr || *e == '\0') return -1;
-    return std::atoi(e) != 0 ? 1 : 0;
-  }();
-  return v;
-}
 
 } // namespace svsim::obs

@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
   }
 
   // Bring the endpoint up first so the whole run is observable.
-  CHECK(obs::maybe_start_httpd(0), "telemetry endpoint failed to start");
+  CHECK(obs::maybe_start_httpd(0, false),
+        "telemetry endpoint failed to start");
   CHECK(obs::Httpd::global().running(), "server not running");
   const int port = obs::Httpd::global().port();
   CHECK(port > 0, "no bound port");

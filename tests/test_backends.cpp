@@ -54,24 +54,30 @@ TEST_P(BackendEquivalenceTest, AllBackendsAgreeOnRandomCircuits) {
   ref.run(c);
   const StateVector truth = ref.state();
   EXPECT_NEAR(truth.norm(), 1.0, 1e-9);
+  // A negative shot count is an error on every backend, not a crash.
+  EXPECT_THROW(ref.sample(-1), Error);
 
   for (const int k : {2, 4, 8}) {
     PeerSim peer(n, k);
     peer.run(c);
     EXPECT_LT(peer.state().max_diff(truth), 1e-11) << "peer x" << k;
+    EXPECT_THROW(peer.sample(-1), Error) << "peer x" << k;
 
     ShmemSim shm(n, k);
     shm.run(c);
     EXPECT_LT(shm.state().max_diff(truth), 1e-11) << "shmem x" << k;
+    EXPECT_THROW(shm.sample(-1), Error) << "shmem x" << k;
   }
   for (const int k : {2, 4}) {
     CoarseMsgSim msg(n, k);
     msg.run(c);
     EXPECT_LT(msg.state().max_diff(truth), 1e-11) << "coarse x" << k;
+    EXPECT_THROW(msg.sample(-1), Error) << "coarse x" << k;
   }
   GeneralizedSim gen(n);
   gen.run(c);
   EXPECT_LT(gen.state().max_diff(truth), 1e-11) << "generalized";
+  EXPECT_THROW(gen.sample(-1), Error) << "generalized";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalenceTest,

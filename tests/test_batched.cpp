@@ -259,6 +259,9 @@ TEST(BatchedEngine, RaggedBatchMatchesSoloIncludingSamples) {
     EXPECT_EQ(samples[static_cast<std::size_t>(b)], solo.sample(shots))
         << "member " << b;
   }
+  // A negative shot count is an error, not a crash or an empty draw.
+  EXPECT_THROW(sim.sample(-1), Error);
+  EXPECT_THROW(sim.sample_members(-1), Error);
 }
 
 TEST(BatchedEngine, RuntimeDispatchClampsAndMatchesScalar) {

@@ -384,7 +384,7 @@ TEST(FlightRecorder, RunDrainsGateEventsIntoTheReport) {
   const Circuit c = ghz(6);
   sim.run(c);
   const auto& flight = sim.last_report().flight;
-  if (!obs::FlightRecorder::global().enabled()) {
+  if (!resolve(cfg).flight) {
     GTEST_SKIP() << "SVSIM_FLIGHT=0 in the environment";
   }
   ASSERT_GE(flight.size(), static_cast<std::size_t>(c.n_gates()));

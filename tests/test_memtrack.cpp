@@ -232,28 +232,49 @@ TEST_F(MemtrackTest, TrackingStartsNoThread) {
 
 TEST(MemLimit, ParseUnits) {
   std::uint64_t v = 0;
-  EXPECT_TRUE(obs::parse_mem_limit("12345", &v));
+  EXPECT_TRUE(parse_mem_limit("12345", &v));
   EXPECT_EQ(v, 12345u);
-  EXPECT_TRUE(obs::parse_mem_limit("4K", &v));
+  EXPECT_TRUE(parse_mem_limit("4K", &v));
   EXPECT_EQ(v, 4096u);
-  EXPECT_TRUE(obs::parse_mem_limit("16M", &v));
+  EXPECT_TRUE(parse_mem_limit("16M", &v));
   EXPECT_EQ(v, 16ull << 20);
-  EXPECT_TRUE(obs::parse_mem_limit("2G", &v));
+  EXPECT_TRUE(parse_mem_limit("2G", &v));
   EXPECT_EQ(v, 2ull << 30);
-  EXPECT_TRUE(obs::parse_mem_limit("1T", &v));
+  EXPECT_TRUE(parse_mem_limit("1T", &v));
   EXPECT_EQ(v, 1ull << 40);
-  EXPECT_TRUE(obs::parse_mem_limit("16GiB", &v));
+  EXPECT_TRUE(parse_mem_limit("16GiB", &v));
   EXPECT_EQ(v, 16ull << 30);
-  EXPECT_TRUE(obs::parse_mem_limit("16GB", &v));
+  EXPECT_TRUE(parse_mem_limit("16GB", &v));
   EXPECT_EQ(v, 16ull << 30);
-  EXPECT_FALSE(obs::parse_mem_limit("", &v));
-  EXPECT_FALSE(obs::parse_mem_limit("garbage", &v));
-  EXPECT_FALSE(obs::parse_mem_limit("16Q", &v));
-  EXPECT_FALSE(obs::parse_mem_limit("16Gx", &v));
-  // "auto" resolves to MemAvailable (nonzero on any Linux CI host).
-  if (obs::mem_available_bytes() != 0) {
-    EXPECT_TRUE(obs::parse_mem_limit("auto", &v));
-    EXPECT_EQ(v, obs::mem_available_bytes());
+  EXPECT_TRUE(parse_mem_limit("16777215T", &v)); // the largest in range
+  EXPECT_EQ(v, 16777215ull << 40);
+  EXPECT_FALSE(parse_mem_limit("", &v));
+  EXPECT_FALSE(parse_mem_limit("garbage", &v));
+  EXPECT_FALSE(parse_mem_limit("16Q", &v));
+  EXPECT_FALSE(parse_mem_limit("16Gx", &v));
+  // Out of range or signed/padded: no wrap to "no limit" or to a small
+  // limit, no silently skipped sign or space.
+  EXPECT_FALSE(parse_mem_limit("-1", &v));
+  EXPECT_FALSE(parse_mem_limit("16777216T", &v));
+  EXPECT_FALSE(parse_mem_limit("16777217T", &v));
+  EXPECT_FALSE(parse_mem_limit("18446744073709551616", &v));
+  EXPECT_FALSE(parse_mem_limit(" 16G", &v));
+  EXPECT_FALSE(parse_mem_limit("+16G", &v));
+  EXPECT_FALSE(parse_mem_limit("16G ", &v));
+  // "auto" resolves to MemAvailable (nonzero on any Linux CI host). That
+  // figure is host-wide and moves with every other process, so compare
+  // only across a window where two reads bracketing the parse agree.
+  if (mem_available_bytes() != 0) {
+    bool steady = false;
+    for (int attempt = 0; attempt < 100 && !steady; ++attempt) {
+      const std::uint64_t before = mem_available_bytes();
+      ASSERT_TRUE(parse_mem_limit("auto", &v));
+      if (mem_available_bytes() == before) {
+        EXPECT_EQ(v, before);
+        steady = true;
+      }
+    }
+    EXPECT_TRUE(steady) << "MemAvailable moved across 100 auto parses";
   }
 }
 
@@ -270,9 +291,8 @@ TEST(MemLimit, ConstructorFailsFastOverBudget) {
 
 TEST(MemLimitDeathTest, UncaughtRefusalDiesWithMessage) {
   // A runner that doesn't catch the admission error dies with the limit
-  // cited — the fail-fast contract SVSIM_MEM_LIMIT promises. (cfg, not
-  // setenv: env_mem_limit() is read-once and already resolved here.
-  // gtest intercepts exceptions escaping a death statement, so the
+  // cited — the fail-fast contract SVSIM_MEM_LIMIT promises. (gtest
+  // intercepts exceptions escaping a death statement, so the
   // uncaught-in-main path — print what() and abort — is spelled out.)
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   SimConfig cfg;

@@ -170,8 +170,8 @@ void check_shmem(const Circuit& c, const StateVector& init, int n_pes,
     std::copy(im[pe].begin(), im[pe].end(), im_sym[pe]);
   });
   const auto dc = upload_circuit<ShmemSpace>(c, per_element_table<ShmemSpace>());
-  const auto ex = kernels::prepare_sched<ShmemSpace>(c, dc.gates, cfg, lg,
-                                                     false);
+  const auto ex = kernels::prepare_sched<ShmemSpace>(
+      c, dc.gates, resolve(cfg).block_exp, lg, false);
   rt.run([&](shmem::Ctx& ctx) {
     ShmemSpace sp;
     sp.ctx = &ctx;
@@ -218,8 +218,8 @@ void check_peer(const Circuit& c, const StateVector& init, int n_dev,
   std::vector<std::vector<std::uint64_t>> per_dest(
       n, std::vector<std::uint64_t>(n, 0));
   const auto dc = upload_circuit<PeerSpace>(c, per_element_table<PeerSpace>());
-  const auto ex = kernels::prepare_sched<PeerSpace>(c, dc.gates, cfg, lg,
-                                                    false);
+  const auto ex = kernels::prepare_sched<PeerSpace>(
+      c, dc.gates, resolve(cfg).block_exp, lg, false);
   shmem::Barrier grid(n_dev);
   launch_team(n_dev, [&](int d) {
     const auto i = static_cast<std::size_t>(d);

@@ -229,14 +229,6 @@ TEST(Remap, ValidatesLocalBits) {
   EXPECT_THROW(remap_for_partition(c, 9), Error);
 }
 
-TEST(Remap, ConfigResolution) {
-  SimConfig cfg;
-  cfg.remap = 1;
-  EXPECT_TRUE(remap_on(cfg, 1));
-  cfg.remap = 0;
-  EXPECT_FALSE(remap_on(cfg, 8));
-}
-
 // ---- Backend wiring: virtual readout end to end -------------------------
 
 TEST(Remap, ReducesRemoteTrafficOnShmemBackend) {

@@ -120,18 +120,6 @@ TEST(Schedule, CheckpointCadenceSplitsWindows) {
   EXPECT_EQ(capped.windows[2].n_gates, 2);
 }
 
-TEST(Schedule, ResolutionConfigWinsOverDefaults) {
-  SimConfig cfg;
-  cfg.sched_window = 0;
-  EXPECT_EQ(resolved_block_exponent(cfg), 0);
-  cfg.sched_window = 12;
-  EXPECT_EQ(resolved_block_exponent(cfg), 12);
-  cfg.sched_window = -1; // auto: on, with a sane L2-sized exponent
-  const IdxType b = resolved_block_exponent(cfg);
-  EXPECT_GE(b, 8);
-  EXPECT_LE(b, 20);
-}
-
 // --- equivalence ---------------------------------------------------------
 
 StateVector run_single(const Circuit& c, int sched_window) {

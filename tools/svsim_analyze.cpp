@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
+#include "common/error.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/jsonlite.hpp"
 
@@ -323,6 +325,12 @@ int usage() {
 } // namespace
 
 int main(int argc, char** argv) {
+  try {
+    svsim::Env::process().check();
+  } catch (const svsim::Error& e) {
+    std::fprintf(stderr, "svsim_analyze: %s\n", e.what());
+    return 1;
+  }
   std::string ledger_path;
   std::string merge_out;
   bool compare = false;

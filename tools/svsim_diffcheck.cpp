@@ -13,17 +13,21 @@
 //   corpus    every .qasm under --corpus DIR must parse, round-trip, and
 //             match the oracle on the single backend.
 //
-// Exit status: 0 iff every phase is clean. A failing circuit is dumped so
+// Exit status: 0 iff every phase is clean; 2 on a usage error (a malformed
+// number or SVSIM_* variable included). A failing circuit is dumped so
 // `svsim_diffcheck --replay dump.qasm` (or the printed seed) reproduces it.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/config.hpp"
 #include "qasm/parser.hpp"
 #include "testing/diff.hpp"
 #include "testing/qasm_fuzz.hpp"
@@ -74,7 +78,11 @@ void usage() {
       "  --verbose       print every config checked\n";
 }
 
+/// Parse the command line into `opt`: false after an unknown option;
+/// a malformed number is an svsim::Error naming the option.
 bool parse_args(int argc, char** argv, Options& opt) {
+  constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kMaxIdx = std::numeric_limits<IdxType>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -84,15 +92,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       return argv[++i];
     };
-    if (a == "--circuits") opt.circuits = std::atoi(next());
-    else if (a == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--qubits") opt.qubits = std::atoll(next());
-    else if (a == "--gates") opt.gates = std::atoll(next());
-    else if (a == "--workers") opt.workers = std::atoi(next());
-    else if (a == "--shots") opt.shots = std::atoll(next());
-    else if (a == "--tol") opt.tol = std::atof(next());
-    else if (a == "--roundtrips") opt.roundtrips = std::atoi(next());
-    else if (a == "--mutants") opt.mutants = std::atoi(next());
+    auto count = [&](auto& field, std::uint64_t lo, std::uint64_t hi) {
+      field = static_cast<std::decay_t<decltype(field)>>(
+          uint_arg(a, next(), lo, hi));
+    };
+    if (a == "--circuits") count(opt.circuits, 0, kMaxInt);
+    else if (a == "--seed") count(opt.seed, 0, ~std::uint64_t{0});
+    else if (a == "--qubits") count(opt.qubits, 1, 62);
+    else if (a == "--gates") count(opt.gates, 0, kMaxIdx);
+    else if (a == "--workers") count(opt.workers, 1, kMaxInt);
+    else if (a == "--shots") count(opt.shots, 0, kMaxIdx);
+    else if (a == "--tol") opt.tol = real_arg(a, next());
+    else if (a == "--roundtrips") count(opt.roundtrips, 0, kMaxInt);
+    else if (a == "--mutants") count(opt.mutants, 0, kMaxInt);
     else if (a == "--corpus") opt.corpus = next();
     else if (a == "--replay") opt.replay = next();
     else if (a == "--remap-stress") opt.remap_stress = true;
@@ -156,10 +168,11 @@ int diff_one(const Circuit& c, const std::string& tag, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
   int failures = 0;
 
   try {
+    Env::process().check();
+    if (!parse_args(argc, argv, opt)) return 2;
     if (!opt.replay.empty()) {
       const Circuit c =
           qasm::parse_qasm_file(opt.replay, CompoundMode::kNative);

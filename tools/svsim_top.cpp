@@ -19,14 +19,17 @@
 //   --interval MS   poll period in milliseconds (default 500)
 //   --once          print a single frame and exit (no screen clearing)
 //
-// Exits 0 when the watched run completes, 1 on usage or when the
-// endpoint stays unreachable.
+// Exits 0 when the watched run completes, 1 on usage (a malformed number
+// or SVSIM_* variable included) or when the endpoint stays unreachable.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <string>
 
+#include "common/config.hpp"
+#include "common/error.hpp"
 #include "obs/httpd.hpp"
 #include "obs/jsonlite.hpp"
 
@@ -236,24 +239,32 @@ int main(int argc, char** argv) {
   int port = -1;
   int interval_ms = 500;
   bool once = false;
-  if (const char* env = std::getenv("SVSIM_HTTP")) port = std::atoi(env);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "--interval" && i + 1 < argc) {
-      interval_ms = std::atoi(argv[++i]);
-      if (interval_ms < 50) interval_ms = 50;
-    } else if (arg == "--once") {
-      once = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: svsim_top [--host H] [--port P] [--interval MS] "
-                   "[--once]\n");
-      return 1;
+  try {
+    const svsim::Env& env = svsim::Env::process();
+    env.check();
+    port = env.http.value_or(-1);
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--host" && i + 1 < argc) {
+        host = argv[++i];
+      } else if (arg == "--port" && i + 1 < argc) {
+        port = static_cast<int>(svsim::uint_arg(arg, argv[++i], 0, 65535));
+      } else if (arg == "--interval" && i + 1 < argc) {
+        interval_ms = static_cast<int>(svsim::uint_arg(
+            arg, argv[++i], 1, std::numeric_limits<int>::max()));
+        if (interval_ms < 50) interval_ms = 50;
+      } else if (arg == "--once") {
+        once = true;
+      } else {
+        std::fprintf(stderr,
+                     "usage: svsim_top [--host H] [--port P] "
+                     "[--interval MS] [--once]\n");
+        return 1;
+      }
     }
+  } catch (const svsim::Error& e) {
+    std::fprintf(stderr, "svsim_top: %s\n", e.what());
+    return 1;
   }
   if (port < 0) {
     std::fprintf(stderr,
