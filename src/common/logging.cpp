@@ -60,7 +60,7 @@ void log_line(LogLevel level, const std::string& msg) {
     std::snprintf(stamp, sizeof(stamp), "%02d:%02d:%02d.%03d ", tm.tm_hour,
                   tm.tm_min, tm.tm_sec, static_cast<int>(ms));
   }
-  char pe_tag[16] = "";
+  char pe_tag[24] = ""; // "[pe %d] " of any int fits
   if (t_pe >= 0) std::snprintf(pe_tag, sizeof(pe_tag), "[pe %d] ", t_pe);
 
   std::lock_guard<std::mutex> lock(g_mutex);

@@ -20,6 +20,8 @@ using kernels::BDiagGate;
 using kernels::UGate;
 
 /// One uploaded batched gate: preloaded kernel slot + coefficient rows.
+/// `ug.g` carries the gate's shape (op, operands); its angles live in the
+/// coefficient rows.
 struct BDev {
   kernels::BatchedKernelFn fn = nullptr;
   UGate ug;
@@ -34,22 +36,41 @@ IdxType ceil_log2(IdxType v) {
   return lg;
 }
 
-/// A blocked window's action list: block-local gates run their kernel on
-/// the block's work-item range; high diagonal gates apply per-member
-/// phase rows by amplitude index (no diag-run collapsing here — the
-/// batch dimension already amortizes the table reads the solo collapse
-/// exists to save).
+/// One action of a blocked window: block-local gates run their kernel
+/// slot on the block's work-item range; high diagonal gates apply
+/// per-member phase rows by amplitude index (no diag-run collapsing here
+/// — the batch dimension already amortizes the table reads the solo
+/// collapse exists to save).
 struct BAction {
   bool diag = false;
-  const BDev* dg = nullptr;
+  IdxType gi = 0; // the kernel slot, or the diagonal's gate
   IdxType work_per_block = 0;
   BDiagGate d;
   std::vector<ValType> rows; // 8 rows × batch backing d.rows
 };
 
+/// A blocked window's action list.
+struct BWindow {
+  std::vector<BAction> actions;
+  std::uint64_t amps_per_block = 0; // per member
+};
+
+/// A slot of the combining rewrite: a same-qubit run of dense 1q gates
+/// collapsed into one 2x2 product (`q_gis` empty), or two such units on
+/// qubits p < q fused into one quad pass.
+struct Combined {
+  IdxType head = 0;            // the dev slot that runs it
+  std::vector<IdxType> p_gis;  // program-order gates on qubit p (or the run)
+  std::vector<IdxType> q_gis;  // program-order gates on qubit q
+  std::size_t row = 0;         // first of its 8 (run) or 16 (pair) rows
+};
+
 /// Write a Mat2 into eight dense coefficient rows at member column b (the
-/// layout BodyDense / bk_pair1q read).
-void write_mat2_rows(const Mat2& m, ValType* base, IdxType stride,
+/// layout BodyDense / bk_pair1q read). Inline on purpose: GCC 12 copies a
+/// Mat2 through a zmm register and emitted the out-of-line call without a
+/// vzeroupper, so the refill's next matrix_1q ran libm's SSE code with a
+/// dirty upper state — a 6x slower refill on AVX-512 hosts.
+inline void write_mat2_rows(const Mat2& m, ValType* base, IdxType stride,
                      IdxType b) {
   base[0 * stride + b] = m[0].real();
   base[1 * stride + b] = m[0].imag();
@@ -61,31 +82,336 @@ void write_mat2_rows(const Mat2& m, ValType* base, IdxType stride,
   base[7 * stride + b] = m[3].imag();
 }
 
-/// Field-for-field gate equality — the plan-cache key. Angles compare
-/// exactly: a changed angle must invalidate the uploaded coefficients.
-bool same_gate(const Gate& a, const Gate& b) {
+/// The structure key: everything but the angles.
+bool same_shape(const Gate& a, const Gate& b) {
   return a.op == b.op && a.qb0 == b.qb0 && a.qb1 == b.qb1 &&
          a.qb2 == b.qb2 && a.qb3 == b.qb3 && a.qb4 == b.qb4 &&
-         a.theta == b.theta && a.phi == b.phi && a.lam == b.lam &&
          a.cbit == b.cbit;
+}
+
+/// Field-for-field gate equality: a uniform run whose angles all match
+/// the last fill keeps its coefficients.
+bool same_gate(const Gate& a, const Gate& b) {
+  return same_shape(a, b) && a.theta == b.theta && a.phi == b.phi &&
+         a.lam == b.lam;
 }
 
 } // namespace
 
-/// The compiled form of one circuit: uploaded coefficient rows, the gate
-/// dispatch table, the window schedule and the combining rewrite. Nothing
-/// here depends on the seed or the amplitudes, so uniform run() calls
-/// with an unchanged circuit (the chunked shot campaign) reuse it whole.
+/// The compiled form of one circuit, in two parts. The structure —
+/// kernel slots, work counts, the window schedule and its action lists,
+/// the combining groups and pairings — is a function of ops, operands and
+/// cbits only, so it is cached across runs of any circuit with the same
+/// shape: uniform runs and member sweeps alike. The coefficients — the
+/// uploaded rows, the combined slots' 2x2 products and the
+/// pair1q/pair1q_real choice that depends on them, the high diagonals'
+/// phase rows — are refilled from the angles on every run, except a
+/// uniform run whose gates equal the last fill's (the chunked shot
+/// campaign keeps them whole). Nothing here depends on the seed or the
+/// amplitudes, and a cold compile is the structure build followed by the
+/// same refill, so a cached plan runs bit-for-bit what a fresh engine
+/// compiles.
 struct BatchedSim::Plan {
-  std::vector<Gate> key;         // gates the plan was compiled from
-  obs::TrackedBuffer<ValType> coef;  // per-gate coefficient rows
-  obs::TrackedBuffer<ValType> mcoef; // combined-slot coefficient rows
+  // --- structure ---
   std::vector<BDev> dev;
+  /// (gate, first row in `coef`) of every gate that runs on its own rows.
+  std::vector<std::pair<IdxType, std::size_t>> uploads;
+  std::vector<Combined> combined;
   Schedule sched;
+  std::vector<BWindow> blocked; // per window; empty unless blocked
   bool sched_active = false;
   IdxType b_eff = 0;
   bool valid = false;
+  // --- coefficients ---
+  obs::TrackedBuffer<ValType> coef;  // per-gate coefficient rows
+  obs::TrackedBuffer<ValType> mcoef; // combined-slot coefficient rows
+  std::vector<Gate> key;             // gates of the last refill
+  bool key_uniform = false;          // ...replicated across the batch
+
+  void build(const Circuit& circuit, IdxType n, IdxType batch,
+             IdxType block_exp, const BatchedTable& table);
+  void refill(const std::vector<Gate>& gates,
+              const std::vector<Circuit>* members, IdxType batch,
+              const BatchedTable& table);
 };
+
+void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
+                             IdxType batch, IdxType block_exp,
+                             const BatchedTable& table) {
+  const auto& gates = circuit.gates();
+  dev.assign(gates.size(), BDev{});
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const Gate& g = gates[i];
+    BDev& d = dev[i];
+    d.fn = table.fns[static_cast<std::size_t>(g.op)];
+    SVSIM_CHECK(d.fn != nullptr, "op has no batched kernel");
+    d.ug.g = g;
+    d.ug.stride = batch;
+    d.work = gate_work_items(g, n);
+    d.amps_per_item = static_cast<IdxType>(detail::amps_per_work_item(g));
+  }
+
+  // Scheduler composition: shrink the solo block exponent by ceil(log2 B)
+  // so a block's B-member slab keeps the cache footprint the exponent was
+  // sized for; below 2^2 amplitudes per block, blocking stops paying.
+  if (block_exp >= 2) {
+    const IdxType lg_b = ceil_log2(batch);
+    b_eff = block_exp > lg_b ? block_exp - lg_b : 0;
+    if (b_eff > n) b_eff = n;
+    if (b_eff >= 2) {
+      sched = build_schedule(circuit, b_eff, 0);
+      sched_active = sched.has_blocked();
+    } else {
+      b_eff = 0;
+    }
+  }
+  // --- dense-1q combining ------------------------------------------------
+  // The B-wide slab streams from L2 (a solo state at the same n often sits
+  // in L1), so batched gate cost is memory passes, not flops. Two rewrites
+  // cut passes without touching semantics: runs of adjacent dense 1q gates
+  // on the SAME qubit collapse into one uploaded 2x2 product, and adjacent
+  // dense-1q units on DIFFERENT qubits fuse into one bk_pair1q quad pass
+  // (both gates applied in registers, one read+write of the slab).
+  // Grouping looks only at (op, qubit) — never at angles — so every member
+  // sees the same shape and batch congruence holds; non-unitary ops,
+  // barriers and window boundaries break runs, and inside blocked windows
+  // only block-local gates participate (high diagonals keep their
+  // phase-table path).
+  std::size_t merge_rows = 0;
+  if (n >= 2) {
+    struct MGroup {
+      std::vector<IdxType> gis; // program-order gate indices
+      IdxType qubit = -1;
+      double weight = 0; // est. full-slab passes if executed as-is
+      bool dense = false;
+      int pair_with = -1; // later group fused into this one's quad pass
+      bool absorbed = false;
+    };
+    std::vector<IdxType> region(gates.size(), 0);
+    std::vector<char> in_blocked(gates.size(), 0);
+    if (sched_active) {
+      IdxType rid = 0;
+      for (const Window& w : sched.windows) {
+        for (IdxType j = 0; j < w.n_gates; ++j) {
+          const auto at = static_cast<std::size_t>(w.first_gate + j);
+          region[at] = rid;
+          in_blocked[at] = w.blocked ? 1 : 0;
+        }
+        ++rid;
+      }
+    }
+    std::vector<MGroup> groups;
+    for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+      const Gate& g = gates[gi];
+      const bool eligible = kernels::batched_dense_1q(g.op) &&
+                            (in_blocked[gi] == 0 || g.qb0 < b_eff);
+      if (eligible && !groups.empty()) {
+        MGroup& last = groups.back();
+        if (last.dense && last.qubit == g.qb0 &&
+            region[static_cast<std::size_t>(last.gis.back())] == region[gi]) {
+          last.gis.push_back(static_cast<IdxType>(gi));
+          last.weight += kernels::batched_pass_weight(g.op);
+          continue;
+        }
+      }
+      MGroup m;
+      m.gis.push_back(static_cast<IdxType>(gi));
+      m.dense = eligible;
+      m.qubit = g.qb0;
+      m.weight = kernels::batched_pass_weight(g.op);
+      groups.push_back(std::move(m));
+    }
+    // A run merges to one pass on its own (when worth it), so its cost in
+    // the pairing decision is capped at 1.
+    const auto standalone = [](const MGroup& m) {
+      return std::min(m.weight, 1.0);
+    };
+    for (std::size_t i = 0; i + 1 < groups.size(); ++i) {
+      MGroup& a = groups[i];
+      MGroup& b = groups[i + 1];
+      if (a.dense && b.dense && a.qubit != b.qubit &&
+          region[static_cast<std::size_t>(a.gis.back())] ==
+              region[static_cast<std::size_t>(b.gis.front())] &&
+          standalone(a) + standalone(b) > 1.0) {
+        a.pair_with = static_cast<int>(i + 1);
+        b.absorbed = true;
+        ++i;
+      }
+    }
+    const auto absorb = [&](const MGroup& m, IdxType keep) {
+      for (const IdxType gi : m.gis) {
+        if (gi == keep) continue;
+        BDev& d = dev[static_cast<std::size_t>(gi)];
+        d.fn = table.fns[static_cast<int>(OP::ID)];
+        d.work = 0;
+        d.amps_per_item = 0;
+        d.skip = true;
+      }
+    };
+    for (const MGroup& m : groups) {
+      const bool pair = m.pair_with >= 0;
+      const bool run = m.gis.size() > 1 && m.weight > 1.0;
+      if (m.absorbed || !m.dense || !(pair || run)) continue;
+      Combined c;
+      c.head = m.gis.front();
+      c.row = merge_rows;
+      BDev& d = dev[static_cast<std::size_t>(c.head)];
+      d.ug.g = Gate{};
+      d.ug.g.op = OP::U3; // dense marker: never diagonal-pathed
+      if (pair) {
+        const MGroup& o = groups[static_cast<std::size_t>(m.pair_with)];
+        const bool m_low = m.qubit < o.qubit;
+        c.p_gis = m_low ? m.gis : o.gis;
+        c.q_gis = m_low ? o.gis : m.gis;
+        // fn is pair1q or pair1q_real, chosen by the refill.
+        d.ug.g.qb0 = std::min(m.qubit, o.qubit);
+        d.ug.g.qb1 = std::max(m.qubit, o.qubit);
+        d.work = pow2(n - 2);
+        d.amps_per_item = 4;
+        absorb(m, c.head);
+        absorb(o, IdxType{-1});
+        merge_rows += 16;
+      } else {
+        c.p_gis = m.gis;
+        d.fn = table.fns[static_cast<int>(OP::U3)];
+        d.ug.g.qb0 = m.qubit;
+        d.ug.g.qb1 = -1;
+        d.work = pow2(n - 1);
+        d.amps_per_item = 2;
+        absorb(m, c.head);
+        merge_rows += 8;
+      }
+      combined.push_back(std::move(c));
+    }
+  }
+
+  // Upload layout: one coefficient slab for the gates that still run on
+  // their own rows, rows of `batch` member columns each; the combined
+  // slots' rows in a second slab.
+  std::vector<char> own_rows(gates.size(), 1);
+  for (const Combined& c : combined) {
+    own_rows[static_cast<std::size_t>(c.head)] = 0;
+  }
+  std::size_t total_rows = 0;
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const int rows = kernels::coef_rows(gates[i].op);
+    if (rows == 0 || dev[i].skip || own_rows[i] == 0) continue;
+    uploads.emplace_back(static_cast<IdxType>(i), total_rows);
+    total_rows += static_cast<std::size_t>(rows);
+  }
+  coef = obs::TrackedBuffer<ValType>(
+      total_rows * static_cast<std::size_t>(batch), obs::MemTag::kCoef);
+  mcoef = obs::TrackedBuffer<ValType>(
+      merge_rows * static_cast<std::size_t>(batch), obs::MemTag::kCoef);
+  for (const auto& [gi, row] : uploads) {
+    dev[static_cast<std::size_t>(gi)].ug.coef =
+        coef.data() + row * static_cast<std::size_t>(batch);
+  }
+  for (const Combined& c : combined) {
+    dev[static_cast<std::size_t>(c.head)].ug.coef =
+        mcoef.data() + c.row * static_cast<std::size_t>(batch);
+  }
+
+  // Blocked windows' action lists; the high diagonals' phase rows are
+  // sized here and filled by the refill.
+  if (sched_active) {
+    blocked.resize(sched.windows.size());
+    for (std::size_t wi = 0; wi < sched.windows.size(); ++wi) {
+      const Window& w = sched.windows[wi];
+      if (!w.blocked) continue;
+      BWindow& bw = blocked[wi];
+      bw.actions.reserve(static_cast<std::size_t>(w.n_gates));
+      for (IdxType j = 0; j < w.n_gates; ++j) {
+        const IdxType gi = w.first_gate + j;
+        const BDev& d = dev[static_cast<std::size_t>(gi)];
+        // dev's gate, not the circuit's: a combined slot carries its
+        // synthetic dense shape there, and absorbed slots drop out.
+        if (d.skip) continue;
+        const Gate& g = d.ug.g;
+        BAction a;
+        a.gi = gi;
+        if (is_diagonal_gate(g.op) &&
+            (g.qb0 >= b_eff || (g.qb1 >= 0 && g.qb1 >= b_eff))) {
+          a.diag = true;
+          a.rows.assign(static_cast<std::size_t>(8 * batch), 0);
+          a.d.qa = g.qb0;
+          a.d.qb = g.qb1;
+          a.d.stride = batch;
+          bw.amps_per_block += static_cast<std::uint64_t>(pow2(b_eff));
+        } else {
+          a.work_per_block = pow2(b_eff - (g.qb1 >= 0 ? 2 : 1));
+          bw.amps_per_block += static_cast<std::uint64_t>(
+              a.work_per_block * d.amps_per_item);
+        }
+        bw.actions.push_back(std::move(a));
+      }
+    }
+  }
+  valid = true;
+}
+
+void BatchedSim::Plan::refill(const std::vector<Gate>& gates,
+                              const std::vector<Circuit>* members,
+                              IdxType batch, const BatchedTable& table) {
+  const auto member_gate = [&](IdxType gi, IdxType b) -> const Gate& {
+    return members != nullptr
+               ? (*members)[static_cast<std::size_t>(b)]
+                     .gates()[static_cast<std::size_t>(gi)]
+               : gates[static_cast<std::size_t>(gi)];
+  };
+  const auto stride = static_cast<std::size_t>(batch);
+  for (const auto& [gi, row] : uploads) {
+    for (IdxType b = 0; b < batch; ++b) {
+      kernels::fill_coef(member_gate(gi, b), coef.data() + row * stride,
+                         batch, b);
+    }
+  }
+  // Program order g1;g2 composes as m(g2)·m(g1).
+  const auto group_mat = [&](const std::vector<IdxType>& gis, IdxType b) {
+    Mat2 u = matrix_1q(member_gate(gis.front(), b));
+    for (std::size_t t = 1; t < gis.size(); ++t) {
+      u = matmul(matrix_1q(member_gate(gis[t], b)), u);
+    }
+    return u;
+  };
+  for (const Combined& c : combined) {
+    ValType* base = mcoef.data() + c.row * stride;
+    if (c.q_gis.empty()) {
+      for (IdxType b = 0; b < batch; ++b) {
+        write_mat2_rows(group_mat(c.p_gis, b), base, batch, b);
+      }
+      continue;
+    }
+    bool all_real = true;
+    for (IdxType b = 0; b < batch; ++b) {
+      const Mat2 mp = group_mat(c.p_gis, b);
+      const Mat2 mq = group_mat(c.q_gis, b);
+      write_mat2_rows(mp, base, batch, b);
+      write_mat2_rows(mq, base + 8 * batch, batch, b);
+      for (const Mat2* u : {&mp, &mq}) {
+        for (const Complex& z : *u) all_real &= z.imag() == 0.0;
+      }
+    }
+    // RX-free rotation layers (RY/H/X/...) give purely real matrices; the
+    // real kernel does half the arithmetic, turning the halved traffic
+    // into actual wall-clock.
+    dev[static_cast<std::size_t>(c.head)].fn =
+        all_real ? table.pair1q_real : table.pair1q;
+  }
+  for (BWindow& bw : blocked) {
+    for (BAction& a : bw.actions) {
+      if (!a.diag) continue;
+      a.d.rows = a.rows.data();
+      std::fill(std::begin(a.d.identity), std::end(a.d.identity), true);
+      for (IdxType b = 0; b < batch; ++b) {
+        kernels::bdiag_fill(kernels::diag_term(member_gate(a.gi, b)),
+                            a.rows.data(), batch, b, a.d.identity);
+      }
+    }
+  }
+  key.assign(gates.begin(), gates.end());
+  key_uniform = members == nullptr;
+}
 
 BatchedSim::~BatchedSim() = default;
 
@@ -162,242 +488,26 @@ void BatchedSim::execute(const Circuit& circuit,
   const BatchedTable& table = kernels::batched_kernel_table(cfg_.simd);
   const auto& gates = circuit.gates();
 
-  // Plan reuse: a uniform run() with the same circuit as last time (the
-  // chunked shot campaign — reseed(); run(circ) per chunk) replays the
-  // cached plan and skips straight to execution. Member sweeps rebuild
-  // into a throwaway plan every time: their angles change per chunk.
-  const bool reusable = members == nullptr;
+  // Structure hit: same ops, operands and cbits as the cached plan, for a
+  // uniform run and a member sweep alike. Coefficient hit: a uniform run
+  // with exactly the gates of the last fill (the chunked shot campaign,
+  // reseed(); run(circ) per chunk) keeps its rows and skips the refill.
   if (plan_ == nullptr) plan_ = std::make_unique<Plan>();
-  Plan scratch;
-  Plan& plan = reusable ? *plan_ : scratch;
-  const bool plan_hit =
-      reusable && plan.valid && plan.key.size() == gates.size() &&
+  Plan& plan = *plan_;
+  const bool shape_hit =
+      plan.valid && plan.key.size() == gates.size() &&
+      std::equal(gates.begin(), gates.end(), plan.key.begin(), same_shape);
+  if (!shape_hit) {
+    static obs::Counter& builds =
+        obs::Registry::global().counter("batched.plan_builds");
+    builds.add();
+    plan = Plan{};
+    plan.build(circuit, n_, batch_, sw_.block_exp, table);
+  }
+  const bool coef_hit =
+      shape_hit && members == nullptr && plan.key_uniform &&
       std::equal(gates.begin(), gates.end(), plan.key.begin(), same_gate);
-  if (!plan_hit) {
-  plan = Plan{};
-  obs::TrackedBuffer<ValType>& coef = plan.coef;
-  obs::TrackedBuffer<ValType>& mcoef = plan.mcoef;
-  std::vector<BDev>& dev = plan.dev;
-  Schedule& sched = plan.sched;
-  bool& sched_active = plan.sched_active;
-  IdxType& b_eff = plan.b_eff;
-
-  // Upload: one coefficient slab for the whole circuit, rows of batch_
-  // members each; per-member angle columns when a sweep was given.
-  std::size_t total_rows = 0;
-  for (const Gate& g : gates) {
-    total_rows += static_cast<std::size_t>(kernels::coef_rows(g.op));
-  }
-  coef = obs::TrackedBuffer<ValType>(
-      total_rows * static_cast<std::size_t>(batch_), obs::MemTag::kCoef);
-  dev.assign(gates.size(), BDev{});
-  std::size_t row = 0;
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    const Gate& g = gates[i];
-    BDev& d = dev[i];
-    d.fn = table.fns[static_cast<std::size_t>(g.op)];
-    SVSIM_CHECK(d.fn != nullptr, "op has no batched kernel");
-    d.ug.g = g;
-    d.work = gate_work_items(g, n_);
-    d.amps_per_item = static_cast<IdxType>(detail::amps_per_work_item(g));
-    const int rows = kernels::coef_rows(g.op);
-    if (rows > 0) {
-      ValType* base = coef.data() + row * static_cast<std::size_t>(batch_);
-      d.ug.coef = base;
-      d.ug.stride = batch_;
-      for (IdxType b = 0; b < batch_; ++b) {
-        const Gate& gb =
-            members != nullptr
-                ? (*members)[static_cast<std::size_t>(b)].gates()[i]
-                : g;
-        kernels::fill_coef(gb, base, batch_, b);
-      }
-      row += static_cast<std::size_t>(rows);
-    }
-  }
-
-  // Scheduler composition: shrink the solo block exponent by ceil(log2 B)
-  // so a block's B-member slab keeps the cache footprint the exponent was
-  // sized for; below 2^2 amplitudes per block, blocking stops paying.
-  {
-    const IdxType rb = sw_.block_exp;
-    if (rb >= 2) {
-      const IdxType lg_b = ceil_log2(batch_);
-      b_eff = rb > lg_b ? rb - lg_b : 0;
-      if (b_eff > n_) b_eff = n_;
-      if (b_eff >= 2) {
-        sched = build_schedule(circuit, b_eff, 0);
-        sched_active = sched.has_blocked();
-      } else {
-        b_eff = 0;
-      }
-    }
-  }
-  // --- dense-1q combining ------------------------------------------------
-  // The B-wide slab streams from L2 (a solo state at the same n often sits
-  // in L1), so batched gate cost is memory passes, not flops. Two rewrites
-  // cut passes without touching semantics: runs of adjacent dense 1q gates
-  // on the SAME qubit collapse into one uploaded 2x2 product, and adjacent
-  // dense-1q units on DIFFERENT qubits fuse into one bk_pair1q quad pass
-  // (both gates applied in registers, one read+write of the slab).
-  // Grouping looks only at (op, qubit) — never at angles — so every member
-  // sees the same shape and batch congruence holds; non-unitary ops,
-  // barriers and window boundaries break runs, and inside blocked windows
-  // only block-local gates participate (high diagonals keep their
-  // phase-table path).
-  if (n_ >= 2) {
-    struct MGroup {
-      std::vector<IdxType> gis; // program-order gate indices
-      IdxType qubit = -1;
-      double weight = 0; // est. full-slab passes if executed as-is
-      bool dense = false;
-      int pair_with = -1; // later group fused into this one's quad pass
-      bool absorbed = false;
-    };
-    std::vector<IdxType> region(gates.size(), 0);
-    std::vector<char> in_blocked(gates.size(), 0);
-    if (sched_active) {
-      IdxType rid = 0;
-      for (const Window& w : sched.windows) {
-        for (IdxType j = 0; j < w.n_gates; ++j) {
-          const auto at = static_cast<std::size_t>(w.first_gate + j);
-          region[at] = rid;
-          in_blocked[at] = w.blocked ? 1 : 0;
-        }
-        ++rid;
-      }
-    }
-    std::vector<MGroup> groups;
-    for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-      const Gate& g = gates[gi];
-      const bool eligible = kernels::batched_dense_1q(g.op) &&
-                            (in_blocked[gi] == 0 || g.qb0 < b_eff);
-      if (eligible && !groups.empty()) {
-        MGroup& last = groups.back();
-        if (last.dense && last.qubit == g.qb0 &&
-            region[static_cast<std::size_t>(last.gis.back())] == region[gi]) {
-          last.gis.push_back(static_cast<IdxType>(gi));
-          last.weight += kernels::batched_pass_weight(g.op);
-          continue;
-        }
-      }
-      MGroup m;
-      m.gis.push_back(static_cast<IdxType>(gi));
-      m.dense = eligible;
-      m.qubit = g.qb0;
-      m.weight = kernels::batched_pass_weight(g.op);
-      groups.push_back(std::move(m));
-    }
-    // A run merges to one pass on its own (when worth it), so its cost in
-    // the pairing decision is capped at 1.
-    const auto standalone = [](const MGroup& m) {
-      return std::min(m.weight, 1.0);
-    };
-    for (std::size_t i = 0; i + 1 < groups.size(); ++i) {
-      MGroup& a = groups[i];
-      MGroup& b = groups[i + 1];
-      if (a.dense && b.dense && a.qubit != b.qubit &&
-          region[static_cast<std::size_t>(a.gis.back())] ==
-              region[static_cast<std::size_t>(b.gis.front())] &&
-          standalone(a) + standalone(b) > 1.0) {
-        a.pair_with = static_cast<int>(i + 1);
-        b.absorbed = true;
-        ++i;
-      }
-    }
-    std::size_t merge_rows = 0;
-    for (const MGroup& m : groups) {
-      if (m.absorbed || !m.dense) continue;
-      if (m.pair_with >= 0) {
-        merge_rows += 16;
-      } else if (m.gis.size() > 1 && m.weight > 1.0) {
-        merge_rows += 8;
-      }
-    }
-    if (merge_rows > 0) {
-      mcoef = obs::TrackedBuffer<ValType>(
-          merge_rows * static_cast<std::size_t>(batch_), obs::MemTag::kCoef);
-      const auto member_gate = [&](IdxType gi, IdxType b) -> const Gate& {
-        return members != nullptr
-                   ? (*members)[static_cast<std::size_t>(b)]
-                         .gates()[static_cast<std::size_t>(gi)]
-                   : gates[static_cast<std::size_t>(gi)];
-      };
-      // Program order g1;g2 composes as m(g2)·m(g1).
-      const auto group_mat = [&](const MGroup& m, IdxType b) {
-        Mat2 u = matrix_1q(member_gate(m.gis.front(), b));
-        for (std::size_t t = 1; t < m.gis.size(); ++t) {
-          u = matmul(matrix_1q(member_gate(m.gis[t], b)), u);
-        }
-        return u;
-      };
-      const auto absorb = [&](const MGroup& m, IdxType keep) {
-        for (std::size_t t = 0; t < m.gis.size(); ++t) {
-          if (m.gis[t] == keep) continue;
-          BDev& d = dev[static_cast<std::size_t>(m.gis[t])];
-          d.fn = table.fns[static_cast<int>(OP::ID)];
-          d.work = 0;
-          d.amps_per_item = 0;
-          d.skip = true;
-        }
-      };
-      std::size_t mrow = 0;
-      for (MGroup& m : groups) {
-        if (m.absorbed || !m.dense) continue;
-        ValType* base = mcoef.data() + mrow * static_cast<std::size_t>(batch_);
-        if (m.pair_with >= 0) {
-          const MGroup& o = groups[static_cast<std::size_t>(m.pair_with)];
-          const IdxType p = std::min(m.qubit, o.qubit);
-          const IdxType q = std::max(m.qubit, o.qubit);
-          bool all_real = true;
-          for (IdxType b = 0; b < batch_; ++b) {
-            const Mat2 mp = m.qubit == p ? group_mat(m, b) : group_mat(o, b);
-            const Mat2 mq = m.qubit == p ? group_mat(o, b) : group_mat(m, b);
-            write_mat2_rows(mp, base, batch_, b);
-            write_mat2_rows(mq, base + 8 * batch_, batch_, b);
-            for (const Mat2* u : {&mp, &mq}) {
-              for (const Complex& c : *u) all_real &= c.imag() == 0.0;
-            }
-          }
-          BDev& d = dev[static_cast<std::size_t>(m.gis.front())];
-          // RX-free rotation layers (RY/H/X/...) give purely real
-          // matrices; the real kernel does half the arithmetic, turning
-          // the halved traffic into actual wall-clock.
-          d.fn = all_real ? table.pair1q_real : table.pair1q;
-          d.ug.g = Gate{};
-          d.ug.g.op = OP::U3; // dense marker: never diagonal-pathed
-          d.ug.g.qb0 = p;
-          d.ug.g.qb1 = q;
-          d.ug.coef = base;
-          d.ug.stride = batch_;
-          d.work = pow2(n_ - 2);
-          d.amps_per_item = 4;
-          absorb(m, m.gis.front());
-          absorb(o, IdxType{-1});
-          mrow += 16;
-        } else if (m.gis.size() > 1 && m.weight > 1.0) {
-          for (IdxType b = 0; b < batch_; ++b) {
-            write_mat2_rows(group_mat(m, b), base, batch_, b);
-          }
-          BDev& d = dev[static_cast<std::size_t>(m.gis.front())];
-          d.fn = table.fns[static_cast<int>(OP::U3)];
-          d.ug.g = Gate{};
-          d.ug.g.op = OP::U3;
-          d.ug.g.qb0 = m.qubit;
-          d.ug.g.qb1 = -1;
-          d.ug.coef = base;
-          d.ug.stride = batch_;
-          d.work = pow2(n_ - 1);
-          d.amps_per_item = 2;
-          absorb(m, m.gis.front());
-          mrow += 8;
-        }
-      }
-    }
-  }
-  plan.key.assign(gates.begin(), gates.end());
-  plan.valid = reusable;
-  } // !plan_hit
+  if (!coef_hit) plan.refill(gates, members, batch_, table);
 
   const std::vector<BDev>& dev = plan.dev;
   const Schedule& sched = plan.sched;
@@ -447,55 +557,19 @@ void BatchedSim::execute(const Circuit& circuit,
       // Blocked window: blocks-outer, gates-inner. Block-local gates run
       // their kernel on the block's slice of work items; high diagonals
       // go through per-member phase tables.
-      std::vector<BAction> actions;
-      actions.reserve(static_cast<std::size_t>(w.n_gates));
-      std::uint64_t amps_per_block = 0;
-      for (IdxType j = 0; j < w.n_gates; ++j) {
-        const IdxType gi = w.first_gate + j;
-        // dev's gate, not the circuit's: a combined slot carries its
-        // synthetic dense shape there, and absorbed slots drop out.
-        if (dev[static_cast<std::size_t>(gi)].skip) continue;
-        const Gate& g = dev[static_cast<std::size_t>(gi)].ug.g;
-        BAction a;
-        const bool high =
-            is_diagonal_gate(g.op) &&
-            (g.qb0 >= b_eff || (g.qb1 >= 0 && g.qb1 >= b_eff));
-        if (high) {
-          a.diag = true;
-          a.rows.assign(static_cast<std::size_t>(8 * batch_), 0);
-          for (IdxType b = 0; b < batch_; ++b) {
-            const Gate& gb =
-                members != nullptr
-                    ? (*members)[static_cast<std::size_t>(b)]
-                          .gates()[static_cast<std::size_t>(gi)]
-                    : g;
-            const kernels::DiagTerm t = kernels::diag_term(gb);
-            a.d.qa = t.qa;
-            a.d.qb = t.qb;
-            kernels::bdiag_fill(t, a.rows.data(), batch_, b, a.d.identity);
-          }
-          a.d.rows = a.rows.data();
-          a.d.stride = batch_;
-          amps_per_block += static_cast<std::uint64_t>(pow2(b_eff));
-        } else {
-          a.dg = &dev[static_cast<std::size_t>(gi)];
-          a.work_per_block = pow2(b_eff - (g.qb1 >= 0 ? 2 : 1));
-          amps_per_block += static_cast<std::uint64_t>(
-              a.work_per_block * a.dg->amps_per_item);
-        }
-        actions.push_back(std::move(a));
-      }
+      const BWindow& bw = plan.blocked[static_cast<std::size_t>(win_idx - 1)];
       const IdxType n_blocks = pow2(n_ - b_eff);
       const IdxType blk_len = pow2(b_eff);
       const IdxType last_gate = w.first_gate + w.n_gates;
       for (IdxType blk = 0; blk < n_blocks; ++blk) {
         const IdxType base = blk * blk_len;
-        for (const BAction& a : actions) {
+        for (const BAction& a : bw.actions) {
           if (a.diag) {
             table.diag(a.d, sp, base, blk_len);
           } else {
-            a.dg->fn(a.dg->ug, sp, blk * a.work_per_block,
-                     (blk + 1) * a.work_per_block);
+            const BDev& d = dev[static_cast<std::size_t>(a.gi)];
+            d.fn(d.ug, sp, blk * a.work_per_block,
+                 (blk + 1) * a.work_per_block);
           }
         }
         if (slot != nullptr) {
@@ -506,7 +580,7 @@ void BatchedSim::execute(const Circuit& circuit,
               static_cast<std::uint64_t>(w.n_gates) *
                   static_cast<std::uint64_t>(blk + 1) /
                   static_cast<std::uint64_t>(n_blocks);
-          slot->publish_gate(done, amps_per_block *
+          slot->publish_gate(done, bw.amps_per_block *
                                        static_cast<std::uint64_t>(batch_));
         }
       }

@@ -132,11 +132,13 @@ private:
   std::vector<IdxType> results_; // measure-all: [b*n_shots + s]
   IdxType ma_shots_ = 0;
   mutable obs::RunReport report_; // lazy memory fold in last_report()
-  /// Compiled execution plan (coefficient upload, window schedule,
-  /// combining) for the last uniform run() circuit. Seed-independent, so
-  /// a chunked shot campaign — reseed(); run(same circuit) — pays the
-  /// sincos-heavy upload and the schedule/combining analysis once per
-  /// campaign instead of once per chunk. Revalidated gate-for-gate.
+  /// Compiled execution plan of the last run. Its structure (kernel
+  /// slots, window schedule, combining) is cached on ops, operands and
+  /// cbits, so member sweeps of one ansatz — a VQE objective's calls —
+  /// compile it once and refill only the coefficient rows per run; a
+  /// uniform run with unchanged gates (the chunked shot campaign,
+  /// reseed(); run(same circuit)) keeps the rows too. Seed-independent,
+  /// and bit-for-bit what a cold compile gives.
   struct Plan;
   std::unique_ptr<Plan> plan_;
 };

@@ -47,7 +47,11 @@ inline void scan_array(const ValType* v, IdxType count, double* sq,
     nf += static_cast<std::uint64_t>(__builtin_popcount(
         _mm512_cmp_pd_mask(ax, dbl_max, _CMP_NLE_UQ)));
   }
-  *sq += _mm512_reduce_add_pd(acc);
+  // _mm512_reduce_add_pd's order, spelled out: GCC 12's version reads an
+  // uninitialized register (-Wuninitialized).
+  alignas(64) double l[8];
+  _mm512_store_pd(l, acc);
+  *sq += ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
   *bad += nf;
   if (i < count) scan_array_scalar(v + i, count - i, sq, bad);
 }

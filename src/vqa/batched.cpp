@@ -1,11 +1,239 @@
 #include "vqa/batched.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "common/bits.hpp"
+#include "core/kernels/lanes.hpp"
 
 namespace svsim::vqa {
+
+namespace {
+
+bool odd_parity(IdxType v) {
+  return (std::popcount(static_cast<std::uint64_t>(v)) & 1) != 0;
+}
+
+/// Run step(i, a0) and step(i + 1, a1) over i in [0, n): two accumulator
+/// chains, so consecutive FMAs overlap instead of waiting on each other.
+template <class W, class Step>
+W two_chains(IdxType n, Step&& step) {
+  W a0{}, a1{};
+  IdxType i = 0;
+  for (; i + 1 < n; i += 2) {
+    step(i, a0);
+    step(i + 1, a1);
+  }
+  if (i < n) step(i, a0);
+  return a0 + a1;
+}
+
+/// acc[b] = sum_k w[k & wmask] * |psi_k|^2 for every member: the diagonal
+/// terms' one sweep.
+template <class L>
+void diag_sweep(const ValType* w, IdxType wmask, const ValType* re,
+                const ValType* im, IdxType dim, IdxType nb, ValType* acc) {
+  kernels::for_members<L>(nb, [&]<class V>(IdxType b) {
+    using W = typename V::V;
+    V::store(acc + b, two_chains<W>(dim, [&](IdxType k, W& a) {
+      const W r = V::load(re + k * nb + b);
+      const W i = V::load(im + k * nb + b);
+      a = a + V::splat(w[k & wmask]) * (r * r + i * i);
+    }));
+  });
+}
+
+/// acc[b] = sum over k with bit `top` clear of Re(conj(psi_t) G(k) psi_k),
+/// t = k ^ x, G(k) = wr(k) + i wi(k) the group's summed phase: half of
+/// one flip mask's pairs. kRe / kIm drop the half of the arithmetic a
+/// group without even / odd Y counts never needs. The j-th such k is j
+/// with a zero inserted at bit `top`.
+template <class L, bool kRe, bool kIm, class Term>
+void pair_sweep(IdxType x, const std::vector<Term>& terms, const ValType* re,
+                const ValType* im, IdxType dim, IdxType nb, ValType* acc) {
+  const IdxType top = std::bit_floor(static_cast<std::uint64_t>(x));
+  const IdxType low = top - 1;
+  kernels::for_members<L>(nb, [&]<class V>(IdxType b) {
+    using W = typename V::V;
+    V::store(acc + b, two_chains<W>(dim / 2, [&](IdxType j, W& a) {
+      const IdxType k = ((j & ~low) << 1) | (j & low);
+      ValType wr = 0;
+      ValType wi = 0;
+      for (const Term& t : terms) {
+        const bool odd = odd_parity(k & t.zy);
+        if constexpr (kRe) wr += odd ? -t.cr : t.cr;
+        if constexpr (kIm) wi += odd ? -t.ci : t.ci;
+      }
+      const IdxType kb = k * nb + b;
+      const IdxType tb = (k ^ x) * nb + b;
+      const W kr = V::load(re + kb);
+      const W ki = V::load(im + kb);
+      const W tr = V::load(re + tb);
+      const W ti = V::load(im + tb);
+      // Re(conj(t) (wr + i wi) k) = wr (tr kr + ti ki) + wi (ti kr - tr ki).
+      if constexpr (kRe) a = a + V::splat(wr) * (tr * kr + ti * ki);
+      if constexpr (kIm) a = a + V::splat(wi) * (ti * kr - tr * ki);
+    }));
+  });
+}
+
+/// energy_objective's callable (its contract is documented there).
+class EnergyObjective {
+public:
+  EnergyObjective(IdxType n_qubits, ParamCircuit ansatz, const Hamiltonian& h,
+                  int batch)
+      : n_(n_qubits),
+        batch_(batch),
+        ansatz_(std::move(ansatz)),
+        observable_(std::make_shared<const CompiledObservable>(h)) {
+    SVSIM_CHECK(batch >= 1, "batch must be positive");
+  }
+
+  std::vector<ValType> operator()(
+      const std::vector<std::vector<ValType>>& points) {
+    std::vector<ValType> energies;
+    energies.reserve(points.size());
+    engines_.by_width.resize(static_cast<std::size_t>(batch_) + 1);
+    std::size_t done = 0;
+    while (done < points.size()) {
+      const std::size_t width =
+          std::min(static_cast<std::size_t>(batch_), points.size() - done);
+      std::unique_ptr<BatchedSim>& sim = engines_.by_width[width];
+      if (!sim) {
+        sim = std::make_unique<BatchedSim>(n_, static_cast<int>(width));
+      }
+      const std::vector<std::vector<ValType>> chunk(
+          points.begin() + static_cast<std::ptrdiff_t>(done),
+          points.begin() + static_cast<std::ptrdiff_t>(done + width));
+      sim->run_fresh(ansatz_, chunk);
+      for (const ValType e : observable_->evaluate(sim->engine())) {
+        energies.push_back(e);
+      }
+      done += width;
+    }
+    return energies;
+  }
+
+private:
+  /// Engines by width; a copy starts empty, so copies never share one.
+  struct Engines {
+    std::vector<std::unique_ptr<BatchedSim>> by_width;
+    Engines() = default;
+    Engines(const Engines&) {}
+    Engines& operator=(const Engines&) {
+      by_width.clear();
+      return *this;
+    }
+    Engines(Engines&&) noexcept = default;
+    Engines& operator=(Engines&&) noexcept = default;
+  };
+  IdxType n_;
+  int batch_;
+  ParamCircuit ansatz_;
+  std::shared_ptr<const CompiledObservable> observable_;
+  Engines engines_;
+};
+
+} // namespace
+
+CompiledObservable::CompiledObservable(const Hamiltonian& h)
+    : n_(h.n_qubits()), constant_(h.constant) {
+  // A Pauli string acts on basis states by a bit flip plus a phase that
+  // is a power of i: target = k ^ x, phase = i^nY * (-1)^popcount(k & zy)
+  // (Y = i X Z: the Y bits join both masks).
+  std::vector<std::pair<IdxType, ValType>> diag_terms;
+  IdxType z_bits = 0;
+  for (const PauliTerm& term : h.terms) {
+    IdxType x = 0, zy = 0;
+    int n_y = 0;
+    for (std::size_t q = 0; q < term.ops.size(); ++q) {
+      const IdxType bit = pow2(static_cast<IdxType>(q));
+      switch (term.ops[q]) {
+        case Pauli::I: break;
+        case Pauli::X: x |= bit; break;
+        case Pauli::Y:
+          x |= bit;
+          zy |= bit;
+          ++n_y;
+          break;
+        case Pauli::Z: zy |= bit; break;
+      }
+    }
+    if (x == 0) {
+      diag_terms.emplace_back(zy, term.coeff);
+      z_bits |= zy;
+      continue;
+    }
+    auto g = std::find_if(groups_.begin(), groups_.end(),
+                          [x](const Group& gr) { return gr.x == x; });
+    if (g == groups_.end()) {
+      groups_.push_back(Group{x, {}, false, false});
+      g = groups_.end() - 1;
+    }
+    Term t;
+    t.zy = zy;
+    switch (n_y % 4) {
+      case 0: t.cr = term.coeff; break;
+      case 1: t.ci = term.coeff; break;
+      case 2: t.cr = -term.coeff; break;
+      case 3: t.ci = -term.coeff; break;
+    }
+    (n_y % 2 == 0 ? g->has_re : g->has_im) = true;
+    g->terms.push_back(t);
+  }
+  if (diag_terms.empty()) return;
+  // w(k) = sum_t c_t (-1)^popcount(k & z_t) is the Walsh-Hadamard
+  // transform of the coefficients placed at their Z masks: O(m 2^m) for
+  // any number of terms.
+  const auto size = static_cast<std::size_t>(
+      std::bit_ceil(static_cast<std::uint64_t>(z_bits) + 1));
+  diag_ = obs::TrackedBuffer<ValType>(size, obs::MemTag::kOther);
+  for (const auto& [z, c] : diag_terms) {
+    diag_[static_cast<std::size_t>(z)] += c;
+  }
+  for (std::size_t half = 1; half < size; half *= 2) {
+    for (std::size_t i = 0; i < size; i += 2 * half) {
+      for (std::size_t j = i; j < i + half; ++j) {
+        const ValType a = diag_[j];
+        const ValType b = diag_[j + half];
+        diag_[j] = a + b;
+        diag_[j + half] = a - b;
+      }
+    }
+  }
+}
+
+std::vector<ValType> CompiledObservable::evaluate(
+    const svsim::BatchedSim& engine) const {
+  SVSIM_CHECK(n_ <= engine.n_qubits(),
+              "Hamiltonian is wider than the register");
+  const IdxType nb = engine.batch();
+  const IdxType dim = engine.dim();
+  const ValType* re = engine.real_data();
+  const ValType* im = engine.imag_data();
+  std::vector<ValType> out(static_cast<std::size_t>(nb), constant_);
+  std::vector<ValType> acc(static_cast<std::size_t>(nb));
+  kernels::with_lane(engine.simd_level(), [&]<class L>() {
+    if (!diag_.empty()) {
+      diag_sweep<L>(diag_.data(), static_cast<IdxType>(diag_.size()) - 1, re,
+                    im, dim, nb, acc.data());
+      for (std::size_t b = 0; b < out.size(); ++b) out[b] += acc[b];
+    }
+    for (const Group& g : groups_) {
+      if (g.has_re && g.has_im) {
+        pair_sweep<L, true, true>(g.x, g.terms, re, im, dim, nb, acc.data());
+      } else if (g.has_re) {
+        pair_sweep<L, true, false>(g.x, g.terms, re, im, dim, nb, acc.data());
+      } else {
+        pair_sweep<L, false, true>(g.x, g.terms, re, im, dim, nb, acc.data());
+      }
+      for (std::size_t b = 0; b < out.size(); ++b) out[b] += 2 * acc[b];
+    }
+  });
+  return out;
+}
 
 BatchedSim::BatchedSim(IdxType n_qubits, int batch, SimConfig cfg)
     : engine_(n_qubits, static_cast<IdxType>(batch),
@@ -36,109 +264,18 @@ void BatchedSim::run_fresh(const ParamCircuit& ansatz,
 }
 
 std::vector<ValType> BatchedSim::expectations(const Hamiltonian& h) const {
-  SVSIM_CHECK(h.n_qubits() <= n_qubits(),
-              "Hamiltonian is wider than the register");
-  const IdxType B = engine_.batch();
-  const IdxType dim = engine_.dim();
-  std::vector<ValType> out(static_cast<std::size_t>(B), h.constant);
-  std::vector<ValType> acc(static_cast<std::size_t>(B));
-  const ValType* __restrict re = engine_.real_data();
-  const ValType* __restrict im = engine_.imag_data();
-  ValType* __restrict a = acc.data();
-  for (const PauliTerm& term : h.terms) {
-    // A Pauli string acts on basis states by a bit flip plus a phase that
-    // is a power of i: target = k ^ x_mask, phase = i^nY * (-1)^parity(k
-    // & zy_mask) — so the per-k work collapses to an XOR and a popcount,
-    // and the member loop below is a pure FMA over contiguous lanes.
-    IdxType x_mask = 0, zy_mask = 0;
-    int n_y = 0;
-    for (std::size_t q = 0; q < term.ops.size(); ++q) {
-      switch (term.ops[q]) {
-        case Pauli::I: break;
-        case Pauli::X: x_mask |= pow2(static_cast<IdxType>(q)); break;
-        case Pauli::Y:
-          x_mask |= pow2(static_cast<IdxType>(q));
-          zy_mask |= pow2(static_cast<IdxType>(q));
-          ++n_y;
-          break;
-        case Pauli::Z: zy_mask |= pow2(static_cast<IdxType>(q)); break;
-      }
-    }
-    // i^nY folded into (pr, pi); conj(i)^popcount(k & y) over the Y bits
-    // is what the qubit-set branch in the scalar path computed — it
-    // reduces to the same global i^nY once the (-1) parts join zy_mask.
-    const int quarter = ((n_y % 4) + 4) % 4;
-    const ValType pr = (quarter == 0) ? 1 : (quarter == 2) ? -1 : 0;
-    const ValType pi = (quarter == 1) ? 1 : (quarter == 3) ? -1 : 0;
-    std::fill(acc.begin(), acc.end(), ValType{0});
-    for (IdxType k = 0; k < dim; ++k) {
-      const ValType sign =
-          (std::popcount(static_cast<std::uint64_t>(k & zy_mask)) & 1)
-              ? ValType{-1}
-              : ValType{1};
-      const IdxType kb = k * B;
-      const IdxType tb = (k ^ x_mask) * B;
-      if (pi == 0) {
-        // Re( conj(t) * (s*pr) * k ) = s*pr * (tr*kr + ti*ki).
-        const ValType s = sign * pr;
-        for (IdxType b = 0; b < B; ++b) {
-          a[b] += s * (re[tb + b] * re[kb + b] + im[tb + b] * im[kb + b]);
-        }
-      } else {
-        // Re( conj(t) * (s*pi*i) * k ) = -s*pi * (tr*ki - ti*kr).
-        const ValType s = -sign * pi;
-        for (IdxType b = 0; b < B; ++b) {
-          a[b] += s * (re[tb + b] * im[kb + b] - im[tb + b] * re[kb + b]);
-        }
-      }
-    }
-    for (IdxType b = 0; b < B; ++b) {
-      out[static_cast<std::size_t>(b)] += term.coeff * a[b];
-    }
-  }
-  return out;
+  return CompiledObservable(h).evaluate(engine_);
 }
 
 std::vector<ValType> batched_energy_sweep(
     IdxType n_qubits, const ParamCircuit& ansatz, const Hamiltonian& h,
     const std::vector<std::vector<ValType>>& param_sets, int batch) {
-  std::vector<ValType> energies;
-  energies.reserve(param_sets.size());
-  // One engine serves every full-width chunk (run_fresh re-initializes the
-  // state, so the allocation and kernel-table setup amortize across the
-  // sweep); only a ragged tail needs a second, narrower engine.
-  std::unique_ptr<BatchedSim> full;
-  std::size_t done = 0;
-  while (done < param_sets.size()) {
-    const int this_batch = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(batch),
-                              param_sets.size() - done));
-    BatchedSim* sim;
-    std::unique_ptr<BatchedSim> tail;
-    if (this_batch == batch) {
-      if (!full) full = std::make_unique<BatchedSim>(n_qubits, batch);
-      sim = full.get();
-    } else {
-      tail = std::make_unique<BatchedSim>(n_qubits, this_batch);
-      sim = tail.get();
-    }
-    std::vector<std::vector<ValType>> chunk(
-        param_sets.begin() + static_cast<long>(done),
-        param_sets.begin() + static_cast<long>(done + static_cast<std::size_t>(this_batch)));
-    sim->run_fresh(ansatz, chunk);
-    for (const ValType e : sim->expectations(h)) energies.push_back(e);
-    done += static_cast<std::size_t>(this_batch);
-  }
-  return energies;
+  return EnergyObjective(n_qubits, ansatz, h, batch)(param_sets);
 }
 
 BatchObjective energy_objective(IdxType n_qubits, ParamCircuit ansatz,
                                 Hamiltonian h, int batch) {
-  SVSIM_CHECK(batch >= 1, "batch must be positive");
-  return [n_qubits, ansatz = std::move(ansatz), h = std::move(h),
-          batch](const std::vector<std::vector<ValType>>& pts) {
-    return batched_energy_sweep(n_qubits, ansatz, h, pts, batch);
-  };
+  return EnergyObjective(n_qubits, std::move(ansatz), h, batch);
 }
 
 } // namespace svsim::vqa

@@ -3,19 +3,87 @@
 // divergence through mid-circuit measure/reset), masked vs all-lanes-on
 // kernel paths, divergent measurement statistics, ragged batches that
 // exercise the scalar tail, runtime SIMD-dispatch clamping, batched
-// expectations, the sweep helper, and the batched optimizer overloads.
+// expectations (the compiled observable against the host computation at
+// every lane level), the cached plan structure against a cold compile,
+// the sweep helper, the kept-engine objective and the batched optimizer
+// overloads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
+#include <thread>
 
 #include "core/batched_sim.hpp"
 #include "core/single_sim.hpp"
+#include "obs/registry.hpp"
 #include "vqa/batched.hpp"
 #include "vqa/optimizer.hpp"
 #include "vqa/vqe.hpp"
 
 namespace svsim::vqa {
 namespace {
+
+/// Random member states: member b runs its own angles through one
+/// skeleton (U3 layer, CX chain, U3 layer).
+void fill_random_states(svsim::BatchedSim& engine, Rng& rng) {
+  const IdxType n = engine.n_qubits();
+  const auto u3_layer = [&](Circuit& c) {
+    for (IdxType q = 0; q < n; ++q) {
+      c.u3(rng.uniform(-PI, PI), rng.uniform(-PI, PI), rng.uniform(-PI, PI),
+           q);
+    }
+  };
+  std::vector<Circuit> members;
+  for (IdxType b = 0; b < engine.batch(); ++b) {
+    Circuit c(n);
+    u3_layer(c);
+    for (IdxType q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
+    u3_layer(c);
+    members.push_back(std::move(c));
+  }
+  engine.run_fresh(members);
+}
+
+/// A constant, random I/X/Y/Z strings, and one flip mask shared by terms
+/// of every Y count mod 4 (as far as n allows) with random Z masks on the
+/// other qubits.
+Hamiltonian mixed_pauli_sum(IdxType n, Rng& rng) {
+  Hamiltonian h;
+  h.constant = rng.uniform(-1, 1);
+  const auto un = static_cast<std::size_t>(n);
+  for (int t = 0; t < 12; ++t) {
+    std::string s(un, 'I');
+    for (char& c : s) c = "IXYZ"[rng.next_u64() % 4];
+    h.terms.push_back(PauliTerm::parse(rng.uniform(-1, 1), s));
+  }
+  const std::size_t flips = std::min<std::size_t>(un, 3);
+  for (std::size_t n_y = 0; n_y <= flips; ++n_y) {
+    std::string s(un, 'I');
+    for (std::size_t q = 0; q < flips; ++q) s[q] = q < n_y ? 'Y' : 'X';
+    for (std::size_t q = flips; q < un; ++q) {
+      s[q] = rng.next_u64() % 2 == 0 ? 'Z' : 'I';
+    }
+    h.terms.push_back(PauliTerm::parse(rng.uniform(-1, 1), s));
+  }
+  return h;
+}
+
+/// One sweep for the diagonal terms plus one per distinct flip mask.
+std::size_t expected_sweeps(const Hamiltonian& h) {
+  std::set<std::string> masks;
+  bool diag = false;
+  for (const PauliTerm& t : h.terms) {
+    std::string x;
+    for (const Pauli p : t.ops) x += (p == Pauli::X || p == Pauli::Y) ? '1' : '0';
+    if (x.find('1') == std::string::npos) {
+      diag = true;
+    } else {
+      masks.insert(x);
+    }
+  }
+  return masks.size() + (diag ? 1 : 0);
+}
 
 TEST(Batched, MembersMatchSequentialExecution) {
   const IdxType n = 5;
@@ -63,6 +131,52 @@ TEST(Batched, ExpectationsMatchHostComputation) {
   }
   // Different parameters must give different energies.
   EXPECT_GT(std::abs(energies[0] - energies[2]), 1e-4);
+}
+
+TEST(Batched, ExpectationsMatchHostOnMixedPauliSums) {
+  // The compiled observable (diagonal weights, half-sweeps per flip mask)
+  // against the host's term-by-term <psi|P|psi> on every member, at every
+  // lane level this build carries, for batches below, at and past a lane.
+  Rng rng(1234);
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > max_simd_level()) continue;
+    SimConfig cfg;
+    cfg.simd = level;
+    const IdxType w = svsim::BatchedSim(1, 1, cfg).lane_width();
+    for (const IdxType n : {1, 5, 9}) {
+      for (const IdxType B : {IdxType{1}, IdxType{3}, w + 1}) {
+        svsim::BatchedSim engine(n, B, cfg);
+        ASSERT_EQ(engine.simd_level(), level);
+        fill_random_states(engine, rng);
+        const Hamiltonian h = mixed_pauli_sum(n, rng);
+        const CompiledObservable compiled(h);
+        EXPECT_EQ(compiled.n_sweeps(), expected_sweeps(h));
+        const std::vector<ValType> e = compiled.evaluate(engine);
+        ASSERT_EQ(e.size(), static_cast<std::size_t>(B));
+        for (IdxType b = 0; b < B; ++b) {
+          EXPECT_NEAR(e[static_cast<std::size_t>(b)],
+                      h.expectation(engine.state(b)), 1e-12)
+              << "level " << static_cast<int>(level) << " n " << n << " B "
+              << B << " member " << b;
+        }
+      }
+    }
+  }
+  // TFI-12: one diagonal sweep plus one half-sweep per X qubit, not one
+  // sweep per term.
+  Hamiltonian tfi;
+  for (std::size_t q = 0; q < 12; ++q) {
+    std::string zz(12, 'I'), x(12, 'I');
+    if (q + 1 < 12) {
+      zz[q] = zz[q + 1] = 'Z';
+      tfi.terms.push_back(PauliTerm::parse(-1.0, zz));
+    }
+    x[q] = 'X';
+    tfi.terms.push_back(PauliTerm::parse(-0.7, x));
+  }
+  EXPECT_EQ(tfi.terms.size(), 23u);
+  EXPECT_EQ(CompiledObservable(tfi).n_sweeps(), 13u);
 }
 
 TEST(Batched, SweepHandlesNonMultipleBatch) {
@@ -264,6 +378,69 @@ TEST(BatchedEngine, RaggedBatchMatchesSoloIncludingSamples) {
   EXPECT_THROW(sim.sample_members(-1), Error);
 }
 
+TEST(BatchedEngine, MemberSweepStructureHitMatchesColdCompile) {
+  // One engine runs alternating parameter sets of one ansatz; its plan
+  // structure is compiled once and only the coefficients are refilled.
+  // After every run its amplitudes must be bit-for-bit a fresh engine's
+  // cold compile — including an all-real set (RZ angles 0: the combined
+  // slots take pair1q_real) followed by a complex one (back to pair1q),
+  // and uniform runs of the same shape. The explicit block exponent
+  // leaves b_eff = 2 on 6 qubits, so blocked windows with high diagonal
+  // phase rows are refilled too.
+  const IdxType n = 6;
+  const IdxType B = 5;
+  SimConfig cfg;
+  cfg.seed = 11;
+  cfg.sched_window = 5;
+  const ParamCircuit ansatz = hardware_efficient_ansatz(n, 2);
+  Rng rng(77);
+  const auto bind_set = [&](bool all_real) {
+    std::vector<Circuit> members;
+    for (IdxType b = 0; b < B; ++b) {
+      std::vector<ValType> p(ansatz.n_params());
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        // Odd parameters drive the RZ rotations.
+        p[i] = all_real && i % 2 == 1 ? 0.0 : rng.uniform(-PI, PI);
+      }
+      members.push_back(ansatz.bind(p));
+    }
+    return members;
+  };
+  const auto bytes = static_cast<std::size_t>(pow2(n) * B) * sizeof(ValType);
+  const auto same_amps = [&](const svsim::BatchedSim& a,
+                             const svsim::BatchedSim& b) {
+    return std::memcmp(a.real_data(), b.real_data(), bytes) == 0 &&
+           std::memcmp(a.imag_data(), b.imag_data(), bytes) == 0;
+  };
+  obs::Counter& builds =
+      obs::Registry::global().counter("batched.plan_builds");
+
+  svsim::BatchedSim kept(n, B, cfg);
+  std::uint64_t kept_builds = 0;
+  std::vector<Circuit> members;
+  // 'u' runs the previous sweep's member 0 on every member: a uniform run
+  // whose gates equal the last fill's skeleton must still be refilled.
+  for (const char kind : {'r', 'c', 'c', 'u', 'u', 'r', 'c'}) {
+    if (kind != 'u') members = bind_set(kind == 'r');
+    const std::uint64_t before = builds.value();
+    if (kind == 'u') {
+      kept.run_fresh(members.front());
+    } else {
+      kept.run_fresh(members);
+    }
+    kept_builds += builds.value() - before;
+
+    svsim::BatchedSim fresh(n, B, cfg);
+    if (kind == 'u') {
+      fresh.run_fresh(members.front());
+    } else {
+      fresh.run_fresh(members);
+    }
+    EXPECT_TRUE(same_amps(kept, fresh)) << "run kind " << kind;
+  }
+  EXPECT_EQ(kept_builds, 1u); // the structure was compiled once
+}
+
 TEST(BatchedEngine, RuntimeDispatchClampsAndMatchesScalar) {
   // Requesting a wider level than the build/CPU carries must clamp to the
   // widest available lane (never throw) and agree with a forced-scalar
@@ -336,6 +513,71 @@ TEST(BatchedOptimizer, BatchObjectiveMatchesScalarPathExactly) {
   EXPECT_EQ(ss.trace, sb.trace);
   EXPECT_EQ(ss.evaluations, sb.evaluations);
   EXPECT_GE(max_batch, 2u); // the probe pair came through batched
+}
+
+TEST(BatchedOptimizer, EnergyObjectiveMatchesFreshEngines) {
+  // The objective keeps one engine per pass width and the compiled
+  // observable across calls; every energy must still be exactly what a
+  // fresh engine gives — across widths 8, 2, 8, 3 (full passes and ragged
+  // tails), with a copy called in between (copies never share an
+  // engine), and with two copies running on two threads.
+  const IdxType n = 5;
+  const int batch = 8;
+  const ParamCircuit ansatz = hardware_efficient_ansatz(n, 2);
+  Rng rng(5);
+  const Hamiltonian h = mixed_pauli_sum(n, rng);
+  const auto points = [&](int count) {
+    std::vector<std::vector<ValType>> pts(static_cast<std::size_t>(count));
+    for (auto& p : pts) {
+      p.resize(ansatz.n_params());
+      for (ValType& v : p) v = rng.uniform(-PI, PI);
+    }
+    return pts;
+  };
+  const auto fresh = [&](const std::vector<std::vector<ValType>>& pts) {
+    std::vector<ValType> e;
+    for (std::size_t done = 0; done < pts.size(); done += batch) {
+      const std::size_t end =
+          std::min(pts.size(), done + static_cast<std::size_t>(batch));
+      const std::vector<std::vector<ValType>> chunk(
+          pts.begin() + static_cast<std::ptrdiff_t>(done),
+          pts.begin() + static_cast<std::ptrdiff_t>(end));
+      BatchedSim sim(n, static_cast<int>(chunk.size()));
+      sim.run_fresh(ansatz, chunk);
+      for (const ValType v : sim.expectations(h)) e.push_back(v);
+    }
+    return e;
+  };
+
+  BatchObjective objective = energy_objective(n, ansatz, h, batch);
+  for (const int width : {8, 2, 8, 3}) {
+    const auto pts = points(width);
+    EXPECT_EQ(objective(pts), fresh(pts)) << "width " << width;
+    BatchObjective copy = objective;
+    const auto other = points(width == 8 ? 3 : 8);
+    EXPECT_EQ(copy(other), fresh(other)) << "copy after width " << width;
+  }
+
+  const std::vector<std::vector<std::vector<ValType>>> work = {
+      points(8), points(2), points(11), points(1)};
+  std::vector<std::vector<ValType>> want;
+  for (const auto& pts : work) want.push_back(fresh(pts));
+  std::vector<std::vector<ValType>> got[2];
+  std::thread threads[2];
+  for (int t = 0; t < 2; ++t) {
+    threads[t] = std::thread([&work, &out = got[t], f = objective]() mutable {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (const auto& pts : work) out.push_back(f(pts));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : got) {
+    ASSERT_EQ(out.size(), 3 * work.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], want[i % work.size()]) << "call " << i;
+    }
+  }
 }
 
 TEST(BatchedOptimizer, EnergyObjectiveFindsH2GroundState) {

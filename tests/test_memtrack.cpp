@@ -187,7 +187,9 @@ TEST_F(MemtrackTest, ConcurrentAccountingAndSampling) {
         MemAdjust adj(MemTag::kOther, t);
         adj.add(128);
         if ((i + t) % 3 == 0) reg.sample_now();
-        if ((i + t) % 3 == 1) EXPECT_GT(reg.sample_rss(), 0u);
+        if ((i + t) % 3 == 1) {
+          EXPECT_GT(reg.sample_rss(), 0u);
+        }
         (void)reg.snapshot();
       }
     });

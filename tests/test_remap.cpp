@@ -176,7 +176,9 @@ TEST(Remap, MeasureAllGetsLayoutSnapshot) {
       EXPECT_EQ(g.cbit, 0); // snapshot row index
     }
     // No physical restore epilogue: every swap precedes the readout.
-    if (saw_ma) EXPECT_NE(g.op, OP::SWAP);
+    if (saw_ma) {
+      EXPECT_NE(g.op, OP::SWAP);
+    }
   }
   EXPECT_TRUE(saw_ma);
   // The snapshot is the live layout: logical 5 was swapped into the local

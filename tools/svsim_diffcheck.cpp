@@ -194,7 +194,8 @@ int main(int argc, char** argv) {
       // Trailing measure_all exercises the layout-snapshot readout that
       // the quarantined pass used to hard-throw on.
       if (opt.remap_stress) c.measure_all();
-      failures += diff_one(c, "c" + std::to_string(i), opt);
+      const std::string index = std::to_string(i);
+      failures += diff_one(c, "c" + index, opt);
     }
     std::cout << "diff: " << opt.circuits << " circuits x "
               << campaign_sweep(opt).size() << " configs, " << failures
