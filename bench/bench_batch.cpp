@@ -11,7 +11,9 @@
 // The final speedup-only table is the cross-machine regression surface:
 // ratios survive machine changes that absolute milliseconds do not, so
 // CI checks the committed BENCH_batch.json against it with
-// regress_check.py (speedup columns are higher-is-better there).
+// regress_check.py (speedup columns are higher-is-better there). The
+// looped single runs are pinned to scalar lanes, the loop that surface
+// was baselined on; the batched engine runs its default, the widest.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -73,6 +75,8 @@ int main() {
   const IdxType shots = 256;
   const std::uint64_t seed = 42;
   const std::vector<int> batches = {1, 4, 8, 16};
+  SimConfig scalar;
+  scalar.simd = SimdLevel::kScalar;
 
   // --- vqe_sweep ---------------------------------------------------------
   const Hamiltonian tfi = bench::tfi_hamiltonian(n);
@@ -88,7 +92,7 @@ int main() {
   std::vector<ValType> seq_e;
   const double vqe_seq_ms = best_of(kReps, [&] {
     seq_e.clear();
-    SingleSim sim(n);
+    SingleSim sim(n, scalar);
     for (const auto& p : sets) {
       sim.run_fresh(ansatz.bind(p));
       seq_e.push_back(tfi.expectation(sim.state()));
@@ -126,7 +130,7 @@ int main() {
   const double samp_seq_ms = best_of(kReps, [&] {
     seq_checksum = 0;
     for (IdxType s = 0; s < shots; ++s) {
-      SimConfig cfg;
+      SimConfig cfg = scalar;
       cfg.seed = seed + static_cast<std::uint64_t>(s);
       SingleSim sim(n, cfg);
       sim.run(circ);
@@ -153,7 +157,6 @@ int main() {
       // these shot counts — would need a narrower engine).
       SimConfig cfg;
       cfg.seed = seed;
-      cfg.simd = max_simd_level();
       svsim::BatchedSim full(n, static_cast<IdxType>(B), cfg);
       for (IdxType base = 0; base < shots; base += B) {
         const IdxType Bc = std::min<IdxType>(B, shots - base);

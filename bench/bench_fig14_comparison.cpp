@@ -61,7 +61,9 @@ int main() {
     const Circuit c = cb::make_table4(id);
     const IdxType n = c.n_qubits();
 
-    SingleSim scalar(n);
+    SimConfig scalar_cfg;
+    scalar_cfg.simd = SimdLevel::kScalar;
+    SingleSim scalar(n, scalar_cfg);
     const double t_scalar = measure_ms(scalar, c);
 
     double t_avx = -1;

@@ -20,9 +20,10 @@
 // engine: B independent copies of the circuit evolve in lockstep, each on
 // its own RNG stream (seed + member index), and the --shots samples are
 // drawn across the members (ceil(N/B) per member). Member b is bit-for-bit
-// the solo run with seed+b. Ignores --backend (single-node engine).
+// the solo run with seed+b. Ignores --backend (single-node engine). Both
+// engines run the widest lanes this build carries (SimConfig::simd).
 //
-// --metrics dumps the process-global counter/histogram registry in
+// --metrics dumps the process-global counter/gauge registry in
 // Prometheus text exposition format on stdout after the run — scrapeable
 // without parsing JSON.
 //
@@ -213,11 +214,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<Simulator> sim;
     std::unique_ptr<BatchedSim> bsim;
     if (batch > 1) {
-      // Default the batched engine to the widest lanes this CPU carries —
-      // the batch-innermost layout exists to feed them.
-      SimConfig bcfg = cfg;
-      if (bcfg.simd == SimdLevel::kScalar) bcfg.simd = max_simd_level();
-      bsim = std::make_unique<BatchedSim>(circuit.n_qubits(), batch, bcfg);
+      bsim = std::make_unique<BatchedSim>(circuit.n_qubits(), batch, cfg);
     } else {
       sim = make_backend(backend, circuit.n_qubits(), workers, cfg);
     }

@@ -35,13 +35,6 @@ const char* to_string(SimdLevel level) {
   return "?";
 }
 
-SimdLevel simd_level_from_string(const std::string& name) {
-  if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "avx2") return SimdLevel::kAvx2;
-  if (name == "avx512") return SimdLevel::kAvx512;
-  throw Error("unknown SIMD level: " + name);
-}
-
 // --- parsers ---------------------------------------------------------------
 
 namespace {
@@ -276,8 +269,14 @@ const Env& Env::process() {
 
 RunSwitches resolve(const SimConfig& cfg, const Env& env) {
   env.check();
+  if (cfg.simd > max_simd_level()) {
+    throw Error(std::string("SIMD level ") + to_string(cfg.simd) +
+                " is not available in this build: the widest is " +
+                to_string(max_simd_level()));
+  }
   const SimConfig d;
   RunSwitches sw;
+  sw.simd = cfg.simd;
   sw.profile = cfg.profile || env.profile.has_value();
   sw.roofline = pick(cfg.roofline, d.roofline, env.roofline);
   const int waits = pick(cfg.waitstats, d.waitstats, env.waitstats);

@@ -23,22 +23,26 @@
 
 namespace svsim {
 
-/// Which arithmetic path the single-device kernels use. Scalar is the
-/// portable reference; Avx2/Avx512 are the architecture-specialized paths
-/// described in §3.2.1 of the paper (Listing 2 shows the AVX-512 T gate).
+/// The lane level a kernel runs at: the SIMD width of its lane policy
+/// (core/kernels/lanes.hpp). Scalar is the portable reference; Avx2/Avx512
+/// are the architecture-specialized paths described in §3.2.1 of the
+/// paper (Listing 2 shows the AVX-512 T gate).
 enum class SimdLevel { kScalar, kAvx2, kAvx512 };
 
-/// Highest SIMD level this binary/CPU supports (compile-time + cpuid).
+/// The widest lane level this build carries: its compile-time target
+/// (-march=native by default), scalar under -DSVSIM_FORCE_SCALAR.
 SimdLevel max_simd_level();
 
-/// Parse/format helpers used by bench/example command lines.
 const char* to_string(SimdLevel level);
-SimdLevel simd_level_from_string(const std::string& name);
 
 /// Configuration for a simulator instance. A switch field left at its
 /// default takes its SVSIM_* variable when that is set (the rule above).
 struct SimConfig {
-  SimdLevel simd = SimdLevel::kScalar;
+  /// Lane level of SingleSim's unitary kernels, of BatchedSim's member
+  /// lanes and of every backend's health scan; no variable. resolve()
+  /// keeps it as given and throws when the build lacks it, so every
+  /// backend constructor rejects a level above max_simd_level().
+  SimdLevel simd = max_simd_level();
   /// Seed for measurement sampling.
   std::uint64_t seed = 42;
   /// Per-gate timing in the RunReport and, with a trace path, Chrome trace
@@ -169,6 +173,7 @@ struct RunSwitches {
   std::uint64_t mem_limit = 0; // 0 = no limit
   int http_port = -1;          // -1 = no telemetry server
   bool progress = false;       // progress publishers without a server
+  SimdLevel simd = SimdLevel::kScalar; // a level this build carries
 
   /// Remapping for a partitioned run on `n_workers` PEs (auto: > 1 PE).
   bool remap_on(int n_workers) const {
@@ -177,7 +182,8 @@ struct RunSwitches {
 };
 
 /// Resolve `cfg` against `env` under the one rule. Throws env's error
-/// first, so a malformed variable never runs as its default.
+/// first, so a malformed variable never runs as its default, then a lane
+/// level this build lacks.
 RunSwitches resolve(const SimConfig& cfg, const Env& env = Env::process());
 
 } // namespace svsim

@@ -434,12 +434,8 @@ BatchedSim::BatchedSim(IdxType n_qubits, IdxType batch, SimConfig cfg)
   }
 }
 
-SimdLevel BatchedSim::simd_level() const {
-  return kernels::batched_effective_level(cfg_.simd);
-}
-
 IdxType BatchedSim::lane_width() const {
-  return kernels::batched_kernel_table(cfg_.simd).lane_width;
+  return kernels::batched_kernel_table(sw_.simd).lane_width;
 }
 
 void BatchedSim::reset_state() {
@@ -485,7 +481,7 @@ void BatchedSim::execute(const Circuit& circuit,
   obs::ProgressBoard* const progress =
       obs::maybe_start_httpd(sw_.http_port, sw_.progress);
 
-  const BatchedTable& table = kernels::batched_kernel_table(cfg_.simd);
+  const BatchedTable& table = kernels::batched_kernel_table(sw_.simd);
   const auto& gates = circuit.gates();
 
   // Structure hit: same ops, operands and cbits as the cached plan, for a

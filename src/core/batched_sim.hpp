@@ -43,9 +43,9 @@ namespace svsim {
 
 class BatchedSim {
 public:
-  /// B state vectors of n qubits. cfg.simd is clamped (not rejected) to
-  /// the widest lane this build+CPU carries — the batch tail needs the
-  /// scalar lane anyway, so a correct narrower path always exists.
+  /// B state vectors of n qubits, with member lanes at cfg.simd (widest
+  /// by default). A level this build lacks throws, as from every backend
+  /// constructor (common/config.hpp).
   explicit BatchedSim(IdxType n_qubits, IdxType batch, SimConfig cfg = {});
   ~BatchedSim();
 
@@ -53,8 +53,8 @@ public:
   IdxType n_qubits() const { return n_; }
   IdxType dim() const { return dim_; }
   IdxType batch() const { return batch_; }
-  /// Effective SIMD level after clamping, and its members-per-vector.
-  SimdLevel simd_level() const;
+  /// The resolved lane level, and its members per vector.
+  SimdLevel simd_level() const { return sw_.simd; }
   IdxType lane_width() const;
 
   /// All members back to |0...0>, classical bits cleared, member b's RNG

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -185,13 +186,62 @@ DeviceCircuit<Space> upload_circuit(
 }
 
 /// The observability planes one run switched on, shared read-only by
-/// every worker's gate loop (null = that plane is off).
+/// every worker's gate loop (null = that plane is off), and the run's
+/// resolved lane level, at which the health checkpoint scans.
 struct RunPlanes {
   obs::GateRecorder* rec = nullptr;
   obs::HealthMonitor* health = nullptr;
   obs::FlightRecorder* flight = nullptr;
   obs::ProgressBoard* progress = nullptr;
+  SimdLevel simd = SimdLevel::kScalar;
 };
+
+/// The health scan of one partition at lane level `level` (one this
+/// build carries): Σ(re²+im²) into *norm2 and the number of non-finite
+/// (NaN/±Inf) values into *non_finite. The lanes sum x² and x−x, W-wide
+/// chunks through the level's policy and the ragged tail one value at a
+/// time. x−x is 0 for every finite x and NaN for a NaN or ±Inf, so the
+/// x−x total is not 0 exactly when a bad value is present; only then
+/// does a scalar pass count them.
+inline void scan_amplitudes(SimdLevel level, const ValType* re,
+                            const ValType* im, IdxType count, double* norm2,
+                            std::uint64_t* non_finite) {
+  double sq = 0;
+  double nan = 0;
+  kernels::with_lane(level, [&]<class L>() {
+    for (const ValType* v : {re, im}) {
+      typename L::V s = L::zero();
+      typename L::V d = L::zero();
+      IdxType i = 0;
+      for (; i + L::W <= count; i += L::W) {
+        const typename L::V x = L::load(v + i);
+        s = s + x * x;
+        d = d + (x - x);
+      }
+      ValType ls[L::W];
+      ValType ld[L::W];
+      L::store(ls, s);
+      L::store(ld, d);
+      for (IdxType l = 0; l < L::W; ++l) {
+        sq += ls[l];
+        nan += ld[l];
+      }
+      for (; i < count; ++i) {
+        sq += v[i] * v[i];
+        nan += v[i] - v[i];
+      }
+    }
+  });
+  std::uint64_t bad = 0;
+  if (nan != 0) {
+    for (IdxType i = 0; i < count; ++i) {
+      if (!std::isfinite(re[i])) ++bad;
+      if (!std::isfinite(im[i])) ++bad;
+    }
+  }
+  *norm2 = sq;
+  *non_finite = bad;
+}
 
 namespace detail {
 
@@ -208,34 +258,6 @@ inline void flight_gate_event(obs::FlightRing* ring, std::uint64_t gate_id,
   e.qb0 = static_cast<std::int32_t>(g.qb0);
   e.qb1 = static_cast<std::int32_t>(g.qb1);
   ring->push(e);
-}
-
-/// One collective health checkpoint: every worker SIMD-scans its local
-/// partition, the partials combine through the Space's own reduce_sum (so
-/// workers stay lockstep), worker 0 records the result, and the returned
-/// abort verdict is a pure function of the reduced values — identical on
-/// every worker, so gate loops break together.
-template <class Space>
-inline bool health_checkpoint(const Space& sp, obs::HealthMonitor* health,
-                              obs::FlightRing* ring, std::uint64_t gate_id) {
-  double norm2 = 0;
-  std::uint64_t bad = 0;
-  obs::scan_amplitudes(sp.local_real(), sp.local_imag(), sp.local_count(),
-                       &norm2, &bad);
-  const double g_norm2 =
-      static_cast<double>(sp.reduce_sum(static_cast<ValType>(norm2)));
-  // Counts are far below 2^53, so the ValType reduction is exact.
-  const std::uint64_t g_bad = static_cast<std::uint64_t>(
-      sp.reduce_sum(static_cast<ValType>(bad)) + 0.5);
-  if (sp.worker() == 0) health->observe(gate_id, g_norm2, g_bad);
-  if (ring != nullptr) {
-    obs::FlightEvent e;
-    e.ts_us = obs::trace_now_us();
-    e.gate_id = gate_id;
-    e.kind = obs::FlightEvent::kCheckpoint;
-    ring->push(e);
-  }
-  return health->should_abort(g_norm2, g_bad);
 }
 
 /// Amplitudes one work item of `g` touches (progress accounting).
@@ -258,6 +280,7 @@ struct WorkerPlanes {
                   : 0),
         n_gates(n_gates),
         me(worker),
+        simd(p.simd),
         scope(pslot) {}
 
   obs::GateRecorder* const rec;
@@ -267,8 +290,38 @@ struct WorkerPlanes {
   const std::uint64_t every; // health cadence in gates, 0 = off
   const std::uint64_t n_gates;
   const int me;
+  const SimdLevel simd; // the health scan's lane level
   obs::ProgressScope scope;
 };
+
+/// One collective health checkpoint: every worker scans its local
+/// partition at the run's lane level, the partials combine through the
+/// Space's own reduce_sum (so workers stay lockstep), worker 0 records
+/// the result, and the returned abort verdict is a pure function of the
+/// reduced values — identical on every worker, so gate loops break
+/// together.
+template <class Space>
+inline bool health_checkpoint(const Space& sp, const WorkerPlanes& wp,
+                              std::uint64_t gate_id) {
+  double norm2 = 0;
+  std::uint64_t bad = 0;
+  scan_amplitudes(wp.simd, sp.local_real(), sp.local_imag(),
+                  sp.local_count(), &norm2, &bad);
+  const double g_norm2 =
+      static_cast<double>(sp.reduce_sum(static_cast<ValType>(norm2)));
+  // Counts are far below 2^53, so the ValType reduction is exact.
+  const std::uint64_t g_bad = static_cast<std::uint64_t>(
+      sp.reduce_sum(static_cast<ValType>(bad)) + 0.5);
+  if (sp.worker() == 0) wp.health->observe(gate_id, g_norm2, g_bad);
+  if (wp.ring != nullptr) {
+    obs::FlightEvent e;
+    e.ts_us = obs::trace_now_us();
+    e.gate_id = gate_id;
+    e.kind = obs::FlightEvent::kCheckpoint;
+    wp.ring->push(e);
+  }
+  return wp.health->should_abort(g_norm2, g_bad);
+}
 
 /// One gate of a per-gate loop (Listing 1 lines 21-26 / Listing 5): phase
 /// label, flight event, then `apply()` — the gate's work on this worker
@@ -291,7 +344,7 @@ bool gate_step(const Space& sp, const WorkerPlanes& wp,
   if (wp.every == 0 || (gate_id % wp.every != 0 && gate_id != wp.n_gates)) {
     return true;
   }
-  return !health_checkpoint(sp, wp.health, wp.ring, gate_id);
+  return !health_checkpoint(sp, wp, gate_id);
 }
 
 /// The per-gate loop of a backend with its own gate arithmetic: `apply(g)`

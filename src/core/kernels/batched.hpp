@@ -540,12 +540,10 @@ using BatchedDiagFn = void (*)(const BDiagGate&, const BatchedSpace&, IdxType,
                                IdxType);
 
 // ---------------------------------------------------------------------------
-// Dispatch: the batched twin of local_kernel_table(). Unlike the solo
-// path — which refuses a SIMD level the build lacks — the batched table
-// CLAMPS to the widest compiled+supported lane (the runtime-dispatch
-// fallback path): the batch tail already needs the scalar lane, so every
-// build carries a correct fallback and a too-ambitious request can
-// degrade instead of failing.
+// Dispatch: the batched twin of SingleSim's kernel table, one per lane
+// level, built on first use. The level is the engine's resolved
+// RunSwitches::simd: resolve() has already rejected a level this build
+// lacks, so the table is taken as given, never clamped.
 // ---------------------------------------------------------------------------
 
 struct BatchedTable {
@@ -581,16 +579,10 @@ inline BatchedTable build_batched_table() {
 
 } // namespace batched_detail
 
-/// Widest lane this build + CPU can actually run, at most `want`.
-inline SimdLevel batched_effective_level(SimdLevel want) {
-  const SimdLevel avail = max_simd_level();
-  return want <= avail ? want : avail;
-}
-
-/// The batched kernel table for `want`, clamped to the available level.
-inline const BatchedTable& batched_kernel_table(SimdLevel want) {
+/// The batched kernel table at a level this build carries.
+inline const BatchedTable& batched_kernel_table(SimdLevel level) {
   const BatchedTable* table = nullptr;
-  with_lane(batched_effective_level(want), [&]<class L>() {
+  with_lane(level, [&]<class L>() {
     static const BatchedTable t = batched_detail::build_batched_table<L>();
     table = &t;
   });

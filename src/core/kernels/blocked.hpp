@@ -602,7 +602,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
     // the window crosses a multiple of `every` (or ends the circuit).
     if (wp.every != 0 &&
         (gate_id / wp.every > prev / wp.every || gate_id == wp.n_gates)) {
-      if (detail::health_checkpoint(sp, wp.health, wp.ring, gate_id)) return;
+      if (detail::health_checkpoint(sp, wp, gate_id)) return;
     }
   }
 }

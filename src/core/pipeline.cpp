@@ -114,7 +114,8 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
   if (shape.partitioned && sw.waitstats) {
     waits_ = std::make_unique<obs::WaitRecorder>(shape.n_workers);
   }
-  planes_ = RunPlanes{rec_.get(), health_.get(), flight_, progress_};
+  planes_ =
+      RunPlanes{rec_.get(), health_.get(), flight_, progress_, sw.simd};
 }
 
 // --- Simulator: the state surface shared by every backend ---------------

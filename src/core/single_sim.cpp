@@ -4,14 +4,20 @@
 
 namespace svsim {
 
+namespace {
+
+/// LocalSpace's kernel table at a level resolve() has checked: every
+/// unitary op through that level's lane policy, the non-unitary ops
+/// scalar.
 const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level) {
   const KernelTable<LocalSpace>::Table* table = nullptr;
   kernels::with_lane(level, [&]<class L>() {
     table = &KernelTable<LocalSpace>::get<L>();
   });
-  if (table == nullptr) throw Error("SIMD level not available in this build");
   return *table;
 }
+
+} // namespace
 
 SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
     : Simulator(n_qubits, cfg),
@@ -20,9 +26,7 @@ SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       rng_(cfg.seed),
-      table_(&local_kernel_table(cfg.simd)) {
-  SVSIM_CHECK(cfg.simd <= max_simd_level(),
-              "requested SIMD level not supported by this CPU/build");
+      table_(&local_kernel_table(sw_.simd)) {
   real_[0] = 1.0; // |0...0>
   parts_ = Partitions{n_, {real_.data()}, {imag_.data()}};
 }

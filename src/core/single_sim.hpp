@@ -2,9 +2,9 @@
 //
 // Homogeneous execution: the whole circuit runs as one simulation-kernel
 // loop of preloaded function pointers; specialized kernels per gate; and
-// optionally the AVX2/AVX-512 kernel table (Listing 2: the same gate
-// bodies, W work items per vector by gather/scatter) selected at
-// construction.
+// the kernel table of the resolved lane level (RunSwitches::simd, widest
+// by default) selected at construction — at AVX2/AVX-512 the same gate
+// bodies carry W work items per vector by gather/scatter (Listing 2).
 #pragma once
 
 #include "common/aligned.hpp"
@@ -15,11 +15,6 @@
 #include "core/space.hpp"
 
 namespace svsim {
-
-/// Kernel table for LocalSpace at a given SIMD level: every unitary op
-/// through that level's lane policy, the non-unitary ops scalar. Throws
-/// when the build lacks the level.
-const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level);
 
 class SingleSim final : public Simulator {
 public:
@@ -36,7 +31,7 @@ public:
   ValType* imag() { return imag_.data(); }
   IdxType dim() const { return dim_; }
 
-  SimdLevel simd_level() const { return cfg_.simd; }
+  SimdLevel simd_level() const { return sw_.simd; }
 
 private:
   LocalSpace make_space();

@@ -7,11 +7,12 @@
 // injected by a bad initial state, norm drift accumulated over millions
 // of rotation gates — corrupt every downstream sample without any
 // visible failure. The monitor checks both at a configurable gate
-// cadence: each worker SIMD-scans its *local* partition (no extra
-// communication beyond one reduction), worker 0 records the globally
-// reduced result, and every worker evaluates the same escalation
-// decision so distributed backends break out of the gate loop together
-// instead of deadlocking at the next barrier.
+// cadence: each worker scans its *local* partition at the run's lane
+// level (scan_amplitudes in core/dispatch.hpp; no extra communication
+// beyond one reduction), worker 0 records the globally reduced result,
+// and every worker evaluates the same escalation decision so
+// distributed backends break out of the gate loop together instead of
+// deadlocking at the next barrier.
 //
 // Escalation policy: every violation counts (HealthStats), violations
 // above the warn threshold log WARN, and drift above the abort
@@ -31,12 +32,6 @@
 #include "obs/report.hpp"
 
 namespace svsim::obs {
-
-/// SIMD scan of one partition: accumulates Σ(re²+im²) into *norm2 and
-/// counts non-finite (NaN/Inf) values into *non_finite. Uses the widest
-/// available vector path (AVX-512 / AVX2 / scalar).
-void scan_amplitudes(const ValType* re, const ValType* im, IdxType count,
-                     double* norm2, std::uint64_t* non_finite);
 
 /// Process-global mirror of the most recent monitor's reduced results,
 /// published atomically from HealthMonitor::observe so the embedded

@@ -1,47 +1,10 @@
 #include "obs/registry.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
 
 namespace svsim::obs {
-
-void Histogram::record_us(double us) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(sum_us_, us);
-  detail::atomic_min(min_us_, us);
-  detail::atomic_max(max_us_, us);
-
-  int b = 0;
-  if (us >= 1.0) {
-    b = static_cast<int>(std::log2(us));
-    if (b >= kBuckets) b = kBuckets - 1;
-    if (b < 0) b = 0;
-  }
-  buckets_[static_cast<std::size_t>(b)].fetch_add(1, std::memory_order_relaxed);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum_us = sum_us_.load(std::memory_order_relaxed);
-  s.min_us = s.count != 0 ? min_us_.load(std::memory_order_relaxed) : 0;
-  s.max_us = s.count != 0 ? max_us_.load(std::memory_order_relaxed) : 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    s.buckets[static_cast<std::size_t>(i)] =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_us_.store(0, std::memory_order_relaxed);
-  min_us_.store(1e300, std::memory_order_relaxed);
-  max_us_.store(-1e300, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
 
 Registry& Registry::global() {
   static Registry r;
@@ -55,13 +18,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
 Gauge& Registry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
@@ -72,7 +28,6 @@ Gauge& Registry::gauge(const std::string& name) {
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, g] : gauges_) g->reset();
 }
 
@@ -92,19 +47,10 @@ std::vector<std::pair<std::string, double>> Registry::gauge_values() const {
   return out;
 }
 
-std::vector<std::pair<std::string, Histogram::Snapshot>>
-Registry::histogram_values() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, Histogram::Snapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) out.emplace_back(name, h->snapshot());
-  return out;
-}
-
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; map the registry's dotted
-/// names ("run_ms.single") onto underscores.
+/// names ("runs.single") onto underscores.
 std::string prom_name(const std::string& name) {
   std::string out;
   out.reserve(name.size());
@@ -175,44 +121,6 @@ std::string Registry::write_prom() const {
       os << ' ' << buf << '\n';
     }
   }
-  std::map<std::string,
-           std::vector<std::pair<std::string, Histogram::Snapshot>>>
-      histo_fams;
-  for (const auto& [name, s] : histogram_values()) {
-    histo_fams["svsim_" + prom_name(name) + "_seconds"].emplace_back(name, s);
-  }
-  for (const auto& [m, members] : histo_fams) {
-    os << "# HELP " << m << " svsim latency histogram (seconds)\n";
-    os << "# TYPE " << m << " histogram\n";
-    for (const auto& [name, s] : members) {
-      const std::string tag =
-          members.size() > 1 ? "name=\"" + prom_label_escape(name) + "\"," : "";
-      // Buckets are cumulative with `le` in seconds: registry bucket k
-      // holds samples in [2^k, 2^{k+1}) µs, so its upper edge is 2^{k+1}µs.
-      std::uint64_t cum = 0;
-      for (int k = 0; k < Histogram::kBuckets; ++k) {
-        const std::uint64_t n = s.buckets[static_cast<std::size_t>(k)];
-        cum += n;
-        if (n == 0 && k != 0) continue; // sparse: only emit occupied edges
-        std::snprintf(buf, sizeof(buf), "%.9g",
-                      std::ldexp(1.0, k + 1) * 1e-6);
-        os << m << "_bucket{" << tag << "le=\"" << buf << "\"} " << cum
-           << '\n';
-      }
-      os << m << "_bucket{" << tag << "le=\"+Inf\"} " << s.count << '\n';
-      std::snprintf(buf, sizeof(buf), "%.9g", s.sum_us * 1e-6);
-      os << m << "_sum";
-      if (!tag.empty()) {
-        os << '{' << tag.substr(0, tag.size() - 1) << '}'; // drop comma
-      }
-      os << ' ' << buf << '\n';
-      os << m << "_count";
-      if (!tag.empty()) {
-        os << '{' << tag.substr(0, tag.size() - 1) << '}';
-      }
-      os << ' ' << s.count << '\n';
-    }
-  }
   return os.str();
 }
 
@@ -223,11 +131,6 @@ std::string Registry::summary() const {
   }
   for (const auto& [name, v] : gauge_values()) {
     if (v != 0) os << "  gauge   " << name << " = " << v << "\n";
-  }
-  for (const auto& [name, s] : histogram_values()) {
-    if (s.count == 0) continue;
-    os << "  timer   " << name << ": n=" << s.count << " mean=" << s.mean_us()
-       << "us min=" << s.min_us << "us max=" << s.max_us << "us\n";
   }
   return os.str();
 }

@@ -1,17 +1,16 @@
-// obs::Registry — process-global named counters and histogram timers.
+// obs::Registry — process-global named counters and gauges.
 //
 // The observability core: backends, the SHMEM runtime, and user code
 // register monotonic counters ("runs.shmem", "obs.trace_events") and
-// log2-bucketed histogram timers ("run_ms.single") by name. Entries are
-// created on first use and are never removed — the returned references
-// stay valid for the life of the process, so hot paths look a counter up
-// once (e.g. a function-local static) and afterwards pay exactly one
-// relaxed atomic add. All mutation is lock-free; only name resolution
-// takes the registry mutex. reset() zeroes values in place rather than
-// erasing entries, preserving cached references.
+// gauges ("mem.rss_bytes") by name. Entries are created on first use and
+// are never removed — the returned references stay valid for the life of
+// the process, so hot paths look a counter up once (e.g. a
+// function-local static) and afterwards pay exactly one relaxed atomic
+// add. All mutation is lock-free; only name resolution takes the
+// registry mutex. reset() zeroes values in place rather than erasing
+// entries, preserving cached references.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -31,18 +30,6 @@ inline void atomic_add(std::atomic<double>& a, double v) {
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
 }
-inline void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-inline void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
 } // namespace detail
 
 /// Monotonic counter. Thread/PE-safe; one relaxed atomic add per bump.
@@ -54,37 +41,6 @@ public:
 
 private:
   std::atomic<std::uint64_t> v_{0};
-};
-
-/// Histogram timer: count/sum/min/max plus log2 buckets of microseconds
-/// (bucket k holds samples in [2^k, 2^{k+1}) us; bucket 0 also holds
-/// sub-microsecond samples). Thread/PE-safe.
-class Histogram {
-public:
-  static constexpr int kBuckets = 32;
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    double sum_us = 0;
-    double min_us = 0;
-    double max_us = 0;
-    std::array<std::uint64_t, kBuckets> buckets{};
-    double mean_us() const { return count != 0 ? sum_us / static_cast<double>(count) : 0; }
-  };
-
-  void record_us(double us);
-  void record_seconds(double s) { record_us(s * 1e6); }
-  Snapshot snapshot() const;
-  void reset();
-
-private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_us_{0};
-  // +/-inf sentinels so concurrent first samples need no special case;
-  // snapshot() reports 0 while empty.
-  std::atomic<double> min_us_{1e300};
-  std::atomic<double> max_us_{-1e300};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
 /// Instantaneous level (bytes resident, queue depth): last-write-wins
@@ -107,7 +63,6 @@ public:
 
   /// Find-or-create. Returned references are valid forever.
   Counter& counter(const std::string& name);
-  Histogram& histogram(const std::string& name);
   Gauge& gauge(const std::string& name);
 
   /// Zero every entry in place (entries are kept; cached refs stay valid).
@@ -115,16 +70,13 @@ public:
 
   /// Snapshot views for exporters/tests (sorted by name).
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> histogram_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
 
   /// Human-readable dump of all non-zero entries.
   std::string summary() const;
 
   /// Prometheus text exposition (version 0.0.4) of every entry: counters
-  /// as `svsim_<name>_total`, gauges as plain `svsim_<name>`, histograms
-  /// as `svsim_<name>_seconds` cumulative-bucket histograms (le
-  /// boundaries are the log2-µs bucket upper edges, in seconds) —
+  /// as `svsim_<name>_total`, gauges as plain `svsim_<name>` —
   /// scrapeable without parsing JSON (`qasm_runner --metrics`). Names
   /// are sanitized to [a-zA-Z0-9_].
   std::string write_prom() const;
@@ -132,7 +84,6 @@ public:
 private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
 };
 

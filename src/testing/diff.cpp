@@ -68,11 +68,12 @@ long localize(const Circuit& exec, const Circuit& ref, const DiffSpec& spec) {
 }
 
 /// Batched axis: member b of the SPMD batched engine vs a solo SingleSim
-/// run at seed+b. The oracle is not consulted directly — the solo engine
-/// is anchored to it by the scalar specs, so member-vs-solo equality
-/// transitively proves the batched engine. Fusion specs fuse once here
-/// and run the identical fused circuit through both engines, keeping the
-/// bit-for-bit claim exact (internal run_fused would re-fuse per engine).
+/// run at seed+b, both at the widest lanes. The oracle is not consulted
+/// directly — the solo engine is anchored to it by the single specs at
+/// either lane level, so member-vs-solo equality transitively proves the
+/// batched engine. Fusion specs fuse once here and run the identical
+/// fused circuit through both engines, keeping the bit-for-bit claim
+/// exact (internal run_fused would re-fuse per engine).
 DiffResult diff_run_batched(const Circuit& c, const DiffSpec& spec) {
   DiffResult res;
   res.config = spec.label();
@@ -83,9 +84,6 @@ DiffResult diff_run_batched(const Circuit& c, const DiffSpec& spec) {
   SimConfig bcfg;
   bcfg.seed = spec.seed;
   bcfg.sched_window = spec.sched ? -1 : 0;
-  // Widest lanes available: the batched axis must exercise the SIMD
-  // blend/mask paths against the solo engine, not just ScalarLane.
-  bcfg.simd = max_simd_level();
   svsim::BatchedSim bsim(c.n_qubits(), B, bcfg);
   bsim.run(exec);
 
@@ -168,6 +166,7 @@ std::string DiffSpec::label() const {
     os << "batched B=" << batch;
   } else {
     os << backend;
+    if (backend == "single") os << ' ' << to_string(simd);
     if (backend != "single" && backend != "generalized") os << " x" << workers;
   }
   os << (fusion ? " fusion=on" : " fusion=off")
@@ -184,6 +183,7 @@ std::unique_ptr<Simulator> make_backend(const DiffSpec& spec,
   // Pin the remap pass both ways: auto (-1) would turn it on for every
   // multi-worker spec and no leg would cover the unremapped baseline.
   cfg.remap = spec.remap ? 1 : 0;
+  cfg.simd = spec.simd;
   if (spec.backend == "single") {
     return std::make_unique<SingleSim>(n_qubits, cfg);
   }
@@ -296,22 +296,32 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
   std::vector<DiffSpec> specs;
   for (const char* backend : {"single", "peer", "shmem", "coarse"}) {
     const bool partitioned = std::string(backend) != "single";
+    // The lane axis: single runs both solo strategies, the widest lanes
+    // and scalar (one point on a scalar-only build); the partitioned
+    // backends' kernels are scalar at any level.
+    std::vector<SimdLevel> levels = {max_simd_level()};
+    if (!partitioned && levels[0] != SimdLevel::kScalar) {
+      levels.push_back(SimdLevel::kScalar);
+    }
     for (const bool fusion : {false, true}) {
       for (const bool sched : {false, true}) {
         // The remap axis only exists on partitioned backends; single
         // covers the remap=off point implicitly.
         for (const bool remap : {false, true}) {
           if (remap && !partitioned) continue;
-          DiffSpec s;
-          s.backend = backend;
-          s.workers = partitioned ? workers : 1;
-          s.fusion = fusion;
-          s.sched = sched;
-          s.remap = remap;
-          s.seed = seed;
-          s.shots = shots;
-          s.tol = tol;
-          specs.push_back(std::move(s));
+          for (const SimdLevel simd : levels) {
+            DiffSpec s;
+            s.backend = backend;
+            s.workers = partitioned ? workers : 1;
+            s.fusion = fusion;
+            s.sched = sched;
+            s.remap = remap;
+            s.simd = simd;
+            s.seed = seed;
+            s.shots = shots;
+            s.tol = tol;
+            specs.push_back(std::move(s));
+          }
         }
       }
     }

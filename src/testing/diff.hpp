@@ -1,7 +1,8 @@
 // Differential execution: run one circuit through a production backend
-// under a chosen configuration axis (backend x fusion x sched) and check
-// it amplitude-by-amplitude against the dense-matrix oracle, localizing
-// the first diverging gate by prefix bisection when they disagree.
+// under a chosen configuration axis (backend x lanes x fusion x sched)
+// and check it amplitude-by-amplitude against the dense-matrix oracle,
+// localizing the first diverging gate by prefix bisection when they
+// disagree.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,10 @@ struct DiffSpec {
   /// multi-PE resolution never decides a diff leg. The oracle always
   /// runs unremapped; equality proves the virtual readout permutation.
   bool remap = false;
+  /// Lane level of the backend's SimConfig: SingleSim's kernel table (the
+  /// sweep runs single at scalar and at the widest level) and every
+  /// backend's health scan.
+  SimdLevel simd = max_simd_level();
   std::uint64_t seed = 42;        // backend + oracle RNG seed
   IdxType shots = 256;            // sampling-equivalence shot count
   ValType tol = 1e-9;             // max |amp_backend - amp_oracle|
@@ -73,9 +78,9 @@ DiffResult diff_run(const Circuit& c, const OracleResult& oracle,
                     const DiffSpec& spec);
 
 /// The full default sweep: {single, peer xK, shmem xK, coarse xK}
-/// x {fusion off/on} x {sched off/on} (x {remap off/on} on the
-/// partitioned backends), generalized x {fusion off/on}, and the batched
-/// axis.
+/// x {fusion off/on} x {sched off/on} (x {scalar, widest lanes} on
+/// single, x {remap off/on} on the partitioned backends), generalized x
+/// {fusion off/on}, and the batched axis.
 std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
                                     IdxType shots, ValType tol);
 

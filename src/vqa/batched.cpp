@@ -236,15 +236,7 @@ std::vector<ValType> CompiledObservable::evaluate(
 }
 
 BatchedSim::BatchedSim(IdxType n_qubits, int batch, SimConfig cfg)
-    : engine_(n_qubits, static_cast<IdxType>(batch),
-              [&] {
-                // Default the lane selection to the widest level this
-                // build+CPU carries; the engine clamps, never rejects.
-                if (cfg.simd == SimdLevel::kScalar) {
-                  cfg.simd = max_simd_level();
-                }
-                return cfg;
-              }()) {
+    : engine_(n_qubits, static_cast<IdxType>(batch), cfg) {
   SVSIM_CHECK(batch >= 1, "batch must be positive");
 }
 

@@ -15,6 +15,10 @@
 #include <thread>
 
 #include "core/batched_sim.hpp"
+#include "core/coarse_msg_sim.hpp"
+#include "core/generalized_sim.hpp"
+#include "core/peer_sim.hpp"
+#include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 #include "obs/registry.hpp"
 #include "vqa/batched.hpp"
@@ -441,10 +445,28 @@ TEST(BatchedEngine, MemberSweepStructureHitMatchesColdCompile) {
   EXPECT_EQ(kept_builds, 1u); // the structure was compiled once
 }
 
-TEST(BatchedEngine, RuntimeDispatchClampsAndMatchesScalar) {
-  // Requesting a wider level than the build/CPU carries must clamp to the
-  // widest available lane (never throw) and agree with a forced-scalar
-  // run of the same circuit and seed.
+TEST(BatchedEngine, LaneLevelIsTheResolvedSwitchAndWidestMatchesScalar) {
+  // One rule for the lane level: SimConfig::simd defaults to the widest
+  // level this build carries, and every engine runs exactly the level it
+  // is given — nothing clamps it or promotes scalar.
+  EXPECT_EQ(SimConfig{}.simd, max_simd_level());
+  EXPECT_EQ(SingleSim(3).simd_level(), max_simd_level());
+  EXPECT_EQ(svsim::BatchedSim(3, 2).simd_level(), max_simd_level());
+  EXPECT_EQ(BatchedSim(3, 2).engine().simd_level(), max_simd_level());
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > max_simd_level()) continue;
+    SimConfig cfg;
+    cfg.simd = level;
+    EXPECT_EQ(SingleSim(3, cfg).simd_level(), level) << to_string(level);
+    EXPECT_EQ(svsim::BatchedSim(3, 2, cfg).simd_level(), level)
+        << to_string(level);
+    EXPECT_EQ(BatchedSim(3, 2, cfg).engine().simd_level(), level)
+        << to_string(level);
+  }
+
+  // The widest lanes agree with scalar lanes on the same circuit and
+  // seed, a mid-circuit measurement included.
   Circuit c(3);
   c.h(0);
   c.u3(0.4, 1.1, -0.7, 1);
@@ -455,24 +477,74 @@ TEST(BatchedEngine, RuntimeDispatchClampsAndMatchesScalar) {
 
   SimConfig wide;
   wide.seed = 7;
-  wide.simd = SimdLevel::kAvx512;
-  svsim::BatchedSim a(3, 6, wide);
-  EXPECT_LE(static_cast<int>(a.simd_level()),
-            static_cast<int>(max_simd_level()));
-  EXPECT_GE(a.lane_width(), 1);
+  svsim::BatchedSim a(3, 9, wide);
   a.run_fresh(c);
 
-  SimConfig narrow;
-  narrow.seed = 7;
+  SimConfig narrow = wide;
   narrow.simd = SimdLevel::kScalar;
-  svsim::BatchedSim s(3, 6, narrow);
-  EXPECT_EQ(s.simd_level(), SimdLevel::kScalar);
+  svsim::BatchedSim s(3, 9, narrow);
   EXPECT_EQ(s.lane_width(), 1);
   s.run_fresh(c);
 
-  for (IdxType b = 0; b < 6; ++b) {
+  for (IdxType b = 0; b < 9; ++b) {
     EXPECT_EQ(a.member_cbits(b), s.member_cbits(b)) << "member " << b;
     EXPECT_LT(a.state(b).max_diff(s.state(b)), 1e-12) << "member " << b;
+  }
+
+  // The ansatz adapter keeps scalar lanes as well, and its energies match
+  // a default (widest) adapter's; 9 members fill a full vector at every
+  // width.
+  Rng rng(99);
+  const ParamCircuit ansatz = hardware_efficient_ansatz(4, 2);
+  std::vector<std::vector<ValType>> params(9);
+  for (auto& p : params) {
+    p.resize(ansatz.n_params());
+    for (ValType& v : p) v = rng.uniform(-PI, PI);
+  }
+  const Hamiltonian h = mixed_pauli_sum(4, rng);
+  BatchedSim widest(4, 9);
+  BatchedSim scalar(4, 9, narrow);
+  EXPECT_EQ(scalar.engine().lane_width(), 1);
+  widest.run_fresh(ansatz, params);
+  scalar.run_fresh(ansatz, params);
+  const std::vector<ValType> ew = widest.expectations(h);
+  const std::vector<ValType> es = scalar.expectations(h);
+  for (std::size_t b = 0; b < 9; ++b) {
+    EXPECT_NEAR(es[b], ew[b], 1e-12) << "member " << b;
+  }
+}
+
+TEST(BatchedEngine, LevelAboveWidestThrowsFromEveryBackend) {
+  // A level this build lacks is an svsim::Error naming it and the widest
+  // level, from every backend constructor — partitioned ones included.
+  if (max_simd_level() == SimdLevel::kAvx512) {
+    GTEST_SKIP() << "this build carries every lane level";
+  }
+  for (const SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level <= max_simd_level()) continue;
+    SimConfig cfg;
+    cfg.simd = level;
+    const std::string want = std::string(to_string(level)) +
+                             " is not available in this build: the "
+                             "widest is " +
+                             to_string(max_simd_level());
+    const auto expect_throw = [&](const char* what, auto&& build) {
+      try {
+        build();
+        ADD_FAILURE() << what << " accepted " << to_string(level);
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << what << ": " << e.what();
+      }
+    };
+    expect_throw("SingleSim", [&] { SingleSim sim(3, cfg); });
+    expect_throw("PeerSim", [&] { PeerSim sim(3, 2, cfg); });
+    expect_throw("ShmemSim", [&] { ShmemSim sim(3, 2, cfg); });
+    expect_throw("CoarseMsgSim", [&] { CoarseMsgSim sim(3, 2, cfg); });
+    expect_throw("GeneralizedSim", [&] { GeneralizedSim sim(3, cfg); });
+    expect_throw("svsim::BatchedSim",
+                 [&] { svsim::BatchedSim sim(3, 2, cfg); });
+    expect_throw("vqa::BatchedSim", [&] { BatchedSim sim(3, 2, cfg); });
   }
 }
 

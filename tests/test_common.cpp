@@ -83,12 +83,10 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Config, SimdLevelRoundTrip) {
-  for (const auto lvl :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    EXPECT_EQ(simd_level_from_string(to_string(lvl)), lvl);
-  }
-  EXPECT_THROW(simd_level_from_string("sse9"), Error);
+TEST(Config, SimdLevelNames) {
+  EXPECT_STREQ(to_string(SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(to_string(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(to_string(SimdLevel::kAvx512), "avx512");
 }
 
 // --- the switch resolver ---------------------------------------------------
@@ -252,12 +250,15 @@ TEST(Config, WellFormedValuesResolveAsDocumented) {
   EXPECT_EQ(d.mem_limit, 0u);
   EXPECT_EQ(d.http_port, -1);
   EXPECT_FALSE(d.progress);
+  EXPECT_EQ(SimConfig{}.simd, max_simd_level());
+  EXPECT_EQ(d.simd, max_simd_level());
 }
 
 TEST(Config, OneRuleForEverySwitch) {
   // For each per-run switch: with neither set the default applies; a
   // field left at its default takes the variable (`takes`); a field set
   // away from its default beats a variable that says otherwise (`beaten`).
+  // A switch without a variable (var null) is its field alone.
   struct Case {
     const char* var;
     const char* takes;
@@ -302,20 +303,29 @@ TEST(Config, OneRuleForEverySwitch) {
        [](const RunSwitches& s) { return double(s.http_port); }, -1, 0, 9000},
       {"SVSIM_PROGRESS", "1", nullptr, nullptr,
        [](const RunSwitches& s) { return double(s.progress); }, 0, 1, 0},
+      // The lane level: widest by default, a named level kept as given.
+      {nullptr, nullptr, nullptr,
+       [](SimConfig& c) { c.simd = SimdLevel::kScalar; },
+       [](const RunSwitches& s) { return double(s.simd); },
+       double(max_simd_level()), double(max_simd_level()),
+       double(SimdLevel::kScalar)},
   };
   for (const Case& c : cases) {
+    const std::string name = c.var != nullptr ? c.var : "simd";
+    const auto env = [&c](const char* value) {
+      return c.var != nullptr ? env_of({{c.var, value}}) : env_of({});
+    };
     EXPECT_EQ(c.read(resolve(SimConfig{}, env_of({}))), c.want_default)
-        << c.var << ": default";
-    EXPECT_EQ(c.read(resolve(SimConfig{}, env_of({{c.var, c.takes}}))),
-              c.want_var)
-        << c.var << "=" << c.takes << " with the field at its default";
+        << name << ": default";
+    EXPECT_EQ(c.read(resolve(SimConfig{}, env(c.takes))), c.want_var)
+        << name << "=" << (c.takes ? c.takes : "") << " with the field at "
+        << "its default";
     if (c.set == nullptr) continue; // no SimConfig field
     SimConfig cfg;
     c.set(cfg);
-    EXPECT_EQ(c.read(resolve(cfg, env_of({{c.var, c.beaten}}))),
-              c.want_field)
-        << c.var << "=" << c.beaten << " against a field set away from "
-        << "its default";
+    EXPECT_EQ(c.read(resolve(cfg, env(c.beaten))), c.want_field)
+        << name << "=" << (c.beaten ? c.beaten : "") << " against a field "
+        << "set away from its default";
   }
 }
 

@@ -1,8 +1,8 @@
-// Health/forensics tier: SIMD amplitude scanning, HealthMonitor trip
-// behavior (NaN, norm drift, abort escalation) on every backend, PE×PE
-// traffic-matrix marginals vs. the existing per-PE counters, the flight
-// recorder's ring semantics under concurrent writers, and the crash dump
-// path (SIGFPE death test).
+// Health/forensics tier: amplitude scanning at every lane level,
+// HealthMonitor trip behavior (NaN, norm drift, abort escalation) on
+// every backend, PE×PE traffic-matrix marginals vs. the existing per-PE
+// counters, the flight recorder's ring semantics under concurrent
+// writers, and the crash dump path (SIGFPE death test).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -61,33 +61,55 @@ std::unique_ptr<Simulator> make_sim(Backend b, IdxType n, SimConfig cfg) {
 
 // --- scan_amplitudes -----------------------------------------------------
 
+/// Every lane level this build carries: the scan runs at the run's level.
+std::vector<SimdLevel> available_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (max_simd_level() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (max_simd_level() >= SimdLevel::kAvx512) {
+    levels.push_back(SimdLevel::kAvx512);
+  }
+  return levels;
+}
+
 TEST(HealthScan, NormAndNonFiniteAcrossVectorAndTailLengths) {
   // Lengths straddling the AVX-512 (8) and AVX2 (4) strides plus tails.
-  for (const IdxType count : {1, 3, 4, 7, 8, 9, 15, 16, 33, 67}) {
-    std::vector<ValType> re(static_cast<std::size_t>(count), 0.5);
-    std::vector<ValType> im(static_cast<std::size_t>(count), -0.25);
-    double norm2 = 0;
-    std::uint64_t bad = 0;
-    obs::scan_amplitudes(re.data(), im.data(), count, &norm2, &bad);
-    EXPECT_EQ(bad, 0u) << count;
-    EXPECT_NEAR(norm2, static_cast<double>(count) * (0.25 + 0.0625), 1e-9)
-        << count;
+  for (const SimdLevel level : available_levels()) {
+    for (const IdxType count : {1, 3, 4, 7, 8, 9, 15, 16, 33, 67}) {
+      std::vector<ValType> re(static_cast<std::size_t>(count), 0.5);
+      std::vector<ValType> im(static_cast<std::size_t>(count), -0.25);
+      double norm2 = 0;
+      std::uint64_t bad = 0;
+      scan_amplitudes(level, re.data(), im.data(), count, &norm2, &bad);
+      EXPECT_EQ(bad, 0u) << to_string(level) << " count " << count;
+      EXPECT_NEAR(norm2, static_cast<double>(count) * (0.25 + 0.0625), 1e-9)
+          << to_string(level) << " count " << count;
+    }
   }
 }
 
 TEST(HealthScan, CountsNaNAndInfAtAnyPosition) {
-  constexpr IdxType kCount = 37; // SIMD body + scalar tail
-  for (IdxType pos = 0; pos < kCount; ++pos) {
-    std::vector<ValType> re(static_cast<std::size_t>(kCount), 0.1);
-    std::vector<ValType> im(static_cast<std::size_t>(kCount), 0.0);
-    re[static_cast<std::size_t>(pos)] =
-        std::numeric_limits<ValType>::quiet_NaN();
-    im[static_cast<std::size_t>((pos * 7) % kCount)] =
-        std::numeric_limits<ValType>::infinity();
-    double norm2 = 0;
-    std::uint64_t bad = 0;
-    obs::scan_amplitudes(re.data(), im.data(), kCount, &norm2, &bad);
-    EXPECT_EQ(bad, 2u) << "pos " << pos;
+  // 37 values: a vector body and a ragged tail at every lane width, so
+  // each kind of bad value lands in both, in the real and imaginary
+  // arrays alike.
+  constexpr IdxType kCount = 37;
+  constexpr ValType kInf = std::numeric_limits<ValType>::infinity();
+  const ValType kBad[] = {std::numeric_limits<ValType>::quiet_NaN(), kInf,
+                          -kInf};
+  for (const SimdLevel level : available_levels()) {
+    for (const ValType bad_value : kBad) {
+      for (IdxType pos = 0; pos < kCount; ++pos) {
+        std::vector<ValType> re(static_cast<std::size_t>(kCount), 0.1);
+        std::vector<ValType> im(static_cast<std::size_t>(kCount), 0.0);
+        re[static_cast<std::size_t>(pos)] = bad_value;
+        im[static_cast<std::size_t>((pos * 7) % kCount)] = bad_value;
+        double norm2 = 0;
+        std::uint64_t bad = 0;
+        scan_amplitudes(level, re.data(), im.data(), kCount, &norm2, &bad);
+        EXPECT_EQ(bad, 2u) << to_string(level) << " " << bad_value
+                           << " at pos " << pos;
+        EXPECT_FALSE(std::isfinite(norm2)) << to_string(level);
+      }
+    }
   }
 }
 
@@ -96,10 +118,13 @@ TEST(HealthScan, NegativeInfinityAndDenormalsClassifiedCorrectly) {
                              std::numeric_limits<ValType>::denorm_min(),
                              -0.0, 1.0};
   std::vector<ValType> im = {0, 0, 0, 0};
-  double norm2 = 0;
-  std::uint64_t bad = 0;
-  obs::scan_amplitudes(re.data(), im.data(), 4, &norm2, &bad);
-  EXPECT_EQ(bad, 1u); // only -inf; denormals and -0.0 are finite
+  for (const SimdLevel level : available_levels()) {
+    double norm2 = 0;
+    std::uint64_t bad = 0;
+    scan_amplitudes(level, re.data(), im.data(), 4, &norm2, &bad);
+    // Only -inf; denormals and -0.0 are finite.
+    EXPECT_EQ(bad, 1u) << to_string(level);
+  }
 }
 
 // --- HealthMonitor on every backend --------------------------------------
