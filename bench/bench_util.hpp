@@ -17,10 +17,8 @@
 // baselines stamped by different CPUs.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -52,91 +50,54 @@ struct JsonSink {
   }
 };
 
-/// "model name" line of /proc/cpuinfo, or "unknown" where there is none.
-inline const std::string& cpu_model() {
-  static const std::string model = [] {
-    std::string name = "unknown";
-    if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
-      char line[256];
-      while (std::fgets(line, sizeof line, f) != nullptr) {
-        if (std::strncmp(line, "model name", 10) != 0) continue;
-        if (const char* colon = std::strchr(line, ':')) {
-          name = colon + 1;
-          while (!name.empty() && name.front() == ' ') name.erase(0, 1);
-          while (!name.empty() &&
-                 (name.back() == '\n' || name.back() == ' ')) {
-            name.pop_back();
-          }
-        }
-        break;
-      }
-      std::fclose(f);
+/// The svsim-bench-v2 document for `tables`, one table row per line so
+/// committed baselines stay diffable.
+inline std::string bench_document(const std::vector<JsonTable>& tables) {
+  obs::jsonlite::Writer w;
+  // Provenance header first, so any consumer can check who produced the
+  // numbers before reading a single row.
+  w.begin_object()
+      .field("schema", "svsim-bench-v2")
+      .field("generated_unix", static_cast<long long>(std::time(nullptr)))
+      .field("cpu", obs::cpu_model());
+#if defined(__clang__)
+  w.field("compiler", std::string("clang ") + __VERSION__);
+#elif defined(__GNUC__)
+  w.field("compiler", std::string("gcc ") + __VERSION__);
+#else
+  w.field("compiler", "unknown");
+#endif
+#ifdef SVSIM_BENCH_FLAGS
+  w.field("flags", SVSIM_BENCH_FLAGS);
+#else
+  w.field("flags", "");
+#endif
+  w.key("tables").begin_array();
+  for (const JsonTable& t : tables) {
+    w.newline()
+        .begin_object()
+        .field("title", t.title)
+        .field("corner", t.corner)
+        .key("columns")
+        .begin_array();
+    for (const std::string& c : t.columns) w.value(c);
+    w.end_array().key("rows").begin_array();
+    for (const auto& [label, values] : t.rows) {
+      w.newline().begin_object().field("label", label);
+      w.key("values").begin_array();
+      for (const double v : values) w.value(v);
+      w.end_array().end_object();
     }
-    return name;
-  }();
-  return model;
+    w.newline().end_array().end_object();
+  }
+  return w.newline().end_array().end_object().take() + '\n';
 }
 
 /// Rewrite the whole JSON document from the accumulated tables.
 inline void json_write_all() {
-  using obs::jsonlite::quote;
-  JsonSink& sink = JsonSink::instance();
+  const JsonSink& sink = JsonSink::instance();
   if (sink.path.empty()) return;
-  // Provenance header first, so any consumer can check who produced the
-  // numbers before reading a single row.
-  std::string out = "{\"schema\":\"svsim-bench-v2\",\"generated_unix\":";
-  {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(std::time(nullptr)));
-    out += buf;
-  }
-  out += ",\"cpu\":" + quote(cpu_model());
-#if defined(__clang__)
-  out += ",\"compiler\":" + quote(std::string("clang ") + __VERSION__);
-#elif defined(__GNUC__)
-  out += ",\"compiler\":" + quote(std::string("gcc ") + __VERSION__);
-#else
-  out += ",\"compiler\":" + quote("unknown");
-#endif
-#ifdef SVSIM_BENCH_FLAGS
-  out += ",\"flags\":" + quote(SVSIM_BENCH_FLAGS);
-#else
-  out += ",\"flags\":\"\"";
-#endif
-  out += ",\"tables\":[";
-  bool first_table = true;
-  for (const JsonTable& t : sink.tables) {
-    if (!first_table) out += ',';
-    first_table = false;
-    out += "\n{\"title\":" + quote(t.title);
-    out += ",\"corner\":" + quote(t.corner);
-    out += ",\"columns\":[";
-    for (std::size_t i = 0; i < t.columns.size(); ++i) {
-      if (i != 0) out += ',';
-      out += quote(t.columns[i]);
-    }
-    out += "],\"rows\":[";
-    for (std::size_t r = 0; r < t.rows.size(); ++r) {
-      if (r != 0) out += ',';
-      out += "\n {\"label\":" + quote(t.rows[r].first);
-      out += ",\"values\":[";
-      for (std::size_t v = 0; v < t.rows[r].second.size(); ++v) {
-        if (v != 0) out += ',';
-        const double x = t.rows[r].second[v];
-        if (std::isfinite(x)) {
-          char buf[40];
-          std::snprintf(buf, sizeof(buf), "%.12g", x);
-          out += buf;
-        } else {
-          out += "null"; // JSON has no NaN/Inf
-        }
-      }
-      out += "]}";
-    }
-    out += "\n]}";
-  }
-  out += "\n]}\n";
+  const std::string out = bench_document(sink.tables);
   if (std::FILE* f = std::fopen(sink.path.c_str(), "w")) {
     std::fwrite(out.data(), 1, out.size(), f);
     std::fclose(f);

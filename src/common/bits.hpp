@@ -59,12 +59,6 @@ inline constexpr bool qubit_set(IdxType idx, IdxType q) {
   return ((idx >> q) & 1) != 0;
 }
 
-/// Insert a 0 bit at position q into an (n-1)-bit index: the inverse view
-/// of pair_base as "enumerate all indices with qubit q clear".
-inline constexpr IdxType insert_zero_bit(IdxType i, IdxType q) {
-  return pair_base(i, q);
-}
-
 /// Number of amplitude pairs a 1-qubit gate touches in an n-qubit register.
 inline constexpr IdxType half_dim(IdxType n) { return pow2(n - 1); }
 

@@ -26,8 +26,6 @@ public:
   /// evaluation figures).
   double millis() const { return seconds() * 1e3; }
 
-  double micros() const { return seconds() * 1e6; }
-
   class ScopedAccum;
 
 private:

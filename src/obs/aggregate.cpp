@@ -1,6 +1,7 @@
 #include "obs/aggregate.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -287,16 +288,6 @@ std::string hash_hex(std::uint64_t h) {
 
 namespace ledger {
 
-namespace {
-
-void append_double(std::ostringstream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-} // namespace
-
 void Entry::rekey() {
   std::ostringstream os;
   os << circuit_hash << ':' << backend << ":w" << n_workers << ':'
@@ -305,33 +296,29 @@ void Entry::rekey() {
 }
 
 std::string Entry::line() const {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kSchema << "\",\"key\":" << jsonlite::quote(key);
-  os << ",\"circuit_hash\":" << jsonlite::quote(circuit_hash);
-  os << ",\"backend\":" << jsonlite::quote(backend);
-  os << ",\"n_qubits\":" << n_qubits << ",\"n_workers\":" << n_workers
-     << ",\"total_gates\":" << static_cast<unsigned long long>(total_gates)
-     << ",\"cpu\":";
-  os << jsonlite::quote(cpu);
-  os << ",\"unix_time\":" << unix_time << ",\"wall_seconds\":";
-  append_double(os, wall_seconds);
-  os << ",\"compute_s\":";
-  append_double(os, compute_s);
-  os << ",\"wait_s\":";
-  append_double(os, wait_s);
-  os << ",\"imbalance\":";
-  append_double(os, imbalance);
-  os << ",\"critical\":" << jsonlite::quote(critical);
-  os << ",\"remote_bytes\":" << static_cast<unsigned long long>(remote_bytes)
-     << ",\"peak_rss_bytes\":"
-     << static_cast<unsigned long long>(peak_rss_bytes)
-     << ",\"tracked_peak_bytes\":"
-     << static_cast<unsigned long long>(tracked_peak_bytes)
-     << ",\"est_err_pct\":";
-  append_double(os, est_err_pct);
-  os << ",\"remap_swaps\":" << static_cast<unsigned long long>(remap_swaps)
-     << '}';
-  return os.str();
+  jsonlite::Writer w;
+  return w.begin_object()
+      .field("schema", kSchema)
+      .field("key", key)
+      .field("circuit_hash", circuit_hash)
+      .field("backend", backend)
+      .field("n_qubits", n_qubits)
+      .field("n_workers", n_workers)
+      .field("total_gates", total_gates)
+      .field("cpu", cpu)
+      .field("unix_time", unix_time)
+      .field("wall_seconds", wall_seconds)
+      .field("compute_s", compute_s)
+      .field("wait_s", wait_s)
+      .field("imbalance", imbalance)
+      .field("critical", critical)
+      .field("remote_bytes", remote_bytes)
+      .field("peak_rss_bytes", peak_rss_bytes)
+      .field("tracked_peak_bytes", tracked_peak_bytes)
+      .field("est_err_pct", est_err_pct)
+      .field("remap_swaps", remap_swaps)
+      .end_object()
+      .take();
 }
 
 bool entry_from_report(const jsonlite::Value& report, Entry* out,
@@ -353,7 +340,13 @@ bool entry_from_report(const jsonlite::Value& report, Entry* out,
   out->n_workers = static_cast<int>(report.member_num("n_workers", 1));
   out->total_gates =
       static_cast<std::uint64_t>(report.member_num("total_gates", 0));
-  out->wall_seconds = report.member_num("wall_seconds", 0);
+  // A null (non-finite when written), missing or overflowing wall time
+  // would poison every later --compare of the ledger.
+  out->wall_seconds = report.member_num("wall_seconds", NAN);
+  if (!std::isfinite(out->wall_seconds)) {
+    if (err != nullptr) *err = "report has no finite wall_seconds";
+    return false;
+  }
 
   const jsonlite::Value* ws = report.find("waitstate");
   const jsonlite::Value* ws_on =
@@ -434,7 +427,8 @@ bool parse_line(const std::string& line, Entry* out, std::string* err) {
   out->est_err_pct = v.member_num("est_err_pct", 0);
   out->remap_swaps =
       static_cast<std::uint64_t>(v.member_num("remap_swaps", 0));
-  if (out->key.empty() || out->backend.empty() || out->wall_seconds < 0) {
+  if (out->key.empty() || out->backend.empty() ||
+      !(out->wall_seconds >= 0 && std::isfinite(out->wall_seconds))) {
     if (err != nullptr) *err = "ledger entry lacks key/backend/wall_seconds";
     return false;
   }

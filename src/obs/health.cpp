@@ -4,22 +4,27 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "obs/jsonlite.hpp"
 
 namespace svsim::obs {
 
 namespace {
 
-/// The /healthz mirror: one writer (worker 0 via observe), relaxed
-/// readers off the worker threads. Plain atomics — the fields need not
-/// be mutually consistent, only individually fresh.
+/// The /healthz mirror: one writer at a time (a monitor's constructor,
+/// then its worker 0), relaxed readers off the worker threads. Plain
+/// atomics — the fields need not be mutually consistent, only
+/// individually fresh.
 struct HealthMirror {
-  std::atomic<bool> monitored{false};
+  std::atomic<bool> enabled{false};
+  std::atomic<int> every_n{0};
   std::atomic<std::uint64_t> checks{0};
   std::atomic<std::uint64_t> nan_checks{0};
-  std::atomic<std::uint64_t> warns{0};
   std::atomic<std::uint64_t> non_finite{0};
-  std::atomic<double> last_norm2{1.0};
   std::atomic<double> max_drift{0};
+  std::atomic<double> last_norm2{1.0};
+  std::atomic<std::uint64_t> drift_gate_lo{0};
+  std::atomic<std::uint64_t> drift_gate_hi{0};
+  std::atomic<std::uint64_t> warns{0};
   std::atomic<bool> aborted{false};
 };
 
@@ -30,41 +35,48 @@ HealthMirror& mirror() {
 
 } // namespace
 
-HealthSnapshot health_snapshot() {
+HealthStats health_snapshot() {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   const HealthMirror& m = mirror();
-  HealthSnapshot s;
-  s.monitored = m.monitored.load(std::memory_order_relaxed);
-  s.checks = m.checks.load(std::memory_order_relaxed);
-  s.nan_checks = m.nan_checks.load(std::memory_order_relaxed);
-  s.warns = m.warns.load(std::memory_order_relaxed);
-  s.non_finite = m.non_finite.load(std::memory_order_relaxed);
-  s.last_norm2 = m.last_norm2.load(std::memory_order_relaxed);
-  s.max_drift = m.max_drift.load(std::memory_order_relaxed);
-  s.aborted = m.aborted.load(std::memory_order_relaxed);
+  HealthStats s;
+  s.enabled = m.enabled.load(kRelaxed);
+  s.every_n = m.every_n.load(kRelaxed);
+  s.checks = m.checks.load(kRelaxed);
+  s.nan_checks = m.nan_checks.load(kRelaxed);
+  s.non_finite = m.non_finite.load(kRelaxed);
+  s.max_drift = m.max_drift.load(kRelaxed);
+  s.last_norm2 = m.last_norm2.load(kRelaxed);
+  s.drift_gate_lo = m.drift_gate_lo.load(kRelaxed);
+  s.drift_gate_hi = m.drift_gate_hi.load(kRelaxed);
+  s.warns = m.warns.load(kRelaxed);
+  s.aborted = m.aborted.load(kRelaxed);
   return s;
 }
 
-void health_mirror_begin() {
+void health_mirror_publish(const HealthStats& stats) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   HealthMirror& m = mirror();
-  m.checks.store(0, std::memory_order_relaxed);
-  m.nan_checks.store(0, std::memory_order_relaxed);
-  m.warns.store(0, std::memory_order_relaxed);
-  m.non_finite.store(0, std::memory_order_relaxed);
-  m.last_norm2.store(1.0, std::memory_order_relaxed);
-  m.max_drift.store(0, std::memory_order_relaxed);
-  m.aborted.store(false, std::memory_order_relaxed);
-  m.monitored.store(true, std::memory_order_relaxed);
+  m.every_n.store(stats.every_n, kRelaxed);
+  m.checks.store(stats.checks, kRelaxed);
+  m.nan_checks.store(stats.nan_checks, kRelaxed);
+  m.non_finite.store(stats.non_finite, kRelaxed);
+  m.max_drift.store(stats.max_drift, kRelaxed);
+  m.last_norm2.store(stats.last_norm2, kRelaxed);
+  m.drift_gate_lo.store(stats.drift_gate_lo, kRelaxed);
+  m.drift_gate_hi.store(stats.drift_gate_hi, kRelaxed);
+  m.warns.store(stats.warns, kRelaxed);
+  m.aborted.store(stats.aborted, kRelaxed);
+  m.enabled.store(stats.enabled, kRelaxed);
 }
 
-void health_mirror_publish(const HealthStats& stats) {
-  HealthMirror& m = mirror();
-  m.checks.store(stats.checks, std::memory_order_relaxed);
-  m.nan_checks.store(stats.nan_checks, std::memory_order_relaxed);
-  m.warns.store(stats.warns, std::memory_order_relaxed);
-  m.non_finite.store(stats.non_finite, std::memory_order_relaxed);
-  m.last_norm2.store(stats.last_norm2, std::memory_order_relaxed);
-  m.max_drift.store(stats.max_drift, std::memory_order_relaxed);
-  m.aborted.store(stats.aborted, std::memory_order_relaxed);
+std::string healthz_json(const HealthStats& health) {
+  const char* status = !health.enabled  ? "unmonitored"
+                       : health.tripped() ? "tripped"
+                                          : "ok";
+  jsonlite::Writer w;
+  w.begin_object().field("status", status).field("monitored", health.enabled);
+  write_fields(w, health);
+  return w.end_object().take() + '\n';
 }
 
 void HealthMonitor::observe(std::uint64_t gate_hi, double norm2,

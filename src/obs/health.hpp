@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/types.hpp"
@@ -33,44 +34,29 @@
 
 namespace svsim::obs {
 
-/// Process-global mirror of the most recent monitor's reduced results,
-/// published atomically from HealthMonitor::observe so the embedded
-/// httpd's /healthz endpoint (and anything else off the worker threads)
-/// can read liveness without reaching into a run's HealthMonitor.
-struct HealthSnapshot {
-  bool monitored = false; // a monitor has been constructed this process
-  std::uint64_t checks = 0;
-  std::uint64_t nan_checks = 0;
-  std::uint64_t warns = 0;
-  std::uint64_t non_finite = 0;
-  double last_norm2 = 1.0;
-  double max_drift = 0;
-  bool aborted = false;
+/// Process-global mirror of the most recent monitor's stats, published
+/// from HealthMonitor (relaxed atomics, one field at a time, which is
+/// coherent enough for a liveness endpoint) so the embedded httpd's
+/// /healthz can read them off the worker threads. `enabled` is false
+/// until a monitor has been constructed in this process.
+HealthStats health_snapshot();
 
-  /// Same predicate as HealthStats::tripped().
-  bool tripped() const {
-    return nan_checks != 0 || warns != 0 || aborted;
-  }
-};
-
-/// Read the global mirror (relaxed loads; fields are individually atomic,
-/// which is coherent enough for a liveness endpoint).
-HealthSnapshot health_snapshot();
-
-/// Reset the mirror and mark the process monitored. Called from the
-/// HealthMonitor constructor.
-void health_mirror_begin();
-
-/// Publish one checkpoint's accumulated stats into the mirror. Called
-/// from HealthMonitor::observe (worker 0 only — single writer).
+/// Publish a monitor's stats into the mirror. Called by the HealthMonitor
+/// constructor (resetting the mirror) and by observe() (worker 0 only, a
+/// single writer).
 void health_mirror_publish(const HealthStats& stats);
+
+/// The GET /healthz document: "status" (ok / tripped / unmonitored) and
+/// "monitored", then the health record written by the same write_fields()
+/// as the report's `health` section.
+std::string healthz_json(const HealthStats& health);
 
 class HealthMonitor {
 public:
   explicit HealthMonitor(HealthOptions opt) : opt_(opt) {
     stats_.enabled = true;
     stats_.every_n = opt.every_n;
-    health_mirror_begin();
+    health_mirror_publish(stats_);
   }
 
   int every_n() const { return opt_.every_n; }

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.hpp"
@@ -64,37 +63,6 @@ void write_response(int fd, int status, const std::string& content_type,
   send_all(fd, body.data(), body.size());
 }
 
-/// %.17g of a finite double, "null" otherwise — a NaN norm is exactly
-/// what a tripped monitor reports, and bare `nan` is not JSON.
-void json_double(char* buf, std::size_t len, double v) {
-  if (std::isfinite(v)) {
-    std::snprintf(buf, len, "%.17g", v);
-  } else {
-    std::snprintf(buf, len, "null");
-  }
-}
-
-std::string healthz_json(const HealthSnapshot& h) {
-  const char* status =
-      !h.monitored ? "unmonitored" : h.tripped() ? "tripped" : "ok";
-  char norm[40];
-  char drift[40];
-  json_double(norm, sizeof(norm), h.last_norm2);
-  json_double(drift, sizeof(drift), h.max_drift);
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "{\"status\":\"%s\",\"monitored\":%s,\"checks\":%llu,"
-                "\"nan_checks\":%llu,\"warns\":%llu,\"non_finite\":%llu,"
-                "\"last_norm2\":%s,\"max_drift\":%s,\"aborted\":%s}\n",
-                status, h.monitored ? "true" : "false",
-                static_cast<unsigned long long>(h.checks),
-                static_cast<unsigned long long>(h.nan_checks),
-                static_cast<unsigned long long>(h.warns),
-                static_cast<unsigned long long>(h.non_finite), norm, drift,
-                h.aborted ? "true" : "false");
-  return buf;
-}
-
 /// Best-effort partial svsim-report-v1 for a run still in flight: the
 /// header fields and wall-so-far from the progress snapshot; every other
 /// section carries its defaults.
@@ -124,8 +92,8 @@ void handle_request(int fd, const std::string& method,
     return;
   }
   if (path == "/healthz") {
-    const HealthSnapshot h = health_snapshot();
-    write_response(fd, h.monitored && h.tripped() ? 503 : 200,
+    const HealthStats h = health_snapshot();
+    write_response(fd, h.tripped() ? 503 : 200,
                    "application/json", healthz_json(h), nullptr);
     return;
   }

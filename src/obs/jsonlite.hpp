@@ -1,186 +1,36 @@
-// Minimal JSON validator, value-tree parser and string writer (no
-// external deps).
+// JSON in one place (no external deps): one recursive-descent parser, one
+// string escaper and one streaming writer.
 //
-// Exists so the trace exporter, the bench JSON emitter, and the
-// profile-smoke ctest can assert "this file is well-formed JSON" without
-// pulling in a JSON library. Accepts exactly RFC 8259 grammar; on failure
-// reports the byte offset of the first error. The Value tree (added for
-// tools/svsim_analyze, which must *read* reports, traces and ledger
-// lines, not just validate them) parses the same grammar into a small
-// tagged struct; the original validator remains the zero-allocation fast
-// path. quote() is the one string-literal writer every hand-rolled
-// emitter (reports, ledger, progress, memory, bench tables) shares.
+// The parser accepts exactly RFC 8259 grammar into a small Value tree and,
+// on failure, reports the byte offset of the first error; valid() is the
+// same parser with the tree discarded, so there is one depth cap and one
+// escape table. Writer holds the one JSON number rule: integers print as
+// integers, finite doubles as %.17g (which round-trips), and non-finite
+// doubles as null, because NaN and Inf are not JSON. The run report, the
+// memory, health and progress documents, the run ledger, merged traces
+// and bench tables are all written through it; only the Chrome trace
+// export and the signal-safe progress renderer (which may not allocate)
+// format their own.
 #pragma once
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace svsim::obs::jsonlite {
 
-namespace detail {
-
-/// Containers may nest at most this deep. The recursive-descent parser
-/// burns one C++ stack frame per level, so without a cap a hostile
-/// `[[[[...` input (a few KB of brackets) overflows the stack instead of
-/// returning false.
-constexpr int kMaxDepth = 96;
-
-struct Cursor {
-  const std::string& s;
-  std::size_t i = 0;
-  int depth = 0;
-
-  bool eof() const { return i >= s.size(); }
-  char peek() const { return eof() ? '\0' : s[i]; }
-  void skip_ws() {
-    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r')) ++i;
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++i;
-    return true;
-  }
-  bool consume_lit(const char* lit) {
-    std::size_t j = i;
-    for (const char* p = lit; *p != '\0'; ++p, ++j) {
-      if (j >= s.size() || s[j] != *p) return false;
-    }
-    i = j;
-    return true;
-  }
-};
-
-inline bool parse_value(Cursor& c);
-
-/// RAII nesting counter shared by the validator and the tree builder.
-struct DepthGuard {
-  Cursor& c;
-  explicit DepthGuard(Cursor& cur) : c(cur) { ++c.depth; }
-  ~DepthGuard() { --c.depth; }
-  DepthGuard(const DepthGuard&) = delete;
-  DepthGuard& operator=(const DepthGuard&) = delete;
-  bool ok() const { return c.depth <= kMaxDepth; }
-};
-
-inline bool parse_string(Cursor& c) {
-  if (!c.consume('"')) return false;
-  while (!c.eof()) {
-    const char ch = c.s[c.i++];
-    if (ch == '"') return true;
-    if (static_cast<unsigned char>(ch) < 0x20) return false;
-    if (ch == '\\') {
-      if (c.eof()) return false;
-      const char esc = c.s[c.i++];
-      if (esc == 'u') {
-        for (int k = 0; k < 4; ++k) {
-          if (c.eof() || std::isxdigit(static_cast<unsigned char>(c.s[c.i])) == 0) {
-            return false;
-          }
-          ++c.i;
-        }
-      } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                 esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-        return false;
-      }
-    }
-  }
-  return false; // unterminated
-}
-
-inline bool parse_number(Cursor& c) {
-  const std::size_t start = c.i;
-  c.consume('-');
-  if (c.peek() == '0') {
-    ++c.i;
-  } else if (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) {
-    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
-  } else {
-    return false;
-  }
-  if (c.consume('.')) {
-    if (std::isdigit(static_cast<unsigned char>(c.peek())) == 0) return false;
-    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
-  }
-  if (c.peek() == 'e' || c.peek() == 'E') {
-    ++c.i;
-    if (c.peek() == '+' || c.peek() == '-') ++c.i;
-    if (std::isdigit(static_cast<unsigned char>(c.peek())) == 0) return false;
-    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
-  }
-  return c.i > start;
-}
-
-inline bool parse_object(Cursor& c) {
-  if (!c.consume('{')) return false;
-  const DepthGuard depth(c);
-  if (!depth.ok()) return false;
-  c.skip_ws();
-  if (c.consume('}')) return true;
-  while (true) {
-    c.skip_ws();
-    if (!parse_string(c)) return false;
-    c.skip_ws();
-    if (!c.consume(':')) return false;
-    if (!parse_value(c)) return false;
-    c.skip_ws();
-    if (c.consume(',')) continue;
-    return c.consume('}');
-  }
-}
-
-inline bool parse_array(Cursor& c) {
-  if (!c.consume('[')) return false;
-  const DepthGuard depth(c);
-  if (!depth.ok()) return false;
-  c.skip_ws();
-  if (c.consume(']')) return true;
-  while (true) {
-    if (!parse_value(c)) return false;
-    c.skip_ws();
-    if (c.consume(',')) continue;
-    return c.consume(']');
-  }
-}
-
-inline bool parse_value(Cursor& c) {
-  c.skip_ws();
-  switch (c.peek()) {
-    case '{': return parse_object(c);
-    case '[': return parse_array(c);
-    case '"': return parse_string(c);
-    case 't': return c.consume_lit("true");
-    case 'f': return c.consume_lit("false");
-    case 'n': return c.consume_lit("null");
-    default: return parse_number(c);
-  }
-}
-
-} // namespace detail
-
-/// True iff `text` is one complete, well-formed JSON value. On failure,
-/// *error_offset (if non-null) is the byte position of the first error.
-inline bool valid(const std::string& text, std::size_t* error_offset = nullptr) {
-  detail::Cursor c{text};
-  const bool ok = detail::parse_value(c);
-  c.skip_ws();
-  const bool done = ok && c.eof();
-  if (!done && error_offset != nullptr) *error_offset = c.i;
-  return done;
-}
-
-// ---------------------------------------------------------------------------
-// Value tree
-// ---------------------------------------------------------------------------
-
-/// One parsed JSON value. Object members keep document order (the report
-/// and ledger emitters write deterministic order, which keeps diffs and
-/// tests stable).
+/// One parsed JSON value. Object members keep document order (every
+/// document is written in a fixed order, which keeps diffs and tests
+/// stable).
 struct Value {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -191,7 +41,6 @@ struct Value {
   std::vector<Value> items;                           // kArray
   std::vector<std::pair<std::string, Value>> members; // kObject
 
-  bool is_null() const { return type == Type::kNull; }
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
 
@@ -226,6 +75,70 @@ struct Value {
 };
 
 namespace detail {
+
+/// Containers may nest at most this deep. The recursive-descent parser
+/// burns one C++ stack frame per level, so without a cap a hostile
+/// `[[[[...` input (a few KB of brackets) overflows the stack instead of
+/// returning false.
+constexpr int kMaxDepth = 96;
+
+struct Cursor {
+  const std::string& s;
+  std::size_t i = 0;
+  int depth = 0;
+
+  bool eof() const { return i >= s.size(); }
+  char peek() const { return eof() ? '\0' : s[i]; }
+  void skip_ws() {
+    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r')) ++i;
+  }
+  bool consume(char c) {
+    if (peek() != c) return false;
+    ++i;
+    return true;
+  }
+  bool consume_lit(const char* lit) {
+    std::size_t j = i;
+    for (const char* p = lit; *p != '\0'; ++p, ++j) {
+      if (j >= s.size() || s[j] != *p) return false;
+    }
+    i = j;
+    return true;
+  }
+};
+
+/// RAII nesting counter for the parser.
+struct DepthGuard {
+  Cursor& c;
+  explicit DepthGuard(Cursor& cur) : c(cur) { ++c.depth; }
+  ~DepthGuard() { --c.depth; }
+  DepthGuard(const DepthGuard&) = delete;
+  DepthGuard& operator=(const DepthGuard&) = delete;
+  bool ok() const { return c.depth <= kMaxDepth; }
+};
+
+inline bool parse_number(Cursor& c) {
+  const std::size_t start = c.i;
+  c.consume('-');
+  if (c.peek() == '0') {
+    ++c.i;
+  } else if (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) {
+    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
+  } else {
+    return false;
+  }
+  if (c.consume('.')) {
+    if (std::isdigit(static_cast<unsigned char>(c.peek())) == 0) return false;
+    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
+  }
+  if (c.peek() == 'e' || c.peek() == 'E') {
+    ++c.i;
+    if (c.peek() == '+' || c.peek() == '-') ++c.i;
+    if (std::isdigit(static_cast<unsigned char>(c.peek())) == 0) return false;
+    while (std::isdigit(static_cast<unsigned char>(c.peek())) != 0) ++c.i;
+  }
+  return c.i > start;
+}
 
 inline bool build_value(Cursor& c, Value* out);
 
@@ -386,8 +299,8 @@ inline bool build_value(Cursor& c, Value* out) {
 
 } // namespace detail
 
-/// Parse one complete JSON value into a tree. Same grammar as valid();
-/// on failure *error_offset (if non-null) is the first bad byte.
+/// Parse one complete JSON value into a tree. On failure *error_offset
+/// (if non-null) is the byte position of the first error.
 inline bool parse(const std::string& text, Value* out,
                   std::size_t* error_offset = nullptr) {
   *out = Value{};
@@ -399,13 +312,19 @@ inline bool parse(const std::string& text, Value* out,
   return done;
 }
 
-/// `s` as a JSON string literal, quotes included. `"` and `\` are
-/// backslash-escaped, \n \r \t take their short forms, every other
-/// control byte becomes \u00XX, and bytes >= 0x20 pass through (UTF-8
-/// stays UTF-8).
-inline std::string quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// True iff `text` is one complete, well-formed JSON value: parse() with
+/// the tree discarded.
+inline bool valid(const std::string& text,
+                  std::size_t* error_offset = nullptr) {
+  Value discard;
+  return parse(text, &discard, error_offset);
+}
+
+namespace detail {
+
+/// Append `s` to `out` as a JSON string literal (the escaping quote()
+/// documents).
+inline void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -426,7 +345,128 @@ inline std::string quote(const std::string& s) {
     }
   }
   out += '"';
+}
+
+} // namespace detail
+
+/// `s` as a JSON string literal, quotes included. `"` and `\` are
+/// backslash-escaped, \n \r \t take their short forms, every other
+/// control byte becomes \u00XX, and bytes >= 0x20 pass through (UTF-8
+/// stays UTF-8).
+inline std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  detail::append_quoted(out, s);
   return out;
 }
+
+/// Streaming writer. Object and array scopes place commas automatically;
+/// keys and strings are escaped as quote() escapes them. It holds the one
+/// number rule: integers print as integers, finite doubles as %.17g, and
+/// non-finite doubles as null.
+class Writer {
+public:
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+
+  /// An object member's key; the next value written is its value.
+  Writer& key(std::string_view k) {
+    separate();
+    detail::append_quoted(out_, k);
+    out_ += ':';
+    return *this;
+  }
+
+  Writer& null() { return token("null"); }
+  Writer& value(bool b) { return token(b ? "true" : "false"); }
+  Writer& value(std::string_view s) {
+    separate();
+    detail::append_quoted(out_, s);
+    comma_ = true;
+    return *this;
+  }
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(double v) {
+    if (!std::isfinite(v)) return null();
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return token(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+  template <typename T, std::enable_if_t<std::is_integral_v<T> &&
+                                             !std::is_same_v<T, bool>,
+                                         int> = 0>
+  Writer& value(T v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    return token(std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  }
+
+  /// A parsed value, written back under the same rules.
+  Writer& write(const Value& v) {
+    switch (v.type) {
+      case Value::Type::kNull: return null();
+      case Value::Type::kBool: return value(v.boolean);
+      case Value::Type::kNumber: return value(v.number);
+      case Value::Type::kString: return value(v.str);
+      case Value::Type::kArray:
+        begin_array();
+        for (const Value& item : v.items) write(item);
+        return end_array();
+      case Value::Type::kObject:
+        begin_object();
+        for (const auto& [k, member] : v.members) key(k).write(member);
+        return end_object();
+    }
+    return *this;
+  }
+
+  template <typename T>
+  Writer& field(std::string_view k, const T& v) {
+    return key(k).value(v);
+  }
+
+  /// Start the next element, or the closing bracket, on a new line (for
+  /// documents kept one row per line so their diffs stay readable).
+  Writer& newline() {
+    newline_ = true;
+    return *this;
+  }
+
+  /// The finished document, moved out: call once, at the end.
+  std::string take() { return std::move(out_); }
+
+private:
+  /// Emit what belongs before the next element: a comma after a sibling,
+  /// then a requested line break.
+  void separate() {
+    if (comma_) out_ += ',';
+    if (newline_) out_ += '\n';
+    comma_ = newline_ = false;
+  }
+  Writer& token(std::string_view text) {
+    separate();
+    out_ += text;
+    comma_ = true;
+    return *this;
+  }
+  Writer& open(char bracket) {
+    separate();
+    out_ += bracket;
+    return *this;
+  }
+  Writer& close(char bracket) {
+    if (newline_) out_ += '\n';
+    newline_ = false;
+    out_ += bracket;
+    comma_ = true;
+    return *this;
+  }
+
+  std::string out_;
+  bool comma_ = false;   // a sibling precedes the next element
+  bool newline_ = false; // newline() pending
+};
 
 } // namespace svsim::obs::jsonlite

@@ -1,5 +1,6 @@
 // MemRegistry implementation: tag accounting, the on-read /proc samples,
-// the NUMA page-placement walk, and the report/HTTP exports.
+// the NUMA page-placement walk, the GET /memory document and the report
+// fold.
 //
 // Locking: the one mutex `mu_` guards the records, every aggregate and
 // the last sample. Samples run in the reader's thread under `mu_`, so a
@@ -7,8 +8,6 @@
 #include "obs/memtrack.hpp"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -99,23 +98,24 @@ void MemRegistry::apply_delta_locked(MemTag tag, std::int64_t delta, int pe) {
       *cur = *cur > dec ? *cur - dec : 0; // clamp: enable/disable races
     }
   };
-  apply(&current_);
-  if (current_ > peak_) {
-    peak_ = current_;
-    peak_ts_us_ = trace_now_us();
+  apply(&rec_.tracked_bytes);
+  if (rec_.tracked_bytes > rec_.tracked_peak) {
+    rec_.tracked_peak = rec_.tracked_bytes;
+    rec_.peak_ts_us = trace_now_us();
   }
-  MemorySnapshot::TagStat& t = by_tag_[static_cast<int>(tag)];
+  MemoryStats::Tag& t = rec_.by_tag[static_cast<std::size_t>(tag)];
   apply(&t.current);
   if (t.current > t.peak) t.peak = t.current;
   if (pe >= 0) {
-    PeCount& p = per_pe_[pe];
+    MemoryStats::Pe& p = per_pe_[pe];
+    p.pe = pe;
     apply(&p.current);
     if (p.current > p.peak) p.peak = p.current;
   }
   Registry::global().gauge("mem.tracked_bytes").set(
-      static_cast<double>(current_));
+      static_cast<double>(rec_.tracked_bytes));
   Registry::global().gauge("mem.tracked_peak_bytes").set(
-      static_cast<double>(peak_));
+      static_cast<double>(rec_.tracked_peak));
 }
 
 std::uint64_t MemRegistry::track(MemTag tag, const void* ptr,
@@ -152,57 +152,57 @@ void MemRegistry::ensure_baseline() {
   baseline_done_ = true;
   std::string text;
   if (slurp_file(proc_root_ + "/status", &text)) {
-    parse_kb(text, "VmRSS:", &baseline_rss_);
+    parse_kb(text, "VmRSS:", &rec_.baseline_rss);
   }
 }
 
 void MemRegistry::sample_proc_locked(bool deep) {
   std::string text;
   if (!slurp_file(proc_root_ + "/status", &text)) {
-    sampled_ok_ = false;
-    sample_error_ = "cannot read " + proc_root_ + "/status";
+    rec_.sampled = false;
+    rec_.sample_error = "cannot read " + proc_root_ + "/status";
     return;
   }
   std::uint64_t rss = 0;
   std::uint64_t hwm = 0;
   if (!parse_kb(text, "VmRSS:", &rss)) {
-    sampled_ok_ = false;
-    sample_error_ = "no VmRSS in " + proc_root_ + "/status";
+    rec_.sampled = false;
+    rec_.sample_error = "no VmRSS in " + proc_root_ + "/status";
     return;
   }
   parse_kb(text, "VmHWM:", &hwm);
-  rss_bytes_ = rss;
-  if (hwm > hwm_bytes_) hwm_bytes_ = hwm;
+  rec_.rss_bytes = rss;
+  if (hwm > rec_.hwm_bytes) rec_.hwm_bytes = hwm;
   // smaps_rollup walks every VMA under mmap_lock and costs ~10x a status
   // read, so only deep samples pay for it (THP coverage moves slowly).
   // Its absence on older kernels is not an error.
   if (deep) {
     std::string rollup;
     if (slurp_file(proc_root_ + "/smaps_rollup", &rollup)) {
-      parse_kb(rollup, "AnonHugePages:", &thp_bytes_);
+      parse_kb(rollup, "AnonHugePages:", &rec_.thp_bytes);
     }
   }
-  sampled_ok_ = true;
-  sample_error_.clear();
-  ++samples_;
+  rec_.sampled = true;
+  rec_.sample_error.clear();
+  ++rec_.samples;
   Registry::global().gauge("mem.rss_bytes").set(static_cast<double>(rss));
   Registry::global().gauge("mem.hwm_bytes").set(
-      static_cast<double>(hwm_bytes_));
-  if (thp_bytes_ != 0) {
+      static_cast<double>(rec_.hwm_bytes));
+  if (rec_.thp_bytes != 0) {
     Registry::global().gauge("mem.thp_bytes").set(
-        static_cast<double>(thp_bytes_));
+        static_cast<double>(rec_.thp_bytes));
   }
 }
 
 void MemRegistry::sample_numa_locked() {
   if (numa_forced_off_.load(std::memory_order_relaxed)) {
-    numa_ok_ = false;
-    numa_error_ = "forced unavailable (test)";
+    rec_.numa = false;
+    rec_.numa_error = "forced unavailable (test)";
     return;
   }
 #if !defined(__linux__)
-  numa_ok_ = false;
-  numa_error_ = "NUMA page queries need Linux";
+  rec_.numa = false;
+  rec_.numa_error = "NUMA page queries need Linux";
 #else
   if (live_.empty()) return;
   const long page = sysconf(_SC_PAGESIZE);
@@ -245,9 +245,10 @@ void MemRegistry::sample_numa_locked() {
                     kMpolFNode | kMpolFAddr);
 #endif
       if (rc2 != 0) {
-        numa_ok_ = false;
-        numa_error_ = std::string("move_pages/get_mempolicy unavailable: ") +
-                      std::strerror(errno);
+        rec_.numa = false;
+        rec_.numa_error =
+            std::string("move_pages/get_mempolicy unavailable: ") +
+            std::strerror(errno);
         return;
       }
       for (int i = 0; i < n; ++i) status[i] = node;
@@ -284,9 +285,9 @@ void MemRegistry::sample_numa_locked() {
     }
   }
   if (any) {
-    numa_ok_ = true;
-    numa_error_.clear();
-    node_bytes_ = std::move(node_bytes);
+    rec_.numa = true;
+    rec_.numa_error.clear();
+    rec_.node_bytes = std::move(node_bytes);
     for (auto& [pe, cnt] : per_pe_) {
       // Dominant node of the PE's largest live buffer wins.
       std::uint64_t best = 0;
@@ -313,43 +314,22 @@ std::uint64_t MemRegistry::sample_rss() {
   if (!enabled()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   sample_proc_locked(false);
-  return sampled_ok_ ? rss_bytes_ : 0;
+  return rec_.sampled ? rec_.rss_bytes : 0;
 }
 
-MemorySnapshot MemRegistry::snapshot() const {
-  MemorySnapshot snap;
-  snap.enabled = enabled();
+MemoryStats MemRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  snap.current = current_;
-  snap.peak = peak_;
-  snap.peak_ts_us = peak_ts_us_;
-  for (int i = 0; i < kNumMemTags; ++i) snap.by_tag[i] = by_tag_[i];
-  for (const auto& [pe, cnt] : per_pe_) {
-    MemorySnapshot::PeStat p;
-    p.pe = pe;
-    p.current = cnt.current;
-    p.peak = cnt.peak;
-    p.node = cnt.node;
-    snap.per_pe.push_back(p);
-  }
-  snap.sampled = sampled_ok_;
-  snap.sample_error = sample_error_;
-  snap.rss_bytes = rss_bytes_;
-  snap.hwm_bytes = hwm_bytes_;
-  snap.baseline_rss = baseline_rss_;
-  snap.thp_bytes = thp_bytes_;
-  snap.samples = samples_;
-  snap.numa = numa_ok_;
-  snap.numa_error = numa_error_;
-  snap.node_bytes = node_bytes_;
+  MemoryStats snap = rec_;
+  snap.enabled = enabled();
+  for (const auto& entry : per_pe_) snap.per_pe.push_back(entry.second);
   return snap;
 }
 
 void MemRegistry::reset_peaks_for_testing() {
   std::lock_guard<std::mutex> lock(mu_);
-  peak_ = current_;
-  peak_ts_us_ = trace_now_us();
-  for (auto& t : by_tag_) t.peak = t.current;
+  rec_.tracked_peak = rec_.tracked_bytes;
+  rec_.peak_ts_us = trace_now_us();
+  for (auto& t : rec_.by_tag) t.peak = t.current;
   for (auto& [pe, cnt] : per_pe_) {
     (void)pe;
     cnt.peak = cnt.current;
@@ -359,113 +339,30 @@ void MemRegistry::reset_peaks_for_testing() {
 void MemRegistry::set_proc_root_for_testing(const std::string& root) {
   std::lock_guard<std::mutex> lock(mu_);
   proc_root_ = root;
-  sampled_ok_ = false;
-  sample_error_.clear();
-  samples_ = 0;
+  rec_.sampled = false;
+  rec_.sample_error.clear();
+  rec_.samples = 0;
 }
 
 void MemRegistry::force_numa_unavailable_for_testing(bool on) {
   numa_forced_off_.store(on, std::memory_order_relaxed);
 }
 
-namespace {
-
-void append_u64(std::ostringstream& os, std::uint64_t v) {
-  os << static_cast<unsigned long long>(v);
-}
-
-} // namespace
-
-std::string memory_json(const MemorySnapshot& snap) {
-  std::ostringstream os;
-  os << "{\"schema\":\"svsim-memory-v1\",\"enabled\":"
-     << (snap.enabled ? "true" : "false");
-  os << ",\"tracked_bytes\":";
-  append_u64(os, snap.current);
-  os << ",\"tracked_peak\":";
-  append_u64(os, snap.peak);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", snap.peak_ts_us);
-  os << ",\"peak_ts_us\":" << buf;
-  os << ",\"tags\":[";
-  bool first = true;
-  for (int i = 0; i < kNumMemTags; ++i) {
-    const MemorySnapshot::TagStat& t = snap.by_tag[i];
-    if (t.current == 0 && t.peak == 0) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "{\"tag\":\"" << mem_tag_name(static_cast<MemTag>(i))
-       << "\",\"current\":";
-    append_u64(os, t.current);
-    os << ",\"peak\":";
-    append_u64(os, t.peak);
-    os << '}';
-  }
-  os << "],\"per_pe\":[";
-  for (std::size_t i = 0; i < snap.per_pe.size(); ++i) {
-    const MemorySnapshot::PeStat& p = snap.per_pe[i];
-    if (i != 0) os << ',';
-    os << "{\"pe\":" << p.pe << ",\"current\":";
-    append_u64(os, p.current);
-    os << ",\"peak\":";
-    append_u64(os, p.peak);
-    os << ",\"node\":" << p.node << '}';
-  }
-  os << "],\"sampled\":" << (snap.sampled ? "true" : "false")
-     << ",\"sample_error\":";
-  os << jsonlite::quote(snap.sample_error);
-  os << ",\"rss_bytes\":";
-  append_u64(os, snap.rss_bytes);
-  os << ",\"hwm_bytes\":";
-  append_u64(os, snap.hwm_bytes);
-  os << ",\"baseline_rss\":";
-  append_u64(os, snap.baseline_rss);
-  os << ",\"thp_bytes\":";
-  append_u64(os, snap.thp_bytes);
-  os << ",\"samples\":";
-  append_u64(os, snap.samples);
-  os << ",\"numa\":" << (snap.numa ? "true" : "false") << ",\"numa_error\":";
-  os << jsonlite::quote(snap.numa_error);
-  os << ",\"node_bytes\":[";
-  for (std::size_t i = 0; i < snap.node_bytes.size(); ++i) {
-    if (i != 0) os << ',';
-    append_u64(os, snap.node_bytes[i]);
-  }
-  os << "]}";
-  return os.str();
+std::string memory_json(const MemoryStats& snap) {
+  jsonlite::Writer w;
+  w.begin_object().field("schema", "svsim-memory-v1");
+  write_fields(w, snap);
+  return w.end_object().take();
 }
 
 void fold_memory(RunReport& report) {
-  report.memory = MemoryStats{};
   MemRegistry& reg = MemRegistry::global();
-  if (!reg.enabled()) return;
+  if (!reg.enabled()) {
+    report.memory = MemoryStats{};
+    return;
+  }
   reg.sample_now();
-  const MemorySnapshot snap = reg.snapshot();
-  MemoryStats& m = report.memory;
-  m.enabled = true;
-  m.tracked_bytes = snap.current;
-  m.tracked_peak = snap.peak;
-  m.peak_ts_us = snap.peak_ts_us;
-  for (int i = 0; i < kNumMemTags; ++i) {
-    const MemorySnapshot::TagStat& t = snap.by_tag[i];
-    if (t.current == 0 && t.peak == 0) continue;
-    m.tags.push_back({mem_tag_name(static_cast<MemTag>(i)), t.current,
-                      t.peak});
-  }
-  for (const MemorySnapshot::PeStat& p : snap.per_pe) {
-    m.per_pe.push_back({p.pe, p.current, p.peak, p.node});
-  }
-  m.sampled = snap.sampled;
-  m.sample_error = snap.sample_error;
-  m.rss_bytes = snap.rss_bytes;
-  m.peak_rss = snap.hwm_bytes > snap.rss_bytes ? snap.hwm_bytes
-                                               : snap.rss_bytes;
-  m.baseline_rss = snap.baseline_rss;
-  m.thp_bytes = snap.thp_bytes;
-  m.samples = snap.samples;
-  m.numa = snap.numa;
-  m.numa_error = snap.numa_error;
-  m.node_bytes = snap.node_bytes;
+  report.memory = reg.snapshot();
 
   FootprintQuery q;
   q.backend = report.backend;
@@ -473,7 +370,7 @@ void fold_memory(RunReport& report) {
   q.workers = report.n_workers;
   q.batch = report.batch;
   q.gates = report.total_gates;
-  m.estimated_bytes =
+  report.memory.estimated_bytes =
       static_cast<double>(estimate_footprint(q).total_bytes);
 }
 

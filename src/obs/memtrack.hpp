@@ -62,44 +62,63 @@ inline constexpr int kNumMemTags = 8;
 /// Static display name ("state", "shmem_heap", ...).
 const char* mem_tag_name(MemTag tag);
 
-/// Point-in-time view of everything the registry knows. All byte counts
-/// are the 64-byte-rounded sizes the allocator actually reserved.
-struct MemorySnapshot {
+/// The memory record: exact tagged-allocation accounting, the last /proc
+/// sample, NUMA page placement and, in a run report, the analytic
+/// footprint estimate. MemRegistry::snapshot() fills all but the estimate;
+/// fold_memory() adds it. Byte counts are the 64-byte-rounded sizes the
+/// allocator actually reserved. `sampled == false` / `numa == false` with
+/// error strings are the graceful degradations on hosts without a
+/// readable procfs or with the NUMA syscalls denied.
+struct MemoryStats {
   bool enabled = false;
 
   // Tag accounting (exact, kernel-independent).
-  std::uint64_t current = 0;
-  std::uint64_t peak = 0;
-  double peak_ts_us = 0; // trace-clock time the peak was set
-  struct TagStat {
+  std::uint64_t tracked_bytes = 0; // live now
+  std::uint64_t tracked_peak = 0;  // high-water of tracked bytes
+  double peak_ts_us = 0;           // trace-clock time the peak was set
+  struct Tag {
     std::uint64_t current = 0;
     std::uint64_t peak = 0;
   };
-  TagStat by_tag[kNumMemTags] = {};
-  struct PeStat {
+  Tag by_tag[kNumMemTags] = {}; // indexed by MemTag
+  struct Pe {
     int pe = -1;
     std::uint64_t current = 0;
     std::uint64_t peak = 0;
     int node = -1; // dominant NUMA node of this PE's pages (-1 unknown)
   };
-  std::vector<PeStat> per_pe; // PEs seen, ascending; pe -1 rows omitted
+  std::vector<Pe> per_pe; // PEs seen, ascending; pe -1 rows omitted
 
-  // Process sample (/proc). `sampled == false` + error is the graceful
-  // degradation on hosts without a readable procfs.
+  // Process sample (/proc/self/status + smaps_rollup).
   bool sampled = false;
   std::string sample_error;
-  std::uint64_t rss_bytes = 0;      // VmRSS at the last sample
-  std::uint64_t hwm_bytes = 0;      // VmHWM (kernel high-water mark,
-                                    // exact between samples)
-  std::uint64_t baseline_rss = 0;   // VmRSS before the first tracked alloc
-  std::uint64_t thp_bytes = 0;      // AnonHugePages from smaps_rollup
-  std::uint64_t samples = 0;        // samples taken so far
+  std::uint64_t rss_bytes = 0;    // VmRSS at the last sample
+  std::uint64_t hwm_bytes = 0;    // VmHWM (kernel high-water mark, exact
+                                  // between samples)
+  std::uint64_t baseline_rss = 0; // VmRSS before the first tracked alloc
+  std::uint64_t thp_bytes = 0;    // AnonHugePages from smaps_rollup
+  std::uint64_t samples = 0;      // samples taken so far
 
-  // NUMA placement of tracked pages. `numa == false` + error on
-  // single-node / containerized hosts where the syscalls are denied.
+  // NUMA placement of tracked pages (move_pages/get_mempolicy).
   bool numa = false;
   std::string numa_error;
   std::vector<std::uint64_t> node_bytes; // tracked bytes per NUMA node
+
+  // Analytic estimate (obs/capacity) for a report's backend and shape;
+  // 0 outside a report.
+  double estimated_bytes = 0;
+
+  /// max(VmHWM, last VmRSS): the peak RSS the report and ledger carry.
+  std::uint64_t peak_rss() const {
+    return hwm_bytes > rss_bytes ? hwm_bytes : rss_bytes;
+  }
+  /// Relative error of the estimate against the tracked peak (the
+  /// deterministic surface the 10% acceptance bound is pinned on).
+  double estimate_error() const {
+    if (tracked_peak == 0) return 0;
+    return (estimated_bytes - static_cast<double>(tracked_peak)) /
+           static_cast<double>(tracked_peak);
+  }
 };
 
 /// Process-global registry of tracked allocations. All mutation takes a
@@ -138,7 +157,7 @@ public:
   /// 0 when the registry is off or /proc is unreadable.
   std::uint64_t sample_rss();
 
-  MemorySnapshot snapshot() const;
+  MemoryStats snapshot() const;
 
   /// Tests: collapse peaks to current values so accounting assertions
   /// are independent of what earlier tests allocated.
@@ -159,12 +178,6 @@ private:
     int pe = -1;
     int node = -1; // dominant node from the last NUMA walk
   };
-  struct PeCount {
-    std::uint64_t current = 0;
-    std::uint64_t peak = 0;
-    int node = -1;
-  };
-
   void apply_delta_locked(MemTag tag, std::int64_t delta, int pe);
   void sample_proc_locked(bool deep);
   void sample_numa_locked();
@@ -174,25 +187,12 @@ private:
   std::map<std::uint64_t, Record> live_;
   std::uint64_t next_id_ = 1;
 
-  std::uint64_t current_ = 0;
-  std::uint64_t peak_ = 0;
-  double peak_ts_us_ = 0;
-  MemorySnapshot::TagStat by_tag_[kNumMemTags] = {};
-  std::map<int, PeCount> per_pe_;
-
-  // Last sample (guarded by mu_).
+  // Aggregates and the last sample (per_pe lives in per_pe_), guarded by
+  // mu_.
+  MemoryStats rec_;
+  std::map<int, MemoryStats::Pe> per_pe_;
   std::string proc_root_ = "/proc/self";
   bool baseline_done_ = false;
-  bool sampled_ok_ = false;
-  std::string sample_error_;
-  std::uint64_t rss_bytes_ = 0;
-  std::uint64_t hwm_bytes_ = 0;
-  std::uint64_t baseline_rss_ = 0;
-  std::uint64_t thp_bytes_ = 0;
-  std::uint64_t samples_ = 0;
-  bool numa_ok_ = false;
-  std::string numa_error_;
-  std::vector<std::uint64_t> node_bytes_;
   std::atomic<bool> numa_forced_off_{false};
 };
 
@@ -310,9 +310,9 @@ private:
   std::int64_t total_ = 0;
 };
 
-/// The /memory HTTP endpoint's document (schema "svsim-memory-v1"):
-/// the full snapshot as RFC 8259 JSON.
-std::string memory_json(const MemorySnapshot& snap);
+/// The GET /memory document (schema "svsim-memory-v1"): the memory
+/// record, written by the same write_fields() as the report's section.
+std::string memory_json(const MemoryStats& snap);
 
 /// Snapshot the registry (taking one synchronous sample first) into
 /// `report.memory`, and attach the analytic footprint estimate for the

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "common/bits.hpp"
 #include "ir/circuit.hpp"
@@ -16,19 +14,6 @@
 namespace svsim::obs {
 
 namespace {
-
-/// %.17g round-trips doubles; trim to a clean integer rendering when the
-/// value is one (mirrors report_json's conventions).
-void append_double(std::ostringstream& os, double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  os << buf;
-}
 
 /// Per-gate cumulative predicted bytes: prefix[k] = model bytes of gates
 /// [0, k). Schedule-aware: a blocked window's member sweeps collapse into
@@ -199,47 +184,41 @@ std::string ProgressBoard::last_report_json() const {
 }
 
 std::string progress_to_json(const ProgressSnapshot& s) {
-  std::ostringstream os;
-  os << "{\"schema\":\"svsim-progress-v1\"";
-  os << ",\"valid\":" << (s.valid ? "true" : "false");
-  os << ",\"active\":" << (s.active ? "true" : "false");
-  os << ",\"interrupted\":" << (s.interrupted ? "true" : "false");
-  os << ",\"backend\":" << jsonlite::quote(s.backend);
-  os << ",\"n_qubits\":" << s.n_qubits;
-  os << ",\"n_workers\":" << s.n_workers;
-  os << ",\"batch\":" << s.batch;
-  os << ",\"total_gates\":" << s.total_gates;
-  os << ",\"gates_done\":" << s.gates_done;
-  os << ",\"window\":" << s.window;
-  os << ",\"amps_done\":";
-  append_double(os, s.amps_done);
-  os << ",\"bytes_total\":";
-  append_double(os, s.bytes_total);
-  os << ",\"bytes_done\":";
-  append_double(os, s.bytes_done);
-  os << ",\"fraction\":";
-  append_double(os, s.fraction);
-  os << ",\"elapsed_s\":";
-  append_double(os, s.elapsed_s);
-  os << ",\"gbps\":";
-  append_double(os, s.gbps);
-  os << ",\"eta_s\":";
+  jsonlite::Writer w;
+  w.begin_object()
+      .field("schema", "svsim-progress-v1")
+      .field("valid", s.valid)
+      .field("active", s.active)
+      .field("interrupted", s.interrupted)
+      .field("backend", s.backend)
+      .field("n_qubits", s.n_qubits)
+      .field("n_workers", s.n_workers)
+      .field("batch", s.batch)
+      .field("total_gates", s.total_gates)
+      .field("gates_done", s.gates_done)
+      .field("window", s.window)
+      .field("amps_done", s.amps_done)
+      .field("bytes_total", s.bytes_total)
+      .field("bytes_done", s.bytes_done)
+      .field("fraction", s.fraction)
+      .field("elapsed_s", s.elapsed_s)
+      .field("gbps", s.gbps)
+      .key("eta_s");
   if (s.eta_known) {
-    append_double(os, s.eta_s);
+    w.value(s.eta_s);
   } else {
-    os << "null";
+    w.null();
   }
-  os << ",\"per_pe\":[";
-  for (std::size_t w = 0; w < s.pes.size(); ++w) {
-    const ProgressSnapshot::Pe& pe = s.pes[w];
-    if (w != 0) os << ',';
-    os << "{\"pe\":" << w << ",\"gates_done\":" << pe.gates_done
-       << ",\"amps_done\":" << pe.amps_done << ",\"wait_s\":";
-    append_double(os, pe.wait_s);
-    os << '}';
+  w.key("per_pe").begin_array();
+  for (std::size_t pe = 0; pe < s.pes.size(); ++pe) {
+    w.begin_object()
+        .field("pe", pe)
+        .field("gates_done", s.pes[pe].gates_done)
+        .field("amps_done", s.pes[pe].amps_done)
+        .field("wait_s", s.pes[pe].wait_s)
+        .end_object();
   }
-  os << "]}";
-  return os.str();
+  return w.end_array().end_object().take();
 }
 
 int ProgressBoard::render_json_signal_safe(char* buf, std::size_t len) const {

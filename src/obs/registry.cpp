@@ -124,15 +124,4 @@ std::string Registry::write_prom() const {
   return os.str();
 }
 
-std::string Registry::summary() const {
-  std::ostringstream os;
-  for (const auto& [name, v] : counter_values()) {
-    if (v != 0) os << "  counter " << name << " = " << v << "\n";
-  }
-  for (const auto& [name, v] : gauge_values()) {
-    if (v != 0) os << "  gauge   " << name << " = " << v << "\n";
-  }
-  return os.str();
-}
-
 } // namespace svsim::obs

@@ -72,9 +72,6 @@ public:
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   std::vector<std::pair<std::string, double>> gauge_values() const;
 
-  /// Human-readable dump of all non-zero entries.
-  std::string summary() const;
-
   /// Prometheus text exposition (version 0.0.4) of every entry: counters
   /// as `svsim_<name>_total`, gauges as plain `svsim_<name>` —
   /// scrapeable without parsing JSON (`qasm_runner --metrics`). Names

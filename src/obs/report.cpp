@@ -345,7 +345,7 @@ std::string RunReport::summary() const {
     os << buf;
     if (memory.sampled) {
       char rssb[16];
-      human_bytes(rssb, sizeof(rssb), memory.peak_rss);
+      human_bytes(rssb, sizeof(rssb), memory.peak_rss());
       std::snprintf(buf, sizeof(buf), ", peak RSS %s (%llu samples)", rssb,
                     static_cast<unsigned long long>(memory.samples));
       os << buf;
@@ -353,13 +353,15 @@ std::string RunReport::summary() const {
       os << ", rss unsampled (" << memory.sample_error << ")";
     }
     os << '\n';
-    for (const MemoryStats::Tag& t : memory.tags) {
+    for (int i = 0; i < kNumMemTags; ++i) {
+      const MemoryStats::Tag& t = memory.by_tag[static_cast<std::size_t>(i)];
+      if (t.current == 0 && t.peak == 0) continue;
       char curb[16];
       char tpb[16];
       human_bytes(curb, sizeof(curb), t.current);
       human_bytes(tpb, sizeof(tpb), t.peak);
       std::snprintf(buf, sizeof(buf), "    %-12s current %8s  peak %8s\n",
-                    t.name.c_str(), curb, tpb);
+                    mem_tag_name(static_cast<MemTag>(i)), curb, tpb);
       os << buf;
     }
     if (memory.numa && !memory.node_bytes.empty()) {

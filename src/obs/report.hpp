@@ -22,6 +22,7 @@
 #include "ir/op.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/flight.hpp"
+#include "obs/memtrack.hpp"
 #include "shmem/shmem.hpp"
 
 namespace svsim {
@@ -29,6 +30,10 @@ class Circuit;
 }
 
 namespace svsim::obs {
+
+namespace jsonlite {
+class Writer;
+}
 
 /// Communication totals in the vocabulary all three distributed tiers
 /// share. "Ops" are element-granular one-sided accesses (peer pointer
@@ -52,7 +57,8 @@ struct GateKindStats {
 };
 
 /// Result of the streaming numerical-invariant checks (HealthMonitor).
-/// All-zero/defaults unless the monitor was enabled for the run.
+/// All-zero/defaults unless the monitor was enabled for the run. Also the
+/// type of the process-wide mirror GET /healthz reads (health_snapshot()).
 struct HealthStats {
   bool enabled = false;
   int every_n = 0;              // checkpoint cadence in gates
@@ -173,55 +179,6 @@ struct TrafficMatrix {
   std::string table() const;
 };
 
-/// Bytes-resident attribution of the last run() (obs/memtrack +
-/// obs/capacity): exact tagged-allocation accounting, the sampled
-/// process RSS / NUMA placement, and the analytic footprint estimate.
-/// Defaults when SVSIM_MEMTRACK=0; `sampled == false` / `numa == false`
-/// with error strings are the graceful degradations on hosts without a
-/// readable procfs or with the NUMA syscalls denied.
-struct MemoryStats {
-  bool enabled = false;
-  // Tagged allocation registry (exact, kernel-independent).
-  std::uint64_t tracked_bytes = 0; // live at report time
-  std::uint64_t tracked_peak = 0;  // high-water of tracked bytes
-  double peak_ts_us = 0;           // trace-clock time of the high-water
-  struct Tag {
-    std::string name;
-    std::uint64_t current = 0;
-    std::uint64_t peak = 0;
-  };
-  std::vector<Tag> tags;
-  struct Pe {
-    int pe = -1;
-    std::uint64_t current = 0;
-    std::uint64_t peak = 0;
-    int node = -1; // dominant NUMA node of the PE's buffers (-1 unknown)
-  };
-  std::vector<Pe> per_pe;
-  // Process sample (/proc/self/status + smaps_rollup).
-  bool sampled = false;
-  std::string sample_error;
-  std::uint64_t rss_bytes = 0;
-  std::uint64_t peak_rss = 0; // max(VmHWM, last VmRSS)
-  std::uint64_t baseline_rss = 0; // VmRSS before the first tracked alloc
-  std::uint64_t thp_bytes = 0;
-  std::uint64_t samples = 0;
-  // NUMA page placement of tracked buffers (move_pages/get_mempolicy).
-  bool numa = false;
-  std::string numa_error;
-  std::vector<std::uint64_t> node_bytes;
-  // Analytic estimate (obs/capacity) for this run's shape.
-  double estimated_bytes = 0;
-
-  /// Relative error of the estimate against the tracked peak (the
-  /// deterministic surface the 10% acceptance bound is pinned on).
-  double estimate_error() const {
-    if (tracked_peak == 0) return 0;
-    return (estimated_bytes - static_cast<double>(tracked_peak)) /
-           static_cast<double>(tracked_peak);
-  }
-};
-
 struct RunReport {
   std::string backend;
   IdxType n_qubits = 0;
@@ -244,7 +201,8 @@ struct RunReport {
   SchedulerStats sched; // gate-window scheduler (defaults when off)
   RemapStats remap;     // communication-avoiding remap (defaults when off)
   RooflineStats roofline; // roofline attribution (defaults when off)
-  MemoryStats memory;   // bytes-resident attribution (defaults when off)
+  MemoryStats memory;   // bytes-resident attribution (obs/memtrack +
+                        // obs/capacity; defaults when SVSIM_MEMTRACK=0)
   WaitProfile waitstate; // cross-PE wait-state breakdown (defaults when off)
   TrafficMatrix matrix; // per-PE×PE traffic (distributed backends only)
   /// Flight-recorder events drained at the end of a successful run
@@ -263,6 +221,13 @@ struct RunReport {
 /// gate/fusion/comm sections plus the health, traffic-matrix and flight
 /// sections. Always valid RFC 8259 JSON (non-finite numbers become null).
 std::string to_json(const RunReport& report);
+
+/// The health and memory records' members, written into an object the
+/// caller has opened. The report's `health` and `memory` sections and the
+/// GET /healthz and GET /memory documents all embed these, so each record
+/// is written in one place.
+void write_fields(jsonlite::Writer& w, const HealthStats& health);
+void write_fields(jsonlite::Writer& w, const MemoryStats& memory);
 
 /// Count `circuit`'s gates by kind into `report` (cheap; runs even with
 /// profiling off so every report has the count breakdown).

@@ -1,13 +1,5 @@
-// obs::to_json — RunReport as RFC 8259 JSON (schema "svsim-report-v1").
-//
-// Hand-rolled emitter kept next to the report type on purpose: the
-// schema is small enough that a builder library would be more code than
-// the emitter. Strings go through jsonlite::quote. Non-finite doubles are
-// emitted as null so the output always validates.
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
+// obs::to_json — RunReport as RFC 8259 JSON (schema "svsim-report-v1"),
+// one writer function per section, all through jsonlite::Writer.
 #include "obs/jsonlite.hpp"
 #include "obs/report.hpp"
 
@@ -15,332 +7,287 @@ namespace svsim::obs {
 
 namespace {
 
-void append_double(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null"; // NaN/Inf are not JSON; null keeps the document valid
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
+using jsonlite::Writer;
 
-void append_u64(std::ostringstream& os, std::uint64_t v) {
-  os << static_cast<unsigned long long>(v);
-}
-
-} // namespace
-
-std::string to_json(const RunReport& report) {
-  std::ostringstream os;
-  os << "{\"schema\":\"svsim-report-v1\",";
-  os << "\"backend\":" << jsonlite::quote(report.backend);
-  os << ",\"n_qubits\":" << static_cast<long long>(report.n_qubits);
-  os << ",\"n_workers\":" << report.n_workers;
-  os << ",\"batch\":" << report.batch;
-  os << ",\"total_gates\":";
-  append_u64(os, report.total_gates);
-  os << ",\"wall_seconds\":";
-  append_double(os, report.wall_seconds);
-  os << ",\"profiled\":" << (report.profiled ? "true" : "false");
-  os << ",\"circuit_hash\":" << jsonlite::quote(hash_hex(report.circuit_hash));
-  os << ",\"cpu\":" << jsonlite::quote(cpu_model());
-
-  os << ",\"gates\":[";
-  bool first = true;
+void write_gates(Writer& w, const RunReport& report) {
+  w.key("gates").begin_array();
   for (int i = 0; i < kNumOps; ++i) {
     const GateKindStats& s = report.by_op[static_cast<std::size_t>(i)];
     if (s.count == 0) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "{\"op\":" << jsonlite::quote(op_name(static_cast<OP>(i)));
-    os << ",\"count\":";
-    append_u64(os, s.count);
-    os << ",\"seconds\":";
-    append_double(os, s.seconds);
-    os << '}';
+    w.begin_object()
+        .field("op", op_name(static_cast<OP>(i)))
+        .field("count", s.count)
+        .field("seconds", s.seconds)
+        .end_object();
   }
-  os << ']';
+  w.end_array();
+}
 
-  os << ",\"fusion\":{\"gates_before\":"
-     << static_cast<long long>(report.fusion.gates_before)
-     << ",\"gates_after\":" << static_cast<long long>(report.fusion.gates_after)
-     << ",\"fused_1q\":" << static_cast<long long>(report.fusion.fused_1q)
-     << ",\"cancelled_2q\":"
-     << static_cast<long long>(report.fusion.cancelled_2q)
-     << ",\"dropped_identity\":"
-     << static_cast<long long>(report.fusion.dropped_identity) << '}';
+void write_fusion(Writer& w, const FusionStats& f) {
+  w.key("fusion")
+      .begin_object()
+      .field("gates_before", f.gates_before)
+      .field("gates_after", f.gates_after)
+      .field("fused_1q", f.fused_1q)
+      .field("cancelled_2q", f.cancelled_2q)
+      .field("dropped_identity", f.dropped_identity)
+      .end_object();
+}
 
-  os << ",\"comm\":{\"local_ops\":";
-  append_u64(os, report.comm.local_ops);
-  os << ",\"remote_ops\":";
-  append_u64(os, report.comm.remote_ops);
-  os << ",\"bytes\":";
-  append_u64(os, report.comm.bytes);
-  os << ",\"messages\":";
-  append_u64(os, report.comm.messages);
-  os << ",\"barriers\":";
-  append_u64(os, report.comm.barriers);
-  os << '}';
+void write_comm(Writer& w, const CommStats& c) {
+  w.key("comm")
+      .begin_object()
+      .field("local_ops", c.local_ops)
+      .field("remote_ops", c.remote_ops)
+      .field("bytes", c.bytes)
+      .field("messages", c.messages)
+      .field("barriers", c.barriers)
+      .end_object();
+}
 
-  const HealthStats& h = report.health;
-  os << ",\"health\":{\"enabled\":" << (h.enabled ? "true" : "false")
-     << ",\"every_n\":" << h.every_n << ",\"checks\":";
-  append_u64(os, h.checks);
-  os << ",\"nan_checks\":";
-  append_u64(os, h.nan_checks);
-  os << ",\"non_finite\":";
-  append_u64(os, h.non_finite);
-  os << ",\"max_drift\":";
-  append_double(os, h.max_drift);
-  os << ",\"last_norm2\":";
-  append_double(os, h.last_norm2);
-  os << ",\"drift_gate_lo\":";
-  append_u64(os, h.drift_gate_lo);
-  os << ",\"drift_gate_hi\":";
-  append_u64(os, h.drift_gate_hi);
-  os << ",\"warns\":";
-  append_u64(os, h.warns);
-  os << ",\"aborted\":" << (h.aborted ? "true" : "false")
-     << ",\"tripped\":" << (h.tripped() ? "true" : "false") << '}';
+void write_sched(Writer& w, const SchedulerStats& s) {
+  w.key("sched")
+      .begin_object()
+      .field("enabled", s.enabled)
+      .field("active", s.active)
+      .field("block_exp", s.block_exp)
+      .field("windows", s.windows)
+      .field("windowed_gates", s.windowed_gates)
+      .field("passes_saved", s.passes_saved)
+      .field("traffic_avoided_bytes", s.traffic_avoided_bytes)
+      .end_object();
+}
 
-  const SchedulerStats& sc = report.sched;
-  os << ",\"sched\":{\"enabled\":" << (sc.enabled ? "true" : "false")
-     << ",\"active\":" << (sc.active ? "true" : "false")
-     << ",\"block_exp\":" << sc.block_exp << ",\"windows\":";
-  append_u64(os, sc.windows);
-  os << ",\"windowed_gates\":";
-  append_u64(os, sc.windowed_gates);
-  os << ",\"passes_saved\":";
-  append_u64(os, sc.passes_saved);
-  os << ",\"traffic_avoided_bytes\":";
-  append_u64(os, sc.traffic_avoided_bytes);
-  os << '}';
+void write_remap(Writer& w, const RemapStats& r) {
+  w.key("remap")
+      .begin_object()
+      .field("enabled", r.enabled)
+      .field("active", r.active)
+      .field("local_bits", r.local_bits)
+      .field("swaps_inserted", r.swaps_inserted)
+      .field("modeled_remote_bytes_before", r.modeled_remote_bytes_before)
+      .field("modeled_remote_bytes_after", r.modeled_remote_bytes_after)
+      .end_object();
+}
 
-  const RemapStats& rm = report.remap;
-  os << ",\"remap\":{\"enabled\":" << (rm.enabled ? "true" : "false")
-     << ",\"active\":" << (rm.active ? "true" : "false")
-     << ",\"local_bits\":" << rm.local_bits << ",\"swaps_inserted\":";
-  append_u64(os, rm.swaps_inserted);
-  os << ",\"modeled_remote_bytes_before\":";
-  append_u64(os, rm.modeled_remote_bytes_before);
-  os << ",\"modeled_remote_bytes_after\":";
-  append_u64(os, rm.modeled_remote_bytes_after);
-  os << '}';
-
-  const RooflineStats& rf = report.roofline;
-  os << ",\"roofline\":{\"enabled\":" << (rf.enabled ? "true" : "false")
-     << ",\"model\":{\"amps\":";
-  append_double(os, rf.model_amps);
-  os << ",\"bytes\":";
-  append_double(os, rf.model_bytes);
-  os << ",\"bytes_sched\":";
-  append_double(os, rf.model_bytes_sched);
-  os << ",\"flops\":";
-  append_double(os, rf.model_flops);
-  os << ",\"ai\":";
-  append_double(os, rf.ai);
-  os << "},\"peak_gbps\":";
-  append_double(os, rf.peak_gbps);
-  os << ",\"model_gbps\":";
-  append_double(os, rf.model_gbps);
-  os << ",\"attainment\":";
-  append_double(os, rf.attainment);
-  os << ",\"counters\":{\"available\":" << (rf.counters ? "true" : "false")
-     << ",\"error\":";
-  os << jsonlite::quote(rf.counters_error);
-  os << ",\"cycles\":";
-  append_u64(os, rf.cycles);
-  os << ",\"instructions\":";
-  append_u64(os, rf.instructions);
-  os << ",\"llc_loads\":";
-  append_u64(os, rf.llc_loads);
-  os << ",\"llc_misses\":";
-  append_u64(os, rf.llc_misses);
-  os << ",\"measured_gbps\":";
-  append_double(os, rf.measured_gbps);
-  os << "},\"worst\":[";
-  for (std::size_t i = 0; i < rf.worst.size(); ++i) {
-    const RooflineStats::OpAttainment& a = rf.worst[i];
-    if (i != 0) os << ',';
-    os << "{\"op\":" << jsonlite::quote(op_name(a.op));
-    os << ",\"count\":";
-    append_u64(os, a.count);
-    os << ",\"bytes\":";
-    append_double(os, a.bytes);
-    os << ",\"seconds\":";
-    append_double(os, a.seconds);
-    os << ",\"gbps\":";
-    append_double(os, a.gbps);
-    os << ",\"attainment\":";
-    append_double(os, a.attainment);
-    os << '}';
+void write_roofline(Writer& w, const RooflineStats& r) {
+  w.key("roofline").begin_object().field("enabled", r.enabled);
+  w.key("model")
+      .begin_object()
+      .field("amps", r.model_amps)
+      .field("bytes", r.model_bytes)
+      .field("bytes_sched", r.model_bytes_sched)
+      .field("flops", r.model_flops)
+      .field("ai", r.ai)
+      .end_object();
+  w.field("peak_gbps", r.peak_gbps)
+      .field("model_gbps", r.model_gbps)
+      .field("attainment", r.attainment);
+  w.key("counters")
+      .begin_object()
+      .field("available", r.counters)
+      .field("error", r.counters_error)
+      .field("cycles", r.cycles)
+      .field("instructions", r.instructions)
+      .field("llc_loads", r.llc_loads)
+      .field("llc_misses", r.llc_misses)
+      .field("measured_gbps", r.measured_gbps)
+      .end_object();
+  w.key("worst").begin_array();
+  for (const RooflineStats::OpAttainment& a : r.worst) {
+    w.begin_object()
+        .field("op", op_name(a.op))
+        .field("count", a.count)
+        .field("bytes", a.bytes)
+        .field("seconds", a.seconds)
+        .field("gbps", a.gbps)
+        .field("attainment", a.attainment)
+        .end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
+}
 
-  const MemoryStats& mm = report.memory;
-  os << ",\"memory\":{\"enabled\":" << (mm.enabled ? "true" : "false")
-     << ",\"tracked_bytes\":";
-  append_u64(os, mm.tracked_bytes);
-  os << ",\"tracked_peak\":";
-  append_u64(os, mm.tracked_peak);
-  os << ",\"peak_ts_us\":";
-  append_double(os, mm.peak_ts_us);
-  os << ",\"tags\":[";
-  for (std::size_t i = 0; i < mm.tags.size(); ++i) {
-    const MemoryStats::Tag& t = mm.tags[i];
-    if (i != 0) os << ',';
-    os << "{\"tag\":" << jsonlite::quote(t.name);
-    os << ",\"current\":";
-    append_u64(os, t.current);
-    os << ",\"peak\":";
-    append_u64(os, t.peak);
-    os << '}';
+void write_waitstate(Writer& w, const WaitProfile& p) {
+  w.key("waitstate").begin_object().field("enabled", p.enabled);
+  w.key("per_pe").begin_array();
+  for (const WaitProfile::PerPe& pe : p.per_pe) {
+    w.begin_object()
+        .field("wall_s", pe.wall_s)
+        .field("compute_s", pe.compute_s)
+        .field("barrier_s", pe.barrier_s)
+        .field("reduction_s", pe.reduction_s)
+        .field("transfer_s", pe.transfer_s)
+        .field("wait_s", pe.wait_s())
+        .field("barrier_n", pe.barrier_n)
+        .field("reduction_n", pe.reduction_n)
+        .field("transfer_n", pe.transfer_n)
+        .end_object();
   }
-  os << "],\"per_pe\":[";
-  for (std::size_t i = 0; i < mm.per_pe.size(); ++i) {
-    const MemoryStats::Pe& p = mm.per_pe[i];
-    if (i != 0) os << ',';
-    os << "{\"pe\":" << p.pe << ",\"current\":";
-    append_u64(os, p.current);
-    os << ",\"peak\":";
-    append_u64(os, p.peak);
-    os << ",\"node\":" << p.node << '}';
+  w.end_array()
+      .field("imbalance", p.imbalance)
+      .field("straggler", p.straggler)
+      .field("wait_fraction", p.wait_fraction)
+      .field("truncated", p.truncated)
+      .field("critical_pe", p.critical_pe)
+      .field("critical_phase", p.critical_phase)
+      .field("critical_s", p.critical_s);
+  w.key("critical").begin_array();
+  for (const WaitProfile::Critical& c : p.critical) {
+    w.begin_object()
+        .field("pe", c.pe)
+        .field("phase", c.phase)
+        .field("seconds", c.seconds)
+        .field("phases", c.phases)
+        .end_object();
   }
-  os << "],\"sampled\":" << (mm.sampled ? "true" : "false")
-     << ",\"sample_error\":";
-  os << jsonlite::quote(mm.sample_error);
-  os << ",\"rss_bytes\":";
-  append_u64(os, mm.rss_bytes);
-  os << ",\"peak_rss\":";
-  append_u64(os, mm.peak_rss);
-  os << ",\"baseline_rss\":";
-  append_u64(os, mm.baseline_rss);
-  os << ",\"thp_bytes\":";
-  append_u64(os, mm.thp_bytes);
-  os << ",\"samples\":";
-  append_u64(os, mm.samples);
-  os << ",\"numa\":" << (mm.numa ? "true" : "false") << ",\"numa_error\":";
-  os << jsonlite::quote(mm.numa_error);
-  os << ",\"node_bytes\":[";
-  for (std::size_t i = 0; i < mm.node_bytes.size(); ++i) {
-    if (i != 0) os << ',';
-    append_u64(os, mm.node_bytes[i]);
-  }
-  os << "],\"estimated_bytes\":";
-  append_double(os, mm.estimated_bytes);
-  os << ",\"estimate_error\":";
-  append_double(os, mm.estimate_error());
-  os << '}';
+  w.end_array().end_object();
+}
 
-  const WaitProfile& ws = report.waitstate;
-  os << ",\"waitstate\":{\"enabled\":" << (ws.enabled ? "true" : "false")
-     << ",\"per_pe\":[";
-  for (std::size_t w = 0; w < ws.per_pe.size(); ++w) {
-    const WaitProfile::PerPe& pe = ws.per_pe[w];
-    if (w != 0) os << ',';
-    os << "{\"wall_s\":";
-    append_double(os, pe.wall_s);
-    os << ",\"compute_s\":";
-    append_double(os, pe.compute_s);
-    os << ",\"barrier_s\":";
-    append_double(os, pe.barrier_s);
-    os << ",\"reduction_s\":";
-    append_double(os, pe.reduction_s);
-    os << ",\"transfer_s\":";
-    append_double(os, pe.transfer_s);
-    os << ",\"wait_s\":";
-    append_double(os, pe.wait_s());
-    os << ",\"barrier_n\":";
-    append_u64(os, pe.barrier_n);
-    os << ",\"reduction_n\":";
-    append_u64(os, pe.reduction_n);
-    os << ",\"transfer_n\":";
-    append_u64(os, pe.transfer_n);
-    os << '}';
+void write_traffic_matrix(Writer& w, const TrafficMatrix& m) {
+  w.key("traffic_matrix");
+  if (m.empty()) {
+    w.null();
+    return;
   }
-  os << "],\"imbalance\":";
-  append_double(os, ws.imbalance);
-  os << ",\"straggler\":" << ws.straggler << ",\"wait_fraction\":";
-  append_double(os, ws.wait_fraction);
-  os << ",\"truncated\":" << (ws.truncated ? "true" : "false")
-     << ",\"critical_pe\":" << ws.critical_pe << ",\"critical_phase\":";
-  os << jsonlite::quote(ws.critical_phase);
-  os << ",\"critical_s\":";
-  append_double(os, ws.critical_s);
-  os << ",\"critical\":[";
-  for (std::size_t i = 0; i < ws.critical.size(); ++i) {
-    const WaitProfile::Critical& c = ws.critical[i];
-    if (i != 0) os << ',';
-    os << "{\"pe\":" << c.pe << ",\"phase\":" << jsonlite::quote(c.phase);
-    os << ",\"seconds\":";
-    append_double(os, c.seconds);
-    os << ",\"phases\":";
-    append_u64(os, c.phases);
-    os << '}';
+  w.begin_object().field("n", m.n);
+  w.key("bytes").begin_array();
+  for (int s = 0; s < m.n; ++s) {
+    w.begin_array();
+    for (int d = 0; d < m.n; ++d) w.value(m.at(s, d));
+    w.end_array();
   }
-  os << "]}";
+  w.end_array();
+  w.key("per_pe_bytes").begin_array();
+  for (int s = 0; s < m.n; ++s) w.value(m.row_sum(s));
+  w.end_array();
+  const TrafficMatrix::Imbalance im = m.imbalance();
+  w.field("total_bytes", m.total())
+      .field("remote_bytes", m.remote_total())
+      .field("max_mean_ratio", im.max_mean_ratio);
+  w.key("busiest")
+      .begin_object()
+      .field("src", im.busiest_src)
+      .field("dst", im.busiest_dst)
+      .field("bytes", im.busiest_bytes)
+      .end_object()
+      .end_object();
+}
 
-  if (report.matrix.empty()) {
-    os << ",\"traffic_matrix\":null";
-  } else {
-    const TrafficMatrix& m = report.matrix;
-    const TrafficMatrix::Imbalance im = m.imbalance();
-    os << ",\"traffic_matrix\":{\"n\":" << m.n << ",\"bytes\":[";
-    for (int s = 0; s < m.n; ++s) {
-      if (s != 0) os << ',';
-      os << '[';
-      for (int d = 0; d < m.n; ++d) {
-        if (d != 0) os << ',';
-        append_u64(os, m.at(s, d));
-      }
-      os << ']';
-    }
-    os << "],\"per_pe_bytes\":[";
-    for (int s = 0; s < m.n; ++s) {
-      if (s != 0) os << ',';
-      append_u64(os, m.row_sum(s));
-    }
-    os << "],\"total_bytes\":";
-    append_u64(os, m.total());
-    os << ",\"remote_bytes\":";
-    append_u64(os, m.remote_total());
-    os << ",\"max_mean_ratio\":";
-    append_double(os, im.max_mean_ratio);
-    os << ",\"busiest\":{\"src\":" << im.busiest_src
-       << ",\"dst\":" << im.busiest_dst << ",\"bytes\":";
-    append_u64(os, im.busiest_bytes);
-    os << "}}";
-  }
-
-  os << ",\"flight\":{\"count\":" << report.flight.size() << ",\"events\":[";
+void write_flight(Writer& w, const std::vector<FlightEvent>& events) {
+  w.key("flight").begin_object().field("count", events.size());
+  w.key("events").begin_array();
   // Cap the exported tail: the rings retain up to 256 events per worker,
   // far more than a report reader wants inline.
   constexpr std::size_t kMaxExported = 128;
   const std::size_t start =
-      report.flight.size() > kMaxExported ? report.flight.size() - kMaxExported
-                                          : 0;
-  for (std::size_t i = start; i < report.flight.size(); ++i) {
-    const FlightEvent& e = report.flight[i];
-    if (i != start) os << ',';
-    os << "{\"seq\":";
-    append_u64(os, e.seq);
-    os << ",\"ts_us\":";
-    append_double(os, e.ts_us);
-    os << ",\"kind\":"
-       << jsonlite::quote(
-              flight_kind_name(static_cast<FlightEvent::Kind>(e.kind)));
-    os << ",\"gate\":";
-    append_u64(os, e.gate_id);
-    os << ",\"op\":"
-       << jsonlite::quote(e.op < static_cast<std::uint16_t>(kNumOps)
-                              ? op_name(static_cast<OP>(e.op))
-                              : "?");
-    os << ",\"worker\":" << e.worker << ",\"qb\":[" << e.qb0 << ',' << e.qb1
-       << "]}";
+      events.size() > kMaxExported ? events.size() - kMaxExported : 0;
+  for (std::size_t i = start; i < events.size(); ++i) {
+    const FlightEvent& e = events[i];
+    w.begin_object()
+        .field("seq", e.seq)
+        .field("ts_us", e.ts_us)
+        .field("kind",
+               flight_kind_name(static_cast<FlightEvent::Kind>(e.kind)))
+        .field("gate", e.gate_id)
+        .field("op", e.op < static_cast<std::uint16_t>(kNumOps)
+                         ? op_name(static_cast<OP>(e.op))
+                         : "?")
+        .field("worker", e.worker);
+    w.key("qb").begin_array().value(e.qb0).value(e.qb1).end_array();
+    w.end_object();
   }
-  os << "]}}";
-  return os.str();
+  w.end_array().end_object();
+}
+
+} // namespace
+
+void write_fields(Writer& w, const HealthStats& h) {
+  w.field("enabled", h.enabled)
+      .field("every_n", h.every_n)
+      .field("checks", h.checks)
+      .field("nan_checks", h.nan_checks)
+      .field("non_finite", h.non_finite)
+      .field("max_drift", h.max_drift)
+      .field("last_norm2", h.last_norm2)
+      .field("drift_gate_lo", h.drift_gate_lo)
+      .field("drift_gate_hi", h.drift_gate_hi)
+      .field("warns", h.warns)
+      .field("aborted", h.aborted)
+      .field("tripped", h.tripped());
+}
+
+void write_fields(Writer& w, const MemoryStats& m) {
+  w.field("enabled", m.enabled)
+      .field("tracked_bytes", m.tracked_bytes)
+      .field("tracked_peak", m.tracked_peak)
+      .field("peak_ts_us", m.peak_ts_us);
+  w.key("tags").begin_array();
+  for (int i = 0; i < kNumMemTags; ++i) {
+    const MemoryStats::Tag& t = m.by_tag[static_cast<std::size_t>(i)];
+    if (t.current == 0 && t.peak == 0) continue;
+    w.begin_object()
+        .field("tag", mem_tag_name(static_cast<MemTag>(i)))
+        .field("current", t.current)
+        .field("peak", t.peak)
+        .end_object();
+  }
+  w.end_array();
+  w.key("per_pe").begin_array();
+  for (const MemoryStats::Pe& p : m.per_pe) {
+    w.begin_object()
+        .field("pe", p.pe)
+        .field("current", p.current)
+        .field("peak", p.peak)
+        .field("node", p.node)
+        .end_object();
+  }
+  w.end_array()
+      .field("sampled", m.sampled)
+      .field("sample_error", m.sample_error)
+      .field("rss_bytes", m.rss_bytes)
+      .field("peak_rss", m.peak_rss())
+      .field("hwm_bytes", m.hwm_bytes)
+      .field("baseline_rss", m.baseline_rss)
+      .field("thp_bytes", m.thp_bytes)
+      .field("samples", m.samples)
+      .field("numa", m.numa)
+      .field("numa_error", m.numa_error);
+  w.key("node_bytes").begin_array();
+  for (const std::uint64_t b : m.node_bytes) w.value(b);
+  w.end_array()
+      .field("estimated_bytes", m.estimated_bytes)
+      .field("estimate_error", m.estimate_error());
+}
+
+std::string to_json(const RunReport& report) {
+  Writer w;
+  w.begin_object()
+      .field("schema", "svsim-report-v1")
+      .field("backend", report.backend)
+      .field("n_qubits", report.n_qubits)
+      .field("n_workers", report.n_workers)
+      .field("batch", report.batch)
+      .field("total_gates", report.total_gates)
+      .field("wall_seconds", report.wall_seconds)
+      .field("profiled", report.profiled)
+      .field("circuit_hash", hash_hex(report.circuit_hash))
+      .field("cpu", cpu_model());
+  write_gates(w, report);
+  write_fusion(w, report.fusion);
+  write_comm(w, report.comm);
+  w.key("health").begin_object();
+  write_fields(w, report.health);
+  w.end_object();
+  write_sched(w, report.sched);
+  write_remap(w, report.remap);
+  write_roofline(w, report.roofline);
+  w.key("memory").begin_object();
+  write_fields(w, report.memory);
+  w.end_object();
+  write_waitstate(w, report.waitstate);
+  write_traffic_matrix(w, report.matrix);
+  write_flight(w, report.flight);
+  return w.end_object().take();
 }
 
 } // namespace svsim::obs

@@ -66,10 +66,6 @@ void* Ctx::malloc_sym_bytes(std::size_t bytes, std::size_t align) {
   return base;
 }
 
-void Ctx::reset_heap() {
-  rt_->barrier_.arrive_and_wait([rt = rt_] { rt->heap_brk_ = 0; });
-}
-
 char* Ctx::translate_bytes(const char* sym, std::size_t bytes,
                            int target_pe) const {
   SVSIM_CHECK(target_pe >= 0 && target_pe < rt_->n_pes_, "bad PE id");

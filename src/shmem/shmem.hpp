@@ -85,9 +85,6 @@ public:
     return static_cast<T*>(malloc_sym_bytes(count * sizeof(T), alignof(T)));
   }
 
-  /// Collective: resets the symmetric heap (frees every allocation).
-  void reset_heap();
-
   // --- One-sided point-to-point ----------------------------------------
 
   /// One-sided scalar load from `target_pe`'s copy of the symmetric
@@ -168,10 +165,6 @@ public:
   // --- Introspection ----------------------------------------------------
 
   const TrafficStats& traffic() const { return stats_; }
-  void reset_traffic() {
-    stats_ = TrafficStats{};
-    dest_bytes_.assign(dest_bytes_.size(), 0);
-  }
 
   /// Bytes this PE moved per destination PE (gets + puts; index = target
   /// PE). Row `pe()` of the job-wide traffic matrix; its sum equals

@@ -55,8 +55,6 @@ public:
     return c;
   }
 
-  std::size_t n_slots() const { return slots_.size(); }
-
 private:
   struct Slot {
     Gate gate;

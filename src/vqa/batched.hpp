@@ -84,9 +84,6 @@ public:
   IdxType n_qubits() const { return engine_.n_qubits(); }
   int batch() const { return static_cast<int>(engine_.batch()); }
 
-  /// Reset every member to |0...0> (and reseed the member RNG streams).
-  void reset_all() { engine_.reset_state(); }
-
   /// Execute `ansatz` bound to params[b] on member b (params.size() must
   /// equal batch()). Measure/reset gates are allowed: they run through
   /// the engine's exec-masked kernels and diverge per member.

@@ -53,7 +53,6 @@ public:
   TrainStats train(const std::vector<QnnSample>& data, int epochs,
                    int iters_per_epoch = 25);
 
-  const std::vector<ValType>& weights() const { return weights_; }
   long circuit_evaluations() const { return evals_; }
 
 private:

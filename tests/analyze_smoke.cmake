@@ -4,9 +4,12 @@
 # validates both svsim-report-v1 documents with trace_check --report and
 # asserts the new waitstate section is present, then drives
 # tools/svsim_analyze over them: breakdown + heatmap, run-ledger growth to
-# two lines, a cross-run --compare, a corrupted-ledger-line negative
-# control (must exit 3), and a --merge-trace whose output trace_check
-# accepts. Driven from tests/CMakeLists.txt via:
+# two lines, a cross-run --compare, and a --merge-trace whose output
+# trace_check accepts. Three negative controls: a report whose
+# wall_seconds overflows to infinity is refused (exit 1, ledger
+# untouched), a corrupted ledger line makes --compare exit 3, and a
+# merged trace holding an overflowing "dur" still passes trace_check
+# (the writer renders it as null). Driven from tests/CMakeLists.txt via:
 #   cmake -DRUNNER=... -DANALYZE=... -DTRACE_CHECK=... -DQASM=...
 #         -DWORK_DIR=... -P analyze_smoke.cmake
 
@@ -103,6 +106,36 @@ foreach(line IN LISTS ledger_lines)
   endif()
 endforeach()
 
+# --- 3b. negative control: a non-finite wall time is refused --------------
+# 1e999 parses as infinity; appending it would leave a line no later
+# --compare can read.
+file(READ "${WORK_DIR}/analyze_smoke_shmem.json" good_report)
+string(REGEX REPLACE "\"wall_seconds\":[^,]*" "\"wall_seconds\":1e999"
+       inf_report "${good_report}")
+if(NOT inf_report MATCHES "\"wall_seconds\":1e999")
+  message(FATAL_ERROR "analyze_smoke: could not build the 1e999 report")
+endif()
+set(INF_REPORT "${WORK_DIR}/analyze_smoke_inf.json")
+file(WRITE "${INF_REPORT}" "${inf_report}")
+file(READ "${LEDGER}" ledger_before)
+execute_process(
+  COMMAND "${ANALYZE}" --ledger "${LEDGER}" "${INF_REPORT}"
+  RESULT_VARIABLE inf_rc
+  OUTPUT_VARIABLE inf_out
+  ERROR_VARIABLE inf_err)
+if(NOT inf_rc EQUAL 1)
+  message(FATAL_ERROR "analyze_smoke: a report with wall_seconds 1e999 was "
+          "appended (rc=${inf_rc}), expected a refusal with exit 1\n"
+          "${inf_out}${inf_err}")
+endif()
+file(READ "${LEDGER}" ledger_after)
+file(STRINGS "${LEDGER}" ledger_lines)
+list(LENGTH ledger_lines n_lines)
+if(NOT ledger_after STREQUAL ledger_before OR NOT n_lines EQUAL 2)
+  message(FATAL_ERROR "analyze_smoke: the refused append changed the "
+          "ledger (${n_lines} lines)\n${ledger_after}")
+endif()
+
 # --- 4. cross-run compare over the ledger ----------------------------------
 execute_process(
   COMMAND "${ANALYZE}" --compare --ledger "${LEDGER}"
@@ -159,5 +192,32 @@ if(NOT merged_text MATCHES "\"cat\":\"wait\"")
   message(FATAL_ERROR "analyze_smoke: merged trace has no wait spans")
 endif()
 
-message(STATUS "analyze_smoke: OK (reports, ledger x2, compare, corrupt->3, "
-        "merged trace)")
+# --- 7. negative control: an overflowing duration merges as null ---------
+set(INF_TRACE "${WORK_DIR}/analyze_smoke_inf.trace.json")
+set(INF_MERGED "${WORK_DIR}/analyze_smoke_inf_merged.json")
+file(REMOVE "${INF_MERGED}")
+file(WRITE "${INF_TRACE}"
+     "{\"traceEvents\":[{\"name\":\"h\",\"cat\":\"gate\",\"ph\":\"X\","
+     "\"ts\":5,\"dur\":1e999,\"pid\":0,\"tid\":0}]}\n")
+execute_process(
+  COMMAND "${ANALYZE}" --merge-trace "${INF_MERGED}" "${INF_TRACE}"
+  RESULT_VARIABLE im_rc
+  OUTPUT_VARIABLE im_out
+  ERROR_VARIABLE im_err)
+if(NOT im_rc EQUAL 0)
+  message(FATAL_ERROR "analyze_smoke: --merge-trace of the 1e999 trace "
+          "failed (rc=${im_rc})\n${im_out}${im_err}")
+endif()
+execute_process(
+  COMMAND "${TRACE_CHECK}" "${INF_MERGED}"
+  RESULT_VARIABLE iv_rc
+  OUTPUT_VARIABLE iv_out
+  ERROR_VARIABLE iv_err)
+file(READ "${INF_MERGED}" inf_merged_text)
+if(NOT iv_rc EQUAL 0 OR NOT inf_merged_text MATCHES "\"dur\":null")
+  message(FATAL_ERROR "analyze_smoke: merged 1e999 trace invalid "
+          "(rc=${iv_rc})\n${iv_out}${iv_err}${inf_merged_text}")
+endif()
+
+message(STATUS "analyze_smoke: OK (reports, ledger x2, inf refused, compare, "
+        "corrupt->3, merged trace, inf dur->null)")

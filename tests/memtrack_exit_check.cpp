@@ -23,10 +23,10 @@ struct ExitSample {
   ExitSample() { MemRegistry::global(); }
   ~ExitSample() {
     MemRegistry::global().sample_now();
-    const svsim::obs::MemorySnapshot snap = MemRegistry::global().snapshot();
-    if (snap.current != 0) {
+    const svsim::obs::MemoryStats snap = MemRegistry::global().snapshot();
+    if (snap.tracked_bytes != 0) {
       std::fprintf(stderr, "memtrack exit check: %llu bytes still tracked\n",
-                   static_cast<unsigned long long>(snap.current));
+                   static_cast<unsigned long long>(snap.tracked_bytes));
       std::fflush(stderr);
       std::_Exit(1);
     }

@@ -1,4 +1,4 @@
-# one-home lint: two concepts that must each live in one place.
+# one-home lint: three concepts that must each live in one place.
 #
 # 1. One reader: every SVSIM_* variable is read by the config module
 #    (src/common/config.*) and by nothing else, so each one has one
@@ -10,8 +10,15 @@
 #    through them at a resolved lane level. The one exception is
 #    max_simd_level() in src/common/config.cpp, whose __AVX* guards name
 #    the widest level the build carries.
+# 3. One home for JSON number rendering: the %.17g and %.12g formats, the
+#    "null" literal and the append_u64 / append_double / json_double
+#    helper names appear only in src/obs/jsonlite.hpp, whose Writer holds
+#    the one number rule (integers as integers, finite doubles as %.17g,
+#    non-finite as null); every document is written through it. The one
+#    exception is %.17g in src/obs/progress.cpp, for the signal-safe
+#    progress renderer, which may not allocate.
 #
-# Both rules scan the C++ sources under src/, tools/, examples/ and
+# All three rules scan the C++ sources under src/, tools/, examples/ and
 # bench/ and fail listing the offending files. Driven from
 # tests/CMakeLists.txt via:
 #   cmake -DSOURCE_DIR=... -P one_reader_lint.cmake
@@ -28,9 +35,20 @@ file(GLOB_RECURSE files RELATIVE "${SOURCE_DIR}" ${globs})
 list(SORT files)
 
 set(vector_code "immintrin|_mm[0-9]*_|__m[0-9]|__mmask")
+set(json_helpers "%\\.12g|\"null\"|append_u64|append_double|json_double")
 set(readers)
 set(vector_files)
+set(json_files)
 foreach(f IN LISTS files)
+  set(hits)
+  if(f STREQUAL "src/obs/progress.cpp")
+    file(STRINGS "${SOURCE_DIR}/${f}" hits REGEX "${json_helpers}")
+  elseif(NOT f STREQUAL "src/obs/jsonlite.hpp")
+    file(STRINGS "${SOURCE_DIR}/${f}" hits REGEX "%\\.17g|${json_helpers}")
+  endif()
+  if(hits)
+    list(APPEND json_files "${f}")
+  endif()
   if(NOT f MATCHES "^src/common/config\\.(cpp|hpp)$")
     file(STRINGS "${SOURCE_DIR}/${f}" hits REGEX "getenv")
     if(hits)
@@ -63,9 +81,15 @@ if(vector_files)
          "src/core/kernels/lanes.hpp (write the loop over a lane policy "
          "instead):\n  ${listing}\n")
 endif()
+if(json_files)
+  list(JOIN json_files "\n  " listing)
+  string(APPEND failures
+         "JSON number rendering outside src/obs/jsonlite.hpp (write the "
+         "document through jsonlite::Writer instead):\n  ${listing}\n")
+endif()
 list(LENGTH files n_files)
 if(failures)
   message(FATAL_ERROR "one_reader_lint: ${failures}")
 endif()
 message(STATUS "one_reader_lint: ${n_files} files, one reader, one home "
-               "for vector code")
+               "for vector code, one JSON number rule")

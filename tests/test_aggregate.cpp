@@ -192,6 +192,11 @@ TEST(Ledger, RejectsCorruptLines) {
   EXPECT_NE(err.find("svsim-ledger-v1"), std::string::npos);
   EXPECT_FALSE(ledger::parse_line(
       "{\"schema\":\"svsim-ledger-v1\",\"key\":\"k\"}", &e, &err));
+  // A wall time that overflows to infinity is as unreadable as a missing one.
+  EXPECT_FALSE(ledger::parse_line(
+      "{\"schema\":\"svsim-ledger-v1\",\"key\":\"k\",\"backend\":\"peer\","
+      "\"wall_seconds\":1e999}",
+      &e, &err));
 }
 
 TEST(Ledger, CompareGroupsByKeyInTimeOrder) {
@@ -258,6 +263,22 @@ TEST(Ledger, EntryFromReportReadsWaitstate) {
   obs::jsonlite::Value bad;
   ASSERT_TRUE(obs::jsonlite::parse("{\"backend\":\"shmem\"}", &bad));
   EXPECT_FALSE(ledger::entry_from_report(bad, &e, &err));
+}
+
+// A wall time that overflowed (1e999 parses as infinity) or was written as
+// null would leave a ledger line no later --compare can read: refused.
+TEST(Ledger, EntryFromReportRefusesNonFiniteWallSeconds) {
+  for (const char* wall : {"1e999", "-1e999", "null"}) {
+    const std::string doc =
+        std::string(R"({"schema":"svsim-report-v1","backend":"shmem",)") +
+        R"("wall_seconds":)" + wall + "}";
+    obs::jsonlite::Value v;
+    ASSERT_TRUE(obs::jsonlite::parse(doc, &v)) << doc;
+    ledger::Entry e;
+    std::string err;
+    EXPECT_FALSE(ledger::entry_from_report(v, &e, &err)) << wall;
+    EXPECT_NE(err.find("wall_seconds"), std::string::npos) << err;
+  }
 }
 
 TEST(Hash, CircuitHashIsShapeSensitive) {

@@ -139,7 +139,7 @@ TEST(Httpd, MetricsRouteServesPrometheusText) {
 TEST(Httpd, MetricsScrapeSamplesRss) {
   obs::MemRegistry& reg = obs::MemRegistry::global();
   ASSERT_TRUE(reg.enabled());
-  ASSERT_EQ(reg.snapshot().current, 0u) << "a tracked buffer is live";
+  ASSERT_EQ(reg.snapshot().tracked_bytes, 0u) << "a tracked buffer is live";
   obs::Httpd& srv = obs::Httpd::global();
   ASSERT_TRUE(srv.start(0));
   for (int scrape = 0; scrape < 3; ++scrape) {

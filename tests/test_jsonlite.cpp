@@ -1,10 +1,14 @@
-// obs/jsonlite edge cases: nesting-depth cap (both the validator and the
-// tree builder must reject bomb inputs instead of overflowing the C++
-// stack), \uXXXX escapes including surrogate pairs, truncated documents,
-// duplicate-key objects (document order kept, find() returns the first),
-// and the string writer's round trip of every ASCII byte.
+// obs/jsonlite edge cases: nesting-depth cap (bomb inputs are rejected
+// instead of overflowing the C++ stack), \uXXXX escapes including
+// surrogate pairs, truncated documents, duplicate-key objects (document
+// order kept, find() returns the first), the string writer's round trip
+// of every ASCII byte, and the Writer's commas and number rule. valid()
+// is parse() with the tree discarded, so every hostile input must get the
+// same verdict from both.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "obs/jsonlite.hpp"
@@ -19,6 +23,13 @@ std::string nested_arrays(int depth) {
          std::string(static_cast<std::size_t>(depth), ']');
 }
 
+/// valid() and parse() are one parser: their verdicts agree.
+void expect_verdict(const std::string& text, bool ok) {
+  Value v;
+  EXPECT_EQ(obs::jsonlite::valid(text), ok) << text;
+  EXPECT_EQ(obs::jsonlite::parse(text, &v), ok) << text;
+}
+
 std::string nested_objects(int depth) {
   std::string s;
   for (int i = 0; i < depth; ++i) s += "{\"k\":";
@@ -29,29 +40,21 @@ std::string nested_objects(int depth) {
 
 TEST(JsonliteDepth, AcceptsUpToTheCapAndRejectsBeyond) {
   constexpr int kCap = obs::jsonlite::detail::kMaxDepth;
-  EXPECT_TRUE(obs::jsonlite::valid(nested_arrays(kCap)));
-  EXPECT_TRUE(obs::jsonlite::valid(nested_objects(kCap)));
-  EXPECT_FALSE(obs::jsonlite::valid(nested_arrays(kCap + 1)));
-  EXPECT_FALSE(obs::jsonlite::valid(nested_objects(kCap + 1)));
-
-  Value v;
-  EXPECT_TRUE(obs::jsonlite::parse(nested_arrays(kCap), &v));
-  EXPECT_FALSE(obs::jsonlite::parse(nested_arrays(kCap + 1), &v));
-  EXPECT_TRUE(obs::jsonlite::parse(nested_objects(kCap), &v));
-  EXPECT_FALSE(obs::jsonlite::parse(nested_objects(kCap + 1), &v));
+  expect_verdict(nested_arrays(kCap), true);
+  expect_verdict(nested_objects(kCap), true);
+  expect_verdict(nested_arrays(kCap + 1), false);
+  expect_verdict(nested_objects(kCap + 1), false);
 }
 
 TEST(JsonliteDepth, BombInputReturnsFalseInsteadOfCrashing) {
   // A few KB of '[' would previously recurse a few thousand frames deep.
-  EXPECT_FALSE(obs::jsonlite::valid(std::string(100000, '[')));
-  Value v;
-  EXPECT_FALSE(obs::jsonlite::parse(std::string(100000, '['), &v));
+  expect_verdict(std::string(100000, '['), false);
   // Depth is counted per value, not per document: many shallow siblings
   // are fine.
   std::string wide = "[";
   for (int i = 0; i < 5000; ++i) wide += "[1],";
   wide += "[1]]";
-  EXPECT_TRUE(obs::jsonlite::valid(wide));
+  expect_verdict(wide, true);
 }
 
 TEST(JsonliteUnicode, DecodesBasicEscapes) {
@@ -76,11 +79,9 @@ TEST(JsonliteUnicode, DecodesSurrogatePairs) {
 }
 
 TEST(JsonliteUnicode, RejectsMalformedEscapes) {
-  EXPECT_FALSE(obs::jsonlite::valid(R"("\u00zz")"));
-  EXPECT_FALSE(obs::jsonlite::valid(R"("\u12")"));
-  EXPECT_FALSE(obs::jsonlite::valid(R"("\x41")"));
-  Value v;
-  EXPECT_FALSE(obs::jsonlite::parse(R"("\u00zz")", &v));
+  expect_verdict(R"("\u00zz")", false);
+  expect_verdict(R"("\u12")", false);
+  expect_verdict(R"("\x41")", false);
 }
 
 TEST(JsonliteTruncated, EveryPrefixOfAValidDocumentFails) {
@@ -98,13 +99,9 @@ TEST(JsonliteTruncated, EveryPrefixOfAValidDocumentFails) {
 }
 
 TEST(JsonliteTruncated, CutLiteralsAndNumbersFail) {
-  EXPECT_FALSE(obs::jsonlite::valid("tru"));
-  EXPECT_FALSE(obs::jsonlite::valid("nul"));
-  EXPECT_FALSE(obs::jsonlite::valid("12e"));
-  EXPECT_FALSE(obs::jsonlite::valid("1."));
-  EXPECT_FALSE(obs::jsonlite::valid("-"));
-  EXPECT_FALSE(obs::jsonlite::valid("\"abc"));
-  EXPECT_FALSE(obs::jsonlite::valid("\"abc\\"));
+  for (const char* cut : {"tru", "nul", "12e", "1.", "-", "\"abc", "\"abc\\"}) {
+    expect_verdict(cut, false);
+  }
 }
 
 TEST(JsonliteDuplicates, ObjectKeepsBothMembersFindReturnsFirst) {
@@ -137,6 +134,70 @@ TEST(JsonliteQuote, RoundTripsEveryAsciiByte) {
   EXPECT_EQ(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
   EXPECT_EQ(quote("\t\n\r"), "\"\\t\\n\\r\"");
   EXPECT_EQ(quote("\x01\x1f"), "\"\\u0001\\u001f\"");
+}
+
+// The one number rule: integers as integers, finite doubles as %.17g,
+// non-finite doubles as null.
+TEST(JsonliteWriter, OneNumberRule) {
+  obs::jsonlite::Writer w;
+  w.begin_array()
+      .value(0)
+      .value(-42)
+      .value(std::uint64_t{18446744073709551615ull})
+      .value(std::int64_t{-9223372036854775807LL - 1})
+      .value(220.0)
+      .value(0.1)
+      .value(1e300)
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .end_array();
+  EXPECT_EQ(w.take(),
+            "[0,-42,18446744073709551615,-9223372036854775808,220,"
+            "0.10000000000000001,1.0000000000000001e+300,null,null,null]");
+}
+
+TEST(JsonliteWriter, ScopesPlaceCommasAndQuoteStrings) {
+  obs::jsonlite::Writer w;
+  w.begin_object()
+      .field("a", 1)
+      .field("s", "x\"y")
+      .field("t", true)
+      .key("e")
+      .begin_array()
+      .end_array()
+      .key("o")
+      .begin_object()
+      .field("n", std::string("v"))
+      .end_object()
+      .key("z")
+      .null()
+      .end_object();
+  EXPECT_EQ(w.take(),
+            R"({"a":1,"s":"x\"y","t":true,"e":[],"o":{"n":"v"},"z":null})");
+  // newline() breaks the line before the next element or bracket, after
+  // the comma.
+  obs::jsonlite::Writer rows;
+  rows.begin_array().newline().value(1).newline().value(2);
+  rows.newline().end_array();
+  EXPECT_EQ(rows.take(), "[\n1,\n2\n]");
+}
+
+// write() re-emits a parsed document under the same rules: the bytes of a
+// canonical document survive, and an overflowing number becomes null.
+TEST(JsonliteWriter, WriteRoundTripsParsedValues) {
+  const std::string doc =
+      R"({"a":[1,-2.5,"x\ny",true,false,null],"b":{"c":{}},"d":[]})";
+  Value v;
+  ASSERT_TRUE(obs::jsonlite::parse(doc, &v));
+  obs::jsonlite::Writer w;
+  w.write(v);
+  EXPECT_EQ(w.take(), doc);
+
+  ASSERT_TRUE(obs::jsonlite::parse(R"({"dur":1e999,"ts":-1e999})", &v));
+  obs::jsonlite::Writer inf;
+  inf.write(v);
+  EXPECT_EQ(inf.take(), R"({"dur":null,"ts":null})");
 }
 
 } // namespace

@@ -34,15 +34,15 @@ using namespace svsim;
 using obs::MemAdjust;
 using obs::MemRegistry;
 using obs::MemTag;
-using obs::MemorySnapshot;
+using obs::MemoryStats;
 using obs::TrackedBuffer;
 
-std::uint64_t tag_current(const MemorySnapshot& s, MemTag tag) {
-  return s.by_tag[static_cast<int>(tag)].current;
+std::uint64_t tag_current(const MemoryStats& s, MemTag tag) {
+  return s.by_tag[static_cast<std::size_t>(tag)].current;
 }
 
-std::uint64_t tag_peak(const MemorySnapshot& s, MemTag tag) {
-  return s.by_tag[static_cast<int>(tag)].peak;
+std::uint64_t tag_peak(const MemoryStats& s, MemTag tag) {
+  return s.by_tag[static_cast<std::size_t>(tag)].peak;
 }
 
 /// The registry is process-global; sections asserting absolute numbers
@@ -62,7 +62,7 @@ TEST_F(MemtrackTest, TrackedBufferExactAccounting) {
     // 100 doubles = 800 B, rounded to the 64-byte quantum = 832 B.
     TrackedBuffer<double> buf(100, MemTag::kState, 3);
     EXPECT_EQ(TrackedBuffer<double>::tracked_bytes(100), 832u);
-    MemorySnapshot s = reg.snapshot();
+    MemoryStats s = reg.snapshot();
     EXPECT_TRUE(s.enabled);
     EXPECT_EQ(tag_current(s, MemTag::kState), base_state + 832);
 
@@ -86,10 +86,10 @@ TEST_F(MemtrackTest, PerPeAggregationAndPeaks) {
   {
     TrackedBuffer<double> pe0(1024, MemTag::kState, 0); // 8 KiB
     TrackedBuffer<double> pe1(2048, MemTag::kState, 1); // 16 KiB
-    const MemorySnapshot s = reg.snapshot();
+    const MemoryStats s = reg.snapshot();
     std::uint64_t cur0 = 0;
     std::uint64_t cur1 = 0;
-    for (const MemorySnapshot::PeStat& p : s.per_pe) {
+    for (const MemoryStats::Pe& p : s.per_pe) {
       if (p.pe == 0) cur0 = p.current;
       if (p.pe == 1) cur1 = p.current;
     }
@@ -97,7 +97,7 @@ TEST_F(MemtrackTest, PerPeAggregationAndPeaks) {
     EXPECT_GE(cur1, 16u * 1024);
   }
   // The peak survives the release; current returns to the baseline.
-  const MemorySnapshot s = reg.snapshot();
+  const MemoryStats s = reg.snapshot();
   EXPECT_GE(tag_peak(s, MemTag::kState), 24u * 1024);
 }
 
@@ -121,10 +121,10 @@ TEST_F(MemtrackTest, MemAdjustTransients) {
 TEST_F(MemtrackTest, DisabledRegistryTracksNothing) {
   MemRegistry& reg = MemRegistry::global();
   reg.set_enabled(false);
-  const std::uint64_t before = reg.snapshot().current;
+  const std::uint64_t before = reg.snapshot().tracked_bytes;
   {
     TrackedBuffer<double> buf(4096, MemTag::kState, 0);
-    EXPECT_EQ(reg.snapshot().current, before);
+    EXPECT_EQ(reg.snapshot().tracked_bytes, before);
     // The buffer itself still works — only the accounting is off.
     buf[0] = 1.0;
     EXPECT_EQ(buf.size(), 4096u);
@@ -137,7 +137,7 @@ TEST_F(MemtrackTest, ProcSamplerReadsRss) {
   MemRegistry& reg = MemRegistry::global();
   TrackedBuffer<double> keep(1 << 16, MemTag::kOther); // NUMA walk has work
   reg.sample_now();
-  const MemorySnapshot s = reg.snapshot();
+  const MemoryStats s = reg.snapshot();
   ASSERT_TRUE(s.sampled) << s.sample_error;
   EXPECT_GT(s.rss_bytes, 0u);
   EXPECT_GE(s.hwm_bytes, s.rss_bytes);
@@ -148,7 +148,7 @@ TEST_F(MemtrackTest, ProcFallbackDegradesGracefully) {
   MemRegistry& reg = MemRegistry::global();
   reg.set_proc_root_for_testing("/nonexistent-proc-root");
   reg.sample_now();
-  MemorySnapshot s = reg.snapshot();
+  MemoryStats s = reg.snapshot();
   EXPECT_FALSE(s.sampled);
   EXPECT_FALSE(s.sample_error.empty());
   // Restore and confirm recovery.
@@ -163,7 +163,7 @@ TEST_F(MemtrackTest, NumaForcedUnavailable) {
   TrackedBuffer<double> keep(1 << 14, MemTag::kOther);
   reg.force_numa_unavailable_for_testing(true);
   reg.sample_now();
-  const MemorySnapshot s = reg.snapshot();
+  const MemoryStats s = reg.snapshot();
   EXPECT_FALSE(s.numa);
   EXPECT_FALSE(s.numa_error.empty());
   reg.force_numa_unavailable_for_testing(false);
@@ -175,7 +175,7 @@ TEST_F(MemtrackTest, NumaForcedUnavailable) {
 // test), every byte returns, and every sample is counted.
 TEST_F(MemtrackTest, ConcurrentAccountingAndSampling) {
   MemRegistry& reg = MemRegistry::global();
-  const MemorySnapshot before = reg.snapshot();
+  const MemoryStats before = reg.snapshot();
   constexpr int kThreads = 4;
   constexpr int kIters = 25;
   std::vector<std::thread> workers;
@@ -199,7 +199,7 @@ TEST_F(MemtrackTest, ConcurrentAccountingAndSampling) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kIters; ++i) taken += (i + t) % 3 != 2 ? 1 : 0;
   }
-  const MemorySnapshot after = reg.snapshot();
+  const MemoryStats after = reg.snapshot();
   EXPECT_EQ(tag_current(after, MemTag::kOther),
             tag_current(before, MemTag::kOther));
   EXPECT_EQ(after.samples, before.samples + taken);
@@ -317,11 +317,11 @@ template <typename MakeSim>
 void expect_estimate_within_10pct(const obs::FootprintQuery& q,
                                   MakeSim make_sim) {
   MemRegistry& reg = MemRegistry::global();
-  ASSERT_EQ(reg.snapshot().current, 0u)
+  ASSERT_EQ(reg.snapshot().tracked_bytes, 0u)
       << "previous test left tracked buffers live";
   reg.reset_peaks_for_testing();
   { make_sim(); }
-  const std::uint64_t measured = reg.snapshot().peak;
+  const std::uint64_t measured = reg.snapshot().tracked_peak;
   ASSERT_GT(measured, 0u);
   const obs::FootprintEstimate est = obs::estimate_footprint(q);
   const double err =
@@ -396,16 +396,13 @@ TEST(MemoryReport, FoldedIntoRunReportAndJsonValid) {
   EXPECT_GT(rep.memory.estimated_bytes, 0);
   // n=12 state planes: 2 x 4096 x 8 B = 64 KiB, estimate spot-on.
   EXPECT_NEAR(rep.memory.estimate_error(), 0.0, 0.10);
-  bool has_state_tag = false;
-  for (const obs::MemoryStats::Tag& t : rep.memory.tags) {
-    if (t.name == "state") has_state_tag = true;
-  }
-  EXPECT_TRUE(has_state_tag);
 
   const std::string json = obs::to_json(rep);
   std::size_t err_at = 0;
   EXPECT_TRUE(obs::jsonlite::valid(json, &err_at))
       << "report JSON invalid at byte " << err_at;
+  // The report's tag list carries the state planes.
+  EXPECT_NE(json.find("{\"tag\":\"state\""), std::string::npos);
   EXPECT_NE(json.find("\"memory\":{\"enabled\":true"), std::string::npos);
   // The summary carries the memory block.
   EXPECT_NE(rep.summary().find("memory: tracked peak"), std::string::npos);
@@ -429,7 +426,7 @@ TEST(MemoryReport, MemoryJsonDocumentValid) {
 // memory_json escapes what JSON cannot carry raw: error strings holding
 // a quote, a backslash, a tab and a control byte parse back verbatim.
 TEST(MemoryReport, MemoryJsonRoundTripsErrorStrings) {
-  MemorySnapshot snap;
+  MemoryStats snap;
   snap.sample_error = "cannot read \"/proc\\self\"\tstatus\x01";
   snap.numa_error = "move_pages:\tdenied";
   const std::string json = obs::memory_json(snap);

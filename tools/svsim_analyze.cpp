@@ -32,7 +32,6 @@ namespace {
 
 using svsim::obs::WaitProfile;
 using svsim::obs::jsonlite::Value;
-using svsim::obs::jsonlite::quote;
 namespace ledger = svsim::obs::ledger;
 
 bool read_file(const std::string& path, std::string* out) {
@@ -203,51 +202,14 @@ int compare_ledger(const std::string& ledger_path) {
 // --merge-trace: N per-process Chrome trace files -> one aligned timeline.
 // ---------------------------------------------------------------------------
 
-/// Re-emit a parsed JSON value verbatim (used for event args and string
-/// fields the merger carries through untouched).
-void emit(std::ostringstream& os, const Value& v) {
-  switch (v.type) {
-    case Value::Type::kNull: os << "null"; break;
-    case Value::Type::kBool: os << (v.boolean ? "true" : "false"); break;
-    case Value::Type::kNumber: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-      os << buf;
-      break;
-    }
-    case Value::Type::kString: os << quote(v.str); break;
-    case Value::Type::kArray: {
-      os << '[';
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        if (i != 0) os << ',';
-        emit(os, v.items[i]);
-      }
-      os << ']';
-      break;
-    }
-    case Value::Type::kObject: {
-      os << '{';
-      for (std::size_t i = 0; i < v.members.size(); ++i) {
-        if (i != 0) os << ',';
-        os << quote(v.members[i].first);
-        os << ':';
-        emit(os, v.members[i].second);
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
 int merge_traces(const std::string& out_path,
                  const std::vector<std::string>& inputs) {
   if (inputs.empty()) {
     std::fprintf(stderr, "svsim_analyze: --merge-trace needs input traces\n");
     return 1;
   }
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first_event = true;
+  svsim::obs::jsonlite::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
   int pid_base = 0;
   for (std::size_t f = 0; f < inputs.size(); ++f) {
     Value trace;
@@ -276,38 +238,30 @@ int merge_traces(const std::string& out_path,
     }
     for (const Value& e : events->items) {
       if (!e.is_object()) continue;
-      if (!first_event) os << ',';
-      first_event = false;
-      os << '{';
-      bool first_member = true;
+      w.begin_object();
       for (const auto& [key, val] : e.members) {
-        if (!first_member) os << ',';
-        first_member = false;
-        os << quote(key);
-        os << ':';
+        w.key(key);
         if (key == "ts" && val.type == Value::Type::kNumber) {
-          char buf[40];
-          std::snprintf(buf, sizeof(buf), "%.17g", val.number - t0);
-          os << buf;
+          w.value(val.number - t0);
         } else if (key == "pid" && val.type == Value::Type::kNumber) {
-          os << pid_base + static_cast<int>(val.number);
+          w.value(pid_base + static_cast<int>(val.number));
         } else {
-          emit(os, val);
+          w.write(val);
         }
       }
-      os << '}';
+      w.end_object();
     }
     // Give the next file a disjoint pid range so its process lanes stay
     // separate in the viewer.
     pid_base += max_pid + 1;
   }
-  os << "]}";
+  w.end_array().end_object();
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "svsim_analyze: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << os.str() << '\n';
+  out << w.take() << '\n';
   std::printf("merged %zu trace(s) -> %s\n", inputs.size(), out_path.c_str());
   return 0;
 }
