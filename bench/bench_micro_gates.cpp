@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-gate kernel throughput for the
 // specialized kernels at each SIMD level, and the specialized-vs-dense
-// per-gate gap that underlies Fig 14. Run with --benchmark_filter=... to
-// narrow.
+// per-gate gap that underlies Fig 14. Each gate runs with its lowest
+// operand at qubit 5 (/5: at or above log2 W, unit-stride vector loads)
+// and at qubit 1 (/1: below log2 W, gathers); two-qubit gates pair it with
+// qubit 11. Run with --benchmark_filter=... to narrow.
 #include <benchmark/benchmark.h>
 
 #include "core/generalized_sim.hpp"
@@ -27,8 +29,9 @@ void run_gate(benchmark::State& state, OP op, SimdLevel level) {
   sim.run(prep);
 
   Circuit c(kQubits);
-  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, 5)
-                                     : make_gate(op, 5, 11);
+  const auto low = static_cast<IdxType>(state.range(0));
+  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, low)
+                                     : make_gate(op, low, 11);
   g.theta = 0.7;
   g.phi = 0.3;
   g.lam = -0.4;
@@ -48,8 +51,9 @@ void run_generic_gate(benchmark::State& state, OP op) {
   sim.run(prep);
 
   Circuit c(kQubits);
-  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, 5)
-                                     : make_gate(op, 5, 11);
+  const auto low = static_cast<IdxType>(state.range(0));
+  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, low)
+                                     : make_gate(op, low, 11);
   g.theta = 0.7;
   c.append(g);
   for (auto _ : state) {
@@ -62,19 +66,19 @@ void run_generic_gate(benchmark::State& state, OP op) {
   void BM_##opname##_scalar(benchmark::State& s) {                          \
     run_gate(s, OP::opname, SimdLevel::kScalar);                            \
   }                                                                          \
-  BENCHMARK(BM_##opname##_scalar);                                          \
+  BENCHMARK(BM_##opname##_scalar)->Arg(5)->Arg(1);                          \
   void BM_##opname##_avx2(benchmark::State& s) {                            \
     run_gate(s, OP::opname, SimdLevel::kAvx2);                              \
   }                                                                          \
-  BENCHMARK(BM_##opname##_avx2);                                            \
+  BENCHMARK(BM_##opname##_avx2)->Arg(5)->Arg(1);                            \
   void BM_##opname##_avx512(benchmark::State& s) {                          \
     run_gate(s, OP::opname, SimdLevel::kAvx512);                            \
   }                                                                          \
-  BENCHMARK(BM_##opname##_avx512);                                          \
+  BENCHMARK(BM_##opname##_avx512)->Arg(5)->Arg(1);                          \
   void BM_##opname##_generic(benchmark::State& s) {                         \
     run_generic_gate(s, OP::opname);                                        \
   }                                                                          \
-  BENCHMARK(BM_##opname##_generic);
+  BENCHMARK(BM_##opname##_generic)->Arg(5)->Arg(1);
 
 GATE_BENCH(H)
 GATE_BENCH(T)

@@ -92,6 +92,10 @@ int main() {
       {"bv_n16", circuits::bernstein_vazirani(kN)},
   };
 
+  // The blocked column pins b = 14 (four blocks): at the auto exponent a
+  // 16-qubit state is one L2 block on a 2 MiB-L2 host, which runs per
+  // gate, so the column would time the per-gate loop twice.
+  constexpr int kBlockExp = 14;
   svsim::bench::Table t("circuit");
   t.add_column("per_gate_ms");
   t.add_column("blocked_ms");
@@ -100,7 +104,7 @@ int main() {
   for (const Bench& b : benches) {
     obs::RunReport rep;
     const double per_gate = time_circuit(b.circuit, 0, 3);
-    const double blocked = time_circuit(b.circuit, -1, 3, &rep);
+    const double blocked = time_circuit(b.circuit, kBlockExp, 3, &rep);
     std::vector<double> row = {per_gate, blocked,
                                blocked > 0 ? per_gate / blocked : 0.0};
     const std::vector<double> sv = sched_values(rep);

@@ -285,6 +285,7 @@ RunSwitches resolve(const SimConfig& cfg, const Env& env) {
   const int sched = pick(cfg.sched_window, d.sched_window, env.sched);
   if (sched < 0 || sched == 1) {
     sw.block_exp = default_block_exponent();
+    sw.block_auto = true;
   } else {
     sw.block_exp = sched; // 0 off, else an explicit b >= 2
   }

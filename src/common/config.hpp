@@ -61,8 +61,10 @@ struct SimConfig {
   /// Variable: SVSIM_FLIGHT.
   bool flight = true;
   /// Cache-blocked gate windows (ir/schedule.hpp): -1 or 1 = auto (block
-  /// exponent sized to L2), 0 = off (the classic per-gate loop,
-  /// bit-for-bit), >= 2 = explicit block exponent. Variable: SVSIM_SCHED.
+  /// exponent sized to L2; a one-worker state that fits one block runs
+  /// per gate, RunSwitches::block_exp_for), 0 = off (the classic per-gate
+  /// loop, bit-for-bit), >= 2 = explicit block exponent. Variable:
+  /// SVSIM_SCHED.
   int sched_window = -1;
   /// Communication-avoiding remap with virtual readout on the partitioned
   /// backends (ir/remap.hpp): -1 = auto (on for more than one PE), 0 =
@@ -168,6 +170,7 @@ struct RunSwitches {
   bool waitstats = true; // partitioned backends only
   bool flight = true;
   IdxType block_exp = 0; // 0 = the classic per-gate loop, else b >= 2
+  bool block_auto = false; // block_exp is the L2-sized auto default
   int remap = -1;        // -1 auto, 0 off, 1 on
   HealthOptions health;
   std::uint64_t mem_limit = 0; // 0 = no limit
@@ -178,6 +181,17 @@ struct RunSwitches {
   /// Remapping for a partitioned run on `n_workers` PEs (auto: > 1 PE).
   bool remap_on(int n_workers) const {
     return remap < 0 ? n_workers > 1 : remap != 0;
+  }
+
+  /// Block exponent for a run on `n_workers` workers of 2^lg_part
+  /// amplitudes each. Auto runs a lone worker whose whole state fits one
+  /// block per gate (0): the state is cache-resident already, so windows
+  /// would cost their preparation and save nothing. An explicit exponent
+  /// always blocks, and a team keeps its windows, which also save
+  /// barriers.
+  IdxType block_exp_for(IdxType lg_part, int n_workers) const {
+    return block_auto && n_workers == 1 && lg_part <= block_exp ? 0
+                                                                : block_exp;
   }
 };
 

@@ -13,9 +13,12 @@
 //     get_/set_real/imag (single device, peer pointer array, SHMEM
 //     one-sided get/put: Listings 3-5), so every tier routes and counts
 //     the same element accesses;
-//   * solo SIMD  — W consecutive work items per vector, amplitudes
-//     gathered and scattered by lane-wise index maps (Listing 2), the
-//     ragged tail through the solo scalar loop;
+//   * solo SIMD  — W consecutive work items per vector. When the lowest
+//     operand qubit is at least log2 W and the range starts W-aligned, a
+//     vector's W lanes address W consecutive amplitudes per site, which
+//     move by one plain vector load and store; below log2 W the lanes
+//     gather and scatter through the lane-wise index maps (Listing 2).
+//     The ragged tail goes through the solo scalar loop;
 //   * batched    — lanes across batch members (kernels/batched.hpp).
 //
 // A body's coefficients (cos/sin pairs, dense 2×2 entries) are filled
@@ -25,6 +28,7 @@
 
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/types.hpp"
@@ -422,7 +426,12 @@ namespace solo_detail {
 
 /// Pattern P × body B over work items [begin, end), L::W items per step.
 /// ScalarLane reaches amplitudes through the Space's element access;
-/// wider lanes gather/scatter on its raw arrays (LocalSpace only).
+/// wider lanes work on its raw arrays (LocalSpace only). When the lowest
+/// operand's stride 2^p is at least W and `begin` is W-aligned, every
+/// vector's W work items lie in one run of 2^p consecutive items, so each
+/// site's W amplitudes are consecutive too: one plain load and store per
+/// array from the first lane's index. Otherwise the lanes gather and
+/// scatter through their own indices.
 template <Pat P, class B, class L, class Space>
 inline void run(const UGate& ug, const Space& sp, IdxType begin,
                 IdxType end) {
@@ -432,44 +441,48 @@ inline void run(const UGate& ug, const Space& sp, IdxType begin,
   const Pt pat(ug.g);
   V c[B::kRows > 0 ? B::kRows : 1]{};
   for (int r = 0; r < B::kRows; ++r) c[r] = L::splat(ug.coef[r * ug.stride]);
-  I off[Pt::kSites][2];
-  for (int k = 0; k < Pt::kSites; ++k) {
-    off[k][0] = L::splat_i(pat.off[k][0]);
-    off[k][1] = L::splat_i(pat.off[k][1]);
-  }
-  const auto re = [&](const I at) {
+  // A site address is lane-wise indices (I) or, on the unit-stride path
+  // of a vector policy, the first of W consecutive indices (IdxType).
+  const auto re = [&](const auto at) {
     if constexpr (L::W == 1) {
       return sp.get_real(at);
+    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
+      return L::load(sp.real + at);
     } else {
       return L::gather(sp.real, at);
     }
   };
-  const auto im = [&](const I at) {
+  const auto im = [&](const auto at) {
     if constexpr (L::W == 1) {
       return sp.get_imag(at);
+    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
+      return L::load(sp.imag + at);
     } else {
       return L::gather(sp.imag, at);
     }
   };
-  const auto set = [&](const I at, V r, V i) {
+  const auto set = [&](const auto at, V r, V i) {
     if constexpr (L::W == 1) {
       sp.set_real(at, r);
       sp.set_imag(at, i);
+    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
+      L::store(sp.real + at, r);
+      L::store(sp.imag + at, i);
     } else {
       L::scatter(sp.real, at, r);
       L::scatter(sp.imag, at, i);
     }
   };
-  const I step = L::splat_i(L::W);
-  I iv = L::iota(begin);
-  for (IdxType i = begin; i < end; i += L::W, iv = L::add_i(iv, step)) {
-    const I s = pat.template base<L>(iv);
+  // One vector's sites from its base address `s`, with offsets `o` in the
+  // index policy X that `s` is in.
+  const auto sites = [&]<class X>(const typename X::I s,
+                                  const typename X::I (&o)[Pt::kSites][2]) {
     for (int k = 0; k < Pt::kSites; ++k) {
-      const I a = L::add_i(s, off[k][0]);
+      const auto a = X::add_i(s, o[k][0]);
       V r0 = re(a);
       V i0 = im(a);
       if constexpr (Pt::kPair) {
-        const I b = L::add_i(s, off[k][1]);
+        const auto b = X::add_i(s, o[k][1]);
         V r1 = re(b);
         V i1 = im(b);
         B::template pair<L>(c, r0, i0, r1, i1);
@@ -480,6 +493,25 @@ inline void run(const UGate& ug, const Space& sp, IdxType begin,
         set(a, r0, i0);
       }
     }
+  };
+  if constexpr (L::W > 1) {
+    if (pow2(pat.p) >= L::W && begin % L::W == 0) {
+      for (IdxType i = begin; i < end; i += L::W) {
+        sites.template operator()<ScalarLane>(
+            pat.template base<ScalarLane>(i), pat.off);
+      }
+      return;
+    }
+  }
+  I off[Pt::kSites][2];
+  for (int k = 0; k < Pt::kSites; ++k) {
+    off[k][0] = L::splat_i(pat.off[k][0]);
+    off[k][1] = L::splat_i(pat.off[k][1]);
+  }
+  const I step = L::splat_i(L::W);
+  I iv = L::iota(begin);
+  for (IdxType i = begin; i < end; i += L::W, iv = L::add_i(iv, step)) {
+    sites.template operator()<L>(pat.template base<L>(iv), off);
   }
 }
 

@@ -172,11 +172,14 @@ void Simulator::run_dispatch(const Circuit& circuit, obs::Counter& runs,
   Run run(*this, circuit, runs, shape);
   const auto device_circuit = upload_circuit<Space>(run.exec(), table);
   // Built once on the calling thread, shared read-only by every worker.
-  // b <= lg_part keeps every block inside one worker's partition.
+  // b <= lg_part keeps every block inside one worker's partition; b = 0
+  // when auto blocking leaves a one-block state to the per-gate loop,
+  // which the report still shows: scheduling on, no window.
+  const IdxType b = sw_.block_exp_for(parts_.lg_part, shape.n_workers);
   const auto sched = kernels::prepare_sched<Space>(
-      run.exec(), device_circuit.gates, sw_.block_exp, parts_.lg_part,
+      run.exec(), device_circuit.gates, b, parts_.lg_part,
       run.planes().rec != nullptr, run.checkpoint_every());
-  if (sched.enabled) {
+  if (sched.enabled || b != sw_.block_exp) {
     fold_sched_stats(report_, sched.sched.stats, sched.active,
                      pow2(n_qubits()));
   }

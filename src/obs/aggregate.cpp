@@ -1,6 +1,7 @@
 #include "obs/aggregate.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -288,6 +289,10 @@ std::string hash_hex(std::uint64_t h) {
 
 namespace ledger {
 
+namespace {
+constexpr std::int64_t kMaxQubits = 63;
+} // namespace
+
 void Entry::rekey() {
   std::ostringstream os;
   os << circuit_hash << ':' << backend << ":w" << n_workers << ':'
@@ -321,8 +326,11 @@ std::string Entry::line() const {
       .take();
 }
 
+// Both readers below refuse a document whose integer fields are not
+// integers in range (jsonlite::Value::int_in): the function-try-block
+// turns that Error into the reader's false return.
 bool entry_from_report(const jsonlite::Value& report, Entry* out,
-                       std::string* err) {
+                       std::string* err) try {
   *out = Entry{};
   if (!report.is_object() ||
       report.member_str("schema", "") != "svsim-report-v1") {
@@ -336,10 +344,10 @@ bool entry_from_report(const jsonlite::Value& report, Entry* out,
   }
   out->circuit_hash = report.member_str("circuit_hash", "");
   out->cpu = report.member_str("cpu", "");
-  out->n_qubits = static_cast<long long>(report.member_num("n_qubits", 0));
-  out->n_workers = static_cast<int>(report.member_num("n_workers", 1));
-  out->total_gates =
-      static_cast<std::uint64_t>(report.member_num("total_gates", 0));
+  out->n_qubits = report.member_int("n_qubits", 0, 0, kMaxQubits);
+  out->n_workers =
+      static_cast<int>(report.member_int("n_workers", 1, 1, INT_MAX));
+  out->total_gates = report.member_count("total_gates");
   // A null (non-finite when written), missing or overflowing wall time
   // would poison every later --compare of the ledger.
   out->wall_seconds = report.member_num("wall_seconds", NAN);
@@ -360,7 +368,7 @@ bool entry_from_report(const jsonlite::Value& report, Entry* out,
       }
     }
     out->imbalance = ws->member_num("imbalance", 0);
-    const int cpe = static_cast<int>(ws->member_num("critical_pe", -1));
+    const auto cpe = ws->member_int("critical_pe", -1, -1, INT_MAX);
     const std::string phase = ws->member_str("critical_phase", "");
     if (cpe >= 0 && !phase.empty()) {
       out->critical = "PE " + std::to_string(cpe) + " / " + phase;
@@ -368,30 +376,29 @@ bool entry_from_report(const jsonlite::Value& report, Entry* out,
   }
   if (const jsonlite::Value* m = report.find("traffic_matrix");
       m != nullptr && m->is_object()) {
-    out->remote_bytes =
-        static_cast<std::uint64_t>(m->member_num("remote_bytes", 0));
+    out->remote_bytes = m->member_count("remote_bytes");
   }
   if (const jsonlite::Value* mem = report.find("memory");
       mem != nullptr && mem->is_object() &&
       mem->find("enabled") != nullptr &&
       mem->find("enabled")->bool_or(false)) {
-    out->peak_rss_bytes =
-        static_cast<std::uint64_t>(mem->member_num("peak_rss", 0));
-    out->tracked_peak_bytes =
-        static_cast<std::uint64_t>(mem->member_num("tracked_peak", 0));
+    out->peak_rss_bytes = mem->member_count("peak_rss");
+    out->tracked_peak_bytes = mem->member_count("tracked_peak");
     out->est_err_pct = mem->member_num("estimate_error", 0) * 100.0;
   }
   if (const jsonlite::Value* rm = report.find("remap");
       rm != nullptr && rm->is_object() && rm->find("enabled") != nullptr &&
       rm->find("enabled")->bool_or(false)) {
-    out->remap_swaps =
-        static_cast<std::uint64_t>(rm->member_num("swaps_inserted", 0));
+    out->remap_swaps = rm->member_count("swaps_inserted");
   }
   out->rekey();
   return true;
+} catch (const Error& e) {
+  if (err != nullptr) *err = e.what();
+  return false;
 }
 
-bool parse_line(const std::string& line, Entry* out, std::string* err) {
+bool parse_line(const std::string& line, Entry* out, std::string* err) try {
   jsonlite::Value v;
   std::size_t off = 0;
   if (!jsonlite::parse(line, &v, &off)) {
@@ -408,31 +415,31 @@ bool parse_line(const std::string& line, Entry* out, std::string* err) {
   out->key = v.member_str("key", "");
   out->circuit_hash = v.member_str("circuit_hash", "");
   out->backend = v.member_str("backend", "");
-  out->n_qubits = static_cast<long long>(v.member_num("n_qubits", 0));
-  out->n_workers = static_cast<int>(v.member_num("n_workers", 0));
-  out->total_gates = static_cast<std::uint64_t>(v.member_num("total_gates", 0));
+  out->n_qubits = v.member_int("n_qubits", 0, 0, kMaxQubits);
+  out->n_workers =
+      static_cast<int>(v.member_int("n_workers", 0, 0, INT_MAX));
+  out->total_gates = v.member_count("total_gates");
   out->cpu = v.member_str("cpu", "");
-  out->unix_time = static_cast<long long>(v.member_num("unix_time", 0));
+  out->unix_time = static_cast<long long>(v.member_count("unix_time"));
   out->wall_seconds = v.member_num("wall_seconds", -1);
   out->compute_s = v.member_num("compute_s", 0);
   out->wait_s = v.member_num("wait_s", 0);
   out->imbalance = v.member_num("imbalance", 0);
   out->critical = v.member_str("critical", "");
-  out->remote_bytes =
-      static_cast<std::uint64_t>(v.member_num("remote_bytes", 0));
-  out->peak_rss_bytes =
-      static_cast<std::uint64_t>(v.member_num("peak_rss_bytes", 0));
-  out->tracked_peak_bytes =
-      static_cast<std::uint64_t>(v.member_num("tracked_peak_bytes", 0));
+  out->remote_bytes = v.member_count("remote_bytes");
+  out->peak_rss_bytes = v.member_count("peak_rss_bytes");
+  out->tracked_peak_bytes = v.member_count("tracked_peak_bytes");
   out->est_err_pct = v.member_num("est_err_pct", 0);
-  out->remap_swaps =
-      static_cast<std::uint64_t>(v.member_num("remap_swaps", 0));
+  out->remap_swaps = v.member_count("remap_swaps");
   if (out->key.empty() || out->backend.empty() ||
       !(out->wall_seconds >= 0 && std::isfinite(out->wall_seconds))) {
     if (err != nullptr) *err = "ledger entry lacks key/backend/wall_seconds";
     return false;
   }
   return true;
+} catch (const Error& e) {
+  if (err != nullptr) *err = e.what();
+  return false;
 }
 
 std::string compare(std::vector<Entry> entries) {

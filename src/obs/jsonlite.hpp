@@ -26,7 +26,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace svsim::obs::jsonlite {
+
+/// The largest magnitude a checked integer read accepts: 2^53, below which
+/// a JSON number (a double) holds every integer exactly.
+inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
 
 /// One parsed JSON value. Object members keep document order (every
 /// document is written in a fixed order, which keeps diffs and tests
@@ -66,6 +72,35 @@ struct Value {
   double member_num(const std::string& key, double fallback) const {
     const Value* v = find(key);
     return v != nullptr ? v->num_or(fallback) : fallback;
+  }
+  /// This number as an integer in [lo, hi] (within ±kMaxExactInt). A
+  /// value that is not finite, not integral or out of range — whose cast
+  /// would be undefined — throws svsim::Error naming `what`.
+  std::int64_t int_in(std::int64_t lo, std::int64_t hi,
+                      const std::string& what) const {
+    const double x = number;
+    if (type == Type::kNumber && x >= static_cast<double>(lo) &&
+        x <= static_cast<double>(hi) && x == std::trunc(x)) {
+      return static_cast<std::int64_t>(x);
+    }
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  " = %.17g is not an integer in [%lld, %lld]", x,
+                  static_cast<long long>(lo), static_cast<long long>(hi));
+    throw Error(what + (type == Type::kNumber ? buf : " is not a number"));
+  }
+  /// Member `key` through int_in; `fallback` when it is absent or not a
+  /// number (tolerant of additive schemas, strict on what is there).
+  std::int64_t member_int(const std::string& key, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const {
+    const Value* v = find(key);
+    return v != nullptr && v->type == Type::kNumber ? v->int_in(lo, hi, key)
+                                                    : fallback;
+  }
+  /// A count member (bytes, gates, seconds since the epoch): an integer
+  /// in [0, kMaxExactInt], 0 when absent.
+  std::uint64_t member_count(const std::string& key) const {
+    return static_cast<std::uint64_t>(member_int(key, 0, 0, kMaxExactInt));
   }
   std::string member_str(const std::string& key,
                          const std::string& fallback) const {

@@ -1,5 +1,6 @@
 #include "testing/diff.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -169,8 +170,14 @@ std::string DiffSpec::label() const {
     if (backend == "single") os << ' ' << to_string(simd);
     if (backend != "single" && backend != "generalized") os << " x" << workers;
   }
-  os << (fusion ? " fusion=on" : " fusion=off")
-     << (sched ? " sched=on" : " sched=off");
+  os << (fusion ? " fusion=on" : " fusion=off");
+  if (!sched) {
+    os << " sched=off";
+  } else if (backend == "single" && batch == 0) {
+    os << " sched=n-2"; // the exponent make_backend pins
+  } else {
+    os << " sched=on";
+  }
   if (remap) os << " remap=on";
   return os.str();
 }
@@ -180,6 +187,11 @@ std::unique_ptr<Simulator> make_backend(const DiffSpec& spec,
   SimConfig cfg;
   cfg.seed = spec.seed;
   cfg.sched_window = spec.sched ? -1 : 0; // -1 = auto (engine on), 0 = off
+  if (spec.sched && spec.backend == "single") {
+    // Auto would run a register that fits one L2-sized block (the default
+    // 6 qubits, say) per gate: pin b = max(2, n - 2) so blocks run.
+    cfg.sched_window = static_cast<int>(std::max<IdxType>(2, n_qubits - 2));
+  }
   // Pin the remap pass both ways: auto (-1) would turn it on for every
   // multi-worker spec and no leg would cover the unremapped baseline.
   cfg.remap = spec.remap ? 1 : 0;

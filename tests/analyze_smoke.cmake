@@ -5,11 +5,13 @@
 # asserts the new waitstate section is present, then drives
 # tools/svsim_analyze over them: breakdown + heatmap, run-ledger growth to
 # two lines, a cross-run --compare, and a --merge-trace whose output
-# trace_check accepts. Three negative controls: a report whose
+# trace_check accepts. Four negative controls: a report whose
 # wall_seconds overflows to infinity is refused (exit 1, ledger
-# untouched), a corrupted ledger line makes --compare exit 3, and a
-# merged trace holding an overflowing "dur" still passes trace_check
-# (the writer renders it as null). Driven from tests/CMakeLists.txt via:
+# untouched), a corrupted ledger line makes --compare exit 3, a merged
+# trace holding an overflowing "dur" still passes trace_check (the writer
+# renders it as null), and a fractional pid is refused (exit 1). Two
+# traces at the largest int pid merge onto exact, disjoint 64-bit pids.
+# Driven from tests/CMakeLists.txt via:
 #   cmake -DRUNNER=... -DANALYZE=... -DTRACE_CHECK=... -DQASM=...
 #         -DWORK_DIR=... -P analyze_smoke.cmake
 
@@ -219,5 +221,53 @@ if(NOT iv_rc EQUAL 0 OR NOT inf_merged_text MATCHES "\"dur\":null")
           "(rc=${iv_rc})\n${iv_out}${iv_err}${inf_merged_text}")
 endif()
 
+# --- 8. control: the largest int pid in two traces merges exactly ----------
+# Each file's pid offset is 64-bit and checked, so the second file's lane
+# lands at 2147483648 + 2147483647 instead of overflowing an int.
+set(MAXPID_TRACE "${WORK_DIR}/analyze_smoke_maxpid.trace.json")
+set(MAXPID_MERGED "${WORK_DIR}/analyze_smoke_maxpid_merged.json")
+file(REMOVE "${MAXPID_MERGED}")
+file(WRITE "${MAXPID_TRACE}"
+     "{\"traceEvents\":[{\"name\":\"h\",\"cat\":\"gate\",\"ph\":\"X\","
+     "\"ts\":5,\"dur\":1,\"pid\":2147483647,\"tid\":0}]}\n")
+execute_process(
+  COMMAND "${ANALYZE}" --merge-trace "${MAXPID_MERGED}" "${MAXPID_TRACE}"
+          "${MAXPID_TRACE}"
+  RESULT_VARIABLE xp_rc
+  OUTPUT_VARIABLE xp_out
+  ERROR_VARIABLE xp_err)
+if(NOT xp_rc EQUAL 0)
+  message(FATAL_ERROR "analyze_smoke: --merge-trace of two pid 2147483647 "
+          "traces failed (rc=${xp_rc})\n${xp_out}${xp_err}")
+endif()
+execute_process(
+  COMMAND "${TRACE_CHECK}" "${MAXPID_MERGED}"
+  RESULT_VARIABLE xv_rc
+  OUTPUT_VARIABLE xv_out
+  ERROR_VARIABLE xv_err)
+file(READ "${MAXPID_MERGED}" maxpid_text)
+if(NOT xv_rc EQUAL 0 OR NOT maxpid_text MATCHES "\"pid\":2147483647[,}]"
+   OR NOT maxpid_text MATCHES "\"pid\":4294967295[,}]")
+  message(FATAL_ERROR "analyze_smoke: merged max-pid trace is wrong "
+          "(rc=${xv_rc})\n${xv_out}${xv_err}${maxpid_text}")
+endif()
+
+# --- 9. negative control: a fractional pid is refused with exit 1 ---------
+set(BADPID_TRACE "${WORK_DIR}/analyze_smoke_badpid.trace.json")
+file(WRITE "${BADPID_TRACE}"
+     "{\"traceEvents\":[{\"name\":\"h\",\"cat\":\"gate\",\"ph\":\"X\","
+     "\"ts\":5,\"dur\":1,\"pid\":2.5,\"tid\":0}]}\n")
+execute_process(
+  COMMAND "${ANALYZE}" --merge-trace "${WORK_DIR}/analyze_smoke_badpid.json"
+          "${BADPID_TRACE}"
+  RESULT_VARIABLE bp_rc
+  OUTPUT_VARIABLE bp_out
+  ERROR_VARIABLE bp_err)
+if(NOT bp_rc EQUAL 1 OR NOT bp_err MATCHES "pid = 2.5 is not an integer")
+  message(FATAL_ERROR "analyze_smoke: a pid of 2.5 exited ${bp_rc}, "
+          "expected a refusal with exit 1\n${bp_out}${bp_err}")
+endif()
+
 message(STATUS "analyze_smoke: OK (reports, ledger x2, inf refused, compare, "
-        "corrupt->3, merged trace, inf dur->null)")
+        "corrupt->3, merged trace, inf dur->null, max pid merged, "
+        "fractional pid refused)")

@@ -281,6 +281,40 @@ TEST(Ledger, EntryFromReportRefusesNonFiniteWallSeconds) {
   }
 }
 
+// An integer field that is not an integer in range (an overflow, a sign,
+// a fraction, a value past int) would be cast with undefined behaviour:
+// refused, naming the field, from a report and from a ledger line.
+TEST(Ledger, RefusesOutOfRangeIntegers) {
+  for (const char* workers : {"1e999", "-1", "2.5", "4294967296"}) {
+    const std::string report =
+        std::string(R"({"schema":"svsim-report-v1","backend":"shmem",)") +
+        R"("wall_seconds":0.5,"n_workers":)" + workers + "}";
+    obs::jsonlite::Value v;
+    ASSERT_TRUE(obs::jsonlite::parse(report, &v)) << report;
+    ledger::Entry e;
+    std::string err;
+    EXPECT_FALSE(ledger::entry_from_report(v, &e, &err)) << workers;
+    EXPECT_NE(err.find("n_workers"), std::string::npos) << err;
+
+    const std::string line =
+        std::string(R"({"schema":"svsim-ledger-v1","key":"k",)") +
+        R"("backend":"peer","wall_seconds":0.5,"n_workers":)" + workers +
+        "}";
+    err.clear();
+    EXPECT_FALSE(ledger::parse_line(line, &e, &err)) << workers;
+    EXPECT_NE(err.find("n_workers"), std::string::npos) << err;
+  }
+  // The in-range control reads back.
+  ledger::Entry e;
+  std::string err;
+  ASSERT_TRUE(ledger::parse_line(
+      R"({"schema":"svsim-ledger-v1","key":"k","backend":"peer",)"
+      R"("wall_seconds":0.5,"n_workers":4})",
+      &e, &err))
+      << err;
+  EXPECT_EQ(e.n_workers, 4);
+}
+
 TEST(Hash, CircuitHashIsShapeSensitive) {
   const Circuit a = circuits::qft(5);
   const Circuit b = circuits::qft(5);

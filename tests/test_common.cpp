@@ -342,6 +342,26 @@ TEST(Config, ScheduleResolutionConfigWinsOverDefaults) {
   EXPECT_LE(b, 20);
 }
 
+// The one-block rule: only the auto exponent, on one worker whose whole
+// state fits one block, leaves the run to the per-gate loop (0).
+TEST(Config, OneBlockRuleRunsPerGateOnlyAtAuto) {
+  const Env none = env_of({});
+  SimConfig cfg;
+  const RunSwitches a = resolve(cfg, none); // auto
+  const IdxType b = a.block_exp;
+  EXPECT_EQ(a.block_exp_for(b, 1), 0);
+  EXPECT_EQ(a.block_exp_for(6, 1), 0);
+  EXPECT_EQ(a.block_exp_for(b + 1, 1), b);
+  EXPECT_EQ(a.block_exp_for(b, 2), b);
+  EXPECT_EQ(resolve(cfg, env_of({{"SVSIM_SCHED", "1"}})).block_exp_for(b, 1),
+            0);
+  cfg.sched_window = 4; // explicit: always blocks
+  EXPECT_EQ(resolve(cfg, none).block_exp_for(4, 1), 4);
+  EXPECT_EQ(resolve(cfg, none).block_exp_for(3, 1), 4);
+  cfg.sched_window = 0; // off stays off
+  EXPECT_EQ(resolve(cfg, none).block_exp_for(30, 1), 0);
+}
+
 TEST(Config, RemapConfigResolution) {
   const Env none = env_of({});
   SimConfig cfg;

@@ -254,6 +254,29 @@ TEST(ScheduleReport, StatsAndJsonCarryWindowCounts) {
   EXPECT_NE(json.find("\"passes_saved\":"), std::string::npos);
 }
 
+// At the auto exponent a register that fits one block runs the per-gate
+// loop: the report keeps the sched section, with no window, and the state
+// is the per-gate loop's bit for bit.
+TEST(ScheduleReport, AutoOneBlockStateRunsPerGate) {
+  const Circuit c = random_circuit(8, 80, 3);
+  SimConfig cfg;
+  SingleSim auto_sim(8, cfg);
+  ASSERT_LE(8, resolve(cfg).block_exp); // the auto exponent is >= 8
+  auto_sim.run(c);
+  cfg.sched_window = 0;
+  SingleSim per_gate(8, cfg);
+  per_gate.run(c);
+  const obs::SchedulerStats& s = auto_sim.last_report().sched;
+  EXPECT_TRUE(s.enabled);
+  EXPECT_FALSE(s.active);
+  EXPECT_EQ(s.windows, 0u);
+  EXPECT_EQ(s.passes_saved, 0u);
+  const StateVector sa = auto_sim.state(), sp = per_gate.state();
+  for (std::size_t k = 0; k < sa.amps.size(); ++k) {
+    EXPECT_EQ(sa.amps[k], sp.amps[k]);
+  }
+}
+
 /// Health checkpoints must fire at the same gate ids as the per-gate loop
 /// even when the circuit windows (the blocked loop checks per window).
 TEST(ScheduleHealth, CheckpointCountMatchesPerGateLoop) {

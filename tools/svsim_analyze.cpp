@@ -16,6 +16,9 @@
 //
 // Exit codes: 0 success, 1 usage/IO/parse error on inputs, 3 corrupted
 // ledger line (the negative control analyze_smoke checks).
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -32,7 +35,17 @@ namespace {
 
 using svsim::obs::WaitProfile;
 using svsim::obs::jsonlite::Value;
+using svsim::obs::jsonlite::kMaxExactInt;
 namespace ledger = svsim::obs::ledger;
+
+// Integer fields go through the checked reads (jsonlite::Value::int_in):
+// a value that is not an integer in range throws svsim::Error, which main
+// reports with exit 1.
+
+/// A PE index member, -1 (none) when absent.
+int pe_index(const Value& v, const char* key) {
+  return static_cast<int>(v.member_int(key, -1, -1, INT_MAX));
+}
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -75,28 +88,27 @@ WaitProfile profile_from_report(const Value& report) {
       pe.barrier_s = v.member_num("barrier_s", 0);
       pe.reduction_s = v.member_num("reduction_s", 0);
       pe.transfer_s = v.member_num("transfer_s", 0);
-      pe.barrier_n = static_cast<std::uint64_t>(v.member_num("barrier_n", 0));
-      pe.reduction_n =
-          static_cast<std::uint64_t>(v.member_num("reduction_n", 0));
-      pe.transfer_n = static_cast<std::uint64_t>(v.member_num("transfer_n", 0));
+      pe.barrier_n = v.member_count("barrier_n");
+      pe.reduction_n = v.member_count("reduction_n");
+      pe.transfer_n = v.member_count("transfer_n");
       p.per_pe.push_back(pe);
     }
   }
   p.imbalance = ws->member_num("imbalance", 0);
-  p.straggler = static_cast<int>(ws->member_num("straggler", -1));
+  p.straggler = pe_index(*ws, "straggler");
   p.wait_fraction = ws->member_num("wait_fraction", 0);
   if (const Value* t = ws->find("truncated")) p.truncated = t->bool_or(false);
-  p.critical_pe = static_cast<int>(ws->member_num("critical_pe", -1));
+  p.critical_pe = pe_index(*ws, "critical_pe");
   p.critical_phase = ws->member_str("critical_phase", "");
   p.critical_s = ws->member_num("critical_s", 0);
   if (const Value* crit = ws->find("critical");
       crit != nullptr && crit->is_array()) {
     for (const Value& v : crit->items) {
       WaitProfile::Critical c;
-      c.pe = static_cast<int>(v.member_num("pe", -1));
+      c.pe = pe_index(v, "pe");
       c.phase = v.member_str("phase", "");
       c.seconds = v.member_num("seconds", 0);
-      c.phases = static_cast<std::uint64_t>(v.member_num("phases", 0));
+      c.phases = v.member_count("phases");
       p.critical.push_back(std::move(c));
     }
   }
@@ -111,13 +123,14 @@ int show_breakdown(const std::string& path) {
                  path.c_str());
     return 1;
   }
+  const auto n_qubits = report.member_int("n_qubits", 0, 0, 63);
+  const auto n_workers = report.member_int("n_workers", 1, 1, INT_MAX);
   std::printf("%s: backend=%s qubits=%lld workers=%d gates=%llu "
               "wall=%.3f ms\n",
               path.c_str(), report.member_str("backend", "?").c_str(),
-              static_cast<long long>(report.member_num("n_qubits", 0)),
-              static_cast<int>(report.member_num("n_workers", 1)),
+              static_cast<long long>(n_qubits), static_cast<int>(n_workers),
               static_cast<unsigned long long>(
-                  report.member_num("total_gates", 0)),
+                  report.member_count("total_gates")),
               report.member_num("wall_seconds", 0) * 1e3);
   const std::string hash = report.member_str("circuit_hash", "");
   const std::string cpu = report.member_str("cpu", "");
@@ -210,7 +223,9 @@ int merge_traces(const std::string& out_path,
   }
   svsim::obs::jsonlite::Writer w;
   w.begin_object().key("traceEvents").begin_array();
-  int pid_base = 0;
+  // Pids are integers in [0, 2^53]; each file's offset is 64-bit and
+  // checked, so a merged pid is exact in every reader's double.
+  std::int64_t pid_base = 0;
   for (std::size_t f = 0; f < inputs.size(); ++f) {
     Value trace;
     if (!load_json(inputs[f], &trace)) return 1;
@@ -226,15 +241,17 @@ int merge_traces(const std::string& out_path,
     // part a timeline viewer shows) is preserved exactly.
     double t0 = 0;
     bool have_t0 = false;
-    int max_pid = 0;
+    std::int64_t max_pid = 0;
     for (const Value& e : events->items) {
       const double ts = e.member_num("ts", 0);
       if (!have_t0 || ts < t0) {
         t0 = ts;
         have_t0 = true;
       }
-      const int pid = static_cast<int>(e.member_num("pid", 0));
-      if (pid > max_pid) max_pid = pid;
+      max_pid = std::max(max_pid, e.member_int("pid", 0, 0, kMaxExactInt));
+    }
+    if (max_pid > kMaxExactInt - pid_base) {
+      throw svsim::Error(inputs[f] + ": merged pids would exceed 2^53");
     }
     for (const Value& e : events->items) {
       if (!e.is_object()) continue;
@@ -244,7 +261,7 @@ int merge_traces(const std::string& out_path,
         if (key == "ts" && val.type == Value::Type::kNumber) {
           w.value(val.number - t0);
         } else if (key == "pid" && val.type == Value::Type::kNumber) {
-          w.value(pid_base + static_cast<int>(val.number));
+          w.value(pid_base + val.int_in(0, kMaxExactInt, "pid"));
         } else {
           w.write(val);
         }
@@ -304,19 +321,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!merge_out.empty()) return merge_traces(merge_out, files);
-  if (compare) {
-    if (ledger_path.empty()) return usage();
-    return compare_ledger(ledger_path);
-  }
-  if (!ledger_path.empty()) {
+  try {
+    if (!merge_out.empty()) return merge_traces(merge_out, files);
+    if (compare) {
+      if (ledger_path.empty()) return usage();
+      return compare_ledger(ledger_path);
+    }
+    if (!ledger_path.empty()) {
+      if (files.empty()) return usage();
+      return append_to_ledger(ledger_path, files);
+    }
     if (files.empty()) return usage();
-    return append_to_ledger(ledger_path, files);
-  }
-  if (files.empty()) return usage();
-  for (const std::string& f : files) {
-    const int rc = show_breakdown(f);
-    if (rc != 0) return rc;
+    for (const std::string& f : files) {
+      const int rc = show_breakdown(f);
+      if (rc != 0) return rc;
+    }
+  } catch (const svsim::Error& e) {
+    // An input whose integer field is not an integer in range.
+    std::fprintf(stderr, "svsim_analyze: %s\n", e.what());
+    return 1;
   }
   return 0;
 }
