@@ -96,17 +96,6 @@ bool parse_real(const std::string& text, double* out) {
   return true;
 }
 
-/// "error", "warn", "info", "debug" or "0".."3".
-bool parse_log_level(const std::string& text, int* out) {
-  static const char* const kNames[] = {"error", "warn", "info", "debug"};
-  for (int level = 0; level < 4; ++level) {
-    if (text != kNames[level] && text != std::to_string(level)) continue;
-    *out = level;
-    return true;
-  }
-  return false;
-}
-
 /// A writable file path: no control characters, not a directory ("/").
 bool parse_path(const std::string& text, std::string* out) {
   const auto control = [](unsigned char c) { return std::iscntrl(c) != 0; };
@@ -251,9 +240,6 @@ Env::Env(const Lookup& lookup) {
   progress = r.get<bool>("SVSIM_PROGRESS", kFlag, parse_flag);
   memtrack = r.get<bool>("SVSIM_MEMTRACK", kFlag, parse_flag);
   peak_gbps = r.get<double>("SVSIM_PEAK_GBPS", kReal, parse_real);
-  log_level = r.get<int>("SVSIM_LOG_LEVEL", "error|warn|info|debug or 0..3",
-                         parse_log_level);
-  log_timestamps = r.get<bool>("SVSIM_LOG_TIMESTAMPS", kFlag, parse_flag);
   bench_json = r.get<std::string>("SVSIM_BENCH_JSON", kPath, parse_path);
   batch = r.integer("SVSIM_BATCH", "an integer >= 1", 1, kIntMax);
   serve_linger_ms = r.integer("SVSIM_SERVE_LINGER_MS",

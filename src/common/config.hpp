@@ -143,8 +143,6 @@ struct Env {
   // Process-wide settings, read by the plane or tool that owns them.
   std::optional<bool> memtrack;        // SVSIM_MEMTRACK
   std::optional<double> peak_gbps;     // SVSIM_PEAK_GBPS
-  std::optional<int> log_level;        // SVSIM_LOG_LEVEL: 0..3
-  std::optional<bool> log_timestamps;  // SVSIM_LOG_TIMESTAMPS
   std::optional<std::string> bench_json; // SVSIM_BENCH_JSON
   std::optional<int> batch;            // SVSIM_BATCH: >= 1
   std::optional<int> serve_linger_ms;  // SVSIM_SERVE_LINGER_MS: >= 0

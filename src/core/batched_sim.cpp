@@ -483,6 +483,10 @@ void BatchedSim::execute(const Circuit& circuit,
 
   const BatchedTable& table = kernels::batched_kernel_table(sw_.simd);
   const auto& gates = circuit.gates();
+  // A register wider than the qubit count widens the cbit-major
+  // [cbit*batch + b] array at its end, zero-filled; it never shrinks.
+  const auto n_cbits = static_cast<std::size_t>(circuit.n_cbits() * batch_);
+  if (n_cbits > cbits_.size()) cbits_.resize(n_cbits, 0);
 
   // Structure hit: same ops, operands and cbits as the cached plan, for a
   // uniform run and a member sweep alike. Coefficient hit: a uniform run
@@ -602,8 +606,9 @@ StateVector BatchedSim::state(IdxType member) const {
 
 std::vector<IdxType> BatchedSim::member_cbits(IdxType member) const {
   SVSIM_CHECK(member >= 0 && member < batch_, "member out of range");
-  std::vector<IdxType> out(static_cast<std::size_t>(n_), 0);
-  for (IdxType c = 0; c < n_; ++c) {
+  const IdxType width = static_cast<IdxType>(cbits_.size()) / batch_;
+  std::vector<IdxType> out(static_cast<std::size_t>(width), 0);
+  for (IdxType c = 0; c < width; ++c) {
     out[static_cast<std::size_t>(c)] =
         cbits_[static_cast<std::size_t>(c * batch_ + member)];
   }

@@ -90,7 +90,8 @@ public:
   /// Gather one member's state into host memory.
   StateVector state(IdxType member) const;
 
-  /// Member b's classical register after the last run().
+  /// Member b's classical register after the last run(), as wide as
+  /// Simulator::cbits() would be.
   std::vector<IdxType> member_cbits(IdxType member) const;
 
   /// Sample `shots` outcomes per member from the current states without

@@ -1,11 +1,14 @@
 #include "core/coarse_msg_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <optional>
+#include <utility>
 
 #include "common/bits.hpp"
+#include "core/kernels/dense.hpp"
+#include "core/kernels/nonunitary.hpp"
 #include "core/pipeline.hpp"
 
 namespace svsim {
@@ -65,15 +68,20 @@ public:
 private:
   // --- messaging primitives -------------------------------------------
 
-  /// Pack my whole partition ([real | imag]) and swap it with `partner`.
-  /// This is the coarse granularity the baseline is about: one big
-  /// buffered message per gate per partner, CPU-side pack/unpack included.
-  std::vector<ValType> exchange_partition(int partner) {
+  /// My whole partition as one message, [real | imag]. This is the coarse
+  /// granularity the baseline is about: one big buffered message per gate
+  /// per partner, CPU-side pack/unpack included.
+  std::vector<ValType> pack() const {
     std::vector<ValType> out(static_cast<std::size_t>(2 * per_));
-    std::memcpy(out.data(), real_, static_cast<std::size_t>(per_) * sizeof(ValType));
-    std::memcpy(out.data() + per_, imag_,
-                static_cast<std::size_t>(per_) * sizeof(ValType));
-    send(partner, std::move(out));
+    const std::size_t bytes = static_cast<std::size_t>(per_) * sizeof(ValType);
+    std::memcpy(out.data(), real_, bytes);
+    std::memcpy(out.data() + per_, imag_, bytes);
+    return out;
+  }
+
+  /// Swap my packed partition with `partner`'s.
+  std::vector<ValType> exchange_partition(int partner) {
+    send(partner, pack());
     return recv(partner);
   }
 
@@ -100,181 +108,48 @@ private:
       case OP::BARRIER: break;
       default:
         if (op_info(g.op).n_qubits == 1) {
-          apply_1q(g);
+          apply_unitary(matrix_1q(g), std::array<IdxType, 1>{g.qb0});
         } else {
-          apply_2q(g);
+          apply_unitary(matrix_2q(g), std::array<IdxType, 2>{g.qb0, g.qb1});
         }
     }
   }
 
-  void apply_1q(const Gate& g) {
-    const Mat2 m = matrix_1q(g);
-    const IdxType q = g.qb0;
-    if (q < lg_) {
-      // Fully local: all pairs live inside my partition.
+  /// A unitary gate through the generic dense body (kernels/dense.hpp).
+  /// An operand at or above lg_ is a rank-index bit: first swap whole
+  /// partitions with every rank that differs from mine only in those bits
+  /// (one rank for one such operand, three for two). The mailboxes
+  /// buffer, so all sends go out before the first receive.
+  template <std::size_t K>
+  void apply_unitary(
+      const std::array<Complex, (std::size_t{1} << (2 * K))>& m,
+      const std::array<IdxType, K>& q) {
+    const int remote = kernels::dense_remote_bits(q, lg_);
+    std::array<std::vector<ValType>, (1 << K)> copy;
+    std::array<const ValType*, (1 << K)> copy_re{};
+    std::array<const ValType*, (1 << K)> copy_im{};
+    const auto partner = [&](int f) {
+      return static_cast<int>(kernels::dense_partner(q, lg_, rank_, f));
+    };
+    if (remote == 0) {
       ++stats_.local_gates;
-      const IdxType stride = pow2(q);
-      for (IdxType i = 0; i < per_ / 2; ++i) {
-        const IdxType p0 = pair_base(i, q);
-        const IdxType p1 = p0 + stride;
-        const Complex a0{real_[p0], imag_[p0]};
-        const Complex a1{real_[p1], imag_[p1]};
-        const Complex b0 = m[0] * a0 + m[1] * a1;
-        const Complex b1 = m[2] * a0 + m[3] * a1;
-        real_[p0] = b0.real();
-        imag_[p0] = b0.imag();
-        real_[p1] = b1.real();
-        imag_[p1] = b1.imag();
-      }
-      return;
-    }
-    // Pair partner owns the other half of every pair.
-    ++stats_.exchange_gates;
-    const int bit = 1 << (q - lg_);
-    const int partner = rank_ ^ bit;
-    const std::vector<ValType> remote = exchange_partition(partner);
-    const bool zero_side = (rank_ & bit) == 0;
-    for (IdxType j = 0; j < per_; ++j) {
-      const Complex mine{real_[j], imag_[j]};
-      const Complex theirs{remote[static_cast<std::size_t>(j)],
-                           remote[static_cast<std::size_t>(per_ + j)]};
-      const Complex out = zero_side ? m[0] * mine + m[1] * theirs
-                                    : m[2] * theirs + m[3] * mine;
-      real_[j] = out.real();
-      imag_[j] = out.imag();
-    }
-  }
-
-  void apply_2q(const Gate& g) {
-    const Mat4 m = matrix_2q(g);
-    const IdxType q0 = g.qb0;
-    const IdxType q1 = g.qb1;
-    const bool hi0 = q0 >= lg_;
-    const bool hi1 = q1 >= lg_;
-    if (!hi0 && !hi1) {
-      apply_2q_local(m, q0, q1);
-    } else if (hi0 != hi1) {
-      apply_2q_one_remote(m, q0, q1);
     } else {
-      apply_2q_both_remote(m, q0, q1);
-    }
-  }
-
-  void apply_2q_local(const Mat4& m, IdxType q0, IdxType q1) {
-    ++stats_.local_gates;
-    const IdxType p = q0 < q1 ? q0 : q1;
-    const IdxType q = q0 < q1 ? q1 : q0;
-    const IdxType off0 = pow2(q0);
-    const IdxType off1 = pow2(q1);
-    for (IdxType i = 0; i < per_ / 4; ++i) {
-      const IdxType s = quad_base(i, p, q);
-      const IdxType idx[4] = {s, s + off1, s + off0, s + off0 + off1};
-      Complex v[4];
-      for (int k = 0; k < 4; ++k) v[k] = Complex{real_[idx[k]], imag_[idx[k]]};
-      for (int r = 0; r < 4; ++r) {
-        Complex acc = 0;
-        for (int c = 0; c < 4; ++c) {
-          acc += m[static_cast<std::size_t>(r * 4 + c)] * v[c];
-        }
-        real_[idx[r]] = acc.real();
-        imag_[idx[r]] = acc.imag();
+      ++stats_.exchange_gates;
+      std::vector<ValType> mine = pack();
+      for (int f = 1; f <= remote; ++f) {
+        if ((f & remote) != f) continue;
+        send(partner(f), f == remote ? std::move(mine)
+                                     : std::vector<ValType>(mine));
+      }
+      for (int f = 1; f <= remote; ++f) {
+        if ((f & remote) != f) continue;
+        const auto at = static_cast<std::size_t>(f);
+        copy[at] = recv(partner(f));
+        copy_re[at] = copy[at].data();
+        copy_im[at] = copy[at].data() + per_;
       }
     }
-  }
-
-  void apply_2q_one_remote(const Mat4& m, IdxType q0, IdxType q1) {
-    ++stats_.exchange_gates;
-    const bool hi_is_q0 = q0 >= lg_;
-    const IdxType hi = hi_is_q0 ? q0 : q1;
-    const IdxType lo = hi_is_q0 ? q1 : q0;
-    const int bit = 1 << (hi - lg_);
-    const int partner = rank_ ^ bit;
-    const std::vector<ValType> remote = exchange_partition(partner);
-    const int my_hi_bit = (rank_ & bit) != 0 ? 1 : 0;
-    const IdxType off_lo = pow2(lo);
-
-    for (IdxType i = 0; i < per_ / 2; ++i) {
-      const IdxType s = pair_base(i, lo);
-      // Matrix basis |q0 q1>: combo k = b0*2 + b1.
-      Complex v[4];
-      for (int k = 0; k < 4; ++k) {
-        const int b0 = (k >> 1) & 1;
-        const int b1 = k & 1;
-        const int b_hi = hi_is_q0 ? b0 : b1;
-        const int b_lo = hi_is_q0 ? b1 : b0;
-        const IdxType off = s + (b_lo != 0 ? off_lo : 0);
-        if (b_hi == my_hi_bit) {
-          v[k] = Complex{real_[off], imag_[off]};
-        } else {
-          v[k] = Complex{remote[static_cast<std::size_t>(off)],
-                         remote[static_cast<std::size_t>(per_ + off)]};
-        }
-      }
-      for (int k = 0; k < 4; ++k) {
-        const int b0 = (k >> 1) & 1;
-        const int b1 = k & 1;
-        const int b_hi = hi_is_q0 ? b0 : b1;
-        if (b_hi != my_hi_bit) continue; // partner writes that row
-        const int b_lo = hi_is_q0 ? b1 : b0;
-        const IdxType off = s + (b_lo != 0 ? off_lo : 0);
-        Complex acc = 0;
-        for (int c = 0; c < 4; ++c) {
-          acc += m[static_cast<std::size_t>(k * 4 + c)] * v[c];
-        }
-        real_[off] = acc.real();
-        imag_[off] = acc.imag();
-      }
-    }
-  }
-
-  void apply_2q_both_remote(const Mat4& m, IdxType q0, IdxType q1) {
-    ++stats_.exchange_gates;
-    const int bit0 = 1 << (q0 - lg_);
-    const int bit1 = 1 << (q1 - lg_);
-    // Three partners: flip q0, flip q1, flip both. Exchange with each.
-    const int partners[3] = {rank_ ^ bit0, rank_ ^ bit1, rank_ ^ bit0 ^ bit1};
-    std::vector<ValType> bufs[3];
-    for (auto partner : partners) {
-      std::vector<ValType> out(static_cast<std::size_t>(2 * per_));
-      std::memcpy(out.data(), real_,
-                  static_cast<std::size_t>(per_) * sizeof(ValType));
-      std::memcpy(out.data() + per_, imag_,
-                  static_cast<std::size_t>(per_) * sizeof(ValType));
-      send(partner, std::move(out));
-    }
-    for (int k = 0; k < 3; ++k) bufs[k] = recv(partners[k]);
-
-    const int my_b0 = (rank_ & bit0) != 0 ? 1 : 0;
-    const int my_b1 = (rank_ & bit1) != 0 ? 1 : 0;
-    const int k_mine = my_b0 * 2 + my_b1;
-
-    for (IdxType j = 0; j < per_; ++j) {
-      Complex v[4];
-      for (int k = 0; k < 4; ++k) {
-        const int b0 = (k >> 1) & 1;
-        const int b1 = k & 1;
-        int owner = rank_;
-        owner = (b0 != 0) ? (owner | bit0) : (owner & ~bit0);
-        owner = (b1 != 0) ? (owner | bit1) : (owner & ~bit1);
-        if (owner == rank_) {
-          v[k] = Complex{real_[j], imag_[j]};
-        } else {
-          for (int t = 0; t < 3; ++t) {
-            if (partners[t] == owner) {
-              v[k] = Complex{bufs[t][static_cast<std::size_t>(j)],
-                             bufs[t][static_cast<std::size_t>(per_ + j)]};
-              break;
-            }
-          }
-        }
-      }
-      Complex acc = 0;
-      for (int c = 0; c < 4; ++c) {
-        acc += m[static_cast<std::size_t>(k_mine * 4 + c)] * v[c];
-      }
-      real_[j] = acc.real();
-      imag_[j] = acc.imag();
-    }
+    kernels::apply_dense<K>(m, q, lg_, rank_, real_, imag_, copy_re, copy_im);
   }
 
   // --- non-unitary --------------------------------------------------------
@@ -388,58 +263,24 @@ private:
       draws.emplace_back(rng_->next_double(), s);
     }
     if (rank_ != 0) {
-      std::vector<ValType> out(static_cast<std::size_t>(2 * per_));
-      std::memcpy(out.data(), real_,
-                  static_cast<std::size_t>(per_) * sizeof(ValType));
-      std::memcpy(out.data() + per_, imag_,
-                  static_cast<std::size_t>(per_) * sizeof(ValType));
-      send(0, std::move(out));
+      send(0, pack());
       return;
     }
-    // Virtual readout permutation (ir/remap): when the circuit was
-    // remapped, sweep in LOGICAL order — the amplitude of logical basis
-    // state k lives at its physical home — and report logical
-    // bitstrings, matching the unremapped run draw-for-draw.
-    const IdxType* row = nullptr;
-    if (!sim_->ma_layouts_.empty() && g.cbit >= 0) {
-      row = sim_->ma_layouts_.data() + g.cbit * sim_->n_;
-      bool identity = true;
-      for (IdxType b = 0; b < sim_->n_; ++b) {
-        if (row[b] != b) { identity = false; break; }
-      }
-      if (identity) row = nullptr;
-    }
-    std::optional<BitPermutation> perm;
-    if (row != nullptr) perm.emplace(row, sim_->n_);
     // Rank 0 gathers the full distribution and samples.
     std::vector<std::vector<ValType>> parts(static_cast<std::size_t>(n));
     for (int r = 1; r < n; ++r) parts[static_cast<std::size_t>(r)] = recv(r);
-    std::sort(draws.begin(), draws.end());
-    ValType cum = 0;
-    IdxType k = 0;
-    std::size_t d = 0;
-    while (d < draws.size() && k < sim_->dim_) {
-      const IdxType phys = perm ? (*perm)(k) : k;
-      const int owner = static_cast<int>(phys >> lg_);
-      const IdxType off = phys & (per_ - 1);
-      ValType re, im;
-      if (owner == 0) {
-        re = real_[off];
-        im = imag_[off];
-      } else {
-        re = parts[static_cast<std::size_t>(owner)][static_cast<std::size_t>(off)];
-        im = parts[static_cast<std::size_t>(owner)][static_cast<std::size_t>(per_ + off)];
-      }
-      cum += re * re + im * im;
-      while (d < draws.size() && draws[d].first < cum) {
-        sim_->results_[static_cast<std::size_t>(draws[d].second)] = k;
-        ++d;
-      }
-      ++k;
-    }
-    for (; d < draws.size(); ++d) {
-      sim_->results_[static_cast<std::size_t>(draws[d].second)] = sim_->dim_ - 1;
-    }
+    kernels::sample_sweep(
+        draws, sim_->dim_,
+        kernels::readout_permutation(sim_->mctx_.ma_layouts, sim_->n_,
+                                     g.cbit),
+        [&](IdxType phys) {
+          const auto owner = static_cast<std::size_t>(phys >> lg_);
+          const IdxType off = phys & (per_ - 1);
+          const ValType* re = owner == 0 ? real_ : parts[owner].data();
+          const ValType* im = owner == 0 ? imag_ : parts[owner].data() + per_;
+          return re[off] * re[off] + im[off] * im[off];
+        },
+        sim_->results_.data());
   }
 
   CoarseMsgSim* sim_;

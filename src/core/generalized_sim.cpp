@@ -1,5 +1,6 @@
 #include "core/generalized_sim.hpp"
 
+#include "core/kernels/dense.hpp"
 #include "core/pipeline.hpp"
 
 namespace svsim {
@@ -31,46 +32,15 @@ LocalSpace GeneralizedSim::make_space() {
 }
 
 void GeneralizedSim::apply_matrix(const Mat2& m, IdxType q) {
-  const IdxType stride = pow2(q);
-  const IdxType pairs = half_dim(n_);
-  for (IdxType i = 0; i < pairs; ++i) {
-    const IdxType p0 = pair_base(i, q);
-    const IdxType p1 = p0 + stride;
-    const Complex a0{real_[static_cast<std::size_t>(p0)],
-                     imag_[static_cast<std::size_t>(p0)]};
-    const Complex a1{real_[static_cast<std::size_t>(p1)],
-                     imag_[static_cast<std::size_t>(p1)]};
-    const Complex b0 = m[0] * a0 + m[1] * a1;
-    const Complex b1 = m[2] * a0 + m[3] * a1;
-    real_[static_cast<std::size_t>(p0)] = b0.real();
-    imag_[static_cast<std::size_t>(p0)] = b0.imag();
-    real_[static_cast<std::size_t>(p1)] = b1.real();
-    imag_[static_cast<std::size_t>(p1)] = b1.imag();
-  }
+  SVSIM_CHECK(q >= 0 && q < n_, "operand qubit out of range");
+  kernels::apply_dense<1>(m, {q}, n_, 0, real_.data(), imag_.data());
 }
 
 void GeneralizedSim::apply_matrix(const Mat4& m, IdxType q0, IdxType q1) {
-  // Basis convention: |q0 q1> — q0 is the more significant matrix bit.
-  const IdxType p = q0 < q1 ? q0 : q1;
-  const IdxType q = q0 < q1 ? q1 : q0;
-  const IdxType off0 = pow2(q0);
-  const IdxType off1 = pow2(q1);
-  const IdxType quads = quarter_dim(n_);
-  for (IdxType i = 0; i < quads; ++i) {
-    const IdxType s = quad_base(i, p, q);
-    const IdxType idx[4] = {s, s + off1, s + off0, s + off0 + off1};
-    Complex v[4];
-    for (int k = 0; k < 4; ++k) {
-      v[k] = Complex{real_[static_cast<std::size_t>(idx[k])],
-                     imag_[static_cast<std::size_t>(idx[k])]};
-    }
-    for (int r = 0; r < 4; ++r) {
-      Complex acc = 0;
-      for (int c = 0; c < 4; ++c) acc += m[static_cast<std::size_t>(r * 4 + c)] * v[c];
-      real_[static_cast<std::size_t>(idx[r])] = acc.real();
-      imag_[static_cast<std::size_t>(idx[r])] = acc.imag();
-    }
-  }
+  SVSIM_CHECK(q0 >= 0 && q0 < n_ && q1 >= 0 && q1 < n_,
+              "operand qubit out of range");
+  SVSIM_CHECK(q0 != q1, "repeated operand qubit");
+  kernels::apply_dense<2>(m, {q0, q1}, n_, 0, real_.data(), imag_.data());
 }
 
 void GeneralizedSim::apply_gate(const Gate& g) {

@@ -5,7 +5,7 @@
 // Two deliberate contrasts with SingleSim:
 //  1. Every gate — even T or Z — is applied as a dense 2x2 (or full 4x4)
 //     complex matrix multiply, touching all amplitudes of every pair or
-//     quadruple.
+//     quadruple (kernels/dense.hpp, the body CoarseMsgSim shares).
 //  2. Dispatch is a runtime switch on the gate kind *per gate* (the
 //     "parsing & branching" cost SV-Sim's function-pointer design avoids),
 //     including rebuilding the matrix from parameters on every execution.
@@ -31,7 +31,8 @@ public:
   void run(const Circuit& circuit) override;
 
   /// Apply one dense 1-qubit matrix / 2-qubit matrix directly (public so
-  /// tests can check kernels against arbitrary random unitaries).
+  /// tests can check kernels against arbitrary random unitaries). An
+  /// operand outside [0, n) or a repeated operand throws svsim::Error.
   void apply_matrix(const Mat2& m, IdxType q);
   void apply_matrix(const Mat4& m, IdxType q0, IdxType q1);
 

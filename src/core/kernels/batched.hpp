@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,7 @@
 #include "core/kernels/blocked.hpp"
 #include "core/kernels/gates.hpp"
 #include "core/kernels/lanes.hpp"
+#include "core/kernels/nonunitary.hpp"
 #include "ir/gate.hpp"
 
 namespace svsim::kernels {
@@ -446,9 +448,9 @@ void bk_reset(const UGate& bg, const BatchedSpace& sp, IdxType begin,
 }
 
 /// Per-member measure-all: each member samples n_shots outcomes from its
-/// own distribution with its own draws (the solo kern_measure_all loop,
-/// member-wise), without collapsing. The per-member column scan is
-/// strided, but sampling runs once per circuit — not worth a transpose.
+/// own distribution with its own draws (the solo sweep, member-wise),
+/// without collapsing. The per-member column scan is strided, but
+/// sampling runs once per circuit — not worth a transpose.
 template <class L>
 void bk_measure_all(const UGate&, const BatchedSpace& sp, IdxType, IdxType) {
   const IdxType shots = sp.n_shots;
@@ -460,24 +462,14 @@ void bk_measure_all(const UGate&, const BatchedSpace& sp, IdxType, IdxType) {
       draws.emplace_back(sp.rngs[b].next_double(), s);
     }
     if (sp.results == nullptr) continue; // stream-advance only
-    IdxType* out = sp.results + b * shots;
-    std::sort(draws.begin(), draws.end());
-    ValType cum = 0;
-    IdxType k = 0;
-    std::size_t d = 0;
-    while (d < draws.size() && k < sp.dim) {
-      const ValType r = sp.real[k * B + b];
-      const ValType im = sp.imag[k * B + b];
-      cum += r * r + im * im;
-      while (d < draws.size() && draws[d].first < cum) {
-        out[draws[d].second] = k;
-        ++d;
-      }
-      ++k;
-    }
-    for (; d < draws.size(); ++d) {
-      out[draws[d].second] = sp.dim - 1;
-    }
+    sample_sweep(
+        draws, sp.dim, std::nullopt,
+        [&](IdxType k) {
+          const ValType r = sp.real[k * B + b];
+          const ValType im = sp.imag[k * B + b];
+          return r * r + im * im;
+        },
+        sp.results + b * shots);
   }
 }
 

@@ -74,6 +74,59 @@ void kern_measure(const Gate& g, const Space& sp, IdxType begin,
   // The simulation-kernel loop issues the closing sync.
 }
 
+/// Virtual readout permutation (ir/remap) of a measure-all whose cbit is
+/// `row`: when the circuit was remapped, the gate carries the index of a
+/// logical→physical layout snapshot in `ma_layouts` (n_qubits wide). The
+/// sweep then reads logical basis state k at its physical home and
+/// reports logical bitstrings. Empty when unremapped or the identity.
+inline std::optional<BitPermutation> readout_permutation(
+    const IdxType* ma_layouts, IdxType n_qubits, IdxType row) {
+  std::optional<BitPermutation> perm;
+  if (ma_layouts == nullptr || row < 0) return perm;
+  const IdxType* layout = ma_layouts + row * n_qubits;
+  for (IdxType b = 0; b < n_qubits; ++b) {
+    if (layout[b] != b) {
+      perm.emplace(layout, n_qubits);
+      break;
+    }
+  }
+  return perm;
+}
+
+/// Inverse-CDF sampling in one sweep: sort the (uniform, shot) `draws`,
+/// then walk logical basis states k = 0, 1, ... accumulating
+/// `norm_at(phys)`, |amplitude|^2 at k's physical index (`perm`(k), or k
+/// when empty), and give each draw below the running sum outcome k,
+/// stopping once every draw is placed. The sweep order is what ties a
+/// sorted draw to its outcome, so every backend sweeps logical order.
+/// Draws past the final sum (norm drift) land on the last state.
+template <class NormAt>
+void sample_sweep(std::vector<std::pair<ValType, IdxType>>& draws,
+                  IdxType dim, const std::optional<BitPermutation>& perm,
+                  NormAt&& norm_at, IdxType* out) {
+  std::sort(draws.begin(), draws.end());
+  // One loop per layout, so the unpermuted sweep carries no test.
+  const auto sweep = [&](auto&& phys) {
+    ValType cum = 0;
+    IdxType k = 0;
+    std::size_t d = 0;
+    while (d < draws.size() && k < dim) {
+      cum += norm_at(phys(k));
+      while (d < draws.size() && draws[d].first < cum) {
+        out[draws[d].second] = k;
+        ++d;
+      }
+      ++k;
+    }
+    for (; d < draws.size(); ++d) out[draws[d].second] = dim - 1;
+  };
+  if (perm) {
+    sweep([&](IdxType k) { return (*perm)(k); });
+  } else {
+    sweep([](IdxType k) { return k; });
+  }
+}
+
 /// measure_all: sample mctx->n_shots basis states into mctx->results
 /// WITHOUT collapsing the state (sampling semantics, like the paper's MA
 /// used for the repeated-shot workloads). Work range indexes amplitudes.
@@ -88,44 +141,16 @@ void kern_measure_all(const Gate& g, const Space& sp, IdxType, IdxType) {
   for (IdxType s = 0; s < shots; ++s) {
     draws.emplace_back(sp.collective_uniform(), s);
   }
-  if (sp.worker() == 0) {
-    // Virtual readout permutation (ir/remap): when the circuit was
-    // remapped, this MA carries a layout-snapshot row index in its cbit;
-    // sweep the cumulative distribution in LOGICAL order — reading the
-    // amplitude of logical basis state k at its physical home — and
-    // report logical bitstrings. The sweep order is what ties each
-    // sorted draw to its outcome, so it must match the unremapped run.
-    const IdxType* row = nullptr;
-    if (sp.mctx->ma_layouts != nullptr && g.cbit >= 0) {
-      row = sp.mctx->ma_layouts + g.cbit * sp.mctx->n_qubits;
-      bool identity = true;
-      for (IdxType b = 0; b < sp.mctx->n_qubits; ++b) {
-        if (row[b] != b) { identity = false; break; }
-      }
-      if (identity) row = nullptr;
-    }
-    std::optional<BitPermutation> perm;
-    if (row != nullptr) perm.emplace(row, sp.mctx->n_qubits);
-    std::sort(draws.begin(), draws.end());
-    ValType cum = 0;
-    IdxType k = 0;
-    std::size_t d = 0;
-    while (d < draws.size() && k < sp.dim) {
-      const IdxType phys = perm ? (*perm)(k) : k;
-      const ValType r = sp.get_real(phys);
-      const ValType im = sp.get_imag(phys);
-      cum += r * r + im * im;
-      while (d < draws.size() && draws[d].first < cum) {
-        sp.mctx->results[draws[d].second] = k;
-        ++d;
-      }
-      ++k;
-    }
-    // Numerical tail: norm may be marginally below the largest draw.
-    for (; d < draws.size(); ++d) {
-      sp.mctx->results[draws[d].second] = sp.dim - 1;
-    }
-  }
+  if (sp.worker() != 0) return;
+  sample_sweep(
+      draws, sp.dim,
+      readout_permutation(sp.mctx->ma_layouts, sp.mctx->n_qubits, g.cbit),
+      [&](IdxType phys) {
+        const ValType r = sp.get_real(phys);
+        const ValType im = sp.get_imag(phys);
+        return r * r + im * im;
+      },
+      sp.mctx->results);
 }
 
 /// reset q: project onto |0> (renormalizing) or, if the qubit is

@@ -69,6 +69,13 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
   start_report(sim.report_, sim.name(), sim.n_qubits(), shape.n_workers,
                circuit);
   sim.flight_workers_ = 0;
+  // Legal QASM may declare more classical bits than qubits (`creg c[6]`
+  // on two qubits, or several cregs): widen the register, zero-filled,
+  // and never shrink it.
+  if (circuit.n_cbits() > static_cast<IdxType>(sim.cbits_.size())) {
+    sim.cbits_.resize(static_cast<std::size_t>(circuit.n_cbits()), 0);
+    sim.mctx_.cbits = sim.cbits_.data();
+  }
 
   // Communication-avoiding remap (ir/remap) on partitioned backends, when
   // the pass resolves on (RunSwitches::remap_on: auto = multi-PE) and

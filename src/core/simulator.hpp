@@ -62,7 +62,8 @@ public:
   /// inject prepared states, and by the kernel-vs-reference tests.
   void load_state(const StateVector& sv);
 
-  /// Classical register contents after the last run().
+  /// Classical register contents after the last run(): one slot per
+  /// qubit, widened to the classical bits of the widest circuit run.
   const std::vector<IdxType>& cbits() const { return cbits_; }
 
   /// Sample `shots` basis-state outcomes from the current state without

@@ -41,7 +41,7 @@ namespace svsim {
 /// Shared mutable context for measurement-style kernels. One instance per
 /// simulator; all workers see the same object.
 struct MeasureCtx {
-  IdxType* cbits = nullptr;      // classical register (size n_cbits)
+  IdxType* cbits = nullptr;      // classical register (>= n_cbits wide)
   IdxType* results = nullptr;    // MA shot outcomes (size n_shots)
   IdxType n_shots = 0;
   /// Virtual-readout permutation table (ir/remap): flattened n_qubits-wide

@@ -3,52 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-namespace svsim::machine {
+#include "obs/perfmodel.hpp"
 
-double touched_fraction(OP op, bool generalized) {
-  const OpInfo& info = op_info(op);
-  if (info.cls == OpClass::kNonUnitary) {
-    // measure/reset scan half the pairs' |1> elements plus a collapse
-    // pass: price as a full touch; barrier is free.
-    return (op == OP::BARRIER) ? 0.0 : 1.0;
-  }
-  if (generalized) {
-    // Dense 2x2 on every pair reads+writes all elements; dense 4x4 on
-    // every quadruple likewise (and does 4x the arithmetic, which the
-    // element cost absorbs).
-    return 1.0;
-  }
-  switch (op) {
-    case OP::ID:
-      return 0.0;
-    // Phase-type 1-qubit gates: only the |1> half.
-    case OP::Z:
-    case OP::S:
-    case OP::SDG:
-    case OP::T:
-    case OP::TDG:
-    case OP::U1:
-      return 0.5;
-    // Controlled 1-qubit bodies: the control-set half of each quadruple.
-    case OP::CX:
-    case OP::CY:
-    case OP::CH:
-    case OP::CRX:
-    case OP::CRY:
-    case OP::CRZ:
-    case OP::CU3:
-      return 0.5;
-    // Diagonal 2-qubit: single element (cz/cu1) or middle pair (rzz).
-    case OP::CZ:
-    case OP::CU1:
-      return 0.25;
-    case OP::RZZ:
-    case OP::SWAP:
-      return 0.5;
-    default:
-      return 1.0; // H, X, Y, RX, RY, RZ, U2, U3, RXX, ...
-  }
-}
+namespace svsim::machine {
 
 double stream_peak_gbps(const Platform& p, int workers) {
   // 32 bytes per touched amplitude (16 read + 16 written across the
@@ -96,7 +53,12 @@ double CostModel::single_device_ms(const Circuit& c, bool simd,
   const double dim = static_cast<double>(pow2(n));
   double total_us = 0;
   for (const Gate& g : c.gates()) {
-    const double elems = dim * touched_fraction(g.op, generalized);
+    // The specialized kernels touch what obs::gate_cost prices; the
+    // generalized baseline's dense apply touches every element (a
+    // barrier none).
+    const double elems = !generalized         ? obs::gate_cost(g, n).amps
+                         : g.op == OP::BARRIER ? 0.0
+                                               : dim;
     if (p_.arch == Arch::kCpu) {
       double us = elems * elem_cost_ns(n, simd) * 1e-3;
       if (generalized) {
@@ -122,7 +84,6 @@ double CostModel::scale_up_ms(const Circuit& c, int workers,
   SVSIM_CHECK(workers >= 1 && is_pow2(workers), "workers must be 2^k");
   if (workers == 1) return single_device_ms(c, simd);
   const IdxType n = c.n_qubits();
-  const double dim = static_cast<double>(pow2(n));
   const IdxType part_bits = n - log2_exact(workers);
   const double lg = std::log2(static_cast<double>(workers));
 
@@ -136,7 +97,7 @@ double CostModel::scale_up_ms(const Circuit& c, int workers,
 
   double total_us = 0;
   for (const Gate& g : c.gates()) {
-    const double elems = dim * touched_fraction(g.op, false);
+    const double elems = obs::gate_cost(g, n).amps;
     const int h = high_qubits(g, part_bits);
     const double remote_frac = 1.0 - std::pow(0.5, h); // 0, .5, .75
     const double local_elems = elems * (1.0 - remote_frac);
@@ -174,13 +135,12 @@ double CostModel::scale_up_ms(const Circuit& c, int workers,
 CostModel::GateBreakdown CostModel::scale_out_gate(const Gate& g, IdxType n,
                                                    int pes) const {
   GateBreakdown b;
-  const double dim = static_cast<double>(pow2(n));
   const int nodes = std::max(1, pes / p_.out.workers_per_node);
   const IdxType pe_bits = n - log2_exact(pes);
   const IdxType node_bits =
       n - static_cast<IdxType>(std::llround(std::log2(nodes)));
 
-  const double elems = dim * touched_fraction(g.op, false);
+  const double elems = obs::gate_cost(g, n).amps;
   const int h_pe = high_qubits(g, pe_bits);
   const int h_node = high_qubits(g, node_bits);
   const double remote_frac = 1.0 - std::pow(0.5, h_pe);

@@ -90,12 +90,6 @@ struct Platform {
   ScaleOutParams out;
 };
 
-/// Fraction of the 2^n amplitudes a specialized kernel touches for `op`
-/// (1.0 for H/X/U3..., 0.5 for the phase gates and controlled pairs, 0.25
-/// for cz/cu1). The generalized baseline always touches 1.0 (2.0 for
-/// 2-qubit gates: a dense 4x4 reads and writes every quadruple element).
-double touched_fraction(OP op, bool generalized);
-
 /// How many of the gate's operand qubits sit at or above `boundary_bit`
 /// (i.e. require data owned by another worker/node).
 int high_qubits(const Gate& g, IdxType boundary_bit);

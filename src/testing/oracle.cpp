@@ -84,9 +84,7 @@ void OracleSim::apply_measure(const Gate& g) {
       sv_.amps[static_cast<std::size_t>(k)] = 0;
     }
   }
-  if (g.cbit >= 0 && g.cbit < static_cast<IdxType>(cbits_.size())) {
-    cbits_[static_cast<std::size_t>(g.cbit)] = one ? 1 : 0;
-  }
+  if (g.cbit >= 0) cbits_[static_cast<std::size_t>(g.cbit)] = one ? 1 : 0;
 }
 
 void OracleSim::apply_reset(const Gate& g) {
@@ -120,6 +118,10 @@ void OracleSim::apply_reset(const Gate& g) {
 
 void OracleSim::run(const Circuit& circuit) {
   SVSIM_CHECK(circuit.n_qubits() == n_, "circuit width != oracle width");
+  // Like the backends: widen to the circuit's classical bits, never shrink.
+  if (circuit.n_cbits() > static_cast<IdxType>(cbits_.size())) {
+    cbits_.resize(static_cast<std::size_t>(circuit.n_cbits()), 0);
+  }
   for (const Gate& g : circuit.gates()) {
     switch (g.op) {
       case OP::BARRIER:

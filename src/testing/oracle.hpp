@@ -43,7 +43,8 @@ public:
 
   const StateVector& state() const { return sv_; }
 
-  /// Classical register (sized like the backends': one slot per qubit).
+  /// Classical register, sized like the backends': one slot per qubit,
+  /// widened to the classical bits of the widest circuit run.
   const std::vector<IdxType>& cbits() const { return cbits_; }
 
   /// Sample `shots` basis states without collapsing, mirroring the

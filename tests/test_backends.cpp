@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/coarse_msg_sim.hpp"
@@ -212,18 +214,87 @@ TEST(ShmemTrafficCounters, HighQubitGatesGoRemote) {
 }
 
 TEST(CoarseMsgCounters, ExchangeOnlyForHighQubits) {
-  // Pin remap off: this test asserts the *unavoided* exchange counts the
-  // coarse baseline pays; the remap pass would localize h(7)/cx(6,7).
+  // Every 1- and 2-qubit unitary op, its operands below the partition
+  // boundary or on rank-index bits, on 2, 4 and 8 ranks, from a random
+  // state: the amplitudes match the generalized reference, and the
+  // exchange is one whole-partition message to every rank that differs
+  // only in the gate's rank bits. Remap is pinned off: it would localize
+  // the high operands, and this asserts the unavoided exchange the coarse
+  // baseline pays.
+  const IdxType n = 6;
+  Rng rng(2024);
+  StateVector init(n);
+  ValType norm = 0;
+  for (auto& a : init.amps) {
+    a = Complex{rng.next_gaussian(), rng.next_gaussian()};
+    norm += std::norm(a);
+  }
+  for (auto& a : init.amps) a /= std::sqrt(norm);
   SimConfig cfg;
   cfg.remap = 0;
-  CoarseMsgSim sim(8, 4, cfg);
-  Circuit c(8);
-  c.h(0).cx(1, 2).h(7).cx(6, 7);
-  sim.run(c);
-  const MsgStats s = sim.stats();
-  EXPECT_EQ(s.local_gates, 2u);
-  EXPECT_EQ(s.exchange_gates, 2u);
-  EXPECT_GT(s.bytes, 0u);
+  struct Placement {
+    IdxType q0, q1;
+    std::uint64_t partners; // ranks each rank exchanges with
+  };
+  for (const int ranks : {2, 4, 8}) {
+    const IdxType lg = n - log2_exact(ranks);
+    const std::vector<Placement> one_q = {{0, -1, 0}, {lg, -1, 1},
+                                          {n - 1, -1, 1}};
+    std::vector<Placement> two_q = {{1, 0, 0}, {n - 1, 1, 1}, {0, lg, 1}};
+    if (ranks >= 4) two_q.push_back({n - 1, lg, 3});
+    for (int i = 0; i < kNumOps; ++i) {
+      const OP op = static_cast<OP>(i);
+      if (!is_kernel_op(op)) continue;
+      const bool two = op_info(op).n_qubits == 2;
+      for (const Placement& p : two ? two_q : one_q) {
+        Gate g = make_gate(op, p.q0, p.q1);
+        g.theta = 0.7;
+        g.phi = -1.3;
+        g.lam = 2.1;
+        Circuit c(n, CompoundMode::kNative);
+        c.append(g);
+        ASSERT_EQ(c.n_gates(), 1);
+        const std::string what = std::string(op_name(op)) + " q" +
+                                 std::to_string(p.q0) + "," +
+                                 std::to_string(p.q1) + " on " +
+                                 std::to_string(ranks) + " ranks";
+        CoarseMsgSim sim(n, ranks, cfg);
+        sim.load_state(init);
+        sim.run(c);
+        GeneralizedSim ref(n);
+        ref.load_state(init);
+        ref.run(c);
+        EXPECT_LT(sim.state().max_diff(ref.state()), 1e-12) << what;
+
+        const MsgStats s = sim.stats();
+        const std::uint64_t msg_bytes = 2 * pow2(lg) * sizeof(ValType);
+        EXPECT_EQ(s.messages, p.partners * static_cast<std::uint64_t>(ranks))
+            << what;
+        EXPECT_EQ(s.bytes, s.messages * msg_bytes) << what;
+        for (const std::uint64_t into : s.per_dest_bytes) {
+          EXPECT_EQ(into, p.partners * msg_bytes) << what;
+        }
+        EXPECT_EQ(s.exchange_gates, p.partners > 0 ? 1u : 0u) << what;
+        EXPECT_EQ(s.local_gates, p.partners > 0 ? 0u : 1u) << what;
+      }
+    }
+  }
+}
+
+TEST(GeneralizedOperands, ApplyMatrixRejectsOutOfRangeAndRepeated) {
+  GeneralizedSim sim(3);
+  const Mat2 x = matrix_1q(make_gate(OP::X, 0));
+  const Mat4 cx = matrix_2q(make_gate(OP::CX, 0, 1));
+  EXPECT_THROW(sim.apply_matrix(x, 5), Error);
+  EXPECT_THROW(sim.apply_matrix(x, 3), Error);
+  EXPECT_THROW(sim.apply_matrix(x, -1), Error);
+  EXPECT_THROW(sim.apply_matrix(cx, 1, 1), Error);
+  EXPECT_THROW(sim.apply_matrix(cx, 0, 3), Error);
+  EXPECT_THROW(sim.apply_matrix(cx, -1, 2), Error);
+  EXPECT_EQ(sim.state().prob_of(0), 1.0); // untouched
+  sim.apply_matrix(x, 2);
+  sim.apply_matrix(cx, 2, 0);
+  EXPECT_EQ(sim.state().prob_of(0b101), 1.0);
 }
 
 // Measurement determinism: same seed -> same outcomes on all backends.

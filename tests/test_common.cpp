@@ -121,13 +121,11 @@ TEST(Config, EveryVariableRejectsMalformedValues) {
       {"SVSIM_PROGRESS", "0 or 1", {"on"}},
       {"SVSIM_MEMTRACK", "0 or 1", {"off"}},
       {"SVSIM_PEAK_GBPS", "positive finite number", {"0", "fast", "-5"}},
-      {"SVSIM_LOG_LEVEL", "error|warn|info|debug", {"verbose", "4", "WARN"}},
-      {"SVSIM_LOG_TIMESTAMPS", "0 or 1", {"false", "yes"}},
       {"SVSIM_BENCH_JSON", "file path", {"dir/", "a\tb"}},
       {"SVSIM_BATCH", "integer >= 1", {"0", "-2", "8x"}},
       {"SVSIM_SERVE_LINGER_MS", "integer >= 0", {"-5", "1s"}},
   };
-  ASSERT_EQ(rows.size(), 18u);
+  ASSERT_EQ(rows.size(), 16u);
   for (const Row& row : rows) {
     for (const char* bad : row.bad) {
       const std::map<std::string, std::string> vars = {{row.var, bad}};
@@ -176,8 +174,6 @@ TEST(Config, WellFormedValuesResolveAsDocumented) {
                           {"SVSIM_PROGRESS", "1"},
                           {"SVSIM_MEMTRACK", "0"},
                           {"SVSIM_PEAK_GBPS", "204.8"},
-                          {"SVSIM_LOG_LEVEL", "debug"},
-                          {"SVSIM_LOG_TIMESTAMPS", "1"},
                           {"SVSIM_BENCH_JSON", "runs/bench.json"},
                           {"SVSIM_BATCH", "8"},
                           {"SVSIM_SERVE_LINGER_MS", "250"}});
@@ -185,8 +181,6 @@ TEST(Config, WellFormedValuesResolveAsDocumented) {
   EXPECT_EQ(env.profile, "trace.json");
   EXPECT_EQ(env.memtrack, false);
   EXPECT_EQ(env.peak_gbps, 204.8);
-  EXPECT_EQ(env.log_level, 3);
-  EXPECT_EQ(env.log_timestamps, true);
   EXPECT_EQ(env.bench_json, "runs/bench.json");
   EXPECT_EQ(env.batch, 8);
   EXPECT_EQ(env.serve_linger_ms, 250);
@@ -219,12 +213,6 @@ TEST(Config, WellFormedValuesResolveAsDocumented) {
   EXPECT_EQ(resolve(SimConfig{}, one("SVSIM_HEALTH", "0")).health.every_n, 0);
   EXPECT_EQ(resolve(SimConfig{}, one("SVSIM_HTTP", "65535")).http_port,
             65535);
-  const char* const levels[] = {"error", "warn", "info", "debug"};
-  for (int l = 0; l < 4; ++l) {
-    EXPECT_EQ(one("SVSIM_LOG_LEVEL", levels[l]).log_level, l);
-    EXPECT_EQ(one("SVSIM_LOG_LEVEL", std::to_string(l).c_str()).log_level,
-              l);
-  }
   const std::map<std::string, std::uint64_t> sizes = {
       {"12345", 12345},     {"4K", 4096},           {"16M", 16ull << 20},
       {"2g", 2ull << 30},   {"1T", 1ull << 40},     {"16GB", 16ull << 30},

@@ -13,20 +13,6 @@ namespace {
 
 namespace cb = svsim::circuits;
 
-TEST(TouchedFraction, SpecializationTable) {
-  EXPECT_EQ(touched_fraction(OP::H, false), 1.0);
-  EXPECT_EQ(touched_fraction(OP::T, false), 0.5);
-  EXPECT_EQ(touched_fraction(OP::Z, false), 0.5);
-  EXPECT_EQ(touched_fraction(OP::CX, false), 0.5);
-  EXPECT_EQ(touched_fraction(OP::CZ, false), 0.25);
-  EXPECT_EQ(touched_fraction(OP::CU1, false), 0.25);
-  EXPECT_EQ(touched_fraction(OP::ID, false), 0.0);
-  EXPECT_EQ(touched_fraction(OP::BARRIER, false), 0.0);
-  // The generalized path always touches everything.
-  EXPECT_EQ(touched_fraction(OP::T, true), 1.0);
-  EXPECT_EQ(touched_fraction(OP::CZ, true), 1.0);
-}
-
 TEST(HighQubits, CountsOperandsAboveBoundary) {
   EXPECT_EQ(high_qubits(make_gate(OP::H, 3), 4), 0);
   EXPECT_EQ(high_qubits(make_gate(OP::H, 4), 4), 1);
@@ -50,6 +36,19 @@ TEST(CostModel, GeneralizedCostsMoreThanSpecialized) {
   const Circuit c = cb::qft(12);
   EXPECT_GT(m.single_device_ms(c, false, true),
             1.5 * m.single_device_ms(c, false, false));
+  // The specialized kernels touch half the amplitudes for T and all of
+  // them for H; the generalized dense apply touches every amplitude for
+  // both, and none for a barrier, which pays only its dispatch.
+  Circuit t(12), h(12), bar(12);
+  t.t(0);
+  h.h(0);
+  bar.barrier();
+  EXPECT_DOUBLE_EQ(2 * m.single_device_ms(t, false, false),
+                   m.single_device_ms(h, false, false));
+  EXPECT_DOUBLE_EQ(m.single_device_ms(t, false, true),
+                   m.single_device_ms(h, false, true));
+  EXPECT_DOUBLE_EQ(m.single_device_ms(bar, false, false), 0.0);
+  EXPECT_DOUBLE_EQ(m.single_device_ms(bar, false, true), 0.25e-3);
 }
 
 TEST(CostModel, SimdRoughlyHalvesIntelCpuTime) {

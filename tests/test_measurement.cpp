@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <map>
+#include <vector>
 
+#include "core/batched_sim.hpp"
 #include "core/coarse_msg_sim.hpp"
 #include "core/generalized_sim.hpp"
+#include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
+#include "qasm/parser.hpp"
 #include "testing/oracle.hpp"
 
 namespace svsim {
@@ -200,6 +205,46 @@ TEST(Reset, TinyZeroProbabilityMatchesOracleOnPartitionedBackends) {
           << "shmem p0=" << p0 << " q=" << q;
     }
   }
+}
+
+TEST(Measure, ClassicalRegisterWiderThanQubits) {
+  // Two cregs, eight classical bits on two qubits: c[5] is bit 7, the
+  // last. Every engine widens its register to the circuit's.
+  const Circuit c = qasm::parse_qasm(R"(
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg a[2];
+creg c[6];
+x q[0];
+measure q[1] -> a[0];
+measure q[0] -> c[5];
+)");
+  ASSERT_EQ(c.n_cbits(), 8);
+  std::vector<IdxType> want(8, 0);
+  want[7] = 1;
+
+  SingleSim single(2);
+  PeerSim peer(2, 2);
+  ShmemSim shmem(2, 2);
+  GeneralizedSim generalized(2);
+  CoarseMsgSim coarse(2, 2);
+  for (Simulator* sim : std::initializer_list<Simulator*>{
+           &single, &peer, &shmem, &generalized, &coarse}) {
+    sim->run(c);
+    EXPECT_EQ(sim->cbits(), want) << sim->name();
+    // A narrower circuit afterwards keeps the width; a reset clears it.
+    sim->run_fresh(Circuit(2));
+    EXPECT_EQ(sim->cbits(), std::vector<IdxType>(8, 0)) << sim->name();
+  }
+
+  BatchedSim batched(2, 3);
+  batched.run(c);
+  for (IdxType b = 0; b < 3; ++b) EXPECT_EQ(batched.member_cbits(b), want);
+
+  testing::OracleSim oracle(2);
+  oracle.run(c);
+  EXPECT_EQ(oracle.cbits(), want);
 }
 
 } // namespace

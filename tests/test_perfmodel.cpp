@@ -34,6 +34,8 @@ TEST(PerfModel, HandCountsOnFourQubits) {
   // dim = 16, half = 8, quarter = 4; 32 bytes per rewritten amplitude.
   Circuit c(4);
   c.t(0).h(1).cx(0, 1).cz(2, 3).x(2).s(3);
+  c.z(1).cu1(0.3, 0, 2).id(3).barrier();
+  ASSERT_EQ(c.n_gates(), 10);
 
   const obs::GateCost t = cost_of(c, 0);
   EXPECT_DOUBLE_EQ(t.amps, 8.0);    // |1> half only
@@ -61,6 +63,21 @@ TEST(PerfModel, HandCountsOnFourQubits) {
   const obs::GateCost s = cost_of(c, 5);
   EXPECT_DOUBLE_EQ(s.amps, 8.0);
   EXPECT_DOUBLE_EQ(s.flops, 8.0);   // i*z is a swap + negate per amp
+
+  const obs::GateCost z = cost_of(c, 6);
+  EXPECT_DOUBLE_EQ(z.amps, 8.0);    // |1> half only
+  EXPECT_DOUBLE_EQ(z.flops, 16.0);  // negate re+im per touched amp
+
+  const obs::GateCost cu1 = cost_of(c, 7);
+  EXPECT_DOUBLE_EQ(cu1.amps, 4.0);  // |11> quarter
+  EXPECT_DOUBLE_EQ(cu1.flops, 24.0); // phase multiply per touched amp
+
+  for (const std::size_t free : {std::size_t{8}, std::size_t{9}}) {
+    const obs::GateCost none = cost_of(c, free); // id, barrier
+    EXPECT_DOUBLE_EQ(none.amps, 0.0);
+    EXPECT_DOUBLE_EQ(none.bytes, 0.0);
+    EXPECT_DOUBLE_EQ(none.flops, 0.0);
+  }
 }
 
 TEST(PerfModel, RunModelSumsGatesAndBucketsByOp) {
