@@ -119,9 +119,10 @@ int main() {
   // (--overhead-limit, default 2%), independent of the committed
   // baseline value, so growth in the instrumentation itself fails the
   // job even if both sides get uniformly slower. The register is sized
-  // so one run takes ~60 ms: partition-local gates run at raw-pointer
-  // speed, so on 16 qubits a 4-PE run is ~13 ms, mostly barrier wake-up
-  // latency, whose jitter on a shared host swamps a 2% cap.
+  // so one run takes tens of milliseconds (about 40 ms on a 4-vCPU
+  // AVX-512 Xeon, where partition-local gates run the SIMD kernels): a
+  // smaller register's run is mostly barrier wake-up latency, whose
+  // jitter on a shared host swamps a 2% cap.
   constexpr IdxType kPeerN = 18;
   const Circuit qft = circuits::qft(kPeerN);
   svsim::bench::Table o("workload");

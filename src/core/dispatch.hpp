@@ -18,13 +18,16 @@
 // kernels::for_each_unitary (kernels/gates.hpp) instantiated for the
 // table's lane policy — on the partitioned Spaces wrapped in one range
 // kernel (KernelTable::on_range), which runs a partition-local range
-// through LocalSpace's scalar kernel on the raw partition.
+// through LocalSpace's kernel at that lane policy on the raw partition,
+// and every other range on the partitions' raw view (RawView).
+// kernel_table() picks a Space's table by the run's resolved lane level.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,8 +55,10 @@ public:
   using Fn = KernelFn<Space>;
   using Table = std::array<Fn, kNumOps>;
 
-  /// Built exactly once per (Space, lane policy). Lanes wider than
-  /// ScalarLane gather/scatter on raw arrays: LocalSpace only.
+  /// Built exactly once per (Space, lane policy). L runs every unitary
+  /// op on LocalSpace and the partition-local ranges of a partitioned
+  /// Space; the ranges that straddle partitions and the non-unitary ops
+  /// are scalar.
   template <class L = kernels::ScalarLane>
   static const Table& get() {
     static const Table table = build<L>();
@@ -61,30 +66,40 @@ public:
   }
 
 private:
+  /// The element access of the scalar paths: a partitioned Space's raw
+  /// view, any other Space itself.
+  using Elem =
+      std::conditional_t<PartitionedSpace<Space>, RawView<Space>, Space>;
+
+  /// A non-unitary op's entry: its kernel on Elem. A raw view books the
+  /// call's traffic once, when the kernel returns.
   template <auto Kern>
   static void on_gate(const UGate& ug, const Space& sp, IdxType begin,
                       IdxType end) {
-    Kern(ug.g, sp, begin, end);
+    const Elem el(sp);
+    Kern(ug.g, el, begin, end);
+    if constexpr (PartitionedSpace<Space>) el.flush();
   }
 
-  /// A partitioned Space's entry for unitary pattern P × body B, written
-  /// once for PeerSpace and ShmemSpace. When every operand qubit lies
-  /// below lg_part, Eq. (1)/(2) keep each partition's 2^(lg_part-1) pairs
-  /// (2^(lg_part-2) quadruples) inside it, so the range runs, partition by
-  /// partition, LocalSpace's scalar kernel on the partition's raw arrays
-  /// with the range rebased, and counts its traffic once: `touched`
-  /// amplitudes per work item, each read and written. A gate on a
-  /// partition qubit pairs amplitudes across partitions; its range goes
-  /// element by element through the Space's own access (Listings 4/5),
-  /// which routes and counts each one.
-  template <kernels::Pat P, class B>
+  /// A partitioned Space's entry for unitary pattern P × body B at lane
+  /// policy L, written once for PeerSpace and ShmemSpace. When every
+  /// operand qubit lies below lg_part, Eq. (1)/(2) keep each partition's
+  /// 2^(lg_part-1) pairs (2^(lg_part-2) quadruples) inside it, so the
+  /// range runs, partition by partition, LocalSpace's kernel at L on the
+  /// partition's raw arrays with the range rebased, and counts its
+  /// traffic once: `touched` amplitudes per work item, each 2 gets and
+  /// 2 puts. A gate on a partition qubit pairs amplitudes across
+  /// partitions; its range runs the scalar kernel on the raw view, which
+  /// books what it touched, per partition, once.
+  template <kernels::Pat P, class B, class L>
   static void on_range(const UGate& ug, const Space& sp, IdxType begin,
                        IdxType end) {
     using Pt = kernels::Pattern<P>;
-    using kernels::ScalarLane;
     const IdxType top = ug.g.qb1 > ug.g.qb0 ? ug.g.qb1 : ug.g.qb0;
     if (top >= sp.lg_part) {
-      kernels::solo_kernel<P, B, ScalarLane>(ug, sp, begin, end);
+      const RawView<Space> view(sp);
+      kernels::solo_kernel<P, B, kernels::ScalarLane>(ug, view, begin, end);
+      view.flush();
       return;
     }
     constexpr std::uint64_t kTouched = Pt::kSites * (Pt::kPair ? 2 : 1);
@@ -93,10 +108,10 @@ private:
       const int part = static_cast<int>(begin >> lg_items);
       const IdxType first = static_cast<IdxType>(part) << lg_items;
       const IdxType stop = std::min(end, first + pow2(lg_items));
-      kernels::solo_kernel<P, B, ScalarLane, LocalSpace>(
-          ug, sp.part(part), begin - first, stop - first);
-      sp.count_touched(part,
-                       static_cast<std::uint64_t>(stop - begin) * kTouched);
+      kernels::solo_kernel<P, B, L, LocalSpace>(ug, sp.part(part),
+                                                begin - first, stop - first);
+      const auto amps = static_cast<std::uint64_t>(stop - begin) * kTouched;
+      sp.count_access(part, 2 * amps, 2 * amps);
       begin = stop;
     }
   }
@@ -107,19 +122,31 @@ private:
     Table t{};
     k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
       if constexpr (PartitionedSpace<Space>) {
-        t[static_cast<int>(op)] = &on_range<P, B>;
+        t[static_cast<int>(op)] = &on_range<P, B, L>;
       } else {
         t[static_cast<int>(op)] = &k::solo_kernel<P, B, L, Space>;
       }
     });
     t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
     t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;
-    t[static_cast<int>(OP::M)] = &on_gate<&k::kern_measure<Space>>;
-    t[static_cast<int>(OP::MA)] = &on_gate<&k::kern_measure_all<Space>>;
-    t[static_cast<int>(OP::RESET)] = &on_gate<&k::kern_reset<Space>>;
+    t[static_cast<int>(OP::M)] = &on_gate<&k::kern_measure<Elem>>;
+    t[static_cast<int>(OP::MA)] = &on_gate<&k::kern_measure_all<Elem>>;
+    t[static_cast<int>(OP::RESET)] = &on_gate<&k::kern_reset<Elem>>;
     return t;
   }
 };
+
+/// Space's preloaded kernel table at lane level `level`, one resolve()
+/// has checked this build carries (RunSwitches::simd): the one table
+/// selector every dispatch backend calls.
+template <class Space>
+const typename KernelTable<Space>::Table& kernel_table(SimdLevel level) {
+  const typename KernelTable<Space>::Table* table = nullptr;
+  kernels::with_lane(level, [&]<class L>() {
+    table = &KernelTable<Space>::template get<L>();
+  });
+  return *table;
+}
 
 /// A gate after upload: its resolved kernel pointer, the uploaded gate
 /// view (gate + coefficient rows) and total work-item count (pairs for

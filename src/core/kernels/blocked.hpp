@@ -25,8 +25,9 @@
 // amplitudes and the per-gate global sync collapses to ONE sync per
 // window — the blocked path saves barriers as well as memory traffic.
 // Every block action then runs on the raw partition: gates through the
-// range kernel's partition-local path (dispatch.hpp), diagonal runs
-// through diag_block, each counting its traffic once.
+// range kernel's partition-local path at the run's lane level
+// (dispatch.hpp), diagonal runs through diag_block (scalar), each
+// counting its traffic once.
 #pragma once
 
 #include <algorithm>
@@ -429,9 +430,9 @@ void diag_block(const Space& sp, const WindowAction<Space>& a, IdxType base,
                 IdxType b) {
   if constexpr (PartitionedSpace<Space>) {
     const int owner = sp.owner(base);
-    const IdxType touched =
-        apply_diag_run(sp.part(owner), a, base, base & sp.part_mask(), b);
-    sp.count_touched(owner, static_cast<std::uint64_t>(touched));
+    const auto touched = static_cast<std::uint64_t>(
+        apply_diag_run(sp.part(owner), a, base, base & sp.part_mask(), b));
+    sp.count_access(owner, 2 * touched, 2 * touched);
   } else {
     apply_diag_run(sp, a, base, base, b);
   }

@@ -520,10 +520,12 @@ inline void run(const UGate& ug, const Space& sp, IdxType begin,
 /// One gate on one state vector, work items [begin, end): W at a time
 /// through lane policy L (the solo SIMD strategy), the ragged tail — and
 /// everything when L is ScalarLane — one at a time (the solo scalar
-/// strategy, valid over any Space).
+/// strategy, valid over any Space). Never inlined: the partitioned
+/// tables' range kernels call the very instance SingleSim's table holds,
+/// so the tiers share one copy of each vector loop.
 template <Pat P, class B, class L, class Space>
-void solo_kernel(const UGate& ug, const Space& sp, IdxType begin,
-                 IdxType end) {
+[[gnu::noinline]] void solo_kernel(const UGate& ug, const Space& sp,
+                                   IdxType begin, IdxType end) {
   if constexpr (L::W > 1) {
     const IdxType full = begin + (end - begin) / L::W * L::W;
     solo_detail::run<P, B, L>(ug, sp, begin, full);

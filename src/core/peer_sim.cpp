@@ -30,6 +30,7 @@ PeerSim::PeerSim(IdxType n_qubits, int n_devices, SimConfig cfg)
   rngs_.assign(static_cast<std::size_t>(n_dev_), Rng(cfg.seed));
   scratch_.assign(static_cast<std::size_t>(n_dev_), 0);
   traffic_.assign(static_cast<std::size_t>(n_dev_), PeerTraffic{});
+  tallies_ = WorkerRows(n_dev_, 2 * static_cast<std::size_t>(n_dev_));
 }
 
 void PeerSim::reset_state() {
@@ -42,6 +43,7 @@ PeerSpace PeerSim::make_space(int device, shmem::Barrier* grid) {
   sp.real_parts = parts_.real.data();
   sp.imag_parts = parts_.imag.data();
   sp.lg_part = parts_.lg_part;
+  sp.tally = tallies_.row(device);
   sp.dim = dim_;
   sp.mctx = &mctx_;
   sp.rng = &rngs_[static_cast<std::size_t>(device)];
@@ -58,14 +60,13 @@ void PeerSim::run(const Circuit& circuit) {
   shmem::Barrier grid(n_dev_); // the multi-device grid (grid.sync())
   traffic_.assign(static_cast<std::size_t>(n_dev_), PeerTraffic{});
   const auto n = static_cast<std::size_t>(n_dev_);
-  constexpr std::size_t kPerLine = kBufferAlign / sizeof(std::uint64_t);
-  dest_stride_ = (n + kPerLine - 1) / kPerLine * kPerLine;
-  dest_counts_.allocate(n * dest_stride_);
-  for (std::size_t d = 0; d < n; ++d) {
-    traffic_[d].per_dest = dest_counts_.data() + d * dest_stride_;
+  dest_counts_ = WorkerRows(n_dev_, n);
+  for (int d = 0; d < n_dev_; ++d) {
+    traffic_[static_cast<std::size_t>(d)].per_dest = dest_counts_.row(d);
   }
   run_dispatch<PeerSpace>(
-      circuit, runs, Shape{n_dev_, true}, KernelTable<PeerSpace>::get(),
+      circuit, runs, Shape{n_dev_, true},
+      kernel_table<PeerSpace>(sw_.simd),
       [&](const auto& body) {
         launch_team(n_dev_, [&](int d) { body(make_space(d, &grid)); });
       },
@@ -78,7 +79,7 @@ void PeerSim::run(const Circuit& circuit) {
         for (std::size_t d = 0; d < n; ++d) {
           for (std::size_t e = 0; e < n; ++e) {
             rep.matrix.bytes[d * n + e] =
-                dest_counts_[d * dest_stride_ + e] * sizeof(ValType);
+                traffic_[d].per_dest[e] * sizeof(ValType);
           }
         }
       });

@@ -7,15 +7,16 @@
 // GPUDirect peer access / Infinity Fabric. One worker thread drives each
 // device (the paper's one-OpenMP-thread-per-GPU runtime); every gate is a
 // grid-stride slice per device followed by a multi-device grid sync. A
-// slice inside one partition runs LocalSpace's scalar kernel on it and
-// counts its accesses in one call; a slice that pairs amplitudes
-// across partitions goes element by element through the pointer array.
+// slice inside one partition runs LocalSpace's kernel on it at the run's
+// lane level and counts its accesses in one call; a slice that pairs
+// amplitudes across partitions, and measurement, run the scalar kernel
+// through the pointer array (the raw view, space.hpp), whose accesses are
+// tallied per partition and counted once per slice.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "core/dispatch.hpp"
@@ -57,11 +58,9 @@ private:
   std::vector<ValType> scratch_;
   std::vector<PeerTraffic> traffic_;
   // n_dev×n_dev element-access counts (row d = device d's accesses by
-  // owning partition); each PeerTraffic::per_dest points at its row. Rows
-  // start on their own cache line (stride dest_stride_) so the devices
-  // never false-share them.
-  AlignedBuffer<std::uint64_t> dest_counts_;
-  std::size_t dest_stride_ = 0;
+  // owning partition); each PeerTraffic::per_dest points at its row.
+  WorkerRows dest_counts_;
+  WorkerRows tallies_; // each device's raw-view tallies
 };
 
 } // namespace svsim

@@ -37,6 +37,7 @@ ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
   parts_.real.assign(static_cast<std::size_t>(n_pes_), nullptr);
   parts_.imag.assign(static_cast<std::size_t>(n_pes_), nullptr);
   rngs_.assign(static_cast<std::size_t>(n_pes_), Rng(cfg.seed));
+  tallies_ = WorkerRows(n_pes_, 2 * static_cast<std::size_t>(n_pes_));
 
   // Setup "job": symmetric allocation of the partitioned state vector
   // (Listing 5 lines 23-24) and |0...0> initialization. PE 0 resolves
@@ -72,7 +73,7 @@ void ShmemSim::run(const Circuit& circuit) {
   static obs::Counter& runs = obs::Registry::global().counter("runs.shmem");
   run_dispatch<ShmemSpace>(
       circuit, runs, Shape{n_pes_, true},
-      KernelTable<ShmemSpace>::get(),
+      kernel_table<ShmemSpace>(sw_.simd),
       [&](const auto& body) {
         runtime_.run([&](shmem::Ctx& ctx) {
           ShmemSpace sp;
@@ -82,6 +83,7 @@ void ShmemSim::run(const Circuit& circuit) {
           sp.real_parts = parts_.real.data();
           sp.imag_parts = parts_.imag.data();
           sp.lg_part = parts_.lg_part;
+          sp.tally = tallies_.row(ctx.pe());
           sp.dim = dim_;
           sp.mctx = &mctx_;
           sp.rng = &rngs_[static_cast<std::size_t>(ctx.pe())];

@@ -2,16 +2,19 @@
 //
 // Each SHMEM processing element owns one simulator partition: the state
 // vector is allocated in the symmetric heap (nvshmem_malloc), partitioned
-// evenly by natural array order, and a gate that pairs amplitudes across
-// partitions reaches each one by a one-sided fine-grained get/put
-// ("double_g"/"double_p"), with a barrier_all after each gate. A gate
-// whose operands all lie inside one partition runs LocalSpace's scalar
-// kernel on that partition through a Ctx::ptr pointer (the shmem_ptr
-// analogue) and books the same gets/puts in one call. The PE team is
-// provided by the svsim::shmem runtime (DESIGN.md explains the
-// substitution for OpenSHMEM/NVSHMEM); traffic counters record the exact
-// local/remote communication volume the machine model prices for
-// Figures 12-13.
+// evenly by natural array order, and a barrier_all follows each gate. A
+// gate that pairs amplitudes across partitions reaches each one by a
+// one-sided fine-grained get/put ("double_g"/"double_p"). PEs here are
+// threads, so every partition is load/store-reachable through a Ctx::ptr
+// pointer (the shmem_ptr analogue): a gate whose operands all lie inside
+// one partition runs LocalSpace's kernel at the run's lane level on it,
+// and every other access — gates on a partition qubit, measurement — runs
+// the scalar kernel on those pointers (the raw view, space.hpp). Both
+// book exactly the gets/puts the one-sided calls would, once per range or
+// call. The PE team is provided by the svsim::shmem runtime (DESIGN.md
+// explains the substitution for OpenSHMEM/NVSHMEM); traffic counters
+// record the exact local/remote communication volume the machine model
+// prices for Figures 12-13.
 #pragma once
 
 #include <memory>
@@ -58,6 +61,7 @@ private:
   shmem::Runtime runtime_;
 
   std::vector<Rng> rngs_; // per-PE replicas, same seed
+  WorkerRows tallies_;    // each PE's raw-view tallies
   shmem::TrafficStats last_traffic_;
   // Memory-registry ids of the per-PE arenas (registered externally:
   // the shmem layer itself cannot link the obs library).

@@ -4,21 +4,6 @@
 
 namespace svsim {
 
-namespace {
-
-/// LocalSpace's kernel table at a level resolve() has checked: every
-/// unitary op through that level's lane policy, the non-unitary ops
-/// scalar.
-const KernelTable<LocalSpace>::Table& local_kernel_table(SimdLevel level) {
-  const KernelTable<LocalSpace>::Table* table = nullptr;
-  kernels::with_lane(level, [&]<class L>() {
-    table = &KernelTable<LocalSpace>::get<L>();
-  });
-  return *table;
-}
-
-} // namespace
-
 SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
     : Simulator(n_qubits, cfg),
       n_(n_qubits),
@@ -26,7 +11,7 @@ SingleSim::SingleSim(IdxType n_qubits, SimConfig cfg)
       real_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       imag_(static_cast<std::size_t>(dim_), obs::MemTag::kState, 0),
       rng_(cfg.seed),
-      table_(&local_kernel_table(sw_.simd)) {
+      table_(&kernel_table<LocalSpace>(sw_.simd)) {
   real_[0] = 1.0; // |0...0>
   parts_ = Partitions{n_, {real_.data()}, {imag_.data()}};
 }

@@ -14,10 +14,16 @@
 //                  nvshmem_double_g / nvshmem_double_p pattern.
 //
 // The two partitioned Spaces share one range seam (PartitionBases): every
-// partition's base, resolved once, so a work range that stays inside one
-// partition runs LocalSpace's scalar strategy on that partition's raw
-// arrays, and its traffic is counted once per range (count_touched)
-// instead of once per element (dispatch.hpp).
+// partition's base, resolved once. A work range that stays inside one
+// partition runs LocalSpace's kernel, at the run's lane level, on that
+// partition's raw arrays (dispatch.hpp); every other access — a range
+// that pairs amplitudes across partitions, measure, reset, measure-all —
+// goes through the raw view of all partitions (RawView). Either way the
+// traffic is booked once per range or call through the Space's one
+// counting method (count_access), to the same totals per-element counting
+// gives. The Spaces' own element access (get_real, set_real, ...) routes
+// and counts each access the way Listings 4/5 do; it stays as the
+// per-element reference the range seam is tested against.
 //
 // Besides element access, the policy carries the small SPMD protocol the
 // non-unitary kernels (measure/reset) need: worker identity, a barrier, a
@@ -30,6 +36,7 @@
 #include <concepts>
 #include <cstdint>
 
+#include "common/aligned.hpp"
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -93,6 +100,9 @@ struct PartitionBases {
   ValType* const* real_parts = nullptr; // one base per partition
   ValType* const* imag_parts = nullptr;
   IdxType lg_part = 0; // log2(amplitudes per partition)
+  /// This worker's RawView tallies, a WorkerRows row: partition p's gets
+  /// and puts in words 2p and 2p+1. All zero between calls.
+  std::uint64_t* tally = nullptr;
 
   IdxType part_mask() const { return pow2(lg_part) - 1; }
   int owner(IdxType i) const { return static_cast<int>(i >> lg_part); }
@@ -107,24 +117,85 @@ struct PartitionBases {
   }
 };
 
-/// A Space with the range seam: besides element access it can hand out
-/// a partition's raw arrays and count `amps` amplitudes of partition
-/// `partition` read and written in place (2 gets + 2 puts each) in one
-/// call.
+/// A Space with the range seam: one partition per worker, whose raw
+/// arrays it hands out, and one counting method that books `gets` loads
+/// and `puts` stores of partition `partition`'s amplitudes in one call —
+/// what that many element accesses count.
 template <class Space>
 concept PartitionedSpace =
     std::derived_from<Space, PartitionBases> &&
-    requires(const Space& sp, int partition, std::uint64_t amps) {
-      sp.count_touched(partition, amps);
+    requires(const Space& sp, int partition, std::uint64_t n) {
+      sp.count_access(partition, n, n);
     };
+
+/// The raw view of a partitioned Space: the Space itself (its SPMD
+/// protocol, measure context and counters) with element access straight
+/// to the raw partitions, amplitude i at
+/// real_parts[i >> lg_part][i & part_mask()]. Ctx::ptr validated every
+/// ShmemSim base over its whole partition, so no per-access check is
+/// lost. Each get and put is tallied per partition in the worker's
+/// `tally` row; flush() books the tallies through count_access, once per
+/// range or call, and leaves the row zero. It allocates nothing.
+template <class Space>
+struct RawView : Space {
+  explicit RawView(const Space& sp) : Space(sp) {}
+
+  ValType get_real(IdxType i) const {
+    ++this->tally[2 * this->owner(i)];
+    return this->real_parts[this->owner(i)][i & this->part_mask()];
+  }
+  ValType get_imag(IdxType i) const {
+    ++this->tally[2 * this->owner(i)];
+    return this->imag_parts[this->owner(i)][i & this->part_mask()];
+  }
+  void set_real(IdxType i, ValType v) const {
+    ++this->tally[2 * this->owner(i) + 1];
+    this->real_parts[this->owner(i)][i & this->part_mask()] = v;
+  }
+  void set_imag(IdxType i, ValType v) const {
+    ++this->tally[2 * this->owner(i) + 1];
+    this->imag_parts[this->owner(i)][i & this->part_mask()] = v;
+  }
+
+  void flush() const {
+    const int n_parts = this->n_workers();
+    for (int p = 0; p < n_parts; ++p) {
+      std::uint64_t* t = this->tally + 2 * p;
+      if ((t[0] | t[1]) == 0) continue;
+      this->count_access(p, t[0], t[1]);
+      t[0] = 0;
+      t[1] = 0;
+    }
+  }
+};
+
+/// Per-worker counter rows: `n_rows` zeroed rows of `words` words, each
+/// row on its own cache line so the workers never false-share them.
+class WorkerRows {
+public:
+  WorkerRows() = default;
+  WorkerRows(int n_rows, std::size_t words)
+      : stride_((words + kPerLine - 1) / kPerLine * kPerLine),
+        words_(stride_ * static_cast<std::size_t>(n_rows)) {}
+
+  std::uint64_t* row(int r) {
+    return words_.data() + static_cast<std::size_t>(r) * stride_;
+  }
+
+private:
+  static constexpr std::size_t kPerLine =
+      kBufferAlign / sizeof(std::uint64_t);
+  std::size_t stride_ = 0;
+  AlignedBuffer<std::uint64_t> words_;
+};
 
 /// Per-device communication counters for the peer tier (local vs
 /// remote-partition element accesses through the pointer array).
 /// `per_dest`, an n_workers-sized array, also attributes every access to
 /// the partition it touched — the raw data for the run report's PE×PE
-/// traffic matrix. Element accesses and whole ranges bump
-/// these from every device's gate loop, so each device's counters own a
-/// whole cache line: packed, the workers would false-share them.
+/// traffic matrix. Every device's gate loop books its ranges and calls
+/// into these, so each device's counters own a whole cache line: packed,
+/// the workers would false-share them.
 struct alignas(64) PeerTraffic {
   std::uint64_t local_access = 0;
   std::uint64_t remote_access = 0;
@@ -145,33 +216,33 @@ struct PeerSpace : PartitionBases { // the shared pointer array
   ValType* scratch = nullptr;         // n_workers slots for reductions
   PeerTraffic* traffic = nullptr;     // this worker's counters
 
-  /// `n` element accesses to partition `dest`.
-  void count(int dest, std::uint64_t n) const {
-    if (dest == worker_id) {
+  /// `gets` + `puts` element accesses to partition `partition`.
+  void count_access(int partition, std::uint64_t gets,
+                    std::uint64_t puts) const {
+    const std::uint64_t n = gets + puts;
+    if (partition == worker_id) {
       traffic->local_access += n;
     } else {
       traffic->remote_access += n;
     }
-    traffic->per_dest[dest] += n;
-  }
-  void count_touched(int partition, std::uint64_t amps) const {
-    count(partition, 4 * amps);
+    traffic->per_dest[partition] += n;
   }
 
+  // Element access counted one by one: the range seam's reference.
   ValType get_real(IdxType i) const {
-    count(owner(i), 1);
+    count_access(owner(i), 1, 0);
     return real_parts[owner(i)][i & part_mask()];
   }
   ValType get_imag(IdxType i) const {
-    count(owner(i), 1);
+    count_access(owner(i), 1, 0);
     return imag_parts[owner(i)][i & part_mask()];
   }
   void set_real(IdxType i, ValType v) const {
-    count(owner(i), 1);
+    count_access(owner(i), 0, 1);
     real_parts[owner(i)][i & part_mask()] = v;
   }
   void set_imag(IdxType i, ValType v) const {
-    count(owner(i), 1);
+    count_access(owner(i), 0, 1);
     imag_parts[owner(i)][i & part_mask()] = v;
   }
 
@@ -202,7 +273,7 @@ struct PeerSpace : PartitionBases { // the shared pointer array
 // ---------------------------------------------------------------------------
 // ShmemSpace: symmetric-heap partitions behind one-sided get/put
 // (Listing 5). The inherited bases are every PE's partition through
-// Ctx::ptr, for the ranges that stay inside one partition.
+// Ctx::ptr, for the partition-local ranges and the RawView.
 // ---------------------------------------------------------------------------
 struct ShmemSpace : PartitionBases {
   shmem::Ctx* ctx = nullptr;
@@ -212,10 +283,14 @@ struct ShmemSpace : PartitionBases {
   MeasureCtx* mctx = nullptr;
   Rng* rng = nullptr; // per-PE replica, same seed on every PE
 
-  void count_touched(int partition, std::uint64_t amps) const {
-    ctx->count_direct(partition, 2 * amps, 2 * amps, sizeof(ValType));
+  /// `gets` loads and `puts` stores of one ValType at PE `partition`:
+  /// what that many g()/p() calls count.
+  void count_access(int partition, std::uint64_t gets,
+                    std::uint64_t puts) const {
+    ctx->count_direct(partition, gets, puts, sizeof(ValType));
   }
 
+  // One-sided get/put per element: the range seam's reference.
   ValType get_real(IdxType i) const {
     return ctx->g(real_sym + (i & part_mask()), owner(i));
   }

@@ -31,6 +31,13 @@ Circuit backend_circuit(const Circuit& c, const DiffSpec& spec) {
   return out;
 }
 
+/// The backends whose kernel tables run at the lane level: the diff
+/// sweeps them at the widest level and at scalar. The coarse baseline's
+/// dense body is scalar at any level.
+bool has_lane_axis(const std::string& backend) {
+  return backend == "single" || backend == "peer" || backend == "shmem";
+}
+
 Circuit prefix_of(const Circuit& c, IdxType k) {
   Circuit p(c.n_qubits(), CompoundMode::kNative, c.n_cbits());
   for (IdxType i = 0; i < k; ++i) {
@@ -167,7 +174,7 @@ std::string DiffSpec::label() const {
     os << "batched B=" << batch;
   } else {
     os << backend;
-    if (backend == "single") os << ' ' << to_string(simd);
+    if (has_lane_axis(backend)) os << ' ' << to_string(simd);
     if (backend != "single" && backend != "generalized") os << " x" << workers;
   }
   os << (fusion ? " fusion=on" : " fusion=off");
@@ -308,11 +315,10 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
   std::vector<DiffSpec> specs;
   for (const char* backend : {"single", "peer", "shmem", "coarse"}) {
     const bool partitioned = std::string(backend) != "single";
-    // The lane axis: single runs both solo strategies, the widest lanes
-    // and scalar (one point on a scalar-only build); the partitioned
-    // backends' kernels are scalar at any level.
+    // The lane axis: the widest lanes and scalar (one point on a
+    // scalar-only build).
     std::vector<SimdLevel> levels = {max_simd_level()};
-    if (!partitioned && levels[0] != SimdLevel::kScalar) {
+    if (has_lane_axis(backend) && levels[0] != SimdLevel::kScalar) {
       levels.push_back(SimdLevel::kScalar);
     }
     for (const bool fusion : {false, true}) {

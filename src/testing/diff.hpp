@@ -26,9 +26,9 @@ struct DiffSpec {
   /// multi-PE resolution never decides a diff leg. The oracle always
   /// runs unremapped; equality proves the virtual readout permutation.
   bool remap = false;
-  /// Lane level of the backend's SimConfig: SingleSim's kernel table (the
-  /// sweep runs single at scalar and at the widest level) and every
-  /// backend's health scan.
+  /// Lane level of the backend's SimConfig: the kernel tables of single,
+  /// peer and shmem (the sweep runs each at scalar and at the widest
+  /// level) and every backend's health scan.
   SimdLevel simd = max_simd_level();
   std::uint64_t seed = 42;        // backend + oracle RNG seed
   IdxType shots = 256;            // sampling-equivalence shot count
@@ -79,8 +79,8 @@ DiffResult diff_run(const Circuit& c, const OracleResult& oracle,
 
 /// The full default sweep: {single, peer xK, shmem xK, coarse xK}
 /// x {fusion off/on} x {sched off/on} (x {scalar, widest lanes} on
-/// single, x {remap off/on} on the partitioned backends), generalized x
-/// {fusion off/on}, and the batched axis.
+/// single, peer and shmem, x {remap off/on} on the partitioned
+/// backends), generalized x {fusion off/on}, and the batched axis.
 std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
                                     IdxType shots, ValType tol);
 

@@ -1,12 +1,13 @@
 // Kernel correctness: every gate, under every execution strategy that
 // feeds its shared body — solo scalar and solo SIMD at each level (on
 // SingleSim), the peer pointer array and SHMEM get/put (PeerSim ×2,
-// ShmemSim ×2), and the batched lanes at each level — must act
-// identically to the dense-matrix reference (GeneralizedSim) on random
-// states, for every operand qubit position (including the strided low
-// qubits and the high qubits that straddle partition boundaries in the
-// distributed tiers). n = 7 runs whole SIMD vectors; n = 3 leaves fewer
-// work items than the AVX-512 width, so the scalar tail does the work.
+// ShmemSim ×2, each at every level), and the batched lanes at each
+// level — must act identically to the dense-matrix reference
+// (GeneralizedSim) on random states, for every operand qubit position
+// (including the strided low qubits and the high qubits that straddle
+// partition boundaries in the distributed tiers). n = 7 runs whole SIMD
+// vectors; n = 3 leaves fewer work items than the AVX-512 width, so the
+// scalar tail does the work.
 // The solo SIMD strategy is also pinned on sub-ranges against the solo
 // scalar strategy (unit-stride loads, gathers, unaligned starts, tails),
 // and on blocks whose per-block range is shorter than a vector.
@@ -111,14 +112,18 @@ void check_everywhere(const Gate& g, const StateVector& init,
         << what << " single simd " << to_string(level);
   }
 
-  std::vector<std::unique_ptr<Simulator>> parts;
-  parts.push_back(std::make_unique<PeerSim>(n, 2));
-  parts.push_back(std::make_unique<ShmemSim>(n, 2));
-  for (const auto& sim : parts) {
-    sim->load_state(init);
-    sim->run(c);
-    EXPECT_LT(sim->state().max_diff(want), 1e-12)
-        << what << " " << sim->name() << " x2";
+  for (const SimdLevel level : available_levels()) {
+    SimConfig cfg;
+    cfg.simd = level;
+    std::vector<std::unique_ptr<Simulator>> parts;
+    parts.push_back(std::make_unique<PeerSim>(n, 2, cfg));
+    parts.push_back(std::make_unique<ShmemSim>(n, 2, cfg));
+    for (const auto& sim : parts) {
+      sim->load_state(init);
+      sim->run(c);
+      EXPECT_LT(sim->state().max_diff(want), 1e-12)
+          << what << " " << sim->name() << " x2 simd " << to_string(level);
+    }
   }
 
   // Batched: one member past a whole lane, each member with its own

@@ -1,17 +1,23 @@
 // The partitioned tiers' range seam. ShmemSim and PeerSim run a range that
-// stays inside one partition through the LocalSpace kernel on the raw
-// partition, and a blocked window's diagonal run on the raw partition,
-// counting the traffic of each once. Everything else goes element by
-// element through the Space.
+// stays inside one partition through LocalSpace's kernel, at the run's
+// lane level, on the raw partition, and a blocked window's diagonal run on
+// the raw partition. Every other access — a range on a partition qubit,
+// measure, reset, measure-all — goes through the raw view of all
+// partitions (RawView). Each range or call books its traffic once.
 //
-// Each case is pinned against the per-element reference: every unitary
-// op's solo_kernel<P, B, ScalarLane, Space> and the diagonal runs through
-// the Space's own element access, driven by the same window schedule and
-// the same syncs. Covered: every unitary op × operand placement (below
-// lg_part, one operand on a partition qubit, both on partition qubits) ×
-// PE count {1, 2, 4} × {per-gate, blocked}, on both backends. Amplitudes
-// must match bit for bit; TrafficStats, PeerTraffic and the PE×PE traffic
-// matrix must match exactly.
+// Each case is pinned against the per-element reference: a kernel table
+// whose every entry reaches amplitudes through the Space's own element
+// access (solo_kernel<P, B, ScalarLane, Space> for the unitary ops,
+// kern_measure / kern_measure_all / kern_reset<Space> for the others) and
+// the diagonal runs through that access too, driven by the same remap,
+// window schedule and syncs. Covered on both backends, at every lane level
+// the build carries, × PE count {1, 2, 4} × {per-gate, blocked}: every
+// unitary op × operand placement (below lg_part, one operand on a
+// partition qubit, both on partition qubits); measure and reset on a qubit
+// below lg_part and on a partition qubit; and measure-all with and without
+// a remap layout snapshot. Amplitudes must match bit for bit, cbits and
+// samples exactly, and TrafficStats, PeerTraffic and the PE×PE traffic
+// matrix exactly, run by run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +25,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,12 +33,14 @@
 #include "core/peer_sim.hpp"
 #include "core/pipeline.hpp"
 #include "core/shmem_sim.hpp"
+#include "ir/remap.hpp"
 
 namespace svsim {
 namespace {
 
 constexpr IdxType kN = 7;
 constexpr int kBlockExp = 3; // several blocks per partition at every PE count
+constexpr IdxType kShots = 300;
 
 StateVector random_state(IdxType n, std::uint64_t seed) {
   Rng rng(seed);
@@ -46,16 +55,39 @@ StateVector random_state(IdxType n, std::uint64_t seed) {
   return sv;
 }
 
-/// Space's kernel table with every unitary entry replaced by the
-/// per-element strategy: solo_kernel<P, B, ScalarLane, Space>.
+std::vector<SimdLevel> carried_levels() {
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (max_simd_level() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (max_simd_level() >= SimdLevel::kAvx512) {
+    levels.push_back(SimdLevel::kAvx512);
+  }
+  return levels;
+}
+
+template <auto Kern, class Space>
+void per_element_gate(const UGate& ug, const Space& sp, IdxType begin,
+                      IdxType end) {
+  Kern(ug.g, sp, begin, end);
+}
+
+/// Space's per-element kernel table: every entry reaches amplitudes
+/// through the Space's own element access.
 template <class Space>
 const typename KernelTable<Space>::Table& per_element_table() {
   static const typename KernelTable<Space>::Table table = [] {
-    typename KernelTable<Space>::Table t = KernelTable<Space>::get();
-    kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
-      t[static_cast<int>(op)] =
-          &kernels::solo_kernel<P, B, kernels::ScalarLane, Space>;
+    namespace k = kernels;
+    typename KernelTable<Space>::Table t{};
+    k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
+      t[static_cast<int>(op)] = &k::solo_kernel<P, B, k::ScalarLane, Space>;
     });
+    t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
+    t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;
+    t[static_cast<int>(OP::M)] =
+        &per_element_gate<&k::kern_measure<Space>, Space>;
+    t[static_cast<int>(OP::MA)] =
+        &per_element_gate<&k::kern_measure_all<Space>, Space>;
+    t[static_cast<int>(OP::RESET)] =
+        &per_element_gate<&k::kern_reset<Space>, Space>;
     return t;
   }();
   return table;
@@ -105,32 +137,91 @@ void reference_worker(const DeviceCircuit<Space>& dc,
   }
 }
 
-SimConfig seam_config(bool blocked) {
+/// One case: `circuit` run on the loaded state, then, when `shots` > 0,
+/// a sample() of that many shots. `remap` pins the remap pass on; off, it
+/// keeps every operand where the case placed it.
+struct Job {
+  Circuit circuit;
+  IdxType shots = 0;
+  bool remap = false;
+};
+
+/// One run's traffic: each worker's counters as text, and the PE×PE
+/// byte matrix.
+struct Counts {
+  std::vector<std::string> workers;
+  std::vector<std::uint64_t> matrix;
+};
+
+/// What a job leaves behind: the logical state, the classical register,
+/// the samples, and the counts of every run (the circuit's, then the
+/// sample's).
+struct Outcome {
+  StateVector state{kN};
+  std::vector<IdxType> cbits;
+  std::vector<IdxType> samples;
+  std::vector<Counts> runs;
+  std::uint64_t windows = 0; // blocked windows of the circuit's run
+};
+
+SimConfig seam_config(SimdLevel level, bool blocked, bool remap) {
   SimConfig cfg;
+  cfg.simd = level;
   cfg.sched_window = blocked ? kBlockExp : 0;
-  cfg.remap = 0; // keep every operand where the case placed it
+  cfg.remap = remap ? 1 : 0;
   return cfg;
 }
 
-/// Amplitudes of partitions `re`/`im` (2^lg each) in index order.
+std::string peer_text(const PeerTraffic& t) {
+  return std::to_string(t.local_access) + " local / " +
+         std::to_string(t.remote_access) + " remote";
+}
+
+Counts counts_of(const ShmemSim& sim) {
+  Counts c;
+  for (const shmem::TrafficStats& t : sim.per_pe_traffic()) {
+    c.workers.push_back(t.summary());
+  }
+  c.matrix = sim.last_report().matrix.bytes;
+  return c;
+}
+
+Counts counts_of(const PeerSim& sim) {
+  Counts c;
+  for (const PeerTraffic& t : sim.per_device_traffic()) {
+    c.workers.push_back(peer_text(t));
+  }
+  c.matrix = sim.last_report().matrix.bytes;
+  return c;
+}
+
+template <class Sim>
+Outcome run_backend(const Job& job, const StateVector& init, int parts,
+                    const SimConfig& cfg) {
+  Sim sim(kN, parts, cfg);
+  sim.load_state(init);
+  sim.run(job.circuit);
+  Outcome out;
+  out.windows = sim.last_report().sched.windows;
+  out.runs.push_back(counts_of(sim));
+  out.cbits = sim.cbits();
+  if (job.shots > 0) {
+    out.samples = sim.sample(job.shots);
+    out.runs.push_back(counts_of(sim));
+  }
+  out.state = sim.state();
+  return out;
+}
+
+/// Amplitudes of partitions `re`/`im` in index order.
 StateVector gather(const std::vector<std::vector<ValType>>& re,
                    const std::vector<std::vector<ValType>>& im) {
   StateVector sv(kN);
+  const std::size_t per = re[0].size();
   for (std::size_t k = 0; k < sv.amps.size(); ++k) {
-    const std::size_t per = re[0].size();
     sv.amps[k] = Complex{re[k / per][k % per], im[k / per][k % per]};
   }
   return sv;
-}
-
-void expect_bitwise_equal(const StateVector& got, const StateVector& want,
-                          const std::string& what) {
-  ASSERT_EQ(got.amps.size(), want.amps.size()) << what;
-  EXPECT_EQ(std::memcmp(got.amps.data(), want.amps.data(),
-                        got.amps.size() * sizeof(Complex)),
-            0)
-      << what << ": amplitudes differ (max |diff| "
-      << got.max_diff(want) << ")";
 }
 
 /// The partitions of `init` for `n_parts` workers.
@@ -146,107 +237,260 @@ split(const StateVector& init, int n_parts) {
   return {re, im};
 }
 
-void check_shmem(const Circuit& c, const StateVector& init, int n_pes,
-                 bool blocked, const std::string& what) {
-  const SimConfig cfg = seam_config(blocked);
-  ShmemSim sim(kN, n_pes, cfg);
-  sim.load_state(init);
-  sim.run(c);
-  if (blocked) {
-    ASSERT_GT(sim.last_report().sched.windows, 0u) << what;
+/// What a backend keeps across runs besides its partitions: the RNG
+/// replicas, the classical register, the measure context and the remap
+/// layout with this run's snapshots.
+struct RefContext {
+  RefContext(int parts, std::uint64_t seed)
+      : lg(kN - log2_exact(parts)),
+        rngs(static_cast<std::size_t>(parts), Rng(seed)),
+        cbits(static_cast<std::size_t>(kN), 0) {
+    mctx.cbits = cbits.data();
+    mctx.n_qubits = kN;
   }
 
-  const IdxType lg = kN - log2_exact(n_pes);
-  const auto per = static_cast<std::size_t>(pow2(lg));
-  shmem::Runtime rt(n_pes, per * 2 * sizeof(ValType) + (1u << 16));
-  auto [re, im] = split(init, n_pes);
-  std::vector<ValType*> re_sym(static_cast<std::size_t>(n_pes));
-  std::vector<ValType*> im_sym(static_cast<std::size_t>(n_pes));
-  rt.run([&](shmem::Ctx& ctx) {
-    const auto pe = static_cast<std::size_t>(ctx.pe());
-    re_sym[pe] = ctx.malloc_sym<ValType>(per);
-    im_sym[pe] = ctx.malloc_sym<ValType>(per);
-    std::copy(re[pe].begin(), re[pe].end(), re_sym[pe]);
-    std::copy(im[pe].begin(), im[pe].end(), im_sym[pe]);
-  });
-  const auto dc = upload_circuit<ShmemSpace>(c, per_element_table<ShmemSpace>());
-  const auto ex = kernels::prepare_sched<ShmemSpace>(
-      c, dc.gates, resolve(cfg).block_exp, lg, false);
-  rt.run([&](shmem::Ctx& ctx) {
-    ShmemSpace sp;
-    sp.ctx = &ctx;
-    sp.real_sym = re_sym[static_cast<std::size_t>(ctx.pe())];
-    sp.imag_sym = im_sym[static_cast<std::size_t>(ctx.pe())];
-    sp.lg_part = lg;
-    reference_worker(dc, ex, sp);
-  });
-  for (int pe = 0; pe < n_pes; ++pe) {
-    const auto p = static_cast<std::size_t>(pe);
-    std::copy(re_sym[p], re_sym[p] + per, re[p].begin());
-    std::copy(im_sym[p], im_sym[p] + per, im[p].begin());
+  /// The pipeline's remap stage: the circuit the workers execute, with
+  /// the layout snapshots its measure-alls read.
+  Circuit prepare(const Circuit& c, bool remap) {
+    const int parts = static_cast<int>(rngs.size());
+    if (c.n_cbits() > static_cast<IdxType>(cbits.size())) {
+      cbits.resize(static_cast<std::size_t>(c.n_cbits()), 0);
+      mctx.cbits = cbits.data();
+    }
+    ma_layouts.clear();
+    Circuit exec = c;
+    if (remap && parts > 1) {
+      RemapResult rm = remap_for_partition(
+          c, lg, 64, layout.empty() ? nullptr : &layout);
+      layout = rm.layout;
+      ma_layouts = std::move(rm.ma_layouts);
+      exec = std::move(rm.circuit);
+    }
+    mctx.ma_layouts = ma_layouts.empty() ? nullptr : ma_layouts.data();
+    return exec;
   }
 
-  expect_bitwise_equal(sim.state(), gather(re, im), what);
-  for (int pe = 0; pe < n_pes; ++pe) {
-    EXPECT_EQ(sim.per_pe_traffic()[static_cast<std::size_t>(pe)].summary(),
-              rt.per_pe_traffic()[static_cast<std::size_t>(pe)].summary())
-        << what << " PE " << pe;
-  }
-  EXPECT_EQ(sim.last_report().matrix.bytes, rt.traffic_matrix()) << what;
-}
-
-void check_peer(const Circuit& c, const StateVector& init, int n_dev,
-                bool blocked, const std::string& what) {
-  const SimConfig cfg = seam_config(blocked);
-  PeerSim sim(kN, n_dev, cfg);
-  sim.load_state(init);
-  sim.run(c);
-  if (blocked) {
-    ASSERT_GT(sim.last_report().sched.windows, 0u) << what;
+  /// `phys` in logical order, as Simulator::state() undoes the layout.
+  StateVector logical(const StateVector& phys) const {
+    if (layout.empty()) return phys;
+    std::vector<IdxType> inv(static_cast<std::size_t>(kN));
+    for (IdxType l = 0; l < kN; ++l) {
+      inv[static_cast<std::size_t>(layout[static_cast<std::size_t>(l)])] = l;
+    }
+    const BitPermutation to_logical(inv.data(), kN);
+    StateVector sv(kN);
+    for (std::size_t k = 0; k < phys.amps.size(); ++k) {
+      sv.amps[static_cast<std::size_t>(
+          to_logical(static_cast<IdxType>(k)))] = phys.amps[k];
+    }
+    return sv;
   }
 
-  const IdxType lg = kN - log2_exact(n_dev);
-  const auto n = static_cast<std::size_t>(n_dev);
-  auto [re, im] = split(init, n_dev);
-  std::vector<ValType*> re_ptr;
-  std::vector<ValType*> im_ptr;
-  for (std::size_t d = 0; d < n; ++d) {
-    re_ptr.push_back(re[d].data());
-    im_ptr.push_back(im[d].data());
-  }
-  std::vector<PeerTraffic> traffic(n);
-  std::vector<std::vector<std::uint64_t>> per_dest(
-      n, std::vector<std::uint64_t>(n, 0));
-  const auto dc = upload_circuit<PeerSpace>(c, per_element_table<PeerSpace>());
-  const auto ex = kernels::prepare_sched<PeerSpace>(
-      c, dc.gates, resolve(cfg).block_exp, lg, false);
-  shmem::Barrier grid(n_dev);
-  launch_team(n_dev, [&](int d) {
-    const auto i = static_cast<std::size_t>(d);
-    traffic[i].per_dest = per_dest[i].data();
-    PeerSpace sp;
-    sp.real_parts = re_ptr.data();
-    sp.imag_parts = im_ptr.data();
-    sp.lg_part = lg;
-    sp.worker_id = d;
-    sp.num_workers = n_dev;
-    sp.barrier = &grid;
-    sp.traffic = &traffic[i];
-    reference_worker(dc, ex, sp);
-  });
+  IdxType lg;
+  std::vector<Rng> rngs;
+  std::vector<IdxType> cbits;
+  std::vector<IdxType> results;
+  std::vector<IdxType> layout;
+  std::vector<IdxType> ma_layouts;
+  MeasureCtx mctx;
+};
 
-  expect_bitwise_equal(sim.state(), gather(re, im), what);
-  std::vector<std::uint64_t> matrix;
-  for (std::size_t d = 0; d < n; ++d) {
-    const PeerTraffic& got = sim.per_device_traffic()[d];
-    EXPECT_EQ(got.local_access, traffic[d].local_access) << what << " dev " << d;
-    EXPECT_EQ(got.remote_access, traffic[d].remote_access)
-        << what << " dev " << d;
-    for (const std::uint64_t accesses : per_dest[d]) {
-      matrix.push_back(accesses * sizeof(ValType));
+/// The per-element reference PEs: symmetric partitions on their own
+/// shmem::Runtime, each run through reference_worker over ShmemSpace's
+/// one-sided get/put.
+class ShmemTeam {
+public:
+  ShmemTeam(const StateVector& init, int parts)
+      : parts_(parts),
+        per_(static_cast<std::size_t>(pow2(kN - log2_exact(parts)))),
+        rt_(parts, per_ * 2 * sizeof(ValType) + (1u << 16)),
+        re_sym_(static_cast<std::size_t>(parts)),
+        im_sym_(static_cast<std::size_t>(parts)) {
+    auto [re, im] = split(init, parts);
+    rt_.run([&](shmem::Ctx& ctx) {
+      const auto pe = static_cast<std::size_t>(ctx.pe());
+      re_sym_[pe] = ctx.malloc_sym<ValType>(per_);
+      im_sym_[pe] = ctx.malloc_sym<ValType>(per_);
+      std::copy(re[pe].begin(), re[pe].end(), re_sym_[pe]);
+      std::copy(im[pe].begin(), im[pe].end(), im_sym_[pe]);
+    });
+  }
+
+  Counts run(const Circuit& exec, const SimConfig& cfg, RefContext& rc) {
+    const auto dc =
+        upload_circuit<ShmemSpace>(exec, per_element_table<ShmemSpace>());
+    const auto ex = kernels::prepare_sched<ShmemSpace>(
+        exec, dc.gates, resolve(cfg).block_exp, rc.lg, false);
+    rt_.run([&](shmem::Ctx& ctx) {
+      const auto pe = static_cast<std::size_t>(ctx.pe());
+      ShmemSpace sp;
+      sp.ctx = &ctx;
+      sp.real_sym = re_sym_[pe];
+      sp.imag_sym = im_sym_[pe];
+      sp.lg_part = rc.lg;
+      sp.dim = pow2(kN);
+      sp.mctx = &rc.mctx;
+      sp.rng = &rc.rngs[pe];
+      reference_worker(dc, ex, sp);
+    });
+    Counts c;
+    for (const shmem::TrafficStats& t : rt_.per_pe_traffic()) {
+      c.workers.push_back(t.summary());
+    }
+    c.matrix = rt_.traffic_matrix();
+    return c;
+  }
+
+  StateVector physical() const {
+    std::vector<std::vector<ValType>> re;
+    std::vector<std::vector<ValType>> im;
+    for (int pe = 0; pe < parts_; ++pe) {
+      const auto p = static_cast<std::size_t>(pe);
+      re.emplace_back(re_sym_[p], re_sym_[p] + per_);
+      im.emplace_back(im_sym_[p], im_sym_[p] + per_);
+    }
+    return gather(re, im);
+  }
+
+private:
+  int parts_;
+  std::size_t per_;
+  shmem::Runtime rt_;
+  std::vector<ValType*> re_sym_;
+  std::vector<ValType*> im_sym_;
+};
+
+/// The per-element reference devices: partitions behind a pointer array,
+/// each run through reference_worker over PeerSpace's counted access.
+class PeerTeam {
+public:
+  PeerTeam(const StateVector& init, int parts) : parts_(parts) {
+    std::tie(re_, im_) = split(init, parts);
+    for (std::size_t d = 0; d < re_.size(); ++d) {
+      re_ptr_.push_back(re_[d].data());
+      im_ptr_.push_back(im_[d].data());
     }
   }
-  EXPECT_EQ(sim.last_report().matrix.bytes, matrix) << what;
+
+  Counts run(const Circuit& exec, const SimConfig& cfg, RefContext& rc) {
+    const auto n = static_cast<std::size_t>(parts_);
+    std::vector<PeerTraffic> traffic(n);
+    std::vector<std::vector<std::uint64_t>> per_dest(
+        n, std::vector<std::uint64_t>(n, 0));
+    std::vector<ValType> scratch(n, 0);
+    const auto dc =
+        upload_circuit<PeerSpace>(exec, per_element_table<PeerSpace>());
+    const auto ex = kernels::prepare_sched<PeerSpace>(
+        exec, dc.gates, resolve(cfg).block_exp, rc.lg, false);
+    shmem::Barrier grid(parts_);
+    launch_team(parts_, [&](int d) {
+      const auto i = static_cast<std::size_t>(d);
+      traffic[i].per_dest = per_dest[i].data();
+      PeerSpace sp;
+      sp.real_parts = re_ptr_.data();
+      sp.imag_parts = im_ptr_.data();
+      sp.lg_part = rc.lg;
+      sp.dim = pow2(kN);
+      sp.mctx = &rc.mctx;
+      sp.rng = &rc.rngs[i];
+      sp.worker_id = d;
+      sp.num_workers = parts_;
+      sp.barrier = &grid;
+      sp.scratch = scratch.data();
+      sp.traffic = &traffic[i];
+      reference_worker(dc, ex, sp);
+    });
+    Counts c;
+    for (std::size_t d = 0; d < n; ++d) {
+      c.workers.push_back(peer_text(traffic[d]));
+      for (const std::uint64_t accesses : per_dest[d]) {
+        c.matrix.push_back(accesses * sizeof(ValType));
+      }
+    }
+    return c;
+  }
+
+  StateVector physical() const { return gather(re_, im_); }
+
+private:
+  int parts_;
+  std::vector<std::vector<ValType>> re_;
+  std::vector<std::vector<ValType>> im_;
+  std::vector<ValType*> re_ptr_;
+  std::vector<ValType*> im_ptr_;
+};
+
+/// `job` through the per-element reference: the pipeline's remap,
+/// upload, schedule and team launch for the circuit, then for sample()'s
+/// measure-all circuit.
+template <class Team>
+Outcome run_reference(const Job& job, const StateVector& init, int parts,
+                      const SimConfig& cfg) {
+  Team team(init, parts);
+  RefContext rc(parts, cfg.seed);
+  Outcome out;
+  out.runs.push_back(team.run(rc.prepare(job.circuit, job.remap), cfg, rc));
+  out.cbits = rc.cbits;
+  if (job.shots > 0) {
+    rc.results.assign(static_cast<std::size_t>(job.shots), 0);
+    rc.mctx.results = rc.results.data();
+    rc.mctx.n_shots = job.shots;
+    Circuit ma(kN);
+    ma.measure_all();
+    out.runs.push_back(team.run(rc.prepare(ma, job.remap), cfg, rc));
+    out.samples = rc.results;
+    if (job.remap && parts > 1) {
+      // The case is meant to read through a non-identity snapshot.
+      EXPECT_TRUE(
+          kernels::readout_permutation(rc.ma_layouts.data(), kN, 0)
+              .has_value())
+          << "the remap left the identity layout";
+    }
+  }
+  out.state = rc.logical(team.physical());
+  return out;
+}
+
+void expect_bitwise_equal(const StateVector& got, const StateVector& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.amps.size(), want.amps.size()) << what;
+  EXPECT_EQ(std::memcmp(got.amps.data(), want.amps.data(),
+                        got.amps.size() * sizeof(Complex)),
+            0)
+      << what << ": amplitudes differ (max |diff| "
+      << got.max_diff(want) << ")";
+}
+
+/// `job` on backend Sim at every carried lane level against one
+/// per-element reference run on Team.
+template <class Sim, class Team>
+void check(const Job& job, const StateVector& init, int parts, bool blocked,
+           const std::string& what) {
+  const Outcome want = run_reference<Team>(
+      job, init, parts, seam_config(SimdLevel::kScalar, blocked, job.remap));
+  for (const SimdLevel level : carried_levels()) {
+    const std::string at = what + " simd " + to_string(level);
+    const Outcome got = run_backend<Sim>(
+        job, init, parts, seam_config(level, blocked, job.remap));
+    if (blocked) {
+      ASSERT_GT(got.windows, 0u) << at;
+    }
+    expect_bitwise_equal(got.state, want.state, at);
+    EXPECT_EQ(got.cbits, want.cbits) << at;
+    EXPECT_EQ(got.samples, want.samples) << at;
+    ASSERT_EQ(got.runs.size(), want.runs.size()) << at;
+    for (std::size_t r = 0; r < got.runs.size(); ++r) {
+      EXPECT_EQ(got.runs[r].workers, want.runs[r].workers)
+          << at << " run " << r;
+      EXPECT_EQ(got.runs[r].matrix, want.runs[r].matrix)
+          << at << " run " << r;
+    }
+  }
+}
+
+std::string case_label(const std::string& what, int parts, bool blocked) {
+  return what + " x" + std::to_string(parts) +
+         (blocked ? " blocked" : " per-gate");
 }
 
 /// Operand placements of a `width`-qubit op on `n_parts` partitions:
@@ -292,8 +536,8 @@ Circuit seam_circuit(const Gate& g) {
   return c;
 }
 
-template <class Check>
-void for_every_case(OP op, Check&& check) {
+template <class Sim, class Team>
+void for_every_unitary_case(OP op) {
   const StateVector init = random_state(kN, 4242);
   for (const int parts : {1, 2, 4}) {
     for (const auto& [a, b] : placements(op_info(op).n_qubits, parts)) {
@@ -302,10 +546,11 @@ void for_every_case(OP op, Check&& check) {
       g.phi = -0.35;
       g.lam = 1.2;
       for (const bool blocked : {false, true}) {
-        check(seam_circuit(g), init, parts, blocked,
-              std::string(op_name(op)) + " (" + std::to_string(a) + "," +
-                  std::to_string(b) + ") x" + std::to_string(parts) +
-                  (blocked ? " blocked" : " per-gate"));
+        check<Sim, Team>(Job{seam_circuit(g)}, init, parts, blocked,
+                         case_label(std::string(op_name(op)) + " (" +
+                                        std::to_string(a) + "," +
+                                        std::to_string(b) + ")",
+                                    parts, blocked));
       }
     }
   }
@@ -321,11 +566,11 @@ std::vector<OP> unitary_ops() {
 class RangeSeamTest : public ::testing::TestWithParam<OP> {};
 
 TEST_P(RangeSeamTest, ShmemMatchesPerElementReference) {
-  for_every_case(GetParam(), check_shmem);
+  for_every_unitary_case<ShmemSim, ShmemTeam>(GetParam());
 }
 
 TEST_P(RangeSeamTest, PeerMatchesPerElementReference) {
-  for_every_case(GetParam(), check_peer);
+  for_every_unitary_case<PeerSim, PeerTeam>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllUnitaryOps, RangeSeamTest,
@@ -333,6 +578,91 @@ INSTANTIATE_TEST_SUITE_P(AllUnitaryOps, RangeSeamTest,
                          [](const ::testing::TestParamInfo<OP>& info) {
                            return std::string(op_name(info.param));
                          });
+
+/// Measure (into cbits 3, 4, 5) or reset of qubit `q` three times, the
+/// first on the loaded state (a random outcome), the second after an X
+/// on `q` (certain: for reset, the branch that moves the |1> half down),
+/// between low non-diagonal gates that form blocked windows.
+Circuit nonunitary_circuit(OP op, IdxType q) {
+  Circuit c(kN);
+  IdxType cbit = 3;
+  const auto apply = [&] {
+    if (op == OP::M) {
+      c.measure(q, cbit++);
+    } else {
+      c.reset(q);
+    }
+  };
+  c.h(0).h(1);
+  apply();
+  c.x(q);
+  apply();
+  c.h(2);
+  apply();
+  c.h(0).h(1);
+  return c;
+}
+
+/// Measure and reset on a qubit below lg_part and on a partition qubit.
+template <class Sim, class Team>
+void for_every_measure_reset_case() {
+  const StateVector init = random_state(kN, 2718);
+  for (const OP op : {OP::M, OP::RESET}) {
+    for (const int parts : {1, 2, 4}) {
+      std::vector<IdxType> qubits{1};
+      if (parts > 1) qubits.push_back(kN - 1);
+      for (const IdxType q : qubits) {
+        for (const bool blocked : {false, true}) {
+          check<Sim, Team>(
+              Job{nonunitary_circuit(op, q)}, init, parts, blocked,
+              case_label(std::string(op_name(op)) + " q" + std::to_string(q),
+                         parts, blocked));
+        }
+      }
+    }
+  }
+}
+
+/// Measure-all after gates on partition qubits: read in physical order
+/// (remap off) and, on more than one PE, through the layout snapshot the
+/// remap pass leaves once it has moved those qubits below lg_part.
+template <class Sim, class Team>
+void for_every_measure_all_case() {
+  const StateVector init = random_state(kN, 1618);
+  Circuit c(kN);
+  c.h(0).h(1);
+  c.h(kN - 1).cx(kN - 1, 0).cx(kN - 2, kN - 1).rz(0.4, kN - 2);
+  c.h(2).h(1);
+  c.h(kN - 1).cx(kN - 2, 2);
+  c.h(0).h(1);
+  for (const int parts : {1, 2, 4}) {
+    for (const bool remap : {false, true}) {
+      if (remap && parts == 1) continue; // one PE: the pass never applies
+      for (const bool blocked : {false, true}) {
+        check<Sim, Team>(Job{c, kShots, remap}, init, parts, blocked,
+                         case_label(remap ? "measure_all remap=on"
+                                          : "measure_all remap=off",
+                                    parts, blocked));
+      }
+    }
+  }
+}
+
+TEST(RangeSeamNonUnitary, ShmemMeasureResetMatchPerElementReference) {
+  for_every_measure_reset_case<ShmemSim, ShmemTeam>();
+}
+
+TEST(RangeSeamNonUnitary, PeerMeasureResetMatchPerElementReference) {
+  for_every_measure_reset_case<PeerSim, PeerTeam>();
+}
+
+TEST(RangeSeamNonUnitary, ShmemMeasureAllMatchesPerElementReference) {
+  for_every_measure_all_case<ShmemSim, ShmemTeam>();
+}
+
+TEST(RangeSeamNonUnitary, PeerMeasureAllMatchesPerElementReference) {
+  for_every_measure_all_case<PeerSim, PeerTeam>();
+}
 
 } // namespace
 } // namespace svsim
