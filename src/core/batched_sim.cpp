@@ -26,7 +26,7 @@ struct BDev {
   kernels::BatchedKernelFn fn = nullptr;
   UGate ug;
   IdxType work = 0;
-  IdxType amps_per_item = 0; // per member, for progress accounting
+  IdxType amps_per_item = 0; // per member and work item, for progress
   bool skip = false;         // absorbed into an earlier combined slot
 };
 
@@ -148,7 +148,7 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
     d.ug.g = g;
     d.ug.stride = batch;
     d.work = gate_work_items(g, n);
-    d.amps_per_item = static_cast<IdxType>(detail::amps_per_work_item(g));
+    d.amps_per_item = kernels::footprint(g.op).touched;
   }
 
   // Scheduler composition: shrink the solo block exponent by ceil(log2 B)
@@ -203,14 +203,19 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
     std::vector<MGroup> groups;
     for (std::size_t gi = 0; gi < gates.size(); ++gi) {
       const Gate& g = gates[gi];
-      const bool eligible = kernels::batched_dense_1q(g.op) &&
-                            (in_blocked[gi] == 0 || g.qb0 < b_eff);
+      // The one-operand kernel ops combine. Their work items are pairs, so
+      // one streams touched/2 of the slab: the phase gates half, the rest
+      // all of it.
+      const kernels::Footprint& f = kernels::footprint(g.op);
+      const double weight = f.touched / 2.0;
+      const bool eligible =
+          f.qubits == 1 && (in_blocked[gi] == 0 || g.qb0 < b_eff);
       if (eligible && !groups.empty()) {
         MGroup& last = groups.back();
         if (last.dense && last.qubit == g.qb0 &&
             region[static_cast<std::size_t>(last.gis.back())] == region[gi]) {
           last.gis.push_back(static_cast<IdxType>(gi));
-          last.weight += kernels::batched_pass_weight(g.op);
+          last.weight += weight;
           continue;
         }
       }
@@ -218,7 +223,7 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
       m.gis.push_back(static_cast<IdxType>(gi));
       m.dense = eligible;
       m.qubit = g.qb0;
-      m.weight = kernels::batched_pass_weight(g.op);
+      m.weight = weight;
       groups.push_back(std::move(m));
     }
     // A run merges to one pass on its own (when worth it), so its cost in
@@ -263,10 +268,10 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
         const bool m_low = m.qubit < o.qubit;
         c.p_gis = m_low ? m.gis : o.gis;
         c.q_gis = m_low ? o.gis : m.gis;
-        // fn is pair1q or pair1q_real, chosen by the refill.
+        // fn is pair1q or pair1q_real, chosen by the refill; either
+        // rewrites each quadruple whole.
         d.ug.g.qb0 = std::min(m.qubit, o.qubit);
         d.ug.g.qb1 = std::max(m.qubit, o.qubit);
-        d.work = pow2(n - 2);
         d.amps_per_item = 4;
         absorb(m, c.head);
         absorb(o, IdxType{-1});
@@ -276,11 +281,11 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
         d.fn = table.fns[static_cast<int>(OP::U3)];
         d.ug.g.qb0 = m.qubit;
         d.ug.g.qb1 = -1;
-        d.work = pow2(n - 1);
-        d.amps_per_item = 2;
+        d.amps_per_item = kernels::footprint(OP::U3).touched;
         absorb(m, c.head);
         merge_rows += 8;
       }
+      d.work = gate_work_items(d.ug.g, n);
       combined.push_back(std::move(c));
     }
   }
@@ -339,7 +344,7 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
           a.d.stride = batch;
           bw.amps_per_block += static_cast<std::uint64_t>(pow2(b_eff));
         } else {
-          a.work_per_block = pow2(b_eff - (g.qb1 >= 0 ? 2 : 1));
+          a.work_per_block = gate_work_items(g, b_eff);
           bw.amps_per_block += static_cast<std::uint64_t>(
               a.work_per_block * d.amps_per_item);
         }
@@ -533,7 +538,7 @@ void BatchedSim::execute(const Circuit& circuit,
   bracket.start();
   {
     const std::vector<Window> fallback = {
-        Window{0, circuit.n_gates(), 0, false, false}};
+        Window{0, circuit.n_gates(), false}};
     const std::vector<Window>& windows =
         sched_active ? sched.windows : fallback;
     std::uint64_t win_idx = 0;

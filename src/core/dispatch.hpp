@@ -43,6 +43,7 @@
 
 namespace svsim {
 
+using kernels::gate_work_items;
 using kernels::UGate;
 
 template <class Space>
@@ -87,8 +88,8 @@ private:
   /// 2^(lg_part-1) pairs (2^(lg_part-2) quadruples) inside it, so the
   /// range runs, partition by partition, LocalSpace's kernel at L on the
   /// partition's raw arrays with the range rebased, and counts its
-  /// traffic once: `touched` amplitudes per work item, each 2 gets and
-  /// 2 puts. A gate on a partition qubit pairs amplitudes across
+  /// traffic once: the pattern's kTouched amplitudes per work item, each
+  /// 2 gets and 2 puts. A gate on a partition qubit pairs amplitudes across
   /// partitions; its range runs the scalar kernel on the raw view, which
   /// books what it touched, per partition, once.
   template <kernels::Pat P, class B, class L>
@@ -102,7 +103,6 @@ private:
       view.flush();
       return;
     }
-    constexpr std::uint64_t kTouched = Pt::kSites * (Pt::kPair ? 2 : 1);
     const IdxType lg_items = sp.lg_part - (Pt::kTwoQubit ? 2 : 1);
     while (begin < end) {
       const int part = static_cast<int>(begin >> lg_items);
@@ -110,7 +110,8 @@ private:
       const IdxType stop = std::min(end, first + pow2(lg_items));
       kernels::solo_kernel<P, B, L, LocalSpace>(ug, sp.part(part),
                                                 begin - first, stop - first);
-      const auto amps = static_cast<std::uint64_t>(stop - begin) * kTouched;
+      const auto amps =
+          static_cast<std::uint64_t>(stop - begin) * Pt::kTouched;
       sp.count_access(part, 2 * amps, 2 * amps);
       begin = stop;
     }
@@ -149,13 +150,15 @@ const typename KernelTable<Space>::Table& kernel_table(SimdLevel level) {
 }
 
 /// A gate after upload: its resolved kernel pointer, the uploaded gate
-/// view (gate + coefficient rows) and total work-item count (pairs for
-/// 1-qubit ops, quadruples for 2-qubit ops, amplitudes for measure_all).
+/// view (gate + coefficient rows), total work-item count
+/// (kernels::gate_work_items) and the amplitudes each work item touches
+/// (kernels::footprint), which the gate loop publishes as progress.
 template <class Space>
 struct DeviceGate {
   KernelFn<Space> fn;
   UGate ug;
   IdxType work;
+  IdxType touched;
 };
 
 /// An uploaded circuit: the device gates and the coefficient rows their
@@ -170,18 +173,6 @@ struct DeviceCircuit {
   std::vector<DeviceGate<Space>> gates;
   std::vector<ValType> coef;
 };
-
-/// Work items a gate contributes for an n-qubit register.
-inline IdxType gate_work_items(const Gate& g, IdxType n) {
-  switch (g.op) {
-    case OP::BARRIER: return 0;
-    case OP::MA: return pow2(n);
-    case OP::M:
-    case OP::RESET: return half_dim(n);
-    default:
-      return op_info(g.op).n_qubits == 1 ? half_dim(n) : quarter_dim(n);
-  }
-}
 
 /// "Upload" a circuit: resolve every gate's kernel pointer from the
 /// preloaded table and fill its coefficient rows. Pure CPU-side work (the
@@ -206,7 +197,8 @@ DeviceCircuit<Space> upload_circuit(
                     " (compound ops must be lowered before upload)");
     kernels::fill_coef(g, coef, 1, 0);
     out.gates.push_back(DeviceGate<Space>{fn, UGate{g, coef, 1},
-                                          gate_work_items(g, n)});
+                                          gate_work_items(g, n),
+                                          kernels::footprint(g.op).touched});
     coef += kernels::coef_rows(g.op);
   }
   return out;
@@ -285,12 +277,6 @@ inline void flight_gate_event(obs::FlightRing* ring, std::uint64_t gate_id,
   e.qb0 = static_cast<std::int32_t>(g.qb0);
   e.qb1 = static_cast<std::int32_t>(g.qb1);
   ring->push(e);
-}
-
-/// Amplitudes one work item of `g` touches (progress accounting).
-inline std::uint64_t amps_per_work_item(const Gate& g) {
-  if (g.op == OP::MA) return 1; // measure_all iterates amplitudes
-  return g.qb1 >= 0 ? 4 : 2;    // quadruples vs pairs
 }
 
 /// One worker's handles into the run's planes: its flight ring, its

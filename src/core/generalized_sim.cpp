@@ -79,8 +79,9 @@ void GeneralizedSim::run(const Circuit& circuit) {
         detail::per_gate_loop(
             make_space(), run.planes(), circuit.gates(), [&](const Gate& g) {
               apply_gate(g);
-              return static_cast<std::uint64_t>(gate_work_items(g, n_)) *
-                     detail::amps_per_work_item(g);
+              // The dense apply walks every amplitude (a barrier none).
+              return g.op == OP::BARRIER ? std::uint64_t{0}
+                                         : static_cast<std::uint64_t>(dim_);
             });
       },
       no_comm_fold);

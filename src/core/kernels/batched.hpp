@@ -70,50 +70,6 @@ struct BatchedSpace {
   IdxType n_shots = 0;
 };
 
-/// Dense 1-qubit unitaries eligible for the execute-level combining pass
-/// (same-qubit runs collapse to one 2x2 product, adjacent distinct-qubit
-/// units fuse into one bk_pair1q pass). Non-unitary ops and barriers are
-/// excluded by construction — they are where members diverge.
-inline bool batched_dense_1q(OP op) {
-  switch (op) {
-    case OP::X:
-    case OP::Y:
-    case OP::Z:
-    case OP::H:
-    case OP::S:
-    case OP::SDG:
-    case OP::T:
-    case OP::TDG:
-    case OP::U1:
-    case OP::U2:
-    case OP::U3:
-    case OP::RX:
-    case OP::RY:
-    case OP::RZ:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Estimated full-state passes of running `op` standalone: the phase
-/// gates touch only the qubit-set half of the slab, everything else
-/// streams all of it. The combining pass only fuses when the fused
-/// single pass beats this estimate.
-inline double batched_pass_weight(OP op) {
-  switch (op) {
-    case OP::Z:
-    case OP::S:
-    case OP::SDG:
-    case OP::T:
-    case OP::TDG:
-    case OP::U1:
-      return 0.5;
-    default:
-      return 1.0;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Unitary kernels: the batched strategy over the shared pattern × body
 // list. A gate's coefficient rows hold one column per member

@@ -39,6 +39,7 @@
 #include "core/space.hpp"
 #include "ir/schedule.hpp"
 #include "obs/memtrack.hpp"
+#include "obs/perfmodel.hpp"
 #include "obs/report.hpp"
 
 namespace svsim {
@@ -257,7 +258,7 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
       a.kind = WindowAction<Space>::Kind::kGate;
       a.op = g.op;
       a.gate_index = i;
-      a.work_per_block = g.qb1 >= 0 ? pow2(b - 2) : pow2(b - 1);
+      a.work_per_block = gate_work_items(g, b);
       out->push_back(std::move(a));
       ++i;
       continue;
@@ -280,7 +281,7 @@ void build_window_actions(const std::vector<DeviceGate<Space>>& circuit,
       a.kind = WindowAction<Space>::Kind::kGate;
       a.op = g.op;
       a.gate_index = i;
-      a.work_per_block = g.qb1 >= 0 ? pow2(b - 2) : pow2(b - 1);
+      a.work_per_block = gate_work_items(g, b);
       out->push_back(std::move(a));
       ++i;
       continue;
@@ -476,8 +477,8 @@ SchedExec<Space> prepare_sched(const Circuit& circuit,
 } // namespace kernels
 
 /// Record the schedule outcome in the run's report (additive
-/// svsim-report-v1 fields). `dim` sizes the avoided-traffic estimate:
-/// one saved full-state pass moves ~16 bytes per amplitude.
+/// svsim-report-v1 fields). `dim` sizes the avoided-traffic estimate: one
+/// saved full-state pass moves the model's obs::kBytesPerAmp per amplitude.
 inline void fold_sched_stats(obs::RunReport& rep,
                              const ScheduleStats& stats, bool active,
                              IdxType dim) {
@@ -488,7 +489,7 @@ inline void fold_sched_stats(obs::RunReport& rep,
   rep.sched.windowed_gates = static_cast<std::uint64_t>(stats.windowed_gates);
   rep.sched.passes_saved = static_cast<std::uint64_t>(stats.passes_saved);
   rep.sched.traffic_avoided_bytes =
-      static_cast<std::uint64_t>(stats.passes_saved) * 16u *
+      static_cast<std::uint64_t>(stats.passes_saved) * obs::kBytesPerAmp *
       static_cast<std::uint64_t>(dim);
 }
 
@@ -510,7 +511,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
   const IdxType nw = sp.n_workers();
   const IdxType me = sp.worker();
   const detail::WorkerPlanes wp(planes, static_cast<int>(me), circuit.size());
-  const Window whole{0, static_cast<IdxType>(circuit.size()), 0, false, false};
+  const Window whole{0, static_cast<IdxType>(circuit.size()), false};
   const Window* const windows = ex.active ? ex.sched.windows.data() : &whole;
   const std::size_t n_windows = ex.active ? ex.sched.windows.size() : 1;
   std::uint64_t gate_id = 0;
@@ -529,8 +530,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
           dg.fn(dg.ug, sp, begin, end);
           sp.sync();
-          return static_cast<std::uint64_t>(end - begin) *
-                 detail::amps_per_work_item(dg.ug.g);
+          return static_cast<std::uint64_t>((end - begin) * dg.touched);
         });
         if (!go_on) return;
       }

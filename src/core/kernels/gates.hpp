@@ -50,7 +50,8 @@ struct UGate {
 // ---------------------------------------------------------------------------
 // Bodies. Pair bodies map (a0, a1) and single bodies map one amplitude a,
 // each split into real/imag lanes; c holds the body's kRows coefficient
-// rows already loaded into lanes. The arithmetic is written with the
+// rows already loaded into lanes, and kFlops counts the real adds, subs,
+// muls and negations of one application. The arithmetic is written with the
 // built-in operators, which GCC and Clang define on the vector lane types
 // as well: every lane then evaluates the reference scalar expression in
 // the same order, and the compiler's FMA contraction fuses the same
@@ -60,6 +61,7 @@ struct UGate {
 
 struct BodyX {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 0; // a swap: no arithmetic
   template <class L, class V>
   static void pair(const V*, V& r0, V& i0, V& r1, V& i1) {
     const V r = r0;
@@ -74,6 +76,7 @@ struct BodyX {
 /// Y = [[0,-i],[i,0]]: a0' = -i*a1, a1' = i*a0.
 struct BodyY {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 2; // two negations
   template <class L, class V>
   static void pair(const V*, V& r0, V& i0, V& r1, V& i1) {
     const V nr0 = i1;
@@ -87,6 +90,7 @@ struct BodyY {
 
 struct BodyH {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 8; // 4 adds/subs and 4 muls
   template <class L, class V>
   static void pair(const V*, V& r0, V& i0, V& r1, V& i1) {
     const V s2i = L::splat(S2I);
@@ -102,6 +106,7 @@ struct BodyH {
 /// RX = [[c, -is], [-is, c]] with c = cos(t/2), s = sin(t/2).
 struct BodyRX {
   static constexpr int kRows = 2;
+  static constexpr int kFlops = 12; // 2 muls and 1 add/sub per output
   template <class L, class V>
   static void pair(const V* c, V& r0, V& i0, V& r1, V& i1) {
     const V nr0 = c[0] * r0 + c[1] * i1;
@@ -117,6 +122,7 @@ struct BodyRX {
 /// RY = [[c, -s], [s, c]] — an all-real rotation.
 struct BodyRY {
   static constexpr int kRows = 2;
+  static constexpr int kFlops = 12; // 2 muls and 1 add/sub per output
   template <class L, class V>
   static void pair(const V* c, V& r0, V& i0, V& r1, V& i1) {
     const V nr0 = c[0] * r0 - c[1] * r1;
@@ -131,6 +137,7 @@ struct BodyRY {
 /// RZ: a0 *= e^{-it/2}, a1 *= e^{+it/2}.
 struct BodyRZ {
   static constexpr int kRows = 2;
+  static constexpr int kFlops = 12; // 2 muls and 1 add/sub per output
   template <class L, class V>
   static void pair(const V* c, V& r0, V& i0, V& r1, V& i1) {
     const V nr0 = c[0] * r0 + c[1] * i0;
@@ -146,6 +153,7 @@ struct BodyRZ {
 /// a0' = m00*a0 + m01*a1, a1' = m10*a0 + m11*a1.
 struct BodyDense {
   static constexpr int kRows = 8;
+  static constexpr int kFlops = 28; // 4 muls and 3 adds/subs per output
   template <class L, class V>
   static void pair(const V* m, V& r0, V& i0, V& r1, V& i1) {
     const V nr0 = m[0] * r0 - m[1] * i0 + m[2] * r1 - m[3] * i1;
@@ -160,6 +168,7 @@ struct BodyDense {
 
 struct BodyNeg {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 2; // two negations
   template <class L, class V>
   static void one(const V*, V& r, V& i) {
     r = -r;
@@ -170,6 +179,7 @@ struct BodyNeg {
 /// a *= i.
 struct BodyS {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 1; // one negation
   template <class L, class V>
   static void one(const V*, V& r, V& i) {
     const V nr = -i;
@@ -181,6 +191,7 @@ struct BodyS {
 /// a *= -i.
 struct BodySdg {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 1; // one negation
   template <class L, class V>
   static void one(const V*, V& r, V& i) {
     const V nr = i;
@@ -192,6 +203,7 @@ struct BodySdg {
 /// a *= (1+i)/sqrt(2): the Listing 2/3 body.
 struct BodyT {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 4; // 2 adds/subs and 2 muls
   template <class L, class V>
   static void one(const V*, V& r, V& i) {
     const V s2i = L::splat(S2I);
@@ -204,6 +216,7 @@ struct BodyT {
 /// a *= (1-i)/sqrt(2).
 struct BodyTdg {
   static constexpr int kRows = 0;
+  static constexpr int kFlops = 4; // 2 adds/subs and 2 muls
   template <class L, class V>
   static void one(const V*, V& r, V& i) {
     const V s2i = L::splat(S2I);
@@ -216,6 +229,7 @@ struct BodyTdg {
 /// a *= cr + i*ci (rows cos, sin of the gate angle).
 struct BodyPhase {
   static constexpr int kRows = 2;
+  static constexpr int kFlops = 6; // 4 muls and 2 adds/subs
   template <class L, class V>
   static void one(const V* c, V& r, V& i) {
     const V nr = c[0] * r - c[1] * i;
@@ -247,6 +261,8 @@ struct Pattern {
   static constexpr bool kPair = P == Pat::kPair1q || P == Pat::kCtrlPair ||
                                 P == Pat::kPair0110 || P == Pat::kRxx;
   static constexpr int kSites = P == Pat::kRxx || P == Pat::kRzz ? 2 : 1;
+  /// Amplitudes one work item reads and writes.
+  static constexpr int kTouched = kSites * (kPair ? 2 : 1);
 
   IdxType p = 0;            // the qubit (1q) or the lower operand (2q)
   IdxType q = 0;            // the higher operand (2q)
@@ -335,6 +351,49 @@ void for_each_unitary(Visit&& v) {
 }
 
 // ---------------------------------------------------------------------------
+// Footprints: what one work item of each op's kernel costs, read off the
+// list above. Every counter prices from here: the roofline and cost models
+// (obs/perfmodel), the progress board, the batched combining pass.
+// ---------------------------------------------------------------------------
+
+/// One op's footprint per work item of its kernel.
+struct Footprint {
+  int qubits = 0;  // operands of a pattern × body op; 0 for every other op
+  int rows = 0;    // coefficient rows the body reads
+  int touched = 0; // amplitudes it reads or writes
+  int flops = 0;   // real adds, subs, muls and negations
+};
+
+/// Footprint of `op`'s kernel. The pattern × body ops read theirs off
+/// for_each_unitary. Measure and reset collapse both amplitudes of each
+/// pair and measure-all reads one amplitude per item (nonunitary.hpp);
+/// ID, BARRIER and the compound ops touch nothing.
+inline const Footprint& footprint(OP op) {
+  static const std::array<Footprint, kNumOps> table = [] {
+    std::array<Footprint, kNumOps> t{};
+    for_each_unitary([&]<OP o, Pat P, class B>() {
+      using Pt = Pattern<P>;
+      t[static_cast<std::size_t>(o)] = {Pt::kTwoQubit ? 2 : 1, B::kRows,
+                                        Pt::kTouched, Pt::kSites * B::kFlops};
+    });
+    t[static_cast<std::size_t>(OP::M)].touched = 2;
+    t[static_cast<std::size_t>(OP::RESET)].touched = 2;
+    t[static_cast<std::size_t>(OP::MA)].touched = 1;
+    return t;
+  }();
+  return table[static_cast<std::size_t>(op)];
+}
+
+/// Work items of `g`'s kernel over a span of 2^lg amplitudes, the state
+/// (lg = n) or one 2^b block: pairs for one operand, quadruples for two,
+/// amplitudes for measure-all, none for a barrier.
+inline IdxType gate_work_items(const Gate& g, IdxType lg) {
+  if (g.op == OP::BARRIER) return 0;
+  if (g.op == OP::MA) return pow2(lg);
+  return pow2(lg - (g.qb1 >= 0 ? 2 : 1));
+}
+
+// ---------------------------------------------------------------------------
 // Coefficients.
 // ---------------------------------------------------------------------------
 
@@ -343,16 +402,7 @@ inline constexpr int kMaxCoefRows = 8;
 
 /// Coefficient rows the body of `op` reads (0 for constant gates and the
 /// non-unitary ops, whose divergence is runtime state, not parameters).
-inline int coef_rows(OP op) {
-  static const std::array<int, kNumOps> rows = [] {
-    std::array<int, kNumOps> r{};
-    for_each_unitary([&]<OP o, Pat, class B>() {
-      r[static_cast<std::size_t>(o)] = B::kRows;
-    });
-    return r;
-  }();
-  return rows[static_cast<std::size_t>(op)];
-}
+inline int coef_rows(OP op) { return footprint(op).rows; }
 
 /// Dense rows of U3(theta, phi, lam).
 inline std::array<ValType, 8> u3_rows(ValType theta, ValType phi,

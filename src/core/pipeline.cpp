@@ -27,12 +27,13 @@ LoopBracket::LoopBracket(obs::RunReport& rep, bool roofline,
     : rep_(rep),
       progress_(progress),
       roofline_(roofline),
-      model_(roofline_ ? obs::model_run_batched(exec, sched, batch)
-                       : obs::RunModel{}),
+      model_(roofline_ || progress_ != nullptr
+                 ? obs::model_run_batched(exec, sched, batch)
+                 : obs::RunModel{}),
       counters_(roofline_) {
   if (progress_ != nullptr) {
     progress_->begin_run(rep.backend.c_str(), rep.n_qubits, rep.n_workers,
-                         exec, sched, batch);
+                         model_.bytes_prefix, batch);
   }
 }
 

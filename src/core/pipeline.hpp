@@ -48,9 +48,11 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
                   int n_workers, const Circuit& circuit, IdxType batch = 1);
 
 /// The timed bracket around one gate loop. Construction prices the
-/// executed circuit for the roofline (when `roofline` is on: only for
-/// backends whose kernels obs/perfmodel mirrors) and registers the run on
-/// the `progress` board (when non-null). start()/stop() enclose the loop:
+/// executed circuit once, through obs/perfmodel, when either plane needs
+/// it: the roofline (when `roofline` is on: only for backends whose
+/// kernels the model prices) and the `progress` board (when non-null),
+/// which it registers the run on with the model's per-gate cumulative
+/// scheduled bytes. start()/stop() enclose the loop:
 /// the hardware counters (they inherit into the worker threads the loop
 /// spawns and joins) and the report's wall time. With the Chrome trace
 /// on, each of them also adds an rss_mb counter point, outside the timed

@@ -1,7 +1,5 @@
 #include "ir/schedule.hpp"
 
-#include "common/bits.hpp"
-
 namespace svsim {
 
 bool is_diagonal_gate(OP op) {
@@ -77,15 +75,6 @@ Schedule build_schedule(const Circuit& circuit, IdxType block_exp,
     if (joins_window(g, block_exp)) {
       if (cur.n_gates == 0) cur.first_gate = gi;
       ++cur.n_gates;
-      IdxType qs[2];
-      const int nq = operand_qubits(g, qs);
-      for (int i = 0; i < nq; ++i) {
-        if (qs[i] < block_exp) {
-          cur.qubit_mask |= pow2(qs[i]);
-        } else {
-          cur.has_high_diagonal = true;
-        }
-      }
     } else {
       flush(true);
       // The barrier gate is its own per-gate window.

@@ -1,15 +1,15 @@
 // Gate-window scheduling for cache-blocked execution.
 //
 // Every kernel streams the full state vector through memory once per gate
-// (~16·2^n bytes of traffic for nearly free arithmetic), so on a
-// bandwidth-bound CPU the iteration schedule — not the FLOPs — is the
-// cost model. This pass groups consecutive gates into *windows* whose
-// non-diagonal action is confined to the low `b` index bits: within such a
-// window every 2^b-amplitude aligned block is closed under all of the
-// window's gates, so a backend can hold one block cache-resident and apply
-// the whole window to it before moving on — one memory sweep per window
-// instead of one per gate (the blocked executor lives in
-// core/kernels/blocked.hpp).
+// (~32·2^n bytes of traffic: obs::kBytesPerAmp per amplitude, 16 read and
+// 16 written) for nearly free arithmetic, so on a bandwidth-bound CPU the
+// iteration schedule — not the FLOPs — is the cost model. This pass
+// groups consecutive gates into *windows* whose non-diagonal action is
+// confined to the low `b` index bits: within such a window every
+// 2^b-amplitude aligned block is closed under all of the window's gates,
+// so a backend can hold one block cache-resident and apply the whole
+// window to it before moving on — one memory sweep per window instead of
+// one per gate (the blocked executor lives in core/kernels/blocked.hpp).
 //
 // Legality rules (the window barriers):
 //  * a non-diagonal gate joins only if ALL its operand qubits are < b
@@ -42,11 +42,6 @@ bool is_diagonal_gate(OP op);
 struct Window {
   IdxType first_gate = 0;
   IdxType n_gates = 0;
-  /// OR of 2^q over every operand qubit q < block_exp in the window (the
-  /// bits a block's low-index part actually exercises).
-  IdxType qubit_mask = 0;
-  /// Any diagonal gate with an operand qubit >= block_exp present?
-  bool has_high_diagonal = false;
   bool blocked = false;
 };
 

@@ -8,16 +8,17 @@
 namespace svsim::machine {
 
 double stream_peak_gbps(const Platform& p, int workers) {
-  // 32 bytes per touched amplitude (16 read + 16 written across the
-  // split re/im arrays) at the platform's streaming-from-memory element
-  // cost, per worker.
+  // The model's bytes per touched amplitude (16 read + 16 written across
+  // the split re/im arrays) at the platform's streaming-from-memory
+  // element cost, per worker.
   double ns_per_elem;
   if (p.arch == Arch::kCpu) {
     ns_per_elem = p.cpu.ns_mem / p.cpu.vec_speedup;
   } else {
     ns_per_elem = p.gpu.ns_per_elem;
   }
-  return 32.0 / ns_per_elem * static_cast<double>(workers);
+  return static_cast<double>(obs::kBytesPerAmp) / ns_per_elem *
+         static_cast<double>(workers);
 }
 
 int high_qubits(const Gate& g, IdxType boundary_bit) {

@@ -3,72 +3,28 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
+#include "core/kernels/gates.hpp"
 #include "obs/trace.hpp"
 
 namespace svsim::obs {
 
 GateCost gate_cost(const Gate& g, IdxType n_qubits) {
   const double dim = static_cast<double>(pow2(n_qubits));
-  const double P = dim / 2; // 1-qubit pairs == |1>-half amplitudes
-  const double Q = dim / 4; // 2-qubit quadruples
-  // Rewritten amplitudes move 32 bytes each (16 read + 16 written).
-  auto rw = [](double amps, double flops) {
-    return GateCost{amps, amps * 32.0, flops};
+  const double bpa = static_cast<double>(kBytesPerAmp);
+  // A pattern × body op rewrites its footprint per work item.
+  const auto rewrite = [&](const kernels::Footprint& f, double work) {
+    const double amps = work * f.touched;
+    return GateCost{amps, amps * bpa, work * f.flops};
   };
+  const kernels::Footprint& f = kernels::footprint(g.op);
+  if (f.qubits > 0) {
+    const IdxType work = kernels::gate_work_items(g, n_qubits);
+    return rewrite(f, static_cast<double>(work));
+  }
   switch (g.op) {
     case OP::ID:
     case OP::BARRIER:
       return {};
-    // --- 1-qubit, all pairs ---
-    case OP::X:
-      return rw(dim, 0); // pure pair swap, no arithmetic
-    case OP::Y:
-      return rw(dim, 2 * P); // swap + one negation per output
-    case OP::H:
-      return rw(dim, 8 * P); // butterfly: 2 adds + 2 muls per component
-    case OP::RX:
-    case OP::RY:
-      return rw(dim, 12 * P); // 2 real-coefficient complex scales + adds
-    case OP::RZ:
-      return rw(dim, 12 * P); // phase multiply (6) on both halves
-    case OP::U2:
-    case OP::U3:
-      return rw(dim, 28 * P); // dense complex 2x2 per pair
-    // --- 1-qubit diagonal, |1> half only ---
-    case OP::Z:
-      return rw(P, 2 * P); // negate re+im
-    case OP::S:
-    case OP::SDG:
-      return rw(P, P); // component swap + one negation
-    case OP::T:
-    case OP::TDG:
-      return rw(P, 4 * P); // s*(re∓im), s*(re±im)
-    case OP::U1:
-      return rw(P, 6 * P); // general phase multiply
-    // --- 2-qubit, control-selected half ---
-    case OP::CX:
-      return rw(P, 0); // controlled pair swap
-    case OP::CY:
-      return rw(P, 2 * Q);
-    case OP::CH:
-    case OP::CRX:
-    case OP::CRY:
-    case OP::CU3:
-      return rw(P, 28 * Q); // dense 2x2 on the controlled pair
-    case OP::CRZ:
-      return rw(P, 12 * Q);
-    case OP::SWAP:
-      return rw(P, 0); // |01> <-> |10> exchange
-    // --- 2-qubit diagonal ---
-    case OP::CZ:
-      return rw(Q, 2 * Q); // |11> element negated
-    case OP::CU1:
-      return rw(Q, 6 * Q); // |11> element phase-multiplied
-    case OP::RZZ:
-      return rw(P, 12 * Q); // parity-split phase on half the amps
-    case OP::RXX:
-      return rw(dim, 24 * Q); // cos/sin cross-coupling on every quad
-    // --- non-unitary ---
     case OP::M:
     case OP::RESET: {
       // Phase 1: read-only probability scan of the |1> half
@@ -76,24 +32,26 @@ GateCost gate_cost(const Gate& g, IdxType n_qubits) {
       // renormalizing collapse pass over the full state (32 bytes, 2
       // flops per amp). The reduction between them is worker-count
       // bound, not state-size bound, and is not priced.
+      const double half = dim / 2;
       GateCost c;
       c.amps = dim;
-      c.bytes = 16.0 * P + 32.0 * dim;
-      c.flops = 4.0 * P + 2.0 * dim;
+      c.bytes = bpa / 2 * half + bpa * dim;
+      c.flops = 4.0 * half + 2.0 * dim;
       return c;
     }
     case OP::MA: {
       // Prefix-sum sampling: read passes over the magnitudes.
       GateCost c;
       c.amps = dim;
-      c.bytes = 16.0 * dim;
+      c.bytes = bpa / 2 * dim;
       c.flops = 4.0 * dim;
       return c;
     }
     default:
       // Compound controlled ops (CCX..C4X) are decomposed before they
-      // reach a kernel; if one is priced directly, use a dense estimate.
-      return rw(dim, 28 * P);
+      // reach a kernel; if one is priced directly, price a dense 1-qubit
+      // sweep.
+      return rewrite(kernels::footprint(OP::U3), dim / 2);
   }
 }
 
@@ -102,8 +60,10 @@ RunModel model_run(const Circuit& circuit, const Schedule* schedule) {
   m.enabled = true;
   const IdxType n = circuit.n_qubits();
   const auto& gates = circuit.gates();
+  std::vector<GateCost> costs;
+  costs.reserve(gates.size());
   for (const Gate& g : gates) {
-    const GateCost c = gate_cost(g, n);
+    const GateCost& c = costs.emplace_back(gate_cost(g, n));
     m.amps += c.amps;
     m.bytes += c.bytes;
     m.flops += c.flops;
@@ -113,27 +73,37 @@ RunModel model_run(const Circuit& circuit, const Schedule* schedule) {
     oc.bytes += c.bytes;
     oc.flops += c.flops;
   }
-  if (schedule == nullptr || schedule->windows.empty()) {
-    m.bytes_sched = m.bytes;
-    return m;
-  }
-  const double sweep = 32.0 * static_cast<double>(pow2(n));
-  m.windows.reserve(schedule->windows.size());
-  for (const Window& w : schedule->windows) {
+  // An unscheduled run is one per-gate window over every gate.
+  const bool windowed = schedule != nullptr && !schedule->windows.empty();
+  const std::vector<Window> whole{
+      Window{0, static_cast<IdxType>(gates.size()), false}};
+  const double sweep =
+      static_cast<double>(kBytesPerAmp) * static_cast<double>(pow2(n));
+  m.bytes_prefix.assign(gates.size() + 1, 0.0);
+  if (windowed) m.windows.reserve(schedule->windows.size());
+  for (const Window& w : windowed ? schedule->windows : whole) {
+    const auto first = static_cast<std::size_t>(w.first_gate);
+    const auto count = static_cast<std::size_t>(w.n_gates);
     WindowCost wc;
     wc.blocked = w.blocked;
-    wc.gates = static_cast<std::uint64_t>(w.n_gates);
-    for (IdxType i = w.first_gate; i < w.first_gate + w.n_gates; ++i) {
-      const GateCost c = gate_cost(gates[static_cast<std::size_t>(i)], n);
-      wc.amps += c.amps;
-      wc.bytes += c.bytes;
-      wc.flops += c.flops;
+    wc.gates = count;
+    for (std::size_t k = first; k < first + count; ++k) {
+      wc.amps += costs[k].amps;
+      wc.bytes += costs[k].bytes;
+      wc.flops += costs[k].flops;
     }
     // A blocked window streams the state at most once, however many
     // gates it carries; a run of cheap diagonals can undercut even that.
     if (w.blocked) wc.bytes = std::min(wc.bytes, sweep);
+    double* prefix = m.bytes_prefix.data() + first;
+    for (std::size_t j = 0; j < count; ++j) {
+      prefix[j + 1] =
+          w.blocked ? prefix[0] + wc.bytes * static_cast<double>(j + 1) /
+                                      static_cast<double>(count)
+                    : prefix[j] + costs[first + j].bytes;
+    }
     m.bytes_sched += wc.bytes;
-    m.windows.push_back(wc);
+    if (windowed) m.windows.push_back(wc);
   }
   return m;
 }
@@ -163,33 +133,15 @@ RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
   // per-member coefficient rows once per sweep — 8 bytes per row per
   // member, independent of the state dimension — instead of re-deriving
   // the entries per solo run. Priced per gate, not per member pass.
-  const auto coef_rows = [](OP op) {
-    switch (op) {
-      case OP::U3:
-      case OP::U2:
-      case OP::CU3:
-      case OP::CRX:
-      case OP::CRY:
-      case OP::CH:
-        return 8;
-      case OP::U1:
-      case OP::RZ:
-      case OP::RX:
-      case OP::RY:
-      case OP::CRZ:
-      case OP::CU1:
-      case OP::RXX:
-      case OP::RZZ:
-        return 2;
-      default:
-        return 0;
-    }
-  };
-  for (const Gate& g : circuit.gates()) {
-    const double table_bytes = 8.0 * coef_rows(g.op) * B;
+  const auto& gates = circuit.gates();
+  double table = 0; // coefficient-row bytes of gates [0, k]
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const double table_bytes = 8.0 * kernels::coef_rows(gates[k].op) * B;
+    table += table_bytes;
     m.bytes += table_bytes;
     m.bytes_sched += table_bytes;
-    m.by_op[static_cast<std::size_t>(g.op)].bytes += table_bytes;
+    m.by_op[static_cast<std::size_t>(gates[k].op)].bytes += table_bytes;
+    m.bytes_prefix[k + 1] = m.bytes_prefix[k + 1] * B + table;
   }
   return m;
 }

@@ -1,20 +1,22 @@
 // obs::perfmodel — analytic per-gate cost attribution for the roofline
-// report.
+// report, the progress board and the machine model.
 //
-// Every specialized kernel's footprint is known in closed form from the
-// state dimension: a T gate rewrites only the |1> half of the amplitudes
-// with 4 real ops each, H streams every pair with 8, CX permutes half the
-// amplitudes with no arithmetic at all, and a blocked scheduler window
-// (kernels/blocked.hpp) collapses its member gates' sweeps into at most
-// one pass over the state. This module prices those footprints — expected
-// amplitudes touched, bytes moved, real floating-point ops — per gate,
-// per op kind, and per scheduled window, mirroring the actual kernel
-// bodies in kernels/gates.hpp and the phase-table paths.
+// Every specialized kernel's footprint is a property of its kernel: a T
+// gate rewrites only the |1> half of the amplitudes with 4 real ops each,
+// H streams every pair with 8, CX permutes half the amplitudes with no
+// arithmetic at all. The kernel list writes that once, as pattern × body
+// (kernels::footprint in core/kernels/gates.hpp: amplitudes and flops per
+// work item), and gate_cost multiplies it by the gate's work items. Only
+// the protocol ops (measure, reset, measure-all) and the no-ops are priced
+// here by hand. A blocked scheduler window (kernels/blocked.hpp) collapses
+// its member gates' sweeps into at most one pass over the state; this
+// module prices that too — per gate, per op kind, per scheduled window,
+// and as the per-gate cumulative bytes the progress board's ETA reads.
 //
 // Counting conventions (tests/test_perfmodel.cpp pins these):
-//  * one touched amplitude moves 32 bytes: 16 read + 16 written across
-//    the split re/im arrays (measurement's probability scan is read-only
-//    and priced at 16);
+//  * one touched amplitude moves kBytesPerAmp = 32 bytes: 16 read + 16
+//    written across the split re/im arrays (measurement's probability
+//    scan is read-only and priced at 16);
 //  * a "flop" is one real add/sub/mul/negate, counted off the kernel body
 //    (a complex multiply by a general phase is 6, H's butterfly is 8 per
 //    pair, a dense 2x2 complex multiply is 28 per pair).
@@ -36,10 +38,14 @@
 
 namespace svsim::obs {
 
+/// Bytes one touched amplitude moves: 16 read and 16 written across the
+/// split re/im arrays. One full-state pass is kBytesPerAmp · 2^n.
+inline constexpr std::uint64_t kBytesPerAmp = 32;
+
 /// Expected footprint of one gate on a 2^n state.
 struct GateCost {
   double amps = 0;  // amplitudes read or written
-  double bytes = 0; // memory traffic (32 per rewritten amp)
+  double bytes = 0; // memory traffic (kBytesPerAmp per rewritten amp)
   double flops = 0; // real adds/subs/muls/negates
 };
 
@@ -56,8 +62,8 @@ struct OpCost {
 
 /// Footprint of one scheduled window. For blocked windows `bytes` is the
 /// cache-blocked traffic: the member gates' sweeps collapse into at most
-/// one full-state pass (min(32 * 2^n, per-gate sum) — a window of cheap
-/// diagonals can undercut even a single sweep).
+/// one full-state pass (min(kBytesPerAmp * 2^n, per-gate sum) — a window
+/// of cheap diagonals can undercut even a single sweep).
 struct WindowCost {
   bool blocked = false;
   std::uint64_t gates = 0;
@@ -75,6 +81,11 @@ struct RunModel {
   double flops = 0;
   std::array<OpCost, static_cast<std::size_t>(kNumOps)> by_op{};
   std::vector<WindowCost> windows; // empty when no schedule given
+  /// Per-gate cumulative scheduled traffic: bytes_prefix[k] is the
+  /// bytes_sched of gates [0, k), so back() == bytes_sched. A blocked
+  /// window's bytes are spread evenly over its gates. The progress
+  /// board's fraction and ETA read it.
+  std::vector<double> bytes_prefix;
 };
 
 /// Price every gate of `circuit`; with a `schedule`, also price each
@@ -82,8 +93,9 @@ struct RunModel {
 RunModel model_run(const Circuit& circuit, const Schedule* schedule = nullptr);
 
 /// Price a lockstep-batched run (BatchedSim): per-member footprint × B,
-/// plus each gate's coefficient-row read once per sweep (the one
-/// gate-table read B members amortize). batch <= 1 is model_run().
+/// plus each gate's coefficient rows (kernels::coef_rows) read once per
+/// sweep (the one gate-table read B members amortize). batch <= 1 is
+/// model_run().
 RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
                            IdxType batch);
 

@@ -4,60 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/bits.hpp"
-#include "ir/circuit.hpp"
-#include "ir/schedule.hpp"
 #include "obs/jsonlite.hpp"
-#include "obs/perfmodel.hpp"
 #include "obs/waitstate.hpp"
 
 namespace svsim::obs {
-
-namespace {
-
-/// Per-gate cumulative predicted bytes: prefix[k] = model bytes of gates
-/// [0, k). Schedule-aware: a blocked window's member sweeps collapse into
-/// at most one full-state pass (the perfmodel's pricing), spread evenly
-/// over the window's gates so mid-window progress interpolates sanely.
-std::vector<double> build_bytes_prefix(const Circuit& circuit,
-                                       const Schedule* sched) {
-  const IdxType n = circuit.n_qubits();
-  const double sweep_bytes = 32.0 * static_cast<double>(pow2(n));
-  const auto& gates = circuit.gates();
-  std::vector<double> prefix(gates.size() + 1, 0.0);
-  const auto gate_bytes = [&](std::size_t k) {
-    return gate_cost(gates[k], n).bytes;
-  };
-  if (sched != nullptr && !sched->windows.empty()) {
-    std::size_t k = 0;
-    for (const Window& w : sched->windows) {
-      const auto count = static_cast<std::size_t>(w.n_gates);
-      if (!w.blocked) {
-        for (std::size_t j = 0; j < count; ++j, ++k) {
-          prefix[k + 1] = prefix[k] + gate_bytes(k);
-        }
-        continue;
-      }
-      double sum = 0;
-      for (std::size_t j = 0; j < count; ++j) sum += gate_bytes(k + j);
-      const double window_bytes = std::min(sum, sweep_bytes);
-      const double per = count != 0 ? window_bytes / static_cast<double>(count) : 0;
-      for (std::size_t j = 0; j < count; ++j, ++k) {
-        prefix[k + 1] = prefix[k] + per;
-      }
-    }
-    // A schedule covers every gate exactly once; fall through per-gate if
-    // a malformed one left a tail unpriced.
-    for (; k < gates.size(); ++k) prefix[k + 1] = prefix[k] + gate_bytes(k);
-  } else {
-    for (std::size_t k = 0; k < gates.size(); ++k) {
-      prefix[k + 1] = prefix[k] + gate_bytes(k);
-    }
-  }
-  return prefix;
-}
-
-} // namespace
 
 ProgressBoard& ProgressBoard::global() {
   static ProgressBoard b;
@@ -65,24 +15,20 @@ ProgressBoard& ProgressBoard::global() {
 }
 
 void ProgressBoard::begin_run(const char* backend, IdxType n_qubits,
-                              int n_workers, const Circuit& circuit,
-                              const Schedule* sched, IdxType batch) {
-  std::vector<double> scaled = build_bytes_prefix(circuit, sched);
-  if (batch > 1) {
-    // Lockstep batch: every sweep touches B members' amplitudes, so the
-    // predicted-bytes axis (and with it fraction/ETA/GB/s) scales by B.
-    for (double& v : scaled) v *= static_cast<double>(batch);
-  }
+                              int n_workers, std::vector<double> bytes_prefix,
+                              IdxType batch) {
+  const std::uint64_t total_gates =
+      bytes_prefix.empty() ? 0 : bytes_prefix.size() - 1;
+  const double total_bytes = bytes_prefix.empty() ? 0 : bytes_prefix.back();
   auto prefix =
-      std::make_shared<const std::vector<double>>(std::move(scaled));
-  const double total_bytes = prefix->back();
+      std::make_shared<const std::vector<double>>(std::move(bytes_prefix));
   {
     std::lock_guard<std::mutex> lock(mu_);
     backend_ = backend;
     n_qubits_ = static_cast<long long>(n_qubits);
     n_workers_ = n_workers < kMaxPes ? n_workers : kMaxPes;
     batch_ = batch > 1 ? static_cast<int>(batch) : 1;
-    total_gates_ = static_cast<std::uint64_t>(circuit.n_gates());
+    total_gates_ = total_gates;
     start_us_ = wait_now_us();
     end_us_ = 0;
     bytes_prefix_ = std::move(prefix);
@@ -91,8 +37,7 @@ void ProgressBoard::begin_run(const char* backend, IdxType n_qubits,
   }
   for (int w = 0; w < kMaxPes; ++w) slots_[w].reset();
   std::snprintf(backend_mirror_, sizeof(backend_mirror_), "%s", backend);
-  total_gates_mirror_.store(static_cast<std::uint64_t>(circuit.n_gates()),
-                            std::memory_order_relaxed);
+  total_gates_mirror_.store(total_gates, std::memory_order_relaxed);
   bytes_total_mirror_.store(total_bytes, std::memory_order_relaxed);
   workers_mirror_.store(n_workers, std::memory_order_relaxed);
   interrupted_.store(false, std::memory_order_relaxed);

@@ -5,11 +5,13 @@
 // "what happened"; a multi-hour n>30 distributed run also needs "how far
 // along is it" *while it runs*. State-vector simulation makes that signal
 // unusually good: every gate's memory footprint is statically known
-// (obs/perfmodel prices amps/bytes/flops per gate, and per window under
-// the blocked scheduler), so progress can be measured in predicted bytes
-// rather than raw gate counts — a QFT's cheap diagonal tail no longer
-// makes the last 10% of gates look like 10% of the work. The ETA is then
-// self-calibrating:
+// (obs/perfmodel prices amps/bytes/flops per gate off the kernel list, and
+// per window under the blocked scheduler), so progress can be measured in
+// predicted bytes rather than raw gate counts — a QFT's cheap diagonal
+// tail no longer makes the last 10% of gates look like 10% of the work.
+// The board prices nothing itself: the run's RunModel hands it the
+// per-gate cumulative scheduled bytes, so its total is the roofline's
+// model_bytes_sched. The ETA is then self-calibrating:
 //
 //   achieved B/s = predicted-bytes-done / elapsed
 //   eta_s        = predicted-bytes-remaining / achieved B/s
@@ -17,14 +19,19 @@
 // which stays accurate across machines, SIMD levels and sanitizer builds
 // because the machine-dependent rate cancels out of the prediction.
 //
+// A gate publishes the amplitudes its kernel touched (kernels::footprint
+// per work item), so on a per-gate run the summed amps_done ends at the
+// roofline's model_amps.
+//
 // Concurrency contract (the part ThreadSanitizer pins in CI): each PE
 // owns one cacheline-aligned ProgressSlot and publishes with relaxed
 // atomic stores — one store plus one uncontended fetch_add per gate (or
-// per blocked window), nothing shared between writers. Readers (the
-// embedded httpd's accept thread, svsim_top via it, the signal handler)
-// snapshot the slots with relaxed loads and never stall a worker. The
-// cold run header (backend, totals, the per-gate predicted-bytes prefix)
-// is guarded by a mutex taken only in begin_run/end_run/snapshot.
+// per block of a blocked window), nothing shared between writers. Readers
+// (the embedded httpd's accept thread, svsim_top via it, the signal
+// handler) snapshot the slots with relaxed loads and never stall a
+// worker. The cold run header (backend, totals, the per-gate
+// predicted-bytes prefix) is guarded by a mutex taken only in
+// begin_run/end_run/snapshot.
 //
 // The slot section of this header is intentionally include-light
 // (atomics only): obs/waitstate.hpp pulls it in for the wait-time
@@ -42,11 +49,6 @@
 
 #include "common/types.hpp"
 
-namespace svsim {
-class Circuit;
-struct Schedule;
-} // namespace svsim
-
 namespace svsim::obs {
 
 /// One PE's live progress counters. Single writer (the owning worker
@@ -55,7 +57,7 @@ namespace svsim::obs {
 struct alignas(64) ProgressSlot {
   std::atomic<std::uint64_t> gates_done{0}; // last retired 1-based gate id
   std::atomic<std::uint64_t> window{0};     // current schedule window index
-  std::atomic<std::uint64_t> amps_done{0};  // amplitudes touched (approx)
+  std::atomic<std::uint64_t> amps_done{0};  // amplitudes kernels touched
   std::atomic<std::uint64_t> wait_us{0};    // published by WaitScope
 
   void reset() {
@@ -124,7 +126,7 @@ struct ProgressSnapshot {
   std::uint64_t gates_done = 0; // min over PEs (the loops are lockstep)
   std::uint64_t window = 0;
   double amps_done = 0;      // summed over PEs
-  double bytes_total = 0;    // perfmodel, schedule-aware
+  double bytes_total = 0;    // the run model's bytes_sched
   double bytes_done = 0;     // prefix[gates_done]
   double fraction = 0;       // bytes_done / bytes_total
   double elapsed_s = 0;
@@ -156,15 +158,13 @@ public:
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Register a run: stamp the header, reset the slots, and price the
-  /// circuit through obs/perfmodel into a per-gate cumulative
-  /// predicted-bytes prefix (schedule-aware when `sched` is given — a
-  /// blocked window's single sweep is spread evenly over its gates).
-  /// `batch` > 1 (BatchedSim) scales the predicted bytes by the member
-  /// count so fraction/ETA stay accurate for lockstep-batched runs.
+  /// Register a run: stamp the header, reset the slots, and keep
+  /// `bytes_prefix` — the run model's per-gate cumulative scheduled bytes
+  /// (RunModel::bytes_prefix, one entry per gate plus one) — as the
+  /// progress axis. `batch` is the lockstep member count the snapshot
+  /// shows (BatchedSim, whose model already prices every member).
   void begin_run(const char* backend, IdxType n_qubits, int n_workers,
-                 const Circuit& circuit, const Schedule* sched,
-                 IdxType batch = 1);
+                 std::vector<double> bytes_prefix, IdxType batch = 1);
 
   /// Close the run: freeze the wall clock and keep `report_json` (the
   /// finished svsim-report-v1 document) for GET /report.

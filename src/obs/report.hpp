@@ -85,7 +85,8 @@ struct SchedulerStats {
   std::uint64_t windows = 0;        // blocked windows formed
   std::uint64_t windowed_gates = 0; // gates inside blocked windows
   std::uint64_t passes_saved = 0;   // full-state sweeps avoided
-  /// passes_saved × 16 bytes × dim: memory traffic a per-gate loop would
+  /// passes_saved × kBytesPerAmp (32: 16 read + 16 written) × dim, the
+  /// perfmodel's price of a pass: memory traffic a per-gate loop would
   /// have issued that the blocked loop kept cache-resident.
   std::uint64_t traffic_avoided_bytes = 0;
 };

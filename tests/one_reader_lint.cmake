@@ -1,4 +1,4 @@
-# one-home lint: three concepts that must each live in one place.
+# one-home lint: four concepts that must each live in one place.
 #
 # 1. One reader: every SVSIM_* variable is read by the config module
 #    (src/common/config.*) and by nothing else, so each one has one
@@ -17,8 +17,15 @@
 #    non-finite as null); every document is written through it. The one
 #    exception is %.17g in src/obs/progress.cpp, for the signal-safe
 #    progress renderer, which may not allocate.
+# 4. One home for gate footprints: the kernel list's pattern × body
+#    (kernels::footprint in src/core/kernels/gates.hpp) says what each
+#    unitary op's kernel touches, reads and computes. The cost and progress
+#    code under src/obs/ and src/machine/, and the batched combining pass
+#    in src/core/kernels/batched.hpp, name no unitary op in a case label:
+#    only M, MA, RESET, ID and BARRIER, whose kernels are protocols or
+#    no-ops rather than pattern × body.
 #
-# All three rules scan the C++ sources under src/, tools/, examples/ and
+# All four rules scan the C++ sources under src/, tools/, examples/ and
 # bench/ and fail listing the offending files. Driven from
 # tests/CMakeLists.txt via:
 #   cmake -DSOURCE_DIR=... -P one_reader_lint.cmake
@@ -39,8 +46,22 @@ set(json_helpers "%\\.12g|\"null\"|append_u64|append_double|json_double")
 set(readers)
 set(vector_files)
 set(json_files)
+set(op_case_files)
 foreach(f IN LISTS files)
   set(hits)
+  if(f MATCHES "^src/(obs|machine)/" OR
+     f STREQUAL "src/core/kernels/batched.hpp")
+    file(STRINGS "${SOURCE_DIR}/${f}" hits REGEX "case OP::")
+    foreach(line IN LISTS hits)
+      string(REGEX MATCHALL "case OP::[A-Za-z0-9_]+" labels "${line}")
+      foreach(label IN LISTS labels)
+        if(NOT label MATCHES "^case OP::(M|MA|RESET|ID|BARRIER)$")
+          list(APPEND op_case_files "${f}")
+        endif()
+      endforeach()
+    endforeach()
+    set(hits)
+  endif()
   if(f STREQUAL "src/obs/progress.cpp")
     file(STRINGS "${SOURCE_DIR}/${f}" hits REGEX "${json_helpers}")
   elseif(NOT f STREQUAL "src/obs/jsonlite.hpp")
@@ -87,9 +108,17 @@ if(json_files)
          "JSON number rendering outside src/obs/jsonlite.hpp (write the "
          "document through jsonlite::Writer instead):\n  ${listing}\n")
 endif()
+if(op_case_files)
+  list(REMOVE_DUPLICATES op_case_files)
+  list(JOIN op_case_files "\n  " listing)
+  string(APPEND failures
+         "a unitary op in a case label of cost, progress or combining code "
+         "(read its footprint off kernels::footprint instead):\n  "
+         "${listing}\n")
+endif()
 list(LENGTH files n_files)
 if(failures)
   message(FATAL_ERROR "one_reader_lint: ${failures}")
 endif()
 message(STATUS "one_reader_lint: ${n_files} files, one reader, one home "
-               "for vector code, one JSON number rule")
+               "for vector code, one JSON number rule, one gate footprint")

@@ -26,6 +26,7 @@
 #include "obs/httpd.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/memtrack.hpp"
+#include "obs/perfmodel.hpp"
 #include "obs/progress.hpp"
 #include "obs/registry.hpp"
 
@@ -74,7 +75,8 @@ TEST(HttpdDeathTest, SigintFlushesPartialProgressAndExits130) {
         obs::ProgressBoard& board = obs::ProgressBoard::global();
         board.set_enabled(true);
         const Circuit c = ghz(4);
-        board.begin_run("single", c.n_qubits(), 1, c, nullptr);
+        board.begin_run("single", c.n_qubits(), 1,
+                        obs::model_run(c).bytes_prefix);
         board.slot(0)->publish_gate(2, 32);
         ::raise(SIGINT);
       },

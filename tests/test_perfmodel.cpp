@@ -3,15 +3,22 @@
 // Pins the analytic cost model's counting conventions with hand counts
 // (T touches the |1> half at 4 flops/amp, H streams every pair at 8,
 // CX permutes with zero arithmetic, a fused diagonal window collapses to
-// at most one state pass), checks the forced-EPERM counter fallback stays
-// well-formed, and verifies the report JSON remains valid and additive
-// ("svsim-report-v1" keeps every pre-roofline key).
+// at most one state pass), checks every kernel op's priced amplitudes
+// against what its kernel touches, checks the forced-EPERM counter
+// fallback stays well-formed, and verifies the report JSON remains valid
+// and additive ("svsim-report-v1" keeps every pre-roofline key).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "core/kernels/gates.hpp"
 #include "core/single_sim.hpp"
+#include "core/space.hpp"
 #include "ir/schedule.hpp"
 #include "machine/model.hpp"
 #include "machine/platforms.hpp"
@@ -99,6 +106,69 @@ TEST(PerfModel, RunModelSumsGatesAndBucketsByOp) {
   EXPECT_EQ(m.by_op[static_cast<std::size_t>(OP::H)].count, 1u);
   EXPECT_EQ(m.by_op[static_cast<std::size_t>(OP::CX)].count, 1u);
   EXPECT_EQ(m.by_op[static_cast<std::size_t>(OP::RZ)].count, 0u);
+}
+
+// --- footprints: the priced amplitudes are what each kernel touches -------
+
+// For every pattern × body op, at n = 5 and 7, with the operands low and
+// high (reversed for two-qubit ops): the per-element reference kernel,
+// run over the gate's whole work range on a one-partition PeerSpace,
+// counts 2 gets and 2 puts per amplitude gate_cost prices. On a random
+// state it changes exactly that many amplitudes; every other one stays
+// byte for byte as it was.
+TEST(PerfModel, FootprintMatchesEveryKernel) {
+  for (const IdxType n : {IdxType{5}, IdxType{7}}) {
+    const auto dim = static_cast<std::size_t>(pow2(n));
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<ValType> re0(dim);
+    std::vector<ValType> im0(dim);
+    for (std::size_t k = 0; k < dim; ++k) {
+      re0[k] = rng.next_gaussian();
+      im0[k] = rng.next_gaussian();
+    }
+    kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
+      constexpr bool two = kernels::Pattern<P>::kTwoQubit;
+      const std::pair<IdxType, IdxType> placements[] = {
+          {0, two ? 1 : -1}, {n - 1, two ? 1 : -1}};
+      for (const auto& [a, b] : placements) {
+        Gate g = make_gate(op, a, b);
+        g.theta = 0.613;
+        g.phi = -0.35;
+        g.lam = 1.2;
+        ValType coef[kernels::kMaxCoefRows] = {};
+        kernels::fill_coef(g, coef, 1, 0);
+        std::vector<ValType> re = re0;
+        std::vector<ValType> im = im0;
+        ValType* const real_parts[] = {re.data()};
+        ValType* const imag_parts[] = {im.data()};
+        std::uint64_t per_dest[1] = {0};
+        PeerTraffic traffic;
+        traffic.per_dest = per_dest;
+        PeerSpace sp;
+        sp.real_parts = real_parts;
+        sp.imag_parts = imag_parts;
+        sp.lg_part = n;
+        sp.dim = pow2(n);
+        sp.traffic = &traffic;
+        kernels::solo_kernel<P, B, kernels::ScalarLane>(
+            kernels::UGate{g, coef, 1}, sp, 0, kernels::gate_work_items(g, n));
+
+        const double amps = obs::gate_cost(g, n).amps;
+        const std::string what = g.str() + " on " + std::to_string(n);
+        EXPECT_EQ(static_cast<double>(traffic.local_access), 4 * amps)
+            << what;
+        EXPECT_EQ(traffic.remote_access, 0u) << what;
+        std::size_t changed = 0;
+        for (std::size_t k = 0; k < dim; ++k) {
+          if (std::memcmp(&re[k], &re0[k], sizeof(ValType)) != 0 ||
+              std::memcmp(&im[k], &im0[k], sizeof(ValType)) != 0) {
+            ++changed;
+          }
+        }
+        EXPECT_EQ(static_cast<double>(changed), amps) << what;
+      }
+    });
+  }
 }
 
 // --- fused diagonal windows ----------------------------------------------

@@ -1,12 +1,16 @@
 // obs::ProgressBoard: the model-driven progress/ETA math (per-gate
 // predicted-bytes prefix, min-over-PEs retirement, achieved-rate
-// calibration), the svsim-progress-v1 JSON document, the async-signal-safe
-// renderer the SIGINT flush uses, and the WaitScope → slot live-wait hook.
+// calibration), its agreement with the roofline's model on real runs, the
+// svsim-progress-v1 JSON document, the async-signal-safe renderer the
+// SIGINT flush uses, and the WaitScope → slot live-wait hook.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "circuits/qasmbench.hpp"
+#include "core/batched_sim.hpp"
+#include "core/peer_sim.hpp"
+#include "core/single_sim.hpp"
 #include "ir/circuit.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/perfmodel.hpp"
@@ -45,7 +49,8 @@ TEST(Progress, BytesPrefixMatchesPerfmodelAndDrivesFraction) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("testbe", c.n_qubits(), 2, c, nullptr);
+  board.begin_run("testbe", c.n_qubits(), 2,
+                  obs::model_run(c).bytes_prefix);
 
   // Total predicted bytes must equal the perfmodel sum over gates.
   double expect_total = 0;
@@ -92,11 +97,55 @@ TEST(Progress, BytesPrefixMatchesPerfmodelAndDrivesFraction) {
   EXPECT_EQ(board.last_report_json(), "{\"schema\":\"svsim-report-v1\"}");
 }
 
+// The board prices nothing itself: its byte axis is the run model's
+// scheduled bytes, and each gate publishes the amplitudes its kernel
+// touched, so a per-gate run ends with the summed amps_done at the
+// roofline's model_amps (36 here: 16 + 8 + 8 + 4) on every tier. The
+// batched total includes the coefficient rows the batched model prices.
+TEST(Progress, AmpsAndBytesMatchTheModel) {
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  SimConfig cfg;
+  cfg.roofline = true;
+  cfg.sched_window = 0; // the per-gate loop: no blocked window
+  Circuit c(4);
+  c.h(0).cx(0, 1).t(2).cz(1, 3);
+  const auto finished = [&](const obs::RunReport& rep, const char* what) {
+    const obs::ProgressSnapshot s = board.snapshot();
+    EXPECT_FALSE(s.active) << what;
+    EXPECT_EQ(s.bytes_total, rep.roofline.model_bytes_sched) << what;
+    return s;
+  };
+
+  SingleSim single(4, cfg);
+  single.run(c);
+  const obs::ProgressSnapshot ss = finished(single.last_report(), "single");
+  EXPECT_EQ(ss.amps_done, single.last_report().roofline.model_amps);
+  EXPECT_EQ(ss.amps_done, 36.0);
+
+  PeerSim peer(4, 2, cfg);
+  peer.run(c);
+  const obs::ProgressSnapshot ps = finished(peer.last_report(), "peer");
+  EXPECT_EQ(ps.amps_done, peer.last_report().roofline.model_amps);
+  ASSERT_EQ(ps.pes.size(), 2u);
+
+  Circuit rotated = c;
+  rotated.rz(0.5, 3).cu1(0.25, 0, 2);
+  BatchedSim batched(4, 3, cfg);
+  batched.run(rotated);
+  const obs::RunReport& rep = batched.last_report();
+  finished(rep, "batched");
+  EXPECT_GT(rep.roofline.model_bytes_sched,
+            3 * obs::model_run(rotated).bytes_sched)
+      << "the batched model prices coefficient rows";
+}
+
 TEST(Progress, JsonDocumentRoundTripsThroughJsonlite) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = circuits::qft(5);
-  board.begin_run("shmem", c.n_qubits(), 4, c, nullptr);
+  board.begin_run("shmem", c.n_qubits(), 4,
+                  obs::model_run(c).bytes_prefix);
   for (int w = 0; w < 4; ++w) {
     board.slot(w)->publish_gate(static_cast<std::uint64_t>(2 + w), 64);
   }
@@ -118,7 +167,8 @@ TEST(Progress, SignalSafeRendererEmitsValidJson) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("single", c.n_qubits(), 1, c, nullptr);
+  board.begin_run("single", c.n_qubits(), 1,
+                  obs::model_run(c).bytes_prefix);
   board.slot(0)->publish_gate(2, 32);
   board.mark_interrupted();
   char buf[4096];
@@ -138,7 +188,8 @@ TEST(Progress, WaitScopePublishesIntoTheBoundSlot) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("single", c.n_qubits(), 1, c, nullptr);
+  board.begin_run("single", c.n_qubits(), 1,
+                  obs::model_run(c).bytes_prefix);
   obs::ProgressSlot* slot = board.slot(0);
   ASSERT_EQ(slot->wait_us.load(), 0u);
   {
