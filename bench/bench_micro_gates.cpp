@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark): per-gate kernel throughput for the
 // specialized kernels at each SIMD level, and the specialized-vs-dense
 // per-gate gap that underlies Fig 14. Each gate runs with its lowest
-// operand at qubit 5 (/5: at or above log2 W, unit-stride vector loads)
-// and at qubit 1 (/1: below log2 W, gathers); two-qubit gates pair it with
-// qubit 11. Run with --benchmark_filter=... to narrow.
+// operand at qubit 5 (/5: at or above log2 W, plain vector loads and
+// stores) and at qubit 1 (/1: below log2 W, the same loads plus
+// in-register lane permutes and masked stores); two-qubit gates pair it
+// with qubit 11 (/5/11, /1/11) and also run with both operands below
+// log2 W (/1/0). Run with --benchmark_filter=... to narrow.
 #include <benchmark/benchmark.h>
 
 #include "core/generalized_sim.hpp"
@@ -14,6 +16,20 @@ namespace {
 using namespace svsim;
 
 constexpr IdxType kQubits = 16;
+
+/// The row's gate: `op` on qubit range(0), a two-qubit op with range(1).
+Gate bench_gate(const benchmark::State& state, OP op) {
+  const auto a = static_cast<IdxType>(state.range(0));
+  if (op_info(op).n_qubits == 1) return make_gate(op, a);
+  return make_gate(op, a, static_cast<IdxType>(state.range(1)));
+}
+
+/// Operand rows: the lowest operand at 5 and at 1; a two-qubit op pairs
+/// it with 11, or puts both operands below log2 W.
+void one_qubit_rows(benchmark::internal::Benchmark* b) { b->Arg(5)->Arg(1); }
+void two_qubit_rows(benchmark::internal::Benchmark* b) {
+  b->Args({5, 11})->Args({1, 11})->Args({1, 0});
+}
 
 void run_gate(benchmark::State& state, OP op, SimdLevel level) {
   if (level > max_simd_level()) {
@@ -29,9 +45,7 @@ void run_gate(benchmark::State& state, OP op, SimdLevel level) {
   sim.run(prep);
 
   Circuit c(kQubits);
-  const auto low = static_cast<IdxType>(state.range(0));
-  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, low)
-                                     : make_gate(op, low, 11);
+  Gate g = bench_gate(state, op);
   g.theta = 0.7;
   g.phi = 0.3;
   g.lam = -0.4;
@@ -51,9 +65,7 @@ void run_generic_gate(benchmark::State& state, OP op) {
   sim.run(prep);
 
   Circuit c(kQubits);
-  const auto low = static_cast<IdxType>(state.range(0));
-  Gate g = op_info(op).n_qubits == 1 ? make_gate(op, low)
-                                     : make_gate(op, low, 11);
+  Gate g = bench_gate(state, op);
   g.theta = 0.7;
   c.append(g);
   for (auto _ : state) {
@@ -62,34 +74,34 @@ void run_generic_gate(benchmark::State& state, OP op) {
   state.SetItemsProcessed(state.iterations() * pow2(kQubits));
 }
 
-#define GATE_BENCH(opname)                                                   \
+#define GATE_BENCH(opname, rows)                                             \
   void BM_##opname##_scalar(benchmark::State& s) {                          \
     run_gate(s, OP::opname, SimdLevel::kScalar);                            \
   }                                                                          \
-  BENCHMARK(BM_##opname##_scalar)->Arg(5)->Arg(1);                          \
+  BENCHMARK(BM_##opname##_scalar)->Apply(rows);                             \
   void BM_##opname##_avx2(benchmark::State& s) {                            \
     run_gate(s, OP::opname, SimdLevel::kAvx2);                              \
   }                                                                          \
-  BENCHMARK(BM_##opname##_avx2)->Arg(5)->Arg(1);                            \
+  BENCHMARK(BM_##opname##_avx2)->Apply(rows);                               \
   void BM_##opname##_avx512(benchmark::State& s) {                          \
     run_gate(s, OP::opname, SimdLevel::kAvx512);                            \
   }                                                                          \
-  BENCHMARK(BM_##opname##_avx512)->Arg(5)->Arg(1);                          \
+  BENCHMARK(BM_##opname##_avx512)->Apply(rows);                             \
   void BM_##opname##_generic(benchmark::State& s) {                         \
     run_generic_gate(s, OP::opname);                                        \
   }                                                                          \
-  BENCHMARK(BM_##opname##_generic)->Arg(5)->Arg(1);
+  BENCHMARK(BM_##opname##_generic)->Apply(rows);
 
-GATE_BENCH(H)
-GATE_BENCH(T)
-GATE_BENCH(X)
-GATE_BENCH(Z)
-GATE_BENCH(RY)
-GATE_BENCH(U3)
-GATE_BENCH(CX)
-GATE_BENCH(CZ)
-GATE_BENCH(CU1)
-GATE_BENCH(RZZ)
+GATE_BENCH(H, one_qubit_rows)
+GATE_BENCH(T, one_qubit_rows)
+GATE_BENCH(X, one_qubit_rows)
+GATE_BENCH(Z, one_qubit_rows)
+GATE_BENCH(RY, one_qubit_rows)
+GATE_BENCH(U3, one_qubit_rows)
+GATE_BENCH(CX, two_qubit_rows)
+GATE_BENCH(CZ, two_qubit_rows)
+GATE_BENCH(CU1, two_qubit_rows)
+GATE_BENCH(RZZ, two_qubit_rows)
 
 } // namespace
 

@@ -1,8 +1,8 @@
 // Cache-line / SIMD-register aligned buffer with RAII ownership.
 //
 // State-vector partitions must be 64-byte aligned so that the AVX-512
-// kernels (Listing 2 of the paper) can use aligned loads and the
-// gather/scatter index arithmetic never straddles a vector register.
+// kernels (Listing 2 of the paper) load and store whole W-aligned vectors
+// that never straddle a cache line.
 // This is the host-side stand-in for the paper's SAFE_ALOC_GPU /
 // SAFE_ALOC_HOST macros.
 #pragma once

@@ -3,8 +3,9 @@
 // The paper stores the state vector as two separate double arrays
 // (sv_real / sv_imag, a structure-of-arrays layout) rather than an array of
 // std::complex, because the specialized gate kernels frequently touch only
-// one component and SoA keeps the SIMD gather/scatter paths simple. We keep
-// the paper's type names: ValType for amplitudes, IdxType for indices.
+// one component and SoA keeps every SIMD lane one amplitude's real or
+// imaginary part, so whole vectors load and permute per array. We keep the
+// paper's type names: ValType for amplitudes, IdxType for indices.
 #pragma once
 
 #include <complex>

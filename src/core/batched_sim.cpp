@@ -130,6 +130,8 @@ struct BatchedSim::Plan {
 
   void build(const Circuit& circuit, IdxType n, IdxType batch,
              IdxType block_exp, const BatchedTable& table);
+  std::vector<obs::SlotCost> slot_costs(const std::vector<Gate>& gates,
+                                        IdxType n) const;
   void refill(const std::vector<Gate>& gates,
               const std::vector<Circuit>* members, IdxType batch,
               const BatchedTable& table);
@@ -355,6 +357,35 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
   valid = true;
 }
 
+/// What each gate slot runs per member, as the roofline and progress model
+/// price it (obs::model_run_batched): an absorbed gate nothing, a combined
+/// run one dense 2x2 pass with its 8 rows, a combined pair one sweep of its
+/// quadruples applying both dense bodies to each (two pairs per body) with
+/// 16 rows, any other gate its own kernel and rows.
+std::vector<obs::SlotCost> BatchedSim::Plan::slot_costs(
+    const std::vector<Gate>& gates, IdxType n) const {
+  std::vector<obs::SlotCost> out(gates.size());
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    if (dev[i].skip) continue;
+    out[i] = {obs::gate_cost(gates[i], n), kernels::coef_rows(gates[i].op)};
+  }
+  const kernels::Footprint& dense = kernels::footprint(OP::U3);
+  for (const Combined& c : combined) {
+    const BDev& d = dev[static_cast<std::size_t>(c.head)];
+    obs::SlotCost& s = out[static_cast<std::size_t>(c.head)];
+    if (c.q_gis.empty()) {
+      s = {obs::gate_cost(d.ug.g, n), dense.rows};
+      continue;
+    }
+    const auto quads = static_cast<double>(d.work);
+    const double amps = quads * static_cast<double>(d.amps_per_item);
+    s.cost = {amps, amps * static_cast<double>(obs::kBytesPerAmp),
+              quads * 4 * dense.flops};
+    s.rows = 2 * dense.rows;
+  }
+  return out;
+}
+
 void BatchedSim::Plan::refill(const std::vector<Gate>& gates,
                               const std::vector<Circuit>* members,
                               IdxType batch, const BatchedTable& table) {
@@ -532,8 +563,11 @@ void BatchedSim::execute(const Circuit& circuit,
   sp.results = ma_shots_ > 0 ? results_.data() : nullptr;
   sp.n_shots = ma_shots_;
 
+  const std::vector<obs::SlotCost> slots =
+      sw_.roofline || progress != nullptr ? plan.slot_costs(gates, n_)
+                                          : std::vector<obs::SlotCost>{};
   LoopBracket bracket(report_, sw_.roofline, progress, circuit,
-                      sched_active ? &sched : nullptr, batch_);
+                      sched_active ? &sched : nullptr, batch_, &slots);
   obs::ProgressSlot* slot = progress != nullptr ? progress->slot(0) : nullptr;
   bracket.start();
   {

@@ -88,7 +88,7 @@ void batched_kernel(const UGate& ug, const BatchedSpace& sp, IdxType begin,
   const Pt pat(ug.g);
   const IdxType nb = sp.batch;
   for (IdxType i = begin; i < end; ++i) {
-    const IdxType s = pat.template base<ScalarLane>(i);
+    const IdxType s = pat.base(i);
     for (int k = 0; k < Pt::kSites; ++k) {
       const IdxType a = (s + pat.off[k][0]) * nb;
       const IdxType bb = (s + pat.off[k][1]) * nb;

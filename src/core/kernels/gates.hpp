@@ -13,12 +13,16 @@
 //     get_/set_real/imag (single device, peer pointer array, SHMEM
 //     one-sided get/put: Listings 3-5), so every tier routes and counts
 //     the same element accesses;
-//   * solo SIMD  — W consecutive work items per vector. When the lowest
-//     operand qubit is at least log2 W and the range starts W-aligned, a
-//     vector's W lanes address W consecutive amplitudes per site, which
-//     move by one plain vector load and store; below log2 W the lanes
-//     gather and scatter through the lane-wise index maps (Listing 2).
-//     The ragged tail goes through the solo scalar loop;
+//   * solo SIMD  — W consecutive work items per vector from the range's
+//     first W-aligned item. Each step loads the whole W-aligned vectors
+//     that hold its amplitudes and writes them back, masking the lanes
+//     the gate does not own; where a pair's two amplitudes sit in
+//     different lanes it permutes them into place in registers. When the
+//     lowest operand qubit is at least log2 W every lane is owned and
+//     nothing moves: plain loads and stores. Listing 2 reaches the same
+//     lanes by lane-wise index maps and gather/scatter. The head before
+//     the first aligned item and the ragged tail go through the solo
+//     scalar loop;
 //   * batched    — lanes across batch members (kernels/batched.hpp).
 //
 // A body's coefficients (cos/sin pairs, dense 2×2 entries) are filled
@@ -26,9 +30,10 @@
 // for a batched gate's member columns.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <type_traits>
+#include <cstdint>
 
 #include "common/bits.hpp"
 #include "common/types.hpp"
@@ -297,18 +302,12 @@ struct Pattern {
     }
   }
 
-  /// Base amplitude index of work items `i` (Eq. (1) or (2), lane-wise).
-  template <class L>
-  typename L::I base(typename L::I i) const {
+  /// Base amplitude index of work item `i` (Eq. (1) or (2)).
+  IdxType base(IdxType i) const {
     if constexpr (!kTwoQubit) {
-      return L::or_i(L::shl_i(L::shr_i(i, p), p + 1),
-                     L::and_i(i, L::splat_i(pow2(p) - 1)));
+      return pair_base(i, p);
     } else {
-      const auto ip = L::shr_i(i, p);
-      const auto low = L::and_i(i, L::splat_i(pow2(p) - 1));
-      const auto hi = L::shr_i(ip, q - p - 1);
-      const auto mid = L::and_i(ip, L::splat_i(pow2(q - p - 1) - 1));
-      return L::or_i(L::or_i(L::shl_i(hi, q + 1), L::shl_i(mid, p + 1)), low);
+      return quad_base(i, p, q);
     }
   }
 };
@@ -474,114 +473,351 @@ inline void fill_coef(const Gate& g, ValType* coef, IdxType stride,
 
 namespace solo_detail {
 
-/// Pattern P × body B over work items [begin, end), L::W items per step.
-/// ScalarLane reaches amplitudes through the Space's element access;
-/// wider lanes work on its raw arrays (LocalSpace only). When the lowest
-/// operand's stride 2^p is at least W and `begin` is W-aligned, every
-/// vector's W work items lie in one run of 2^p consecutive items, so each
-/// site's W amplitudes are consecutive too: one plain load and store per
-/// array from the first lane's index. Otherwise the lanes gather and
-/// scatter through their own indices.
-template <Pat P, class B, class L, class Space>
-inline void run(const UGate& ug, const Space& sp, IdxType begin,
-                IdxType end) {
-  using V = typename L::V;
-  using I = typename L::I;
+/// The solo scalar strategy: pattern P × body B over work items
+/// [begin, end), one at a time through the Space's element access.
+template <Pat P, class B, class Space>
+inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
+                       IdxType end) {
   using Pt = Pattern<P>;
   const Pt pat(ug.g);
-  V c[B::kRows > 0 ? B::kRows : 1]{};
-  for (int r = 0; r < B::kRows; ++r) c[r] = L::splat(ug.coef[r * ug.stride]);
-  // A site address is lane-wise indices (I) or, on the unit-stride path
-  // of a vector policy, the first of W consecutive indices (IdxType).
-  const auto re = [&](const auto at) {
-    if constexpr (L::W == 1) {
-      return sp.get_real(at);
-    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
-      return L::load(sp.real + at);
-    } else {
-      return L::gather(sp.real, at);
-    }
-  };
-  const auto im = [&](const auto at) {
-    if constexpr (L::W == 1) {
-      return sp.get_imag(at);
-    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
-      return L::load(sp.imag + at);
-    } else {
-      return L::gather(sp.imag, at);
-    }
-  };
-  const auto set = [&](const auto at, V r, V i) {
-    if constexpr (L::W == 1) {
-      sp.set_real(at, r);
-      sp.set_imag(at, i);
-    } else if constexpr (std::is_same_v<decltype(at), const IdxType>) {
-      L::store(sp.real + at, r);
-      L::store(sp.imag + at, i);
-    } else {
-      L::scatter(sp.real, at, r);
-      L::scatter(sp.imag, at, i);
-    }
-  };
-  // One vector's sites from its base address `s`, with offsets `o` in the
-  // index policy X that `s` is in.
-  const auto sites = [&]<class X>(const typename X::I s,
-                                  const typename X::I (&o)[Pt::kSites][2]) {
+  ValType c[B::kRows > 0 ? B::kRows : 1]{};
+  for (int r = 0; r < B::kRows; ++r) c[r] = ug.coef[r * ug.stride];
+  for (IdxType i = begin; i < end; ++i) {
+    const IdxType s = pat.base(i);
     for (int k = 0; k < Pt::kSites; ++k) {
-      const auto a = X::add_i(s, o[k][0]);
-      V r0 = re(a);
-      V i0 = im(a);
+      const IdxType a = s + pat.off[k][0];
+      ValType r0 = sp.get_real(a);
+      ValType i0 = sp.get_imag(a);
       if constexpr (Pt::kPair) {
-        const auto b = X::add_i(s, o[k][1]);
-        V r1 = re(b);
-        V i1 = im(b);
-        B::template pair<L>(c, r0, i0, r1, i1);
-        set(a, r0, i0);
-        set(b, r1, i1);
+        const IdxType b = s + pat.off[k][1];
+        ValType r1 = sp.get_real(b);
+        ValType i1 = sp.get_imag(b);
+        B::template pair<ScalarLane>(c, r0, i0, r1, i1);
+        sp.set_real(a, r0);
+        sp.set_imag(a, i0);
+        sp.set_real(b, r1);
+        sp.set_imag(b, i1);
       } else {
-        B::template one<L>(c, r0, i0);
-        set(a, r0, i0);
+        B::template one<ScalarLane>(c, r0, i0);
+        sp.set_real(a, r0);
+        sp.set_imag(a, i0);
       }
+    }
+  }
+}
+
+/// Where one step of the solo SIMD strategy finds its amplitudes.
+///
+/// A role is one of the pattern's kTouched amplitudes per work item: site
+/// k's element j is role k·E + j (E = 2 for a pair body, 1 for a single).
+/// Eq. (1)/(2) only spread a work item's bits around the operand
+/// positions, so for a W-aligned work item i and a lane l < W,
+/// base(i + l) = base(i) + base(l): role r of lane l sits at
+/// base(i) + base(l) + off_r. A role's W amplitudes therefore lie in 2^k
+/// W-aligned vectors, k being the number of operands below log2 W. Vector
+/// m holds lanes l in [m·W/2^k, (m+1)·W/2^k) and sits at base(i) plus the
+/// offset's bits at or above log2 W plus hop[m] = base(m·W/2^k); in every
+/// one of them the role takes the same lanes.
+///
+/// When both elements of every pair take the same lanes (they differ only
+/// in bits at or above log2 W; always so for a single body), the vectors
+/// line up lane for lane: run_aligned runs the body on whole vectors and
+/// stores only the site's lanes. Otherwise a pair straddles lanes of one
+/// vector, and run_permuted moves each role's lanes out of the vectors
+/// and back in registers (StraddleLayout). The layout holds for every
+/// step, so it is computed once per kernel call, and at k = 0 it is just
+/// the offsets.
+template <Pat P, IdxType W>
+struct TileLayout {
+  using Pt = Pattern<P>;
+  static constexpr int kRoles = Pt::kTouched;
+  static constexpr int kElems = Pt::kPair ? 2 : 1;
+
+  int k = 0;              // operands below log2 W
+  bool aligned = true;    // every pair's elements take the same lanes
+  IdxType hop[4]{};       // vector m of a role, past base(i) + its high bits
+  IdxType high[kRoles]{}; // role r's offset bits at or above log2 W
+  /// Sites run_aligned visits, and (k >= 1) each one's lanes in its
+  /// vectors. Every site of a single body applies the same body, so sites
+  /// whose vectors coincide merge into the first: one pass, their lanes
+  /// together.
+  int sites = Pt::kSites;
+  std::uint64_t lanes[Pt::kSites][W]{};
+
+  explicit TileLayout(const Pt& pat) {
+    constexpr IdxType lg_w = log2_exact(W);
+    k = (pat.p < lg_w ? 1 : 0) + (Pt::kTwoQubit && pat.q < lg_w ? 1 : 0);
+    for (int r = 0; r < kRoles; ++r) high[r] = off(pat, r) & ~(W - 1);
+    if (k == 0) return; // every lane owned: the vectors are the offsets
+    const IdxType per_vec = W >> k; // lanes of one role per vector
+    for (IdxType m = 0; m < pow2(k); ++m) hop[m] = pat.base(m * per_vec);
+    if (!Pt::kPair && Pt::kSites == 2 && high[1] == high[0]) sites = 1;
+    for (int st = 0; st < Pt::kSites; ++st) {
+      const IdxType a0 = off(pat, st * kElems);
+      const IdxType a1 = off(pat, st * kElems + kElems - 1);
+      aligned = aligned && ((a0 ^ a1) & (W - 1)) == 0;
+      for (IdxType j = 0; j < per_vec; ++j) {
+        lanes[st < sites ? st : 0][(pat.base(j) + a0) & (W - 1)] =
+            ~std::uint64_t{0};
+      }
+    }
+  }
+
+  static IdxType off(const Pt& pat, int r) {
+    return pat.off[r / kElems][r % kElems];
+  }
+};
+
+/// What run_permuted needs on top of a TileLayout, for a pair body whose
+/// elements straddle lanes (k >= 1). Roles whose vectors coincide form a
+/// group; for every pattern role r's group is r mod G, and G·2^k <= 4.
+/// Group g's vector m is v = g·2^k + m.
+template <Pat P, IdxType W>
+struct StraddleLayout {
+  using Tile = TileLayout<P, W>;
+  static constexpr int kRoles = Tile::kRoles;
+
+  int groups = 1; // G
+  /// Per vector v and lane x: the role lane it takes — j·W + l from the
+  /// group's member roles j = 0, 1, the same from members 2, 3 where
+  /// from_hi is set — and whether one of its roles owns the lane.
+  IdxType to_vec[4][W]{};
+  std::uint64_t from_hi[4][W]{};
+  std::uint64_t owned[4][W]{};
+  /// Per role and lane: its position in the group's vectors, mod 2W (the
+  /// second pair of vectors feeds lanes l >= W/2 when k = 2).
+  IdxType to_role[kRoles][W]{};
+  std::uint64_t upper[W]{}; // lanes l >= W/2
+
+  StraddleLayout(const Pattern<P>& pat, const Tile& lay) {
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    const IdxType per_vec = W >> lay.k;
+    while (groups < kRoles && lay.high[groups] != lay.high[0]) ++groups;
+    for (int r = 0; r < kRoles; ++r) {
+      const int g = r % groups;
+      const int j = r / groups;
+      for (IdxType l = 0; l < W; ++l) {
+        const IdxType m = l / per_vec;
+        const IdxType x = (pat.base(l) + Tile::off(pat, r)) & (W - 1);
+        const IdxType v = g * pow2(lay.k) + m;
+        to_role[r][l] = (m & 1) * W + x;
+        to_vec[v][x] = (j & 1) * W + l;
+        from_hi[v][x] = j >= 2 ? kAll : 0;
+        owned[v][x] = kAll;
+      }
+    }
+    for (IdxType l = W / 2; l < W; ++l) upper[l] = kAll;
+  }
+};
+
+/// The solo SIMD strategy where every pair's elements take the same lanes,
+/// at K operands below log2 W: W-aligned work items [begin, end), W per
+/// step. For each site and each of its 2^K vectors per element, a step
+/// loads whole vectors, runs the body on every lane and stores the site's
+/// lanes — at K = 0 all of them, by the plain stores of the unit-stride
+/// path. No lane moves, and no vector is loaded after a masked store to
+/// it in the same step (merged sites), which would stall store
+/// forwarding.
+template <int K, Pat P, class B, class L, class Space>
+inline void run_aligned(const Pattern<P>& pat, const TileLayout<P, L::W>& lay,
+                        const typename L::V* c, const Space& sp,
+                        IdxType begin, IdxType end) {
+  using V = typename L::V;
+  using Pt = Pattern<P>;
+  constexpr int N = 1 << K;
+  constexpr int E = Pt::kPair ? 2 : 1;
+  IdxType at[Pt::kSites][E][N];
+  typename L::M lanes[Pt::kSites]{};
+  for (int k = 0; k < Pt::kSites; ++k) {
+    if constexpr (K > 0) lanes[k] = L::mask(lay.lanes[k]);
+    for (int j = 0; j < E; ++j) {
+      for (int m = 0; m < N; ++m) {
+        at[k][j][m] = lay.high[k * E + j] + lay.hop[m];
+      }
+    }
+  }
+  const auto put = [&](ValType* p, V v, typename L::M m) {
+    if constexpr (K == 0) {
+      L::store(p, v);
+    } else {
+      L::store_mask(p, v, m);
     }
   };
-  if constexpr (L::W > 1) {
-    if (pow2(pat.p) >= L::W && begin % L::W == 0) {
-      for (IdxType i = begin; i < end; i += L::W) {
-        sites.template operator()<ScalarLane>(
-            pat.template base<ScalarLane>(i), pat.off);
+  const int sites = lay.sites;
+  for (IdxType i = begin; i < end; i += L::W) {
+    const IdxType s = pat.base(i);
+    for (int k = 0; k < Pt::kSites && k < sites; ++k) {
+      for (int m = 0; m < N; ++m) {
+        const IdxType a = s + at[k][0][m];
+        V r0 = L::load(sp.real + a);
+        V i0 = L::load(sp.imag + a);
+        if constexpr (Pt::kPair) {
+          const IdxType b = s + at[k][1][m];
+          V r1 = L::load(sp.real + b);
+          V i1 = L::load(sp.imag + b);
+          B::template pair<L>(c, r0, i0, r1, i1);
+          put(sp.real + b, r1, lanes[k]);
+          put(sp.imag + b, i1, lanes[k]);
+        } else {
+          B::template one<L>(c, r0, i0);
+        }
+        put(sp.real + a, r0, lanes[k]);
+        put(sp.imag + a, i0, lanes[k]);
       }
-      return;
     }
   }
-  I off[Pt::kSites][2];
-  for (int k = 0; k < Pt::kSites; ++k) {
-    off[k][0] = L::splat_i(pat.off[k][0]);
-    off[k][1] = L::splat_i(pat.off[k][1]);
+}
+
+/// Lanes from S sources by one permutation: one source, a pair, or two
+/// pairs with `hi` choosing the second pair's lanes.
+template <class L, int S>
+inline typename L::V pick(const typename L::V (&src)[S],
+                          const typename L::Perm& p, typename L::M hi) {
+  if constexpr (S == 1) {
+    return L::permute(src[0], p);
+  } else if constexpr (S == 2) {
+    return L::permute2(src[0], src[1], p);
+  } else {
+    return L::blend(L::permute2(src[0], src[1], p),
+                    L::permute2(src[2], src[3], p), hi);
   }
-  const I step = L::splat_i(L::W);
-  I iv = L::iota(begin);
-  for (IdxType i = begin; i < end; i += L::W, iv = L::add_i(iv, step)) {
-    sites.template operator()<L>(pat.template base<L>(iv), off);
+}
+
+/// The solo SIMD strategy for a pair body whose elements straddle lanes,
+/// at K >= 1 operands below log2 W and G role groups: W-aligned work items
+/// [begin, end), W per step. Each step loads its groups' vectors once,
+/// permutes every role's lanes out of them, runs the body, and writes
+/// each vector back from its roles' lanes: a plain store when they own
+/// every lane, a masked store otherwise.
+template <int K, int G, Pat P, class B, class L, class Space>
+inline void run_permuted(const Pattern<P>& pat,
+                         const TileLayout<P, L::W>& lay,
+                         const StraddleLayout<P, L::W>& st,
+                         const typename L::V* c, const Space& sp,
+                         IdxType begin, IdxType end) {
+  using V = typename L::V;
+  using Pt = Pattern<P>;
+  constexpr int kRoles = Pt::kTouched;
+  constexpr int N = 1 << K;     // vectors per group
+  constexpr int M = kRoles / G; // roles per group
+  static_assert(K >= 1 && G * N <= 4 && M <= N);
+  IdxType vec[G * N];
+  typename L::Perm to_vec[G * N]{};
+  typename L::M from_hi[G * N]{};
+  typename L::M owned[G * N]{};
+  for (int v = 0; v < G * N; ++v) {
+    vec[v] = lay.high[v / N] + lay.hop[v % N];
+    to_vec[v] = L::perm(st.to_vec[v]);
+    from_hi[v] = L::mask(st.from_hi[v]);
+    owned[v] = L::mask(st.owned[v]);
+  }
+  typename L::Perm to_role[kRoles]{};
+  for (int r = 0; r < kRoles; ++r) to_role[r] = L::perm(st.to_role[r]);
+  const typename L::M upper = L::mask(st.upper);
+  for (IdxType i = begin; i < end; i += L::W) {
+    const IdxType s = pat.base(i);
+    V re[kRoles];
+    V im[kRoles];
+    for (int g = 0; g < G; ++g) {
+      V tr[N];
+      V ti[N];
+      for (int m = 0; m < N; ++m) {
+        tr[m] = L::load(sp.real + s + vec[g * N + m]);
+        ti[m] = L::load(sp.imag + s + vec[g * N + m]);
+      }
+      for (int j = 0; j < M; ++j) {
+        const int r = g + j * G;
+        re[r] = pick<L, N>(tr, to_role[r], upper);
+        im[r] = pick<L, N>(ti, to_role[r], upper);
+      }
+    }
+    for (int k = 0; k < Pt::kSites; ++k) {
+      B::template pair<L>(c, re[2 * k], im[2 * k], re[2 * k + 1],
+                          im[2 * k + 1]);
+    }
+    for (int g = 0; g < G; ++g) {
+      V sr[M];
+      V si[M];
+      for (int j = 0; j < M; ++j) {
+        sr[j] = re[g + j * G];
+        si[j] = im[g + j * G];
+      }
+      for (int m = 0; m < N; ++m) {
+        const int v = g * N + m;
+        ValType* const pr = sp.real + s + vec[v];
+        ValType* const pi = sp.imag + s + vec[v];
+        if constexpr (M == N) {
+          L::store(pr, pick<L, M>(sr, to_vec[v], from_hi[v]));
+          L::store(pi, pick<L, M>(si, to_vec[v], from_hi[v]));
+        } else {
+          L::store_mask(pr, pick<L, M>(sr, to_vec[v], from_hi[v]), owned[v]);
+          L::store_mask(pi, pick<L, M>(si, to_vec[v], from_hi[v]), owned[v]);
+        }
+      }
+    }
+  }
+}
+
+/// Pattern P × body B over W-aligned work items [begin, end), a multiple
+/// of W of them, through lane policy L on the Space's raw arrays
+/// (LocalSpace only).
+template <Pat P, class B, class L, class Space>
+inline void run_simd(const UGate& ug, const Space& sp, IdxType begin,
+                     IdxType end) {
+  using Pt = Pattern<P>;
+  constexpr int kRoles = Pt::kTouched;
+  const Pt pat(ug.g);
+  typename L::V c[B::kRows > 0 ? B::kRows : 1]{};
+  for (int r = 0; r < B::kRows; ++r) c[r] = L::splat(ug.coef[r * ug.stride]);
+  const TileLayout<P, L::W> lay(pat);
+  if (lay.aligned) {
+    if (lay.k == 0) {
+      run_aligned<0, P, B, L>(pat, lay, c, sp, begin, end);
+    } else if (lay.k == 1) {
+      run_aligned<1, P, B, L>(pat, lay, c, sp, begin, end);
+    } else if constexpr (Pt::kTwoQubit) {
+      run_aligned<2, P, B, L>(pat, lay, c, sp, begin, end);
+    }
+  } else if constexpr (Pt::kPair) {
+    // Straddling pairs: k >= 1. Two vectors per group at k = 1 hold one
+    // group of at most two roles, or two groups.
+    const StraddleLayout<P, L::W> st(pat, lay);
+    if (lay.k == 1) {
+      if constexpr (kRoles <= 2) {
+        if (st.groups == 1) {
+          return run_permuted<1, 1, P, B, L>(pat, lay, st, c, sp, begin,
+                                             end);
+        }
+      }
+      if constexpr (kRoles >= 2) {
+        run_permuted<1, 2, P, B, L>(pat, lay, st, c, sp, begin, end);
+      }
+    } else if constexpr (Pt::kTwoQubit) {
+      run_permuted<2, 1, P, B, L>(pat, lay, st, c, sp, begin, end);
+    }
   }
 }
 
 } // namespace solo_detail
 
 /// One gate on one state vector, work items [begin, end): W at a time
-/// through lane policy L (the solo SIMD strategy), the ragged tail — and
-/// everything when L is ScalarLane — one at a time (the solo scalar
-/// strategy, valid over any Space). Never inlined: the partitioned
-/// tables' range kernels call the very instance SingleSim's table holds,
-/// so the tiers share one copy of each vector loop.
+/// through lane policy L (the solo SIMD strategy) from the first W-aligned
+/// item, the head before it and the ragged tail — and everything when L is
+/// ScalarLane — one at a time (the solo scalar strategy, valid over any
+/// Space). Never inlined: the partitioned tables' range kernels call the
+/// very instance SingleSim's table holds, so the tiers share one copy of
+/// each vector loop.
 template <Pat P, class B, class L, class Space>
 [[gnu::noinline]] void solo_kernel(const UGate& ug, const Space& sp,
                                    IdxType begin, IdxType end) {
   if constexpr (L::W > 1) {
-    const IdxType full = begin + (end - begin) / L::W * L::W;
-    solo_detail::run<P, B, L>(ug, sp, begin, full);
-    begin = full;
+    const IdxType first = std::min(end, (begin + L::W - 1) / L::W * L::W);
+    const IdxType last = first + (end - first) / L::W * L::W;
+    solo_detail::run_scalar<P, B>(ug, sp, begin, first);
+    if (first < last) solo_detail::run_simd<P, B, L>(ug, sp, first, last);
+    begin = last;
   }
-  solo_detail::run<P, B, ScalarLane>(ug, sp, begin, end);
+  solo_detail::run_scalar<P, B>(ug, sp, begin, end);
 }
 
 /// ID and BARRIER: no amplitude work (the kernel loop issues the sync).

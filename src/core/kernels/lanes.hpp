@@ -5,11 +5,11 @@
 // Avx512Lane (W=8). Bodies use the built-in arithmetic operators, which
 // every V supports; the value ops here (load/store/splat/...) serve the
 // strategies' loads and the batched engine's own arithmetic, the
-// mask/blend ops its divergent measure/reset, and the index ops plus
-// gather/scatter the solo SIMD strategy, which carries W consecutive
-// work items per vector and addresses their amplitudes through the
-// Eq. (1)/(2) maps computed lane-wise — the paper's Listing 2
-// construction.
+// mask/blend ops its divergent measure/reset, and the lane moves
+// (perm/permute/permute2/store_mask) the solo SIMD strategy, which loads
+// whole W-aligned vectors, moves a pair's amplitudes into matching lanes
+// in registers and stores only the lanes a gate owns: the paper's
+// Listing 2 builds the same lanes from lane-wise index maps and gathers.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@ struct ScalarLane {
   static constexpr SimdLevel kLevel = SimdLevel::kScalar;
   using V = ValType;
   using M = bool;
-  using I = IdxType;
   static V load(const ValType* p) { return *p; }
   static void store(ValType* p, V v) { *p = v; }
   static V splat(ValType x) { return x; }
@@ -41,17 +40,6 @@ struct ScalarLane {
   static M mask(const std::uint64_t* w) { return *w != 0; }
   /// b where the mask is set, a elsewhere.
   static V blend(V a, V b, M m) { return m ? b : a; }
-  /// Index lanes: work items i, i+1, ..., i+W-1 and the amplitude
-  /// indices the index maps derive from them. The vector policies shift
-  /// by a splatted per-lane count: on x86 that form is one uop, the
-  /// shift-by-xmm-count form two.
-  static I iota(IdxType i) { return i; }
-  static I splat_i(IdxType x) { return x; }
-  static I add_i(I a, I b) { return a + b; }
-  static I and_i(I a, I b) { return a & b; }
-  static I or_i(I a, I b) { return a | b; }
-  static I shr_i(I a, IdxType s) { return a >> s; }
-  static I shl_i(I a, IdxType s) { return a << s; }
 };
 
 #if defined(__AVX2__) && !defined(SVSIM_FORCE_SCALAR)
@@ -60,7 +48,6 @@ struct Avx2Lane {
   static constexpr SimdLevel kLevel = SimdLevel::kAvx2;
   using V = __m256d;
   using M = __m256d; // sign bit per member drives blendv
-  using I = __m256i;
   static V load(const ValType* p) { return _mm256_loadu_pd(p); }
   static void store(ValType* p, V v) { _mm256_storeu_pd(p, v); }
   static V splat(ValType x) { return _mm256_set1_pd(x); }
@@ -74,30 +61,35 @@ struct Avx2Lane {
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
   }
   static V blend(V a, V b, M m) { return _mm256_blendv_pd(a, b, m); }
-  static I iota(IdxType i) {
-    return _mm256_add_epi64(_mm256_set1_epi64x(i),
-                            _mm256_setr_epi64x(0, 1, 2, 3));
+  /// A lane permutation: lane l takes element lanes[l] of a (lanes[l] <
+  /// W) or element lanes[l] - W of b. AVX2 has no two-source double
+  /// permute, so each source moves through the 32-bit-lane permute and
+  /// `hi` picks b's lanes.
+  struct Perm {
+    __m256i idx; // 32-bit lane pairs (2e, 2e+1), e = lanes[l] mod 4
+    M hi;        // lanes[l] >= 4
+  };
+  static Perm perm(const IdxType* lanes) {
+    alignas(32) int idx[8];
+    alignas(32) std::uint64_t hi[4];
+    for (int l = 0; l < 4; ++l) {
+      idx[2 * l] = static_cast<int>(2 * (lanes[l] & 3));
+      idx[2 * l + 1] = idx[2 * l] + 1;
+      hi[l] = lanes[l] >= 4 ? ~std::uint64_t{0} : 0;
+    }
+    return {_mm256_load_si256(reinterpret_cast<const __m256i*>(idx)),
+            mask(hi)};
   }
-  static I splat_i(IdxType x) { return _mm256_set1_epi64x(x); }
-  static I add_i(I a, I b) { return _mm256_add_epi64(a, b); }
-  static I and_i(I a, I b) { return _mm256_and_si256(a, b); }
-  static I or_i(I a, I b) { return _mm256_or_si256(a, b); }
-  static I shr_i(I a, IdxType s) {
-    return _mm256_srlv_epi64(a, _mm256_set1_epi64x(s));
+  static V permute(V a, const Perm& p) {
+    return _mm256_castps_pd(
+        _mm256_permutevar8x32_ps(_mm256_castpd_ps(a), p.idx));
   }
-  static I shl_i(I a, IdxType s) {
-    return _mm256_sllv_epi64(a, _mm256_set1_epi64x(s));
+  static V permute2(V a, V b, const Perm& p) {
+    return blend(permute(a, p), permute(b, p), p.hi);
   }
-  static V gather(const ValType* p, I i) {
-    return _mm256_i64gather_pd(p, i, 8);
-  }
-  /// AVX2 has gathers but no scatters: store through a lane buffer.
-  static void scatter(ValType* p, I i, V v) {
-    alignas(32) long long idx[4];
-    alignas(32) ValType val[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idx), i);
-    _mm256_store_pd(val, v);
-    for (int l = 0; l < 4; ++l) p[idx[l]] = val[l];
+  /// Store the lanes of v where m is set; leave the others' bytes.
+  static void store_mask(ValType* p, V v, M m) {
+    _mm256_maskstore_pd(p, _mm256_castpd_si256(m), v);
   }
 };
 #endif
@@ -108,7 +100,6 @@ struct Avx512Lane {
   static constexpr SimdLevel kLevel = SimdLevel::kAvx512;
   using V = __m512d;
   using M = __mmask8;
-  using I = __m512i;
   static V load(const ValType* p) { return _mm512_loadu_pd(p); }
   static void store(ValType* p, V v) { _mm512_storeu_pd(p, v); }
   static V splat(ValType x) { return _mm512_set1_pd(x); }
@@ -127,25 +118,24 @@ struct Avx512Lane {
     return _mm512_test_epi64_mask(v, v);
   }
   static V blend(V a, V b, M m) { return _mm512_mask_blend_pd(m, a, b); }
-  static I iota(IdxType i) {
-    return _mm512_add_epi64(_mm512_set1_epi64(i),
-                            _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  /// A lane permutation: lane l takes element lanes[l] of a (lanes[l] <
+  /// W) or element lanes[l] - W of b.
+  using Perm = __m512i;
+  static Perm perm(const IdxType* lanes) {
+    return _mm512_loadu_si512(reinterpret_cast<const void*>(lanes));
   }
-  static I splat_i(IdxType x) { return _mm512_set1_epi64(x); }
-  static I add_i(I a, I b) { return _mm512_add_epi64(a, b); }
-  static I and_i(I a, I b) { return _mm512_and_si512(a, b); }
-  static I or_i(I a, I b) { return _mm512_or_si512(a, b); }
-  static I shr_i(I a, IdxType s) {
-    return _mm512_srlv_epi64(a, _mm512_set1_epi64(s));
+  /// The zero-masking form with every lane kept: the plain form passes
+  /// GCC 12 a self-initialized "undefined" merge source that it reports
+  /// as -Wmaybe-uninitialized (GCC bug 105593). Both are one vpermpd.
+  static V permute(V a, Perm p) {
+    return _mm512_maskz_permutexvar_pd(0xFF, p, a);
   }
-  static I shl_i(I a, IdxType s) {
-    return _mm512_sllv_epi64(a, _mm512_set1_epi64(s));
+  static V permute2(V a, V b, Perm p) {
+    return _mm512_permutex2var_pd(a, p, b);
   }
-  static V gather(const ValType* p, I i) {
-    return _mm512_i64gather_pd(i, p, 8);
-  }
-  static void scatter(ValType* p, I i, V v) {
-    _mm512_i64scatter_pd(p, i, v, 8);
+  /// Store the lanes of v where m is set; leave the others' bytes.
+  static void store_mask(ValType* p, V v, M m) {
+    _mm512_mask_storeu_pd(p, m, v);
   }
 };
 #endif

@@ -23,13 +23,15 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
 
 LoopBracket::LoopBracket(obs::RunReport& rep, bool roofline,
                          obs::ProgressBoard* progress, const Circuit& exec,
-                         const Schedule* sched, IdxType batch)
+                         const Schedule* sched, IdxType batch,
+                         const std::vector<obs::SlotCost>* slots)
     : rep_(rep),
       progress_(progress),
       roofline_(roofline),
-      model_(roofline_ || progress_ != nullptr
-                 ? obs::model_run_batched(exec, sched, batch)
-                 : obs::RunModel{}),
+      model_(!roofline_ && progress_ == nullptr ? obs::RunModel{}
+             : slots != nullptr
+                 ? obs::model_run_batched(exec, sched, batch, *slots)
+                 : obs::model_run(exec, sched)),
       counters_(roofline_) {
   if (progress_ != nullptr) {
     progress_->begin_run(rep.backend.c_str(), rep.n_qubits, rep.n_workers,

@@ -61,9 +61,12 @@ void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
 /// loop ran measurably slower wrapped in a lambda.
 class LoopBracket {
 public:
+  /// A batched run passes its member count and its plan's slot costs
+  /// (obs::model_run_batched); every other run prices `exec` gate by gate.
   LoopBracket(obs::RunReport& rep, bool roofline,
               obs::ProgressBoard* progress, const Circuit& exec,
-              const Schedule* sched, IdxType batch = 1);
+              const Schedule* sched, IdxType batch = 1,
+              const std::vector<obs::SlotCost>* slots = nullptr);
 
   void start() {
     mark_rss();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "core/kernels/gates.hpp"
 #include "obs/trace.hpp"
 
@@ -55,19 +56,22 @@ GateCost gate_cost(const Gate& g, IdxType n_qubits) {
   }
 }
 
-RunModel model_run(const Circuit& circuit, const Schedule* schedule) {
+namespace {
+
+/// Fold per-gate costs into the run model: totals, per op kind, and per
+/// scheduled window.
+RunModel price(const Circuit& circuit, const Schedule* schedule,
+               const std::vector<GateCost>& costs) {
   RunModel m;
   m.enabled = true;
   const IdxType n = circuit.n_qubits();
   const auto& gates = circuit.gates();
-  std::vector<GateCost> costs;
-  costs.reserve(gates.size());
-  for (const Gate& g : gates) {
-    const GateCost& c = costs.emplace_back(gate_cost(g, n));
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const GateCost& c = costs[k];
     m.amps += c.amps;
     m.bytes += c.bytes;
     m.flops += c.flops;
-    OpCost& oc = m.by_op[static_cast<std::size_t>(g.op)];
+    OpCost& oc = m.by_op[static_cast<std::size_t>(gates[k].op)];
     ++oc.count;
     oc.amps += c.amps;
     oc.bytes += c.bytes;
@@ -108,10 +112,25 @@ RunModel model_run(const Circuit& circuit, const Schedule* schedule) {
   return m;
 }
 
+} // namespace
+
+RunModel model_run(const Circuit& circuit, const Schedule* schedule) {
+  std::vector<GateCost> costs;
+  costs.reserve(circuit.gates().size());
+  for (const Gate& g : circuit.gates()) {
+    costs.push_back(gate_cost(g, circuit.n_qubits()));
+  }
+  return price(circuit, schedule, costs);
+}
+
 RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
-                           IdxType batch) {
-  RunModel m = model_run(circuit, schedule);
-  if (batch <= 1) return m;
+                           IdxType batch, const std::vector<SlotCost>& slots) {
+  SVSIM_CHECK(slots.size() == circuit.gates().size(),
+              "one slot cost per gate");
+  std::vector<GateCost> costs;
+  costs.reserve(slots.size());
+  for (const SlotCost& s : slots) costs.push_back(s.cost);
+  RunModel m = price(circuit, schedule, costs);
   const double B = static_cast<double>(batch);
   // Amplitude traffic and arithmetic scale by the member count: every
   // sweep streams B lockstep state vectors.
@@ -129,14 +148,14 @@ RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
     wc.bytes *= B;
     wc.flops *= B;
   }
-  // Gate-table reads are amortized: the batched kernels read each gate's
+  // Gate-table reads are amortized: the batched kernels read each slot's
   // per-member coefficient rows once per sweep — 8 bytes per row per
   // member, independent of the state dimension — instead of re-deriving
-  // the entries per solo run. Priced per gate, not per member pass.
+  // the entries per solo run. Priced per slot, not per member pass.
   const auto& gates = circuit.gates();
-  double table = 0; // coefficient-row bytes of gates [0, k]
+  double table = 0; // coefficient-row bytes of slots [0, k]
   for (std::size_t k = 0; k < gates.size(); ++k) {
-    const double table_bytes = 8.0 * kernels::coef_rows(gates[k].op) * B;
+    const double table_bytes = 8.0 * slots[k].rows * B;
     table += table_bytes;
     m.bytes += table_bytes;
     m.bytes_sched += table_bytes;

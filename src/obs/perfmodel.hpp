@@ -92,12 +92,20 @@ struct RunModel {
 /// window and account cache blocking in bytes_sched.
 RunModel model_run(const Circuit& circuit, const Schedule* schedule = nullptr);
 
-/// Price a lockstep-batched run (BatchedSim): per-member footprint × B,
-/// plus each gate's coefficient rows (kernels::coef_rows) read once per
-/// sweep (the one gate-table read B members amortize). batch <= 1 is
-/// model_run().
+/// One gate slot of a batched plan as it runs, per member: the footprint
+/// of the pass it makes and the coefficient rows it reads. A gate the
+/// plan absorbed into an earlier combined pass costs nothing.
+struct SlotCost {
+  GateCost cost;
+  int rows = 0;
+};
+
+/// Price a lockstep-batched run (BatchedSim) as its plan runs it: slot k
+/// (one per gate of `circuit`) costs slots[k] per member, × B, plus its
+/// coefficient rows read once per sweep (the one gate-table read B
+/// members amortize).
 RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
-                           IdxType batch);
+                           IdxType batch, const std::vector<SlotCost>& slots);
 
 /// Join model + counters + machine peak into `report.roofline`, compute
 /// the worst-attainment op kinds (needs per-op profiled seconds), and —

@@ -32,7 +32,7 @@ Circuit backend_circuit(const Circuit& c, const DiffSpec& spec) {
 }
 
 /// The backends whose kernel tables run at the lane level: the diff
-/// sweeps them at the widest level and at scalar. The coarse baseline's
+/// sweeps them at several levels (default_sweep). The coarse baseline's
 /// dense body is scalar at any level.
 bool has_lane_axis(const std::string& backend) {
   return backend == "single" || backend == "peer" || backend == "shmem";
@@ -315,11 +315,18 @@ std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
   std::vector<DiffSpec> specs;
   for (const char* backend : {"single", "peer", "shmem", "coarse"}) {
     const bool partitioned = std::string(backend) != "single";
-    // The lane axis: the widest lanes and scalar (one point on a
-    // scalar-only build).
+    // The lane axis: single runs every level the build carries, so each
+    // lane policy's permutes get a circuit-level check; the partitioned
+    // backends run the widest lanes and scalar (one point on a
+    // scalar-only build), to hold the sweep's time.
     std::vector<SimdLevel> levels = {max_simd_level()};
-    if (has_lane_axis(backend) && levels[0] != SimdLevel::kScalar) {
-      levels.push_back(SimdLevel::kScalar);
+    if (has_lane_axis(backend)) {
+      for (const SimdLevel lower : {SimdLevel::kAvx2, SimdLevel::kScalar}) {
+        if (lower < levels[0] &&
+            (!partitioned || lower == SimdLevel::kScalar)) {
+          levels.push_back(lower);
+        }
+      }
     }
     for (const bool fusion : {false, true}) {
       for (const bool sched : {false, true}) {

@@ -78,9 +78,10 @@ DiffResult diff_run(const Circuit& c, const OracleResult& oracle,
                     const DiffSpec& spec);
 
 /// The full default sweep: {single, peer xK, shmem xK, coarse xK}
-/// x {fusion off/on} x {sched off/on} (x {scalar, widest lanes} on
-/// single, peer and shmem, x {remap off/on} on the partitioned
-/// backends), generalized x {fusion off/on}, and the batched axis.
+/// x {fusion off/on} x {sched off/on} (x every lane level the build
+/// carries on single, x {scalar, widest lanes} on peer and shmem,
+/// x {remap off/on} on the partitioned backends), generalized
+/// x {fusion off/on}, and the batched axis.
 std::vector<DiffSpec> default_sweep(int workers, std::uint64_t seed,
                                     IdxType shots, ValType tol);
 

@@ -9,17 +9,9 @@
 // vectors; n = 3 leaves fewer work items than the AVX-512 width, so the
 // scalar tail does the work.
 // The solo SIMD strategy is also pinned on sub-ranges against the solo
-// scalar strategy (unit-stride loads, gathers, unaligned starts, tails),
-// and on blocks whose per-block range is shorter than a vector.
-
-// GCC 12 reports -Wmaybe-uninitialized inside the AVX-512 headers when
-// this file instantiates the vector kernel tables: the intrinsics pass a
-// deliberately self-initialized "undefined" register as the unused merge
-// source (a false positive, GCC bug 105593). The state is set before any
-// header is read, since the warning is located in the system header.
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
+// scalar strategy (plain loads, masked stores and lane permutes for every
+// low-operand placement, unaligned heads, tails), and on blocks whose
+// per-block range is shorter than a vector.
 
 #include <gtest/gtest.h>
 
@@ -275,23 +267,44 @@ TEST(KernelProperties, CircuitTimesInverseIsIdentity) {
 
 // --- The solo SIMD strategy on sub-ranges ---------------------------------
 
-/// Operand placements whose lowest qubit is `low` in an n-qubit register:
-/// the qubit itself for a 1-qubit op; (low, top), (top, low) and
-/// (low, low + 1) for a 2-qubit op.
+/// Operand placements at lane width 2^lg_w in an n-qubit register, for
+/// every lowest qubit `low` from 0 to lg_w + 1: the qubit itself for a
+/// 1-qubit op; (low, top), (top, low) and (low, low + 1) for a 2-qubit op,
+/// plus (low, lg_w) and (lg_w, low) below lg_w; and for a 2-qubit op every
+/// ordered pair of distinct qubits below lg_w (both operands in-vector).
 std::vector<std::pair<IdxType, IdxType>> placements(bool two_qubit,
-                                                    IdxType low, IdxType n) {
-  if (!two_qubit) return {{low, -1}};
-  return {{low, n - 1}, {n - 1, low}, {low, low + 1}};
+                                                    IdxType lg_w, IdxType n) {
+  std::vector<std::pair<IdxType, IdxType>> out;
+  for (IdxType low = 0; low <= lg_w + 1; ++low) {
+    if (!two_qubit) {
+      out.emplace_back(low, -1);
+      continue;
+    }
+    out.emplace_back(low, n - 1);
+    out.emplace_back(n - 1, low);
+    out.emplace_back(low, low + 1);
+    if (low < lg_w) {
+      out.emplace_back(low, lg_w);
+      out.emplace_back(lg_w, low);
+    }
+  }
+  for (IdxType a = 0; two_qubit && a < lg_w; ++a) {
+    for (IdxType b = 0; b < lg_w; ++b) {
+      if (a != b) out.emplace_back(a, b);
+    }
+  }
+  return out;
 }
 
 // The solo SIMD strategy (solo_kernel<P, B, L>, from the kernel table of
 // L) over work items [begin, end) against the solo scalar strategy over
-// the same range, for every unitary op at every lane
-// level this build carries, with the lowest operand at log2 W - 1 (the
-// gathers), log2 W and log2 W + 1 (the unit-stride loads), starts aligned
-// and not, and lengths that leave every kind of tail. Amplitudes the range
-// touches must agree to 1e-12 and, since every lane evaluates the scalar
-// expression, bit for bit; every other amplitude must keep its bytes.
+// the same range, for every unitary op at every lane level this build
+// carries, at every operand placement above (no, one or both operands
+// below log2 W: plain loads, or loads plus in-register permutes and masked
+// stores), starts aligned and not, and lengths that leave every kind of
+// head and tail. Amplitudes the range touches must agree to 1e-12 and,
+// since every lane evaluates the scalar expression, bit for bit; every
+// other amplitude must keep its bytes.
 TEST(SoloSimd, RangesMatchScalarStrategy) {
   std::uint64_t compared = 0;
   std::uint64_t failures = 0;
@@ -312,70 +325,68 @@ TEST(SoloSimd, RangesMatchScalarStrategy) {
             re0[k] = init.amps[static_cast<std::size_t>(k)].real();
             im0[k] = init.amps[static_cast<std::size_t>(k)].imag();
           }
-          for (IdxType low = lg_w > 0 ? lg_w - 1 : 0; low <= lg_w + 1; ++low) {
-            for (const auto& [a, b] : placements(Pt::kTwoQubit, low, n)) {
-              Gate g = Pt::kTwoQubit ? make_gate(op, a, b) : make_gate(op, a);
-              g.theta = 0.613;
-              g.phi = -0.35;
-              g.lam = 1.2;
-              ValType coef[kernels::kMaxCoefRows] = {};
-              kernels::fill_coef(g, coef, 1, 0);
-              const kernels::UGate ug{g, coef, 1};
-              const Pt pat(g);
-              const IdxType work = gate_work_items(g, n);
-              for (const IdxType first_item : {IdxType{0}, IdxType{1}, w - 1,
-                                               w, 2 * w + 3}) {
-                for (const IdxType len : {IdxType{0}, IdxType{1}, w - 1, w,
-                                          3 * w + 1, work}) {
-                  const IdxType begin = std::min(first_item, work);
-                  const IdxType end = std::min(begin + len, work);
-                  std::vector<ValType> gr = re0, gi = im0, wr = re0, wi = im0;
-                  LocalSpace got;
-                  got.real = gr.data();
-                  got.imag = gi.data();
-                  got.dim = dim;
-                  LocalSpace want = got;
-                  want.real = wr.data();
-                  want.imag = wi.data();
-                  // Through the table SingleSim dispatches from.
-                  KernelTable<LocalSpace>::get<L>()[static_cast<int>(op)](
-                      ug, got, begin, end);
-                  kernels::solo_kernel<P, B, kernels::ScalarLane, LocalSpace>(
-                      ug, want, begin, end);
-                  std::vector<char> touched(static_cast<std::size_t>(dim), 0);
-                  for (IdxType i = begin; i < end; ++i) {
-                    const IdxType s = pat.template base<kernels::ScalarLane>(i);
-                    for (int k = 0; k < Pt::kSites; ++k) {
-                      touched[s + pat.off[k][0]] = 1;
-                      if constexpr (Pt::kPair) touched[s + pat.off[k][1]] = 1;
-                    }
+          for (const auto& [a, b] : placements(Pt::kTwoQubit, lg_w, n)) {
+            Gate g = Pt::kTwoQubit ? make_gate(op, a, b) : make_gate(op, a);
+            g.theta = 0.613;
+            g.phi = -0.35;
+            g.lam = 1.2;
+            ValType coef[kernels::kMaxCoefRows] = {};
+            kernels::fill_coef(g, coef, 1, 0);
+            const kernels::UGate ug{g, coef, 1};
+            const Pt pat(g);
+            const IdxType work = gate_work_items(g, n);
+            for (const IdxType first_item : {IdxType{0}, IdxType{1}, w - 1,
+                                             w, 2 * w + 3}) {
+              for (const IdxType len : {IdxType{0}, IdxType{1}, w - 1, w,
+                                        3 * w + 1, work}) {
+                const IdxType begin = std::min(first_item, work);
+                const IdxType end = std::min(begin + len, work);
+                std::vector<ValType> gr = re0, gi = im0, wr = re0, wi = im0;
+                LocalSpace got;
+                got.real = gr.data();
+                got.imag = gi.data();
+                got.dim = dim;
+                LocalSpace want = got;
+                want.real = wr.data();
+                want.imag = wi.data();
+                // Through the table SingleSim dispatches from.
+                KernelTable<LocalSpace>::get<L>()[static_cast<int>(op)](
+                    ug, got, begin, end);
+                kernels::solo_kernel<P, B, kernels::ScalarLane, LocalSpace>(
+                    ug, want, begin, end);
+                std::vector<char> touched(static_cast<std::size_t>(dim), 0);
+                for (IdxType i = begin; i < end; ++i) {
+                  const IdxType s = pat.base(i);
+                  for (int k = 0; k < Pt::kSites; ++k) {
+                    touched[s + pat.off[k][0]] = 1;
+                    if constexpr (Pt::kPair) touched[s + pat.off[k][1]] = 1;
                   }
-                  for (IdxType k = 0; k < dim; ++k) {
-                    bool ok = true;
-                    if (touched[k] != 0) {
-                      ++compared;
-                      ok = std::abs(gr[k] - wr[k]) <= 1e-12 &&
-                           std::abs(gi[k] - wi[k]) <= 1e-12;
-                      if (std::memcmp(&gr[k], &wr[k], sizeof(ValType)) != 0 ||
-                          std::memcmp(&gi[k], &wi[k], sizeof(ValType)) != 0) {
-                        ++bit_diffs;
-                      }
-                    } else {
-                      ok = std::memcmp(&gr[k], &re0[k], sizeof(ValType)) == 0 &&
-                           std::memcmp(&gi[k], &im0[k], sizeof(ValType)) == 0;
+                }
+                for (IdxType k = 0; k < dim; ++k) {
+                  bool ok = true;
+                  if (touched[k] != 0) {
+                    ++compared;
+                    ok = std::abs(gr[k] - wr[k]) <= 1e-12 &&
+                         std::abs(gi[k] - wi[k]) <= 1e-12;
+                    if (std::memcmp(&gr[k], &wr[k], sizeof(ValType)) != 0 ||
+                        std::memcmp(&gi[k], &wi[k], sizeof(ValType)) != 0) {
+                      ++bit_diffs;
                     }
-                    if (ok) continue;
-                    if (failures++ == 0) {
-                      first = std::string(op_name(op)) + " " +
-                              to_string(level) + " n=" + std::to_string(n) +
-                              " (" + std::to_string(a) + "," +
-                              std::to_string(b) + ") [" +
-                              std::to_string(begin) + "," +
-                              std::to_string(end) + ") amp " +
-                              std::to_string(k) +
-                              (touched[k] != 0 ? " differs from scalar"
-                                               : " outside the range changed");
-                    }
+                  } else {
+                    ok = std::memcmp(&gr[k], &re0[k], sizeof(ValType)) == 0 &&
+                         std::memcmp(&gi[k], &im0[k], sizeof(ValType)) == 0;
+                  }
+                  if (ok) continue;
+                  if (failures++ == 0) {
+                    first = std::string(op_name(op)) + " " +
+                            to_string(level) + " n=" + std::to_string(n) +
+                            " (" + std::to_string(a) + "," +
+                            std::to_string(b) + ") [" +
+                            std::to_string(begin) + "," +
+                            std::to_string(end) + ") amp " +
+                            std::to_string(k) +
+                            (touched[k] != 0 ? " differs from scalar"
+                                             : " outside the range changed");
                   }
                 }
               }

@@ -140,6 +140,31 @@ TEST(Progress, AmpsAndBytesMatchTheModel) {
       << "the batched model prices coefficient rows";
 }
 
+// A batched plan runs fewer passes than the circuit has gates: its
+// combining pass fuses adjacent dense one-qubit gates on different qubits
+// into one quadruple sweep and absorbs the second gate. Three RY layers on
+// 10 qubits pair up into 15 sweeps of 2^10 amplitudes per member, so the
+// model must price the plan's slots, not the 30 uploaded gates.
+TEST(Progress, BatchedAmpsMatchTheModel) {
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  SimConfig cfg;
+  cfg.roofline = true;
+  cfg.sched_window = 0;
+  Circuit c(10);
+  for (int layer = 0; layer < 3; ++layer) {
+    for (IdxType q = 0; q < 10; ++q) c.ry(0.1 * (layer + 1) + 0.01 * q, q);
+  }
+  BatchedSim batched(10, 4, cfg);
+  batched.run(c);
+  const obs::RunReport& rep = batched.last_report();
+  const obs::ProgressSnapshot s = board.snapshot();
+  EXPECT_FALSE(s.active);
+  EXPECT_EQ(s.amps_done, rep.roofline.model_amps);
+  EXPECT_EQ(s.amps_done, 15.0 * 1024 * 4);
+  EXPECT_EQ(s.bytes_total, rep.roofline.model_bytes_sched);
+}
+
 TEST(Progress, JsonDocumentRoundTripsThroughJsonlite) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
