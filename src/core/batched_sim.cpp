@@ -26,8 +26,7 @@ struct BDev {
   kernels::BatchedKernelFn fn = nullptr;
   UGate ug;
   IdxType work = 0;
-  IdxType amps_per_item = 0; // per member and work item, for progress
-  bool skip = false;         // absorbed into an earlier combined slot
+  bool skip = false; // absorbed into an earlier combined slot
 };
 
 IdxType ceil_log2(IdxType v) {
@@ -50,10 +49,7 @@ struct BAction {
 };
 
 /// A blocked window's action list.
-struct BWindow {
-  std::vector<BAction> actions;
-  std::uint64_t amps_per_block = 0; // per member
-};
+using BWindow = std::vector<BAction>;
 
 /// A slot of the combining rewrite: a same-qubit run of dense 1q gates
 /// collapsed into one 2x2 product (`q_gis` empty), or two such units on
@@ -121,6 +117,8 @@ struct BatchedSim::Plan {
   std::vector<BWindow> blocked; // per window; empty unless blocked
   bool sched_active = false;
   IdxType b_eff = 0;
+  /// What the blocked windows save, as the batched model prices them.
+  double traffic_avoided = 0;
   bool valid = false;
   // --- coefficients ---
   obs::TrackedBuffer<ValType> coef;  // per-gate coefficient rows
@@ -150,7 +148,6 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
     d.ug.g = g;
     d.ug.stride = batch;
     d.work = gate_work_items(g, n);
-    d.amps_per_item = kernels::footprint(g.op).touched;
   }
 
   // Scheduler composition: shrink the solo block exponent by ceil(log2 B)
@@ -251,7 +248,6 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
         BDev& d = dev[static_cast<std::size_t>(gi)];
         d.fn = table.fns[static_cast<int>(OP::ID)];
         d.work = 0;
-        d.amps_per_item = 0;
         d.skip = true;
       }
     };
@@ -274,7 +270,6 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
         // rewrites each quadruple whole.
         d.ug.g.qb0 = std::min(m.qubit, o.qubit);
         d.ug.g.qb1 = std::max(m.qubit, o.qubit);
-        d.amps_per_item = 4;
         absorb(m, c.head);
         absorb(o, IdxType{-1});
         merge_rows += 16;
@@ -283,7 +278,6 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
         d.fn = table.fns[static_cast<int>(OP::U3)];
         d.ug.g.qb0 = m.qubit;
         d.ug.g.qb1 = -1;
-        d.amps_per_item = kernels::footprint(OP::U3).touched;
         absorb(m, c.head);
         merge_rows += 8;
       }
@@ -327,7 +321,7 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
       const Window& w = sched.windows[wi];
       if (!w.blocked) continue;
       BWindow& bw = blocked[wi];
-      bw.actions.reserve(static_cast<std::size_t>(w.n_gates));
+      bw.reserve(static_cast<std::size_t>(w.n_gates));
       for (IdxType j = 0; j < w.n_gates; ++j) {
         const IdxType gi = w.first_gate + j;
         const BDev& d = dev[static_cast<std::size_t>(gi)];
@@ -344,24 +338,25 @@ void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
           a.d.qa = g.qb0;
           a.d.qb = g.qb1;
           a.d.stride = batch;
-          bw.amps_per_block += static_cast<std::uint64_t>(pow2(b_eff));
         } else {
           a.work_per_block = gate_work_items(g, b_eff);
-          bw.amps_per_block += static_cast<std::uint64_t>(
-              a.work_per_block * d.amps_per_item);
         }
-        bw.actions.push_back(std::move(a));
+        bw.push_back(std::move(a));
       }
     }
+    const obs::RunModel m = obs::model_run_batched(
+        circuit, &sched, batch, slot_costs(gates, n));
+    traffic_avoided = m.bytes - m.bytes_sched;
   }
   valid = true;
 }
 
-/// What each gate slot runs per member, as the roofline and progress model
-/// price it (obs::model_run_batched): an absorbed gate nothing, a combined
-/// run one dense 2x2 pass with its 8 rows, a combined pair one sweep of its
-/// quadruples applying both dense bodies to each (two pairs per body) with
-/// 16 rows, any other gate its own kernel and rows.
+/// What each gate slot runs per member, as the run model prices it
+/// (obs::model_run_batched): an absorbed gate nothing, a combined run one
+/// dense 2x2 pass with its 8 rows, a combined pair one sweep of its
+/// quadruples applying both dense bodies to each (two dense pairs per
+/// body, each quadruple rewritten once) with 16 rows, any other gate its
+/// own kernel and rows.
 std::vector<obs::SlotCost> BatchedSim::Plan::slot_costs(
     const std::vector<Gate>& gates, IdxType n) const {
   std::vector<obs::SlotCost> out(gates.size());
@@ -378,7 +373,7 @@ std::vector<obs::SlotCost> BatchedSim::Plan::slot_costs(
       continue;
     }
     const auto quads = static_cast<double>(d.work);
-    const double amps = quads * static_cast<double>(d.amps_per_item);
+    const double amps = quads * 2 * dense.touched;
     s.cost = {amps, amps * static_cast<double>(obs::kBytesPerAmp),
               quads * 4 * dense.flops};
     s.rows = 2 * dense.rows;
@@ -435,7 +430,7 @@ void BatchedSim::Plan::refill(const std::vector<Gate>& gates,
         all_real ? table.pair1q_real : table.pair1q;
   }
   for (BWindow& bw : blocked) {
-    for (BAction& a : bw.actions) {
+    for (BAction& a : bw) {
       if (!a.diag) continue;
       a.d.rows = a.rows.data();
       std::fill(std::begin(a.d.identity), std::end(a.d.identity), true);
@@ -550,7 +545,7 @@ void BatchedSim::execute(const Circuit& circuit,
   const bool sched_active = plan.sched_active;
   const IdxType b_eff = plan.b_eff;
   if (b_eff >= 2) {
-    fold_sched_stats(report_, sched.stats, sched_active, dim_ * batch_);
+    fold_sched_stats(report_, sched.stats, sched_active, plan.traffic_avoided);
   }
 
   BatchedSpace sp;
@@ -585,10 +580,7 @@ void BatchedSim::execute(const Circuit& circuit,
           const BDev& d = dev[static_cast<std::size_t>(gi)];
           d.fn(d.ug, sp, 0, d.work);
           if (slot != nullptr) {
-            slot->publish_gate(
-                static_cast<std::uint64_t>(gi + 1),
-                static_cast<std::uint64_t>(d.work * d.amps_per_item *
-                                           batch_));
+            slot->publish_gate(static_cast<std::uint64_t>(gi + 1));
           }
         }
         continue;
@@ -599,10 +591,9 @@ void BatchedSim::execute(const Circuit& circuit,
       const BWindow& bw = plan.blocked[static_cast<std::size_t>(win_idx - 1)];
       const IdxType n_blocks = pow2(n_ - b_eff);
       const IdxType blk_len = pow2(b_eff);
-      const IdxType last_gate = w.first_gate + w.n_gates;
       for (IdxType blk = 0; blk < n_blocks; ++blk) {
         const IdxType base = blk * blk_len;
-        for (const BAction& a : bw.actions) {
+        for (const BAction& a : bw) {
           if (a.diag) {
             table.diag(a.d, sp, base, blk_len);
           } else {
@@ -613,18 +604,13 @@ void BatchedSim::execute(const Circuit& circuit,
         }
         if (slot != nullptr) {
           // Interpolate gates_done through the window so the ETA doesn't
-          // stall across a long window.
-          const std::uint64_t done =
-              static_cast<std::uint64_t>(w.first_gate) +
-              static_cast<std::uint64_t>(w.n_gates) *
-                  static_cast<std::uint64_t>(blk + 1) /
-                  static_cast<std::uint64_t>(n_blocks);
-          slot->publish_gate(done, bw.amps_per_block *
-                                       static_cast<std::uint64_t>(batch_));
+          // stall across a long window; the last block lands exactly on
+          // the window's last gate.
+          slot->publish_gate(static_cast<std::uint64_t>(w.first_gate) +
+                             static_cast<std::uint64_t>(w.n_gates) *
+                                 static_cast<std::uint64_t>(blk + 1) /
+                                 static_cast<std::uint64_t>(n_blocks));
         }
-      }
-      if (slot != nullptr) {
-        slot->publish_gate(static_cast<std::uint64_t>(last_gate), 0);
       }
     }
   }

@@ -30,12 +30,8 @@ public:
   }
 
   void execute(const std::vector<Gate>& gates, const RunPlanes& planes) {
-    detail::per_gate_loop(*this, planes, gates, [this](const Gate& g) {
-      apply(g);
-      // Every non-barrier gate walks this rank's whole partition.
-      return g.op == OP::BARRIER ? std::uint64_t{0}
-                                 : static_cast<std::uint64_t>(per_);
-    });
+    detail::per_gate_loop(*this, planes, gates,
+                          [this](const Gate& g) { apply(g); });
     sim_->stats_[static_cast<std::size_t>(rank_)] = stats_;
   }
 

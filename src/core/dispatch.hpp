@@ -150,15 +150,13 @@ const typename KernelTable<Space>::Table& kernel_table(SimdLevel level) {
 }
 
 /// A gate after upload: its resolved kernel pointer, the uploaded gate
-/// view (gate + coefficient rows), total work-item count
-/// (kernels::gate_work_items) and the amplitudes each work item touches
-/// (kernels::footprint), which the gate loop publishes as progress.
+/// view (gate + coefficient rows) and total work-item count
+/// (kernels::gate_work_items), which the workers split evenly.
 template <class Space>
 struct DeviceGate {
   KernelFn<Space> fn;
   UGate ug;
   IdxType work;
-  IdxType touched;
 };
 
 /// An uploaded circuit: the device gates and the coefficient rows their
@@ -196,9 +194,8 @@ DeviceCircuit<Space> upload_circuit(
                 std::string("no kernel for op ") + op_name(g.op) +
                     " (compound ops must be lowered before upload)");
     kernels::fill_coef(g, coef, 1, 0);
-    out.gates.push_back(DeviceGate<Space>{fn, UGate{g, coef, 1},
-                                          gate_work_items(g, n),
-                                          kernels::footprint(g.op).touched});
+    out.gates.push_back(
+        DeviceGate<Space>{fn, UGate{g, coef, 1}, gate_work_items(g, n)});
     coef += kernels::coef_rows(g.op);
   }
   return out;
@@ -338,12 +335,11 @@ inline bool health_checkpoint(const Space& sp, const WorkerPlanes& wp,
 
 /// One gate of a per-gate loop (Listing 1 lines 21-26 / Listing 5): phase
 /// label, flight event, then `apply()` — the gate's work on this worker
-/// plus its sync, returning the amplitudes it touched — inside an
-/// obs::Span, the progress publish (one relaxed store + one uncontended
-/// fetch_add on this worker's slot), and the health cadence. Every
-/// `every` gates (and after the last) the checkpoint is collective over
-/// the Space's reduce_sum and its abort verdict is identical on every
-/// worker. Returns false when the loop must stop.
+/// plus its sync — inside an obs::Span, the progress publish (one relaxed
+/// store of the gate id on this worker's slot), and the health cadence.
+/// Every `every` gates (and after the last) the checkpoint is collective
+/// over the Space's reduce_sum and its abort verdict is identical on
+/// every worker. Returns false when the loop must stop.
 template <class Space, class Apply>
 bool gate_step(const Space& sp, const WorkerPlanes& wp,
                std::uint64_t gate_id, const Gate& g, Apply&& apply) {
@@ -351,8 +347,8 @@ bool gate_step(const Space& sp, const WorkerPlanes& wp,
   flight_gate_event(wp.ring, gate_id, g);
   {
     obs::Span span(wp.rec, wp.me, g.op);
-    const std::uint64_t amps = apply();
-    if (wp.pslot != nullptr) wp.pslot->publish_gate(gate_id, amps);
+    apply();
+    if (wp.pslot != nullptr) wp.pslot->publish_gate(gate_id);
   }
   if (wp.every == 0 || (gate_id % wp.every != 0 && gate_id != wp.n_gates)) {
     return true;
@@ -361,7 +357,7 @@ bool gate_step(const Space& sp, const WorkerPlanes& wp,
 }
 
 /// The per-gate loop of a backend with its own gate arithmetic: `apply(g)`
-/// runs one gate on this worker and returns the amplitudes it touched.
+/// runs one gate on this worker.
 template <class Space, class Apply>
 void per_gate_loop(const Space& sp, const RunPlanes& planes,
                    const std::vector<Gate>& gates, Apply&& apply) {

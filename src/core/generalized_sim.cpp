@@ -76,13 +76,8 @@ void GeneralizedSim::run(const Circuit& circuit) {
   run.launch(
       nullptr, /*priced=*/false,
       [&] {
-        detail::per_gate_loop(
-            make_space(), run.planes(), circuit.gates(), [&](const Gate& g) {
-              apply_gate(g);
-              // The dense apply walks every amplitude (a barrier none).
-              return g.op == OP::BARRIER ? std::uint64_t{0}
-                                         : static_cast<std::uint64_t>(dim_);
-            });
+        detail::per_gate_loop(make_space(), run.planes(), circuit.gates(),
+                              [&](const Gate& g) { apply_gate(g); });
       },
       no_comm_fold);
 }

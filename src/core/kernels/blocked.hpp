@@ -39,7 +39,6 @@
 #include "core/space.hpp"
 #include "ir/schedule.hpp"
 #include "obs/memtrack.hpp"
-#include "obs/perfmodel.hpp"
 #include "obs/report.hpp"
 
 namespace svsim {
@@ -477,11 +476,11 @@ SchedExec<Space> prepare_sched(const Circuit& circuit,
 } // namespace kernels
 
 /// Record the schedule outcome in the run's report (additive
-/// svsim-report-v1 fields). `dim` sizes the avoided-traffic estimate: one
-/// saved full-state pass moves the model's obs::kBytesPerAmp per amplitude.
+/// svsim-report-v1 fields). `traffic_avoided` is the run model's saving
+/// for the executed windows (RunModel bytes − bytes_sched).
 inline void fold_sched_stats(obs::RunReport& rep,
                              const ScheduleStats& stats, bool active,
-                             IdxType dim) {
+                             double traffic_avoided) {
   rep.sched.enabled = true;
   rep.sched.active = active;
   rep.sched.block_exp = static_cast<int>(stats.block_exp);
@@ -489,8 +488,7 @@ inline void fold_sched_stats(obs::RunReport& rep,
   rep.sched.windowed_gates = static_cast<std::uint64_t>(stats.windowed_gates);
   rep.sched.passes_saved = static_cast<std::uint64_t>(stats.passes_saved);
   rep.sched.traffic_avoided_bytes =
-      static_cast<std::uint64_t>(stats.passes_saved) * obs::kBytesPerAmp *
-      static_cast<std::uint64_t>(dim);
+      static_cast<std::uint64_t>(traffic_avoided);
 }
 
 /// The simulation kernel (Listing 1 lines 21-26 / Listing 5): every worker
@@ -530,7 +528,6 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
           const IdxType end = begin + per < dg.work ? begin + per : dg.work;
           dg.fn(dg.ug, sp, begin, end);
           sp.sync();
-          return static_cast<std::uint64_t>((end - begin) * dg.touched);
         });
         if (!go_on) return;
       }
@@ -577,14 +574,13 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
         // win_start + n_gates). Without this a large blocked window — a
         // single sweep that can run for minutes at scale — would freeze
         // the published fraction (and inflate the ETA) for its whole
-        // duration. One relaxed store + one uncontended fetch_add per
-        // 2^b-amplitude block of real work: noise.
+        // duration. One relaxed store per 2^b-amplitude block of real
+        // work: noise.
         const std::uint64_t done_blocks =
             static_cast<std::uint64_t>(blk - first_blk + 1);
-        wp.pslot->publish_gate(
-            win_start_gate + static_cast<std::uint64_t>(w.n_gates) *
-                                 done_blocks / blocks_per_worker,
-            static_cast<std::uint64_t>(pow2(b)));
+        wp.pslot->publish_gate(win_start_gate +
+                               static_cast<std::uint64_t>(w.n_gates) *
+                                   done_blocks / blocks_per_worker);
       }
     }
     sp.sync();
@@ -597,8 +593,7 @@ void simulation_kernel_sched(const std::vector<DeviceGate<Space>>& circuit,
     const std::uint64_t prev = gate_id;
     gate_id += static_cast<std::uint64_t>(w.n_gates);
     // No publish needed here: the last block's interpolated publish above
-    // already landed exactly on `gate_id`, with the window's one sweep
-    // (local_count amplitudes) accumulated block by block.
+    // already landed exactly on `gate_id`.
     // The cadence is evaluated at window granularity: one checkpoint when
     // the window crosses a multiple of `every` (or ends the circuit).
     if (wp.every != 0 &&

@@ -35,7 +35,7 @@ LoopBracket::LoopBracket(obs::RunReport& rep, bool roofline,
       counters_(roofline_) {
   if (progress_ != nullptr) {
     progress_->begin_run(rep.backend.c_str(), rep.n_qubits, rep.n_workers,
-                         model_.bytes_prefix, batch);
+                         model_.bytes_prefix, model_.amps_prefix, batch);
   }
 }
 
@@ -101,8 +101,11 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
       st.active = true;
       st.local_bits = static_cast<int>(local_bits);
       st.swaps_inserted = static_cast<std::uint64_t>(rm_->swaps_inserted);
-      st.modeled_remote_bytes_before = rm_->modeled_remote_bytes_before;
-      st.modeled_remote_bytes_after = rm_->modeled_remote_bytes_after;
+      // The model prices both sides: the input under the identity layout,
+      // and the emitted circuit with its swaps.
+      st.modeled_remote_bytes_before = obs::remote_bytes(circuit, local_bits);
+      st.modeled_remote_bytes_after =
+          obs::remote_bytes(rm_->circuit, local_bits);
     }
   }
   sim.mctx_.ma_layouts =
@@ -115,9 +118,8 @@ Simulator::Run::Run(Simulator& sim, const Circuit& circuit,
   if (sw.health.every_n > 0) {
     health_ = std::make_unique<obs::HealthMonitor>(sw.health);
   }
-  // The process flight recorder, unless the run's switch or the process
-  // switch turned it off.
-  if (sw.flight && obs::FlightRecorder::global().enabled()) {
+  // The process flight recorder, unless the run's switch turned it off.
+  if (sw.flight) {
     flight_ = &obs::FlightRecorder::global();
     flight_->begin_run(sim.name(), sim.n_qubits(), shape.n_workers);
   }

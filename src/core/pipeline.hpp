@@ -185,8 +185,12 @@ void Simulator::run_dispatch(const Circuit& circuit, obs::Counter& runs,
       run.exec(), device_circuit.gates, b, parts_.lg_part,
       run.planes().rec != nullptr, run.checkpoint_every());
   if (sched.enabled || b != sw_.block_exp) {
+    // The blocked windows' saving, read off the run model.
+    const obs::RunModel m = sched.active
+                                ? obs::model_run(run.exec(), &sched.sched)
+                                : obs::RunModel{};
     fold_sched_stats(report_, sched.sched.stats, sched.active,
-                     pow2(n_qubits()));
+                     m.bytes - m.bytes_sched);
   }
   run.launch(
       sched.active ? &sched.sched : nullptr, /*priced=*/true,

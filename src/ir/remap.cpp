@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/bits.hpp"
-
 namespace svsim {
 
 namespace {
@@ -23,24 +21,6 @@ std::size_t next_use(const std::vector<Gate>& gates, std::size_t from,
   return until;
 }
 
-/// Modeled cost of one gate whose physical operands include a qubit in
-/// the remote region: the kernel's index map then pairs amplitudes
-/// across the partition boundary, i.e. a full-state remote exchange.
-std::uint64_t remote_sweep_bytes(IdxType n) {
-  return static_cast<std::uint64_t>(pow2(n)) * sizeof(Complex);
-}
-
-/// A unitary kernel gate with a physical operand in the remote region
-/// pairs amplitudes across the partition boundary. Measure/reset are
-/// per-partition reductions regardless of operand position, so they do
-/// not count toward the modeled remote volume.
-bool touches_remote(const Gate& g, IdxType local_bits) {
-  if (!is_unitary_op(g.op)) return false;
-  const int nq = op_info(g.op).n_qubits;
-  return (nq >= 1 && g.qb0 >= local_bits) ||
-         (nq >= 2 && g.qb1 >= local_bits);
-}
-
 } // namespace
 
 RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
@@ -52,8 +32,8 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
   SVSIM_CHECK(local_bits >= 2 || n == 1,
               "need at least two local slots to host a 2-qubit gate");
 
-  RemapResult res{Circuit(n, CompoundMode::kNative, in.n_cbits()),
-                  {}, {}, 0, 0, 0};
+  RemapResult res{Circuit(n, CompoundMode::kNative, in.n_cbits()), {}, {},
+                  0};
   std::vector<IdxType>& layout = res.layout; // logical -> physical
   layout.resize(static_cast<std::size_t>(n));
   if (initial_layout != nullptr) {
@@ -77,9 +57,6 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
   auto do_swap = [&](IdxType pa, IdxType pb) {
     res.circuit.swap(pa, pb);
     ++res.swaps_inserted;
-    if (pa >= local_bits || pb >= local_bits) {
-      res.modeled_remote_bytes_after += remote_sweep_bytes(n);
-    }
     const IdxType la = inverse[static_cast<std::size_t>(pa)];
     const IdxType lb = inverse[static_cast<std::size_t>(pb)];
     std::swap(inverse[static_cast<std::size_t>(pa)],
@@ -91,10 +68,6 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     const Gate& g = gates[gi];
     const int nq = op_info(g.op).n_qubits;
-
-    if (touches_remote(g, local_bits)) {
-      res.modeled_remote_bytes_before += remote_sweep_bytes(n);
-    }
 
     if (g.op == OP::MA) {
       // Virtual readout: snapshot the live layout so the sampling kernel
@@ -164,9 +137,6 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
     }
     if (nq >= 2 && g.qb1 >= 0) {
       mapped.qb1 = layout[static_cast<std::size_t>(g.qb1)];
-    }
-    if (touches_remote(mapped, local_bits)) {
-      res.modeled_remote_bytes_after += remote_sweep_bytes(n);
     }
     res.circuit.append(mapped);
   }

@@ -19,11 +19,14 @@
 // unremapped run without the O(n) restore-swap epilogue that would
 // re-pay exactly the global traffic the pass exists to avoid.
 //
+// The pass is a pure layout rewrite and prices nothing: the run
+// pipeline prices its input and its emitted circuit (swaps included)
+// with the run model (obs::remote_bytes) for the report's remap section.
+//
 // restore_layout() is retained for state-equivalence tests: it appends
 // the physical swaps that return a layout to identity.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "ir/circuit.hpp"
@@ -38,14 +41,6 @@ struct RemapResult {
   /// row index in the (otherwise unused for MA) cbit field.
   std::vector<IdxType> ma_layouts;
   IdxType swaps_inserted = 0;
-  /// Modeled remote traffic: full state-vector sweeps whose index map
-  /// crosses the partition boundary, priced at 2^n amplitudes x
-  /// sizeof(Complex) per offending gate. `before` prices the input
-  /// circuit under the identity layout, `after` prices the emitted
-  /// circuit (inserted swaps included). The measured PE x PE traffic
-  /// matrix is ground truth; these make the win visible without a run.
-  std::uint64_t modeled_remote_bytes_before = 0;
-  std::uint64_t modeled_remote_bytes_after = 0;
 };
 
 /// Remap `in` for a partitioning where physical qubits [0, local_bits)

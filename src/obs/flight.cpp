@@ -42,7 +42,6 @@ FlightRecorder& FlightRecorder::global() {
 
 void FlightRecorder::begin_run(const char* backend, IdxType n_qubits,
                                int n_workers) {
-  if (!enabled()) return;
   install_crash_handlers();
   install_shutdown_handlers();
   std::snprintf(active_.backend, sizeof(active_.backend), "%s", backend);

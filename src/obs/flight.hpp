@@ -74,13 +74,6 @@ public:
 
   static FlightRecorder& global();
 
-  /// Process-wide runtime switch (default on). A run records only when
-  /// this and its resolved RunSwitches::flight are both on.
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   /// Called by a backend at the top of execute(): stamps the active-run
   /// snapshot the crash dump prints, installs the crash handlers on first
   /// use, and pushes a kRunBegin event on worker 0's ring. Rings are NOT
@@ -88,10 +81,10 @@ public:
   /// exactly what a flight recorder wants.
   void begin_run(const char* backend, IdxType n_qubits, int n_workers);
 
-  /// The ring worker `w` should push to, or nullptr when the recorder is
-  /// disabled or w >= kMaxWorkers (extra workers simply go unrecorded).
+  /// The ring worker `w` should push to, or nullptr when w >= kMaxWorkers
+  /// (extra workers simply go unrecorded).
   FlightRing* ring(int worker) {
-    if (!enabled() || worker < 0 || worker >= kMaxWorkers) return nullptr;
+    if (worker < 0 || worker >= kMaxWorkers) return nullptr;
     return &rings_[worker];
   }
 
@@ -117,7 +110,6 @@ private:
     int n_workers = 0;
   };
 
-  std::atomic<bool> enabled_{true};
   ActiveRun active_;
   FlightRing rings_[kMaxWorkers];
 };

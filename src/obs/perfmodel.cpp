@@ -58,17 +58,19 @@ GateCost gate_cost(const Gate& g, IdxType n_qubits) {
 
 namespace {
 
-/// Fold per-gate costs into the run model: totals, per op kind, and per
-/// scheduled window.
+/// Fold per-gate costs into the run model: totals, per op kind, per
+/// scheduled window, and the per-gate cumulative amplitudes and bytes.
 RunModel price(const Circuit& circuit, const Schedule* schedule,
                const std::vector<GateCost>& costs) {
   RunModel m;
   m.enabled = true;
   const IdxType n = circuit.n_qubits();
   const auto& gates = circuit.gates();
+  m.amps_prefix.assign(gates.size() + 1, 0.0);
   for (std::size_t k = 0; k < gates.size(); ++k) {
     const GateCost& c = costs[k];
     m.amps += c.amps;
+    m.amps_prefix[k + 1] = m.amps;
     m.bytes += c.bytes;
     m.flops += c.flops;
     OpCost& oc = m.by_op[static_cast<std::size_t>(gates[k].op)];
@@ -135,6 +137,7 @@ RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
   // Amplitude traffic and arithmetic scale by the member count: every
   // sweep streams B lockstep state vectors.
   m.amps *= B;
+  for (double& a : m.amps_prefix) a *= B;
   m.bytes *= B;
   m.bytes_sched *= B;
   m.flops *= B;
@@ -163,6 +166,19 @@ RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
     m.bytes_prefix[k + 1] = m.bytes_prefix[k + 1] * B + table;
   }
   return m;
+}
+
+std::uint64_t remote_bytes(const Circuit& circuit, IdxType lg_part) {
+  const IdxType n = circuit.n_qubits();
+  double bytes = 0;
+  for (const Gate& g : circuit.gates()) {
+    const int operands = kernels::footprint(g.op).qubits;
+    if (operands > 0 &&
+        (g.qb0 >= lg_part || (operands == 2 && g.qb1 >= lg_part))) {
+      bytes += gate_cost(g, n).bytes;
+    }
+  }
+  return static_cast<std::uint64_t>(bytes);
 }
 
 void fold_roofline(RunReport& report, const RunModel& model,

@@ -11,7 +11,10 @@
 // here by hand. A blocked scheduler window (kernels/blocked.hpp) collapses
 // its member gates' sweeps into at most one pass over the state; this
 // module prices that too — per gate, per op kind, per scheduled window,
-// and as the per-gate cumulative bytes the progress board's ETA reads.
+// and as the per-gate cumulative amplitudes and bytes the progress board
+// reads. It is the only thing that prices work: the roofline, the
+// progress board, the scheduler's avoided traffic and the remap report's
+// remote bytes all read it, while the gate loops publish positions only.
 //
 // Counting conventions (tests/test_perfmodel.cpp pins these):
 //  * one touched amplitude moves kBytesPerAmp = 32 bytes: 16 read + 16
@@ -63,7 +66,8 @@ struct OpCost {
 /// Footprint of one scheduled window. For blocked windows `bytes` is the
 /// cache-blocked traffic: the member gates' sweeps collapse into at most
 /// one full-state pass (min(kBytesPerAmp * 2^n, per-gate sum) — a window
-/// of cheap diagonals can undercut even a single sweep).
+/// of cheap diagonals can undercut even a single sweep). `amps` and
+/// `flops` stay the member gates' sums: blocking saves traffic, not work.
 struct WindowCost {
   bool blocked = false;
   std::uint64_t gates = 0;
@@ -77,7 +81,9 @@ struct RunModel {
   bool enabled = false;
   double amps = 0;
   double bytes = 0;       // per-gate-loop traffic (no blocking)
-  double bytes_sched = 0; // traffic under the schedule (== bytes when none)
+  /// Traffic under the schedule (== bytes when none): bytes − bytes_sched
+  /// is what the blocked windows save, the report's traffic_avoided_bytes.
+  double bytes_sched = 0;
   double flops = 0;
   std::array<OpCost, static_cast<std::size_t>(kNumOps)> by_op{};
   std::vector<WindowCost> windows; // empty when no schedule given
@@ -86,6 +92,9 @@ struct RunModel {
   /// window's bytes are spread evenly over its gates. The progress
   /// board's fraction and ETA read it.
   std::vector<double> bytes_prefix;
+  /// Per-gate cumulative amplitudes: amps_prefix[k] is the amps of gates
+  /// [0, k), so back() == amps. The progress board's amps_done reads it.
+  std::vector<double> amps_prefix;
 };
 
 /// Price every gate of `circuit`; with a `schedule`, also price each
@@ -103,9 +112,18 @@ struct SlotCost {
 /// Price a lockstep-batched run (BatchedSim) as its plan runs it: slot k
 /// (one per gate of `circuit`) costs slots[k] per member, × B, plus its
 /// coefficient rows read once per sweep (the one gate-table read B
-/// members amortize).
+/// members amortize). The rows are traffic, not amplitudes: amps and
+/// amps_prefix are the members' sums only.
 RunModel model_run_batched(const Circuit& circuit, const Schedule* schedule,
                            IdxType batch, const std::vector<SlotCost>& slots);
+
+/// The bytes of `circuit`'s unitary kernel gates that pair amplitudes
+/// across a partition of 2^lg_part amplitudes: gate_cost(g, n).bytes of
+/// every gate with an operand at or above lg_part. Measure, reset and
+/// measure-all are per-partition reductions wherever their operand lies,
+/// so they never count. The remap report prices its before (the input
+/// circuit) and after (the emitted circuit, swaps included) with it.
+std::uint64_t remote_bytes(const Circuit& circuit, IdxType lg_part);
 
 /// Join model + counters + machine peak into `report.roofline`, compute
 /// the worst-attainment op kinds (needs per-op profiled seconds), and —

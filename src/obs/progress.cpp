@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/error.hpp"
 #include "obs/jsonlite.hpp"
 #include "obs/waitstate.hpp"
 
@@ -16,29 +17,28 @@ ProgressBoard& ProgressBoard::global() {
 
 void ProgressBoard::begin_run(const char* backend, IdxType n_qubits,
                               int n_workers, std::vector<double> bytes_prefix,
-                              IdxType batch) {
-  const std::uint64_t total_gates =
-      bytes_prefix.empty() ? 0 : bytes_prefix.size() - 1;
-  const double total_bytes = bytes_prefix.empty() ? 0 : bytes_prefix.back();
-  auto prefix =
-      std::make_shared<const std::vector<double>>(std::move(bytes_prefix));
+                              std::vector<double> amps_prefix, IdxType batch) {
+  SVSIM_CHECK(!bytes_prefix.empty() &&
+                  amps_prefix.size() == bytes_prefix.size(),
+              "one amplitude and one byte prefix entry per gate, plus one");
+  auto axes = std::make_shared<const Axes>(
+      Axes{std::move(bytes_prefix), std::move(amps_prefix)});
+  // The handler sees the new axes before the board lets go of the old.
+  axes_mirror_.store(axes.get(), std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mu_);
     backend_ = backend;
     n_qubits_ = static_cast<long long>(n_qubits);
     n_workers_ = n_workers < kMaxPes ? n_workers : kMaxPes;
     batch_ = batch > 1 ? static_cast<int>(batch) : 1;
-    total_gates_ = total_gates;
     start_us_ = wait_now_us();
     end_us_ = 0;
-    bytes_prefix_ = std::move(prefix);
+    axes_.swap(axes);
     report_json_.clear();
     have_run_ = true;
   }
   for (int w = 0; w < kMaxPes; ++w) slots_[w].reset();
   std::snprintf(backend_mirror_, sizeof(backend_mirror_), "%s", backend);
-  total_gates_mirror_.store(total_gates, std::memory_order_relaxed);
-  bytes_total_mirror_.store(total_bytes, std::memory_order_relaxed);
   workers_mirror_.store(n_workers, std::memory_order_relaxed);
   interrupted_.store(false, std::memory_order_relaxed);
   active_.store(true, std::memory_order_release);
@@ -51,9 +51,20 @@ void ProgressBoard::end_run(std::string report_json) {
   active_.store(false, std::memory_order_release);
 }
 
+void ProgressBoard::position(const Axes& axes, std::uint64_t gates,
+                             double* bytes_done, double* fraction) {
+  const std::uint64_t total = axes.bytes.size() - 1;
+  const double bytes_total = axes.bytes.back();
+  *bytes_done = axes.bytes[gates < total ? gates : total];
+  *fraction = bytes_total > 0 ? *bytes_done / bytes_total
+              : total > 0
+                  ? static_cast<double>(gates) / static_cast<double>(total)
+                  : 0;
+}
+
 ProgressSnapshot ProgressBoard::snapshot() const {
   ProgressSnapshot s;
-  std::shared_ptr<const std::vector<double>> prefix;
+  std::shared_ptr<const Axes> axes;
   double start_us = 0;
   double end_us = 0;
   {
@@ -64,14 +75,14 @@ ProgressSnapshot ProgressBoard::snapshot() const {
     s.n_qubits = n_qubits_;
     s.n_workers = n_workers_;
     s.batch = batch_;
-    s.total_gates = total_gates_;
-    prefix = bytes_prefix_;
+    axes = axes_;
     start_us = start_us_;
     end_us = end_us_;
   }
   s.active = active_.load(std::memory_order_acquire);
   s.interrupted = interrupted_.load(std::memory_order_relaxed);
-  s.bytes_total = prefix != nullptr && !prefix->empty() ? prefix->back() : 0;
+  s.total_gates = axes->bytes.size() - 1;
+  s.bytes_total = axes->bytes.back();
 
   std::uint64_t min_gates = s.total_gates;
   std::uint64_t win = 0;
@@ -80,11 +91,12 @@ ProgressSnapshot ProgressBoard::snapshot() const {
     const ProgressSlot& slot = slots_[w];
     ProgressSnapshot::Pe& pe = s.pes[static_cast<std::size_t>(w)];
     pe.gates_done = slot.gates_done.load(std::memory_order_relaxed);
-    pe.amps_done = slot.amps_done.load(std::memory_order_relaxed);
+    pe.amps_done =
+        axes->amps[std::min(pe.gates_done, s.total_gates)] / s.n_workers;
     pe.wait_s =
         static_cast<double>(slot.wait_us.load(std::memory_order_relaxed)) *
         1e-6;
-    s.amps_done += static_cast<double>(pe.amps_done);
+    s.amps_done += pe.amps_done;
     min_gates = std::min(min_gates, pe.gates_done);
     win = std::max(win, slot.window.load(std::memory_order_relaxed));
   }
@@ -106,14 +118,7 @@ ProgressSnapshot ProgressBoard::snapshot() const {
   }
 
   s.gates_done = min_gates;
-  if (prefix != nullptr && min_gates < prefix->size()) {
-    s.bytes_done = (*prefix)[static_cast<std::size_t>(min_gates)];
-  }
-  s.fraction = s.bytes_total > 0 ? s.bytes_done / s.bytes_total
-               : s.total_gates > 0
-                   ? static_cast<double>(min_gates) /
-                         static_cast<double>(s.total_gates)
-                   : 0;
+  position(*axes, min_gates, &s.bytes_done, &s.fraction);
   if (s.bytes_done > 0 && s.elapsed_s > 0) {
     const double rate = s.bytes_done / s.elapsed_s; // achieved B/s
     s.gbps = rate * 1e-9;
@@ -168,19 +173,18 @@ std::string progress_to_json(const ProgressSnapshot& s) {
 
 int ProgressBoard::render_json_signal_safe(char* buf, std::size_t len) const {
   // No locks, no allocation: read only the atomic mirrors and the slots.
-  const std::uint64_t total =
-      total_gates_mirror_.load(std::memory_order_relaxed);
-  const double bytes_total = bytes_total_mirror_.load(std::memory_order_relaxed);
+  const Axes* axes = axes_mirror_.load(std::memory_order_acquire);
   const int workers = workers_mirror_.load(std::memory_order_relaxed);
+  const std::uint64_t total = axes != nullptr ? axes->bytes.size() - 1 : 0;
   std::uint64_t min_gates = total;
   for (int w = 0; w < workers && w < kMaxPes; ++w) {
     const std::uint64_t g =
         slots_[w].gates_done.load(std::memory_order_relaxed);
     if (g < min_gates) min_gates = g;
   }
-  const double frac =
-      total != 0 ? static_cast<double>(min_gates) / static_cast<double>(total)
-                 : 0.0;
+  double bytes_done = 0;
+  double frac = 0;
+  if (axes != nullptr) position(*axes, min_gates, &bytes_done, &frac);
   const int n = std::snprintf(
       buf, len,
       "{\"schema\":\"svsim-progress-v1\",\"interrupted\":%s,"
@@ -190,8 +194,8 @@ int ProgressBoard::render_json_signal_safe(char* buf, std::size_t len) const {
       interrupted_.load(std::memory_order_relaxed) ? "true" : "false",
       active_.load(std::memory_order_relaxed) ? "true" : "false",
       backend_mirror_, workers, static_cast<unsigned long long>(total),
-      static_cast<unsigned long long>(min_gates), bytes_total,
-      bytes_total * frac, frac);
+      static_cast<unsigned long long>(min_gates),
+      axes != nullptr ? axes->bytes.back() : 0.0, bytes_done, frac);
   if (n < 0) return 0;
   return n < static_cast<int>(len) ? n : static_cast<int>(len) - 1;
 }

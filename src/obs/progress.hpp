@@ -9,9 +9,12 @@
 // per window under the blocked scheduler), so progress can be measured in
 // predicted bytes rather than raw gate counts — a QFT's cheap diagonal
 // tail no longer makes the last 10% of gates look like 10% of the work.
-// The board prices nothing itself: the run's RunModel hands it the
-// per-gate cumulative scheduled bytes, so its total is the roofline's
-// model_bytes_sched. The ETA is then self-calibrating:
+// The board prices nothing itself, and the gate loops publish only their
+// position: the run's RunModel hands the board the per-gate cumulative
+// scheduled bytes and amplitudes, so its totals are the roofline's
+// model_bytes_sched and model_amps. A PE at gate k has done
+// amps_prefix[k] / n_workers amplitudes (every tier splits each gate's
+// work evenly over its workers). The ETA is then self-calibrating:
 //
 //   achieved B/s = predicted-bytes-done / elapsed
 //   eta_s        = predicted-bytes-remaining / achieved B/s
@@ -19,19 +22,15 @@
 // which stays accurate across machines, SIMD levels and sanitizer builds
 // because the machine-dependent rate cancels out of the prediction.
 //
-// A gate publishes the amplitudes its kernel touched (kernels::footprint
-// per work item), so on a per-gate run the summed amps_done ends at the
-// roofline's model_amps.
-//
 // Concurrency contract (the part ThreadSanitizer pins in CI): each PE
 // owns one cacheline-aligned ProgressSlot and publishes with relaxed
-// atomic stores — one store plus one uncontended fetch_add per gate (or
-// per block of a blocked window), nothing shared between writers. Readers
-// (the embedded httpd's accept thread, svsim_top via it, the signal
-// handler) snapshot the slots with relaxed loads and never stall a
-// worker. The cold run header (backend, totals, the per-gate
-// predicted-bytes prefix) is guarded by a mutex taken only in
-// begin_run/end_run/snapshot.
+// atomic stores — one store per gate (or per block of a blocked window),
+// nothing shared between writers. Readers (the embedded httpd's accept
+// thread, svsim_top via it, the signal handler) snapshot the slots with
+// relaxed loads and never stall a worker. The cold run header (backend,
+// the model's prefixes) is guarded by a mutex taken only in
+// begin_run/end_run/snapshot; the signal handler reads the prefixes
+// through an atomic mirror instead.
 //
 // The slot section of this header is intentionally include-light
 // (atomics only): obs/waitstate.hpp pulls it in for the wait-time
@@ -57,18 +56,15 @@ namespace svsim::obs {
 struct alignas(64) ProgressSlot {
   std::atomic<std::uint64_t> gates_done{0}; // last retired 1-based gate id
   std::atomic<std::uint64_t> window{0};     // current schedule window index
-  std::atomic<std::uint64_t> amps_done{0};  // amplitudes kernels touched
   std::atomic<std::uint64_t> wait_us{0};    // published by WaitScope
 
   void reset() {
     gates_done.store(0, std::memory_order_relaxed);
     window.store(0, std::memory_order_relaxed);
-    amps_done.store(0, std::memory_order_relaxed);
     wait_us.store(0, std::memory_order_relaxed);
   }
-  void publish_gate(std::uint64_t gate_id, std::uint64_t amps) {
+  void publish_gate(std::uint64_t gate_id) {
     gates_done.store(gate_id, std::memory_order_relaxed);
-    amps_done.fetch_add(amps, std::memory_order_relaxed);
   }
   void publish_window(std::uint64_t w) {
     window.store(w, std::memory_order_relaxed);
@@ -127,7 +123,7 @@ struct ProgressSnapshot {
   std::uint64_t window = 0;
   double amps_done = 0;      // summed over PEs
   double bytes_total = 0;    // the run model's bytes_sched
-  double bytes_done = 0;     // prefix[gates_done]
+  double bytes_done = 0;     // bytes_prefix[gates_done]
   double fraction = 0;       // bytes_done / bytes_total
   double elapsed_s = 0;
   double gbps = 0;           // achieved, from bytes_done / elapsed
@@ -135,7 +131,7 @@ struct ProgressSnapshot {
   double eta_s = 0;
   struct Pe {
     std::uint64_t gates_done = 0;
-    std::uint64_t amps_done = 0;
+    double amps_done = 0; // amps_prefix[gates_done] / n_workers
     double wait_s = 0;
   };
   std::vector<Pe> pes;
@@ -158,13 +154,15 @@ public:
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Register a run: stamp the header, reset the slots, and keep
-  /// `bytes_prefix` — the run model's per-gate cumulative scheduled bytes
-  /// (RunModel::bytes_prefix, one entry per gate plus one) — as the
-  /// progress axis. `batch` is the lockstep member count the snapshot
-  /// shows (BatchedSim, whose model already prices every member).
+  /// Register a run: stamp the header, reset the slots, and keep the run
+  /// model's per-gate cumulative scheduled bytes and amplitudes
+  /// (RunModel::bytes_prefix and amps_prefix, one entry per gate plus
+  /// one) as the progress axes until the next begin_run. `batch` is the
+  /// lockstep member count the snapshot shows (BatchedSim, whose model
+  /// already prices every member).
   void begin_run(const char* backend, IdxType n_qubits, int n_workers,
-                 std::vector<double> bytes_prefix, IdxType batch = 1);
+                 std::vector<double> bytes_prefix,
+                 std::vector<double> amps_prefix, IdxType batch = 1);
 
   /// Close the run: freeze the wall clock and keep `report_json` (the
   /// finished svsim-report-v1 document) for GET /report.
@@ -189,30 +187,43 @@ public:
 
   /// Async-signal-safe partial progress document for the SIGINT/SIGTERM
   /// flush: snprintf into `buf` only (no allocation, no locks; reads the
-  /// atomic mirrors of the header). Returns the rendered length.
+  /// atomic mirrors of the header). Its bytes_done and fraction are the
+  /// snapshot's. Returns the rendered length.
   int render_json_signal_safe(char* buf, std::size_t len) const;
 
 private:
   ProgressBoard() = default;
+
+  /// The run model's progress axes, immutable once registered.
+  struct Axes {
+    std::vector<double> bytes; // RunModel::bytes_prefix
+    std::vector<double> amps;  // RunModel::amps_prefix
+  };
+
+  /// bytes_done and fraction once every PE has retired `gates` of the
+  /// run on `axes`: the one rule the snapshot and the signal handler
+  /// share (plain arithmetic, so async-signal-safe).
+  static void position(const Axes& axes, std::uint64_t gates,
+                       double* bytes_done, double* fraction);
 
   mutable std::mutex mu_; // guards the cold header below
   std::string backend_;
   long long n_qubits_ = 0;
   int n_workers_ = 0;
   int batch_ = 1;
-  std::uint64_t total_gates_ = 0;
   double start_us_ = 0; // wait_now_us() at begin_run
   double end_us_ = 0;   // frozen at end_run
-  std::shared_ptr<const std::vector<double>> bytes_prefix_;
+  std::shared_ptr<const Axes> axes_;
   std::string report_json_;
   bool have_run_ = false;
 
   // Signal-safe mirrors (plain atomics; the handler cannot take mu_).
+  // axes_mirror_ points at axes_'s object, which stays alive until the
+  // next begin_run has published its successor.
   std::atomic<bool> enabled_{false};
   std::atomic<bool> active_{false};
   std::atomic<bool> interrupted_{false};
-  std::atomic<std::uint64_t> total_gates_mirror_{0};
-  std::atomic<double> bytes_total_mirror_{0};
+  std::atomic<const Axes*> axes_mirror_{nullptr};
   std::atomic<int> workers_mirror_{0};
   char backend_mirror_[24] = {0};
 

@@ -85,17 +85,19 @@ struct SchedulerStats {
   std::uint64_t windows = 0;        // blocked windows formed
   std::uint64_t windowed_gates = 0; // gates inside blocked windows
   std::uint64_t passes_saved = 0;   // full-state sweeps avoided
-  /// passes_saved × kBytesPerAmp (32: 16 read + 16 written) × dim, the
-  /// perfmodel's price of a pass: memory traffic a per-gate loop would
-  /// have issued that the blocked loop kept cache-resident.
+  /// The run model's saving (obs/perfmodel): per blocked window, its
+  /// member gates' bytes minus the one pass it streams — memory traffic
+  /// a per-gate loop would have issued that the blocked loop kept
+  /// cache-resident. With the roofline on, model_bytes − model_bytes_sched.
   std::uint64_t traffic_avoided_bytes = 0;
 };
 
 /// Outcome of the communication-avoiding remap pass (ir/remap) for the
 /// last run(). Defaults when remapping was off or the backend is not
-/// partitioned. `modeled_*` price full-state sweeps that cross the
-/// partition boundary (2^n amplitudes × 16 bytes per offending gate);
-/// the measured TrafficMatrix is the ground truth the model predicts.
+/// partitioned. `modeled_*` are the run model's bytes of the gates that
+/// cross the partition boundary (obs::remote_bytes) in the input circuit
+/// and in the emitted one, swaps included; the measured TrafficMatrix is
+/// the ground truth the model predicts.
 struct RemapStats {
   bool enabled = false; // remap resolved on for the run
   bool active = false;  // the pass actually ran (partitioned, >= 2 local bits)

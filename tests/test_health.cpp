@@ -435,7 +435,6 @@ TEST(FlightCrashDeathTest, SigfpeProducesAFlightDumpAndDiesBySignal) {
   EXPECT_EXIT(
       {
         obs::FlightRecorder& fr = obs::FlightRecorder::global();
-        fr.set_enabled(true);
         fr.begin_run("deathtest", 4, 1);
         obs::FlightEvent e;
         e.gate_id = 42;
@@ -451,7 +450,6 @@ TEST(FlightCrashDeathTest, SigsegvHandlerAlsoDumps) {
   EXPECT_EXIT(
       {
         obs::FlightRecorder& fr = obs::FlightRecorder::global();
-        fr.set_enabled(true);
         fr.begin_run("deathtest", 4, 1);
         std::raise(SIGSEGV);
       },

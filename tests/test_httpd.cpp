@@ -75,9 +75,10 @@ TEST(HttpdDeathTest, SigintFlushesPartialProgressAndExits130) {
         obs::ProgressBoard& board = obs::ProgressBoard::global();
         board.set_enabled(true);
         const Circuit c = ghz(4);
-        board.begin_run("single", c.n_qubits(), 1,
-                        obs::model_run(c).bytes_prefix);
-        board.slot(0)->publish_gate(2, 32);
+        const obs::RunModel m = obs::model_run(c);
+        board.begin_run("single", c.n_qubits(), 1, m.bytes_prefix,
+                        m.amps_prefix);
+        board.slot(0)->publish_gate(2);
         ::raise(SIGINT);
       },
       testing::ExitedWithCode(130), "svsim-progress-v1");

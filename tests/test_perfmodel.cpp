@@ -3,22 +3,27 @@
 // Pins the analytic cost model's counting conventions with hand counts
 // (T touches the |1> half at 4 flops/amp, H streams every pair at 8,
 // CX permutes with zero arithmetic, a fused diagonal window collapses to
-// at most one state pass), checks every kernel op's priced amplitudes
-// against what its kernel touches, checks the forced-EPERM counter
-// fallback stays well-formed, and verifies the report JSON remains valid
-// and additive ("svsim-report-v1" keeps every pre-roofline key).
+// at most one state pass), hand-counts the remote bytes the remap report
+// reads, checks every kernel op's priced amplitudes against what its
+// kernel touches, checks the forced-EPERM counter fallback stays
+// well-formed, and verifies the report JSON remains valid and additive
+// ("svsim-report-v1" keeps every pre-roofline key).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "circuits/qasmbench.hpp"
 #include "common/rng.hpp"
 #include "core/kernels/gates.hpp"
+#include "core/peer_sim.hpp"
 #include "core/single_sim.hpp"
 #include "core/space.hpp"
+#include "ir/remap.hpp"
 #include "ir/schedule.hpp"
 #include "machine/model.hpp"
 #include "machine/platforms.hpp"
@@ -204,6 +209,45 @@ TEST(PerfModel, CheapDiagonalWindowUndercutsAFullPass) {
   const obs::RunModel m = obs::model_run(c, &s);
   EXPECT_DOUBLE_EQ(m.bytes_sched, 2 * 256 * 32.0);
   EXPECT_LT(m.bytes_sched, 1024 * 32.0);
+}
+
+// --- remote bytes: the remap report's pricing ----------------------------
+
+TEST(PerfModel, RemoteBytesHandCounts) {
+  // n = 6 on partitions of 2^5 amplitudes: a gate with an operand on
+  // qubit 5 pairs amplitudes across them and costs its model bytes;
+  // measure and reset are per-partition reductions and cost none.
+  const IdxType n = 6;
+  const IdxType lg_part = 5;
+  const auto remote = [&](const std::function<void(Circuit&)>& add) {
+    Circuit c(n);
+    add(c);
+    return obs::remote_bytes(c, lg_part);
+  };
+  EXPECT_EQ(remote([](Circuit& c) { c.h(5); }), 2048u);   // 64 amps
+  EXPECT_EQ(remote([](Circuit& c) { c.t(5); }), 1024u);   // |1> half
+  EXPECT_EQ(remote([](Circuit& c) { c.cz(0, 5); }), 512u); // |11>
+  EXPECT_EQ(remote([](Circuit& c) { c.swap(4, 5); }), 1024u);
+  EXPECT_EQ(remote([](Circuit& c) { c.cx(1, 2); }), 0u);  // local
+  EXPECT_EQ(remote([](Circuit& c) { c.measure(5, 0); }), 0u);
+  EXPECT_EQ(remote([](Circuit& c) { c.reset(5); }), 0u);
+  EXPECT_EQ(remote([](Circuit& c) { c.h(5).t(5).cx(1, 2); }), 3072u);
+}
+
+// A remapped run's report prices its input and its emitted circuit (the
+// inserted swaps included) with the model.
+TEST(PerfModel, RemapReportIsPricedByTheModel) {
+  const Circuit c = circuits::qft(8);
+  SimConfig cfg;
+  cfg.remap = 1;
+  PeerSim peer(8, 2, cfg);
+  peer.run(c);
+  const obs::RemapStats& st = peer.last_report().remap;
+  ASSERT_TRUE(st.active);
+  EXPECT_EQ(st.modeled_remote_bytes_before, obs::remote_bytes(c, 7));
+  EXPECT_EQ(st.modeled_remote_bytes_after,
+            obs::remote_bytes(remap_for_partition(c, 7).circuit, 7));
+  EXPECT_LT(st.modeled_remote_bytes_after, st.modeled_remote_bytes_before);
 }
 
 // --- counter fallback ----------------------------------------------------

@@ -1,14 +1,16 @@
 // obs::ProgressBoard: the model-driven progress/ETA math (per-gate
-// predicted-bytes prefix, min-over-PEs retirement, achieved-rate
-// calibration), its agreement with the roofline's model on real runs, the
-// svsim-progress-v1 JSON document, the async-signal-safe renderer the
-// SIGINT flush uses, and the WaitScope → slot live-wait hook.
+// predicted-bytes and amplitude prefixes, min-over-PEs retirement,
+// achieved-rate calibration), its agreement with the roofline's model on
+// real runs (per-gate, blocked and batched), the svsim-progress-v1 JSON
+// document, the async-signal-safe renderer the SIGINT flush uses, and the
+// WaitScope → slot live-wait hook.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "circuits/qasmbench.hpp"
 #include "core/batched_sim.hpp"
+#include "core/generalized_sim.hpp"
 #include "core/peer_sim.hpp"
 #include "core/single_sim.hpp"
 #include "ir/circuit.hpp"
@@ -33,6 +35,14 @@ Circuit small_circuit() {
   return c;
 }
 
+/// Register a run of `c` on `workers` PEs with the model's prefixes.
+void begin_model_run(obs::ProgressBoard& board, const char* backend,
+                     const Circuit& c, int workers) {
+  obs::RunModel m = obs::model_run(c);
+  board.begin_run(backend, c.n_qubits(), workers, std::move(m.bytes_prefix),
+                  std::move(m.amps_prefix));
+}
+
 TEST(Progress, SnapshotInvalidBeforeAnyRun) {
   // Note: boards are process-global; this test only asserts the shape of
   // an invalid snapshot's JSON, which holds whether or not another test
@@ -49,8 +59,7 @@ TEST(Progress, BytesPrefixMatchesPerfmodelAndDrivesFraction) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("testbe", c.n_qubits(), 2,
-                  obs::model_run(c).bytes_prefix);
+  begin_model_run(board, "testbe", c, 2);
 
   // Total predicted bytes must equal the perfmodel sum over gates.
   double expect_total = 0;
@@ -70,14 +79,19 @@ TEST(Progress, BytesPrefixMatchesPerfmodelAndDrivesFraction) {
   obs::ProgressSlot* p1 = board.slot(1);
   ASSERT_NE(p0, nullptr);
   ASSERT_NE(p1, nullptr);
-  p0->publish_gate(3, 100);
-  p1->publish_gate(4, 120);
+  p0->publish_gate(3);
+  p1->publish_gate(4);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   obs::ProgressSnapshot s1 = board.snapshot();
   EXPECT_EQ(s1.gates_done, 3u); // min(3, 4)
   EXPECT_GT(s1.fraction, 0.0);
   EXPECT_LT(s1.fraction, 1.0);
-  EXPECT_DOUBLE_EQ(s1.amps_done, 220.0);
+  // Each PE has done its half of the model's amplitudes up to its gate:
+  // (16 + 8 + 8) / 2 at gate 3 and (16 + 8 + 8 + 8) / 2 at gate 4.
+  const obs::RunModel m = obs::model_run(c);
+  EXPECT_DOUBLE_EQ(s1.pes[0].amps_done, m.amps_prefix[3] / 2);
+  EXPECT_DOUBLE_EQ(s1.pes[1].amps_done, m.amps_prefix[4] / 2);
+  EXPECT_DOUBLE_EQ(s1.amps_done, 16.0 + 20.0);
   ASSERT_TRUE(s1.eta_known);
   EXPECT_GT(s1.eta_s, 0.0);
   EXPECT_GT(s1.gbps, 0.0);
@@ -97,11 +111,11 @@ TEST(Progress, BytesPrefixMatchesPerfmodelAndDrivesFraction) {
   EXPECT_EQ(board.last_report_json(), "{\"schema\":\"svsim-report-v1\"}");
 }
 
-// The board prices nothing itself: its byte axis is the run model's
-// scheduled bytes, and each gate publishes the amplitudes its kernel
-// touched, so a per-gate run ends with the summed amps_done at the
-// roofline's model_amps (36 here: 16 + 8 + 8 + 4) on every tier. The
-// batched total includes the coefficient rows the batched model prices.
+// The board prices nothing itself: its axes are the run model's scheduled
+// bytes and amplitudes, so a per-gate run ends with the summed amps_done
+// at the roofline's model_amps (36 here: 16 + 8 + 8 + 4) on every tier.
+// The batched byte total includes the coefficient rows the batched model
+// prices.
 TEST(Progress, AmpsAndBytesMatchTheModel) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
@@ -165,14 +179,51 @@ TEST(Progress, BatchedAmpsMatchTheModel) {
   EXPECT_EQ(s.bytes_total, rep.roofline.model_bytes_sched);
 }
 
+// Blocked windows run blocks-outer, gates-inner, and publish only their
+// interpolated position, so they end at the model's amplitudes and its
+// scheduled bytes like the per-gate loop does. The baselines apply every
+// gate densely, but their progress is the model's too.
+TEST(Progress, BlockedAmpsMatchTheModel) {
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  SimConfig cfg;
+  cfg.roofline = true;
+  cfg.sched_window = 4;
+  Circuit c(8);
+  for (IdxType q = 0; q < 8; ++q) c.h(q);
+  c.cz(1, 7).t(6).cx(0, 1).cu1(0.3, 2, 7).rz(0.4, 7);
+  const auto check = [&](const obs::RunReport& rep, const char* what) {
+    const obs::ProgressSnapshot s = board.snapshot();
+    EXPECT_FALSE(s.active) << what;
+    EXPECT_GT(rep.sched.windows, 0u) << what;
+    EXPECT_EQ(s.amps_done, rep.roofline.model_amps) << what;
+    EXPECT_EQ(s.bytes_total, rep.roofline.model_bytes_sched) << what;
+  };
+
+  SingleSim single(8, cfg);
+  single.run(c);
+  check(single.last_report(), "single");
+
+  PeerSim peer(8, 2, cfg);
+  peer.run(c);
+  check(peer.last_report(), "peer");
+
+  BatchedSim batched(8, 4, cfg);
+  batched.run(c);
+  check(batched.last_report(), "batched");
+
+  GeneralizedSim generalized(8, cfg);
+  generalized.run(c);
+  EXPECT_EQ(board.snapshot().amps_done, obs::model_run(c).amps);
+}
+
 TEST(Progress, JsonDocumentRoundTripsThroughJsonlite) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = circuits::qft(5);
-  board.begin_run("shmem", c.n_qubits(), 4,
-                  obs::model_run(c).bytes_prefix);
+  begin_model_run(board, "shmem", c, 4);
   for (int w = 0; w < 4; ++w) {
-    board.slot(w)->publish_gate(static_cast<std::uint64_t>(2 + w), 64);
+    board.slot(w)->publish_gate(static_cast<std::uint64_t>(2 + w));
   }
   const std::string json = obs::progress_to_json(board.snapshot());
   Value doc;
@@ -192,9 +243,8 @@ TEST(Progress, SignalSafeRendererEmitsValidJson) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("single", c.n_qubits(), 1,
-                  obs::model_run(c).bytes_prefix);
-  board.slot(0)->publish_gate(2, 32);
+  begin_model_run(board, "single", c, 1);
+  board.slot(0)->publish_gate(2);
   board.mark_interrupted();
   char buf[4096];
   const int len = board.render_json_signal_safe(buf, sizeof(buf));
@@ -209,12 +259,38 @@ TEST(Progress, SignalSafeRendererEmitsValidJson) {
   board.end_run("{}");
 }
 
+// The SIGINT/SIGTERM flush reads the same model prefix as /progress, so
+// mid-run both report the same bytes and fraction (QFT-10 at gate 10 of
+// 235: its first gates are dense, so the byte fraction runs ahead of the
+// gate fraction).
+TEST(Progress, SignalSafeRendererMatchesTheSnapshot) {
+  obs::ProgressBoard& board = obs::ProgressBoard::global();
+  board.set_enabled(true);
+  const Circuit c = circuits::qft(10);
+  begin_model_run(board, "single", c, 1);
+  board.slot(0)->publish_gate(10);
+  const obs::ProgressSnapshot s = board.snapshot();
+  char buf[4096];
+  const int len = board.render_json_signal_safe(buf, sizeof(buf));
+  ASSERT_GT(len, 0);
+  Value doc;
+  ASSERT_TRUE(obs::jsonlite::parse(std::string(buf, buf + len), &doc))
+      << buf;
+  EXPECT_EQ(doc.member_num("gates_done", -1), 10.0);
+  EXPECT_EQ(doc.member_num("total_gates", -1),
+            static_cast<double>(s.total_gates));
+  EXPECT_EQ(doc.member_num("bytes_total", -1), s.bytes_total);
+  EXPECT_EQ(doc.member_num("bytes_done", -1), s.bytes_done);
+  EXPECT_EQ(doc.member_num("fraction", -1), s.fraction);
+  EXPECT_NE(s.fraction, 10.0 / static_cast<double>(s.total_gates));
+  board.end_run("{}");
+}
+
 TEST(Progress, WaitScopePublishesIntoTheBoundSlot) {
   obs::ProgressBoard& board = obs::ProgressBoard::global();
   board.set_enabled(true);
   const Circuit c = small_circuit();
-  board.begin_run("single", c.n_qubits(), 1,
-                  obs::model_run(c).bytes_prefix);
+  begin_model_run(board, "single", c, 1);
   obs::ProgressSlot* slot = board.slot(0);
   ASSERT_EQ(slot->wait_us.load(), 0u);
   {

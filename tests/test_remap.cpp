@@ -13,6 +13,7 @@
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 #include "ir/remap.hpp"
+#include "obs/perfmodel.hpp"
 
 namespace svsim {
 namespace {
@@ -45,7 +46,8 @@ TEST(Remap, EveryEmittedUnitaryGateIsLocalExceptSwaps) {
     }
   }
   EXPECT_GT(r.swaps_inserted, 0);
-  EXPECT_LT(r.modeled_remote_bytes_after, r.modeled_remote_bytes_before);
+  EXPECT_LT(obs::remote_bytes(r.circuit, local_bits),
+            obs::remote_bytes(c, local_bits));
 }
 
 TEST(Remap, DeterministicSwapSequence) {

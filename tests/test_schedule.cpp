@@ -11,6 +11,7 @@
 #include <complex>
 
 #include "common/rng.hpp"
+#include "core/batched_sim.hpp"
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
@@ -231,18 +232,32 @@ TEST(ScheduleReport, StatsAndJsonCarryWindowCounts) {
   }
   SimConfig cfg;
   cfg.sched_window = 6;
+  cfg.roofline = true;
   SingleSim sim(10, cfg);
   sim.run(c);
-  const obs::SchedulerStats& s = sim.last_report().sched;
+  const obs::RunReport& rep = sim.last_report();
+  const obs::SchedulerStats& s = rep.sched;
   EXPECT_TRUE(s.enabled);
   EXPECT_TRUE(s.active);
   EXPECT_EQ(s.block_exp, 6);
   EXPECT_GT(s.windows, 0u);
   EXPECT_GT(s.passes_saved, 0u);
-  EXPECT_EQ(s.traffic_avoided_bytes, s.passes_saved * 32u * pow2(10));
-  const std::string json = obs::to_json(sim.last_report());
+  // The avoided traffic is the run model's own window saving.
+  EXPECT_GT(s.traffic_avoided_bytes, 0u);
+  EXPECT_EQ(s.traffic_avoided_bytes,
+            rep.roofline.model_bytes - rep.roofline.model_bytes_sched);
+  const std::string json = obs::to_json(rep);
   EXPECT_NE(json.find("\"sched\":{\"enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"passes_saved\":"), std::string::npos);
+
+  // BatchedSim prices it off its plan's slot costs, for every member.
+  BatchedSim batched(10, 2, cfg);
+  batched.run(c);
+  const obs::RunReport& brep = batched.last_report();
+  EXPECT_TRUE(brep.sched.active);
+  EXPECT_GT(brep.sched.traffic_avoided_bytes, 0u);
+  EXPECT_EQ(brep.sched.traffic_avoided_bytes,
+            brep.roofline.model_bytes - brep.roofline.model_bytes_sched);
 }
 
 // At the auto exponent a register that fits one block runs the per-gate
