@@ -1,13 +1,16 @@
 // Ablation: gate fusion (the optimization qsim relies on, §6) applied on
 // top of SV-Sim's specialized kernels. For every Table 4 medium circuit:
-// gate count before/after fusion and measured single-device wall time.
+// the run pipeline's pair fusion (each run of gates on one qubit pair as
+// one dense 4x4 sweep, ir/fusion fuse_pairs) with the plan off
+// (sched_window = 0, the classic per-gate loop over the input gates)
+// against the default plan, in measured single-device wall time.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "circuits/qasmbench.hpp"
 #include "common/timer.hpp"
 #include "core/single_sim.hpp"
-#include "ir/fusion.hpp"
 
 namespace {
 
@@ -28,30 +31,32 @@ int main() {
   using namespace svsim;
   namespace cb = svsim::circuits;
 
-  bench::print_header("Ablation — gate fusion on top of specialized kernels",
-                      "1q-run fusion + inverse-pair cancellation; measured "
+  bench::print_header("Ablation — pair fusion on top of specialized kernels",
+                      "the pipeline's dense 4x4 pair blocks, plan off "
+                      "(sched_window = 0) vs default; measured "
                       "single-device wall time");
 
   std::printf("%-16s %8s %8s %8s %10s %10s %8s\n", "circuit", "gates",
-              "fused", "ratio", "ms", "fused ms", "speedup");
+              "executed", "dense", "off ms", "on ms", "speedup");
 
   double total_speedup = 0;
   int count = 0;
   for (const auto& id : cb::medium_ids()) {
     const Circuit c = cb::make_table4(id);
-    FusionStats st;
-    const Circuit f = fuse_gates(c, &st);
-
-    SingleSim sim(c.n_qubits());
-    const double ms = measure_ms(sim, c);
-    const double fms = measure_ms(sim, f);
-    std::printf("%-16s %8lld %8lld %8.2f %10.3f %10.3f %8.2f\n", id.c_str(),
-                static_cast<long long>(st.gates_before),
-                static_cast<long long>(st.gates_after),
-                static_cast<double>(st.gates_after) /
-                    static_cast<double>(st.gates_before),
-                ms, fms, ms / fms);
-    total_speedup += ms / fms;
+    SimConfig off_cfg;
+    off_cfg.sched_window = 0;
+    SingleSim off(c.n_qubits(), off_cfg);
+    SingleSim on(c.n_qubits());
+    const double off_ms = measure_ms(off, c);
+    const double on_ms = measure_ms(on, c);
+    const FusionStats& st = on.last_report().fusion;
+    std::printf("%-16s %8lld %8lld %8lld %10.3f %10.3f %8.2f\n", id.c_str(),
+                static_cast<long long>(c.n_gates()),
+                static_cast<long long>(c.n_gates() - st.dense_absorbed +
+                                       st.dense_blocks),
+                static_cast<long long>(st.dense_blocks), off_ms, on_ms,
+                off_ms / on_ms);
+    total_speedup += off_ms / on_ms;
     ++count;
   }
   const double avg = total_speedup / count;

@@ -5,11 +5,15 @@
 // stores) and at qubit 1 (/1: below log2 W, the same loads plus
 // in-register lane permutes and masked stores); two-qubit gates pair it
 // with qubit 11 (/5/11, /1/11) and also run with both operands below
-// log2 W (/1/0). Run with --benchmark_filter=... to narrow.
+// log2 W (/1/0). DENSE2 rows run the fused dense 4x4 on a random unitary:
+// one of its sweeps against the specialized rows is the factor
+// kDenseSweeps (ir/fusion.hpp) prices. Run with --benchmark_filter=... to
+// narrow.
 #include <benchmark/benchmark.h>
 
 #include "core/generalized_sim.hpp"
 #include "core/single_sim.hpp"
+#include "testing/rand_circuit.hpp"
 
 namespace {
 
@@ -17,11 +21,25 @@ using namespace svsim;
 
 constexpr IdxType kQubits = 16;
 
-/// The row's gate: `op` on qubit range(0), a two-qubit op with range(1).
-Gate bench_gate(const benchmark::State& state, OP op) {
+/// The row's one-gate circuit: `op` on qubit range(0), a two-qubit op
+/// with range(1); angles fixed, a DENSE2 on a fixed random unitary.
+Circuit bench_circuit(const benchmark::State& state, OP op) {
   const auto a = static_cast<IdxType>(state.range(0));
-  if (op_info(op).n_qubits == 1) return make_gate(op, a);
-  return make_gate(op, a, static_cast<IdxType>(state.range(1)));
+  Circuit c(kQubits);
+  if (op == OP::DENSE2) {
+    Rng rng(11);
+    c.dense2(testing::random_unitary_2q(rng), a,
+             static_cast<IdxType>(state.range(1)));
+    return c;
+  }
+  Gate g = op_info(op).n_qubits == 1
+               ? make_gate(op, a)
+               : make_gate(op, a, static_cast<IdxType>(state.range(1)));
+  g.theta = 0.7;
+  g.phi = 0.3;
+  g.lam = -0.4;
+  c.append(g);
+  return c;
 }
 
 /// Operand rows: the lowest operand at 5 and at 1; a two-qubit op pairs
@@ -44,13 +62,7 @@ void run_gate(benchmark::State& state, OP op, SimdLevel level) {
   for (IdxType q = 0; q < kQubits; ++q) prep.h(q);
   sim.run(prep);
 
-  Circuit c(kQubits);
-  Gate g = bench_gate(state, op);
-  g.theta = 0.7;
-  g.phi = 0.3;
-  g.lam = -0.4;
-  c.append(g);
-
+  const Circuit c = bench_circuit(state, op);
   for (auto _ : state) {
     sim.run(c);
     benchmark::DoNotOptimize(sim.real()[0]);
@@ -64,10 +76,7 @@ void run_generic_gate(benchmark::State& state, OP op) {
   for (IdxType q = 0; q < kQubits; ++q) prep.h(q);
   sim.run(prep);
 
-  Circuit c(kQubits);
-  Gate g = bench_gate(state, op);
-  g.theta = 0.7;
-  c.append(g);
+  const Circuit c = bench_circuit(state, op);
   for (auto _ : state) {
     sim.run(c);
   }
@@ -101,7 +110,9 @@ GATE_BENCH(U3, one_qubit_rows)
 GATE_BENCH(CX, two_qubit_rows)
 GATE_BENCH(CZ, two_qubit_rows)
 GATE_BENCH(CU1, two_qubit_rows)
+GATE_BENCH(CRX, two_qubit_rows)
 GATE_BENCH(RZZ, two_qubit_rows)
+GATE_BENCH(DENSE2, two_qubit_rows)
 
 } // namespace
 

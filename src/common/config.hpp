@@ -63,8 +63,9 @@ struct SimConfig {
   /// Cache-blocked gate windows (ir/schedule.hpp): -1 or 1 = auto (block
   /// exponent sized to L2; a one-worker state that fits one block runs
   /// per gate, RunSwitches::block_exp_for), 0 = off (the classic per-gate
-  /// loop, bit-for-bit), >= 2 = explicit block exponent. Variable:
-  /// SVSIM_SCHED.
+  /// loop over the input gates, bit-for-bit: no windows and no pair
+  /// fusion, core/pipeline.hpp's fuse stage), >= 2 = explicit block
+  /// exponent. Variable: SVSIM_SCHED.
   int sched_window = -1;
   /// Communication-avoiding remap with virtual readout on the partitioned
   /// backends (ir/remap.hpp): -1 = auto (on for more than one PE), 0 =

@@ -130,9 +130,8 @@ struct BatchedSim::Plan {
              IdxType block_exp, const BatchedTable& table);
   std::vector<obs::SlotCost> slot_costs(const std::vector<Gate>& gates,
                                         IdxType n) const;
-  void refill(const std::vector<Gate>& gates,
-              const std::vector<Circuit>* members, IdxType batch,
-              const BatchedTable& table);
+  void refill(const Circuit& circuit, const std::vector<Circuit>* members,
+              IdxType batch, const BatchedTable& table);
 };
 
 void BatchedSim::Plan::build(const Circuit& circuit, IdxType n,
@@ -381,20 +380,21 @@ std::vector<obs::SlotCost> BatchedSim::Plan::slot_costs(
   return out;
 }
 
-void BatchedSim::Plan::refill(const std::vector<Gate>& gates,
+void BatchedSim::Plan::refill(const Circuit& circuit,
                               const std::vector<Circuit>* members,
                               IdxType batch, const BatchedTable& table) {
+  const auto member = [&](IdxType b) -> const Circuit& {
+    return members != nullptr ? (*members)[static_cast<std::size_t>(b)]
+                              : circuit;
+  };
   const auto member_gate = [&](IdxType gi, IdxType b) -> const Gate& {
-    return members != nullptr
-               ? (*members)[static_cast<std::size_t>(b)]
-                     .gates()[static_cast<std::size_t>(gi)]
-               : gates[static_cast<std::size_t>(gi)];
+    return member(b).gates()[static_cast<std::size_t>(gi)];
   };
   const auto stride = static_cast<std::size_t>(batch);
   for (const auto& [gi, row] : uploads) {
     for (IdxType b = 0; b < batch; ++b) {
-      kernels::fill_coef(member_gate(gi, b), coef.data() + row * stride,
-                         batch, b);
+      kernels::fill_coef(member_gate(gi, b), member(b).dense_table(),
+                         coef.data() + row * stride, batch, b);
     }
   }
   // Program order g1;g2 composes as m(g2)·m(g1).
@@ -440,7 +440,7 @@ void BatchedSim::Plan::refill(const std::vector<Gate>& gates,
       }
     }
   }
-  key.assign(gates.begin(), gates.end());
+  key = circuit.gates();
   key_uniform = members == nullptr;
 }
 
@@ -535,10 +535,13 @@ void BatchedSim::execute(const Circuit& circuit,
     plan = Plan{};
     plan.build(circuit, n_, batch_, sw_.block_exp, table);
   }
+  // A DENSE2's rows come from its circuit's dense table, which the key
+  // does not hold: such a circuit always refills.
   const bool coef_hit =
       shape_hit && members == nullptr && plan.key_uniform &&
+      circuit.dense_table().empty() &&
       std::equal(gates.begin(), gates.end(), plan.key.begin(), same_gate);
-  if (!coef_hit) plan.refill(gates, members, batch_, table);
+  if (!coef_hit) plan.refill(circuit, members, batch_, table);
 
   const std::vector<BDev>& dev = plan.dev;
   const Schedule& sched = plan.sched;

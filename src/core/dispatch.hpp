@@ -193,7 +193,7 @@ DeviceCircuit<Space> upload_circuit(
     SVSIM_CHECK(fn != nullptr,
                 std::string("no kernel for op ") + op_name(g.op) +
                     " (compound ops must be lowered before upload)");
-    kernels::fill_coef(g, coef, 1, 0);
+    kernels::fill_coef(g, circuit.dense_table(), coef, 1, 0);
     out.gates.push_back(
         DeviceGate<Space>{fn, UGate{g, coef, 1}, gate_work_items(g, n)});
     coef += kernels::coef_rows(g.op);

@@ -43,7 +43,7 @@ void GeneralizedSim::apply_matrix(const Mat4& m, IdxType q0, IdxType q1) {
   kernels::apply_dense<2>(m, {q0, q1}, n_, 0, real_.data(), imag_.data());
 }
 
-void GeneralizedSim::apply_gate(const Gate& g) {
+void GeneralizedSim::apply_gate(const Circuit& c, const Gate& g) {
   // Runtime parse-and-branch per gate — the dispatch cost the paper's
   // function-pointer design eliminates.
   switch (g.op) {
@@ -65,7 +65,7 @@ void GeneralizedSim::apply_gate(const Gate& g) {
   if (info.n_qubits == 1) {
     apply_matrix(matrix_1q(g), g.qb0);
   } else {
-    apply_matrix(matrix_2q(g), g.qb0, g.qb1);
+    apply_matrix(c.unitary_2q(g), g.qb0, g.qb1);
   }
 }
 
@@ -77,7 +77,7 @@ void GeneralizedSim::run(const Circuit& circuit) {
       nullptr, /*priced=*/false,
       [&] {
         detail::per_gate_loop(make_space(), run.planes(), circuit.gates(),
-                              [&](const Gate& g) { apply_gate(g); });
+                              [&](const Gate& g) { apply_gate(circuit, g); });
       },
       no_comm_fold);
 }

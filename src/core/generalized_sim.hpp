@@ -37,7 +37,8 @@ public:
   void apply_matrix(const Mat4& m, IdxType q0, IdxType q1);
 
 private:
-  void apply_gate(const Gate& g);
+  /// Gate `g` of circuit `c` (a DENSE2's matrix lives in `c`).
+  void apply_gate(const Circuit& c, const Gate& g);
   LocalSpace make_space();
 
   IdxType n_;

@@ -85,31 +85,31 @@ template <Pat P, class B, class L>
 void batched_kernel(const UGate& ug, const BatchedSpace& sp, IdxType begin,
                     IdxType end) {
   using Pt = Pattern<P>;
+  constexpr int E = Pt::kElems;
   const Pt pat(ug.g);
   const IdxType nb = sp.batch;
   for (IdxType i = begin; i < end; ++i) {
     const IdxType s = pat.base(i);
     for (int k = 0; k < Pt::kSites; ++k) {
-      const IdxType a = (s + pat.off[k][0]) * nb;
-      const IdxType bb = (s + pat.off[k][1]) * nb;
+      IdxType at[E];
+      for (int j = 0; j < E; ++j) at[j] = (s + pat.off[k][j]) * nb;
       for_members<L>(nb, [&]<class V>(IdxType b) {
-        typename V::V c[B::kRows > 0 ? B::kRows : 1]{};
+        using W = typename V::V;
+        W c[B::kRows > 0 ? B::kRows : 1]{};
         for (int r = 0; r < B::kRows; ++r) {
           c[r] = V::load(ug.coef + r * ug.stride + b);
         }
-        auto r0 = V::load(sp.real + a + b);
-        auto i0 = V::load(sp.imag + a + b);
-        if constexpr (Pt::kPair) {
-          auto r1 = V::load(sp.real + bb + b);
-          auto i1 = V::load(sp.imag + bb + b);
-          B::template pair<V>(c, r0, i0, r1, i1);
-          V::store(sp.real + bb + b, r1);
-          V::store(sp.imag + bb + b, i1);
-        } else {
-          B::template one<V>(c, r0, i0);
+        W re[E];
+        W im[E];
+        for (int j = 0; j < E; ++j) {
+          re[j] = V::load(sp.real + at[j] + b);
+          im[j] = V::load(sp.imag + at[j] + b);
         }
-        V::store(sp.real + a + b, r0);
-        V::store(sp.imag + a + b, i0);
+        apply_site<B, V>(c, re, im);
+        for (int j = E - 1; j >= 0; --j) {
+          V::store(sp.real + at[j] + b, re[j]);
+          V::store(sp.imag + at[j] + b, im[j]);
+        }
       });
     }
   }

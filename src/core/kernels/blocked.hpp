@@ -69,7 +69,7 @@ inline DiagTerm diag_term(const Gate& g) {
   unit.qb1 = g.qb1 >= 0 ? 1 : -1;
   const IdxType n = g.qb1 >= 0 ? 2 : 1;
   ValType coef[kMaxCoefRows];
-  fill_coef(unit, coef, 1, 0);
+  fill_coef(unit, {}, coef, 1, 0);
   LocalSpace sp;
   sp.real = t.pr;
   sp.imag = t.pi;

@@ -6,8 +6,11 @@
 // specialization of the paper lives in the pattern: T, S, Z and the phase
 // gates touch only the |1> half (Listings 2/3), CZ and CU1 only |11>,
 // controlled gates only the control-set half, SWAP only (|01>, |10>), RZZ
-// only the middle pair of singles. The bodies are shared by every
-// execution strategy, which differ only in the loop that feeds them:
+// only the middle pair of singles. The one unspecialized op is the fused
+// DENSE2 (ir/fusion): the quad pattern, all four amplitudes of each
+// quadruple, times a dense 4x4 body, so a run of gates on one qubit pair
+// costs one sweep. The bodies are shared by every execution strategy,
+// which differ only in the loop that feeds them:
 //
 //   * solo scalar — one work item at a time through any Space's
 //     get_/set_real/imag (single device, peer pointer array, SHMEM
@@ -19,26 +22,31 @@
 //     the gate does not own; where a pair's two amplitudes sit in
 //     different lanes it permutes them into place in registers. When the
 //     lowest operand qubit is at least log2 W every lane is owned and
-//     nothing moves: plain loads and stores. Listing 2 reaches the same
-//     lanes by lane-wise index maps and gather/scatter. The head before
-//     the first aligned item and the ragged tail go through the solo
-//     scalar loop;
+//     nothing moves: plain loads and stores. At W = 4 with both operands
+//     below log2 W a 4x4 lane transpose turns each step's four vectors
+//     into one per quadruple offset instead (a controlled pair moves only
+//     its two rows). Listing 2 reaches the same lanes by lane-wise index
+//     maps and gather/scatter. The head before the first aligned item and
+//     the ragged tail go through the solo scalar loop;
 //   * batched    — lanes across batch members (kernels/batched.hpp).
 //
-// A body's coefficients (cos/sin pairs, dense 2×2 entries) are filled
-// once per uploaded gate by fill_coef: stride 1 for a solo gate, stride B
-// for a batched gate's member columns.
+// A body's coefficients (cos/sin pairs, dense 2×2 or 4×4 entries) are
+// filled once per uploaded gate by fill_coef: stride 1 for a solo gate,
+// stride B for a batched gate's member columns.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/bits.hpp"
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "core/kernels/lanes.hpp"
 #include "ir/gate.hpp"
+#include "ir/matrices.hpp"
 
 namespace svsim::kernels {
 
@@ -53,15 +61,15 @@ struct UGate {
 };
 
 // ---------------------------------------------------------------------------
-// Bodies. Pair bodies map (a0, a1) and single bodies map one amplitude a,
-// each split into real/imag lanes; c holds the body's kRows coefficient
-// rows already loaded into lanes, and kFlops counts the real adds, subs,
-// muls and negations of one application. The arithmetic is written with the
-// built-in operators, which GCC and Clang define on the vector lane types
-// as well: every lane then evaluates the reference scalar expression in
-// the same order, and the compiler's FMA contraction fuses the same
-// products — so the blocked phase tables, which multiply the same way,
-// agree with the kernels bit for bit.
+// Bodies. Pair bodies map (a0, a1), single bodies one amplitude a and the
+// quad body a whole quadruple, each split into real/imag lanes; c holds
+// the body's kRows coefficient rows already loaded into lanes, and kFlops
+// counts the real adds, subs, muls and negations of one application. The
+// arithmetic is written with the built-in operators, which GCC and Clang
+// define on the vector lane types as well: every lane then evaluates the
+// reference scalar expression in the same order, and the compiler's FMA
+// contraction fuses the same products — so the blocked phase tables,
+// which multiply the same way, agree with the kernels bit for bit.
 // ---------------------------------------------------------------------------
 
 struct BodyX {
@@ -171,6 +179,41 @@ struct BodyDense {
   }
 };
 
+/// Dense 4×4 over a quadruple's four amplitudes, in the quad pattern's
+/// role order (|00>, |01>, |10>, |11> of (p, q)): row i's entries j at
+/// rows 8i + 2j (real) and 8i + 2j + 1 (imag), as BodyDense lays out its
+/// 2×2; a'_i = sum_j m_ij a_j.
+struct BodyDense4 {
+  static constexpr int kRows = 32;
+  static constexpr int kFlops = 120; // 8 muls and 7 adds/subs per output
+  template <class L, class V>
+  static void quad(const V* m, V (&r)[4], V (&i)[4]) {
+    V nr[4];
+    V ni[4];
+    for (int k = 0; k < 4; ++k) {
+      // One product at a time onto a sum that starts at zero: each
+      // statement holds one product, so every instance — any Space, lane
+      // policy or strategy — contracts the same products into the same
+      // FMAs, and the lanes agree with the scalar strategy bit for bit.
+      const V* e = m + 8 * k;
+      V sr = L::zero();
+      V si = L::zero();
+      for (int j = 0; j < 4; ++j) {
+        sr = sr + e[2 * j] * r[j];
+        sr = sr - e[2 * j + 1] * i[j];
+        si = si + e[2 * j] * i[j];
+        si = si + e[2 * j + 1] * r[j];
+      }
+      nr[k] = sr;
+      ni[k] = si;
+    }
+    for (int k = 0; k < 4; ++k) {
+      r[k] = nr[k];
+      i[k] = ni[k];
+    }
+  }
+};
+
 struct BodyNeg {
   static constexpr int kRows = 0;
   static constexpr int kFlops = 2; // two negations
@@ -247,7 +290,8 @@ struct BodyPhase {
 // Patterns: which amplitudes of work item i a gate touches. 1-qubit
 // patterns enumerate pairs by Eq. (1), 2-qubit patterns quadruples by
 // Eq. (2) over (p, q) = (min, max) of the operands; each touches one or
-// two sites — a pair for a pair body, one amplitude for a single body.
+// two sites — a pair for a pair body, one amplitude for a single body,
+// the whole quadruple for the quad body.
 // ---------------------------------------------------------------------------
 
 enum class Pat {
@@ -258,6 +302,7 @@ enum class Pat {
   kPair0110, // (s+2^p, s+2^q)
   kRxx,      // (s, s+2^p+2^q) and (s+2^p, s+2^q)
   kRzz,      // s+2^p and s+2^q
+  kQuad,     // (s, s+2^q, s+2^p, s+2^p+2^q): all four
 };
 
 template <Pat P>
@@ -265,19 +310,20 @@ struct Pattern {
   static constexpr bool kTwoQubit = P != Pat::kPair1q && P != Pat::kOne1q;
   static constexpr bool kPair = P == Pat::kPair1q || P == Pat::kCtrlPair ||
                                 P == Pat::kPair0110 || P == Pat::kRxx;
+  /// Amplitudes of one site: 4 for the quad body, 2 for a pair, 1 else.
+  static constexpr int kElems = P == Pat::kQuad ? 4 : kPair ? 2 : 1;
   static constexpr int kSites = P == Pat::kRxx || P == Pat::kRzz ? 2 : 1;
   /// Amplitudes one work item reads and writes.
-  static constexpr int kTouched = kSites * (kPair ? 2 : 1);
+  static constexpr int kTouched = kSites * kElems;
 
-  IdxType p = 0;            // the qubit (1q) or the lower operand (2q)
-  IdxType q = 0;            // the higher operand (2q)
-  IdxType off[kSites][2]{}; // site offsets from the base index
+  IdxType p = 0;                 // the qubit (1q) or the lower operand (2q)
+  IdxType q = 0;                 // the higher operand (2q)
+  IdxType off[kSites][kElems]{}; // site offsets from the base index
 
-  explicit Pattern(const Gate& g) {
+  constexpr explicit Pattern(const Gate& g) {
     if constexpr (!kTwoQubit) {
       p = g.qb0;
-      off[0][0] = P == Pat::kPair1q ? 0 : pow2(p);
-      off[0][1] = pow2(p);
+      off[0][kElems - 1] = pow2(p); // the |1> element; kPair1q's |0> is 0
     } else {
       p = g.qb0 < g.qb1 ? g.qb0 : g.qb1;
       q = g.qb0 < g.qb1 ? g.qb1 : g.qb0;
@@ -295,6 +341,13 @@ struct Pattern {
         off[0][1] = lo + hi;
         off[1][0] = lo;
         off[1][1] = hi;
+      } else if constexpr (P == Pat::kQuad) {
+        // Role r = 2·bit(p) + bit(q): with p the more significant bit, a
+        // low p (below log2 W) leaves roles r and r + 1 in different
+        // vectors, so run_permuted's groups r mod 2 stay two.
+        off[0][1] = hi;
+        off[0][2] = lo;
+        off[0][3] = lo + hi;
       } else { // kRzz
         off[0][0] = lo;
         off[1][0] = hi;
@@ -303,7 +356,7 @@ struct Pattern {
   }
 
   /// Base amplitude index of work item `i` (Eq. (1) or (2)).
-  IdxType base(IdxType i) const {
+  constexpr IdxType base(IdxType i) const {
     if constexpr (!kTwoQubit) {
       return pair_base(i, p);
     } else {
@@ -347,6 +400,7 @@ void for_each_unitary(Visit&& v) {
   v.template operator()<OP::CU3, Pat::kCtrlPair, BodyDense>();
   v.template operator()<OP::RXX, Pat::kRxx, BodyRX>();
   v.template operator()<OP::RZZ, Pat::kRzz, BodyPhase>();
+  v.template operator()<OP::DENSE2, Pat::kQuad, BodyDense4>();
 }
 
 // ---------------------------------------------------------------------------
@@ -396,8 +450,8 @@ inline IdxType gate_work_items(const Gate& g, IdxType lg) {
 // Coefficients.
 // ---------------------------------------------------------------------------
 
-/// Most coefficient rows any body reads (the dense 2×2).
-inline constexpr int kMaxCoefRows = 8;
+/// Most coefficient rows any body reads (the dense 4×4).
+inline constexpr int kMaxCoefRows = BodyDense4::kRows;
 
 /// Coefficient rows the body of `op` reads (0 for constant gates and the
 /// non-unitary ops, whose divergence is runtime state, not parameters).
@@ -419,13 +473,33 @@ inline std::array<ValType, 8> u3_rows(ValType theta, ValType phi,
 }
 
 /// Fill column b of gate g's coefficient rows (row r at coef[r*stride+b]).
-/// The only place a gate's angles become body coefficients.
-inline void fill_coef(const Gate& g, ValType* coef, IdxType stride,
-                      IdxType b) {
+/// The only place a gate's angles become body coefficients. A DENSE2
+/// gate's rows come from its matrix, entry g.cbit of `dense`, the dense
+/// table of g's circuit (Circuit::dense_table()), laid out in the quad
+/// pattern's role order: a gate written with qb0 > qb1 has its |01> and
+/// |10> exchanged.
+inline void fill_coef(const Gate& g, std::span<const Mat4> dense,
+                      ValType* coef, IdxType stride, IdxType b) {
   const auto rows = [&](std::array<ValType, 8> m) {
     for (int r = 0; r < 8; ++r) coef[r * stride + b] = m[r];
   };
   switch (g.op) {
+    case OP::DENSE2: {
+      SVSIM_CHECK(g.cbit >= 0 && static_cast<std::size_t>(g.cbit) <
+                                     dense.size(),
+                  "fill_coef: dense2 gate without a matrix in its table");
+      const Mat4& m = dense[static_cast<std::size_t>(g.cbit)];
+      const int flip[4] = {0, 2, 1, 3};
+      for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) {
+          const Complex e = g.qb0 > g.qb1 ? m[flip[i] * 4 + flip[j]]
+                                          : m[i * 4 + j];
+          coef[(8 * i + 2 * j) * stride + b] = e.real();
+          coef[(8 * i + 2 * j + 1) * stride + b] = e.imag();
+        }
+      }
+      break;
+    }
     case OP::U3:
     case OP::CU3:
       rows(u3_rows(g.theta, g.phi, g.lam));
@@ -471,6 +545,19 @@ inline void fill_coef(const Gate& g, ValType* coef, IdxType stride,
 // Solo strategies.
 // ---------------------------------------------------------------------------
 
+/// Body B on one site's E amplitudes (real parts r, imag parts i) through
+/// lane policy L: B's one, pair or quad, by the site's size.
+template <class B, class L, class V, int E>
+inline void apply_site(const V* c, V (&r)[E], V (&i)[E]) {
+  if constexpr (E == 1) {
+    B::template one<L>(c, r[0], i[0]);
+  } else if constexpr (E == 2) {
+    B::template pair<L>(c, r[0], i[0], r[1], i[1]);
+  } else {
+    B::template quad<L>(c, r, i);
+  }
+}
+
 namespace solo_detail {
 
 /// The solo scalar strategy: pattern P × body B over work items
@@ -479,17 +566,33 @@ template <Pat P, class B, class Space>
 inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
                        IdxType end) {
   using Pt = Pattern<P>;
+  constexpr int E = Pt::kElems;
   const Pt pat(ug.g);
   ValType c[B::kRows > 0 ? B::kRows : 1]{};
   for (int r = 0; r < B::kRows; ++r) c[r] = ug.coef[r * ug.stride];
   for (IdxType i = begin; i < end; ++i) {
     const IdxType s = pat.base(i);
     for (int k = 0; k < Pt::kSites; ++k) {
-      const IdxType a = s + pat.off[k][0];
-      ValType r0 = sp.get_real(a);
-      ValType i0 = sp.get_imag(a);
-      if constexpr (Pt::kPair) {
+      // Pair and single sites keep named scalars: held in arrays, an
+      // -O2 ASan build rounded the counted-access (ShmemSpace) instance
+      // of the 2x2 bodies differently from the raw-array one.
+      if constexpr (E == 4) {
+        ValType re[4];
+        ValType im[4];
+        for (int j = 0; j < 4; ++j) {
+          re[j] = sp.get_real(s + pat.off[k][j]);
+          im[j] = sp.get_imag(s + pat.off[k][j]);
+        }
+        B::template quad<ScalarLane>(c, re, im);
+        for (int j = 0; j < 4; ++j) {
+          sp.set_real(s + pat.off[k][j], re[j]);
+          sp.set_imag(s + pat.off[k][j], im[j]);
+        }
+      } else if constexpr (E == 2) {
+        const IdxType a = s + pat.off[k][0];
         const IdxType b = s + pat.off[k][1];
+        ValType r0 = sp.get_real(a);
+        ValType i0 = sp.get_imag(a);
         ValType r1 = sp.get_real(b);
         ValType i1 = sp.get_imag(b);
         B::template pair<ScalarLane>(c, r0, i0, r1, i1);
@@ -498,6 +601,9 @@ inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
         sp.set_real(b, r1);
         sp.set_imag(b, i1);
       } else {
+        const IdxType a = s + pat.off[k][0];
+        ValType r0 = sp.get_real(a);
+        ValType i0 = sp.get_imag(a);
         B::template one<ScalarLane>(c, r0, i0);
         sp.set_real(a, r0);
         sp.set_imag(a, i0);
@@ -509,7 +615,8 @@ inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
 /// Where one step of the solo SIMD strategy finds its amplitudes.
 ///
 /// A role is one of the pattern's kTouched amplitudes per work item: site
-/// k's element j is role k·E + j (E = 2 for a pair body, 1 for a single).
+/// k's element j is role k·E + j (E = Pattern::kElems: 4 for the quad
+/// body, 2 for a pair body, 1 for a single).
 /// Eq. (1)/(2) only spread a work item's bits around the operand
 /// positions, so for a W-aligned work item i and a lane l < W,
 /// base(i + l) = base(i) + base(l): role r of lane l sits at
@@ -519,10 +626,10 @@ inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
 /// offset's bits at or above log2 W plus hop[m] = base(m·W/2^k); in every
 /// one of them the role takes the same lanes.
 ///
-/// When both elements of every pair take the same lanes (they differ only
+/// When all elements of every site take the same lanes (they differ only
 /// in bits at or above log2 W; always so for a single body), the vectors
 /// line up lane for lane: run_aligned runs the body on whole vectors and
-/// stores only the site's lanes. Otherwise a pair straddles lanes of one
+/// stores only the site's lanes. Otherwise a site straddles lanes of one
 /// vector, and run_permuted moves each role's lanes out of the vectors
 /// and back in registers (StraddleLayout). The layout holds for every
 /// step, so it is computed once per kernel call, and at k = 0 it is just
@@ -531,10 +638,10 @@ template <Pat P, IdxType W>
 struct TileLayout {
   using Pt = Pattern<P>;
   static constexpr int kRoles = Pt::kTouched;
-  static constexpr int kElems = Pt::kPair ? 2 : 1;
+  static constexpr int kElems = Pt::kElems;
 
   int k = 0;              // operands below log2 W
-  bool aligned = true;    // every pair's elements take the same lanes
+  bool aligned = true;    // every site's elements take the same lanes
   IdxType hop[4]{};       // vector m of a role, past base(i) + its high bits
   IdxType high[kRoles]{}; // role r's offset bits at or above log2 W
   /// Sites run_aligned visits, and (k >= 1) each one's lanes in its
@@ -554,8 +661,9 @@ struct TileLayout {
     if (!Pt::kPair && Pt::kSites == 2 && high[1] == high[0]) sites = 1;
     for (int st = 0; st < Pt::kSites; ++st) {
       const IdxType a0 = off(pat, st * kElems);
-      const IdxType a1 = off(pat, st * kElems + kElems - 1);
-      aligned = aligned && ((a0 ^ a1) & (W - 1)) == 0;
+      for (int e = 1; e < kElems; ++e) {
+        aligned = aligned && ((a0 ^ off(pat, st * kElems + e)) & (W - 1)) == 0;
+      }
       for (IdxType j = 0; j < per_vec; ++j) {
         lanes[st < sites ? st : 0][(pat.base(j) + a0) & (W - 1)] =
             ~std::uint64_t{0};
@@ -568,9 +676,10 @@ struct TileLayout {
   }
 };
 
-/// What run_permuted needs on top of a TileLayout, for a pair body whose
-/// elements straddle lanes (k >= 1). Roles whose vectors coincide form a
-/// group; for every pattern role r's group is r mod G, and G·2^k <= 4.
+/// What run_permuted needs on top of a TileLayout, for a pair or quad body
+/// whose elements straddle lanes (k >= 1). Roles whose vectors coincide
+/// form a group; for every pattern role r's group is r mod G, and
+/// G·2^k <= 4.
 /// Group g's vector m is v = g·2^k + m.
 template <Pat P, IdxType W>
 struct StraddleLayout {
@@ -610,7 +719,7 @@ struct StraddleLayout {
   }
 };
 
-/// The solo SIMD strategy where every pair's elements take the same lanes,
+/// The solo SIMD strategy where every site's elements take the same lanes,
 /// at K operands below log2 W: W-aligned work items [begin, end), W per
 /// step. For each site and each of its 2^K vectors per element, a step
 /// loads whole vectors, runs the body on every lane and stores the site's
@@ -625,7 +734,7 @@ inline void run_aligned(const Pattern<P>& pat, const TileLayout<P, L::W>& lay,
   using V = typename L::V;
   using Pt = Pattern<P>;
   constexpr int N = 1 << K;
-  constexpr int E = Pt::kPair ? 2 : 1;
+  constexpr int E = Pt::kElems;
   IdxType at[Pt::kSites][E][N];
   typename L::M lanes[Pt::kSites]{};
   for (int k = 0; k < Pt::kSites; ++k) {
@@ -648,21 +757,17 @@ inline void run_aligned(const Pattern<P>& pat, const TileLayout<P, L::W>& lay,
     const IdxType s = pat.base(i);
     for (int k = 0; k < Pt::kSites && k < sites; ++k) {
       for (int m = 0; m < N; ++m) {
-        const IdxType a = s + at[k][0][m];
-        V r0 = L::load(sp.real + a);
-        V i0 = L::load(sp.imag + a);
-        if constexpr (Pt::kPair) {
-          const IdxType b = s + at[k][1][m];
-          V r1 = L::load(sp.real + b);
-          V i1 = L::load(sp.imag + b);
-          B::template pair<L>(c, r0, i0, r1, i1);
-          put(sp.real + b, r1, lanes[k]);
-          put(sp.imag + b, i1, lanes[k]);
-        } else {
-          B::template one<L>(c, r0, i0);
+        V re[E];
+        V im[E];
+        for (int j = 0; j < E; ++j) {
+          re[j] = L::load(sp.real + s + at[k][j][m]);
+          im[j] = L::load(sp.imag + s + at[k][j][m]);
         }
-        put(sp.real + a, r0, lanes[k]);
-        put(sp.imag + a, i0, lanes[k]);
+        apply_site<B, L>(c, re, im);
+        for (int j = E - 1; j >= 0; --j) {
+          put(sp.real + s + at[k][j][m], re[j], lanes[k]);
+          put(sp.imag + s + at[k][j][m], im[j], lanes[k]);
+        }
       }
     }
   }
@@ -683,9 +788,9 @@ inline typename L::V pick(const typename L::V (&src)[S],
   }
 }
 
-/// The solo SIMD strategy for a pair body whose elements straddle lanes,
-/// at K >= 1 operands below log2 W and G role groups: W-aligned work items
-/// [begin, end), W per step. Each step loads its groups' vectors once,
+/// The solo SIMD strategy for a pair or quad body whose elements straddle
+/// lanes, at K >= 1 operands below log2 W and G role groups: W-aligned work
+/// items [begin, end), W per step. Each step loads its groups' vectors once,
 /// permutes every role's lanes out of them, runs the body, and writes
 /// each vector back from its roles' lanes: a plain store when they own
 /// every lane, a masked store otherwise.
@@ -732,8 +837,18 @@ inline void run_permuted(const Pattern<P>& pat,
       }
     }
     for (int k = 0; k < Pt::kSites; ++k) {
-      B::template pair<L>(c, re[2 * k], im[2 * k], re[2 * k + 1],
-                          im[2 * k + 1]);
+      constexpr int E = Pt::kElems;
+      V sr[E];
+      V si[E];
+      for (int j = 0; j < E; ++j) {
+        sr[j] = re[k * E + j];
+        si[j] = im[k * E + j];
+      }
+      apply_site<B, L>(c, sr, si);
+      for (int j = 0; j < E; ++j) {
+        re[k * E + j] = sr[j];
+        im[k * E + j] = si[j];
+      }
     }
     for (int g = 0; g < G; ++g) {
       V sr[M];
@@ -758,6 +873,73 @@ inline void run_permuted(const Pattern<P>& pat,
   }
 }
 
+/// The solo SIMD strategy at W = 4 for a pair or quad body with both
+/// operands below log2 W = 2 — qubits 0 and 1, qb0 = Q0 — over W-aligned
+/// work items [begin, end). Four consecutive work items own the four
+/// consecutive vectors at base(i) = 4i, vector m holding item i + m's
+/// quadruple. A 4x4 lane transpose turns them into one vector per
+/// quadruple offset o, lane l holding item i + l's amplitude at o; the
+/// body runs on its roles' offsets, the others ride along, and the
+/// transpose back goes out by plain stores. A controlled pair's offsets
+/// (1 or 2, and 3) take only their two rows of the transpose, and back.
+template <IdxType Q0, Pat P, class B, class L, class Space>
+inline void run_transposed(const typename L::V* c, const Space& sp,
+                           IdxType begin, IdxType end) {
+  using V = typename L::V;
+  using Pt = Pattern<P>;
+  static_assert(L::W == 4 && Pt::kTwoQubit);
+  constexpr int E = Pt::kElems;
+  constexpr Pt kPat = [] {
+    Gate g;
+    g.qb0 = Q0;
+    g.qb1 = 1 - Q0;
+    return Pt(g);
+  }();
+  for (IdxType i = begin; i < end; i += L::W) {
+    ValType* const pr = sp.real + 4 * i;
+    ValType* const pi = sp.imag + 4 * i;
+    V re[4];
+    V im[4];
+    for (int m = 0; m < 4; ++m) {
+      re[m] = L::load(pr + 4 * m);
+      im[m] = L::load(pi + 4 * m);
+    }
+    if constexpr (Pt::kSites == 1 && E == 2 && kPat.off[0][1] == 3) {
+      // A controlled pair, (1, 3) or (2, 3): only its two rows move.
+      constexpr int O = static_cast<int>(kPat.off[0][0]);
+      V sr[2];
+      V si[2];
+      L::template transpose_rows<O>(re, sr[0], sr[1]);
+      L::template transpose_rows<O>(im, si[0], si[1]);
+      apply_site<B, L>(c, sr, si);
+      L::template untranspose_rows<O>(re, sr[0], sr[1]);
+      L::template untranspose_rows<O>(im, si[0], si[1]);
+    } else {
+      L::transpose4(re);
+      L::transpose4(im);
+      for (int k = 0; k < Pt::kSites; ++k) {
+        V sr[E];
+        V si[E];
+        for (int j = 0; j < E; ++j) {
+          sr[j] = re[kPat.off[k][j]];
+          si[j] = im[kPat.off[k][j]];
+        }
+        apply_site<B, L>(c, sr, si);
+        for (int j = 0; j < E; ++j) {
+          re[kPat.off[k][j]] = sr[j];
+          im[kPat.off[k][j]] = si[j];
+        }
+      }
+      L::transpose4(re);
+      L::transpose4(im);
+    }
+    for (int m = 0; m < 4; ++m) {
+      L::store(pr + 4 * m, re[m]);
+      L::store(pi + 4 * m, im[m]);
+    }
+  }
+}
+
 /// Pattern P × body B over W-aligned work items [begin, end), a multiple
 /// of W of them, through lane policy L on the Space's raw arrays
 /// (LocalSpace only).
@@ -778,11 +960,11 @@ inline void run_simd(const UGate& ug, const Space& sp, IdxType begin,
     } else if constexpr (Pt::kTwoQubit) {
       run_aligned<2, P, B, L>(pat, lay, c, sp, begin, end);
     }
-  } else if constexpr (Pt::kPair) {
-    // Straddling pairs: k >= 1. Two vectors per group at k = 1 hold one
+  } else if constexpr (Pt::kElems > 1) {
+    // Straddling sites: k >= 1. Two vectors per group at k = 1 hold one
     // group of at most two roles, or two groups.
-    const StraddleLayout<P, L::W> st(pat, lay);
     if (lay.k == 1) {
+      const StraddleLayout<P, L::W> st(pat, lay);
       if constexpr (kRoles <= 2) {
         if (st.groups == 1) {
           return run_permuted<1, 1, P, B, L>(pat, lay, st, c, sp, begin,
@@ -792,7 +974,14 @@ inline void run_simd(const UGate& ug, const Space& sp, IdxType begin,
       if constexpr (kRoles >= 2) {
         run_permuted<1, 2, P, B, L>(pat, lay, st, c, sp, begin, end);
       }
+    } else if constexpr (Pt::kTwoQubit && L::W == 4) {
+      if (ug.g.qb0 == 0) {
+        run_transposed<0, P, B, L>(c, sp, begin, end);
+      } else {
+        run_transposed<1, P, B, L>(c, sp, begin, end);
+      }
     } else if constexpr (Pt::kTwoQubit) {
+      const StraddleLayout<P, L::W> st(pat, lay);
       run_permuted<2, 1, P, B, L>(pat, lay, st, c, sp, begin, end);
     }
   }

@@ -6,10 +6,11 @@
 // every V supports; the value ops here (load/store/splat/...) serve the
 // strategies' loads and the batched engine's own arithmetic, the
 // mask/blend ops its divergent measure/reset, and the lane moves
-// (perm/permute/permute2/store_mask) the solo SIMD strategy, which loads
-// whole W-aligned vectors, moves a pair's amplitudes into matching lanes
-// in registers and stores only the lanes a gate owns: the paper's
-// Listing 2 builds the same lanes from lane-wise index maps and gathers.
+// (perm/permute/permute2/store_mask, and AVX2's transpose4) the solo SIMD
+// strategy, which loads whole W-aligned vectors, moves a pair's or
+// quadruple's amplitudes into matching lanes in registers and stores only
+// the lanes a gate owns: the paper's Listing 2 builds the same lanes from
+// lane-wise index maps and gathers.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +91,56 @@ struct Avx2Lane {
   /// Store the lanes of v where m is set; leave the others' bytes.
   static void store_mask(ValType* p, V v, M m) {
     _mm256_maskstore_pd(p, _mm256_castpd_si256(m), v);
+  }
+  /// The 4x4 lane transpose: lane l of v[m] moves to lane m of v[l].
+  static void transpose4(V (&v)[4]) {
+    const V t0 = _mm256_unpacklo_pd(v[0], v[1]); // v0.0 v1.0 v0.2 v1.2
+    const V t1 = _mm256_unpackhi_pd(v[0], v[1]); // v0.1 v1.1 v0.3 v1.3
+    const V t2 = _mm256_unpacklo_pd(v[2], v[3]);
+    const V t3 = _mm256_unpackhi_pd(v[2], v[3]);
+    v[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    v[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    v[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    v[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
+  /// Rows O (1 or 2) and 3 of that transpose, half its moves: lane O of
+  /// v[m] to lane m of a, lane 3 of v[m] to lane m of b.
+  template <int O>
+  static void transpose_rows(const V (&v)[4], V& a, V& b) {
+    static_assert(O == 1 || O == 2);
+    if constexpr (O == 1) {
+      const V t0 = _mm256_unpackhi_pd(v[0], v[1]); // v0.1 v1.1 v0.3 v1.3
+      const V t1 = _mm256_unpackhi_pd(v[2], v[3]); // v2.1 v3.1 v2.3 v3.3
+      a = _mm256_permute2f128_pd(t0, t1, 0x20);
+      b = _mm256_permute2f128_pd(t0, t1, 0x31);
+    } else {
+      // v0.2 v0.3 v2.2 v2.3 and v1.2 v1.3 v3.2 v3.3
+      const V t0 = _mm256_permute2f128_pd(v[0], v[2], 0x31);
+      const V t1 = _mm256_permute2f128_pd(v[1], v[3], 0x31);
+      a = _mm256_unpacklo_pd(t0, t1);
+      b = _mm256_unpackhi_pd(t0, t1);
+    }
+  }
+  /// The inverse of transpose_rows<O>: a and b back into lanes O and 3 of
+  /// v[m]; v's other lanes keep their values.
+  template <int O>
+  static void untranspose_rows(V (&v)[4], V a, V b) {
+    static_assert(O == 1 || O == 2);
+    if constexpr (O == 1) {
+      const V t0 = _mm256_permute2f128_pd(a, b, 0x20); // v0.1 v1.1 v0.3 v1.3
+      const V t1 = _mm256_permute2f128_pd(a, b, 0x31); // v2.1 v3.1 v2.3 v3.3
+      v[0] = _mm256_shuffle_pd(v[0], t0, 0x0);
+      v[1] = _mm256_shuffle_pd(v[1], t0, 0xA);
+      v[2] = _mm256_shuffle_pd(v[2], t1, 0x0);
+      v[3] = _mm256_shuffle_pd(v[3], t1, 0xA);
+    } else {
+      const V t0 = _mm256_unpacklo_pd(a, b); // v0.2 v0.3 v2.2 v2.3
+      const V t1 = _mm256_unpackhi_pd(a, b); // v1.2 v1.3 v3.2 v3.3
+      v[0] = _mm256_permute2f128_pd(v[0], t0, 0x20);
+      v[1] = _mm256_permute2f128_pd(v[1], t1, 0x20);
+      v[2] = _mm256_blend_pd(v[2], t0, 0xC);
+      v[3] = _mm256_blend_pd(v[3], t1, 0xC);
+    }
   }
 };
 #endif

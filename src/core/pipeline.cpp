@@ -11,6 +11,16 @@
 
 namespace svsim {
 
+std::unique_ptr<Circuit> fuse_stage(const Circuit& exec,
+                                    const RunSwitches& sw, IdxType lg_part,
+                                    FusionStats* stats) {
+  if (sw.block_exp == 0) return nullptr;
+  return std::make_unique<Circuit>(fuse_pairs(
+      exec, lg_part,
+      [](const Gate& g, IdxType n) { return obs::gate_cost(g, n).amps; },
+      stats));
+}
+
 void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
                   int n_workers, const Circuit& circuit, IdxType batch) {
   rep = obs::RunReport{};

@@ -10,20 +10,30 @@
 //               (obs::maybe_start_httpd) and take its progress board;
 //   2. remap    partitioned backends rewrite the circuit so hot qubits
 //               are PE-local (ir/remap) and keep the readout layouts;
-//   3. prepare  dispatch backends upload the circuit against their
+//   3. fuse     dispatch backends replace each run of gates on one qubit
+//               pair below lg_part with one dense 4x4 op where the run
+//               model prices the members above it (ir/fusion fuse_pairs),
+//               unless the plan is off (block_exp 0: the classic per-gate
+//               loop runs the input gates);
+//   4. prepare  dispatch backends upload the circuit against their
 //               kernel table and build the window schedule;
-//   4. planes   profile recorder, health monitor, flight recorder,
+//   5. planes   profile recorder, health monitor, flight recorder,
 //               wait-state tracks, roofline model + counters, progress;
-//   5. launch   the timed team launch: every worker runs its gate loop;
-//   6. fold     profile, wait-state, roofline, health, pending flight
+//   6. launch   the timed team launch: every worker runs its gate loop;
+//   7. fold     profile, wait-state, roofline, health, pending flight
 //               drain, the backend's communication counters, progress.
+//
+// The report's gate tally and hash are the input circuit's; its per-kind
+// executed counts, and everything that runs per executed gate (schedule,
+// run model, progress, flight recorder, health cadence), count the
+// remapped, fused one.
 //
 // Switches come resolved: the base Simulator resolves its SimConfig once,
 // at construction (RunSwitches). A backend supplies only what differs:
 // its Space and kernel table (or its own gate loop), a worker launcher
 // (inline, a std::thread team, shmem::Runtime::run) and its communication
 // fold. BatchedSim keeps its own plan cache and lane loop but takes stage
-// 1 and the roofline / progress bracket of stages 4-6 from here.
+// 1 and the roofline / progress bracket of stages 5-7 from here.
 #pragma once
 
 #include <memory>
@@ -46,6 +56,14 @@ namespace svsim {
 /// ledger keys stay comparable across remap on/off.
 void start_report(obs::RunReport& rep, const char* backend, IdxType n_qubits,
                   int n_workers, const Circuit& circuit, IdxType batch = 1);
+
+/// Stage 3, fuse: `exec` with its pair blocks fused (fuse_pairs, priced by
+/// the run model's obs::gate_cost) and its dense_blocks/dense_absorbed
+/// added to `stats`; null when the plan is off (sw.block_exp == 0), and
+/// the input gates run. The one fuse stage of the dispatch backends.
+std::unique_ptr<Circuit> fuse_stage(const Circuit& exec,
+                                    const RunSwitches& sw, IdxType lg_part,
+                                    FusionStats* stats = nullptr);
 
 /// The timed bracket around one gate loop. Construction prices the
 /// executed circuit once, through obs/perfmodel, when either plane needs
@@ -116,15 +134,23 @@ void launch_team(int n, Body&& body) {
 }
 
 /// One Simulator run() in flight. The constructor runs stages 1, 2 and
-/// the per-run planes of stage 4; launch() runs stage 5 inside the loop
-/// bracket and every fold of stage 6.
+/// the per-run planes of stage 5; fuse() runs stage 3, launch() stage 6
+/// inside the loop bracket and every fold of stage 7.
 class Simulator::Run {
 public:
   Run(Simulator& sim, const Circuit& circuit, obs::Counter& runs,
       Shape shape);
 
-  /// The circuit the workers execute: the remapped one, or the input.
-  const Circuit& exec() const { return rm_ ? rm_->circuit : circuit_; }
+  /// Stage 3 on exec(), recorded in the report's fusion section.
+  void fuse(IdxType lg_part) {
+    fused_ = fuse_stage(exec(), sim_.sw_, lg_part, &sim_.report_.fusion);
+  }
+
+  /// The circuit the workers execute: the fused one, the remapped one, or
+  /// the input.
+  const Circuit& exec() const {
+    return fused_ ? *fused_ : rm_ ? rm_->circuit : circuit_;
+  }
   const RunPlanes& planes() const { return planes_; }
   /// The health cadence (0 = off): the scheduler cuts windows there.
   IdxType checkpoint_every() const {
@@ -139,6 +165,7 @@ public:
   template <class Loop, class Fold>
   void launch(const Schedule* sched, bool priced, Loop&& loop, Fold&& fold) {
     obs::RunReport& rep = sim_.report_;
+    if (&exec() != &circuit_) obs::tally_executed(rep, exec());
     LoopBracket bracket(rep, sim_.sw_.roofline && priced, progress_, exec(),
                         sched);
     bracket.start();
@@ -159,6 +186,7 @@ private:
   const Shape shape_;
   obs::ProgressBoard* const progress_;
   std::unique_ptr<RemapResult> rm_;
+  std::unique_ptr<Circuit> fused_;
   std::unique_ptr<obs::GateRecorder> rec_;
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<obs::WaitRecorder> waits_;
@@ -175,6 +203,7 @@ void Simulator::run_dispatch(const Circuit& circuit, obs::Counter& runs,
                              const typename KernelTable<Space>::Table& table,
                              Launch&& launch, Fold&& fold) {
   Run run(*this, circuit, runs, shape);
+  run.fuse(parts_.lg_part);
   const auto device_circuit = upload_circuit<Space>(run.exec(), table);
   // Built once on the calling thread, shared read-only by every worker.
   // b <= lg_part keeps every block inside one worker's partition; b = 0

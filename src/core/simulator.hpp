@@ -82,11 +82,15 @@ public:
     run(circuit);
   }
 
-  /// Fuse the circuit, run it, and record the fusion stats in the report.
+  /// Fuse the circuit's 1-qubit runs and inverse pairs (fuse_gates), run
+  /// it, and record those stats in the report beside the run's own pair
+  /// fusion (dense_blocks, dense_absorbed).
   void run_fused(const Circuit& circuit) {
     FusionStats st;
     const Circuit fused = fuse_gates(circuit, &st);
     run(fused);
+    st.dense_blocks = report_.fusion.dense_blocks;
+    st.dense_absorbed = report_.fusion.dense_absorbed;
     report_.fusion = st;
   }
 

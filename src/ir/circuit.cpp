@@ -475,12 +475,34 @@ Circuit& Circuit::append(const Gate& g) {
     case OP::MA: return measure_all();
     case OP::RESET: return reset(g.qb0);
     case OP::BARRIER: return barrier();
+    case OP::DENSE2:
+      throw Error("append: a dense2 gate's matrix lives in its circuit; "
+                  "build it with dense2()");
     case OP::COUNT_: break;
   }
   throw Error("append: invalid gate op");
 }
 
+Circuit& Circuit::dense2(const Mat4& m, IdxType a, IdxType b) {
+  check_distinct2(a, b);
+  Gate g = make_gate(OP::DENSE2, a, b);
+  g.cbit = static_cast<IdxType>(dense_.size());
+  dense_.push_back(m);
+  push(g);
+  return *this;
+}
+
+const Mat4& Circuit::dense_matrix(const Gate& g) const {
+  SVSIM_CHECK(g.op == OP::DENSE2 && g.cbit >= 0 &&
+                  g.cbit < static_cast<IdxType>(dense_.size()),
+              "dense_matrix: not a dense2 gate of this circuit");
+  return dense_[static_cast<std::size_t>(g.cbit)];
+}
+
 Circuit& Circuit::append_raw(const Gate& g) {
+  SVSIM_CHECK(g.op != OP::DENSE2,
+              "append_raw: a dense2 gate's matrix lives in its circuit; "
+              "build it with dense2()");
   const int nq = op_info(g.op).n_qubits;
   if (nq >= 1) check_qubit(g.qb0);
   if (nq >= 2) {
@@ -494,7 +516,13 @@ Circuit& Circuit::append_raw(const Gate& g) {
 Circuit& Circuit::append(const Circuit& other) {
   SVSIM_CHECK(other.n_qubits_ <= n_qubits_,
               "appended circuit is wider than the target");
-  for (const Gate& g : other.gates_) append(g);
+  for (const Gate& g : other.gates_) {
+    if (g.op == OP::DENSE2) {
+      dense2(other.dense_matrix(g), g.qb0, g.qb1);
+    } else {
+      append(g);
+    }
+  }
   return *this;
 }
 
@@ -553,6 +581,9 @@ Circuit Circuit::inverse() const {
         g.lam = -p;
         break;
       }
+      case OP::DENSE2:
+        inv.dense2(adjoint(dense_matrix(g)), g.qb0, g.qb1);
+        continue;
       case OP::M:
       case OP::MA:
       case OP::RESET:
@@ -588,6 +619,9 @@ std::string Circuit::to_qasm() const {
       os << "measure q[" << g.qb0 << "] -> c[" << g.cbit << "];\n";
       continue;
     }
+    SVSIM_CHECK(info.cls != OpClass::kFused,
+                std::string("to_qasm: ") + info.name +
+                    " is an internal op with no OpenQASM form");
     os << info.name;
     if (info.n_params == 1) {
       os << "(" << g.theta << ")";

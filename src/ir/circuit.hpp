@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "ir/gate.hpp"
+#include "ir/matrices.hpp"
 
 namespace svsim {
 
@@ -80,6 +81,24 @@ public:
   Circuit& c3sqrtx(IdxType a, IdxType b, IdxType c, IdxType d);
   Circuit& c4x(IdxType a, IdxType b, IdxType c, IdxType d, IdxType e);
 
+  // --- internal -------------------------------------------------------------
+
+  /// A dense 2-qubit op (OP::DENSE2): `m` row-major over |a b>, `a` the
+  /// more significant bit as in matrix_2q. The matrix goes into this
+  /// circuit's dense table and the gate's `cbit` holds its entry, so a
+  /// DENSE2 gate means nothing outside the circuit that holds it. Only a
+  /// pipeline pass (ir/fusion) and tests build one; no QASM text does.
+  Circuit& dense2(const Mat4& m, IdxType a, IdxType b);
+  /// The matrices of this circuit's DENSE2 gates, entry g.cbit each.
+  const std::vector<Mat4>& dense_table() const { return dense_; }
+  /// The matrix of DENSE2 gate `g` of this circuit.
+  const Mat4& dense_matrix(const Gate& g) const;
+  /// The matrix of 2-qubit unitary `g` of this circuit over |qb0 qb1>:
+  /// dense_matrix for a DENSE2, matrix_2q for every other.
+  Mat4 unitary_2q(const Gate& g) const {
+    return g.op == OP::DENSE2 ? dense_matrix(g) : matrix_2q(g);
+  }
+
   // --- non-unitary --------------------------------------------------------
   Circuit& measure(IdxType q, IdxType cbit);
   Circuit& measure_all();
@@ -93,10 +112,12 @@ public:
   /// Append a gate verbatim: operands are validated but the gate is NOT
   /// re-routed through the builder methods, so auxiliary fields the
   /// builders would drop survive (e.g. the layout-snapshot index a remap
-  /// pass stores in an OP::MA gate's otherwise-unused cbit).
+  /// pass stores in an OP::MA gate's otherwise-unused cbit). A DENSE2
+  /// gate has no matrix of its own here: build it with dense2().
   Circuit& append_raw(const Gate& g);
 
-  /// Append every gate of another circuit (qubit counts must match).
+  /// Append every gate of another circuit (qubit counts must match); its
+  /// DENSE2 gates bring their matrices along.
   Circuit& append(const Circuit& other);
 
   // --- transforms ---------------------------------------------------------
@@ -126,6 +147,7 @@ private:
   IdxType n_cbits_;
   CompoundMode mode_;
   std::vector<Gate> gates_;
+  std::vector<Mat4> dense_;
 };
 
 } // namespace svsim

@@ -111,6 +111,9 @@ Mat4 matrix_2q(const Gate& g) {
       m[3 * 4 + 3] = c;
       return m;
     }
+    case OP::DENSE2:
+      throw Error("matrix_2q: a dense2 gate's matrix lives in its circuit "
+                  "(Circuit::dense_matrix)");
     default: break;
   }
   throw Error("matrix_2q: unhandled op");

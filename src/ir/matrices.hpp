@@ -26,7 +26,8 @@ using Mat4 = std::array<Complex, 16>;  // row-major 4x4
 /// Matrix of a 1-qubit kernel gate (throws for non-1-qubit ops).
 Mat2 matrix_1q(const Gate& g);
 
-/// Matrix of a 2-qubit kernel gate in |qb0 qb1> basis (throws otherwise).
+/// Matrix of a 2-qubit kernel gate in |qb0 qb1> basis (throws otherwise,
+/// and for DENSE2, whose matrix is Circuit::dense_matrix).
 Mat4 matrix_2q(const Gate& g);
 
 /// Matrix product helpers (used by tests and the machine-independent

@@ -49,6 +49,7 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
     {"measure_all", 0, 0, OpClass::kNonUnitary},
     {"reset", 1, 0, OpClass::kNonUnitary},
     {"barrier", 0, 0, OpClass::kNonUnitary},
+    {"dense2", 2, 0, OpClass::kFused},
 }};
 
 } // namespace

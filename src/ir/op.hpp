@@ -68,6 +68,8 @@ enum class OP : std::int32_t {
   MA,      // measure all qubits (sampling)
   RESET,   // reset one qubit to |0>
   BARRIER, // scheduling barrier (no-op for the state vector)
+  // --- internal: emitted by a pipeline pass, never parsed ---
+  DENSE2, // dense 4x4 on a qubit pair; its matrix lives in its circuit
 
   COUNT_ // sentinel: number of ops
 };
@@ -81,6 +83,7 @@ enum class OpClass {
   kCompound2Q,
   kCompoundMulti,
   kNonUnitary,
+  kFused, // internal ops a pipeline pass emits (no OpenQASM form)
 };
 
 /// Static metadata for one op.
@@ -96,11 +99,14 @@ const OpInfo& op_info(OP op);
 
 inline const char* op_name(OP op) { return op_info(op).name; }
 
-/// Parse an OpenQASM mnemonic ("cx", "u3", "tdg", ...); throws on unknown.
+/// Look up an op by mnemonic ("cx", "u3", "tdg", ...); throws on unknown.
+/// Every op's own name resolves, the internal ones' too: the QASM parser
+/// rejects those itself.
 OP op_from_name(const std::string& name);
 
-/// True for ops the backends execute through the specialized-kernel
-/// dispatch table (basic + standard + 2-qubit compound).
+/// True for the specialized-kernel gates of Table 1 the backends execute
+/// through the dispatch table (basic + standard + 2-qubit compound). The
+/// internal DENSE2 runs through the table too but is no Table 1 gate.
 inline bool is_kernel_op(OP op) {
   const OpClass c = op_info(op).cls;
   return c == OpClass::kBasic || c == OpClass::kStandard ||

@@ -138,7 +138,11 @@ RemapResult remap_for_partition(const Circuit& in, IdxType local_bits,
     if (nq >= 2 && g.qb1 >= 0) {
       mapped.qb1 = layout[static_cast<std::size_t>(g.qb1)];
     }
-    res.circuit.append(mapped);
+    if (g.op == OP::DENSE2) {
+      res.circuit.dense2(in.dense_matrix(g), mapped.qb0, mapped.qb1);
+    } else {
+      res.circuit.append(mapped);
+    }
   }
   return res;
 }

@@ -35,8 +35,8 @@ int operand_qubits(const Gate& g, IdxType out[2]) {
 
 /// May `g` join a window blocked on the low `b` bits?
 bool joins_window(const Gate& g, IdxType b) {
-  if (!is_kernel_op(g.op) || !is_unitary_op(g.op)) return false;
-  if (g.op == OP::BARRIER) return false;
+  // A 1- or 2-qubit unitary: a Table 1 kernel gate or the fused DENSE2.
+  if (!is_unitary_op(g.op) || g.n_qubits() > 2) return false;
   if (is_diagonal_gate(g.op)) return true;
   IdxType qs[2];
   const int nq = operand_qubits(g, qs);

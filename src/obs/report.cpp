@@ -155,7 +155,15 @@ void tally_gates(RunReport& report, const Circuit& circuit) {
     ++report.by_op[static_cast<std::size_t>(g.op)].count;
     ++report.total_gates;
   }
+  tally_executed(report, circuit);
   report.circuit_hash = hash_circuit(circuit);
+}
+
+void tally_executed(RunReport& report, const Circuit& exec) {
+  for (GateKindStats& s : report.by_op) s.executed = 0;
+  for (const Gate& g : exec.gates()) {
+    ++report.by_op[static_cast<std::size_t>(g.op)].executed;
+  }
 }
 
 std::string RunReport::summary() const {
@@ -169,10 +177,12 @@ std::string RunReport::summary() const {
                 wall_seconds * 1e3, profiled ? "" : " (profiling off)");
   os << buf;
 
-  // Gate kinds, most expensive (or most frequent) first.
+  // Gate kinds, most expensive (or most frequent) first: the input's
+  // count, and the executed gates' count, time and time per gate.
   std::vector<int> ops;
   for (int i = 0; i < kNumOps; ++i) {
-    if (by_op[static_cast<std::size_t>(i)].count != 0) ops.push_back(i);
+    const auto& s = by_op[static_cast<std::size_t>(i)];
+    if (s.count != 0 || s.executed != 0) ops.push_back(i);
   }
   std::sort(ops.begin(), ops.end(), [&](int a, int b) {
     const auto& sa = by_op[static_cast<std::size_t>(a)];
@@ -181,16 +191,18 @@ std::string RunReport::summary() const {
     return sa.count > sb.count;
   });
   if (!ops.empty()) {
-    std::snprintf(buf, sizeof(buf), "  %-8s %10s %12s %12s\n", "gate",
-                  "count", "total ms", "us/gate");
+    std::snprintf(buf, sizeof(buf), "  %-8s %10s %10s %12s %12s\n", "gate",
+                  "count", "executed", "total ms", "us/gate");
     os << buf;
     for (const int i : ops) {
       const auto& s = by_op[static_cast<std::size_t>(i)];
-      std::snprintf(buf, sizeof(buf), "  %-8s %10llu %12.3f %12.3f\n",
-                    op_name(static_cast<OP>(i)),
-                    static_cast<unsigned long long>(s.count), s.seconds * 1e3,
-                    s.count != 0 ? s.seconds * 1e6 / static_cast<double>(s.count)
-                                 : 0.0);
+      std::snprintf(
+          buf, sizeof(buf), "  %-8s %10llu %10llu %12.3f %12.3f\n",
+          op_name(static_cast<OP>(i)),
+          static_cast<unsigned long long>(s.count),
+          static_cast<unsigned long long>(s.executed), s.seconds * 1e3,
+          s.executed != 0 ? s.seconds * 1e6 / static_cast<double>(s.executed)
+                          : 0.0);
       os << buf;
     }
   }
@@ -204,6 +216,13 @@ std::string RunReport::summary() const {
                   static_cast<long long>(fusion.fused_1q),
                   static_cast<long long>(fusion.cancelled_2q),
                   static_cast<long long>(fusion.dropped_identity));
+    os << buf;
+  }
+  if (fusion.dense_blocks != 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "  pair fusion: %lld dense 4x4 ops replaced %lld gates\n",
+                  static_cast<long long>(fusion.dense_blocks),
+                  static_cast<long long>(fusion.dense_absorbed));
     os << buf;
   }
 

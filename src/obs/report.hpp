@@ -52,8 +52,13 @@ struct CommStats {
 };
 
 struct GateKindStats {
-  std::uint64_t count = 0;
-  double seconds = 0; // CPU-seconds summed over workers; 0 unless profiled
+  std::uint64_t count = 0; // in the input circuit
+  /// CPU-seconds of the executed gates of this kind, summed over workers;
+  /// 0 unless profiled.
+  double seconds = 0;
+  /// Gates of this kind the workers executed: `count`, unless a pipeline
+  /// pass rewrote the input (remap's swaps, fusion's dense ops).
+  std::uint64_t executed = 0;
 };
 
 /// Result of the streaming numerical-invariant checks (HealthMonitor).
@@ -198,7 +203,9 @@ struct RunReport {
   std::uint64_t circuit_hash = 0;
 
   std::array<GateKindStats, static_cast<std::size_t>(kNumOps)> by_op{};
-  FusionStats fusion; // zeros unless the circuit went through run_fused()
+  /// The 1q fields: zeros unless the circuit went through run_fused();
+  /// dense_blocks/dense_absorbed: the dispatch pipeline's pair fusion.
+  FusionStats fusion;
   CommStats comm;
   HealthStats health;   // numerical-health tier (defaults when disabled)
   SchedulerStats sched; // gate-window scheduler (defaults when off)
@@ -233,7 +240,12 @@ void write_fields(jsonlite::Writer& w, const HealthStats& health);
 void write_fields(jsonlite::Writer& w, const MemoryStats& memory);
 
 /// Count `circuit`'s gates by kind into `report` (cheap; runs even with
-/// profiling off so every report has the count breakdown).
+/// profiling off so every report has the count breakdown), as input and
+/// as executed.
 void tally_gates(RunReport& report, const Circuit& circuit);
+
+/// Re-count the executed breakdown from `exec`, the circuit the workers
+/// run when a pipeline pass rewrote the input.
+void tally_executed(RunReport& report, const Circuit& exec);
 
 } // namespace svsim::obs

@@ -13,10 +13,11 @@ void write_gates(Writer& w, const RunReport& report) {
   w.key("gates").begin_array();
   for (int i = 0; i < kNumOps; ++i) {
     const GateKindStats& s = report.by_op[static_cast<std::size_t>(i)];
-    if (s.count == 0) continue;
+    if (s.count == 0 && s.executed == 0) continue;
     w.begin_object()
         .field("op", op_name(static_cast<OP>(i)))
         .field("count", s.count)
+        .field("executed", s.executed)
         .field("seconds", s.seconds)
         .end_object();
   }
@@ -31,6 +32,8 @@ void write_fusion(Writer& w, const FusionStats& f) {
       .field("fused_1q", f.fused_1q)
       .field("cancelled_2q", f.cancelled_2q)
       .field("dropped_identity", f.dropped_identity)
+      .field("dense_blocks", f.dense_blocks)
+      .field("dense_absorbed", f.dense_absorbed)
       .end_object();
 }
 

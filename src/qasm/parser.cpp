@@ -418,6 +418,7 @@ private:
 
     const OP op = op_from_name(name); // throws on unknown
     const OpInfo& info = op_info(op);
+    SVSIM_CHECK(info.cls != OpClass::kFused, "unknown gate mnemonic: " + name);
     SVSIM_CHECK(static_cast<int>(qubits.size()) == info.n_qubits,
                 "wrong operand count for gate " + name);
     SVSIM_CHECK(static_cast<int>(params.size()) == info.n_params,

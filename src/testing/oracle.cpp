@@ -143,7 +143,7 @@ void OracleSim::run(const Circuit& circuit) {
     if (info.n_qubits == 1) {
       apply_1q(matrix_1q(g), g.qb0);
     } else if (info.n_qubits == 2) {
-      apply_2q(matrix_2q(g), g.qb0, g.qb1);
+      apply_2q(circuit.unitary_2q(g), g.qb0, g.qb1);
     } else {
       // >=3-qubit compounds are decomposed at Circuit append time and
       // never reach a gate list.

@@ -1,6 +1,7 @@
 #include "testing/rand_circuit.hpp"
 
 #include <array>
+#include <cmath>
 
 namespace svsim::testing {
 
@@ -112,6 +113,23 @@ void append_multi(Circuit& c, Rng& rng, const CircuitGenOptions& opt) {
 }
 
 } // namespace
+
+Mat4 random_unitary_2q(Rng& rng) {
+  Mat4 m{};
+  for (auto& e : m) e = Complex{rng.next_gaussian(), rng.next_gaussian()};
+  // Orthonormalize the columns in order.
+  for (int j = 0; j < 4; ++j) {
+    for (int k = 0; k < j; ++k) {
+      Complex dot = 0;
+      for (int i = 0; i < 4; ++i) dot += std::conj(m[i * 4 + k]) * m[i * 4 + j];
+      for (int i = 0; i < 4; ++i) m[i * 4 + j] -= dot * m[i * 4 + k];
+    }
+    ValType norm = 0;
+    for (int i = 0; i < 4; ++i) norm += std::norm(m[i * 4 + j]);
+    for (int i = 0; i < 4; ++i) m[i * 4 + j] /= std::sqrt(norm);
+  }
+  return m;
+}
 
 std::uint64_t mix_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   std::uint64_t z = campaign_seed + 0x9e3779b97f4a7c15ULL * (index + 1);

@@ -36,6 +36,11 @@ struct CircuitGenOptions {
 /// Deterministic: the same (options, seed) always yields the same circuit.
 Circuit random_circuit(const CircuitGenOptions& opt, std::uint64_t seed);
 
+/// A random 2-qubit unitary (Gram-Schmidt on complex Gaussian columns):
+/// a dense 4x4 with no structure a specialized kernel could lean on, for
+/// DENSE2 gates in tests and benches.
+Mat4 random_unitary_2q(Rng& rng);
+
 /// Derive a per-case seed from a campaign seed and case index (splitmix-
 /// style, so nearby indices give decorrelated streams).
 std::uint64_t mix_seed(std::uint64_t campaign_seed, std::uint64_t index);

@@ -1,14 +1,19 @@
-// Tests for the gate-fusion pass: ZYZ resynthesis round trips, state
-// equivalence on random circuits, the specific peephole rules, and
-// boundary behaviour around non-unitary operations.
+// Tests for the gate-fusion passes: ZYZ resynthesis round trips, state
+// equivalence on random circuits, the specific peephole rules, boundary
+// behaviour around non-unitary operations, and the pipeline's pair
+// fusion (fuse_pairs through fuse_stage) against the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "circuits/qasmbench.hpp"
 #include "common/rng.hpp"
+#include "core/generalized_sim.hpp"
+#include "core/pipeline.hpp"
 #include "core/single_sim.hpp"
 #include "ir/fusion.hpp"
+#include "testing/oracle.hpp"
+#include "testing/rand_circuit.hpp"
 
 namespace svsim {
 namespace {
@@ -255,6 +260,178 @@ TEST(Fusion, SwappedOperandCancellationPreservesState) {
   fused.run(fuse_gates(c, &stats));
   EXPECT_EQ(stats.cancelled_2q, 4);
   EXPECT_LT(fused.state().max_diff(plain.state()), 1e-12);
+}
+
+// --- pair fusion: the dispatch pipeline's fuse stage ----------------------
+
+namespace pairs {
+
+/// A QV-style pair block, u3·u3·cx·u3·u3·cx with the second cx reversed.
+void qv_block(Circuit& c, IdxType a, IdxType b, Rng& rng) {
+  const auto u3 = [&](IdxType q) {
+    c.u3(rng.uniform(0, PI), rng.uniform(-PI, PI), rng.uniform(-PI, PI), q);
+  };
+  u3(a);
+  u3(b);
+  c.cx(a, b);
+  u3(a);
+  u3(b);
+  c.cx(b, a);
+}
+
+/// Random circuits with mid-circuit measure, reset and barriers.
+testing::CircuitGenOptions options(IdxType n) {
+  testing::CircuitGenOptions opt;
+  opt.n_qubits = n;
+  opt.n_gates = 120;
+  opt.p_measure = 0.04;
+  opt.p_reset = 0.03;
+  opt.p_barrier = 0.03;
+  return opt;
+}
+
+/// `c` split at its non-unitary ops: the unitary segments, and the ops.
+std::pair<std::vector<Circuit>, std::vector<Gate>> segments(const Circuit& c) {
+  std::vector<Circuit> segs(1, Circuit(c.n_qubits()));
+  std::vector<Gate> cuts;
+  for (const Gate& g : c.gates()) {
+    if (!is_unitary_op(g.op)) {
+      cuts.push_back(g);
+      segs.emplace_back(c.n_qubits());
+    } else if (g.op == OP::DENSE2) {
+      segs.back().dense2(c.dense_matrix(g), g.qb0, g.qb1);
+    } else {
+      segs.back().append(g);
+    }
+  }
+  return {segs, cuts};
+}
+
+} // namespace pairs
+
+// A QV block becomes one dense op of its six members; a lone cx, or a run
+// priced below two dense sweeps (cz·cz: half a sweep), stays as it was.
+TEST(Fusion, PairBlocksFuseQvBlocksOnly) {
+  Rng rng(5);
+  Circuit c(6);
+  pairs::qv_block(c, 4, 1, rng);
+  c.cx(2, 3);
+  c.cz(0, 5).cz(5, 0);
+  FusionStats st;
+  const auto f = fuse_stage(c, resolve(SimConfig{}), 6, &st);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(st.dense_blocks, 1);
+  EXPECT_EQ(st.dense_absorbed, 6);
+  ASSERT_EQ(f->count_op(OP::DENSE2), 1);
+  EXPECT_EQ(f->count_op(OP::CX), 1);
+  EXPECT_EQ(f->count_op(OP::CZ), 2);
+  for (const Gate& g : f->gates()) {
+    if (g.op == OP::DENSE2) {
+      EXPECT_EQ(g.qb0, 1); // (min, max) of the pair
+      EXPECT_EQ(g.qb1, 4);
+    }
+  }
+  testing::OracleSim want(6), got(6);
+  want.run(c);
+  got.run(*f);
+  EXPECT_LT(got.state().max_diff(want.state()), 1e-12);
+}
+
+// GeneralizedSim, the generic-matrix reference the kernel tests compare
+// against, executes a circuit that holds dense ops (it reads the matrix
+// from the circuit); the op has no OpenQASM form.
+TEST(Fusion, PairBlocksRunOnGeneralizedSim) {
+  Rng rng(9);
+  Circuit c(5);
+  pairs::qv_block(c, 4, 0, rng);
+  pairs::qv_block(c, 1, 3, rng);
+  pairs::qv_block(c, 2, 4, rng);
+  const auto f = fuse_stage(c, resolve(SimConfig{}), 5);
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(f->count_op(OP::DENSE2), 3);
+  EXPECT_THROW(f->to_qasm(), Error); // no OpenQASM form
+  testing::OracleSim want(5);
+  want.run(c);
+
+  GeneralizedSim generic(5);
+  generic.run(*f);
+  EXPECT_LT(generic.state().max_diff(want.state()), 1e-12);
+}
+
+// Random circuits with measure, reset and barrier: the fused circuit and
+// the pipeline that fuses match the oracle to 1e-12 (same seed, so every
+// measurement draws alike); no block spans a non-unitary op or a barrier
+// (the fused circuit cuts at the same ops, segment unitaries equal); no
+// dense op has an operand at or above lg_part; each replaced two or more
+// gates; and with the plan off (sched_window = 0) no dense op runs.
+TEST(Fusion, PairBlocksMatchOracleAndKeepTheirBounds) {
+  std::uint64_t dense_total = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const IdxType n = 5 + static_cast<IdxType>(seed % 3);
+    const Circuit c = testing::random_circuit(pairs::options(n), seed);
+    for (const IdxType lg_part : {n, n - 1, n - 2}) {
+      const std::string what = "seed " + std::to_string(seed) + " n " +
+                               std::to_string(n) + " lg_part " +
+                               std::to_string(lg_part);
+      FusionStats st;
+      const auto f = fuse_stage(c, resolve(SimConfig{}), lg_part, &st);
+      ASSERT_NE(f, nullptr) << what;
+      dense_total += static_cast<std::uint64_t>(st.dense_blocks);
+      EXPECT_EQ(f->count_op(OP::DENSE2), st.dense_blocks) << what;
+      EXPECT_GE(st.dense_absorbed, 2 * st.dense_blocks) << what;
+      EXPECT_EQ(f->n_gates(),
+                c.n_gates() - st.dense_absorbed + st.dense_blocks)
+          << what;
+      for (const Gate& g : f->gates()) {
+        if (g.op != OP::DENSE2) continue;
+        EXPECT_LT(g.qb0, lg_part) << what;
+        EXPECT_LT(g.qb1, lg_part) << what;
+      }
+
+      testing::OracleSim want(n, seed), got(n, seed);
+      want.run(c);
+      got.run(*f);
+      EXPECT_LT(got.state().max_diff(want.state()), 1e-12) << what;
+      EXPECT_EQ(got.cbits(), want.cbits()) << what;
+
+      const auto [in_segs, in_cuts] = pairs::segments(c);
+      const auto [out_segs, out_cuts] = pairs::segments(*f);
+      ASSERT_EQ(out_cuts.size(), in_cuts.size()) << what;
+      for (std::size_t k = 0; k < in_cuts.size(); ++k) {
+        EXPECT_EQ(out_cuts[k].op, in_cuts[k].op) << what;
+        EXPECT_EQ(out_cuts[k].qb0, in_cuts[k].qb0) << what;
+        EXPECT_EQ(out_cuts[k].cbit, in_cuts[k].cbit) << what;
+      }
+      for (std::size_t k = 0; k < in_segs.size(); ++k) {
+        testing::OracleSim a(n, seed), b(n, seed);
+        Circuit prep(n);
+        for (IdxType q = 0; q < n; ++q) prep.h(q).t(q);
+        a.run(prep);
+        b.run(prep);
+        a.run(in_segs[k]);
+        b.run(out_segs[k]);
+        EXPECT_LT(b.state().max_diff(a.state()), 1e-12)
+            << what << " segment " << k;
+      }
+    }
+
+    SimConfig on;
+    on.seed = seed;
+    SingleSim sim(n, on);
+    sim.run(c);
+    testing::OracleSim want(n, seed);
+    want.run(c);
+    EXPECT_LT(sim.state().max_diff(want.state()), 1e-12) << seed;
+
+    SimConfig off = on;
+    off.sched_window = 0;
+    EXPECT_EQ(fuse_stage(c, resolve(off), n), nullptr);
+    SingleSim plain(n, off);
+    plain.run(c);
+    EXPECT_EQ(plain.last_report().fusion.dense_blocks, 0) << seed;
+    EXPECT_EQ(plain.last_report().fusion.dense_absorbed, 0) << seed;
+  }
+  EXPECT_GT(dense_total, 0u); // the rule fired somewhere
 }
 
 } // namespace

@@ -68,9 +68,10 @@ RunReport full_report() {
   r.wall_seconds = 0.125;
   r.profiled = true;
   r.circuit_hash = 0x0123456789abcdefull;
-  r.by_op[static_cast<std::size_t>(OP::H)] = {12, 0.25};
-  r.by_op[static_cast<std::size_t>(OP::CX)] = {30, 1.0 / 3.0};
-  r.fusion = {50, 42, 6, 2, 1};
+  r.by_op[static_cast<std::size_t>(OP::H)] = {12, 0.25, 4};
+  r.by_op[static_cast<std::size_t>(OP::CX)] = {30, 1.0 / 3.0, 30};
+  r.by_op[static_cast<std::size_t>(OP::DENSE2)] = {0, 0.125, 3};
+  r.fusion = {50, 42, 6, 2, 1, 3, 11};
   r.comm = {1000, 250, 4096, 3, 7};
   r.health.enabled = true;
   r.health.every_n = 4;
@@ -166,10 +167,13 @@ TEST(JsonDocuments, ReportMatchesGoldenBytes) {
       R"("n_workers":2,"batch":3,"total_gates":42,"wall_seconds":0.125,)"
       R"("profiled":true,"circuit_hash":"0123456789abcdef","cpu":)";
   constexpr const char* kGoldenTail =
-      R"(,"gates":[{"op":"cx","count":30,"seconds":0.33333333333333331},)"
-      R"({"op":"h","count":12,"seconds":0.25}])"
+      R"(,"gates":[{"op":"cx","count":30,"executed":30,)"
+      R"("seconds":0.33333333333333331},)"
+      R"({"op":"h","count":12,"executed":4,"seconds":0.25},)"
+      R"({"op":"dense2","count":0,"executed":3,"seconds":0.125}])"
       R"(,"fusion":{"gates_before":50,"gates_after":42,"fused_1q":6,)"
-      R"("cancelled_2q":2,"dropped_identity":1})"
+      R"("cancelled_2q":2,"dropped_identity":1,"dense_blocks":3,)"
+      R"("dense_absorbed":11})"
       R"(,"comm":{"local_ops":1000,"remote_ops":250,"bytes":4096,"messages":3,)"
       R"("barriers":7})"
       R"(,"health":{"enabled":true,"every_n":4,"checks":10,"nan_checks":0,)"

@@ -29,6 +29,7 @@
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
+#include "testing/rand_circuit.hpp"
 
 namespace svsim {
 namespace {
@@ -64,15 +65,11 @@ std::vector<SimdLevel> available_levels() {
   return levels;
 }
 
-/// `g` applied to `init` by the dense-matrix reference.
-StateVector reference(const Gate& g, const StateVector& init) {
+/// `c` applied to `init` by the dense-matrix reference.
+StateVector reference(const Circuit& c, const StateVector& init) {
   GeneralizedSim ref(init.n_qubits);
   ref.load_state(init);
-  if (g.qb1 < 0) {
-    ref.apply_matrix(matrix_1q(g), g.qb0);
-  } else {
-    ref.apply_matrix(matrix_2q(g), g.qb0, g.qb1);
-  }
+  ref.run(c);
   return ref.state();
 }
 
@@ -85,14 +82,26 @@ Gate member_gate(const Gate& g, IdxType b) {
   return m;
 }
 
+/// Member b's one-gate circuit: member_gate(g, b) (g itself for b = 0),
+/// or for a DENSE2 a random unitary of the member's own on g's operands.
+Circuit member_circuit(const Gate& g, IdxType n, IdxType b) {
+  Circuit c(n);
+  if (g.op == OP::DENSE2) {
+    Rng rng(500 + static_cast<std::uint64_t>(b));
+    c.dense2(testing::random_unitary_2q(rng), g.qb0, g.qb1);
+  } else {
+    c.append(member_gate(g, b));
+  }
+  return c;
+}
+
 /// Run `g` on `init` under every strategy and compare each result with
 /// the reference; `what` labels failures.
 void check_everywhere(const Gate& g, const StateVector& init,
                       const std::string& what) {
   const IdxType n = init.n_qubits;
-  const StateVector want = reference(g, init);
-  Circuit c(n);
-  c.append(g);
+  const Circuit c = member_circuit(g, n, 0);
+  const StateVector want = reference(c, init);
 
   for (const SimdLevel level : available_levels()) {
     SimConfig cfg;
@@ -130,9 +139,7 @@ void check_everywhere(const Gate& g, const StateVector& init,
     std::vector<StateVector> inits;
     for (IdxType b = 0; b < batch; ++b) {
       inits.push_back(b == 0 ? init : random_state(n, 1000 + b));
-      Circuit mc(n);
-      mc.append(member_gate(g, b));
-      members.push_back(std::move(mc));
+      members.push_back(member_circuit(g, n, b));
       for (IdxType k = 0; k < bsim.dim(); ++k) {
         const Complex a = inits.back().amps[static_cast<std::size_t>(k)];
         bsim.real_data()[k * batch + b] = a.real();
@@ -142,7 +149,8 @@ void check_everywhere(const Gate& g, const StateVector& init,
     bsim.run(members);
     for (IdxType b = 0; b < batch; ++b) {
       const StateVector mwant =
-          reference(member_gate(g, b), inits[static_cast<std::size_t>(b)]);
+          reference(members[static_cast<std::size_t>(b)],
+                    inits[static_cast<std::size_t>(b)]);
       EXPECT_LT(bsim.state(b).max_diff(mwant), 1e-12)
           << what << " batched simd " << to_string(level) << " B=" << batch
           << " member " << b;
@@ -199,11 +207,12 @@ TEST_P(Kernel2QTest, MatchesDenseMatrixEverywhere) {
   }
 }
 
+// DENSE2 runs a random unitary per member (member_circuit).
 INSTANTIATE_TEST_SUITE_P(AllOps, Kernel2QTest,
                          ::testing::Values(OP::CX, OP::CY, OP::CZ, OP::CH,
                                            OP::SWAP, OP::CRX, OP::CRY,
                                            OP::CRZ, OP::CU1, OP::CU3, OP::RXX,
-                                           OP::RZZ));
+                                           OP::RZZ, OP::DENSE2));
 
 // Norm preservation under long random unitary circuits — per SIMD level.
 class NormPreservationTest : public ::testing::TestWithParam<int> {};
@@ -298,9 +307,10 @@ std::vector<std::pair<IdxType, IdxType>> placements(bool two_qubit,
 
 // The solo SIMD strategy (solo_kernel<P, B, L>, from the kernel table of
 // L) over work items [begin, end) against the solo scalar strategy over
-// the same range, for every unitary op at every lane level this build
-// carries, at every operand placement above (no, one or both operands
-// below log2 W: plain loads, or loads plus in-register permutes and masked
+// the same range, for every unitary op (DENSE2 with a random unitary) at
+// every lane level this build carries, at every operand placement above
+// (no, one or both operands below log2 W: plain loads, or loads plus
+// in-register permutes or AVX2's whole or two-row transposes, and masked
 // stores), starts aligned and not, and lengths that leave every kind of
 // head and tail. Amplitudes the range touches must agree to 1e-12 and,
 // since every lane evaluates the scalar expression, bit for bit; every
@@ -330,8 +340,14 @@ TEST(SoloSimd, RangesMatchScalarStrategy) {
             g.theta = 0.613;
             g.phi = -0.35;
             g.lam = 1.2;
+            Circuit owner(n);
+            if (op == OP::DENSE2) {
+              Rng rng(static_cast<std::uint64_t>(7 * a + b));
+              owner.dense2(testing::random_unitary_2q(rng), a, b);
+              g = owner.gates().back();
+            }
             ValType coef[kernels::kMaxCoefRows] = {};
-            kernels::fill_coef(g, coef, 1, 0);
+            kernels::fill_coef(g, owner.dense_table(), coef, 1, 0);
             const kernels::UGate ug{g, coef, 1};
             const Pt pat(g);
             const IdxType work = gate_work_items(g, n);
@@ -358,8 +374,9 @@ TEST(SoloSimd, RangesMatchScalarStrategy) {
                 for (IdxType i = begin; i < end; ++i) {
                   const IdxType s = pat.base(i);
                   for (int k = 0; k < Pt::kSites; ++k) {
-                    touched[s + pat.off[k][0]] = 1;
-                    if constexpr (Pt::kPair) touched[s + pat.off[k][1]] = 1;
+                    for (int j = 0; j < Pt::kElems; ++j) {
+                      touched[s + pat.off[k][j]] = 1;
+                    }
                   }
                 }
                 for (IdxType k = 0; k < dim; ++k) {
@@ -419,6 +436,10 @@ TEST(SoloSimd, SmallBlocksMatchPerGateLoop) {
       const auto q0 = static_cast<IdxType>(rng.next_below(span));
       auto q1 = static_cast<IdxType>(rng.next_below(span));
       while (q1 == q0) q1 = static_cast<IdxType>(rng.next_below(span));
+      if (op == OP::DENSE2) {
+        c.dense2(testing::random_unitary_2q(rng), q0, q1);
+        continue;
+      }
       Gate g = op_info(op).n_qubits == 1 ? make_gate(op, q0)
                                          : make_gate(op, q0, q1);
       g.theta = rng.uniform(-PI, PI);

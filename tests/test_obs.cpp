@@ -169,6 +169,54 @@ TEST(ObsReport, ProfiledRunRecordsPerGateKindTime) {
   EXPECT_NE(r.summary().find("cx"), std::string::npos);
 }
 
+// A profiled run the pipeline fused: a kind's seconds are its executed
+// gates' time, so the summary's us/gate divides by the executed count,
+// while `count` stays the input's tally. Qubits 8 and 9 see no 2-qubit
+// gate, so their u3s run unfused; every other u3 joins a dense block.
+TEST(ObsReport, ProfiledFusedRunTimesExecutedGates) {
+  Circuit c(10);
+  for (int layer = 0; layer < 3; ++layer) {
+    for (IdxType q = 0; q < 8; q += 2) {
+      c.u3(0.1, 0.2, 0.3, q).u3(0.4, 0.5, 0.6, q + 1).cx(q, q + 1);
+      c.u3(0.7, 0.8, 0.9, q).u3(1.0, 1.1, 1.2, q + 1).cx(q + 1, q);
+    }
+    c.u3(0.3, 0.2, 0.1, 8).u3(0.6, 0.5, 0.4, 9);
+  }
+  SimConfig cfg;
+  cfg.profile = true;
+  SingleSim sim(10, cfg);
+  sim.run(c);
+  const obs::RunReport& r = sim.last_report();
+  const FusionStats& f = r.fusion;
+  ASSERT_EQ(f.dense_blocks, 4); // one per pair, all three layers
+  EXPECT_EQ(f.dense_absorbed, 4 * 18);
+  EXPECT_EQ(r.total_gates, static_cast<std::uint64_t>(c.n_gates()));
+  EXPECT_EQ(r.of(OP::U3).count, 54u);
+  EXPECT_EQ(r.of(OP::U3).executed, 6u);
+  EXPECT_EQ(r.of(OP::CX).count, 24u);
+  EXPECT_EQ(r.of(OP::CX).executed, 0u);
+  EXPECT_EQ(r.of(OP::DENSE2).count, 0u);
+  EXPECT_EQ(r.of(OP::DENSE2).executed, 4u);
+  EXPECT_GT(r.of(OP::DENSE2).seconds, 0.0);
+  EXPECT_GT(r.of(OP::U3).seconds, 0.0);
+  EXPECT_EQ(r.of(OP::CX).seconds, 0.0);
+
+  // The summary's u3 row: count, executed, total ms, us/gate.
+  const std::string text = r.summary();
+  const std::size_t at = text.find("\n  u3 ");
+  ASSERT_NE(at, std::string::npos) << text;
+  unsigned long long count = 0, executed = 0;
+  double total_ms = 0, us_per_gate = 0;
+  ASSERT_EQ(std::sscanf(text.c_str() + at, " u3 %llu %llu %lf %lf", &count,
+                        &executed, &total_ms, &us_per_gate),
+            4)
+      << text;
+  EXPECT_EQ(count, 54u);
+  EXPECT_EQ(executed, 6u);
+  EXPECT_NEAR(us_per_gate, r.of(OP::U3).seconds * 1e6 / 6.0, 1e-3) << text;
+  EXPECT_NE(text.find("\n  dense2 "), std::string::npos) << text;
+}
+
 TEST(ObsReport, RunFusedRecordsFusionStats) {
   Circuit c(4);
   c.h(0);

@@ -31,6 +31,7 @@
 #include "obs/jsonlite.hpp"
 #include "obs/perfmodel.hpp"
 #include "obs/report.hpp"
+#include "testing/rand_circuit.hpp"
 
 namespace svsim {
 namespace {
@@ -140,8 +141,14 @@ TEST(PerfModel, FootprintMatchesEveryKernel) {
         g.theta = 0.613;
         g.phi = -0.35;
         g.lam = 1.2;
+        Circuit owner(n);
+        if (op == OP::DENSE2) {
+          Rng urng(static_cast<std::uint64_t>(a + 1));
+          owner.dense2(testing::random_unitary_2q(urng), a, b);
+          g = owner.gates().back();
+        }
         ValType coef[kernels::kMaxCoefRows] = {};
-        kernels::fill_coef(g, coef, 1, 0);
+        kernels::fill_coef(g, owner.dense_table(), coef, 1, 0);
         std::vector<ValType> re = re0;
         std::vector<ValType> im = im0;
         ValType* const real_parts[] = {re.data()};

@@ -177,6 +177,8 @@ TEST(Parser, Diagnostics) {
   EXPECT_THROW(parse_qasm("qreg q[2]; if (c==1) x q[0];"), ParseError);
   EXPECT_THROW(parse_qasm("qreg q[1]; include \"other.inc\";"), Error);
   EXPECT_THROW(parse_qasm("qreg q[2]; cx q[0];"), Error);  // arity
+  // The fused dense op is internal: its name is no OpenQASM gate.
+  EXPECT_THROW(parse_qasm("qreg q[2]; dense2 q[0],q[1];"), Error);
 }
 
 TEST(Parser, RoundTripThroughToQasm) {

@@ -10,10 +10,12 @@
 // access (solo_kernel<P, B, ScalarLane, Space> for the unitary ops,
 // kern_measure / kern_measure_all / kern_reset<Space> for the others) and
 // the diagonal runs through that access too, driven by the same remap,
-// window schedule and syncs. Covered on both backends, at every lane level
-// the build carries, × PE count {1, 2, 4} × {per-gate, blocked}: every
-// unitary op × operand placement (below lg_part, one operand on a
-// partition qubit, both on partition qubits); measure and reset on a qubit
+// window schedule and syncs — and the same fuse stage, which the blocked
+// runs apply (the per-gate runs have the plan off). Covered on both
+// backends, at every lane level the build carries, × PE count {1, 2, 4} ×
+// {per-gate, blocked}: every unitary op (DENSE2 with a random unitary) ×
+// operand placement (below lg_part, one operand on a partition qubit,
+// both on partition qubits); measure and reset on a qubit
 // below lg_part and on a partition qubit; and measure-all with and without
 // a remap layout snapshot. Amplitudes must match bit for bit, cbits and
 // samples exactly, and TrafficStats, PeerTraffic and the PE×PE traffic
@@ -34,6 +36,7 @@
 #include "core/pipeline.hpp"
 #include "core/shmem_sim.hpp"
 #include "ir/remap.hpp"
+#include "testing/rand_circuit.hpp"
 
 namespace svsim {
 namespace {
@@ -249,9 +252,9 @@ struct RefContext {
     mctx.n_qubits = kN;
   }
 
-  /// The pipeline's remap stage: the circuit the workers execute, with
-  /// the layout snapshots its measure-alls read.
-  Circuit prepare(const Circuit& c, bool remap) {
+  /// The pipeline's remap and fuse stages: the circuit the workers
+  /// execute, with the layout snapshots its measure-alls read.
+  Circuit prepare(const Circuit& c, bool remap, const SimConfig& cfg) {
     const int parts = static_cast<int>(rngs.size());
     if (c.n_cbits() > static_cast<IdxType>(cbits.size())) {
       cbits.resize(static_cast<std::size_t>(c.n_cbits()), 0);
@@ -265,6 +268,9 @@ struct RefContext {
       layout = rm.layout;
       ma_layouts = std::move(rm.ma_layouts);
       exec = std::move(rm.circuit);
+    }
+    if (auto fused = fuse_stage(exec, resolve(cfg), lg)) {
+      exec = std::move(*fused);
     }
     mctx.ma_layouts = ma_layouts.empty() ? nullptr : ma_layouts.data();
     return exec;
@@ -429,7 +435,8 @@ Outcome run_reference(const Job& job, const StateVector& init, int parts,
   Team team(init, parts);
   RefContext rc(parts, cfg.seed);
   Outcome out;
-  out.runs.push_back(team.run(rc.prepare(job.circuit, job.remap), cfg, rc));
+  out.runs.push_back(
+      team.run(rc.prepare(job.circuit, job.remap, cfg), cfg, rc));
   out.cbits = rc.cbits;
   if (job.shots > 0) {
     rc.results.assign(static_cast<std::size_t>(job.shots), 0);
@@ -437,7 +444,7 @@ Outcome run_reference(const Job& job, const StateVector& init, int parts,
     rc.mctx.n_shots = job.shots;
     Circuit ma(kN);
     ma.measure_all();
-    out.runs.push_back(team.run(rc.prepare(ma, job.remap), cfg, rc));
+    out.runs.push_back(team.run(rc.prepare(ma, job.remap, cfg), cfg, rc));
     out.samples = rc.results;
     if (job.remap && parts > 1) {
       // The case is meant to read through a non-identity snapshot.
@@ -526,12 +533,21 @@ std::vector<std::pair<IdxType, IdxType>> placements(int width, int n_parts) {
 /// both the lone-gate and the collapsed-run path, and a gate that cannot
 /// join a window still leaves blocked windows on either side.
 Circuit seam_circuit(const Gate& g) {
+  Rng rng(31);
+  const Mat4 u = testing::random_unitary_2q(rng);
   Circuit c(kN);
+  const auto add = [&] {
+    if (g.op == OP::DENSE2) {
+      c.dense2(u, g.qb0, g.qb1);
+    } else {
+      c.append(g);
+    }
+  };
   c.h(0).h(1);
-  c.append(g);
+  add();
   c.h(2);
-  c.append(g);
-  c.append(g);
+  add();
+  add();
   c.h(0).h(1);
   return c;
 }

@@ -235,59 +235,75 @@ TEST(Remap, ValidatesLocalBits) {
 
 // ---- Backend wiring: virtual readout end to end -------------------------
 
+// Each remap pair runs twice: with the plan off (sched_window = 0, the
+// classic per-gate loop) both sides execute the same gates, so state()
+// (unpermuted virtually) and the samples agree bit-for-bit; with the
+// default plan (windows and pair fusion) remap moves qubits local and so
+// changes which blocks fuse, and the states agree to rounding.
+SimConfig plan_off() {
+  SimConfig cfg;
+  cfg.sched_window = 0;
+  return cfg;
+}
+
 TEST(Remap, ReducesRemoteTrafficOnShmemBackend) {
   const Circuit c = circuits::qft(12);
   const int pes = 4; // partition bits = 10
-  SimConfig off;
+  const auto check = [&](SimConfig off, double tol, const char* what) {
+    off.remap = 0;
+    ShmemSim plain(12, pes, off);
+    plain.run(c);
+    SimConfig on = off;
+    on.remap = 1;
+    ShmemSim remapped(12, pes, on);
+    remapped.run(c);
+
+    EXPECT_LT(remapped.traffic().total_remote_ops(),
+              plain.traffic().total_remote_ops())
+        << what;
+    const obs::RemapStats& st = remapped.last_report().remap;
+    EXPECT_TRUE(st.enabled) << what;
+    EXPECT_TRUE(st.active) << what;
+    EXPECT_GT(st.swaps_inserted, 0u) << what;
+    EXPECT_LT(st.modeled_remote_bytes_after, st.modeled_remote_bytes_before)
+        << what;
+    EXPECT_LE(plain.state().max_diff(remapped.state()), tol) << what;
+    return remapped.last_report().fusion.dense_blocks;
+  };
+  EXPECT_EQ(check(plan_off(), 0.0, "plan off"), 0);
+  EXPECT_GT(check(SimConfig{}, 1e-12, "default plan"), 0); // fused
+}
+
+// One remap pair on backend Sim (4 ranks): bitstrings with the plan off,
+// states with the default plan.
+template <class Sim>
+void expect_remap_matches(const Circuit& c, SimConfig off,
+                          const char* what) {
+  const IdxType shots = 256;
   off.remap = 0;
-  ShmemSim plain(12, pes, off);
-  plain.run(c);
-  const auto before = plain.traffic();
-
-  SimConfig on;
+  SimConfig on = off;
   on.remap = 1;
-  ShmemSim remapped(12, pes, on);
-  remapped.run(c);
-  const auto after = remapped.traffic();
-
-  EXPECT_LT(after.total_remote_ops(), before.total_remote_ops());
-  const obs::RemapStats& st = remapped.last_report().remap;
-  EXPECT_TRUE(st.enabled);
-  EXPECT_TRUE(st.active);
-  EXPECT_GT(st.swaps_inserted, 0u);
-  EXPECT_LT(st.modeled_remote_bytes_after, st.modeled_remote_bytes_before);
-  // state() unpermutes virtually, so the two agree bit-for-bit.
-  EXPECT_EQ(plain.state().max_diff(remapped.state()), 0.0);
+  Sim a(c.n_qubits(), 4, off), b(c.n_qubits(), 4, on);
+  a.run(c);
+  b.run(c);
+  if (off.sched_window == 0) {
+    EXPECT_EQ(a.sample(shots), b.sample(shots)) << what << ", plan off";
+  } else {
+    EXPECT_LE(a.state().max_diff(b.state()), 1e-12)
+        << what << ", default plan";
+  }
 }
 
 TEST(Remap, SampleBitstringsMatchUnremappedRun) {
   // Pure-unitary circuit + trailing sample(): the logical-order sweep
-  // reads bitwise-identical amplitudes, so the bitstrings (and the RNG
-  // stream) match the unremapped oracle exactly on every backend.
+  // reads bitwise-identical amplitudes, so with the plan off the
+  // bitstrings (and the RNG stream) match the unremapped run exactly on
+  // every backend.
   const Circuit c = circuits::qft(10);
-  SimConfig off;
-  off.remap = 0;
-  SimConfig on;
-  on.remap = 1;
-  const IdxType shots = 256;
-
-  {
-    ShmemSim a(10, 4, off), b(10, 4, on);
-    a.run(c);
-    b.run(c);
-    EXPECT_EQ(a.sample(shots), b.sample(shots)) << "shmem";
-  }
-  {
-    PeerSim a(10, 4, off), b(10, 4, on);
-    a.run(c);
-    b.run(c);
-    EXPECT_EQ(a.sample(shots), b.sample(shots)) << "peer";
-  }
-  {
-    CoarseMsgSim a(10, 4, off), b(10, 4, on);
-    a.run(c);
-    b.run(c);
-    EXPECT_EQ(a.sample(shots), b.sample(shots)) << "coarse-msg";
+  for (const SimConfig& cfg : {plan_off(), SimConfig{}}) {
+    expect_remap_matches<ShmemSim>(c, cfg, "shmem");
+    expect_remap_matches<PeerSim>(c, cfg, "peer");
+    expect_remap_matches<CoarseMsgSim>(c, cfg, "coarse-msg");
   }
 }
 

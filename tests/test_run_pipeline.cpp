@@ -154,9 +154,12 @@ TEST(RunPipeline, SingleReportSections) {
         });
 }
 
+// The peer and shmem counts are a per-element count (every access through
+// the Space's own get/put, as tests/test_range_seam's reference) of the
+// circuit they execute: remapped, then fused.
 TEST(RunPipeline, PeerReportSections) {
   check({"peer", "sched remap comm matrix waitstate flight",
-         "local=2368 remote=128 bytes=19968 messages=0 barriers=0",
+         "local=1600 remote=128 bytes=13824 messages=0 barriers=0",
          "sched remap comm matrix waitstate health roofline profiled flight",
          true},
         [](const SimConfig& cfg) {
@@ -166,7 +169,7 @@ TEST(RunPipeline, PeerReportSections) {
 
 TEST(RunPipeline, ShmemReportSections) {
   check({"shmem", "sched remap comm matrix waitstate flight",
-         "local=2368 remote=128 bytes=19968 messages=0 barriers=14",
+         "local=1600 remote=128 bytes=13824 messages=0 barriers=12",
          "sched remap comm matrix waitstate health roofline profiled flight",
          true},
         [](const SimConfig& cfg) {

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "core/batched_sim.hpp"
 #include "core/peer_sim.hpp"
+#include "core/pipeline.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 #include "ir/schedule.hpp"
@@ -262,16 +263,20 @@ TEST(ScheduleReport, StatsAndJsonCarryWindowCounts) {
 
 // At the auto exponent a register that fits one block runs the per-gate
 // loop: the report keeps the sched section, with no window, and the state
-// is the per-gate loop's bit for bit.
+// is the per-gate loop's bit for bit — over the gates the plan executes,
+// the input with its pair blocks fused (the fuse stage runs whenever the
+// plan is on).
 TEST(ScheduleReport, AutoOneBlockStateRunsPerGate) {
   const Circuit c = random_circuit(8, 80, 3);
   SimConfig cfg;
   SingleSim auto_sim(8, cfg);
   ASSERT_LE(8, resolve(cfg).block_exp); // the auto exponent is >= 8
   auto_sim.run(c);
+  const auto fused = fuse_stage(c, resolve(cfg), 8);
+  ASSERT_NE(fused, nullptr);
   cfg.sched_window = 0;
   SingleSim per_gate(8, cfg);
-  per_gate.run(c);
+  per_gate.run(*fused);
   const obs::SchedulerStats& s = auto_sim.last_report().sched;
   EXPECT_TRUE(s.enabled);
   EXPECT_FALSE(s.active);

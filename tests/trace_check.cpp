@@ -98,8 +98,66 @@ int check_report(const char* path) {
                  path);
     return 1;
   }
-  std::printf("trace_check: %s OK (%lld health checkpoints)\n", path,
-              n_checks);
+  // The fusion section: the 1q pass's counts and the pipeline's pair
+  // fusion, each a count; every dense block replaced at least two gates.
+  svsim::obs::jsonlite::Value doc;
+  const svsim::obs::jsonlite::Value* fusion =
+      svsim::obs::jsonlite::parse(text, &doc) ? doc.find("fusion") : nullptr;
+  if (fusion == nullptr || !fusion->is_object()) {
+    std::fprintf(stderr, "trace_check: %s has no fusion section\n", path);
+    return 1;
+  }
+  for (const char* key : {"gates_before", "gates_after", "fused_1q",
+                          "cancelled_2q", "dropped_identity", "dense_blocks",
+                          "dense_absorbed"}) {
+    if (fusion->member_num(key, -1) < 0) {
+      std::fprintf(stderr, "trace_check: %s fusion lacks the count %s\n",
+                   path, key);
+      return 1;
+    }
+  }
+  const double blocks = fusion->member_num("dense_blocks", 0);
+  const double absorbed = fusion->member_num("dense_absorbed", 0);
+  if (absorbed < 2 * blocks) {
+    std::fprintf(stderr,
+                 "trace_check: %s %.0f dense blocks absorbed only %.0f "
+                 "gates\n",
+                 path, blocks, absorbed);
+    return 1;
+  }
+  // Each gate kind carries its executed count; with no remap swaps the
+  // executed gates are the input's less those fusion absorbed, plus its
+  // dense blocks.
+  const svsim::obs::jsonlite::Value* gates = doc.find("gates");
+  if (gates == nullptr || !gates->is_array()) {
+    std::fprintf(stderr, "trace_check: %s has no gates array\n", path);
+    return 1;
+  }
+  double input = 0;
+  double executed = 0;
+  for (const svsim::obs::jsonlite::Value& g : gates->items) {
+    if (g.member_num("executed", -1) < 0) {
+      std::fprintf(stderr, "trace_check: %s gate kind lacks its executed "
+                   "count\n", path);
+      return 1;
+    }
+    input += g.member_num("count", 0);
+    executed += g.member_num("executed", 0);
+  }
+  const svsim::obs::jsonlite::Value* remap = doc.find("remap");
+  const svsim::obs::jsonlite::Value* remapped =
+      remap != nullptr ? remap->find("active") : nullptr;
+  if ((remapped == nullptr || !remapped->bool_or(false)) &&
+      executed != input - absorbed + blocks) {
+    std::fprintf(stderr,
+                 "trace_check: %s executed %.0f gates, not %.0f input - "
+                 "%.0f absorbed + %.0f dense\n",
+                 path, executed, input, absorbed, blocks);
+    return 1;
+  }
+  std::printf("trace_check: %s OK (%lld health checkpoints, %.0f dense "
+              "blocks)\n",
+              path, n_checks, blocks);
   return 0;
 }
 
