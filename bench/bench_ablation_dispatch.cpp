@@ -36,6 +36,11 @@ struct Fixture {
     return sp;
   }
 
+  /// The state as the solo kernels address it: one array for every role.
+  kernels::RoleBases roles() {
+    return kernels::RoleBases::one(real.data(), imag.data(), pow2(kQubits));
+  }
+
   Circuit circuit;
   AlignedBuffer<ValType> real;
   AlignedBuffer<ValType> imag;
@@ -65,12 +70,12 @@ void BM_dispatch_runtime_switch(benchmark::State& state) {
   // execution by comparing the op against the pattern × body list.
   const auto dev =
       upload_circuit<LocalSpace>(fx.circuit, KernelTable<LocalSpace>::get());
-  const LocalSpace sp = fx.space();
+  const auto at = fx.roles();
   for (auto _ : state) {
     for (const auto& dg : dev.gates) {
       kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
         if (dg.ug.g.op == op) {
-          kernels::solo_kernel<P, B, kernels::ScalarLane>(dg.ug, sp, 0,
+          kernels::solo_kernel<P, B, kernels::ScalarLane>(dg.ug, at, 0,
                                                           dg.work);
         }
       });
@@ -85,14 +90,14 @@ BENCHMARK(BM_dispatch_runtime_switch);
 // --- (3) virtual dispatch (reference point; impossible on GPU) ---
 struct VirtualGate {
   virtual ~VirtualGate() = default;
-  virtual void exec(const LocalSpace& sp, IdxType work) const = 0;
+  virtual void exec(const kernels::RoleBases& at, IdxType work) const = 0;
 };
 
-template <KernelFn<LocalSpace> Fn>
+template <kernels::Pat P, class B>
 struct VirtualGateImpl final : VirtualGate {
   explicit VirtualGateImpl(const UGate& g) : gate(g) {}
-  void exec(const LocalSpace& sp, IdxType work) const override {
-    Fn(gate, sp, 0, work);
+  void exec(const kernels::RoleBases& at, IdxType work) const override {
+    kernels::solo_kernel<P, B, kernels::ScalarLane>(gate, at, 0, work);
   }
   UGate gate;
 };
@@ -101,8 +106,7 @@ std::unique_ptr<VirtualGate> make_virtual(const UGate& ug) {
   std::unique_ptr<VirtualGate> out;
   kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
     if (ug.g.op == op) {
-      out = std::make_unique<VirtualGateImpl<
-          &kernels::solo_kernel<P, B, kernels::ScalarLane, LocalSpace>>>(ug);
+      out = std::make_unique<VirtualGateImpl<P, B>>(ug);
     }
   });
   return out;
@@ -121,10 +125,10 @@ void BM_dispatch_virtual(benchmark::State& state) {
       works.push_back(dg.work);
     }
   }
-  const LocalSpace sp = fx.space();
+  const auto at = fx.roles();
   for (auto _ : state) {
     for (std::size_t i = 0; i < vgates.size(); ++i) {
-      vgates[i]->exec(sp, works[i]);
+      vgates[i]->exec(at, works[i]);
     }
     benchmark::DoNotOptimize(fx.real[1]);
   }

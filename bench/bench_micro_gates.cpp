@@ -7,11 +7,19 @@
 // with qubit 11 (/5/11, /1/11) and also run with both operands below
 // log2 W (/1/0). DENSE2 rows run the fused dense 4x4 on a random unitary:
 // one of its sweeps against the specialized rows is the factor
-// kDenseSweeps (ir/fusion.hpp) prices. Run with --benchmark_filter=... to
+// kDenseSweeps (ir/fusion.hpp) prices. The partitioned rows (_shmem2,
+// _peer2) run ShmemSim(16, 2) and PeerSim(16, 2) at the widest lane level
+// with remap and the plan off, on gates whose operand 15 is the partition
+// qubit (/3/15, /1/15, /15, /15/3) beside the same gates on qubit 14,
+// which stay inside each partition. Run with --benchmark_filter=... to
 // narrow.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "core/generalized_sim.hpp"
+#include "core/peer_sim.hpp"
+#include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
 #include "testing/rand_circuit.hpp"
 
@@ -21,24 +29,27 @@ using namespace svsim;
 
 constexpr IdxType kQubits = 16;
 
-/// The row's one-gate circuit: `op` on qubit range(0), a two-qubit op
-/// with range(1); angles fixed, a DENSE2 on a fixed random unitary.
-Circuit bench_circuit(const benchmark::State& state, OP op) {
+/// The row's circuit: `copies` copies of `op` on qubit range(0), a
+/// two-qubit op with range(1); angles fixed, a DENSE2 on a fixed random
+/// unitary.
+Circuit bench_circuit(const benchmark::State& state, OP op, int copies = 1) {
   const auto a = static_cast<IdxType>(state.range(0));
   Circuit c(kQubits);
-  if (op == OP::DENSE2) {
-    Rng rng(11);
-    c.dense2(testing::random_unitary_2q(rng), a,
-             static_cast<IdxType>(state.range(1)));
-    return c;
+  for (int k = 0; k < copies; ++k) {
+    if (op == OP::DENSE2) {
+      Rng rng(11);
+      c.dense2(testing::random_unitary_2q(rng), a,
+               static_cast<IdxType>(state.range(1)));
+      continue;
+    }
+    Gate g = op_info(op).n_qubits == 1
+                 ? make_gate(op, a)
+                 : make_gate(op, a, static_cast<IdxType>(state.range(1)));
+    g.theta = 0.7;
+    g.phi = 0.3;
+    g.lam = -0.4;
+    c.append(g);
   }
-  Gate g = op_info(op).n_qubits == 1
-               ? make_gate(op, a)
-               : make_gate(op, a, static_cast<IdxType>(state.range(1)));
-  g.theta = 0.7;
-  g.phi = 0.3;
-  g.lam = -0.4;
-  c.append(g);
   return c;
 }
 
@@ -113,6 +124,58 @@ GATE_BENCH(CU1, two_qubit_rows)
 GATE_BENCH(CRX, two_qubit_rows)
 GATE_BENCH(RZZ, two_qubit_rows)
 GATE_BENCH(DENSE2, two_qubit_rows)
+
+/// Gates per partitioned row's circuit: each run() starts the PE team
+/// once, so its cost is spread over the copies.
+constexpr int kCopies = 8;
+
+/// A partitioned row: Sim(16, 2 workers) runs kCopies copies of the gate
+/// per iteration, with remap off (the operands stay where the row puts
+/// them) and the plan off (no fuse stage or windows), and reports each
+/// run's wall time per gate.
+template <class Sim>
+void run_partitioned(benchmark::State& state, OP op) {
+  SimConfig cfg;
+  cfg.remap = 0;
+  cfg.sched_window = 0;
+  Sim sim(kQubits, 2, cfg);
+  Circuit prep(kQubits);
+  for (IdxType q = 0; q < kQubits; ++q) prep.h(q);
+  sim.run(prep);
+
+  const Circuit c = bench_circuit(state, op, kCopies);
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    sim.run(c);
+    benchmark::ClobberMemory();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count() / kCopies);
+  }
+  state.SetItemsProcessed(state.iterations() * pow2(kQubits));
+}
+
+void swap_rows(benchmark::internal::Benchmark* b) {
+  b->Args({3, 15})->Args({1, 15})->Args({3, 14});
+}
+void h_rows(benchmark::internal::Benchmark* b) { b->Arg(15)->Arg(14); }
+void cx_rows(benchmark::internal::Benchmark* b) { b->Args({15, 3}); }
+void dense2_rows(benchmark::internal::Benchmark* b) { b->Args({3, 15}); }
+
+#define PARTITIONED_BENCH(opname, rows)                                      \
+  void BM_##opname##_shmem2(benchmark::State& s) {                          \
+    run_partitioned<ShmemSim>(s, OP::opname);                               \
+  }                                                                          \
+  BENCHMARK(BM_##opname##_shmem2)->Apply(rows)->UseManualTime();            \
+  void BM_##opname##_peer2(benchmark::State& s) {                           \
+    run_partitioned<PeerSim>(s, OP::opname);                                \
+  }                                                                          \
+  BENCHMARK(BM_##opname##_peer2)->Apply(rows)->UseManualTime();
+
+PARTITIONED_BENCH(SWAP, swap_rows)
+PARTITIONED_BENCH(H, h_rows)
+PARTITIONED_BENCH(CX, cx_rows)
+PARTITIONED_BENCH(DENSE2, dense2_rows)
 
 } // namespace
 

@@ -16,11 +16,12 @@
 // simulation_kernel_sched<Space> (kernels/blocked.hpp) is the single
 // launched kernel. Every unitary entry is one pattern × body pair from
 // kernels::for_each_unitary (kernels/gates.hpp) instantiated for the
-// table's lane policy — on the partitioned Spaces wrapped in one range
-// kernel (KernelTable::on_range), which runs a partition-local range
-// through LocalSpace's kernel at that lane policy on the raw partition,
-// and every other range on the partitions' raw view (RawView).
-// kernel_table() picks a Space's table by the run's resolved lane level.
+// table's lane policy, wrapped in one range kernel (KernelTable::on_range)
+// that runs every range, on a partition qubit or not, through the same
+// solo_kernel instance on the raw partitions, one run at a time; measure,
+// reset and measure-all reach the partitions through their raw view
+// (RawView). kernel_table() picks a Space's table by the run's resolved
+// lane level.
 #pragma once
 
 #include <algorithm>
@@ -56,10 +57,8 @@ public:
   using Fn = KernelFn<Space>;
   using Table = std::array<Fn, kNumOps>;
 
-  /// Built exactly once per (Space, lane policy). L runs every unitary
-  /// op on LocalSpace and the partition-local ranges of a partitioned
-  /// Space; the ranges that straddle partitions and the non-unitary ops
-  /// are scalar.
+  /// Built exactly once per (Space, lane policy). L runs every range of
+  /// every unitary op; the non-unitary ops are scalar.
   template <class L = kernels::ScalarLane>
   static const Table& get() {
     static const Table table = build<L>();
@@ -67,7 +66,7 @@ public:
   }
 
 private:
-  /// The element access of the scalar paths: a partitioned Space's raw
+  /// The element access of the non-unitary ops: a partitioned Space's raw
   /// view, any other Space itself.
   using Elem =
       std::conditional_t<PartitionedSpace<Space>, RawView<Space>, Space>;
@@ -82,38 +81,51 @@ private:
     if constexpr (PartitionedSpace<Space>) el.flush();
   }
 
-  /// A partitioned Space's entry for unitary pattern P × body B at lane
-  /// policy L, written once for PeerSpace and ShmemSpace. When every
-  /// operand qubit lies below lg_part, Eq. (1)/(2) keep each partition's
-  /// 2^(lg_part-1) pairs (2^(lg_part-2) quadruples) inside it, so the
-  /// range runs, partition by partition, LocalSpace's kernel at L on the
-  /// partition's raw arrays with the range rebased, and counts its
-  /// traffic once: the pattern's kTouched amplitudes per work item, each
-  /// 2 gets and 2 puts. A gate on a partition qubit pairs amplitudes across
-  /// partitions; its range runs the scalar kernel on the raw view, which
-  /// books what it touched, per partition, once.
+  /// The entry for unitary pattern P × body B at lane policy L: the one
+  /// solo_kernel instance of (P, B, L) on the Space's raw arrays. A single
+  /// state is one array for every role. A partitioned Space cuts the range
+  /// into runs: the bits of base(i) at or above lg_part stay constant over
+  /// 2^(lg_part - b) aligned work items, b counting the operands below
+  /// lg_part, so within a run each role stays in one partition, at
+  /// (base(i) + role(r)) >> lg_part. Each run goes to solo_kernel with its
+  /// items counted from the run's first and each role's partition
+  /// resolved once, and books per role its length × (2 gets + 2 puts) to
+  /// that partition, the total per-element access gives. A range on
+  /// operands below lg_part is the case where every role shares one
+  /// partition (Eq. (1)/(2) keep its pairs inside it); the even worker
+  /// split puts each worker's range inside one run.
   template <kernels::Pat P, class B, class L>
   static void on_range(const UGate& ug, const Space& sp, IdxType begin,
                        IdxType end) {
-    using Pt = kernels::Pattern<P>;
-    const IdxType top = ug.g.qb1 > ug.g.qb0 ? ug.g.qb1 : ug.g.qb0;
-    if (top >= sp.lg_part) {
-      const RawView<Space> view(sp);
-      kernels::solo_kernel<P, B, kernels::ScalarLane>(ug, view, begin, end);
-      view.flush();
-      return;
-    }
-    const IdxType lg_items = sp.lg_part - (Pt::kTwoQubit ? 2 : 1);
-    while (begin < end) {
-      const int part = static_cast<int>(begin >> lg_items);
-      const IdxType first = static_cast<IdxType>(part) << lg_items;
-      const IdxType stop = std::min(end, first + pow2(lg_items));
-      kernels::solo_kernel<P, B, L, LocalSpace>(ug, sp.part(part),
-                                                begin - first, stop - first);
-      const auto amps =
-          static_cast<std::uint64_t>(stop - begin) * Pt::kTouched;
-      sp.count_access(part, 2 * amps, 2 * amps);
-      begin = stop;
+    namespace k = kernels;
+    if constexpr (!PartitionedSpace<Space>) {
+      k::solo_kernel<P, B, L>(ug, k::RoleBases::one(sp.real, sp.imag, sp.dim),
+                              begin, end);
+    } else {
+      using Pt = k::Pattern<P>;
+      const Pt pat(ug.g);
+      const IdxType lg_run =
+          sp.lg_part - (pat.p < sp.lg_part ? 1 : 0) -
+          (Pt::kTwoQubit && pat.q < sp.lg_part ? 1 : 0);
+      k::RoleBases at;
+      at.mask = sp.part_mask();
+      int part[Pt::kTouched];
+      while (begin < end) {
+        const IdxType first = begin >> lg_run << lg_run;
+        const IdxType stop = std::min(end, first + pow2(lg_run));
+        const IdxType run_bits = pat.base(first); // all at or above lg_part
+        for (int r = 0; r < Pt::kTouched; ++r) {
+          part[r] = sp.owner(run_bits + pat.role(r));
+          at.re[r] = sp.real_parts[part[r]];
+          at.im[r] = sp.imag_parts[part[r]];
+        }
+        k::solo_kernel<P, B, L>(ug, at, begin - first, stop - first);
+        const auto len = static_cast<std::uint64_t>(stop - begin);
+        for (int r = 0; r < Pt::kTouched; ++r) {
+          sp.count_access(part[r], 2 * len, 2 * len);
+        }
+        begin = stop;
+      }
     }
   }
 
@@ -122,11 +134,7 @@ private:
     namespace k = kernels;
     Table t{};
     k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
-      if constexpr (PartitionedSpace<Space>) {
-        t[static_cast<int>(op)] = &on_range<P, B, L>;
-      } else {
-        t[static_cast<int>(op)] = &k::solo_kernel<P, B, L, Space>;
-      }
+      t[static_cast<int>(op)] = &on_range<P, B, L>;
     });
     t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
     t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;

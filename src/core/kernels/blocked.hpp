@@ -25,9 +25,9 @@
 // amplitudes and the per-gate global sync collapses to ONE sync per
 // window — the blocked path saves barriers as well as memory traffic.
 // Every block action then runs on the raw partition: gates through the
-// range kernel's partition-local path at the run's lane level
-// (dispatch.hpp), diagonal runs through diag_block (scalar), each
-// counting its traffic once.
+// range kernel at the run's lane level, every role in the block's
+// partition (dispatch.hpp), diagonal runs through diag_block (scalar),
+// each counting its traffic once.
 #pragma once
 
 #include <algorithm>

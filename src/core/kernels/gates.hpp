@@ -12,10 +12,13 @@
 // costs one sweep. The bodies are shared by every execution strategy,
 // which differ only in the loop that feeds them:
 //
-//   * solo scalar — one work item at a time through any Space's
-//     get_/set_real/imag (single device, peer pointer array, SHMEM
-//     one-sided get/put: Listings 3-5), so every tier routes and counts
-//     the same element accesses;
+//   * solo scalar — one work item at a time, each role (one of the
+//     amplitudes a work item touches) read from its own array: the one
+//     state on a single device, the role's partition on the peer and
+//     SHMEM tiers (RoleBases). The same loop through a Space's
+//     get_/set_real/imag is the per-element reference (element_kernel:
+//     Listings 3-5's pointer array and one-sided get/put, routed and
+//     counted per access);
 //   * solo SIMD  — W consecutive work items per vector from the range's
 //     first W-aligned item. Each step loads the whole W-aligned vectors
 //     that hold its amplitudes and writes them back, masking the lanes
@@ -355,6 +358,10 @@ struct Pattern {
     }
   }
 
+  /// Role r's offset from the base index: site r / kElems's element
+  /// r % kElems. A role is one of the kTouched amplitudes of a work item.
+  constexpr IdxType role(int r) const { return off[r / kElems][r % kElems]; }
+
   /// Base amplitude index of work item `i` (Eq. (1) or (2)).
   constexpr IdxType base(IdxType i) const {
     if constexpr (!kTwoQubit) {
@@ -558,16 +565,87 @@ inline void apply_site(const V* c, V (&r)[E], V (&i)[E]) {
   }
 }
 
+/// Most roles any pattern touches per work item (the quad's four).
+inline constexpr int kMaxRoles = 4;
+
+/// Where the roles of a range's work items live: role r of work item i
+/// (Pattern::role) is amplitude (base(i) + role(r)) & mask of the arrays
+/// re[r] and im[r]. The range counts its items so that base(i) <= mask. A
+/// single state is one array for every role (RoleBases::one); the
+/// partitioned tiers pass a range one run at a time, each role in its
+/// partition (KernelTable::on_range).
+struct RoleBases {
+  ValType* re[kMaxRoles]{};
+  ValType* im[kMaxRoles]{};
+  IdxType mask = 0; // an array's amplitudes, less one
+
+  /// Every role in the one state of `dim` amplitudes at (re, im).
+  static RoleBases one(ValType* re, ValType* im, IdxType dim) {
+    RoleBases at;
+    for (int r = 0; r < kMaxRoles; ++r) {
+      at.re[r] = re;
+      at.im[r] = im;
+    }
+    at.mask = dim - 1;
+    return at;
+  }
+};
+
 namespace solo_detail {
 
+/// The solo scalar strategy's access to role r of the work item at base
+/// index s through a range's RoleBases: each role's array, advanced by the
+/// role's offset, resolved once per call.
+template <Pat P>
+struct RoleAccess {
+  static constexpr int kRoles = Pattern<P>::kTouched;
+  ValType* re[kRoles];
+  ValType* im[kRoles];
+
+  RoleAccess(const Pattern<P>& pat, const RoleBases& at) {
+    for (int r = 0; r < kRoles; ++r) {
+      const IdxType x = pat.role(r) & at.mask;
+      re[r] = at.re[r] + x;
+      im[r] = at.im[r] + x;
+    }
+  }
+
+  ValType get_real(int r, IdxType s) const { return re[r][s]; }
+  ValType get_imag(int r, IdxType s) const { return im[r][s]; }
+  void set_real(int r, IdxType s, ValType v) const { re[r][s] = v; }
+  void set_imag(int r, IdxType s, ValType v) const { im[r][s] = v; }
+};
+
+/// The same access through a Space's own element access, amplitude
+/// s + role(r), which the partitioned Spaces route and count one access
+/// at a time: the per-element reference (element_kernel).
+template <Pat P, class Space>
+struct ElementAccess {
+  const Pattern<P>& pat;
+  const Space& sp;
+
+  ValType get_real(int r, IdxType s) const {
+    return sp.get_real(s + pat.role(r));
+  }
+  ValType get_imag(int r, IdxType s) const {
+    return sp.get_imag(s + pat.role(r));
+  }
+  void set_real(int r, IdxType s, ValType v) const {
+    sp.set_real(s + pat.role(r), v);
+  }
+  void set_imag(int r, IdxType s, ValType v) const {
+    sp.set_imag(s + pat.role(r), v);
+  }
+};
+
 /// The solo scalar strategy: pattern P × body B over work items
-/// [begin, end), one at a time through the Space's element access.
-template <Pat P, class B, class Space>
-inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
-                       IdxType end) {
+/// [begin, end), one at a time, each role through `at` (RoleAccess or
+/// ElementAccess).
+template <Pat P, class B, class Access>
+inline void run_scalar(const UGate& ug, const Pattern<P>& pat,
+                       const Access& at, IdxType begin, IdxType end) {
   using Pt = Pattern<P>;
   constexpr int E = Pt::kElems;
-  const Pt pat(ug.g);
   ValType c[B::kRows > 0 ? B::kRows : 1]{};
   for (int r = 0; r < B::kRows; ++r) c[r] = ug.coef[r * ug.stride];
   for (IdxType i = begin; i < end; ++i) {
@@ -580,33 +658,32 @@ inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
         ValType re[4];
         ValType im[4];
         for (int j = 0; j < 4; ++j) {
-          re[j] = sp.get_real(s + pat.off[k][j]);
-          im[j] = sp.get_imag(s + pat.off[k][j]);
+          re[j] = at.get_real(4 * k + j, s);
+          im[j] = at.get_imag(4 * k + j, s);
         }
         B::template quad<ScalarLane>(c, re, im);
         for (int j = 0; j < 4; ++j) {
-          sp.set_real(s + pat.off[k][j], re[j]);
-          sp.set_imag(s + pat.off[k][j], im[j]);
+          at.set_real(4 * k + j, s, re[j]);
+          at.set_imag(4 * k + j, s, im[j]);
         }
       } else if constexpr (E == 2) {
-        const IdxType a = s + pat.off[k][0];
-        const IdxType b = s + pat.off[k][1];
-        ValType r0 = sp.get_real(a);
-        ValType i0 = sp.get_imag(a);
-        ValType r1 = sp.get_real(b);
-        ValType i1 = sp.get_imag(b);
+        const int a = 2 * k;
+        const int b = 2 * k + 1;
+        ValType r0 = at.get_real(a, s);
+        ValType i0 = at.get_imag(a, s);
+        ValType r1 = at.get_real(b, s);
+        ValType i1 = at.get_imag(b, s);
         B::template pair<ScalarLane>(c, r0, i0, r1, i1);
-        sp.set_real(a, r0);
-        sp.set_imag(a, i0);
-        sp.set_real(b, r1);
-        sp.set_imag(b, i1);
+        at.set_real(a, s, r0);
+        at.set_imag(a, s, i0);
+        at.set_real(b, s, r1);
+        at.set_imag(b, s, i1);
       } else {
-        const IdxType a = s + pat.off[k][0];
-        ValType r0 = sp.get_real(a);
-        ValType i0 = sp.get_imag(a);
+        ValType r0 = at.get_real(k, s);
+        ValType i0 = at.get_imag(k, s);
         B::template one<ScalarLane>(c, r0, i0);
-        sp.set_real(a, r0);
-        sp.set_imag(a, i0);
+        at.set_real(k, s, r0);
+        at.set_imag(k, s, i0);
       }
     }
   }
@@ -624,7 +701,9 @@ inline void run_scalar(const UGate& ug, const Space& sp, IdxType begin,
 /// W-aligned vectors, k being the number of operands below log2 W. Vector
 /// m holds lanes l in [m·W/2^k, (m+1)·W/2^k) and sits at base(i) plus the
 /// offset's bits at or above log2 W plus hop[m] = base(m·W/2^k); in every
-/// one of them the role takes the same lanes.
+/// one of them the role takes the same lanes. A strategy resolves each
+/// role's or vector's pointer from those bits once per call, in the
+/// role's array (RoleBases): a step adds only base(i).
 ///
 /// When all elements of every site take the same lanes (they differ only
 /// in bits at or above log2 W; always so for a single body), the vectors
@@ -654,25 +733,21 @@ struct TileLayout {
   explicit TileLayout(const Pt& pat) {
     constexpr IdxType lg_w = log2_exact(W);
     k = (pat.p < lg_w ? 1 : 0) + (Pt::kTwoQubit && pat.q < lg_w ? 1 : 0);
-    for (int r = 0; r < kRoles; ++r) high[r] = off(pat, r) & ~(W - 1);
+    for (int r = 0; r < kRoles; ++r) high[r] = pat.role(r) & ~(W - 1);
     if (k == 0) return; // every lane owned: the vectors are the offsets
     const IdxType per_vec = W >> k; // lanes of one role per vector
     for (IdxType m = 0; m < pow2(k); ++m) hop[m] = pat.base(m * per_vec);
     if (!Pt::kPair && Pt::kSites == 2 && high[1] == high[0]) sites = 1;
     for (int st = 0; st < Pt::kSites; ++st) {
-      const IdxType a0 = off(pat, st * kElems);
+      const IdxType a0 = pat.role(st * kElems);
       for (int e = 1; e < kElems; ++e) {
-        aligned = aligned && ((a0 ^ off(pat, st * kElems + e)) & (W - 1)) == 0;
+        aligned = aligned && ((a0 ^ pat.role(st * kElems + e)) & (W - 1)) == 0;
       }
       for (IdxType j = 0; j < per_vec; ++j) {
         lanes[st < sites ? st : 0][(pat.base(j) + a0) & (W - 1)] =
             ~std::uint64_t{0};
       }
     }
-  }
-
-  static IdxType off(const Pt& pat, int r) {
-    return pat.off[r / kElems][r % kElems];
   }
 };
 
@@ -707,7 +782,7 @@ struct StraddleLayout {
       const int j = r / groups;
       for (IdxType l = 0; l < W; ++l) {
         const IdxType m = l / per_vec;
-        const IdxType x = (pat.base(l) + Tile::off(pat, r)) & (W - 1);
+        const IdxType x = (pat.base(l) + pat.role(r)) & (W - 1);
         const IdxType v = g * pow2(lay.k) + m;
         to_role[r][l] = (m & 1) * W + x;
         to_vec[v][x] = (j & 1) * W + l;
@@ -727,21 +802,25 @@ struct StraddleLayout {
 /// path. No lane moves, and no vector is loaded after a masked store to
 /// it in the same step (merged sites), which would stall store
 /// forwarding.
-template <int K, Pat P, class B, class L, class Space>
+template <int K, Pat P, class B, class L>
 inline void run_aligned(const Pattern<P>& pat, const TileLayout<P, L::W>& lay,
-                        const typename L::V* c, const Space& sp,
+                        const typename L::V* c, const RoleBases& at,
                         IdxType begin, IdxType end) {
   using V = typename L::V;
   using Pt = Pattern<P>;
   constexpr int N = 1 << K;
   constexpr int E = Pt::kElems;
-  IdxType at[Pt::kSites][E][N];
+  ValType* pr[Pt::kSites][E][N];
+  ValType* pi[Pt::kSites][E][N];
   typename L::M lanes[Pt::kSites]{};
   for (int k = 0; k < Pt::kSites; ++k) {
     if constexpr (K > 0) lanes[k] = L::mask(lay.lanes[k]);
     for (int j = 0; j < E; ++j) {
+      const int r = k * E + j;
       for (int m = 0; m < N; ++m) {
-        at[k][j][m] = lay.high[k * E + j] + lay.hop[m];
+        const IdxType x = (lay.high[r] + lay.hop[m]) & at.mask;
+        pr[k][j][m] = at.re[r] + x;
+        pi[k][j][m] = at.im[r] + x;
       }
     }
   }
@@ -760,13 +839,13 @@ inline void run_aligned(const Pattern<P>& pat, const TileLayout<P, L::W>& lay,
         V re[E];
         V im[E];
         for (int j = 0; j < E; ++j) {
-          re[j] = L::load(sp.real + s + at[k][j][m]);
-          im[j] = L::load(sp.imag + s + at[k][j][m]);
+          re[j] = L::load(pr[k][j][m] + s);
+          im[j] = L::load(pi[k][j][m] + s);
         }
         apply_site<B, L>(c, re, im);
         for (int j = E - 1; j >= 0; --j) {
-          put(sp.real + s + at[k][j][m], re[j], lanes[k]);
-          put(sp.imag + s + at[k][j][m], im[j], lanes[k]);
+          put(pr[k][j][m] + s, re[j], lanes[k]);
+          put(pi[k][j][m] + s, im[j], lanes[k]);
         }
       }
     }
@@ -794,11 +873,11 @@ inline typename L::V pick(const typename L::V (&src)[S],
 /// permutes every role's lanes out of them, runs the body, and writes
 /// each vector back from its roles' lanes: a plain store when they own
 /// every lane, a masked store otherwise.
-template <int K, int G, Pat P, class B, class L, class Space>
+template <int K, int G, Pat P, class B, class L>
 inline void run_permuted(const Pattern<P>& pat,
                          const TileLayout<P, L::W>& lay,
                          const StraddleLayout<P, L::W>& st,
-                         const typename L::V* c, const Space& sp,
+                         const typename L::V* c, const RoleBases& at,
                          IdxType begin, IdxType end) {
   using V = typename L::V;
   using Pt = Pattern<P>;
@@ -806,12 +885,16 @@ inline void run_permuted(const Pattern<P>& pat,
   constexpr int N = 1 << K;     // vectors per group
   constexpr int M = kRoles / G; // roles per group
   static_assert(K >= 1 && G * N <= 4 && M <= N);
-  IdxType vec[G * N];
+  // Group g's vectors hold roles g, g + G, ...: one array, role g's.
+  ValType* vr[G * N];
+  ValType* vi[G * N];
   typename L::Perm to_vec[G * N]{};
   typename L::M from_hi[G * N]{};
   typename L::M owned[G * N]{};
   for (int v = 0; v < G * N; ++v) {
-    vec[v] = lay.high[v / N] + lay.hop[v % N];
+    const IdxType x = (lay.high[v / N] + lay.hop[v % N]) & at.mask;
+    vr[v] = at.re[v / N] + x;
+    vi[v] = at.im[v / N] + x;
     to_vec[v] = L::perm(st.to_vec[v]);
     from_hi[v] = L::mask(st.from_hi[v]);
     owned[v] = L::mask(st.owned[v]);
@@ -827,8 +910,8 @@ inline void run_permuted(const Pattern<P>& pat,
       V tr[N];
       V ti[N];
       for (int m = 0; m < N; ++m) {
-        tr[m] = L::load(sp.real + s + vec[g * N + m]);
-        ti[m] = L::load(sp.imag + s + vec[g * N + m]);
+        tr[m] = L::load(vr[g * N + m] + s);
+        ti[m] = L::load(vi[g * N + m] + s);
       }
       for (int j = 0; j < M; ++j) {
         const int r = g + j * G;
@@ -859,8 +942,8 @@ inline void run_permuted(const Pattern<P>& pat,
       }
       for (int m = 0; m < N; ++m) {
         const int v = g * N + m;
-        ValType* const pr = sp.real + s + vec[v];
-        ValType* const pi = sp.imag + s + vec[v];
+        ValType* const pr = vr[v] + s;
+        ValType* const pi = vi[v] + s;
         if constexpr (M == N) {
           L::store(pr, pick<L, M>(sr, to_vec[v], from_hi[v]));
           L::store(pi, pick<L, M>(si, to_vec[v], from_hi[v]));
@@ -882,8 +965,10 @@ inline void run_permuted(const Pattern<P>& pat,
 /// body runs on its roles' offsets, the others ride along, and the
 /// transpose back goes out by plain stores. A controlled pair's offsets
 /// (1 or 2, and 3) take only their two rows of the transpose, and back.
-template <IdxType Q0, Pat P, class B, class L, class Space>
-inline void run_transposed(const typename L::V* c, const Space& sp,
+/// Every role lies in one array (its operands are below any partition's
+/// qubits), role 0's.
+template <IdxType Q0, Pat P, class B, class L>
+inline void run_transposed(const typename L::V* c, const RoleBases& at,
                            IdxType begin, IdxType end) {
   using V = typename L::V;
   using Pt = Pattern<P>;
@@ -896,8 +981,8 @@ inline void run_transposed(const typename L::V* c, const Space& sp,
     return Pt(g);
   }();
   for (IdxType i = begin; i < end; i += L::W) {
-    ValType* const pr = sp.real + 4 * i;
-    ValType* const pi = sp.imag + 4 * i;
+    ValType* const pr = at.re[0] + 4 * i;
+    ValType* const pi = at.im[0] + 4 * i;
     V re[4];
     V im[4];
     for (int m = 0; m < 4; ++m) {
@@ -941,24 +1026,22 @@ inline void run_transposed(const typename L::V* c, const Space& sp,
 }
 
 /// Pattern P × body B over W-aligned work items [begin, end), a multiple
-/// of W of them, through lane policy L on the Space's raw arrays
-/// (LocalSpace only).
-template <Pat P, class B, class L, class Space>
-inline void run_simd(const UGate& ug, const Space& sp, IdxType begin,
-                     IdxType end) {
+/// of W of them, through lane policy L on the arrays `at` names.
+template <Pat P, class B, class L>
+inline void run_simd(const UGate& ug, const Pattern<P>& pat,
+                     const RoleBases& at, IdxType begin, IdxType end) {
   using Pt = Pattern<P>;
   constexpr int kRoles = Pt::kTouched;
-  const Pt pat(ug.g);
   typename L::V c[B::kRows > 0 ? B::kRows : 1]{};
   for (int r = 0; r < B::kRows; ++r) c[r] = L::splat(ug.coef[r * ug.stride]);
   const TileLayout<P, L::W> lay(pat);
   if (lay.aligned) {
     if (lay.k == 0) {
-      run_aligned<0, P, B, L>(pat, lay, c, sp, begin, end);
+      run_aligned<0, P, B, L>(pat, lay, c, at, begin, end);
     } else if (lay.k == 1) {
-      run_aligned<1, P, B, L>(pat, lay, c, sp, begin, end);
+      run_aligned<1, P, B, L>(pat, lay, c, at, begin, end);
     } else if constexpr (Pt::kTwoQubit) {
-      run_aligned<2, P, B, L>(pat, lay, c, sp, begin, end);
+      run_aligned<2, P, B, L>(pat, lay, c, at, begin, end);
     }
   } else if constexpr (Pt::kElems > 1) {
     // Straddling sites: k >= 1. Two vectors per group at k = 1 hold one
@@ -967,46 +1050,64 @@ inline void run_simd(const UGate& ug, const Space& sp, IdxType begin,
       const StraddleLayout<P, L::W> st(pat, lay);
       if constexpr (kRoles <= 2) {
         if (st.groups == 1) {
-          return run_permuted<1, 1, P, B, L>(pat, lay, st, c, sp, begin,
+          return run_permuted<1, 1, P, B, L>(pat, lay, st, c, at, begin,
                                              end);
         }
       }
       if constexpr (kRoles >= 2) {
-        run_permuted<1, 2, P, B, L>(pat, lay, st, c, sp, begin, end);
+        run_permuted<1, 2, P, B, L>(pat, lay, st, c, at, begin, end);
       }
     } else if constexpr (Pt::kTwoQubit && L::W == 4) {
       if (ug.g.qb0 == 0) {
-        run_transposed<0, P, B, L>(c, sp, begin, end);
+        run_transposed<0, P, B, L>(c, at, begin, end);
       } else {
-        run_transposed<1, P, B, L>(c, sp, begin, end);
+        run_transposed<1, P, B, L>(c, at, begin, end);
       }
     } else if constexpr (Pt::kTwoQubit) {
       const StraddleLayout<P, L::W> st(pat, lay);
-      run_permuted<2, 1, P, B, L>(pat, lay, st, c, sp, begin, end);
+      run_permuted<2, 1, P, B, L>(pat, lay, st, c, at, begin, end);
     }
   }
 }
 
 } // namespace solo_detail
 
-/// One gate on one state vector, work items [begin, end): W at a time
-/// through lane policy L (the solo SIMD strategy) from the first W-aligned
-/// item, the head before it and the ragged tail — and everything when L is
-/// ScalarLane — one at a time (the solo scalar strategy, valid over any
-/// Space). Never inlined: the partitioned tables' range kernels call the
-/// very instance SingleSim's table holds, so the tiers share one copy of
-/// each vector loop.
-template <Pat P, class B, class L, class Space>
-[[gnu::noinline]] void solo_kernel(const UGate& ug, const Space& sp,
+/// One gate on one range of work items [begin, end) whose roles live where
+/// `at` says: W at a time through lane policy L (the solo SIMD strategy)
+/// from the first W-aligned item, the head before it and the ragged tail —
+/// and everything when L is ScalarLane — one at a time (the solo scalar
+/// strategy). Never inlined: every tier's kernel table calls this one
+/// instance per (pattern, body, lane) — SingleSim's with one array for
+/// every role, the partitioned tiers' run by run (KernelTable::on_range) —
+/// so the tiers share one copy of each vector loop.
+template <Pat P, class B, class L>
+[[gnu::noinline]] void solo_kernel(const UGate& ug, const RoleBases& at,
                                    IdxType begin, IdxType end) {
+  const Pattern<P> pat(ug.g);
+  const solo_detail::RoleAccess<P> roles(pat, at);
   if constexpr (L::W > 1) {
     const IdxType first = std::min(end, (begin + L::W - 1) / L::W * L::W);
     const IdxType last = first + (end - first) / L::W * L::W;
-    solo_detail::run_scalar<P, B>(ug, sp, begin, first);
-    if (first < last) solo_detail::run_simd<P, B, L>(ug, sp, first, last);
+    solo_detail::run_scalar<P, B>(ug, pat, roles, begin, first);
+    if (first < last) {
+      solo_detail::run_simd<P, B, L>(ug, pat, at, first, last);
+    }
     begin = last;
   }
-  solo_detail::run_scalar<P, B>(ug, sp, begin, end);
+  solo_detail::run_scalar<P, B>(ug, pat, roles, begin, end);
+}
+
+/// Pattern P × body B over work items [begin, end), one at a time through
+/// the Space's own element access: the per-element reference, which the
+/// partitioned Spaces route and count access by access (Listings 4/5).
+/// No simulator path runs it; the range seam and the footprints are
+/// tested against it.
+template <Pat P, class B, class Space>
+void element_kernel(const UGate& ug, const Space& sp, IdxType begin,
+                    IdxType end) {
+  const Pattern<P> pat(ug.g);
+  solo_detail::run_scalar<P, B>(
+      ug, pat, solo_detail::ElementAccess<P, Space>{pat, sp}, begin, end);
 }
 
 /// ID and BARRIER: no amplitude work (the kernel loop issues the sync).

@@ -7,11 +7,12 @@
 // GPUDirect peer access / Infinity Fabric. One worker thread drives each
 // device (the paper's one-OpenMP-thread-per-GPU runtime); every gate is a
 // grid-stride slice per device followed by a multi-device grid sync. A
-// slice inside one partition runs LocalSpace's kernel on it at the run's
-// lane level and counts its accesses in one call; a slice that pairs
-// amplitudes across partitions, and measurement, run the scalar kernel
-// through the pointer array (the raw view, space.hpp), whose accesses are
-// tallied per partition and counted once per slice.
+// gate's slice runs SingleSim's kernel at the run's lane level on the
+// partitions the pointer array names — one partition, or two or four when
+// it pairs amplitudes across partitions — and counts its accesses once
+// per run (dispatch.hpp). Measurement runs the scalar kernel through the
+// pointer array (the raw view, space.hpp), whose accesses are tallied per
+// partition and counted once per slice.
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,7 @@ ShmemSim::ShmemSim(IdxType n_qubits, int n_pes, SimConfig cfg,
   // Setup "job": symmetric allocation of the partitioned state vector
   // (Listing 5 lines 23-24) and |0...0> initialization. PE 0 resolves
   // every PE's partition once through Ctx::ptr (the shmem_ptr analogue):
-  // the bases that partition-local ranges address directly.
+  // the bases every gate range addresses directly.
   const auto per_pe = static_cast<std::size_t>(pow2(parts_.lg_part));
   runtime_.run([&](shmem::Ctx& ctx) {
     ValType* r = ctx.malloc_sym<ValType>(per_pe);

@@ -6,12 +6,12 @@
 // gate that pairs amplitudes across partitions reaches each one by a
 // one-sided fine-grained get/put ("double_g"/"double_p"). PEs here are
 // threads, so every partition is load/store-reachable through a Ctx::ptr
-// pointer (the shmem_ptr analogue): a gate whose operands all lie inside
-// one partition runs LocalSpace's kernel at the run's lane level on it,
-// and every other access — gates on a partition qubit, measurement — runs
-// the scalar kernel on those pointers (the raw view, space.hpp). Both
-// book exactly the gets/puts the one-sided calls would, once per range or
-// call. The PE team is provided by the svsim::shmem runtime (DESIGN.md
+// pointer (the shmem_ptr analogue): every gate, on a partition qubit or
+// not, runs SingleSim's kernel at the run's lane level on those pointers,
+// each role of a work item in its own partition (dispatch.hpp), and
+// measurement runs the scalar kernel on them (the raw view, space.hpp).
+// Both book exactly the gets/puts the one-sided calls would, once per run
+// or call. The PE team is provided by the svsim::shmem runtime (DESIGN.md
 // explains the substitution for OpenSHMEM/NVSHMEM); traffic counters
 // record the exact local/remote communication volume the machine model
 // prices for Figures 12-13.

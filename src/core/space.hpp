@@ -14,16 +14,17 @@
 //                  nvshmem_double_g / nvshmem_double_p pattern.
 //
 // The two partitioned Spaces share one range seam (PartitionBases): every
-// partition's base, resolved once. A work range that stays inside one
-// partition runs LocalSpace's kernel, at the run's lane level, on that
-// partition's raw arrays (dispatch.hpp); every other access — a range
-// that pairs amplitudes across partitions, measure, reset, measure-all —
-// goes through the raw view of all partitions (RawView). Either way the
-// traffic is booked once per range or call through the Space's one
-// counting method (count_access), to the same totals per-element counting
-// gives. The Spaces' own element access (get_real, set_real, ...) routes
-// and counts each access the way Listings 4/5 do; it stays as the
-// per-element reference the range seam is tested against.
+// partition's base, resolved once. Every unitary work range — inside one
+// partition or pairing amplitudes across partitions — runs the solo
+// kernels at the run's lane level on the raw partitions, one run at a
+// time, each role's partition resolved once per run (dispatch.hpp);
+// measure, reset and measure-all go through the raw view of all
+// partitions (RawView). Either way the traffic is booked once per run or
+// call through the Space's one counting method (count_access), to the
+// same totals per-element counting gives. The Spaces' own element access
+// (get_real, set_real, ...) routes and counts each access the way
+// Listings 4/5 do; it stays as the per-element reference the range seam
+// is tested against.
 //
 // Besides element access, the policy carries the small SPMD protocol the
 // non-unitary kernels (measure/reset) need: worker identity, a barrier, a
@@ -94,7 +95,8 @@ struct LocalSpace {
 
 /// Every partition's base, resolved once: the Listing 4 pointer array for
 /// PeerSpace; for ShmemSpace, Ctx::ptr (the shmem_ptr analogue) at
-/// ShmemSim's construction.
+/// ShmemSim's construction. The unitary ranges read each role's base from
+/// here (KernelTable::on_range).
 /// Partition p holds amplitudes [p·2^lg_part, (p+1)·2^lg_part).
 struct PartitionBases {
   ValType* const* real_parts = nullptr; // one base per partition
@@ -107,7 +109,8 @@ struct PartitionBases {
   IdxType part_mask() const { return pow2(lg_part) - 1; }
   int owner(IdxType i) const { return static_cast<int>(i >> lg_part); }
 
-  /// Partition p as a LocalSpace over its raw arrays (local indices).
+  /// Partition p as a LocalSpace over its raw arrays (local indices), for
+  /// a blocked window's diagonal runs.
   LocalSpace part(int p) const {
     LocalSpace sp;
     sp.real = real_parts[p];
@@ -128,14 +131,15 @@ concept PartitionedSpace =
       sp.count_access(partition, n, n);
     };
 
-/// The raw view of a partitioned Space: the Space itself (its SPMD
-/// protocol, measure context and counters) with element access straight
-/// to the raw partitions, amplitude i at
-/// real_parts[i >> lg_part][i & part_mask()]. Ctx::ptr validated every
-/// ShmemSim base over its whole partition, so no per-access check is
-/// lost. Each get and put is tallied per partition in the worker's
-/// `tally` row; flush() books the tallies through count_access, once per
-/// range or call, and leaves the row zero. It allocates nothing.
+/// The raw view of a partitioned Space, for measure, reset and
+/// measure-all: the Space itself (its SPMD protocol, measure context and
+/// counters) with element access straight to the raw partitions,
+/// amplitude i at real_parts[i >> lg_part][i & part_mask()]. Ctx::ptr
+/// validated every ShmemSim base over its whole partition, so no
+/// per-access check is lost. Each get and put is tallied per partition in
+/// the worker's `tally` row; flush() books the tallies through
+/// count_access, once per call, and leaves the row zero. It allocates
+/// nothing.
 template <class Space>
 struct RawView : Space {
   explicit RawView(const Space& sp) : Space(sp) {}
@@ -273,7 +277,7 @@ struct PeerSpace : PartitionBases { // the shared pointer array
 // ---------------------------------------------------------------------------
 // ShmemSpace: symmetric-heap partitions behind one-sided get/put
 // (Listing 5). The inherited bases are every PE's partition through
-// Ctx::ptr, for the partition-local ranges and the RawView.
+// Ctx::ptr, for the unitary ranges and the RawView.
 // ---------------------------------------------------------------------------
 struct ShmemSpace : PartitionBases {
   shmem::Ctx* ctx = nullptr;

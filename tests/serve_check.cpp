@@ -1,7 +1,7 @@
 // serve_check: end-to-end smoke of the live telemetry plane (registered
 // as the `serve_smoke` ctest).
 //
-// Phase A — a 4-PE shmem QFT-19 repeated to run ~1.5 s is watched
+// Phase A — a 4-PE shmem QFT-21 repeated to run ~1.5 s is watched
 // through real loopback HTTP while it executes: every /progress body
 // must be valid svsim-progress-v1 JSON, the bytes-weighted fraction must
 // be non-decreasing, and the model-calibrated eta_s at the halfway
@@ -109,24 +109,26 @@ int main(int argc, char** argv) {
   // per-gate smooth. (With blocking on, a cache-resident state makes the
   // blocked sweep compute-bound, so its one-sweep byte price under-states
   // its wall share.) Inside one QFT the time per modeled byte is not
-  // uniform either: the gates on the two partition qubits go element by
-  // element through get/put, several times slower per byte than the
-  // partition-local ones, yet both are priced alike. So the circuit
-  // repeats one QFT an even number of times (>= 2): the halfway sample
-  // falls on a QFT boundary, the remaining gate mix equals the completed
-  // mix, and the achieved-GB/s calibration is exact by symmetry. What the
-  // assertion then validates is the live plumbing (fresh snapshots,
-  // correct prefix bookkeeping, sane clocks), not the pricing.
+  // uniform either: every gate is priced by its touched amplitudes, but
+  // the gates differ in arithmetic and in how much of their time is
+  // barrier wait. So the circuit repeats one QFT an even number of times
+  // (>= 2): the halfway sample falls on a QFT boundary, the remaining gate
+  // mix equals the completed mix, and the achieved-GB/s calibration is
+  // exact by symmetry. What the assertion then validates is the live
+  // plumbing (fresh snapshots, correct prefix bookkeeping, sane clocks),
+  // not the pricing.
   //
-  // 19 qubits keep each gate's compute well above one barrier's latency.
-  // Partition-local gates run at raw-pointer speed, so on a 17-qubit
-  // register a 4-PE gate is mostly barrier wait, and barrier wake-up
-  // latency on a shared host switches between a slow and a fast mode
-  // (measured on a 4-vCPU host: QFT-17 at 230-260 ms with 75% of the time
-  // waiting, then 95 ms with 17-26%). A switch between the warm-up and
-  // the watched run, or inside the run, breaks the symmetry the ETA check
-  // relies on. QFT-19 measured 426-461 ms with 7-14% waiting there.
-  constexpr IdxType kQubits = 19;
+  // 21 qubits keep each gate's compute well above one barrier's latency.
+  // Every gate, the ones on a partition qubit included, runs at the lane
+  // level on the raw partitions, so on a smaller register a 4-PE gate is
+  // largely barrier wait, and barrier wake-up latency on a shared host
+  // switches between a slow and a fast mode (measured on a 4-vCPU host:
+  // QFT-17 at 230-260 ms with 75% of the time waiting, then 95 ms with
+  // 17-26%; QFT-19 at 82-100 ms with 32-42%). A switch between the
+  // warm-up and the watched run, or inside the run, breaks the symmetry
+  // the ETA check relies on: QFT-19 failed it in 2 of 21 runs. QFT-21
+  // measured 358-370 ms with 9-12% waiting there.
+  constexpr IdxType kQubits = 21;
   SimConfig serve_cfg;
   serve_cfg.sched_window = 0;
   // The sampler keys on the submitted circuit's exact gate count; remap

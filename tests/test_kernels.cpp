@@ -10,15 +10,18 @@
 // scalar tail does the work.
 // The solo SIMD strategy is also pinned on sub-ranges against the solo
 // scalar strategy (plain loads, masked stores and lane permutes for every
-// low-operand placement, unaligned heads, tails), and on blocks whose
-// per-block range is shorter than a vector.
+// low-operand placement, unaligned heads, tails; the roles in one array
+// or in two or four), and on blocks whose per-block range is shorter than
+// a vector.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -305,18 +308,56 @@ std::vector<std::pair<IdxType, IdxType>> placements(bool two_qubit,
   return out;
 }
 
-// The solo SIMD strategy (solo_kernel<P, B, L>, from the kernel table of
-// L) over work items [begin, end) against the solo scalar strategy over
-// the same range, for every unitary op (DENSE2 with a random unitary) at
-// every lane level this build carries, at every operand placement above
-// (no, one or both operands below log2 W: plain loads, or loads plus
-// in-register permutes or AVX2's whole or two-row transposes, and masked
-// stores), starts aligned and not, and lengths that leave every kind of
-// head and tail. Amplitudes the range touches must agree to 1e-12 and,
-// since every lane evaluates the scalar expression, bit for bit; every
-// other amplitude must keep its bytes.
+/// Placements with an operand on a "partition" qubit, at or above lg (the
+/// state split into 2^(n - lg) allocations): the lowest qubit `low` from 0
+/// to lg_w + 1 and lg - 1 with the top qubit, and, split four ways, with
+/// qubit lg and both operands on the top two qubits. A 1-qubit op runs on
+/// lg and on the top qubit.
+std::vector<std::pair<IdxType, IdxType>> split_placements(bool two_qubit,
+                                                          IdxType lg_w,
+                                                          IdxType n,
+                                                          IdxType lg) {
+  std::vector<std::pair<IdxType, IdxType>> out;
+  if (!two_qubit) {
+    out.emplace_back(lg, -1);
+    if (lg < n - 1) out.emplace_back(n - 1, -1);
+    return out;
+  }
+  std::vector<IdxType> lows;
+  for (IdxType low = 0; low <= lg_w + 1; ++low) lows.push_back(low);
+  lows.push_back(lg - 1);
+  for (const IdxType low : lows) {
+    out.emplace_back(low, n - 1);
+    out.emplace_back(n - 1, low);
+    if (lg < n - 1) out.emplace_back(low, lg);
+  }
+  if (lg < n - 1) {
+    out.emplace_back(lg, n - 1);
+    out.emplace_back(n - 1, lg);
+  }
+  return out;
+}
+
+// The solo SIMD strategy (solo_kernel<P, B, L>) over work items
+// [begin, end) against the solo scalar strategy (solo_kernel<P, B,
+// ScalarLane>) over the same range, for every unitary op (DENSE2 with a
+// random unitary) at every lane level this build carries. One array: the
+// range through the kernel table SingleSim dispatches from, at every
+// operand placement above (no, one or both operands below log2 W: plain
+// loads, or loads plus in-register permutes or AVX2's whole or two-row
+// transposes, and masked stores). Split: the state in two or four
+// allocations, as the partitioned tiers hold it, with an operand on a
+// partition qubit so the roles lie in two or four distinct allocations;
+// the range lies in the first or the last run (KernelTable::on_range),
+// its items counted from the run's first and each role's allocation
+// resolved from the run's base. Starts aligned and not, and lengths that
+// leave every kind of head and tail. Amplitudes the range touches must
+// agree to 1e-12 and, since every lane evaluates the scalar expression,
+// bit for bit; every other amplitude of every allocation must keep its
+// bytes.
 TEST(SoloSimd, RangesMatchScalarStrategy) {
   std::uint64_t compared = 0;
+  std::uint64_t compared_split = 0;
   std::uint64_t failures = 0;
   std::uint64_t bit_diffs = 0;
   std::string first;
@@ -329,81 +370,130 @@ TEST(SoloSimd, RangesMatchScalarStrategy) {
         for (const IdxType n : {IdxType{7}, IdxType{9}}) {
           const IdxType dim = pow2(n);
           const StateVector init = random_state(n, 4242 + n);
-          std::vector<ValType> re0(static_cast<std::size_t>(dim));
-          std::vector<ValType> im0(static_cast<std::size_t>(dim));
-          for (IdxType k = 0; k < dim; ++k) {
-            re0[k] = init.amps[static_cast<std::size_t>(k)].real();
-            im0[k] = init.amps[static_cast<std::size_t>(k)].imag();
-          }
-          for (const auto& [a, b] : placements(Pt::kTwoQubit, lg_w, n)) {
-            Gate g = Pt::kTwoQubit ? make_gate(op, a, b) : make_gate(op, a);
-            g.theta = 0.613;
-            g.phi = -0.35;
-            g.lam = 1.2;
-            Circuit owner(n);
-            if (op == OP::DENSE2) {
-              Rng rng(static_cast<std::uint64_t>(7 * a + b));
-              owner.dense2(testing::random_unitary_2q(rng), a, b);
-              g = owner.gates().back();
+          for (const int parts : {1, 2, 4}) {
+            const IdxType lg = n - log2_exact(parts);
+            const IdxType mask = pow2(lg) - 1;
+            // Allocation p of the initial state, and the two copies the
+            // strategies write.
+            std::vector<std::vector<ValType>> re0(parts), im0(parts);
+            for (IdxType k = 0; k < dim; ++k) {
+              re0[k >> lg].push_back(init.amps[k].real());
+              im0[k >> lg].push_back(init.amps[k].imag());
             }
-            ValType coef[kernels::kMaxCoefRows] = {};
-            kernels::fill_coef(g, owner.dense_table(), coef, 1, 0);
-            const kernels::UGate ug{g, coef, 1};
-            const Pt pat(g);
-            const IdxType work = gate_work_items(g, n);
-            for (const IdxType first_item : {IdxType{0}, IdxType{1}, w - 1,
-                                             w, 2 * w + 3}) {
-              for (const IdxType len : {IdxType{0}, IdxType{1}, w - 1, w,
-                                        3 * w + 1, work}) {
-                const IdxType begin = std::min(first_item, work);
-                const IdxType end = std::min(begin + len, work);
-                std::vector<ValType> gr = re0, gi = im0, wr = re0, wi = im0;
-                LocalSpace got;
-                got.real = gr.data();
-                got.imag = gi.data();
-                got.dim = dim;
-                LocalSpace want = got;
-                want.real = wr.data();
-                want.imag = wi.data();
-                // Through the table SingleSim dispatches from.
-                KernelTable<LocalSpace>::get<L>()[static_cast<int>(op)](
-                    ug, got, begin, end);
-                kernels::solo_kernel<P, B, kernels::ScalarLane, LocalSpace>(
-                    ug, want, begin, end);
-                std::vector<char> touched(static_cast<std::size_t>(dim), 0);
-                for (IdxType i = begin; i < end; ++i) {
-                  const IdxType s = pat.base(i);
-                  for (int k = 0; k < Pt::kSites; ++k) {
-                    for (int j = 0; j < Pt::kElems; ++j) {
-                      touched[s + pat.off[k][j]] = 1;
-                    }
-                  }
+            std::vector<std::vector<ValType>> gr = re0, gi = im0, wr = re0,
+                                              wi = im0;
+            const auto at_k = [&](const std::vector<std::vector<ValType>>& v,
+                                  IdxType k) -> const ValType& {
+              return v[k >> lg][k & mask];
+            };
+            for (const auto& [a, b] :
+                 parts == 1 ? placements(Pt::kTwoQubit, lg_w, n)
+                            : split_placements(Pt::kTwoQubit, lg_w, n, lg)) {
+              Gate g = Pt::kTwoQubit ? make_gate(op, a, b) : make_gate(op, a);
+              g.theta = 0.613;
+              g.phi = -0.35;
+              g.lam = 1.2;
+              Circuit owner(n);
+              if (op == OP::DENSE2) {
+                Rng rng(static_cast<std::uint64_t>(7 * a + b));
+                owner.dense2(testing::random_unitary_2q(rng), a, b);
+                g = owner.gates().back();
+              }
+              ValType coef[kernels::kMaxCoefRows] = {};
+              kernels::fill_coef(g, owner.dense_table(), coef, 1, 0);
+              const kernels::UGate ug{g, coef, 1};
+              const Pt pat(g);
+              const IdxType work = gate_work_items(g, n);
+              const IdxType below = (pat.p < lg ? 1 : 0) +
+                                    (Pt::kTwoQubit && pat.q < lg ? 1 : 0);
+              const IdxType run_len = pow2(lg - below);
+              // The first and the last run (one array is one run).
+              const IdxType runs = work / run_len;
+              for (IdxType run = 0; run < runs;
+                   run += std::max(runs - 1, IdxType{1})) {
+                const IdxType run_first = run * run_len;
+                kernels::RoleBases got_at;
+                kernels::RoleBases want_at;
+                got_at.mask = want_at.mask = mask;
+                std::set<IdxType> allocations;
+                for (int r = 0; r < Pt::kTouched; ++r) {
+                  const IdxType part =
+                      (pat.base(run_first) + pat.role(r)) >> lg;
+                  allocations.insert(part);
+                  got_at.re[r] = gr[part].data();
+                  got_at.im[r] = gi[part].data();
+                  want_at.re[r] = wr[part].data();
+                  want_at.im[r] = wi[part].data();
                 }
-                for (IdxType k = 0; k < dim; ++k) {
-                  bool ok = true;
-                  if (touched[k] != 0) {
-                    ++compared;
-                    ok = std::abs(gr[k] - wr[k]) <= 1e-12 &&
-                         std::abs(gi[k] - wi[k]) <= 1e-12;
-                    if (std::memcmp(&gr[k], &wr[k], sizeof(ValType)) != 0 ||
-                        std::memcmp(&gi[k], &wi[k], sizeof(ValType)) != 0) {
-                      ++bit_diffs;
+                for (const IdxType first_item :
+                     {IdxType{0}, IdxType{1}, w - 1, w, 2 * w + 3}) {
+                  for (const IdxType len : {IdxType{0}, IdxType{1}, w - 1, w,
+                                            3 * w + 1, run_len}) {
+                    const IdxType begin = std::min(first_item, run_len);
+                    const IdxType end = std::min(begin + len, run_len);
+                    for (int p = 0; p < parts; ++p) {
+                      std::copy(re0[p].begin(), re0[p].end(), gr[p].begin());
+                      std::copy(im0[p].begin(), im0[p].end(), gi[p].begin());
+                      std::copy(re0[p].begin(), re0[p].end(), wr[p].begin());
+                      std::copy(im0[p].begin(), im0[p].end(), wi[p].begin());
                     }
-                  } else {
-                    ok = std::memcmp(&gr[k], &re0[k], sizeof(ValType)) == 0 &&
-                         std::memcmp(&gi[k], &im0[k], sizeof(ValType)) == 0;
-                  }
-                  if (ok) continue;
-                  if (failures++ == 0) {
-                    first = std::string(op_name(op)) + " " +
-                            to_string(level) + " n=" + std::to_string(n) +
-                            " (" + std::to_string(a) + "," +
-                            std::to_string(b) + ") [" +
-                            std::to_string(begin) + "," +
-                            std::to_string(end) + ") amp " +
-                            std::to_string(k) +
-                            (touched[k] != 0 ? " differs from scalar"
-                                             : " outside the range changed");
+                    if (parts == 1) {
+                      // Through the table SingleSim dispatches from.
+                      LocalSpace got;
+                      got.real = gr[0].data();
+                      got.imag = gi[0].data();
+                      got.dim = dim;
+                      KernelTable<LocalSpace>::get<L>()[static_cast<int>(op)](
+                          ug, got, begin, end);
+                    } else {
+                      kernels::solo_kernel<P, B, L>(ug, got_at, begin, end);
+                    }
+                    kernels::solo_kernel<P, B, kernels::ScalarLane>(
+                        ug, want_at, begin, end);
+                    std::vector<char> touched(static_cast<std::size_t>(dim),
+                                              0);
+                    for (IdxType i = begin; i < end; ++i) {
+                      const IdxType s = pat.base(run_first + i);
+                      for (int r = 0; r < Pt::kTouched; ++r) {
+                        touched[s + pat.role(r)] = 1;
+                      }
+                    }
+                    for (IdxType k = 0; k < dim; ++k) {
+                      const ValType& g_re = at_k(gr, k);
+                      const ValType& g_im = at_k(gi, k);
+                      bool ok = true;
+                      if (touched[k] != 0) {
+                        ++compared;
+                        if (allocations.size() > 1) ++compared_split;
+                        const ValType& w_re = at_k(wr, k);
+                        const ValType& w_im = at_k(wi, k);
+                        ok = std::abs(g_re - w_re) <= 1e-12 &&
+                             std::abs(g_im - w_im) <= 1e-12;
+                        if (std::memcmp(&g_re, &w_re, sizeof(ValType)) != 0 ||
+                            std::memcmp(&g_im, &w_im, sizeof(ValType)) != 0) {
+                          ++bit_diffs;
+                        }
+                      } else {
+                        ok = std::memcmp(&g_re, &at_k(re0, k),
+                                         sizeof(ValType)) == 0 &&
+                             std::memcmp(&g_im, &at_k(im0, k),
+                                         sizeof(ValType)) == 0;
+                      }
+                      if (ok) continue;
+                      if (failures++ == 0) {
+                        first = std::string(op_name(op)) + " " +
+                                to_string(level) + " n=" + std::to_string(n) +
+                                " x" + std::to_string(parts) + " (" +
+                                std::to_string(a) + "," + std::to_string(b) +
+                                ") run " + std::to_string(run) + " [" +
+                                std::to_string(begin) + "," +
+                                std::to_string(end) + ") amp " +
+                                std::to_string(k) +
+                                (touched[k] != 0
+                                     ? " differs from scalar"
+                                     : " outside the range changed");
+                      }
+                    }
                   }
                 }
               }
@@ -416,6 +506,7 @@ TEST(SoloSimd, RangesMatchScalarStrategy) {
   EXPECT_EQ(failures, 0u) << "first: " << first;
   EXPECT_EQ(bit_diffs, 0u) << "of " << compared << " touched amplitudes";
   EXPECT_GT(compared, 0u);
+  EXPECT_GT(compared_split, 0u);
 }
 
 // Blocks whose per-block range is shorter than a vector (b = 3, 4) or just

@@ -162,8 +162,8 @@ TEST(PerfModel, FootprintMatchesEveryKernel) {
         sp.lg_part = n;
         sp.dim = pow2(n);
         sp.traffic = &traffic;
-        kernels::solo_kernel<P, B, kernels::ScalarLane>(
-            kernels::UGate{g, coef, 1}, sp, 0, kernels::gate_work_items(g, n));
+        kernels::element_kernel<P, B>(kernels::UGate{g, coef, 1}, sp, 0,
+                                      kernels::gate_work_items(g, n));
 
         const double amps = obs::gate_cost(g, n).amps;
         const std::string what = g.str() + " on " + std::to_string(n);

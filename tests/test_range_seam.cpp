@@ -1,25 +1,33 @@
-// The partitioned tiers' range seam. ShmemSim and PeerSim run a range that
-// stays inside one partition through LocalSpace's kernel, at the run's
-// lane level, on the raw partition, and a blocked window's diagonal run on
-// the raw partition. Every other access — a range on a partition qubit,
-// measure, reset, measure-all — goes through the raw view of all
-// partitions (RawView). Each range or call books its traffic once.
+// The partitioned tiers' range seam. ShmemSim and PeerSim run every
+// range of a unitary op through the solo kernel SingleSim's table calls,
+// at the run's lane level, on the raw partitions: the range is cut into
+// runs within which each role (an amplitude a work item touches) stays in
+// one partition, and each run books its traffic once. A blocked window's
+// diagonal run also addresses the raw partition. Measure, reset and
+// measure-all go through the raw view of all partitions (RawView), which
+// books each call's traffic once.
 //
 // Each case is pinned against the per-element reference: a kernel table
 // whose every entry reaches amplitudes through the Space's own element
-// access (solo_kernel<P, B, ScalarLane, Space> for the unitary ops,
-// kern_measure / kern_measure_all / kern_reset<Space> for the others) and
-// the diagonal runs through that access too, driven by the same remap,
-// window schedule and syncs — and the same fuse stage, which the blocked
-// runs apply (the per-gate runs have the plan off). Covered on both
-// backends, at every lane level the build carries, × PE count {1, 2, 4} ×
+// access (element_kernel<P, B, Space> for the unitary ops, kern_measure /
+// kern_measure_all / kern_reset<Space> for the others) and the diagonal
+// runs through that access too, driven by the same remap, window
+// schedule and syncs — and the same fuse stage, which the blocked runs
+// apply (the per-gate runs have the plan off). Covered on both backends,
+// at every lane level the build carries, × PE count {1, 2, 4} ×
 // {per-gate, blocked}: every unitary op (DENSE2 with a random unitary) ×
 // operand placement (below lg_part, one operand on a partition qubit,
-// both on partition qubits); measure and reset on a qubit
-// below lg_part and on a partition qubit; and measure-all with and without
-// a remap layout snapshot. Amplitudes must match bit for bit, cbits and
-// samples exactly, and TrafficStats, PeerTraffic and the PE×PE traffic
-// matrix exactly, run by run.
+// both on partition qubits); measure and reset on a qubit below lg_part
+// and on a partition qubit; and measure-all with and without a remap
+// layout snapshot. Amplitudes must match bit for bit, cbits and samples
+// exactly, and TrafficStats, PeerTraffic and the PE×PE traffic matrix
+// exactly, run by run. The per-gate runs without measure or reset must
+// also leave SingleSim's state at the same lane level bit for bit.
+//
+// The range entries themselves (RangeSeamRuns) are pinned on ranges that
+// start mid-vector and cross run boundaries, cut among the workers, which
+// call them at once: against the per-element table on the same pieces,
+// amplitudes bit for bit and counts exactly, call by call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +43,7 @@
 #include "core/peer_sim.hpp"
 #include "core/pipeline.hpp"
 #include "core/shmem_sim.hpp"
+#include "core/single_sim.hpp"
 #include "ir/remap.hpp"
 #include "testing/rand_circuit.hpp"
 
@@ -81,7 +90,7 @@ const typename KernelTable<Space>::Table& per_element_table() {
     namespace k = kernels;
     typename KernelTable<Space>::Table t{};
     k::for_each_unitary([&]<OP op, k::Pat P, class B>() {
-      t[static_cast<int>(op)] = &k::solo_kernel<P, B, k::ScalarLane, Space>;
+      t[static_cast<int>(op)] = &k::element_kernel<P, B, Space>;
     });
     t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
     t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;
@@ -327,9 +336,22 @@ public:
         upload_circuit<ShmemSpace>(exec, per_element_table<ShmemSpace>());
     const auto ex = kernels::prepare_sched<ShmemSpace>(
         exec, dc.gates, resolve(cfg).block_exp, rc.lg, false);
+    return launch(rc, [&](const ShmemSpace& sp) {
+      reference_worker(dc, ex, sp);
+    });
+  }
+
+  /// `body` on every PE's Space: the one-sided get/put of the reference
+  /// and the raw partition bases (the symmetric allocations, as
+  /// ShmemSim's Ctx::ptr resolves them) of the range entries. Returns the
+  /// traffic it booked.
+  template <class Body>
+  Counts launch(RefContext& rc, Body&& body) {
     rt_.run([&](shmem::Ctx& ctx) {
       const auto pe = static_cast<std::size_t>(ctx.pe());
       ShmemSpace sp;
+      sp.real_parts = re_sym_.data();
+      sp.imag_parts = im_sym_.data();
       sp.ctx = &ctx;
       sp.real_sym = re_sym_[pe];
       sp.imag_sym = im_sym_[pe];
@@ -337,7 +359,7 @@ public:
       sp.dim = pow2(kN);
       sp.mctx = &rc.mctx;
       sp.rng = &rc.rngs[pe];
-      reference_worker(dc, ex, sp);
+      body(sp);
     });
     Counts c;
     for (const shmem::TrafficStats& t : rt_.per_pe_traffic()) {
@@ -379,15 +401,23 @@ public:
   }
 
   Counts run(const Circuit& exec, const SimConfig& cfg, RefContext& rc) {
+    const auto dc =
+        upload_circuit<PeerSpace>(exec, per_element_table<PeerSpace>());
+    const auto ex = kernels::prepare_sched<PeerSpace>(
+        exec, dc.gates, resolve(cfg).block_exp, rc.lg, false);
+    return launch(rc, [&](const PeerSpace& sp) {
+      reference_worker(dc, ex, sp);
+    });
+  }
+
+  /// `body` on every device's Space; returns the traffic it booked.
+  template <class Body>
+  Counts launch(RefContext& rc, Body&& body) {
     const auto n = static_cast<std::size_t>(parts_);
     std::vector<PeerTraffic> traffic(n);
     std::vector<std::vector<std::uint64_t>> per_dest(
         n, std::vector<std::uint64_t>(n, 0));
     std::vector<ValType> scratch(n, 0);
-    const auto dc =
-        upload_circuit<PeerSpace>(exec, per_element_table<PeerSpace>());
-    const auto ex = kernels::prepare_sched<PeerSpace>(
-        exec, dc.gates, resolve(cfg).block_exp, rc.lg, false);
     shmem::Barrier grid(parts_);
     launch_team(parts_, [&](int d) {
       const auto i = static_cast<std::size_t>(d);
@@ -404,7 +434,7 @@ public:
       sp.barrier = &grid;
       sp.scratch = scratch.data();
       sp.traffic = &traffic[i];
-      reference_worker(dc, ex, sp);
+      body(sp);
     });
     Counts c;
     for (std::size_t d = 0; d < n; ++d) {
@@ -468,8 +498,21 @@ void expect_bitwise_equal(const StateVector& got, const StateVector& want,
       << got.max_diff(want) << ")";
 }
 
+/// Whether a run of `c` must leave SingleSim's state bit for bit: a
+/// per-gate run (the plan off: no fuse stage, whose blocks form below each
+/// backend's own lg_part, and no windows) of a circuit without measure or
+/// reset, which renormalize by a norm every PE count sums in its own
+/// order.
+bool single_comparable(const Circuit& c, bool blocked) {
+  if (blocked) return false;
+  return std::none_of(c.gates().begin(), c.gates().end(), [](const Gate& g) {
+    return g.op == OP::M || g.op == OP::RESET;
+  });
+}
+
 /// `job` on backend Sim at every carried lane level against one
-/// per-element reference run on Team.
+/// per-element reference run on Team and, where single_comparable, against
+/// SingleSim at the same level.
 template <class Sim, class Team>
 void check(const Job& job, const StateVector& init, int parts, bool blocked,
            const std::string& what) {
@@ -477,12 +520,18 @@ void check(const Job& job, const StateVector& init, int parts, bool blocked,
       job, init, parts, seam_config(SimdLevel::kScalar, blocked, job.remap));
   for (const SimdLevel level : carried_levels()) {
     const std::string at = what + " simd " + to_string(level);
-    const Outcome got = run_backend<Sim>(
-        job, init, parts, seam_config(level, blocked, job.remap));
+    const SimConfig cfg = seam_config(level, blocked, job.remap);
+    const Outcome got = run_backend<Sim>(job, init, parts, cfg);
     if (blocked) {
       ASSERT_GT(got.windows, 0u) << at;
     }
     expect_bitwise_equal(got.state, want.state, at);
+    if (single_comparable(job.circuit, blocked)) {
+      SingleSim single(kN, cfg);
+      single.load_state(init);
+      single.run(job.circuit);
+      expect_bitwise_equal(got.state, single.state(), at + " vs SingleSim");
+    }
     EXPECT_EQ(got.cbits, want.cbits) << at;
     EXPECT_EQ(got.samples, want.samples) << at;
     ASSERT_EQ(got.runs.size(), want.runs.size()) << at;
@@ -678,6 +727,137 @@ TEST(RangeSeamNonUnitary, ShmemMeasureAllMatchesPerElementReference) {
 
 TEST(RangeSeamNonUnitary, PeerMeasureAllMatchesPerElementReference) {
   for_every_measure_all_case<PeerSim, PeerTeam>();
+}
+
+/// Operand placements of a `width`-qubit op for the range calls on
+/// `n_parts` partitions: in-vector operands at every lane width (0, 1,
+/// 2), operands at and above it (3), below lg_part, and on the partition
+/// qubits.
+std::vector<std::pair<IdxType, IdxType>> range_placements(int width,
+                                                          int n_parts) {
+  const IdxType lg = kN - log2_exact(n_parts);
+  std::set<std::pair<IdxType, IdxType>> out;
+  if (width == 1) {
+    for (const IdxType q : {IdxType{0}, IdxType{1}, IdxType{3}, lg - 1, lg,
+                            kN - 1}) {
+      out.insert({q, -1});
+    }
+  } else {
+    out.insert({0, 1});
+    out.insert({1, 0});
+    out.insert({0, 2});
+    out.insert({3, lg - 1});
+    for (const IdxType low : {IdxType{0}, IdxType{1}, IdxType{3}}) {
+      out.insert({low, kN - 1});
+      out.insert({kN - 1, low});
+      out.insert({low, lg});
+    }
+    if (lg < kN - 1) {
+      out.insert({lg, kN - 1});
+      out.insert({kN - 1, lg});
+    }
+  }
+  return {out.begin(), out.end()};
+}
+
+/// Work ranges over `work` items in runs of `run` items: the whole range,
+/// and ranges that start mid-vector and cross run boundaries.
+std::vector<std::pair<IdxType, IdxType>> ranges(IdxType work, IdxType run) {
+  const auto clamp = [&](IdxType b, IdxType e) {
+    b = std::min(std::max(b, IdxType{0}), work);
+    return std::make_pair(b, std::min(std::max(e, b), work));
+  };
+  return {clamp(0, work),           clamp(1, work - 1),
+          clamp(3, run + 5),        clamp(run - 3, 2 * run + 1),
+          clamp(run / 2 + 1, work - 2), clamp(5, 6)};
+}
+
+/// The cuts of [begin, end) among `n_parts` workers: the even split with
+/// every other inner bound one item later, so pieces start mid-vector.
+std::vector<IdxType> cuts(IdxType begin, IdxType end, int n_parts) {
+  std::vector<IdxType> at{begin};
+  for (int w = 1; w < n_parts; ++w) {
+    const IdxType c = begin + (end - begin) * w / n_parts + (w % 2 == 1);
+    at.push_back(std::min(std::max(c, at.back()), end));
+  }
+  at.push_back(end);
+  return at;
+}
+
+/// Space's kernel-table range entries, at every carried lane level, on
+/// the ranges above, each cut among the workers (every worker calls the
+/// entry on its piece at once, so pieces of one run store into one
+/// partition side by side), against the per-element table on the same
+/// pieces: every unitary op × range placement × PE count {2, 4}.
+/// Amplitudes must match bit for bit and each worker's counts and the
+/// PE×PE matrix exactly, call by call.
+template <class Space, class Team>
+void for_every_range_call() {
+  const StateVector init = random_state(kN, 1414);
+  for (const SimdLevel level : carried_levels()) {
+    kernels::with_lane(level, [&]<class L>() {
+      const auto& table = KernelTable<Space>::template get<L>();
+      kernels::for_each_unitary([&]<OP op, kernels::Pat P, class B>() {
+        using Pt = kernels::Pattern<P>;
+        for (const int parts : {2, 4}) {
+          const IdxType lg = kN - log2_exact(parts);
+          Team got(init, parts);
+          Team want(init, parts);
+          RefContext rc(parts, 1);
+          for (const auto& [a, b] :
+               range_placements(op_info(op).n_qubits, parts)) {
+            Gate g = b < 0 ? make_gate(op, a) : make_gate(op, a, b);
+            g.theta = 0.613;
+            g.phi = -0.35;
+            g.lam = 1.2;
+            Circuit owner(kN);
+            if (op == OP::DENSE2) {
+              Rng rng(static_cast<std::uint64_t>(3 * a + b));
+              owner.dense2(testing::random_unitary_2q(rng), a, b);
+              g = owner.gates().back();
+            }
+            ValType coef[kernels::kMaxCoefRows] = {};
+            kernels::fill_coef(g, owner.dense_table(), coef, 1, 0);
+            const UGate ug{g, coef, 1};
+            const Pt pat(g);
+            const IdxType below =
+                (pat.p < lg ? 1 : 0) + (Pt::kTwoQubit && pat.q < lg ? 1 : 0);
+            const IdxType work = gate_work_items(g, kN);
+            for (const auto& [begin, end] : ranges(work, pow2(lg - below))) {
+              const std::vector<IdxType> cut = cuts(begin, end, parts);
+              const auto piece = [&](const auto& entries, const Space& sp) {
+                const auto w = static_cast<std::size_t>(sp.worker());
+                entries[static_cast<int>(op)](ug, sp, cut[w], cut[w + 1]);
+              };
+              const Counts gc = got.launch(
+                  rc, [&](const Space& sp) { piece(table, sp); });
+              const Counts wc = want.launch(rc, [&](const Space& sp) {
+                piece(per_element_table<Space>(), sp);
+              });
+              const std::string at = std::string(op_name(op)) + " simd " +
+                                     to_string(level) + " x" +
+                                     std::to_string(parts) + " (" +
+                                     std::to_string(a) + "," +
+                                     std::to_string(b) + ") [" +
+                                     std::to_string(begin) + "," +
+                                     std::to_string(end) + ")";
+              expect_bitwise_equal(got.physical(), want.physical(), at);
+              EXPECT_EQ(gc.workers, wc.workers) << at;
+              EXPECT_EQ(gc.matrix, wc.matrix) << at;
+            }
+          }
+        }
+      });
+    });
+  }
+}
+
+TEST(RangeSeamRuns, ShmemRangesMatchPerElementTable) {
+  for_every_range_call<ShmemSpace, ShmemTeam>();
+}
+
+TEST(RangeSeamRuns, PeerRangesMatchPerElementTable) {
+  for_every_range_call<PeerSpace, PeerTeam>();
 }
 
 } // namespace
