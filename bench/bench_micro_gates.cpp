@@ -11,16 +11,23 @@
 // _peer2) run ShmemSim(16, 2) and PeerSim(16, 2) at the widest lane level
 // with remap and the plan off, on gates whose operand 15 is the partition
 // qubit (/3/15, /1/15, /15, /15/3) beside the same gates on qubit 14,
-// which stay inside each partition. Run with --benchmark_filter=... to
+// which stay inside each partition. The readout rows (sample_) time
+// sample(1024) on one fixed 16-qubit state on SingleSim(16) and, with
+// remap off (/0) and on (/1), ShmemSim(16, 2) and PeerSim(16, 2); remap
+// leaves that state under a layout that is not the identity, so /1 reads
+// through a readout permutation. Run with --benchmark_filter=... to
 // narrow.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <numeric>
+#include <vector>
 
 #include "core/generalized_sim.hpp"
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
+#include "ir/remap.hpp"
 #include "testing/rand_circuit.hpp"
 
 namespace {
@@ -176,6 +183,63 @@ PARTITIONED_BENCH(SWAP, swap_rows)
 PARTITIONED_BENCH(H, h_rows)
 PARTITIONED_BENCH(CX, cx_rows)
 PARTITIONED_BENCH(DENSE2, dense2_rows)
+
+/// The readout rows' state: a random circuit biased toward the high
+/// qubits, without measure or reset.
+Circuit readout_circuit() {
+  testing::CircuitGenOptions opt;
+  opt.n_qubits = kQubits;
+  opt.n_gates = 200;
+  opt.p_measure = 0;
+  opt.p_reset = 0;
+  opt.p_barrier = 0;
+  return testing::random_circuit(opt, 7);
+}
+
+/// A readout row: `sim` runs the readout circuit once, then each
+/// iteration times one sample(1024).
+void run_readout(benchmark::State& state, Simulator& sim) {
+  const Circuit c = readout_circuit();
+  std::vector<IdxType> identity(static_cast<std::size_t>(kQubits));
+  std::iota(identity.begin(), identity.end(), 0);
+  if (remap_for_partition(c, kQubits - 1).layout == identity) {
+    state.SkipWithError("the readout circuit leaves the identity layout");
+    return;
+  }
+  sim.run(c);
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<IdxType> samples = sim.sample(1024);
+    benchmark::DoNotOptimize(samples.data());
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count());
+  }
+}
+
+void BM_sample_single(benchmark::State& s) {
+  SingleSim sim(kQubits);
+  run_readout(s, sim);
+}
+BENCHMARK(BM_sample_single)->UseManualTime();
+
+/// A partitioned readout row: Sim(16, 2 workers), remap off or on.
+template <class Sim>
+void run_partitioned_readout(benchmark::State& state) {
+  SimConfig cfg;
+  cfg.remap = static_cast<int>(state.range(0));
+  Sim sim(kQubits, 2, cfg);
+  run_readout(state, sim);
+}
+
+void BM_sample_shmem2(benchmark::State& s) {
+  run_partitioned_readout<ShmemSim>(s);
+}
+BENCHMARK(BM_sample_shmem2)->Arg(0)->Arg(1)->UseManualTime();
+void BM_sample_peer2(benchmark::State& s) {
+  run_partitioned_readout<PeerSim>(s);
+}
+BENCHMARK(BM_sample_peer2)->Arg(0)->Arg(1)->UseManualTime();
 
 } // namespace
 

@@ -79,9 +79,14 @@ inline constexpr IdxType permute_bits(IdxType index, const IdxType* layout,
 /// layout: table k maps byte k of the index (bits [8k, 8k+8)) to those
 /// bits already scattered through the layout, so one permutation is
 /// ⌈n/8⌉ lookups and ORs instead of n bit tests. Equal to
-/// permute_bits(index, layout, n) for every index < 2^n.
+/// permute_bits(index, layout, n) for every index < 2^n. The tables'
+/// images share no bit, so a sweep in order can split the index at its
+/// lowest byte: index (hi << kLowBits) | lo maps to
+/// (*this)(hi << kLowBits) | low()[lo], one permutation per 256 indices.
 class BitPermutation {
 public:
+  static constexpr IdxType kLowBits = 8;
+
   BitPermutation(const IdxType* layout, IdxType n)
       : tables_(static_cast<std::size_t>((n + 7) / 8)) {
     for (std::size_t k = 0; k < tables_.size(); ++k) {
@@ -102,6 +107,9 @@ public:
     }
     return out;
   }
+
+  /// The lowest byte's table: low()[lo] = (*this)(lo) for lo < 256.
+  const IdxType* low() const { return tables_[0].data(); }
 
 private:
   std::vector<std::array<IdxType, 256>> tables_;

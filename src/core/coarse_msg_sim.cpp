@@ -251,13 +251,9 @@ private:
 
   void apply_measure_all(const Gate& g) {
     const int n = sim_->n_ranks_;
-    const IdxType shots = sim_->mctx_.n_shots;
     // All ranks draw the same uniforms (lockstep with the other backends).
-    std::vector<std::pair<ValType, IdxType>> draws;
-    draws.reserve(static_cast<std::size_t>(shots));
-    for (IdxType s = 0; s < shots; ++s) {
-      draws.emplace_back(rng_->next_double(), s);
-    }
+    auto draws = kernels::draw_shots(sim_->mctx_.n_shots, rank_ == 0,
+                                     [&] { return rng_->next_double(); });
     if (rank_ != 0) {
       send(0, pack());
       return;

@@ -18,17 +18,17 @@
 // kernels::for_each_unitary (kernels/gates.hpp) instantiated for the
 // table's lane policy, wrapped in one range kernel (KernelTable::on_range)
 // that runs every range, on a partition qubit or not, through the same
-// solo_kernel instance on the raw partitions, one run at a time; measure,
-// reset and measure-all reach the partitions through their raw view
-// (RawView). kernel_table() picks a Space's table by the run's resolved
-// lane level.
+// solo_kernel instance on the raw partitions, one run at a time; a
+// partitioned Space's measure-all reads the raw partitions in logical
+// runs (kern_measure_all_parts), and its measure and reset reach them
+// through their raw view (RawView). kernel_table() picks a Space's table
+// by the run's resolved lane level.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -66,19 +66,22 @@ public:
   }
 
 private:
-  /// The element access of the non-unitary ops: a partitioned Space's raw
-  /// view, any other Space itself.
-  using Elem =
-      std::conditional_t<PartitionedSpace<Space>, RawView<Space>, Space>;
-
-  /// A non-unitary op's entry: its kernel on Elem. A raw view books the
-  /// call's traffic once, when the kernel returns.
+  /// A non-unitary op's entry: its kernel on the Space.
   template <auto Kern>
   static void on_gate(const UGate& ug, const Space& sp, IdxType begin,
                       IdxType end) {
-    const Elem el(sp);
+    Kern(ug.g, sp, begin, end);
+  }
+
+  /// A partitioned Space's measure or reset: its kernel on the Space's
+  /// raw view, which books the call's traffic once, when the kernel
+  /// returns.
+  template <auto Kern>
+  static void on_raw_view(const UGate& ug, const Space& sp, IdxType begin,
+                          IdxType end) {
+    const RawView<Space> el(sp);
     Kern(ug.g, el, begin, end);
-    if constexpr (PartitionedSpace<Space>) el.flush();
+    el.flush();
   }
 
   /// The entry for unitary pattern P × body B at lane policy L: the one
@@ -138,9 +141,17 @@ private:
     });
     t[static_cast<int>(OP::ID)] = &k::kern_nop<Space>;
     t[static_cast<int>(OP::BARRIER)] = &k::kern_nop<Space>;
-    t[static_cast<int>(OP::M)] = &on_gate<&k::kern_measure<Elem>>;
-    t[static_cast<int>(OP::MA)] = &on_gate<&k::kern_measure_all<Elem>>;
-    t[static_cast<int>(OP::RESET)] = &on_gate<&k::kern_reset<Elem>>;
+    if constexpr (PartitionedSpace<Space>) {
+      using Raw = RawView<Space>;
+      t[static_cast<int>(OP::M)] = &on_raw_view<&k::kern_measure<Raw>>;
+      t[static_cast<int>(OP::MA)] =
+          &on_gate<&k::kern_measure_all_parts<Space>>;
+      t[static_cast<int>(OP::RESET)] = &on_raw_view<&k::kern_reset<Raw>>;
+    } else {
+      t[static_cast<int>(OP::M)] = &on_gate<&k::kern_measure<Space>>;
+      t[static_cast<int>(OP::MA)] = &on_gate<&k::kern_measure_all<Space>>;
+      t[static_cast<int>(OP::RESET)] = &on_gate<&k::kern_reset<Space>>;
+    }
     return t;
   }
 };

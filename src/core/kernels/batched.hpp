@@ -412,12 +412,10 @@ void bk_measure_all(const UGate&, const BatchedSpace& sp, IdxType, IdxType) {
   const IdxType shots = sp.n_shots;
   const IdxType B = sp.batch;
   for (IdxType b = 0; b < B; ++b) {
-    std::vector<std::pair<ValType, IdxType>> draws;
-    draws.reserve(static_cast<std::size_t>(shots));
-    for (IdxType s = 0; s < shots; ++s) {
-      draws.emplace_back(sp.rngs[b].next_double(), s);
-    }
-    if (sp.results == nullptr) continue; // stream-advance only
+    // Without results the member's stream only advances.
+    auto draws = draw_shots(shots, sp.results != nullptr,
+                            [&] { return sp.rngs[b].next_double(); });
+    if (sp.results == nullptr) continue;
     sample_sweep(
         draws, sp.dim, std::nullopt,
         [&](IdxType k) {

@@ -10,9 +10,10 @@
 // gate's slice runs SingleSim's kernel at the run's lane level on the
 // partitions the pointer array names — one partition, or two or four when
 // it pairs amplitudes across partitions — and counts its accesses once
-// per run (dispatch.hpp). Measurement runs the scalar kernel through the
-// pointer array (the raw view, space.hpp), whose accesses are tallied per
-// partition and counted once per slice.
+// per run (dispatch.hpp). The measure-all readout walks the partitions
+// the pointer array names in logical runs of 256 states, and measure and
+// reset run the scalar kernel through it (the raw view, space.hpp); each
+// counts its accesses once per call.
 #pragma once
 
 #include <cstdint>

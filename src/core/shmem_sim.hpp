@@ -8,13 +8,14 @@
 // threads, so every partition is load/store-reachable through a Ctx::ptr
 // pointer (the shmem_ptr analogue): every gate, on a partition qubit or
 // not, runs SingleSim's kernel at the run's lane level on those pointers,
-// each role of a work item in its own partition (dispatch.hpp), and
-// measurement runs the scalar kernel on them (the raw view, space.hpp).
-// Both book exactly the gets/puts the one-sided calls would, once per run
-// or call. The PE team is provided by the svsim::shmem runtime (DESIGN.md
-// explains the substitution for OpenSHMEM/NVSHMEM); traffic counters
-// record the exact local/remote communication volume the machine model
-// prices for Figures 12-13.
+// each role of a work item in its own partition (dispatch.hpp); the
+// measure-all readout walks them in logical runs of 256 states
+// (kern_measure_all_parts), and measure and reset run the scalar kernel
+// on them (the raw view, space.hpp). All book exactly the gets/puts the
+// one-sided calls would, once per run or call. The PE team is provided
+// by the svsim::shmem runtime (DESIGN.md explains the substitution for
+// OpenSHMEM/NVSHMEM); traffic counters record the exact local/remote
+// communication volume the machine model prices for Figures 12-13.
 #pragma once
 
 #include <memory>

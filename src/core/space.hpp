@@ -17,11 +17,13 @@
 // partition's base, resolved once. Every unitary work range — inside one
 // partition or pairing amplitudes across partitions — runs the solo
 // kernels at the run's lane level on the raw partitions, one run at a
-// time, each role's partition resolved once per run (dispatch.hpp);
-// measure, reset and measure-all go through the raw view of all
-// partitions (RawView). Either way the traffic is booked once per run or
-// call through the Space's one counting method (count_access), to the
-// same totals per-element counting gives. The Spaces' own element access
+// time, each role's partition resolved once per run (dispatch.hpp); the
+// measure-all readout walks the raw partitions in logical runs
+// (kern_measure_all_parts, kernels/nonunitary.hpp); measure and reset go
+// through the raw view of all partitions (RawView). Either way the
+// traffic is booked once per run or call through the Space's one
+// counting method (count_access), to the same totals per-element
+// counting gives. The Spaces' own element access
 // (get_real, set_real, ...) routes and counts each access the way
 // Listings 4/5 do; it stays as the per-element reference the range seam
 // is tested against.
@@ -102,8 +104,9 @@ struct PartitionBases {
   ValType* const* real_parts = nullptr; // one base per partition
   ValType* const* imag_parts = nullptr;
   IdxType lg_part = 0; // log2(amplitudes per partition)
-  /// This worker's RawView tallies, a WorkerRows row: partition p's gets
-  /// and puts in words 2p and 2p+1. All zero between calls.
+  /// This worker's RawView tallies (measure and reset), a WorkerRows row:
+  /// partition p's gets and puts in words 2p and 2p+1. All zero between
+  /// calls.
   std::uint64_t* tally = nullptr;
 
   IdxType part_mask() const { return pow2(lg_part) - 1; }
@@ -131,9 +134,9 @@ concept PartitionedSpace =
       sp.count_access(partition, n, n);
     };
 
-/// The raw view of a partitioned Space, for measure, reset and
-/// measure-all: the Space itself (its SPMD protocol, measure context and
-/// counters) with element access straight to the raw partitions,
+/// The raw view of a partitioned Space, for measure and reset: the Space
+/// itself (its SPMD protocol, measure context and counters) with element
+/// access straight to the raw partitions,
 /// amplitude i at real_parts[i >> lg_part][i & part_mask()]. Ctx::ptr
 /// validated every ShmemSim base over its whole partition, so no
 /// per-access check is lost. Each get and put is tallied per partition in
@@ -277,7 +280,7 @@ struct PeerSpace : PartitionBases { // the shared pointer array
 // ---------------------------------------------------------------------------
 // ShmemSpace: symmetric-heap partitions behind one-sided get/put
 // (Listing 5). The inherited bases are every PE's partition through
-// Ctx::ptr, for the unitary ranges and the RawView.
+// Ctx::ptr, for the unitary ranges, the readout and the RawView.
 // ---------------------------------------------------------------------------
 struct ShmemSpace : PartitionBases {
   shmem::Ctx* ctx = nullptr;

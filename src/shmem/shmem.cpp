@@ -163,11 +163,13 @@ void Runtime::run(const std::function<void(Ctx&)>& pe_main) {
       pe_main(ctx);
     } catch (...) {
       errors[static_cast<std::size_t>(pe)] = std::current_exception();
-      // A PE that dies mid-protocol would deadlock the others at the next
-      // barrier; there is no cancellation in SHMEM, so we simply keep
-      // "participating" in barriers until everyone unwinds. In practice PE
-      // bodies are exception-free except for programming errors surfaced
-      // in tests, where all PEs fail the same check together.
+      // A PE that throws leaves its body here and never arrives at
+      // another barrier, and nothing cancels the rest: the other PEs
+      // block at their next barrier, and the joins below wait for them
+      // forever. The error reaches the caller only when every PE throws
+      // at the same point (the programming errors tests surface, where
+      // all PEs fail the same check) or a PE throws after its last
+      // barrier.
     }
     last_traffic_[static_cast<std::size_t>(pe)] = ctx.traffic();
     const std::vector<std::uint64_t>& row = ctx.dest_bytes();

@@ -2,14 +2,19 @@
 // sampling statistics, reset, and mid-circuit measurement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <map>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batched_sim.hpp"
 #include "core/coarse_msg_sim.hpp"
 #include "core/generalized_sim.hpp"
+#include "core/kernels/nonunitary.hpp"
 #include "core/peer_sim.hpp"
 #include "core/shmem_sim.hpp"
 #include "core/single_sim.hpp"
@@ -245,6 +250,94 @@ measure q[0] -> c[5];
   testing::OracleSim oracle(2);
   oracle.run(c);
   EXPECT_EQ(oracle.cbits(), want);
+}
+
+/// The sweep's O(shots) draw ordering gives std::sort's order on the
+/// (uniform, shot) pairs: on uniform draws, on equal values in either
+/// shot order (ties break by shot), on draws that all share one bucket,
+/// on values at bucket edges and next to 1, and on 0 and 1 draws.
+TEST(MeasureAll, DrawOrderMatchesStdSort) {
+  using Draws = std::vector<std::pair<ValType, IdxType>>;
+  const auto expect_sorted = [](Draws draws, const std::string& what) {
+    Draws want = draws;
+    std::sort(want.begin(), want.end());
+    kernels::sort_draws(draws);
+    EXPECT_EQ(draws, want) << what;
+  };
+  expect_sorted({}, "no draws");
+  expect_sorted({{0.5, 0}}, "one draw");
+  Rng rng(5);
+  for (const IdxType shots : {2, 3, 7, 1024}) {
+    const auto n = static_cast<ValType>(shots);
+    Draws uniform, equal, equal_reversed, one_bucket, edges;
+    for (IdxType s = 0; s < shots; ++s) {
+      uniform.emplace_back(rng.next_double(), s);
+      equal.emplace_back(0.25, s);
+      equal_reversed.emplace_back(0.25, shots - 1 - s);
+      one_bucket.emplace_back((n - 1 + rng.next_double()) / n, s);
+      edges.emplace_back(static_cast<ValType>((s * 5) % shots) / n, s);
+    }
+    edges.emplace_back(0.0, shots);
+    edges.emplace_back(1.0 - 0x1.0p-53, shots + 1);
+    const std::string at = " x" + std::to_string(shots);
+    expect_sorted(uniform, "uniform" + at);
+    expect_sorted(equal, "equal" + at);
+    expect_sorted(equal_reversed, "equal, shots reversed" + at);
+    expect_sorted(one_bucket, "one bucket" + at);
+    expect_sorted(edges, "bucket edges" + at);
+  }
+}
+
+/// The sweep against a naive walk (std::sort, then permute_bits and one
+/// running sum state by state) on an 11-qubit distribution, eight of the
+/// sweep's runs, unpermuted and under a layout that scatters the low byte
+/// across the register: the same outcomes, and it stops at the state that
+/// takes the last draw.
+TEST(MeasureAll, SweepMatchesNaiveWalk) {
+  constexpr IdxType n = 11;
+  const IdxType dim = pow2(n);
+  Rng rng(8);
+  std::vector<ValType> prob(static_cast<std::size_t>(dim));
+  ValType total = 0;
+  for (ValType& x : prob) {
+    x = rng.next_double();
+    total += x;
+  }
+  for (ValType& x : prob) x /= total;
+  const std::vector<IdxType> layout{5, 10, 2, 0, 9, 1, 3, 8, 4, 7, 6};
+  for (const bool permuted : {false, true}) {
+    std::optional<BitPermutation> perm;
+    if (permuted) perm.emplace(layout.data(), n);
+    for (const IdxType shots : {1, 3, 300}) {
+      std::vector<std::pair<ValType, IdxType>> draws;
+      for (IdxType s = 0; s < shots; ++s) {
+        draws.emplace_back(rng.next_double(), s);
+      }
+      auto sorted = draws;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<IdxType> want(static_cast<std::size_t>(shots), dim - 1);
+      ValType cum = 0;
+      std::size_t d = 0;
+      IdxType stop = 0;
+      for (IdxType k = 0; k < dim && d < sorted.size(); ++k) {
+        const IdxType phys = permuted ? permute_bits(k, layout.data(), n) : k;
+        cum += prob[static_cast<std::size_t>(phys)];
+        for (; d < sorted.size() && sorted[d].first < cum; ++d) {
+          want[static_cast<std::size_t>(sorted[d].second)] = k;
+        }
+        stop = k + 1;
+      }
+      std::vector<IdxType> got(static_cast<std::size_t>(shots));
+      const IdxType visited = kernels::sample_sweep(
+          draws, dim, perm,
+          [&](IdxType i) { return prob[static_cast<std::size_t>(i)]; },
+          got.data());
+      const std::string at = (permuted ? "permuted" : "unpermuted") +
+                             std::string(" x") + std::to_string(shots);
+      EXPECT_EQ(got, want) << at;
+      EXPECT_EQ(visited, stop) << at;
+    }
+  }
 }
 
 } // namespace

@@ -3,9 +3,10 @@
 // at the run's lane level, on the raw partitions: the range is cut into
 // runs within which each role (an amplitude a work item touches) stays in
 // one partition, and each run books its traffic once. A blocked window's
-// diagonal run also addresses the raw partition. Measure, reset and
-// measure-all go through the raw view of all partitions (RawView), which
-// books each call's traffic once.
+// diagonal run also addresses the raw partition. The measure-all readout
+// walks the raw partitions in logical runs of 256 states, and measure and
+// reset go through the raw view of all partitions (RawView); each books a
+// call's traffic once.
 //
 // Each case is pinned against the per-element reference: a kernel table
 // whose every entry reaches amplitudes through the Space's own element
@@ -19,10 +20,15 @@
 // operand placement (below lg_part, one operand on a partition qubit,
 // both on partition qubits); measure and reset on a qubit below lg_part
 // and on a partition qubit; and measure-all with and without a remap
-// layout snapshot. Amplitudes must match bit for bit, cbits and samples
+// layout snapshot, on 7 qubits (one run of the readout sweep) and, per
+// gate on 2 and 4 PEs with 1, 3 and 300 shots, on 11 (eight runs, the
+// snapshot with logical qubit 0 on a partition qubit, the walk stopping
+// inside a run). Amplitudes must match bit for bit, cbits and samples
 // exactly, and TrafficStats, PeerTraffic and the PE×PE traffic matrix
 // exactly, run by run. The per-gate runs without measure or reset must
-// also leave SingleSim's state at the same lane level bit for bit.
+// also leave SingleSim's state at the same lane level bit for bit. On the
+// 11-qubit circuit with remap on, CoarseMsgSim's samples must equal
+// SingleSim's.
 //
 // The range entries themselves (RangeSeamRuns) are pinned on ranges that
 // start mid-vector and cross run boundaries, cut among the workers, which
@@ -40,6 +46,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/coarse_msg_sim.hpp"
 #include "core/peer_sim.hpp"
 #include "core/pipeline.hpp"
 #include "core/shmem_sim.hpp"
@@ -169,7 +176,7 @@ struct Counts {
 /// the samples, and the counts of every run (the circuit's, then the
 /// sample's).
 struct Outcome {
-  StateVector state{kN};
+  StateVector state;
   std::vector<IdxType> cbits;
   std::vector<IdxType> samples;
   std::vector<Counts> runs;
@@ -210,7 +217,7 @@ Counts counts_of(const PeerSim& sim) {
 template <class Sim>
 Outcome run_backend(const Job& job, const StateVector& init, int parts,
                     const SimConfig& cfg) {
-  Sim sim(kN, parts, cfg);
+  Sim sim(init.n_qubits, parts, cfg);
   sim.load_state(init);
   sim.run(job.circuit);
   Outcome out;
@@ -228,8 +235,8 @@ Outcome run_backend(const Job& job, const StateVector& init, int parts,
 /// Amplitudes of partitions `re`/`im` in index order.
 StateVector gather(const std::vector<std::vector<ValType>>& re,
                    const std::vector<std::vector<ValType>>& im) {
-  StateVector sv(kN);
   const std::size_t per = re[0].size();
+  StateVector sv(log2_exact(static_cast<IdxType>(per * re.size())));
   for (std::size_t k = 0; k < sv.amps.size(); ++k) {
     sv.amps[k] = Complex{re[k / per][k % per], im[k / per][k % per]};
   }
@@ -249,16 +256,17 @@ split(const StateVector& init, int n_parts) {
   return {re, im};
 }
 
-/// What a backend keeps across runs besides its partitions: the RNG
-/// replicas, the classical register, the measure context and the remap
-/// layout with this run's snapshots.
+/// What a backend of `n` qubits keeps across runs besides its
+/// partitions: the RNG replicas, the classical register, the measure
+/// context and the remap layout with this run's snapshots.
 struct RefContext {
-  RefContext(int parts, std::uint64_t seed)
-      : lg(kN - log2_exact(parts)),
+  RefContext(IdxType n, int parts, std::uint64_t seed)
+      : n(n),
+        lg(n - log2_exact(parts)),
         rngs(static_cast<std::size_t>(parts), Rng(seed)),
-        cbits(static_cast<std::size_t>(kN), 0) {
+        cbits(static_cast<std::size_t>(n), 0) {
     mctx.cbits = cbits.data();
-    mctx.n_qubits = kN;
+    mctx.n_qubits = n;
   }
 
   /// The pipeline's remap and fuse stages: the circuit the workers
@@ -288,12 +296,12 @@ struct RefContext {
   /// `phys` in logical order, as Simulator::state() undoes the layout.
   StateVector logical(const StateVector& phys) const {
     if (layout.empty()) return phys;
-    std::vector<IdxType> inv(static_cast<std::size_t>(kN));
-    for (IdxType l = 0; l < kN; ++l) {
+    std::vector<IdxType> inv(static_cast<std::size_t>(n));
+    for (IdxType l = 0; l < n; ++l) {
       inv[static_cast<std::size_t>(layout[static_cast<std::size_t>(l)])] = l;
     }
-    const BitPermutation to_logical(inv.data(), kN);
-    StateVector sv(kN);
+    const BitPermutation to_logical(inv.data(), n);
+    StateVector sv(n);
     for (std::size_t k = 0; k < phys.amps.size(); ++k) {
       sv.amps[static_cast<std::size_t>(
           to_logical(static_cast<IdxType>(k)))] = phys.amps[k];
@@ -301,6 +309,7 @@ struct RefContext {
     return sv;
   }
 
+  IdxType n;
   IdxType lg;
   std::vector<Rng> rngs;
   std::vector<IdxType> cbits;
@@ -317,7 +326,7 @@ class ShmemTeam {
 public:
   ShmemTeam(const StateVector& init, int parts)
       : parts_(parts),
-        per_(static_cast<std::size_t>(pow2(kN - log2_exact(parts)))),
+        per_(init.amps.size() / static_cast<std::size_t>(parts)),
         rt_(parts, per_ * 2 * sizeof(ValType) + (1u << 16)),
         re_sym_(static_cast<std::size_t>(parts)),
         im_sym_(static_cast<std::size_t>(parts)) {
@@ -356,7 +365,7 @@ public:
       sp.real_sym = re_sym_[pe];
       sp.imag_sym = im_sym_[pe];
       sp.lg_part = rc.lg;
-      sp.dim = pow2(kN);
+      sp.dim = pow2(rc.n);
       sp.mctx = &rc.mctx;
       sp.rng = &rc.rngs[pe];
       body(sp);
@@ -426,7 +435,7 @@ public:
       sp.real_parts = re_ptr_.data();
       sp.imag_parts = im_ptr_.data();
       sp.lg_part = rc.lg;
-      sp.dim = pow2(kN);
+      sp.dim = pow2(rc.n);
       sp.mctx = &rc.mctx;
       sp.rng = &rc.rngs[i];
       sp.worker_id = d;
@@ -463,7 +472,7 @@ template <class Team>
 Outcome run_reference(const Job& job, const StateVector& init, int parts,
                       const SimConfig& cfg) {
   Team team(init, parts);
-  RefContext rc(parts, cfg.seed);
+  RefContext rc(init.n_qubits, parts, cfg.seed);
   Outcome out;
   out.runs.push_back(
       team.run(rc.prepare(job.circuit, job.remap, cfg), cfg, rc));
@@ -472,14 +481,14 @@ Outcome run_reference(const Job& job, const StateVector& init, int parts,
     rc.results.assign(static_cast<std::size_t>(job.shots), 0);
     rc.mctx.results = rc.results.data();
     rc.mctx.n_shots = job.shots;
-    Circuit ma(kN);
+    Circuit ma(init.n_qubits);
     ma.measure_all();
     out.runs.push_back(team.run(rc.prepare(ma, job.remap, cfg), cfg, rc));
     out.samples = rc.results;
     if (job.remap && parts > 1) {
       // The case is meant to read through a non-identity snapshot.
       EXPECT_TRUE(
-          kernels::readout_permutation(rc.ma_layouts.data(), kN, 0)
+          kernels::readout_permutation(rc.ma_layouts.data(), rc.n, 0)
               .has_value())
           << "the remap left the identity layout";
     }
@@ -527,7 +536,7 @@ void check(const Job& job, const StateVector& init, int parts, bool blocked,
     }
     expect_bitwise_equal(got.state, want.state, at);
     if (single_comparable(job.circuit, blocked)) {
-      SingleSim single(kN, cfg);
+      SingleSim single(init.n_qubits, cfg);
       single.load_state(init);
       single.run(job.circuit);
       expect_bitwise_equal(got.state, single.state(), at + " vs SingleSim");
@@ -729,6 +738,82 @@ TEST(RangeSeamNonUnitary, PeerMeasureAllMatchesPerElementReference) {
   for_every_measure_all_case<PeerSim, PeerTeam>();
 }
 
+/// The multi-run readout cases' width: 2^11 amplitudes make eight of the
+/// sweep's runs of 256 logical states, and each partition holds two or
+/// four of them.
+constexpr IdxType kRunsN = 11;
+
+/// A circuit whose remap layout at `lg` local qubits ends with logical
+/// qubit 0 on a partition qubit: qubit 0's last use comes first, then a
+/// gate on every partition qubit, after which every other qubit below lg
+/// is used again, so each swap the pass inserts evicts qubit 0 or a
+/// partition qubit it has just brought in. X and CX only: they move
+/// amplitudes without rounding them, so every backend's arithmetic
+/// leaves the same state.
+Circuit multi_run_circuit(IdxType lg) {
+  Circuit c(kRunsN);
+  c.x(0);
+  for (IdxType q = 1; q < lg; ++q) c.x(q);
+  for (IdxType q = lg; q < kRunsN; ++q) c.cx(q, 1);
+  for (IdxType q = 1; q < lg; ++q) c.x(q);
+  return c;
+}
+
+/// Measure-all across runs, on 2 and 4 PEs: in physical order (remap
+/// off) and through a snapshot with logical qubit 0 on a partition qubit
+/// (remap on), so every run's low table spans partitions; with 1, 3 and
+/// 300 shots, so the walk stops inside a run.
+template <class Sim, class Team>
+void for_every_multi_run_case() {
+  const StateVector init = random_state(kRunsN, 1732);
+  for (const int parts : {2, 4}) {
+    const IdxType lg = kRunsN - log2_exact(parts);
+    const Circuit c = multi_run_circuit(lg);
+    ASSERT_GE(remap_for_partition(c, lg).layout[0], lg) << "x" << parts;
+    for (const bool remap : {false, true}) {
+      for (const IdxType shots : {1, 3, 300}) {
+        check<Sim, Team>(
+            Job{c, shots, remap}, init, parts, false,
+            case_label("measure_all n=" + std::to_string(kRunsN) +
+                           (remap ? " remap=on" : " remap=off") + " shots " +
+                           std::to_string(shots),
+                       parts, false));
+      }
+    }
+  }
+}
+
+TEST(RangeSeamNonUnitary, ShmemMultiRunMeasureAllMatchesPerElementReference) {
+  for_every_multi_run_case<ShmemSim, ShmemTeam>();
+}
+
+TEST(RangeSeamNonUnitary, PeerMultiRunMeasureAllMatchesPerElementReference) {
+  for_every_multi_run_case<PeerSim, PeerTeam>();
+}
+
+/// CoarseMsgSim's rank-0 sweep walks the same runs over its gathered
+/// partitions: on the multi-run circuit with remap on, its samples equal
+/// SingleSim's, which never remaps, on 2 and 4 ranks.
+TEST(RangeSeamNonUnitary, CoarseMultiRunSamplesMatchSingleSim) {
+  const StateVector init = random_state(kRunsN, 1732);
+  for (const int parts : {2, 4}) {
+    const Circuit c = multi_run_circuit(kRunsN - log2_exact(parts));
+    SimConfig cfg;
+    cfg.remap = 1;
+    CoarseMsgSim coarse(kRunsN, parts, cfg);
+    coarse.load_state(init);
+    coarse.run(c);
+    ASSERT_GT(coarse.last_report().remap.swaps_inserted, 0u) << "x" << parts;
+    SingleSim single(kRunsN);
+    single.load_state(init);
+    single.run(c);
+    for (const IdxType shots : {1, 3, 300}) {
+      EXPECT_EQ(coarse.sample(shots), single.sample(shots))
+          << "x" << parts << " shots " << shots;
+    }
+  }
+}
+
 /// Operand placements of a `width`-qubit op for the range calls on
 /// `n_parts` partitions: in-vector operands at every lane width (0, 1,
 /// 2), operands at and above it (3), below lg_part, and on the partition
@@ -803,7 +888,7 @@ void for_every_range_call() {
           const IdxType lg = kN - log2_exact(parts);
           Team got(init, parts);
           Team want(init, parts);
-          RefContext rc(parts, 1);
+          RefContext rc(kN, parts, 1);
           for (const auto& [a, b] :
                range_placements(op_info(op).n_qubits, parts)) {
             Gate g = b < 0 ? make_gate(op, a) : make_gate(op, a, b);
